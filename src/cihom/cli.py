@@ -36,7 +36,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     help="output format (env CIHOM_FORMAT sets the default)")
     ap.add_argument("--field", default="f32003",
                     help="coefficient field tag: f32003 (default), fP, rational")
-    ap.add_argument("--steps", type=int, default=None,
+    ap.add_argument("--steps", type=_positive_int, default=None,
                     help="default resolution step bound")
     ap.add_argument("--tor-bound", type=int, default=6,
                     help="default Tor/Ext index bound")
@@ -44,6 +44,24 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     help="default graded Hilbert degree bound")
     ap.add_argument("--seed", type=int, default=1, help="default search seed")
     return ap
+
+
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {n}")
+    return n
+
+
+def _steps(cmd: dict, defaults: dict, M) -> int:
+    """Resolution length: the command's steps=, else --steps, else a
+    ring-dependent default."""
+    steps = cmd.get("steps")
+    if steps is None:
+        steps = defaults.get("steps")
+    if steps is None:
+        steps = 2 * int(M.ring.dimension()) + 2 * M.ring.codim + 4
+    return steps
 
 
 def _run_command(cmd: dict, session, defaults: dict) -> dict:
@@ -58,8 +76,7 @@ def _run_command(cmd: dict, session, defaults: dict) -> dict:
         return {"kind": "example", "title": cmd["id"], "data": data}
     if kind == "resolve":
         M = session.modules[cmd["module"]]
-        steps = cmd.get("steps") or defaults.get("steps") or (
-            2 * int(M.ring.dimension()) + 2 * M.ring.codim + 4)
+        steps = _steps(cmd, defaults, M)
         res = resolve(M, steps=steps, over=cmd.get("over", "quotient"))
         data = {"module": M.label, "ring": M.ring.label,
                 "betti": betti_table(res).as_dict(),
@@ -70,8 +87,7 @@ def _run_command(cmd: dict, session, defaults: dict) -> dict:
         return {"kind": "resolve", "title": M.label, "data": data}
     if kind == "betti":
         M = session.modules[cmd["module"]]
-        steps = cmd.get("steps") or defaults.get("steps") or (
-            2 * int(M.ring.dimension()) + 2 * M.ring.codim + 4)
+        steps = _steps(cmd, defaults, M)
         res = resolve(M, steps=steps)
         cx = module_complexity(M, window=steps)
         return {"kind": "betti", "title": M.label,

@@ -295,7 +295,8 @@ def parse_session(text: str) -> Session:
 def _parse_options(cur, session, poly_ring=None, allowed=None):
     opts = {}
     while cur.at("name") and cur.tokens[cur.pos + 1].kind == "=":
-        key = cur.next().text
+        key_tok = cur.next()
+        key = key_tok.text
         if allowed is not None and key not in allowed:
             cur.error(f"unknown option {key!r}")
         cur.expect("=")
@@ -313,6 +314,8 @@ def _parse_options(cur, session, poly_ring=None, allowed=None):
                 opts[key] = -int(t.text) if neg else int(t.text)
             else:
                 opts[key] = t.text
+        if key == "steps" and not (isinstance(opts[key], int) and opts[key] >= 1):
+            raise ParseError("steps must be a positive integer", key_tok.line, key_tok.col)
     return opts
 
 

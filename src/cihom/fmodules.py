@@ -17,6 +17,7 @@ import itertools
 from .polynomials import (
     GradedViolationError,
     IncompatibleOperandsError,
+    InvariantError,
     PolyRing,
     Polynomial,
     monomials_of_degree,
@@ -605,7 +606,8 @@ class ModulePresentation:
                     terms[(k, mono)] = c
             ev = Element(ddual_free, terms)
             lifted = tracked.lift(ev)
-            assert lifted is not None, "biduality evaluation must lie in the double dual"
+            if lifted is None:
+                raise InvariantError("biduality evaluation must lie in the double dual")
             psi_cols.append(lifted)
         ents = [[psi_cols[j][l] for j in range(M.n_gens)] for l in range(len(d2degs))]
         psi = PolyMatrix(pr, tuple(d2degs), M.gen_degs, ents)
@@ -647,7 +649,8 @@ class ModulePresentation:
         from .resolutions import resolve
         amb = self.ambient_presentation()
         res = resolve(amb, steps=self.ring.poly_ring.nvars + 1)
-        assert res.terminated, "ambient resolution must terminate within dim S steps"
+        if not res.terminated:
+            raise InvariantError("ambient resolution must terminate within dim S steps")
         return res.length()
 
     def depth(self) -> float:

@@ -180,25 +180,49 @@ class ModuleOrder:
     Positions below ``split`` form the main block and dominate every tracking
     position.  Within a block terms compare by shifted degree, then the ring
     order on monomials, then by earlier position.  Larger key = larger term.
+    Keys are memoized per order instance, so each term's key is built once
+    for as long as the order lives.
     """
 
-    __slots__ = ("module", "split")
+    __slots__ = ("module", "split", "_keys")
 
     def __init__(self, module: FreeModule, split: int | None = None):
         self.module = module
         self.split = module.rank if split is None else split
+        self._keys: dict = {}
 
     def key(self, term):
-        p, m = term
-        ring_key = self.module.ring.order.key(m)
-        block = 1 if p < self.split else 0
-        return (block, mono_degree(m) + self.module.gen_degs[p], ring_key, -p)
+        k = self._keys.get(term)
+        if k is None:
+            p, m = term
+            k = self._keys[term] = (1 if p < self.split else 0,
+                                    mono_degree(m) + self.module.gen_degs[p],
+                                    self.module.ring.order.key(m), -p)
+        return k
 
 
 def lead_term(e: Element, order: ModuleOrder):
     if e._lead is None:
         e._lead = max(e.terms, key=order.key)
     return e._lead
+
+
+# heapq's max-heap functions are private before Python 3.14, public from it.
+_heapify_max = getattr(heapq, "heapify_max", None) or heapq._heapify_max
+_heappop_max = getattr(heapq, "heappop_max", None) or heapq._heappop_max
+
+
+def _heappush_max(heap: list, item):
+    """Push onto a max-heap: append, then sift the new leaf up."""
+    heap.append(item)
+    pos = len(heap) - 1
+    while pos:
+        parent = (pos - 1) >> 1
+        if not heap[parent] < item:
+            break
+        heap[pos] = heap[parent]
+        pos = parent
+    heap[pos] = item
 
 
 def normal_form(e: Element, basis: list, order: ModuleOrder,
@@ -208,6 +232,12 @@ def normal_form(e: Element, basis: list, order: ModuleOrder,
     Zero iff e lies in the generated submodule (when basis is a Groebner
     basis); idempotent.  ``by_position`` maps lead position -> list of basis
     indices and is rebuilt when absent.
+
+    The work terms live in a dict changed in place, beside a max-heap of
+    (order key, term) pairs, so each term's key is computed once, when the
+    term enters the work set.  A popped term missing from the dict was
+    cancelled and is skipped; a processed term never comes back, because a
+    reduction step only introduces terms below the current lead.
     """
     if by_position is None:
         by_position = {}
@@ -215,26 +245,46 @@ def normal_form(e: Element, basis: list, order: ModuleOrder,
             if g:
                 by_position.setdefault(lead_term(g, order)[0], []).append(i)
     field = e.module.ring.field
-    remainder: dict = {}
-    work = Element(e.module, dict(e.terms))
+    add, mul, is_zero = field.add, field.mul, field.is_zero
     key = order.key
-    while work.terms:
-        t = max(work.terms, key=key)
+    work = dict(e.terms)
+    heap = [(key(t), t) for t in work]
+    _heapify_max(heap)
+    remainder: dict = {}
+    while heap:
+        t = _heappop_max(heap)[1]
+        c = work.pop(t, None)
+        if c is None:
+            continue
         pos, mono = t
         reducer = None
         for i in by_position.get(pos, ()):
             g = basis[i]
-            gm = lead_term(g, order)[1]
-            if mono_divides(gm, mono):
+            glt = lead_term(g, order)
+            if mono_divides(glt[1], mono):
                 reducer = g
                 break
         if reducer is None:
-            remainder[t] = work.terms.pop(t)
-            work._lead = None
+            remainder[t] = c
             continue
-        glt = lead_term(reducer, order)
-        coeff = field.div(work.terms[t], reducer.terms[glt])
-        work = work.sub_scaled(reducer, mono_div(mono, glt[1]), coeff)
+        # work -= (c / lc) * shift * reducer; its lead cancels t exactly.
+        shift = mono_div(mono, glt[1])
+        ncoeff = field.neg(field.div(c, reducer.terms[glt]))
+        for rt, rc in reducer.terms.items():
+            if rt == glt:
+                continue
+            u = (rt[0], mono_mul(rt[1], shift))
+            d = mul(rc, ncoeff)
+            old = work.get(u)
+            if old is None:
+                work[u] = d
+                _heappush_max(heap, (key(u), u))
+            else:
+                s = add(old, d)
+                if is_zero(s):
+                    del work[u]
+                else:
+                    work[u] = s
     return Element(e.module, remainder)
 
 
@@ -243,7 +293,9 @@ def s_pair(f: Element, g: Element, order: ModuleOrder) -> Element:
     field = f.module.ring.field
     (pf, mf) = lead_term(f, order)
     (pg, mg) = lead_term(g, order)
-    assert pf == pg
+    if pf != pg:
+        raise IncompatibleOperandsError(
+            f"S-pair of elements with leads in positions {pf} and {pg}")
     lcm = mono_lcm(mf, mg)
     left = f.mul_term(mono_div(lcm, mf), field.inv(f.terms[(pf, mf)]))
     return left.sub_scaled(g, mono_div(lcm, mg), field.inv(g.terms[(pg, mg)]))

@@ -10,6 +10,7 @@ coefficients, no duplicate monomials).
 from __future__ import annotations
 
 import itertools
+import operator
 
 
 class IncompatibleOperandsError(ValueError):
@@ -20,20 +21,24 @@ class GradedViolationError(ValueError):
     """A homogeneous input was required but not supplied."""
 
 
+class InvariantError(RuntimeError):
+    """An internal invariant of a computation failed: an engine fault, not bad input."""
+
+
 # ---------------------------------------------------------------------------
 # monomials (exponent tuples)
 
 def mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 def mono_divides(a: tuple, b: tuple) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 def mono_div(a: tuple, b: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 def mono_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 def mono_gcd(a: tuple, b: tuple) -> tuple:
     return tuple(min(x, y) for x, y in zip(a, b))

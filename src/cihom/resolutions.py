@@ -17,6 +17,7 @@ import itertools
 
 from .fmodules import ModulePresentation, PolyMatrix
 from .groebner import FreeModule, minimal_generator_indices, syzygy_generators
+from .polynomials import InvariantError
 
 
 class MinimalityRequiredError(ValueError):
@@ -171,7 +172,8 @@ def resolve(M: ModulePresentation, steps: int, over: str = "quotient") -> FreeRe
         d = d.map_entries(ring.reduce)
         for row in d.entries:
             for p in row:
-                assert not (p and p.is_constant()), "minimality violated in resolution step"
+                if p and p.is_constant():
+                    raise InvariantError("minimality violated in resolution step")
         diffs.append(d)
     return FreeResolution(Mmin, diffs[:steps], steps,
                           cache["terminated"] and len(diffs) <= steps)

@@ -105,6 +105,34 @@ def test_cli_script_runs_and_is_byte_stable(tmp_path, capsys):
     assert doc["results"][0]["data"]["betti"]["betti"][:3] == [1, 2, 3]
 
 
+@pytest.mark.parametrize("command", ["resolve M steps=0", "betti M steps=0"])
+def test_cli_steps_zero_is_parse_error(tmp_path, capsys, command):
+    script = tmp_path / "z.ci"
+    script.write_text(TWO_LINE_SCRIPT + command + "\n")
+    assert main(["--script", str(script), "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    column = command.index("steps") + 1
+    assert captured.err.splitlines() == [
+        f"cihom: parse error: line 4, column {column}: steps must be a positive integer"]
+
+
+def test_cli_steps_flag_zero_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--example", "4.4", "--steps", "0"])
+    assert exc.value.code == 2
+
+
+def test_cli_explicit_steps_honoured(tmp_path, capsys):
+    script = tmp_path / "s3.ci"
+    script.write_text(TWO_LINE_SCRIPT + "resolve M steps=3\nbetti M steps=3\n")
+    assert main(["--script", str(script), "--format", "json", "--steps", "6"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    for result in doc["results"]:
+        assert result["data"]["betti"]["truncation"] == 3
+        assert result["data"]["betti"]["betti"] == [1, 2, 3, 4]
+
+
 def test_cli_check_command(tmp_path, capsys):
     script = tmp_path / "c.ci"
     script.write_text(TWO_LINE_SCRIPT + "check 4.3 on (M)\n")

@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cihom.fields import PrimeField
 from cihom.groebner import (
+    Element,
     FreeModule,
     GroebnerBasis,
     TrackedSubmodule,
@@ -14,7 +17,14 @@ from cihom.groebner import (
     s_pair,
     syzygy_generators,
 )
-from cihom.polynomials import GradedViolationError, PolyRing, monomials_of_degree
+from cihom.polynomials import (
+    GradedViolationError,
+    IncompatibleOperandsError,
+    PolyRing,
+    mono_div,
+    mono_divides,
+    monomials_of_degree,
+)
 
 F = PrimeField(32003)
 
@@ -192,3 +202,87 @@ def test_minimal_generator_indices():
             free.from_polys([z * u])]
     kept = minimal_generator_indices(cols, [2, 3, 2], free)
     assert kept == [0, 2]
+
+
+def test_s_pair_rejects_leads_in_different_positions():
+    pr = ring4()
+    x, y = pr.variable("x"), pr.variable("y")
+    free = FreeModule(pr, (0, 0))
+    gb = groebner_basis([], free)
+    f = free.from_polys([x, pr.zero()])
+    g = free.from_polys([pr.zero(), y])
+    with pytest.raises(IncompatibleOperandsError):
+        s_pair(f, g, gb.order)
+
+
+# -- the heap-ordered normal form against the max-rescan reducer -----------------
+
+def _reference_key(order, term):
+    """ModuleOrder's key, computed afresh on every call (no memo)."""
+    p, m = term
+    return (1 if p < order.split else 0, sum(m) + order.module.gen_degs[p],
+            order.module.ring.order.key(m), -p)
+
+
+def reference_normal_form(e, basis, order):
+    """Reduction that rescans the whole work element for its lead each step."""
+    by_position = {}
+    for i, g in enumerate(basis):
+        if g:
+            by_position.setdefault(lead_term(g, order)[0], []).append(i)
+    field = e.module.ring.field
+    remainder = {}
+    work = Element(e.module, dict(e.terms))
+    while work.terms:
+        t = max(work.terms, key=lambda term: _reference_key(order, term))
+        reducer = next((basis[i] for i in by_position.get(t[0], ())
+                        if mono_divides(lead_term(basis[i], order)[1], t[1])), None)
+        if reducer is None:
+            remainder[t] = work.terms.pop(t)
+            continue
+        glt = lead_term(reducer, order)
+        coeff = field.div(work.terms[t], reducer.terms[glt])
+        work = work.sub_scaled(reducer, mono_div(t[1], glt[1]), coeff)
+    return Element(e.module, remainder)
+
+
+def _random_element(free, rng, degree, n_terms):
+    """Homogeneous element of the given degree with up to n_terms terms."""
+    nvars = free.ring.nvars
+    positions = [p for p, d in enumerate(free.gen_degs) if d <= degree]
+    terms = {}
+    for _ in range(n_terms):
+        p = rng.choice(positions)
+        mono = rng.choice(list(monomials_of_degree(nvars, degree - free.gen_degs[p])))
+        terms[(p, mono)] = F.from_int(rng.randint(1, F.p - 1))
+    return Element(free, terms)
+
+
+def assert_matches_reference(e, basis, order):
+    nf = normal_form(e, basis, order)
+    assert list(nf.terms.items()) == list(reference_normal_form(e, basis, order).terms.items())
+    again = normal_form(nf, basis, order)
+    assert list(again.terms.items()) == list(nf.terms.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31), st.sampled_from(["quadric", "two_nodes"]))
+def test_normal_form_matches_reference(ring_quadric, ring_two_nodes, seed, which):
+    rng = random.Random(seed)
+    ring = ring_quadric if which == "quadric" else ring_two_nodes
+    pr, quot = ring.poly_ring, ring.quotient_gens
+    free = FreeModule(pr, tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 3))))
+    cols = [_random_element(free, rng, rng.randint(1, 2), rng.randint(1, 4))
+            for _ in range(rng.randint(1, 3))]
+    gb = groebner_basis(cols, free, quot)
+    for _ in range(4):
+        e = _random_element(free, rng, rng.randint(1, 3), rng.randint(1, 8))
+        assert_matches_reference(e, gb.generators, gb.order)
+        assert_matches_reference(e, cols, gb.order)
+    # The elimination order of the tracking construction: every main-block
+    # term above every tracking term.
+    tracked = TrackedSubmodule(cols, [c.degree() for c in cols], free, quot)
+    assert tracked.order.split == free.rank < tracked.tracked_module.rank
+    for _ in range(4):
+        e = _random_element(tracked.tracked_module, rng, rng.randint(1, 3), rng.randint(1, 8))
+        assert_matches_reference(e, tracked.active, tracked.order)
