@@ -1,7 +1,9 @@
 """Command-line interface: scripts, catalog examples, reports.
 
-Exit codes: 0 all checks pass, 1 some expectation failed, 2 usage or parse
-error, 3 an internal guardrail fired (oracle size caps and friends).
+Exit codes: 0 all checks pass, 1 some expectation failed, 2 usage, parse or
+input error (inhomogeneous data, operands over different rings, a field tag
+that names no field), 3 an internal guardrail fired (oracle size caps and
+friends), 4 an internal invariant failed (an engine fault, not bad input).
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ import sys
 from .catalog import UnknownExampleError, catalog_ids, run_example
 from .constructions import InvalidSplitError, TorsionInputError, pushforward, quasi_lifting
 from .dsl import ParseError, parse_session
+from .fields import FieldError
 from .homology import ext_profile, tor_profile
 from .oracle import OracleTooLargeError
+from .polynomials import GradedViolationError, IncompatibleOperandsError, InvariantError
 from .reports import emit_json, emit_text, make_document
 from .resolutions import betti_table, detect_periodicity, module_complexity, resolve
 from .rings import HypothesisMissingError
@@ -201,12 +205,18 @@ def main(argv=None) -> int:
     except (UnknownExampleError, UnknownTheoremError, InvalidSplitError) as err:
         print(f"cihom: {err}", file=sys.stderr)
         return 2
+    except (GradedViolationError, IncompatibleOperandsError, FieldError) as err:
+        print(f"cihom: input error: {err}", file=sys.stderr)
+        return 2
     except (OracleTooLargeError,) as err:
         print(f"cihom: guardrail: {err}", file=sys.stderr)
         return 3
     except (TorsionInputError, HypothesisMissingError) as err:
         print(f"cihom: hypothesis missing: {err}", file=sys.stderr)
         return 3
+    except InvariantError as err:
+        print(f"cihom: internal error: {err}", file=sys.stderr)
+        return 4
 
     bounds = {"steps": args.steps, "tor_bound": args.tor_bound,
               "degree_bound": args.degree_bound, "seed": args.seed}

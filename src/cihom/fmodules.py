@@ -238,7 +238,8 @@ class ModulePresentation:
     """
 
     __slots__ = ("ring", "gen_degs", "relations", "label",
-                 "_minimal", "_hf_gb", "_ambient_pres", "_free_module", "_res_cache")
+                 "_minimal", "_hf_gb", "_ambient_pres", "_free_module", "_res_cache",
+                 "_ext_dims")
 
     def __init__(self, ring: RingPresentation, gen_degs, relations: PolyMatrix,
                  label="M"):
@@ -254,6 +255,7 @@ class ModulePresentation:
         self._ambient_pres = None
         self._free_module = None
         self._res_cache = None
+        self._ext_dims = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -710,7 +712,10 @@ class ModulePresentation:
 
         Holds iff dim Ext^j_S(M, S) <= dim S - j - n for every j >= codim+1;
         levels j <= codim are forced.  Returns the verdict plus the failing
-        level and support dimension as a witness.
+        level and support dimension as a witness.  The Ext dimensions do not
+        depend on n: they are computed once per minimal presentation and
+        kept in its ``_ext_dims`` slot, so every level after the first only
+        compares numbers.
         """
         if n < 1:
             raise ValueError("serre level must be a positive integer")
@@ -718,8 +723,10 @@ class ModulePresentation:
         M = self.minimalize()
         if M.n_gens == 0:
             return {"holds": True, "level": n, "witness": None}
-        from .homology import ext_ambient_dimensions
-        dims = ext_ambient_dimensions(M)
+        if M._ext_dims is None:
+            from .homology import ext_ambient_dimensions
+            M._ext_dims = ext_ambient_dimensions(M)
+        dims = M._ext_dims
         dS = self.ring.poly_ring.nvars
         c = self.ring.codim
         for j, dj in dims.items():

@@ -417,7 +417,8 @@ class GroebnerBasis:
     normal forms decide membership over R = S/(quotient) as well as over S.
     """
 
-    __slots__ = ("module", "order", "generators", "quotient_polys", "reduced_flag", "_by_position")
+    __slots__ = ("module", "order", "generators", "quotient_polys", "reduced_flag",
+                 "_by_position", "_lead_monos")
 
     def __init__(self, module, order, generators, quotient_polys, reduced_flag=True):
         self.module = module
@@ -428,11 +429,33 @@ class GroebnerBasis:
         self._by_position = {}
         for i, g in enumerate(generators):
             self._by_position.setdefault(lead_term(g, order)[0], []).append(i)
+        self._lead_monos = None
 
     def normal_form(self, e: Element) -> Element:
         if e.module != self.module:
             raise IncompatibleOperandsError("element from a different free module")
         return normal_form(e, self.generators, self.order, self._by_position)
+
+    def reduce_poly(self, poly: Polynomial) -> Polynomial:
+        """Normal form of a polynomial modulo a rank-one basis (an ideal).
+
+        Fast path: when no term of ``poly`` is divisible by a lead monomial
+        of the basis (the zero polynomial and the empty basis included), the
+        normal form is ``poly`` itself and that same object is returned.
+        The lead monomials are collected once per basis.
+        """
+        leads = self._lead_monos
+        if leads is None:
+            if self.module.rank != 1:
+                raise IncompatibleOperandsError(
+                    f"polynomial reduction needs a rank-one basis, not rank {self.module.rank}")
+            leads = self._lead_monos = tuple(lead_term(g, self.order)[1]
+                                             for g in self.generators)
+        for mono in poly.terms:
+            for lead in leads:
+                if mono_divides(lead, mono):
+                    return self.normal_form(self.module.from_polys([poly])).component(0)
+        return poly
 
     def contains(self, e: Element) -> bool:
         return not self.normal_form(e)
@@ -612,10 +635,9 @@ class TrackedSubmodule:
 
     def _reduce_coeff(self, poly):
         """Normal form of a coefficient modulo the quotient ideal."""
-        if self._ideal_gb is None or poly.is_zero():
+        if self._ideal_gb is None:
             return poly
-        free = self._ideal_gb.module
-        return self._ideal_gb.normal_form(free.from_polys([poly])).component(0)
+        return self._ideal_gb.reduce_poly(poly)
 
     def _embed(self, e: Element) -> Element:
         terms = {t: c for t, c in e.terms.items()}

@@ -433,7 +433,7 @@ def depth_formula_check(M: ModulePresentation, N: ModulePresentation,
     tier = profile.vanishing["tier"]
     hypothesis_met = profile.vanishing["all_vanish_in_window"] and tier in (
         "pd-finite", "periodicity", "rigidity")
-    tensor = M.tensor(N)
+    tensor = profile.tor0.presentation  # M (x) N, already minimalized as Tor_0
     depth_M, depth_N = M.depth(), N.depth()
     depth_R = ring_depth(M.ring)
     shifted = None

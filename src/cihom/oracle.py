@@ -212,8 +212,11 @@ class OracleContext:
 
     def value_space(self, pres: ModulePresentation, d: int) -> QuotientSpace:
         """Degree-d piece of a presented module: free coordinates of its
-        generator space modulo (relation images + quotient multiples)."""
-        key = (id(pres), d)
+        generator space modulo (relation images + quotient multiples).
+
+        The cache key holds the presentation itself (hashed by identity), so
+        it stays alive with the context and its id cannot pass to another."""
+        key = (pres, d)
         if key not in self._value_spaces:
             gen_degs = pres.gen_degs
             coords, _ = self.slice_coords(gen_degs, d)

@@ -253,10 +253,13 @@ class RingPresentation:
         return ideal_contains(self.ideal_gb, poly)
 
     def reduce(self, poly: Polynomial) -> Polynomial:
-        """Normal form of a polynomial modulo the quotient ideal."""
-        free = self.ideal_gb.module
-        nf = self.ideal_gb.normal_form(free.from_polys([poly]))
-        return nf.component(0)
+        """Normal form of a polynomial modulo the quotient ideal.
+
+        Returns ``poly`` itself, with no normal form run, when none of its
+        terms is divisible by a lead monomial of the quotient ideal's basis:
+        always over the ambient ring, and for the zero polynomial.
+        """
+        return self.ideal_gb.reduce_poly(poly)
 
     def verify_regular_sequence(self) -> RegularSequenceCertificate:
         """ok iff dim S/(f1..fk) = dim S - k for every k <= c."""

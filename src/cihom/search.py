@@ -15,7 +15,7 @@ import random
 from .fmodules import ModulePresentation
 from .homology import tor_profile
 from .polynomials import monomials_of_degree
-from .rings import INF, RingPresentation
+from .rings import INF, HypothesisMissingError, RingPresentation
 
 
 KNOWN_QUESTIONS = ("3.17", "4.16", "4.18", "4.10", "3.6")
@@ -99,6 +99,9 @@ def _locally_free_at_minimal_primes(M: ModulePresentation) -> bool:
 
 def counterexample_search(cfg: SearchConfig) -> dict:
     """Run the configured search; returns the findings log."""
+    # Imported here, not at the top, so that importing cihom does not load
+    # numpy through the dense oracle.
+    from .oracle import OracleTooLargeError
     handler = {"3.17": _search_3_17, "4.16": _search_4_16,
                "4.18": _search_4_18, "4.10": _search_4_10,
                "3.6": _search_3_6}[cfg.question]
@@ -108,8 +111,11 @@ def counterexample_search(cfg: SearchConfig) -> dict:
     for origin, idx, mods in _sample_stream(cfg, pairs):
         try:
             rec = handler(cfg, mods)
-        except Exception as err:  # guardrails and degenerate samples
-            rec = {"classification": "skipped", "error": str(err)}
+        except (HypothesisMissingError, OracleTooLargeError) as err:
+            # A sample outside the hypotheses or past a guardrail is skipped;
+            # any other error is a fault and propagates.
+            rec = {"classification": "skipped", "error": str(err),
+                   "error_type": type(err).__name__}
         rec["origin"] = origin
         rec["sample"] = idx
         rec["modules"] = [m.describe() for m in mods]
@@ -127,9 +133,9 @@ def _search_3_17(cfg, mods):
     if M.n_gens == 0 or N.n_gens == 0:
         return {"classification": "skipped", "reason": "zero module sampled"}
     hyps["M_free_on_minimal_primes"] = _locally_free_at_minimal_primes(M)
-    tensor = M.tensor(N)
-    hyps["tensor_torsion_free"] = tensor.biduality_report().torsion_free
     prof = tor_profile(M, N, cfg.tor_bound, cfg.degree_bound)
+    # Tor_0 is M (x) N, already minimalized.
+    hyps["tensor_torsion_free"] = prof.tor0.presentation.biduality_report().torsion_free
     hyps["tor1_zero"] = prof.vanishes(1)
     rec = {"hypotheses": hyps}
     if not all(hyps.values()):
@@ -201,7 +207,7 @@ def _search_3_6(cfg, mods):
         return {"classification": "skipped", "reason": "zero module sampled"}
     prof = tor_profile(M, N, cfg.tor_bound, cfg.degree_bound)
     certified = prof.vanishing["tier"] in ("pd-finite", "periodicity", "rigidity")
-    tensor = M.tensor(N)
+    tensor = prof.tor0.presentation  # M (x) N, already minimalized as Tor_0
     level = next((n for n in (2, 1) if tensor.satisfies_serre(n)), None)
     hyps = {"certified": cfg.ring.certified,
             "all_tor_vanish_certified": prof.all_vanish_in_window() and certified,
@@ -232,8 +238,7 @@ def _search_4_10(cfg, mods):
                 pattern = {"start": i - run, "gap": run, "nonzero_at": i}
                 break
             run = 0
-    tensor = M.tensor(N)
-    finite = tensor.length() != INF
+    finite = prof.tor0.presentation.length() != INF
     rec = {"hypotheses": {"certified": cfg.ring.certified,
                           "codim_at_least_2": cfg.ring.codim >= 2,
                           "tensor_finite_length": finite},

@@ -241,3 +241,47 @@ def test_cli_search_command(tmp_path, capsys):
     data = doc["results"][0]["data"]
     assert data["config"]["question"] == "3.17"
     assert len(data["findings"]) == 3
+
+
+def test_cli_inhomogeneous_entry_is_input_error(tmp_path, capsys):
+    script = tmp_path / "inh.ci"
+    script.write_text(TWO_LINE_SCRIPT.replace("[[y, u]]", "[[y + x*x, u]]") + "resolve M steps=3\n")
+    assert main(["--script", str(script)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cihom: input error:") and "inhomogeneous" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_modules_over_different_rings_is_input_error(tmp_path, capsys):
+    script = tmp_path / "rings.ci"
+    script.write_text(TWO_LINE_SCRIPT
+                      + "ring T = quotient(field=f32003, vars=[x,y], degrees=[1,1], ideal=[x*y])\n"
+                      + "module K = coker(T, shifts=[0], matrix=[[x]])\n"
+                      + "tor M K bound=1\n")
+    assert main(["--script", str(script)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cihom: input error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tag", ["f561", "f10000000000000000000000007"])
+def test_cli_bad_field_is_input_error(tag, tmp_path, capsys):
+    script = tmp_path / "field.ci"
+    script.write_text(f"ring R = quotient(field={tag}, vars=[x,y], degrees=[1,1], ideal=[x*y])\n")
+    assert main(["--script", str(script)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cihom: input error:") and err.count("\n") == 1
+    assert main(["--example", "4.4", "--field", tag]) == 2
+
+
+def test_cli_invariant_error_exit_code(monkeypatch, capsys):
+    import cihom.catalog as cat
+    from cihom.polynomials import InvariantError
+
+    def broken_runner(field, bounds):
+        raise InvariantError("resolution did not close up")
+
+    monkeypatch.setitem(cat._ENTRIES, "stub", ("stub entry", broken_runner))
+    assert main(["--example", "stub"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "cihom: internal error: resolution did not close up\n"
+    assert captured.out == ""

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from cihom.fields import FieldError, PrimeField, RationalField, field_by_tag
+import time
+
+from cihom.fields import MR_EXACT_BELOW, FieldError, PrimeField, RationalField, field_by_tag, is_prime
 
 
 @pytest.mark.parametrize("field,sampler", [
@@ -53,3 +55,42 @@ def test_inverse_of_zero_raises():
         PrimeField(32003).inv(0)
     with pytest.raises(ZeroDivisionError):
         RationalField().inv(Fraction(0))
+
+
+def _trial_division_prime(n):
+    return n >= 2 and all(n % q for q in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(5000) if is_prime(n)] == \
+        [n for n in range(5000) if _trial_division_prime(n)]
+
+
+def test_prime_field_rejects_carmichael_numbers():
+    for n in (561, 41041):
+        with pytest.raises(FieldError):
+            PrimeField(n)
+
+
+def test_large_prime_moduli_accepted_quickly():
+    start = time.perf_counter()
+    for p in (4294967311, 2305843009213693951):
+        assert field_by_tag(f"f{p}").p == p
+    assert time.perf_counter() - start < 0.5
+
+
+def test_benchmark_field_primes_accepted():
+    # The benchmark's fields are the primes from 16411 to 32003; every
+    # modulus in that range is classified as trial division does.
+    for n in range(16411, 32004):
+        if _trial_division_prime(n):
+            assert PrimeField(n).p == n
+        else:
+            with pytest.raises(FieldError):
+                PrimeField(n)
+
+
+def test_modulus_beyond_certified_range_rejected():
+    for n in (MR_EXACT_BELOW, 2 ** 89 - 1):
+        with pytest.raises(FieldError, match="too large"):
+            PrimeField(n)

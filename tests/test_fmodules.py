@@ -153,6 +153,33 @@ def test_serre_matches_biduality_on_catalog(mod_M_two_nodes, mod_N_two_nodes,
         assert rep.torsion_free == mod.satisfies_serre(1)
 
 
+def _quadric_column_module(ring):
+    pr = ring.poly_ring
+    x, y, w, z = (pr.variable(v) for v in "xywz")
+    return ModulePresentation.from_relations(ring, (0, 0, 0, 0), [[w, y, x, z]], label="Mq")
+
+
+def test_serre_levels_share_one_ext_computation(monkeypatch, ring_quadric):
+    import cihom.homology as homology
+    calls = []
+    real = homology.ext_ambient_dimensions
+
+    def counting(M):
+        calls.append(M)
+        return real(M)
+
+    monkeypatch.setattr(homology, "ext_ambient_dimensions", counting)
+    M = _quadric_column_module(ring_quadric)
+    verdicts = {n: M.serre_condition(n) for n in (2, 1, 3)}
+    assert M.satisfies_serre(2) and not M.satisfies_serre(3)
+    assert calls == [M.minimalize()]
+    # A fresh presentation of the same module computes its own dimensions
+    # and reaches the same verdicts and witnesses.
+    for n, verdict in verdicts.items():
+        assert _quadric_column_module(ring_quadric).serre_condition(n) == verdict
+    assert len(calls) == 1 + len(verdicts)
+
+
 # -- free locus ---------------------------------------------------------------------
 
 def test_nonfree_locus_free_module(ring_two_nodes):

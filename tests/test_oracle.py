@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -6,6 +9,7 @@ from cihom.fields import PrimeField
 from cihom.fmodules import ModulePresentation
 from cihom.homology import tor_profile
 from cihom.oracle import (
+    OracleContext,
     OracleTooLargeError,
     module_hilbert_oracle,
     tor_oracle,
@@ -129,3 +133,28 @@ def test_syzygy_hilbert_matches_oracle(ring_two_nodes):
         pipeline = ker_pres.hilbert_function(6, dmin=0)
         for d in range(0, 7):
             assert pipeline[d] == kdims.get(d, 0), d
+
+
+def test_value_space_cache_keyed_on_the_presentation(ring_two_nodes):
+    # Each presentation is dropped right after use, so a cache keyed on id()
+    # could hand its slot to the next one, which may well differ.
+    pr = ring_two_nodes.poly_ring
+    gens = [pr.variable(v) for v in pr.variables]
+    ctx = OracleContext(ring_two_nodes, 4)
+    rng = random.Random(5)
+    for k in range(80):
+        polys = rng.sample(gens, rng.randint(0, len(gens)))
+        pres = ModulePresentation.quotient_by_ideal(ring_two_nodes, polys, label=f"T{k}")
+        for d in (1, 2):
+            fresh = OracleContext(ring_two_nodes, 4).value_space(pres, d).quotient_dim
+            assert ctx.value_space(pres, d).quotient_dim == fresh
+        del pres
+
+
+def test_importing_cihom_does_not_load_the_oracle():
+    # The Groebner pipeline needs no numpy; only the dense path loads it.
+    code = "import sys, cihom; print('cihom.oracle' in sys.modules, 'numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]

@@ -1,9 +1,18 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cihom.fields import PrimeField
-from cihom.polynomials import GradedViolationError, PolyRing
+from cihom.groebner import FreeModule, groebner_basis
+from cihom.polynomials import (
+    GradedViolationError,
+    IncompatibleOperandsError,
+    PolyRing,
+    monomials_of_degree,
+)
 from cihom.rings import (
     NEG_INF,
     HypothesisMissingError,
@@ -112,3 +121,66 @@ def test_reduce_canonical(ring_two_nodes):
     x, y, z = pr.variable("x"), pr.variable("y"), pr.variable("z")
     assert ring_two_nodes.reduce(x * y * z).is_zero()
     assert ring_two_nodes.reduce(x * x) == x * x
+
+
+# -- the rank-one reducer against the wrap / normal form / unwrap path ------------
+
+def wrapped_reduce(ring, poly):
+    """Reduction as a rank-one module element: wrap, normal form, unwrap."""
+    free = ring.ideal_gb.module
+    return ring.ideal_gb.normal_form(free.from_polys([poly])).component(0)
+
+
+def _random_homogeneous(pr, rng, degree, n_terms):
+    monos = list(monomials_of_degree(pr.nvars, degree))
+    out = pr.zero()
+    for _ in range(n_terms):
+        out = out + pr.monomial(rng.choice(monos), F.from_int(rng.randint(1, F.p - 1)))
+    return out
+
+
+def _ambient_ring():
+    return RingPresentation(PolyRing(F, ["x", "y", "z"]), [], label="S")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31),
+       st.sampled_from(["quadric", "two_nodes", "node", "ambient"]))
+def test_reduce_matches_wrapped_normal_form(ring_quadric, ring_two_nodes, ring_node,
+                                            seed, which):
+    ring = {"quadric": ring_quadric, "two_nodes": ring_two_nodes, "node": ring_node,
+            "ambient": _ambient_ring()}[which]
+    rng = random.Random(seed)
+    for _ in range(6):
+        poly = _random_homogeneous(ring.poly_ring, rng, rng.randint(0, 4), rng.randint(0, 6))
+        got = ring.reduce(poly)
+        assert got.terms == wrapped_reduce(ring, poly).terms
+        # A normal form has nothing left to reduce: the fast path returns it.
+        assert ring.reduce(got) is got
+
+
+def test_reduce_returns_its_input_when_nothing_reduces(ring_two_nodes, ring_quadric):
+    pr = ring_two_nodes.poly_ring
+    x, y, z, u = (pr.variable(v) for v in "xyzu")
+    for poly in (pr.zero(), x * x + z * z, x * z - y * u, pr.one()):
+        assert ring_two_nodes.reduce(poly) is poly
+    assert ring_two_nodes.reduce(x * y * z).is_zero()
+    reduced = ring_two_nodes.reduce(x * x + x * y)
+    assert reduced == x * x
+    qr = ring_quadric.poly_ring
+    xq, yq, wq, zq = (qr.variable(v) for v in "xywz")
+    lead_reduces = ring_quadric.reduce(xq * wq)
+    assert lead_reduces == wrapped_reduce(ring_quadric, xq * wq)
+    assert lead_reduces != xq * wq
+    S = _ambient_ring()
+    sx, sy = S.poly_ring.variable("x"), S.poly_ring.variable("y")
+    poly = sx * sy + sx * sx
+    assert S.reduce(poly) is poly
+
+
+def test_reduce_poly_needs_a_rank_one_basis(ring_node):
+    pr = ring_node.poly_ring
+    free = FreeModule(pr, (0, 0))
+    gb = groebner_basis([free.from_polys([pr.variable("x"), pr.zero()])], free)
+    with pytest.raises(IncompatibleOperandsError):
+        gb.reduce_poly(pr.variable("y"))

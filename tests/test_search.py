@@ -1,7 +1,15 @@
+import hashlib
 import json
 
 import pytest
 
+import cihom.search as search
+from cihom.constructions import TorsionInputError
+from cihom.fmodules import ModulePresentation
+from cihom.homology import tor_profile
+from cihom.oracle import OracleTooLargeError
+from cihom.polynomials import InvariantError
+from cihom.rings import HypothesisMissingError
 from cihom.search import SearchConfig, counterexample_search, random_homogeneous_module
 
 
@@ -66,3 +74,84 @@ def test_3_6_experiment_runs(ring_quadric):
     assert len(log["findings"]) == 4
     for rec in log["findings"]:
         assert rec["classification"] in ("candidate", "near-miss", "miss", "skipped")
+
+
+def _search_3_6_own_tensor(cfg, mods):
+    """The 3.6 handler as it was before it shared Tor_0: it builds M (x) N
+    afresh and asks each depth level for its own Ext dimensions."""
+    M, N = mods
+    if M.n_gens == 0 or N.n_gens == 0:
+        return {"classification": "skipped", "reason": "zero module sampled"}
+    prof = tor_profile(M, N, cfg.tor_bound, cfg.degree_bound)
+    certified = prof.vanishing["tier"] in ("pd-finite", "periodicity", "rigidity")
+    tensor = M.tensor(N)
+    level = next((n for n in (2, 1)
+                  if ModulePresentation(tensor.ring, tensor.gen_degs, tensor.relations,
+                                        label=tensor.label).satisfies_serre(n)), None)
+    hyps = {"certified": cfg.ring.certified,
+            "all_tor_vanish_certified": prof.all_vanish_in_window() and certified,
+            "tensor_serre_level": level}
+    rec = {"hypotheses": hyps}
+    if not (hyps["certified"] and hyps["all_tor_vanish_certified"] and level):
+        rec["classification"] = "miss"
+        return rec
+    rec["M_satisfies_level"] = M.satisfies_serre(level)
+    rec["classification"] = "near-miss" if rec["M_satisfies_level"] else "candidate"
+    return rec
+
+
+def _search_3_6_config(ring):
+    pr = ring.poly_ring
+    x, y, w, z = (pr.variable(v) for v in "xywz")
+    Mq = ModulePresentation.from_relations(ring, (0, 0, 0, 0), [[w, y, x, z]], label="Mq")
+    R = ModulePresentation.free(ring, (0,), label="R")
+    I = ModulePresentation.quotient_by_ideal(ring, [x, y], label="Ixy")
+    return SearchConfig(ring, "3.6", samples=3, seed=3, max_gens=2, max_deg=1,
+                        preset=[(Mq, Mq), (R, Mq), (Mq, R), (I, Mq)])
+
+
+# sha256 of the sorted-key JSON log of _search_3_6_config, recorded before
+# the handler shared Tor_0's tensor and the Ext dimensions were memoized.
+SEARCH_3_6_LOG_SHA256 = "906f9aa8411b6a5bad31fd1e5f45decc2528d34989a27cc179278a61e2da72d9"
+
+
+def test_3_6_findings_unchanged(monkeypatch, ring_quadric):
+    log = counterexample_search(_search_3_6_config(ring_quadric))
+    assert [(r["classification"], r["hypotheses"]["tensor_serre_level"])
+            for r in log["findings"]] == [
+        ("near-miss", 1), ("near-miss", 2), ("near-miss", 2), ("miss", None),
+        ("miss", None), ("miss", None), ("miss", None)]
+    text = json.dumps(log, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SEARCH_3_6_LOG_SHA256
+    monkeypatch.setattr(search, "_search_3_6", _search_3_6_own_tensor)
+    assert counterexample_search(_search_3_6_config(ring_quadric)) == log
+
+
+@pytest.mark.parametrize("kind", ["hypothesis", "torsion", "guardrail"])
+def test_search_skips_hypothesis_and_guardrail_errors(monkeypatch, ring_node, kind):
+    zero = ModulePresentation.zero(ring_node, label="Z")
+    err = {"hypothesis": HypothesisMissingError("no certificate"),
+           "torsion": TorsionInputError(zero, zero),
+           "guardrail": OracleTooLargeError("too large")}[kind]
+
+    def failing(cfg, mods):
+        raise err
+
+    monkeypatch.setattr(search, "_search_3_17", failing)
+    log = counterexample_search(SearchConfig(ring_node, "3.17", samples=2, seed=1))
+    assert log["summary"]["skipped"] == 2
+    for rec in log["findings"]:
+        assert rec["classification"] == "skipped"
+        assert rec["error"] == str(err)
+        assert rec["error_type"] == type(err).__name__
+
+
+@pytest.mark.parametrize("err", [InvariantError("broken invariant"), ValueError("bad value"),
+                                 ZeroDivisionError("division")])
+def test_search_propagates_other_errors(monkeypatch, ring_node, err):
+    def failing(cfg, mods):
+        raise err
+
+    monkeypatch.setattr(search, "_search_3_17", failing)
+    with pytest.raises(type(err)):
+        counterexample_search(SearchConfig(ring_node, "3.17", samples=2, seed=1))
