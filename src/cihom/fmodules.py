@@ -313,9 +313,6 @@ class ModulePresentation:
     def relation_elements(self):
         return self.relations.column_elements(self.free_module())
 
-    def is_zero_presentation(self) -> bool:
-        return self.n_gens == 0
-
     def is_zero_module(self) -> bool:
         return self.minimalize().n_gens == 0
 
@@ -463,10 +460,6 @@ class ModulePresentation:
                         total += 1
             out[d] = total
         return out
-
-    def hilbert_values(self, dmax: int, dmin: int = 0) -> list:
-        hf = self.hilbert_function(dmax, dmin=dmin)
-        return [hf[d] for d in range(dmin, dmax + 1)]
 
     def initial_degree(self):
         """Smallest degree with a nonzero piece (None for the zero module)."""
@@ -826,9 +819,6 @@ class ModulePresentation:
             if not any(not q.contains(a) for a in ann):
                 return False
         return True
-
-    def has_constant_rank(self) -> bool:
-        return self.rank_profile()["constant_rank"]
 
     # -- misc -----------------------------------------------------------------------------
 

@@ -1,5 +1,10 @@
 """Buchberger Groebner bases for submodules of graded free modules.
 
+One pair engine, ``IncrementalModuleGB``, serves every basis here: plain
+(``buchberger``, interreduced afterwards), tracked (``tracked_buchberger``,
+which also collects syzygies) and incremental (``minimal_generator_indices``
+grows it one column at a time).
+
 Works over the ambient polynomial ring S and over quotients R = S/(f1..fc):
 quotient-ring computations augment the generator set with f_k*e_j columns and
 project them out afterwards, so one engine serves both rings.
@@ -301,84 +306,101 @@ def s_pair(f: Element, g: Element, order: ModuleOrder) -> Element:
     return left.sub_scaled(g, mono_div(lcm, mg), field.inv(g.terms[(pg, mg)]))
 
 
+class IncrementalModuleGB:
+    """The Buchberger pair engine behind every Groebner basis in this module.
+
+    ``extend`` inserts a batch of homogeneous generators and ``add`` a single
+    generator; each then drains the queued S-pairs by normal selection
+    (smallest shifted lcm degree first, then the larger and the smaller
+    basis index) with the chain criterion.  Basis elements are monic.  An
+    element whose lead lies in the tracking block (position >=
+    ``order.split``) is collected unscaled in ``collected`` and never joins
+    the basis.  ``coprime`` also skips pairs with coprime leads, which is
+    valid for rank-one input only.  Not interreduced (membership only needs
+    the Groebner property).
+    """
+
+    __slots__ = ("order", "coprime", "basis", "collected", "_by_position", "_heap", "_pending")
+
+    def __init__(self, order: ModuleOrder, coprime: bool = False):
+        self.order = order
+        self.coprime = coprime
+        self.basis: list = []
+        self.collected: list = []
+        self._by_position: dict = {}
+        self._heap: list = []      # (shifted lcm degree, j, i, lcm) for pairs i < j
+        self._pending: set = set()
+
+    def _insert(self, e: Element):
+        """Add e to the basis, monic, and queue its pairs; or collect it."""
+        if not e:
+            return
+        order = self.order
+        lead = lead_term(e, order)
+        if lead[0] >= order.split:
+            self.collected.append(e)
+            return
+        g = e.scale(e.module.ring.field.inv(e.terms[lead]))
+        idx = len(self.basis)
+        self.basis.append(g)
+        pos, mono = lead_term(g, order)
+        same = self._by_position.setdefault(pos, [])
+        shift = order.module.gen_degs[pos]
+        for k in same:
+            mk = lead_term(self.basis[k], order)[1]
+            lcm = mono_lcm(mk, mono)
+            if self.coprime and mono_mul(mk, mono) == lcm:
+                continue  # coprime leads: the S-pair reduces to zero
+            heapq.heappush(self._heap, (mono_degree(lcm) + shift, idx, k, lcm))
+            self._pending.add((k, idx))
+        same.append(idx)
+
+    def _drain(self):
+        basis, order, pending = self.basis, self.order, self._pending
+        while self._heap:
+            _, j, i, lcm = heapq.heappop(self._heap)
+            pending.remove((i, j))
+            # Chain criterion: skip (i, j) when the lead of some k divides
+            # the lcm and both (i, k) and (j, k) have already been handled.
+            if any(k != i and k != j
+                   and mono_divides(lead_term(basis[k], order)[1], lcm)
+                   and (min(i, k), max(i, k)) not in pending
+                   and (min(j, k), max(j, k)) not in pending
+                   for k in self._by_position[lead_term(basis[i], order)[0]]):
+                continue
+            s = s_pair(basis[i], basis[j], order)
+            r = normal_form(s, basis, order, self._by_position)
+            if r:
+                self._insert(r)
+
+    def extend(self, elements):
+        """Insert the homogeneous elements (zeros are skipped), then drain."""
+        for e in elements:
+            if not e.is_homogeneous():
+                raise GradedViolationError("Groebner input must be homogeneous")
+            self._insert(e)
+        self._drain()
+
+    def normal_form(self, e: Element) -> Element:
+        return normal_form(e, self.basis, self.order, self._by_position)
+
+    def contains(self, e: Element) -> bool:
+        return not self.normal_form(e)
+
+    def add(self, e: Element):
+        self._insert(e)
+        self._drain()
+
+
 def buchberger(elements: list, order: ModuleOrder, ideal_mode: bool = False) -> list:
     """Reduced Groebner basis of the submodule generated by the elements.
 
-    Inputs must be homogeneous.  Normal selection strategy (minimal shifted
-    lcm degree first, deterministic index tie-break), the chain criterion,
-    and in ideal_mode (rank-one input, valid only there) the coprime-lead
-    criterion.
+    Inputs must be homogeneous.  In ideal_mode (rank-one input, valid only
+    there) the pair engine also skips pairs with coprime leads.
     """
-    basis: list = []
-    for e in elements:
-        if not e:
-            continue
-        if not e.is_homogeneous():
-            raise GradedViolationError("Groebner input must be homogeneous")
-        basis.append(e.scale(e.module.ring.field.inv(e.terms[lead_term(e, order)])))
-
-    by_position: dict = {}
-    for i, g in enumerate(basis):
-        by_position.setdefault(lead_term(g, order)[0], []).append(i)
-
-    gen_degs = order.module.gen_degs
-
-    def pair_entry(i, j):
-        (pi, mi) = lead_term(basis[i], order)
-        (pj, mj) = lead_term(basis[j], order)
-        if pi != pj:
-            return None
-        lcm = mono_lcm(mi, mj)
-        if ideal_mode and mono_mul(mi, mj) == lcm:
-            return None  # coprime leads: S-pair reduces to zero
-        return (mono_degree(lcm) + gen_degs[pi], j, i, lcm)
-
-    heap = []
-    pending = set()
-    for j in range(len(basis)):
-        for i in range(j):
-            ent = pair_entry(i, j)
-            if ent is not None:
-                heapq.heappush(heap, ent)
-                pending.add((i, j))
-
-    def chain_skip(i, j, lcm):
-        # Skip (i, j) when some k divides the lcm and both (i, k), (j, k)
-        # have already been handled.
-        pos = lead_term(basis[i], order)[0]
-        for k in by_position.get(pos, ()):
-            if k == i or k == j:
-                continue
-            mk = lead_term(basis[k], order)[1]
-            if mono_divides(mk, lcm):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a not in pending and b not in pending:
-                    return True
-        return False
-
-    while heap:
-        _, j, i, lcm = heapq.heappop(heap)
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
-        if chain_skip(i, j, lcm):
-            continue
-        s = s_pair(basis[i], basis[j], order)
-        r = normal_form(s, basis, order, by_position)
-        if not r:
-            continue
-        r = r.scale(r.module.ring.field.inv(r.terms[lead_term(r, order)]))
-        new = len(basis)
-        basis.append(r)
-        by_position.setdefault(lead_term(r, order)[0], []).append(new)
-        for k in range(new):
-            ent = pair_entry(k, new)
-            if ent is not None:
-                heapq.heappush(heap, ent)
-                pending.add((k, new))
-
-    return interreduce(basis, order)
+    gb = IncrementalModuleGB(order, coprime=ideal_mode)
+    gb.extend(elements)
+    return interreduce(gb.basis, order)
 
 
 def interreduce(basis: list, order: ModuleOrder) -> list:
@@ -417,15 +439,14 @@ class GroebnerBasis:
     normal forms decide membership over R = S/(quotient) as well as over S.
     """
 
-    __slots__ = ("module", "order", "generators", "quotient_polys", "reduced_flag",
-                 "_by_position", "_lead_monos")
+    __slots__ = ("module", "order", "generators", "quotient_polys", "_by_position",
+                 "_lead_monos")
 
-    def __init__(self, module, order, generators, quotient_polys, reduced_flag=True):
+    def __init__(self, module, order, generators, quotient_polys):
         self.module = module
         self.order = order
         self.generators = generators
         self.quotient_polys = tuple(quotient_polys)
-        self.reduced_flag = reduced_flag
         self._by_position = {}
         for i, g in enumerate(generators):
             self._by_position.setdefault(lead_term(g, order)[0], []).append(i)
@@ -460,9 +481,6 @@ class GroebnerBasis:
     def contains(self, e: Element) -> bool:
         return not self.normal_form(e)
 
-    def lead_terms(self):
-        return [lead_term(g, self.order) for g in self.generators]
-
     def __len__(self):
         return len(self.generators)
 
@@ -495,90 +513,22 @@ def groebner_basis(columns, free: FreeModule, quotient_polys=()) -> GroebnerBasi
     return GroebnerBasis(free, order, gens, quotient_polys)
 
 
-def tracked_buchberger(inputs: list, order: ModuleOrder, split: int):
+def tracked_buchberger(inputs: list, order: ModuleOrder):
     """Groebner basis of the main block plus collected syzygies.
 
     The inputs stay in the active basis (so every input is trivially
     expressible in it) and only pairs with leads in the main block are
-    processed; an S-pair reduction whose main part dies is a syzygy of the
-    inputs and is collected instead of fed back.  The collected elements
-    generate the full syzygy module: pulled back along the tracking
-    coordinates, the S-pair syzygies of a Groebner basis containing the
-    inputs generate every relation among the inputs (the chain criterion
-    is safe here; the coprime-lead shortcut is not and stays off).
+    processed; an element whose main part is zero, an input or an S-pair
+    remainder, is a syzygy of the inputs and is collected instead of fed
+    back.  The collected elements generate the full syzygy module: pulled
+    back along the tracking coordinates, the S-pair syzygies of a Groebner
+    basis containing the inputs generate every relation among the inputs
+    (the chain criterion is safe here; the coprime-lead shortcut is not and
+    stays off).
     """
-    field = order.module.ring.field
-    active: list = []
-    collected: list = []
-    by_position: dict = {}
-    gen_degs = order.module.gen_degs
-
-    def classify(e):
-        if lead_term(e, order)[0] >= split:
-            collected.append(e)
-            return None
-        g = e.scale(field.inv(e.terms[lead_term(e, order)]))
-        idx = len(active)
-        active.append(g)
-        by_position.setdefault(lead_term(g, order)[0], []).append(idx)
-        return idx
-
-    heap: list = []
-    pending: set = set()
-
-    def pair_entry(i, j):
-        (pi, mi) = lead_term(active[i], order)
-        (pj, mj) = lead_term(active[j], order)
-        if pi != pj:
-            return None
-        lcm = mono_lcm(mi, mj)
-        return (mono_degree(lcm) + gen_degs[pi], j, i, lcm)
-
-    def push_pairs(new):
-        for k in range(new):
-            ent = pair_entry(k, new)
-            if ent is not None:
-                heapq.heappush(heap, ent)
-                pending.add((k, new))
-
-    for e in inputs:
-        if not e:
-            continue
-        if not e.is_homogeneous():
-            raise GradedViolationError("Groebner input must be homogeneous")
-        idx = classify(e)
-        if idx is not None:
-            push_pairs(idx)
-
-    def chain_skip(i, j, lcm):
-        pos = lead_term(active[i], order)[0]
-        for k in by_position.get(pos, ()):
-            if k == i or k == j:
-                continue
-            mk = lead_term(active[k], order)[1]
-            if mono_divides(mk, lcm):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a not in pending and b not in pending:
-                    return True
-        return False
-
-    while heap:
-        _, j, i, lcm = heapq.heappop(heap)
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
-        if chain_skip(i, j, lcm):
-            continue
-        s = s_pair(active[i], active[j], order)
-        r = normal_form(s, active, order, by_position)
-        if not r:
-            continue
-        idx = classify(r)
-        if idx is not None:
-            push_pairs(idx)
-
-    return active, collected
+    gb = IncrementalModuleGB(order)
+    gb.extend(inputs)
+    return gb.basis, gb.collected
 
 
 class TrackedSubmodule:
@@ -622,7 +572,7 @@ class TrackedSubmodule:
             terms = dict(col.terms)
             terms[(free.rank + j, unit)] = one
             tracked.append(Element(self.tracked_module, terms))
-        self.active, self.collected = tracked_buchberger(tracked, self.order, free.rank)
+        self.active, self.collected = tracked_buchberger(tracked, self.order)
         self._by_position = {}
         for i, g in enumerate(self.active):
             self._by_position.setdefault(lead_term(g, self.order)[0], []).append(i)
@@ -704,79 +654,6 @@ def syzygy_generators(columns, col_degs, free: FreeModule, quotient_polys=()):
     return syz, [s.degree() for s in syz]
 
 
-class IncrementalModuleGB:
-    """A Groebner basis that accepts new generators one at a time.
-
-    Seeds with the quotient relations; ``add`` appends a generator and
-    drains the new S-pairs.  Not interreduced (membership only needs the
-    Groebner property).
-    """
-
-    __slots__ = ("free", "order", "basis", "_by_position", "_heap", "_pending")
-
-    def __init__(self, free: FreeModule, quotient_polys=()):
-        self.free = free
-        self.order = ModuleOrder(free)
-        self.basis = []
-        self._by_position = {}
-        self._heap = []
-        self._pending = set()
-        for qc in quotient_columns(free, quotient_polys):
-            self._insert(qc)
-        self._drain()
-
-    def _insert(self, e: Element):
-        if not e:
-            return
-        g = e.scale(self.free.ring.field.inv(e.terms[lead_term(e, self.order)]))
-        idx = len(self.basis)
-        self.basis.append(g)
-        self._by_position.setdefault(lead_term(g, self.order)[0], []).append(idx)
-        gen_degs = self.free.gen_degs
-        for k in range(idx):
-            (pk, mk) = lead_term(self.basis[k], self.order)
-            (pi, mi) = lead_term(g, self.order)
-            if pk != pi:
-                continue
-            lcm = mono_lcm(mk, mi)
-            heapq.heappush(self._heap, (mono_degree(lcm) + gen_degs[pi], idx, k, lcm))
-            self._pending.add((k, idx))
-
-    def _drain(self):
-        while self._heap:
-            _, j, i, lcm = heapq.heappop(self._heap)
-            if (i, j) not in self._pending:
-                continue
-            self._pending.discard((i, j))
-            pos = lead_term(self.basis[i], self.order)[0]
-            skip = False
-            for k in self._by_position.get(pos, ()):
-                if k in (i, j):
-                    continue
-                if mono_divides(lead_term(self.basis[k], self.order)[1], lcm):
-                    a = (min(i, k), max(i, k))
-                    b = (min(j, k), max(j, k))
-                    if a not in self._pending and b not in self._pending:
-                        skip = True
-                        break
-            if skip:
-                continue
-            s = s_pair(self.basis[i], self.basis[j], self.order)
-            r = normal_form(s, self.basis, self.order, self._by_position)
-            if r:
-                self._insert(r)
-
-    def normal_form(self, e: Element) -> Element:
-        return normal_form(e, self.basis, self.order, self._by_position)
-
-    def contains(self, e: Element) -> bool:
-        return not self.normal_form(e)
-
-    def add(self, e: Element):
-        self._insert(e)
-        self._drain()
-
-
 def minimal_generator_indices(columns, col_degs, free: FreeModule, quotient_polys=()):
     """Indices of a minimal generating subset of the given homogeneous columns.
 
@@ -785,7 +662,8 @@ def minimal_generator_indices(columns, col_degs, free: FreeModule, quotient_poly
     redundant, and graded Nakayama makes the kept set genuinely minimal.
     """
     n = len(columns)
-    gb = IncrementalModuleGB(free, quotient_polys)
+    gb = IncrementalModuleGB(ModuleOrder(free))
+    gb.extend(quotient_columns(free, quotient_polys))
     kept = []
     for i in sorted(range(n), key=lambda k: (col_degs[k], k)):
         col = columns[i]

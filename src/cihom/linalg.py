@@ -1,9 +1,9 @@
 """Exact dense linear algebra over the coefficient fields.
 
-numpy int64 arithmetic for prime fields (products stay far below 2^63 for
-the default modulus) and Fraction rows for the rationals.  Supplies ranks,
-reduced row echelon forms, kernel bases and an incremental echelon
-accumulator used for greedy basis extension.
+``residue_dtype`` chooses the array type of residues mod p for the whole
+dense path: the oracle's row reduction and kernels (``oracle._rref``,
+``oracle._kernel_basis``) and the incremental ``EchelonAccumulator`` here.
+The rationals use Fraction entries.
 """
 
 from __future__ import annotations
@@ -12,132 +12,27 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fields import PrimeField, RationalField
+from .fields import PrimeField
+
+# Largest graded slice (number of coordinates) the oracle builds.
+MAX_SLICE = 6000
 
 
-class PrimeLinAlg:
-    """Row reduction mod p on int64 numpy arrays."""
+def residue_dtype(p):
+    """numpy dtype that holds arithmetic mod p exactly: int64 or object.
 
-    def __init__(self, p: int):
-        self.p = p
-
-    def array(self, rows):
-        if len(rows) == 0:
-            return np.zeros((0, 0), dtype=np.int64)
-        return np.array(rows, dtype=np.int64) % self.p
-
-    def rref(self, A):
-        """Reduced row echelon form; returns (matrix, pivot column list)."""
-        A = A.copy() % self.p
-        m, n = A.shape
-        r = 0
-        pivots = []
-        for c in range(n):
-            if r >= m:
-                break
-            nz = np.nonzero(A[r:, c])[0]
-            if nz.size == 0:
-                continue
-            t = r + nz[0]
-            if t != r:
-                A[[r, t]] = A[[t, r]]
-            inv = pow(int(A[r, c]), self.p - 2, self.p)
-            A[r] = (A[r] * inv) % self.p
-            col = A[:, c].copy()
-            col[r] = 0
-            A = (A - np.outer(col, A[r])) % self.p
-            pivots.append(c)
-            r += 1
-        return A, pivots
-
-    def rank(self, A) -> int:
-        if A.shape[0] == 0 or A.shape[1] == 0:
-            return 0
-        return len(self.rref(A)[1])
-
-    def kernel_basis(self, A):
-        """Columns spanning ker(A), as a list of int64 vectors."""
-        m, n = A.shape
-        if n == 0:
-            return []
-        if m == 0:
-            return [np.eye(n, dtype=np.int64)[:, j] for j in range(n)]
-        R, pivots = self.rref(A)
-        pivot_set = set(pivots)
-        basis = []
-        for j in range(n):
-            if j in pivot_set:
-                continue
-            v = np.zeros(n, dtype=np.int64)
-            v[j] = 1
-            for i, pc in enumerate(pivots):
-                v[pc] = (-int(R[i, j])) % self.p
-            basis.append(v)
-        return basis
-
-
-class RationalLinAlg:
-    """Fraction-based row reduction (exact, used for audit runs)."""
-
-    def array(self, rows):
-        return [[Fraction(v) for v in row] for row in rows]
-
-    def rref(self, A):
-        A = [list(row) for row in A]
-        m = len(A)
-        n = len(A[0]) if m else 0
-        r = 0
-        pivots = []
-        for c in range(n):
-            if r >= m:
-                break
-            t = next((i for i in range(r, m) if A[i][c] != 0), None)
-            if t is None:
-                continue
-            A[r], A[t] = A[t], A[r]
-            inv = 1 / A[r][c]
-            A[r] = [v * inv for v in A[r]]
-            for i in range(m):
-                if i != r and A[i][c] != 0:
-                    f = A[i][c]
-                    A[i] = [a - f * b for a, b in zip(A[i], A[r])]
-            pivots.append(c)
-            r += 1
-        return A, pivots
-
-    def rank(self, A) -> int:
-        if not A or not A[0]:
-            return 0
-        return len(self.rref(A)[1])
-
-    def kernel_basis(self, A):
-        m = len(A)
-        n = len(A[0]) if m else 0
-        if n == 0:
-            return []
-        if m == 0:
-            return [[Fraction(1) if i == j else Fraction(0) for i in range(n)]
-                    for j in range(n)]
-        R, pivots = self.rref(A)
-        pivot_set = set(pivots)
-        basis = []
-        for j in range(n):
-            if j in pivot_set:
-                continue
-            v = [Fraction(0)] * n
-            v[j] = Fraction(1)
-            for i, pc in enumerate(pivots):
-                v[pc] = -R[i][j]
-            basis.append(v)
-        return basis
-
-
-def linalg_for(field):
-    if isinstance(field, PrimeField):
-        return PrimeLinAlg(field.p)
-    if isinstance(field, RationalField):
-        return RationalLinAlg()
-    raise TypeError(f"no linear algebra backend for {field!r}")
+    The largest intermediate on the dense path is a dot product of at most
+    MAX_SLICE residue pairs, each product below (p-1)**2, subtracted from a
+    residue (``QuotientSpace.reduce_columns``: the subspace rank is at most
+    the slice dimension).  Row reduction and ``EchelonAccumulator`` form
+    single such products.  So int64 is exact while
+    MAX_SLICE * (p-1)**2 < 2**63, that is for p up to about 3.9e7; above
+    it, and for the rationals (``p is None``), entries are Python objects
+    (ints mod p, Fractions) and never overflow.
+    """
+    if p is not None and MAX_SLICE * (p - 1) ** 2 < 2 ** 63:
+        return np.int64
+    return object
 
 
 class EchelonAccumulator:
@@ -151,6 +46,7 @@ class EchelonAccumulator:
         self.field = field
         self.width = width
         self.prime = field.p if isinstance(field, PrimeField) else None
+        self.dtype = residue_dtype(self.prime)
         self.rows = []       # echelon rows
         self.pivot_cols = []
 
@@ -161,7 +57,7 @@ class EchelonAccumulator:
     def _reduce(self, vec):
         if self.prime is not None:
             p = self.prime
-            v = np.asarray(vec, dtype=np.int64) % p
+            v = np.asarray(vec, dtype=self.dtype) % p
             for row, c in zip(self.rows, self.pivot_cols):
                 f = int(v[c])
                 if f:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .fields import PrimeField
 from .fmodules import ModulePresentation, PolyMatrix
+from .linalg import MAX_SLICE, EchelonAccumulator, residue_dtype
 from .polynomials import mono_mul
 from .rings import RingPresentation
 from .fmodules import monomial_basis
@@ -29,11 +30,12 @@ class OracleTooLargeError(RuntimeError):
 
 MAX_VARS = 6
 MAX_DEGREE = 8
-MAX_SLICE = 6000
 
 
 def _rref(A, p):
-    """Reduced row echelon form for int64-mod-p or Fraction object arrays."""
+    """Reduced row echelon form mod p (p None: over the rationals), with the
+    pivot column list.  Arrays come from ``_zeros``, so their dtype is
+    ``residue_dtype(p)``: int64 only where it cannot overflow."""
     A = A.copy()
     m, n = A.shape
     r = 0
@@ -88,10 +90,9 @@ def _kernel_basis(A, p):
 
 
 def _zeros(shape, p):
-    if p is not None:
-        return np.zeros(shape, dtype=np.int64)
-    A = np.empty(shape, dtype=object)
-    A[:] = Fraction(0)
+    A = np.zeros(shape, dtype=residue_dtype(p))
+    if p is None:
+        A[:] = Fraction(0)
     return A
 
 
@@ -310,7 +311,6 @@ def truncated_resolution(ctx: OracleContext, pres: ModulePresentation, hsteps: i
                 continue
             # seed with quotient multiples and shifts of lower-degree kernels
             width = len(coords)
-            from .linalg import EchelonAccumulator
             acc = EchelonAccumulator(ctx.pr.field, width)
             for vec in ctx._quotient_multiples(prev_degs, d):
                 dense = ctx.dense(prev_degs, d, [vec])[:, 0]
@@ -415,7 +415,6 @@ def _homology_dims(ctx: OracleContext, steps, N: ModulePresentation,
     min_res = min((g for st in steps for g in st.gen_degs), default=0)
     min_n = min(Nmin.gen_degs, default=0)
     lo = min(0, min_res + min_n)
-    from .linalg import EchelonAccumulator
     out: dict = {}
     for i in range(1, index_bound + 1):
         dims_i = {}
@@ -480,7 +479,6 @@ def map_kernel_cokernel_oracle(psi: PolyMatrix, source: ModulePresentation,
     map on graded pieces gives both dimensions by rank-nullity.
     """
     ctx = OracleContext(source.ring, degree_bound)
-    from .linalg import EchelonAccumulator
     lo = min(0, min(list(source.gen_degs) + list(target.gen_degs), default=0))
     ker, coker = {}, {}
     for d in range(lo, degree_bound + 1):

@@ -40,9 +40,6 @@ def mono_div(a: tuple, b: tuple) -> tuple:
 def mono_lcm(a: tuple, b: tuple) -> tuple:
     return tuple(map(max, a, b))
 
-def mono_gcd(a: tuple, b: tuple) -> tuple:
-    return tuple(min(x, y) for x, y in zip(a, b))
-
 def mono_degree(a: tuple) -> int:
     return sum(a)
 

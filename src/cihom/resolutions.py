@@ -85,9 +85,6 @@ class FreeResolution:
         last = max((i for i, b in enumerate(betti) if b), default=0)
         return last
 
-    def is_finite(self) -> bool:
-        return self.terminated
-
     def syzygy_module(self, i: int) -> ModulePresentation:
         """syz^i(M) = image of d_i, presented as coker(d_{i+1})."""
         if i == 0:

@@ -237,9 +237,6 @@ class RingPresentation:
     def _is_monomial_ideal(self) -> bool:
         return all(len(f.terms) == 1 for f in self.quotient_gens)
 
-    def ambient_dimension(self) -> int:
-        return self.poly_ring.nvars
-
     def dimension(self) -> float:
         """Krull dimension of R from the initial ideal of (f)."""
         if self._dim_cache is None:

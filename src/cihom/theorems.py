@@ -106,9 +106,11 @@ class _Instance:
         return self._cache[key]
 
     def tensor(self):
-        if "tensor" not in self._cache:
-            self._cache["tensor"] = self.M.tensor(self.N).minimalize()
-        return self._cache["tensor"]
+        """M (x) N, minimalized: the left profile's Tor_0 presentation.
+
+        Every checker that reads the tensor also builds the left profile,
+        so taking it from there adds no work and builds it only once."""
+        return self.profile().tor0.presentation
 
     def depth(self, which):
         mod = {"M": self.M, "N": self.N, "T": self.tensor()}[which]
@@ -187,12 +189,6 @@ def _hyp_finite_length(inst, which):
     return _ok(f"{which} has finite length", ln != INF, {"length": _enc(ln)})
 
 
-def _hyp_constant_rank(inst, which):
-    mod = inst.M if which == "M" else inst.N
-    prof = mod.rank_profile()
-    return _ok(f"{which} has constant rank", prof["constant_rank"], prof)
-
-
 def _hyp_vanishing(inst, lo, hi, subject="Tor"):
     if hi < lo:
         return _ok(f"{subject} {lo}..{hi} vanish (empty range)", True)
@@ -222,14 +218,6 @@ def _hyp_local_vanishing_surrogate(inst, height):
                  "satisfied" if ok else "failed",
                  {"min_support_codim": _enc(worst) if worst is not None else "empty"},
                  kind="surrogate")
-
-
-def _hyp_cx(inst, which, relation, value):
-    est = inst.cx(which)
-    ok = {"<=": est.value <= value, "==": est.value == value,
-          ">=": est.value >= value, "<": est.value < value}[relation]
-    return _line(f"complexity of {which} {relation} {value}",
-                 "satisfied" if ok else "failed", est.as_dict(), kind="estimate-based")
 
 
 def _enc(v):

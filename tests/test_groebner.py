@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -9,13 +10,17 @@ from cihom.groebner import (
     Element,
     FreeModule,
     GroebnerBasis,
+    IncrementalModuleGB,
+    ModuleOrder,
     TrackedSubmodule,
+    buchberger,
     groebner_basis,
     lead_term,
     minimal_generator_indices,
     normal_form,
     s_pair,
     syzygy_generators,
+    tracked_buchberger,
 )
 from cihom.polynomials import (
     GradedViolationError,
@@ -286,3 +291,73 @@ def test_normal_form_matches_reference(ring_quadric, ring_two_nodes, seed, which
     for _ in range(4):
         e = _random_element(tracked.tracked_module, rng, rng.randint(1, 3), rng.randint(1, 8))
         assert_matches_reference(e, tracked.active, tracked.order)
+
+
+# -- the one pair engine, pinned to the three loops it replaced -------------------
+
+def _engine_cases(ring_quadric, ring_two_nodes, ring_node):
+    """(free module, quotient polys, columns, column degrees), fixed by a seed:
+    each column set once as drawn, once with a zero and a repeated column."""
+    rng = random.Random(41)
+    cases = []
+    two_nodes = ring_two_nodes.quotient_gens
+    for ring, quot, gen_degs, hi in (
+            (ring_quadric, ring_quadric.quotient_gens, (0, 0), 2),
+            (ring_two_nodes, two_nodes, (0,), 2), (ring_two_nodes, two_nodes, (0, 1), 2),
+            (ring_node, ring_node.quotient_gens, (0, 0, 1), 3),
+            (ring_two_nodes, (), (0,), 3)):  # an ideal of the ambient ring: ideal_mode
+        free = FreeModule(ring.poly_ring, gen_degs)
+        degs = [rng.randint(max(1, min(gen_degs)), hi) for _ in range(4)]
+        cols = [_random_element(free, rng, d, rng.randint(1, 4)) for d in degs]
+        cases.append((free, quot, cols, degs))
+        cases.append((free, quot, [cols[0], free.zero(), cols[1], cols[0]],
+                      [degs[0], degs[0], degs[1], degs[0]]))
+    return cases
+
+
+def _terms_digest(groups):
+    h = hashlib.sha256()
+    for group in groups:
+        h.update(repr([list(e.terms.items()) for e in group]).encode() + b";")
+    return h.hexdigest()
+
+
+def test_engine_outputs_match_the_three_loops(ring_quadric, ring_two_nodes, ring_node):
+    # Digests recorded with the separate buchberger, tracked_buchberger and
+    # IncrementalModuleGB loops: any drift in basis or pair order shows here.
+    tracked, plain, kept = [], [], []
+    for free, quot, cols, degs in _engine_cases(ring_quadric, ring_two_nodes, ring_node):
+        ts = TrackedSubmodule(cols, degs, free, quot)
+        tracked += [ts.active, ts.collected]
+        plain.append(groebner_basis(cols, free, quot).generators)
+        kept.append(minimal_generator_indices(cols, degs, free, quot))
+    assert _terms_digest(tracked) == (
+        "2e229ebbfc567c45e0ab3e98032ad5c88d34b1c7b30731aea2e1638fbd33356f")
+    assert _terms_digest(plain) == (
+        "dd017fe9591bd1a289d58bae71b0c23c376f572f3f32b3a538164cc6dc25f384")
+    assert hashlib.sha256(repr(kept).encode()).hexdigest() == (
+        "56071ed2db9652b92529c3373cedb11ca453b3dc7a64283686e2af62600835c8")
+
+
+def test_ideal_mode_matches_module_mode():
+    rng = random.Random(17)
+    pr = ring4()
+    for _ in range(8):
+        free, cols = _random_ideal(pr, rng, n_gens=rng.randint(1, 4))
+        assert (buchberger(cols, ModuleOrder(free), ideal_mode=True)
+                == buchberger(cols, ModuleOrder(free), ideal_mode=False))
+
+
+def test_inhomogeneous_input_rejected_on_the_tracked_path():
+    pr = ring4()
+    x = pr.variable("x")
+    free = FreeModule(pr, (0,))
+    bad = free.from_polys([x + x * x])
+    with pytest.raises(GradedViolationError):
+        TrackedSubmodule([bad], [1], free)
+    tracked_free = FreeModule(pr, (0, 1))
+    order = ModuleOrder(tracked_free, split=1)
+    with pytest.raises(GradedViolationError):
+        tracked_buchberger([tracked_free.from_polys([x + x * x, pr.one()])], order)
+    with pytest.raises(GradedViolationError):
+        IncrementalModuleGB(ModuleOrder(free)).extend([free.zero(), bad])

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cihom.fields import PrimeField
+from cihom.fields import PrimeField, field_by_tag
 from cihom.fmodules import ModulePresentation
 from cihom.homology import tor_profile
 from cihom.oracle import (
@@ -58,6 +58,26 @@ def test_oracle_matches_pipeline_on_random(ring_two_nodes, ring_node):
             for i in range(1, 4):
                 for d in range(0, 7):
                     assert prof.entry(i).hilbert.get(d, 0) == dims[i].get(d, 0)
+
+
+@pytest.mark.parametrize("tag, degree_bound", [
+    ("f3", 6), ("f32003", 6), ("f2147483647", 6), ("f4294967311", 6),
+    # Fraction row reduction is slow; a lower degree keeps the case small
+    ("rational", 3)])
+def test_oracle_matches_pipeline_on_every_field(tag, degree_bound):
+    # With int64 arithmetic the oracle disagreed on both samples over f4294967311
+    pr = PolyRing(field_by_tag(tag), ["x", "y", "z", "u"])
+    x, y, z, u = (pr.variable(v) for v in "xyzu")
+    ring = RingPresentation(pr, [x * y, z * u], label="R_xyzu")
+    for seed in (0, 2):
+        rng = random.Random(seed)
+        M = random_homogeneous_module(ring, rng, 2, 2, "A")
+        N = random_homogeneous_module(ring, rng, 2, 2, "B")
+        prof = tor_profile(M, N, 3, degree_bound)
+        dims = tor_oracle(M, N, 3, degree_bound)
+        for i in range(1, 4):
+            assert ([prof.entry(i).hilbert.get(d, 0) for d in range(degree_bound + 1)]
+                    == [dims[i].get(d, 0) for d in range(degree_bound + 1)]), (seed, i)
 
 
 def test_module_hilbert_oracle_matches_groebner(mod_N_two_nodes, mod_quadric):

@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from cihom.cli import main
 from cihom.fields import PrimeField
 from cihom.fmodules import ModulePresentation
 from cihom.theorems import UnknownTheoremError, check_theorem, known_statements
@@ -203,3 +206,27 @@ def test_3_4_on_gap_pair(mod_M_two_nodes, mod_N_two_nodes):
     if rep.hypotheses_met:
         # both complexities are maximal, so the disjunction holds that way
         assert rep.conclusion["detail"]["branch"] == "maximal-complexity"
+
+
+def test_check_builds_the_tensor_once(tmp_path, capsys, monkeypatch):
+    # M (x) N comes from the left Tor profile's Tor_0, not from a second tensor
+    calls = []
+    real = ModulePresentation.tensor
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(ModulePresentation, "tensor", counting)
+    script = tmp_path / "s.txt"
+    script.write_text(
+        "ring R = quotient(field=f32003, vars=[x,y,z,u], degrees=[1,1,1,1], ideal=[x*y, z*u])\n"
+        "module M = coker(R, shifts=[0], matrix=[[y, u]])\n"
+        "module N = coker(R, shifts=[0,0,0], matrix=[[0, u], [-z, x], [y, 0]])\n"
+        "check 3.12.2 on (M, N)\n")
+    assert main(["--script", str(script), "--format", "json"]) == 0
+    assert len(calls) == 1
+    # the report is the one the two-tensor code wrote
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "4a8a321131637f60424826d9c29b0a3d3875de699405c0df436d14dbdc908b00")
