@@ -215,7 +215,7 @@ def _run_4_5(field, bounds):
     M = _quadric_module(ring, syms)
     res = resolve(M, steps=5)
     prof = tor_profile(M, M, 10, bounds["degree_bound"])
-    rep = depth_formula_check(M, M, 10, bounds["degree_bound"])
+    rep = depth_formula_check(M, M, 10, bounds["degree_bound"], profile=prof)
     checks = [
         _check("M has projective dimension one", {"finite": True, "pd": 1},
                {"finite": res.terminated, "pd": res.length()}, "reference"),

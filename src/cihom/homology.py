@@ -427,9 +427,14 @@ def ring_depth(ring: RingPresentation) -> float:
 
 
 def depth_formula_check(M: ModulePresentation, N: ModulePresentation,
-                        bound: int, degree_bound: int = 8) -> DepthFormulaReport:
-    """Depth-formula report; the vanishing hypothesis carries its tier."""
-    profile = tor_profile(M, N, bound, degree_bound)
+                        bound: int, degree_bound: int = 8,
+                        profile: TorProfile | None = None) -> DepthFormulaReport:
+    """Depth-formula report; the vanishing hypothesis carries its tier.
+
+    ``profile``, when given, is ``tor_profile(M, N, bound, degree_bound)``
+    already built by the caller; it is used instead of a second one."""
+    if profile is None:
+        profile = tor_profile(M, N, bound, degree_bound)
     tier = profile.vanishing["tier"]
     hypothesis_met = profile.vanishing["all_vanish_in_window"] and tier in (
         "pd-finite", "periodicity", "rigidity")

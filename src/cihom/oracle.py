@@ -35,7 +35,11 @@ MAX_DEGREE = 8
 def _rref(A, p):
     """Reduced row echelon form mod p (p None: over the rationals), with the
     pivot column list.  Arrays come from ``_zeros``, so their dtype is
-    ``residue_dtype(p)``: int64 only where it cannot overflow."""
+    ``residue_dtype(p)``: int64 only where it cannot overflow.
+
+    The matrices are built from monomial shifts and are mostly zero, so a
+    pivot (r, c) updates only the rows with a nonzero in column c, and only
+    from column c on: row r is zero left of c, so no other column changes."""
     A = A.copy()
     m, n = A.shape
     r = 0
@@ -43,27 +47,24 @@ def _rref(A, p):
     for c in range(n):
         if r >= m:
             break
-        if p is not None:
-            nz = np.nonzero(A[r:, c])[0]
-        else:
-            nz = np.array([i for i in range(m - r) if A[r + i, c] != 0])
+        nz = np.nonzero(A[r:, c])[0]
         if nz.size == 0:
             continue
         t = r + int(nz[0])
         if t != r:
             A[[r, t]] = A[[t, r]]
         if p is not None:
-            inv = pow(int(A[r, c]), p - 2, p)
-            A[r] = (A[r] * inv) % p
-            col = A[:, c].copy()
-            col[r] = 0
-            A = (A - np.outer(col, A[r])) % p
+            A[r, c:] = (A[r, c:] * pow(int(A[r, c]), p - 2, p)) % p
         else:
-            inv = Fraction(1) / A[r, c]
-            A[r] = A[r] * inv
-            col = A[:, c].copy()
-            col[r] = Fraction(0)
-            A = A - np.outer(col, A[r])
+            A[r, c:] = A[r, c:] * (Fraction(1) / A[r, c])
+        rows = np.nonzero(A[:, c])[0]
+        rows = rows[rows != r]
+        if rows.size:
+            block = A[rows, c:]
+            block -= np.multiply.outer(block[:, 0], A[r, c:])
+            if p is not None:
+                block %= p
+            A[rows, c:] = block
         pivots.append(c)
         r += 1
     return A, pivots
@@ -121,7 +122,7 @@ class QuotientSpace:
             self.rank = 0
             return
         E, pivots = _rref(subspace_cols.T, p)
-        self.echelon = E[:len(pivots)]
+        self.echelon = E[:len(pivots)].copy()  # not a view: E is dropped
         self.pivots = pivots
         self.rank = len(pivots)
 
@@ -248,12 +249,11 @@ class OracleContext:
 class TruncatedStep:
     """One free module of the degreewise-built resolution."""
 
-    __slots__ = ("gen_degs", "gen_vecs", "preimage_bases")
+    __slots__ = ("gen_degs", "gen_vecs")
 
-    def __init__(self, gen_degs, gen_vecs, preimage_bases):
+    def __init__(self, gen_degs, gen_vecs):
         self.gen_degs = list(gen_degs)
         self.gen_vecs = list(gen_vecs)
-        self.preimage_bases = preimage_bases  # degree -> dense columns in prev coords
 
 
 def _presentation_columns(pres: ModulePresentation):
@@ -275,7 +275,7 @@ def truncated_resolution(ctx: OracleContext, pres: ModulePresentation, hsteps: i
     degree bound: kernels are covered degree by degree and generators are
     chosen minimally (complement of the lower-degree span)."""
     D = ctx.degree_bound
-    steps = [TruncatedStep(pres.gen_degs, [], {})]
+    steps = [TruncatedStep(pres.gen_degs, [])]
     for step in range(1, hsteps + 1):
         prev = steps[-1]
         prev_degs = tuple(prev.gen_degs)
@@ -292,9 +292,9 @@ def truncated_resolution(ctx: OracleContext, pres: ModulePresentation, hsteps: i
                     candidates.extend(ctx.monomial_multiples(vec, cdeg, d))
                 candidates.extend(ctx._quotient_multiples(prev_degs, d))
                 C = ctx.dense(prev_degs, d, candidates)
-                # basis of the span
+                # basis of the span; copied so the whole RREF is not kept
                 E, pivots = _rref(C.T, ctx.p)
-                P = E[:len(pivots)].T if pivots else None
+                P = E[:len(pivots)].copy().T if pivots else None
             else:
                 src_degs = tuple(steps[-2].gen_degs)
                 # columns of the induced map at degree d
@@ -332,11 +332,11 @@ def truncated_resolution(ctx: OracleContext, pres: ModulePresentation, hsteps: i
                     gen_degs.append(d)
                     gen_vecs.append({pcoords_d[i]: v[i] for i in range(len(pcoords_d)) if v[i]})
             preimage[d] = P
-        steps.append(TruncatedStep(gen_degs, gen_vecs, preimage))
+        steps.append(TruncatedStep(gen_degs, gen_vecs))
         if not gen_degs:
             # kernel trivial through the degree bound: later steps stay empty
             for _ in range(step + 1, hsteps + 1):
-                steps.append(TruncatedStep([], [], {}))
+                steps.append(TruncatedStep([], []))
             break
     return steps
 

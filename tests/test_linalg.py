@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cihom.fields import PrimeField, RationalField
 from cihom.linalg import MAX_SLICE, EchelonAccumulator, residue_dtype
-from cihom.oracle import _kernel_basis, _rref, _zeros
+from cihom.oracle import QuotientSpace, _kernel_basis, _rref, _zeros
 
 P = 32003
 
@@ -126,3 +126,90 @@ def test_large_prime_arithmetic_is_exact():
     assert _rank(A, p) == 2
     K = _kernel_basis(A, p)
     assert K.shape == (3, 1) and not np.any((A @ K) % p)
+
+
+def _rref_reference(A, p):
+    """The full-matrix row reduction the oracle used before its sparse pivot
+    updates: every pivot rewrites the whole array."""
+    A = A.copy()
+    m, n = A.shape
+    r = 0
+    pivots = []
+    for c in range(n):
+        if r >= m:
+            break
+        if p is not None:
+            nz = np.nonzero(A[r:, c])[0]
+        else:
+            nz = np.array([i for i in range(m - r) if A[r + i, c] != 0])
+        if nz.size == 0:
+            continue
+        t = r + int(nz[0])
+        if t != r:
+            A[[r, t]] = A[[t, r]]
+        if p is not None:
+            inv = pow(int(A[r, c]), p - 2, p)
+            A[r] = (A[r] * inv) % p
+            col = A[:, c].copy()
+            col[r] = 0
+            A = (A - np.outer(col, A[r])) % p
+        else:
+            inv = Fraction(1) / A[r, c]
+            A[r] = A[r] * inv
+            col = A[:, c].copy()
+            col[r] = Fraction(0)
+            A = A - np.outer(col, A[r])
+        pivots.append(c)
+        r += 1
+    return A, pivots
+
+
+@st.composite
+def _field_matrices(draw):
+    """(matrix, p) over f3, f32003, f4294967311 (object dtype) or the
+    rationals (p None); sparse or dense, with some rows and columns zeroed."""
+    p = draw(st.sampled_from([3, 32003, 4294967311, None]))
+    m = draw(st.integers(min_value=0, max_value=12))
+    n = draw(st.integers(min_value=0, max_value=16))
+    density = draw(st.sampled_from([0.05, 0.1, 0.2, 0.3, 1.0]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 31)))
+    A = _zeros((m, n), p)
+    for i in range(m):
+        for j in range(n):
+            if rng.random() < density:
+                A[i, j] = (rng.randrange(p) if p is not None
+                           else Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+    for i in range(m):
+        if rng.random() < 0.15:
+            A[i, :] = 0 if p is not None else Fraction(0)
+    for j in range(n):
+        if rng.random() < 0.15:
+            A[:, j] = 0 if p is not None else Fraction(0)
+    return A, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_field_matrices())
+def test_rref_matches_full_matrix_reference(case):
+    A, p = case
+    R, pivots = _rref(A, p)
+    R_ref, pivots_ref = _rref_reference(A, p)
+    assert pivots == pivots_ref
+    assert R.dtype == R_ref.dtype == residue_dtype(p)
+    assert R.shape == R_ref.shape
+    assert R.tolist() == R_ref.tolist()
+    if p is None:
+        assert all(type(x) is Fraction for x in R.flat)
+
+
+def test_quotient_space_owns_its_rank_rows():
+    rng = random.Random(5)
+    # 9 columns spanning a rank-4 subspace of a 7-dimensional space
+    basis = _prime_array([[rng.randrange(P) for _ in range(7)] for _ in range(4)])
+    mix = _prime_array([[rng.randrange(P) for _ in range(9)] for _ in range(4)])
+    cols = (basis.T @ mix) % P
+    qs = QuotientSpace(7, cols, P)
+    assert qs.rank == 4 == len(qs.pivots)
+    assert qs.echelon.shape == (4, 7)
+    assert qs.echelon.base is None
+    assert not np.any(qs.reduce_columns(cols))

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from cihom import catalog, homology, theorems
 from cihom.cli import main
 from cihom.fields import PrimeField
 from cihom.fmodules import ModulePresentation
@@ -230,3 +231,32 @@ def test_check_builds_the_tensor_once(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == (
         "4a8a321131637f60424826d9c29b0a3d3875de699405c0df436d14dbdc908b00")
+
+
+def _count_tor_profiles(monkeypatch):
+    """Wrap tor_profile wherever it is looked up; returns the call list."""
+    calls = []
+    real = homology.tor_profile
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (homology, theorems, catalog):
+        monkeypatch.setattr(module, "tor_profile", counting)
+    return calls
+
+
+@pytest.mark.parametrize("sid", ["2.7", "4.9"])
+def test_depth_formula_reuses_the_left_profile(sid, monkeypatch, mod_M_two_nodes,
+                                               mod_N_two_nodes):
+    calls = _count_tor_profiles(monkeypatch)
+    check_theorem(sid, mod_M_two_nodes, mod_N_two_nodes, tor_bound=4, degree_bound=6)
+    assert len(calls) == 1
+
+
+def test_example_4_5_builds_one_tor_profile(monkeypatch, capsys):
+    calls = _count_tor_profiles(monkeypatch)
+    assert main(["--example", "4.5", "--format", "json"]) == 0
+    assert len(calls) == 1
+    assert '"depth_formula"' in capsys.readouterr().out
