@@ -40,7 +40,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     help="output format (env CIHOM_FORMAT sets the default)")
     ap.add_argument("--field", default="f32003",
                     help="coefficient field tag: f32003 (default), fP, rational")
-    ap.add_argument("--steps", type=_positive_int, default=None,
+    ap.add_argument("--steps", type=int, default=None,
                     help="default resolution step bound")
     ap.add_argument("--tor-bound", type=int, default=6,
                     help="default Tor/Ext index bound")
@@ -48,13 +48,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     help="default graded Hilbert degree bound")
     ap.add_argument("--seed", type=int, default=1, help="default search seed")
     return ap
-
-
-def _positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {n}")
-    return n
 
 
 def _steps(cmd: dict, defaults: dict, M) -> int:
@@ -160,6 +153,10 @@ def _run_command(cmd: dict, session, defaults: dict) -> dict:
 def main(argv=None) -> int:
     ap = build_arg_parser()
     args = ap.parse_args(argv)
+    for flag, value, lo in (("--steps", args.steps, 1), ("--tor-bound", args.tor_bound, 1),
+                            ("--degree-bound", args.degree_bound, 0)):
+        if value is not None and value < lo:
+            ap.error(f"argument {flag}: must be an integer >= {lo}, got {value}")
     if not args.script and not args.example:
         ap.print_usage(sys.stderr)
         print("cihom: provide --script FILE or --example ID", file=sys.stderr)

@@ -292,6 +292,30 @@ def parse_session(text: str) -> Session:
     return session
 
 
+# Least accepted value of each numeric bound option.
+_OPTION_MINIMUM = {"steps": 1, "bound": 1, "tor_bound": 1, "degree_bound": 0}
+
+
+def _check_minimum(key_tok, value):
+    """The value, or a ParseError at the key for a bound below its minimum."""
+    lo = _OPTION_MINIMUM.get(key_tok.text)
+    if lo is not None and not (isinstance(value, int) and value >= lo):
+        kind = "positive" if lo else "non-negative"
+        raise ParseError(f"{key_tok.text} must be a {kind} integer", key_tok.line, key_tok.col)
+    return value
+
+
+def _scalar_value(cur):
+    """An integer, possibly negative, or else the next token's text."""
+    neg = cur.at("-")
+    if neg:
+        cur.next()
+    t = cur.next()
+    if t.kind != "int":
+        return t.text
+    return -int(t.text) if neg else int(t.text)
+
+
 def _parse_options(cur, session, poly_ring=None, allowed=None):
     opts = {}
     while cur.at("name") and cur.tokens[cur.pos + 1].kind == "=":
@@ -305,17 +329,8 @@ def _parse_options(cur, session, poly_ring=None, allowed=None):
         elif cur.at("["):
             opts[key] = _parse_int_list(cur)
         else:
-            neg = False
-            if cur.at("-"):
-                cur.next()
-                neg = True
-            t = cur.next()
-            if t.kind == "int":
-                opts[key] = -int(t.text) if neg else int(t.text)
-            else:
-                opts[key] = t.text
-        if key == "steps" and not (isinstance(opts[key], int) and opts[key] >= 1):
-            raise ParseError("steps must be a positive integer", key_tok.line, key_tok.col)
+            opts[key] = _scalar_value(cur)
+        _check_minimum(key_tok, opts[key])
     return opts
 
 
@@ -468,15 +483,9 @@ def _parse_check(cur, session):
     opts = {}
     while not cur.at(")"):
         if cur.at("name") and cur.tokens[cur.pos + 1].kind == "=":
-            key = cur.next().text
+            key_tok = cur.next()
             cur.expect("=")
-            neg = False
-            if cur.at("-"):
-                cur.next()
-                neg = True
-            v = cur.next()
-            opts[key] = -int(v.text) if (neg and v.kind == "int") else (
-                int(v.text) if v.kind == "int" else v.text)
+            opts[key_tok.text] = _check_minimum(key_tok, _scalar_value(cur))
         else:
             mods.append(_require_module(cur, session, cur.expect("name")))
         if cur.at(","):
@@ -494,7 +503,8 @@ def _parse_search(cur, session):
     cur.expect("(")
     opts = {}
     while not cur.at(")"):
-        key = cur.expect("name").text
+        key_tok = cur.expect("name")
+        key = key_tok.text
         cur.expect("=")
         v = cur.next()
         if key == "ring":
@@ -502,7 +512,7 @@ def _parse_search(cur, session):
                 raise ParseError(f"undeclared ring {v.text!r}", v.line, v.col)
             opts["ring"] = v.text
         else:
-            opts[key] = int(v.text) if v.kind == "int" else v.text
+            opts[key] = _check_minimum(key_tok, int(v.text) if v.kind == "int" else v.text)
         if cur.at(","):
             cur.next()
     cur.expect(")")

@@ -3,10 +3,10 @@
 A module is a cokernel presentation: generator degrees plus a relation matrix
 whose columns are homogeneous relations (entries are stored as ambient-ring
 polynomials and read modulo the quotient ideal).  The derived data,
-minimal form, graded Hilbert function, dimension via the zeroth Fitting
-ideal, depth via the finite ambient resolution, Serre conditions via Ext
-codimensions, torsion and reflexivity via the biduality map, free loci and
-rank profiles, all live here.  Presentations are immutable; cached derived
+minimal form, one Hilbert series per presentation (Hilbert function,
+dimension, length), depth via the finite ambient resolution, Serre conditions
+via Ext codimensions, torsion and reflexivity via the biduality map, free loci
+and rank profiles, all live here.  Presentations are immutable; cached derived
 values are computed once.
 """
 
@@ -20,8 +20,6 @@ from .polynomials import (
     InvariantError,
     PolyRing,
     Polynomial,
-    monomials_of_degree,
-    mono_divides,
 )
 from .groebner import (
     Element,
@@ -32,16 +30,8 @@ from .groebner import (
     minimal_generator_indices,
     syzygy_generators,
 )
-from .rings import INF, NEG_INF, RingPresentation
-
-_MONO_CACHE: dict = {}
-
-
-def monomial_basis(nvars: int, degree: int):
-    key = (nvars, degree)
-    if key not in _MONO_CACHE:
-        _MONO_CACHE[key] = tuple(monomials_of_degree(nvars, degree))
-    return _MONO_CACHE[key]
+from .rings import (INF, NEG_INF, RingPresentation, add_numerator,
+                    dimension_and_multiplicity, hilbert_numerator)
 
 
 class PolyMatrix:
@@ -238,7 +228,7 @@ class ModulePresentation:
     """
 
     __slots__ = ("ring", "gen_degs", "relations", "label",
-                 "_minimal", "_hf_gb", "_ambient_pres", "_free_module", "_res_cache",
+                 "_minimal", "_hf_num", "_ambient_pres", "_free_module", "_res_cache",
                  "_ext_dims")
 
     def __init__(self, ring: RingPresentation, gen_degs, relations: PolyMatrix,
@@ -251,7 +241,7 @@ class ModulePresentation:
         self.relations = relations
         self.label = label
         self._minimal = None
-        self._hf_gb = None
+        self._hf_num = None
         self._ambient_pres = None
         self._free_module = None
         self._res_cache = None
@@ -425,41 +415,37 @@ class ModulePresentation:
                     ambient, self.gen_degs, mat, label=f"{self.label}|S")
         return self._ambient_pres
 
-    # -- graded Hilbert function ----------------------------------------------------
+    # -- Hilbert series ---------------------------------------------------------------
 
-    def _relation_gb(self):
-        if self._hf_gb is None:
-            free = self.free_module()
-            self._hf_gb = groebner_basis(self.relation_elements(), free,
-                                         self.ring.quotient_gens)
-        return self._hf_gb
+    def hilbert_numerator(self) -> dict:
+        """Numerator K of the Hilbert series K(t) / (1 - t)^n (n ambient
+        variables), computed once: the initial module of the relations splits
+        by position into monomial ideals L_i, so K = sum_i t^(gen_degs[i]) K(L_i).
+        """
+        if self._hf_num is None:
+            gb = groebner_basis(self.relation_elements(), self.free_module(),
+                                self.ring.quotient_gens)
+            leads = [[] for _ in self.gen_degs]
+            for g in gb.generators:
+                p, m = lead_term(g, gb.order)
+                leads[p].append(m)
+            num: dict = {}
+            for gdeg, monos in zip(self.gen_degs, leads):
+                add_numerator(num, hilbert_numerator(monos), gdeg)
+            self._hf_num = num
+        return self._hf_num
 
     def hilbert_function(self, dmax: int, dmin: int | None = None) -> dict:
         """dim_k of each graded piece for dmin..dmax (dmin defaults to the
         smallest generator degree; empty modules give all zeros)."""
         if dmin is None:
             dmin = min(self.gen_degs) if self.gen_degs else 0
-        if not self.gen_degs:
-            return {d: 0 for d in range(dmin, dmax + 1)}
-        gb = self._relation_gb()
-        leads_by_pos: dict = {}
-        for g in gb.generators:
-            p, m = lead_term(g, gb.order)
-            leads_by_pos.setdefault(p, []).append(m)
-        n = self.ring.poly_ring.nvars
-        out = {}
-        for d in range(dmin, dmax + 1):
-            total = 0
-            for i, gdeg in enumerate(self.gen_degs):
-                e = d - gdeg
-                if e < 0:
-                    continue
-                leads = leads_by_pos.get(i, ())
-                for m in monomial_basis(n, e):
-                    if not any(mono_divides(L, m) for L in leads):
-                        total += 1
-            out[d] = total
-        return out
+        num = self.hilbert_numerator()
+        lo = min([dmin, *num])
+        values = [num.get(d, 0) for d in range(lo, dmax + 1)]
+        for _ in range(self.ring.poly_ring.nvars):
+            values = list(itertools.accumulate(values))  # divide by (1 - t)
+        return {d: values[d - lo] for d in range(dmin, dmax + 1)}
 
     def initial_degree(self):
         """Smallest degree with a nonzero piece (None for the zero module)."""
@@ -619,25 +605,10 @@ class ModulePresentation:
         return [p for p in M.relations.minors(size) if p]
 
     def dimension(self) -> float:
-        """Krull dimension of the module, from its initial module.
-
-        The initial module has the same Hilbert function, hence the same
-        dimension, and splits per position into monomial ideals whose
-        dimensions are pure combinatorics (far cheaper than the Fitting
-        ideal route on large presentations; V(Fitt_0) is used only where
-        prime membership is really needed).
-        """
-        M = self.minimalize()
-        if M.n_gens == 0:
-            return NEG_INF
-        from .rings import dimension_from_leads
-        gb = M._relation_gb()
-        leads_by_pos: dict = {i: [] for i in range(M.n_gens)}
-        for g in gb.generators:
-            p, m = lead_term(g, gb.order)
-            leads_by_pos[p].append(m)
-        return max(dimension_from_leads(self.ring.poly_ring, leads_by_pos[i])
-                   for i in range(M.n_gens))
+        """Krull dimension of the module, from its Hilbert series (-inf for
+        the zero module)."""
+        return dimension_and_multiplicity(self.minimalize().hilbert_numerator(),
+                                          self.ring.poly_ring.nvars)[0]
 
     def projective_dimension_ambient(self) -> int:
         """pd over the ambient regular ring (finite by the syzygy theorem)."""
@@ -656,33 +627,10 @@ class ModulePresentation:
         return self.ring.poly_ring.nvars - M.projective_dimension_ambient()
 
     def length(self) -> float:
-        """Number of standard monomials when dim = 0, otherwise inf."""
-        M = self.minimalize()
-        if M.n_gens == 0:
-            return 0
-        if M.dimension() != 0:
-            return INF
-        gb = M._relation_gb()
-        leads_by_pos: dict = {}
-        for g in gb.generators:
-            p, m = lead_term(g, gb.order)
-            leads_by_pos.setdefault(p, []).append(m)
-        n = self.ring.poly_ring.nvars
-        unit = (0,) * n
-        total = 0
-        for i in range(M.n_gens):
-            leads = leads_by_pos.get(i, ())
-            seen = set()
-            stack = [unit]
-            while stack:
-                mono = stack.pop()
-                if mono in seen or any(mono_divides(L, mono) for L in leads):
-                    continue
-                seen.add(mono)
-                for v in range(n):
-                    stack.append(tuple(e + (1 if t == v else 0) for t, e in enumerate(mono)))
-            total += len(seen)
-        return total
+        """The Hilbert series at t = 1 when dim <= 0, otherwise inf."""
+        dim, multiplicity = dimension_and_multiplicity(
+            self.minimalize().hilbert_numerator(), self.ring.poly_ring.nvars)
+        return INF if dim > 0 else multiplicity
 
     def module_profile(self) -> ModuleProfile:
         M = self.minimalize()

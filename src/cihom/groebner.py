@@ -309,15 +309,16 @@ def s_pair(f: Element, g: Element, order: ModuleOrder) -> Element:
 class IncrementalModuleGB:
     """The Buchberger pair engine behind every Groebner basis in this module.
 
-    ``extend`` inserts a batch of homogeneous generators and ``add`` a single
-    generator; each then drains the queued S-pairs by normal selection
-    (smallest shifted lcm degree first, then the larger and the smaller
-    basis index) with the chain criterion.  Basis elements are monic.  An
-    element whose lead lies in the tracking block (position >=
-    ``order.split``) is collected unscaled in ``collected`` and never joins
-    the basis.  ``coprime`` also skips pairs with coprime leads, which is
-    valid for rank-one input only.  Not interreduced (membership only needs
-    the Groebner property).
+    ``extend`` inserts a batch of homogeneous generators and drains the
+    queued S-pairs by normal selection (smallest shifted lcm degree first,
+    then the larger and the smaller basis index) with the chain criterion.
+    ``add`` inserts one generator and leaves its pairs queued; ``contains``
+    drains only the pairs up to the degree it asks about.  Basis elements
+    are monic.  An element whose lead lies in the tracking block (position
+    >= ``order.split``) is collected unscaled in ``collected`` and never
+    joins the basis.  ``coprime`` also skips pairs with coprime leads, which
+    is valid for rank-one input only.  Not interreduced (membership only
+    needs the Groebner property).
     """
 
     __slots__ = ("order", "coprime", "basis", "collected", "_by_position", "_heap", "_pending")
@@ -331,7 +332,7 @@ class IncrementalModuleGB:
         self._heap: list = []      # (shifted lcm degree, j, i, lcm) for pairs i < j
         self._pending: set = set()
 
-    def _insert(self, e: Element):
+    def add(self, e: Element):
         """Add e to the basis, monic, and queue its pairs; or collect it."""
         if not e:
             return
@@ -355,10 +356,13 @@ class IncrementalModuleGB:
             self._pending.add((k, idx))
         same.append(idx)
 
-    def _drain(self):
-        basis, order, pending = self.basis, self.order, self._pending
-        while self._heap:
-            _, j, i, lcm = heapq.heappop(self._heap)
+    def _drain(self, upto=None):
+        """Reduce queued pairs; with ``upto``, leave those of shifted lcm degree
+        above it queued (pending for the chain criterion): homogeneous inputs
+        then give a Groebner basis through degree ``upto``."""
+        basis, order, pending, heap = self.basis, self.order, self._pending, self._heap
+        while heap and (upto is None or heap[0][0] <= upto):
+            _, j, i, lcm = heapq.heappop(heap)
             pending.remove((i, j))
             # Chain criterion: skip (i, j) when the lead of some k divides
             # the lcm and both (i, k) and (j, k) have already been handled.
@@ -371,25 +375,22 @@ class IncrementalModuleGB:
             s = s_pair(basis[i], basis[j], order)
             r = normal_form(s, basis, order, self._by_position)
             if r:
-                self._insert(r)
+                self.add(r)
 
     def extend(self, elements):
         """Insert the homogeneous elements (zeros are skipped), then drain."""
         for e in elements:
             if not e.is_homogeneous():
                 raise GradedViolationError("Groebner input must be homogeneous")
-            self._insert(e)
+            self.add(e)
         self._drain()
-
-    def normal_form(self, e: Element) -> Element:
-        return normal_form(e, self.basis, self.order, self._by_position)
 
     def contains(self, e: Element) -> bool:
-        return not self.normal_form(e)
-
-    def add(self, e: Element):
-        self._insert(e)
-        self._drain()
+        """Membership of e, after draining the queued pairs up to its degree."""
+        if not e:
+            return True
+        self._drain(e.degree())
+        return not normal_form(e, self.basis, self.order, self._by_position)
 
 
 def buchberger(elements: list, order: ModuleOrder, ideal_mode: bool = False) -> list:
@@ -660,10 +661,12 @@ def minimal_generator_indices(columns, col_degs, free: FreeModule, quotient_poly
     Greedy pass in weakly increasing degree against an incrementally grown
     Groebner basis: a column already generated by the kept prefix is
     redundant, and graded Nakayama makes the kept set genuinely minimal.
+    Each membership question drains the pairs only up to the column's degree.
     """
     n = len(columns)
     gb = IncrementalModuleGB(ModuleOrder(free))
-    gb.extend(quotient_columns(free, quotient_polys))
+    for q in quotient_columns(free, quotient_polys):
+        gb.add(q)
     kept = []
     for i in sorted(range(n), key=lambda k: (col_degs[k], k)):
         col = columns[i]

@@ -22,7 +22,8 @@ from __future__ import annotations
 from .fmodules import ModulePresentation, PolyMatrix
 from .groebner import Element, FreeModule, syzygy_generators
 from .resolutions import FreeResolution, detect_periodicity, resolve
-from .rings import INF, NEG_INF, RingPresentation
+from .rings import (INF, NEG_INF, RingPresentation, add_numerator,
+                    dimension_and_multiplicity)
 
 
 def _restricted_syzygies(columns, col_degs, target: FreeModule, quotient, first: int):
@@ -363,16 +364,22 @@ def ext_ambient_dimensions(M: ModulePresentation) -> dict:
     """Support dimensions of Ext^j_S(M, S) over the ambient ring, j >= 1.
 
     Feeds the depth-condition criterion: the resolution is finite, so this
-    is a complete list through the projective dimension.
+    is a complete list through the projective dimension.  With
+    phi_j = d_j^T on the minimal ambient resolution, Ext^j = ker phi_{j+1} /
+    im phi_j, so HS(Ext^j) = HS(coker phi_{j+1}) + HS(coker phi_j) - HS(F_{j+1}*).
     """
-    amb = M.ambient_presentation()
     nv = M.ring.poly_ring.nvars
-    free_S = ModulePresentation.free(amb.ring, (0,))
-    mods = ext_modules(amb, free_S, 1, nv)
+    res = resolve(M.ambient_presentation(), steps=nv + 1)
+    cokers = [{}] * (nv + 2)
+    for j, d in enumerate(res.differentials, start=1):
+        dt = d.transpose()
+        cokers[j] = ModulePresentation(res.ring, dt.row_degs, dt).hilbert_numerator()
     dims = {}
-    for j, pres in mods.items():
-        m = pres.minimalize()
-        dims[j] = m.dimension() if m.n_gens else NEG_INF
+    for j in range(1, nv + 1):
+        num = add_numerator(dict(cokers[j + 1]), cokers[j])
+        for a in res.step_degrees(j + 1):
+            add_numerator(num, {-a: -1})
+        dims[j] = dimension_and_multiplicity(num, nv)[0]
     return dims
 
 

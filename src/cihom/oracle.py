@@ -12,6 +12,7 @@ generators and relations of degree <= d, so every reported value is exact.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -19,9 +20,8 @@ import numpy as np
 from .fields import PrimeField
 from .fmodules import ModulePresentation, PolyMatrix
 from .linalg import MAX_SLICE, EchelonAccumulator, residue_dtype
-from .polynomials import mono_mul
+from .polynomials import mono_mul, monomials_of_degree
 from .rings import RingPresentation
-from .fmodules import monomial_basis
 
 
 class OracleTooLargeError(RuntimeError):
@@ -30,6 +30,11 @@ class OracleTooLargeError(RuntimeError):
 
 MAX_VARS = 6
 MAX_DEGREE = 8
+
+
+@functools.cache
+def monomial_basis(nvars: int, degree: int):
+    return tuple(monomials_of_degree(nvars, degree))
 
 
 def _rref(A, p):

@@ -1,7 +1,7 @@
 """Presentations of the ambient graded ring S and quotients R = S/(f1..fc).
 
-Dimension is computed from the initial ideal's standard-monomial
-combinatorics (maximal independent variable sets), and a regular-sequence
+Dimension is read off the Hilbert series numerator of the initial ideal
+(``hilbert_numerator``, which serves modules too), and a regular-sequence
 certificate records the per-step dimension drop, which for homogeneous
 sequences in the Cohen-Macaulay ambient ring is equivalent to regularity.
 Ring presentations are immutable after construction and cache the Groebner
@@ -14,8 +14,8 @@ import itertools
 import random
 
 from .fields import field_by_tag
-from .polynomials import GradedViolationError, PolyRing, Polynomial
-from .groebner import FreeModule, groebner_basis
+from .polynomials import GradedViolationError, PolyRing, Polynomial, mono_divides
+from .groebner import FreeModule, groebner_basis, lead_term
 
 NEG_INF = float("-inf")
 INF = float("inf")
@@ -41,33 +41,65 @@ def ideal_contains(gb, poly: Polynomial) -> bool:
     return gb.contains(free.from_polys([poly]))
 
 
-def dimension_from_leads(poly_ring: PolyRing, lead_monos) -> float:
-    """Krull dimension of S/L for the monomial ideal L of leading monomials.
+def hilbert_numerator(lead_monos) -> dict:
+    """Numerator K of HS(S/L) = K(t) / (1 - t)^n, L the ideal of the given
+    monomials, as {exponent: nonzero coefficient}.
 
-    A variable subset T is independent iff no generator of L is supported
-    inside T; the dimension is the maximal size of an independent subset.
-    Returns -inf when L contains a constant (the empty variety).
+    Pivot rule K(L) = K(L + (x)) + t K(L : x) on the variable x in the most
+    minimal generators (Bigatti 1997; Bayer and Stillman 1992); x then is not
+    a generator, so both branches lower the generators' total degree.
+    Pairwise coprime generators m_i give prod (1 - t^deg m_i), which is zero
+    when one of them is constant.
     """
-    supports = []
-    for m in lead_monos:
-        supp = frozenset(i for i, e in enumerate(m) if e > 0)
-        if not supp:
-            return NEG_INF
-        supports.append(supp)
-    n = poly_ring.nvars
-    for size in range(n, -1, -1):
-        for T in itertools.combinations(range(n), size):
-            Tset = frozenset(T)
-            if all(not s <= Tset for s in supports):
-                return size
-    return NEG_INF
+    num: dict = {}
+    work = [(lead_monos, 0)]
+    while work:
+        monos, shift = work.pop()
+        gens: list = []
+        for m in sorted(set(monos), key=sum):
+            if not any(mono_divides(g, m) for g in gens):
+                gens.append(m)
+        n = len(gens[0]) if gens else 0
+        counts = [sum(1 for m in gens if m[v]) for v in range(n)] + [0]
+        v = counts.index(max(counts))
+        if counts[v] <= 1:
+            part = {shift: 1}
+            for m in gens:
+                part = add_numerator(dict(part), part, sum(m), -1)
+            add_numerator(num, part)
+        else:
+            x = tuple(int(i == v) for i in range(n))
+            work += [([m for m in gens if not m[v]] + [x], shift),
+                     ([m[:v] + (m[v] - 1,) + m[v + 1:] if m[v] else m for m in gens], shift + 1)]
+    return num
+
+
+def add_numerator(num: dict, other: dict, shift: int = 0, sign: int = 1) -> dict:
+    """num += sign * t^shift * other in place, dropping zero coefficients."""
+    for e, c in other.items():
+        num[e + shift] = num.get(e + shift, 0) + sign * c
+        if not num[e + shift]:
+            del num[e + shift]
+    return num
+
+
+def dimension_and_multiplicity(num: dict, nvars: int):
+    """(Krull dimension, multiplicity) for the Hilbert series num(t) / (1 - t)^nvars:
+    nvars minus the order k of t = 1 as a root of num, and num / (1 - t)^k at
+    t = 1.  The zero series gives (-inf, 0)."""
+    coeffs = [num.get(e, 0) for e in range(min(num), max(num) + 1)] if num else []
+    order = 0
+    while coeffs and sum(coeffs) == 0:
+        coeffs = list(itertools.accumulate(coeffs))[:-1]  # divide by (1 - t)
+        order += 1
+    return (nvars - order, sum(coeffs)) if coeffs else (NEG_INF, 0)
 
 
 def ideal_dimension(poly_ring: PolyRing, polys) -> float:
-    """Krull dimension of S/(polys); -inf for the unit ideal."""
+    """Krull dimension of S/(polys), from its initial ideal; -inf for the unit ideal."""
     gb = ideal_groebner(poly_ring, polys)
-    leads = [g.terms and max(g.terms, key=gb.order.key)[1] for g in gb.generators]
-    return dimension_from_leads(poly_ring, leads)
+    leads = [lead_term(g, gb.order)[1] for g in gb.generators]
+    return dimension_and_multiplicity(hilbert_numerator(leads), poly_ring.nvars)[0]
 
 
 class PrimeIdeal:
@@ -183,7 +215,7 @@ class RingPresentation:
     """
 
     __slots__ = ("label", "poly_ring", "quotient_gens", "ideal_gb", "warnings",
-                 "_minimal_primes", "_certificate", "_dim_cache")
+                 "_minimal_primes", "_certificate")
 
     def __init__(self, poly_ring: PolyRing, quotient_gens, label="R",
                  minimal_primes=None):
@@ -208,7 +240,6 @@ class RingPresentation:
         self.ideal_gb = ideal_groebner(poly_ring, self.quotient_gens)
         self._minimal_primes = None
         self._certificate = None
-        self._dim_cache = None
         if minimal_primes is not None:
             checked = []
             for gens_q in minimal_primes:
@@ -238,12 +269,8 @@ class RingPresentation:
         return all(len(f.terms) == 1 for f in self.quotient_gens)
 
     def dimension(self) -> float:
-        """Krull dimension of R from the initial ideal of (f)."""
-        if self._dim_cache is None:
-            leads = [max(g.terms, key=self.ideal_gb.order.key)[1]
-                     for g in self.ideal_gb.generators]
-            self._dim_cache = dimension_from_leads(self.poly_ring, leads)
-        return self._dim_cache
+        """Krull dimension of R: the last entry of the certificate's record."""
+        return self.verify_regular_sequence().dims[-1]
 
     def contains_in_ideal(self, poly: Polynomial) -> bool:
         """Membership of a polynomial in the quotient ideal."""

@@ -123,6 +123,44 @@ def test_cli_steps_flag_zero_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command, key, message", [
+    ("tor M M bound=0", "bound", "bound must be a positive integer"),
+    ("ext M M bound=-2", "bound", "bound must be a positive integer"),
+    ("tor M M degree_bound=-1", "degree_bound", "degree_bound must be a non-negative integer"),
+    ("check 4.3 on (M, bound=0)", "bound", "bound must be a positive integer"),
+    ("check 4.3 on (M, degree_bound=-1)", "degree_bound",
+     "degree_bound must be a non-negative integer"),
+    ("search 3.6 with (ring=R, tor_bound=0)", "tor_bound", "tor_bound must be a positive integer"),
+])
+def test_cli_bad_bound_is_parse_error(tmp_path, capsys, command, key, message):
+    script = tmp_path / "b.ci"
+    script.write_text(TWO_LINE_SCRIPT + command + "\n")
+    assert main(["--script", str(script), "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    column = command.index(key + "=") + 1
+    assert captured.err.splitlines() == [
+        f"cihom: parse error: line 4, column {column}: {message}"]
+
+
+def test_cli_zero_degree_bound_runs(tmp_path, capsys):
+    script = tmp_path / "d0.ci"
+    script.write_text(TWO_LINE_SCRIPT + "tor M M bound=1 degree_bound=0\n")
+    assert main(["--script", str(script), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["results"][0]["data"]["tor_profile"]["degree_bound"] == 0
+
+
+@pytest.mark.parametrize("flags", [["--tor-bound", "0"], ["--tor-bound", "-3"],
+                                   ["--degree-bound", "-1"]])
+@pytest.mark.parametrize("source", [["--example", "4.5"], ["--script", "unread.ci"]])
+def test_cli_bad_bound_flag_is_usage_error(capsys, flags, source):
+    with pytest.raises(SystemExit) as exc:
+        main(source + flags)
+    assert exc.value.code == 2
+    assert "must be an integer >=" in capsys.readouterr().err
+
+
 def test_cli_explicit_steps_honoured(tmp_path, capsys):
     script = tmp_path / "s3.ci"
     script.write_text(TWO_LINE_SCRIPT + "resolve M steps=3\nbetti M steps=3\n")

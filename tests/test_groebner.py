@@ -18,6 +18,7 @@ from cihom.groebner import (
     lead_term,
     minimal_generator_indices,
     normal_form,
+    quotient_columns,
     s_pair,
     syzygy_generators,
     tracked_buchberger,
@@ -361,3 +362,67 @@ def test_inhomogeneous_input_rejected_on_the_tracked_path():
         tracked_buchberger([tracked_free.from_polys([x + x * x, pr.one()])], order)
     with pytest.raises(GradedViolationError):
         IncrementalModuleGB(ModuleOrder(free)).extend([free.zero(), bad])
+
+
+# -- membership drains only up to the degree it asks about ----------------------------
+
+def _minimal_generator_indices_full_drain(columns, col_degs, free, quotient_polys=()):
+    """minimal_generator_indices with every queued pair drained before each
+    membership question, as before the degree-truncated drain."""
+    gb = IncrementalModuleGB(ModuleOrder(free))
+    gb.extend(quotient_columns(free, quotient_polys))
+    kept = []
+    for i in sorted(range(len(columns)), key=lambda k: (col_degs[k], k)):
+        col = columns[i]
+        if col and not gb.contains(col):
+            kept.append(i)
+            gb.extend([col])
+    return sorted(kept)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31),
+       st.sampled_from(["quadric", "two_nodes", "node", "ambient"]))
+def test_truncated_drain_matches_the_full_drain(ring_quadric, ring_two_nodes, ring_node,
+                                                seed, which):
+    rng = random.Random(seed)
+    ring = {"quadric": ring_quadric, "two_nodes": ring_two_nodes, "node": ring_node,
+            "ambient": ring_two_nodes}[which]
+    quot = () if which == "ambient" else ring.quotient_gens
+    free = FreeModule(ring.poly_ring, tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 3))))
+    degs = [rng.randint(1, 4) for _ in range(rng.randint(1, 7))]
+    cols = [_random_element(free, rng, d, rng.randint(1, 4)) for d in degs]
+    if rng.random() < 0.5:  # a zero column and a repeated one
+        cols += [free.zero(), cols[0]]
+        degs += [degs[0], degs[0]]
+    assert minimal_generator_indices(cols, degs, free, quot) == \
+        _minimal_generator_indices_full_drain(cols, degs, free, quot)
+
+
+def test_membership_drains_only_up_to_the_asked_degree(monkeypatch, ring_two_nodes):
+    import cihom.groebner as groebner
+    pr, quot = ring_two_nodes.poly_ring, ring_two_nodes.quotient_gens
+    x, y, z, u = (pr.variable(v) for v in "xyzu")
+    free = FreeModule(pr, (0,))
+    gb = IncrementalModuleGB(ModuleOrder(free))
+    for q in quotient_columns(free, quot):
+        gb.add(q)
+    assert not gb.contains(free.from_polys([x * z]))
+    assert gb.contains(free.from_polys([x * y]))
+    # The pair of the quotient leads xy and zu has degree 4: still queued.
+    assert [pair[0] for pair in gb._heap] == [4]
+    cols = [free.from_polys([p]) for p in (x + z, x * x + y * y, x * z, x * x * z + z * z * z)]
+    degs = [1, 2, 2, 3]
+    calls = []
+    real = groebner.s_pair
+
+    def counting(f, g, order):
+        calls.append(1)
+        return real(f, g, order)
+
+    monkeypatch.setattr(groebner, "s_pair", counting)
+    kept = minimal_generator_indices(cols, degs, free, quot)
+    truncated = len(calls)
+    calls.clear()
+    assert _minimal_generator_indices_full_drain(cols, degs, free, quot) == kept
+    assert truncated < len(calls)

@@ -1,0 +1,236 @@
+"""The Hilbert-series numerator against the enumerators it replaced.
+
+The references below are the standard-monomial enumerators that computed
+the Hilbert function, dimension and length before the numerator did, kept
+here as independent checks, plus the Ext-module route to the support
+dimensions of Ext^j_S(M, S).
+"""
+
+import itertools
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cihom.fields import PrimeField
+from cihom.fmodules import ModulePresentation
+from cihom.groebner import groebner_basis, lead_term
+from cihom.homology import ext_ambient_dimensions, ext_modules
+from cihom.polynomials import PolyRing, mono_divides, monomials_of_degree
+from cihom.rings import (
+    INF,
+    NEG_INF,
+    RingPresentation,
+    dimension_and_multiplicity,
+    hilbert_numerator,
+    ideal_dimension,
+    ideal_groebner,
+)
+from cihom.search import random_homogeneous_module
+
+F = PrimeField(32003)
+
+
+# -- references -------------------------------------------------------------------
+
+def _dimension_from_leads_reference(nvars, lead_monos):
+    """Krull dimension of S/L: the largest variable subset supporting no lead."""
+    supports = []
+    for m in lead_monos:
+        supp = frozenset(i for i, e in enumerate(m) if e > 0)
+        if not supp:
+            return NEG_INF
+        supports.append(supp)
+    for size in range(nvars, -1, -1):
+        for T in itertools.combinations(range(nvars), size):
+            if all(not s <= frozenset(T) for s in supports):
+                return size
+    return NEG_INF
+
+
+def _leads_by_position(M):
+    gb = groebner_basis(M.relation_elements(), M.free_module(), M.ring.quotient_gens)
+    leads = {i: [] for i in range(M.n_gens)}
+    for g in gb.generators:
+        p, m = lead_term(g, gb.order)
+        leads[p].append(m)
+    return leads
+
+
+def _hilbert_function_reference(M, dmax, dmin=None):
+    """Count the standard monomials of each degree, position by position."""
+    if dmin is None:
+        dmin = min(M.gen_degs) if M.gen_degs else 0
+    leads = _leads_by_position(M)
+    n = M.ring.poly_ring.nvars
+    out = {}
+    for d in range(dmin, dmax + 1):
+        total = 0
+        for i, gdeg in enumerate(M.gen_degs):
+            for m in monomials_of_degree(n, d - gdeg):
+                if not any(mono_divides(L, m) for L in leads[i]):
+                    total += 1
+        out[d] = total
+    return out
+
+
+def _dimension_reference(M):
+    M = M.minimalize()
+    if M.n_gens == 0:
+        return NEG_INF
+    leads = _leads_by_position(M)
+    n = M.ring.poly_ring.nvars
+    return max(_dimension_from_leads_reference(n, leads[i]) for i in range(M.n_gens))
+
+
+def _length_reference(M):
+    """Depth-first count of the standard monomials when dim = 0."""
+    M = M.minimalize()
+    if M.n_gens == 0:
+        return 0
+    if _dimension_reference(M) != 0:
+        return INF
+    leads = _leads_by_position(M)
+    n = M.ring.poly_ring.nvars
+    total = 0
+    for i in range(M.n_gens):
+        seen = set()
+        stack = [(0,) * n]
+        while stack:
+            mono = stack.pop()
+            if mono in seen or any(mono_divides(L, mono) for L in leads[i]):
+                continue
+            seen.add(mono)
+            for v in range(n):
+                stack.append(tuple(e + (t == v) for t, e in enumerate(mono)))
+        total += len(seen)
+    return total
+
+
+def _ideal_dimension_reference(poly_ring, polys):
+    gb = ideal_groebner(poly_ring, polys)
+    return _dimension_from_leads_reference(
+        poly_ring.nvars, [lead_term(g, gb.order)[1] for g in gb.generators])
+
+
+def _ext_ambient_dimensions_reference(M):
+    """Support dimensions of the Ext^j_S(M, S) modules themselves."""
+    amb = M.ambient_presentation()
+    nv = M.ring.poly_ring.nvars
+    mods = ext_modules(amb, ModulePresentation.free(amb.ring, (0,)), 1, nv)
+    return {j: _dimension_reference(pres) for j, pres in mods.items()}
+
+
+# -- random inputs ------------------------------------------------------------------
+
+def _ambient_ring():
+    return RingPresentation(PolyRing(F, ["x", "y", "z"]), [], label="S")
+
+
+def _ring(which, fixtures):
+    return fixtures[which] if which != "ambient" else _ambient_ring()
+
+
+def _random_poly(pr, rng, degree, n_terms):
+    out = pr.zero()
+    if degree < 0:
+        return out
+    monos = list(monomials_of_degree(pr.nvars, degree))
+    for _ in range(n_terms):
+        out = out + pr.monomial(rng.choice(monos), F.from_int(rng.randint(1, 50)))
+    return out
+
+
+def _random_module(ring, rng):
+    """Zero to three generators in degrees -2..1 (negative ones as in duals),
+    homogeneous relation columns, unit entries now and then."""
+    pr = ring.poly_ring
+    gen_degs = tuple(rng.randint(-2, 1) for _ in range(rng.randint(0, 3)))
+    columns = []
+    for _ in range(rng.randint(0, 4) if gen_degs else 0):
+        top = max(gen_degs) + rng.randint(0, 2)
+        columns.append([_random_poly(pr, rng, top - g, rng.randint(0, 2)) for g in gen_degs])
+    return ModulePresentation.from_relations(ring, gen_degs, columns)
+
+
+RINGS = st.sampled_from(["quadric", "two_nodes", "node", "ambient"])
+
+
+# -- properties -------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31), RINGS)
+def test_series_matches_the_enumerators(ring_quadric, ring_two_nodes, ring_node, seed, which):
+    ring = _ring(which, {"quadric": ring_quadric, "two_nodes": ring_two_nodes,
+                         "node": ring_node})
+    rng = random.Random(seed)
+    for _ in range(3):
+        M = _random_module(ring, rng)
+        for pres in (M, M.minimalize()):
+            assert pres.hilbert_function(5, dmin=-3) == \
+                _hilbert_function_reference(pres, 5, dmin=-3)
+            assert pres.hilbert_function(4) == _hilbert_function_reference(pres, 4)
+        dim, length = M.dimension(), M.length()
+        assert dim == _dimension_reference(M)
+        assert type(dim) is (float if dim == NEG_INF else int)
+        assert length == _length_reference(M)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31), RINGS, st.booleans())
+def test_ideal_dimension_matches_the_subset_search(ring_quadric, ring_two_nodes, ring_node,
+                                                    seed, which, with_unit):
+    pr = _ring(which, {"quadric": ring_quadric, "two_nodes": ring_two_nodes,
+                       "node": ring_node}).poly_ring
+    rng = random.Random(seed)
+    polys = [_random_poly(pr, rng, rng.randint(1, 3), rng.randint(1, 3))
+             for _ in range(rng.randint(0, 3))]
+    if with_unit:
+        polys.append(pr.one().scale(F.from_int(rng.randint(1, 50))))
+    assert ideal_dimension(pr, polys) == _ideal_dimension_reference(pr, polys)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31), RINGS)
+def test_ext_ambient_dimensions_match_the_ext_modules(ring_quadric, ring_two_nodes,
+                                                       ring_node, seed, which):
+    ring = _ring(which, {"quadric": ring_quadric, "two_nodes": ring_two_nodes,
+                         "node": ring_node})
+    rng = random.Random(seed)
+    M = random_homogeneous_module(ring, rng, 2, 2).twist(rng.randint(-2, 1))
+    assert ext_ambient_dimensions(M) == _ext_ambient_dimensions_reference(M)
+
+
+# -- fixed cases ----------------------------------------------------------------------------
+
+def test_zero_module_and_unit_ideal(ring_two_nodes):
+    zero = ModulePresentation.zero(ring_two_nodes)
+    assert zero.hilbert_numerator() == {}
+    assert zero.hilbert_function(3, dmin=-1) == {-1: 0, 0: 0, 1: 0, 2: 0, 3: 0}
+    assert zero.dimension() == NEG_INF and zero.length() == 0
+    pr = ring_two_nodes.poly_ring
+    unit = ModulePresentation.quotient_by_ideal(ring_two_nodes, [pr.one()])
+    assert unit.dimension() == NEG_INF and unit.length() == 0
+    assert hilbert_numerator([(0, 0, 0, 0), (1, 0, 0, 0)]) == {}
+    assert ideal_dimension(pr, [pr.one()]) == NEG_INF
+    assert dimension_and_multiplicity({}, 4) == (NEG_INF, 0)
+
+
+def test_numerator_of_known_ideals():
+    # (x^2, xy, y^2) in k[x, y]: series 1 + 2t, numerator (1 + 2t)(1 - t)^2.
+    num = hilbert_numerator([(2, 0), (1, 1), (0, 2)])
+    assert num == {0: 1, 2: -3, 3: 2}
+    assert dimension_and_multiplicity(num, 2) == (0, 3)
+    # (xy) in k[x, y]: the node, dimension one and multiplicity two.
+    assert dimension_and_multiplicity(hilbert_numerator([(1, 1)]), 2) == (1, 2)
+    # The zero ideal: numerator 1, so S itself, of multiplicity one.
+    assert dimension_and_multiplicity(hilbert_numerator([]), 3) == (3, 1)
+    # Redundant and repeated generators change nothing.
+    assert hilbert_numerator([(1, 1), (2, 1), (1, 1)]) == hilbert_numerator([(1, 1)])
+
+
+def test_dual_hilbert_function_has_negative_degrees(ring_quadric, mod_quadric):
+    dual = mod_quadric.twist(2).dual()
+    assert min(dual.gen_degs) < 0
+    assert dual.hilbert_function(3, dmin=-3) == _hilbert_function_reference(dual, 3, dmin=-3)
+    assert dual.dimension() == _dimension_reference(dual) == ring_quadric.dimension()
