@@ -122,12 +122,10 @@ def _run_3_13(field, bounds):
                   free3.from_polys([zero, x, u]),
                   free3.from_polys([zero, zero, y])]
     syz2, degs2 = syzygy_generators(displayed, [2, 2, 2], free2, ring.quotient_gens)
-    from .groebner import Element
-    syz2_local = [Element(free3, dict(s.terms)) for s in syz2]
-    gb_syz2 = groebner_basis(syz2_local, free3, ring.quotient_gens)
+    gb_syz2 = groebner_basis(syz2, free3, ring.quotient_gens)
     gb_disp3 = groebner_basis(displayed3, free3, ring.quotient_gens)
     mutual3 = (all(gb_syz2.contains(e) for e in displayed3)
-               and all(gb_disp3.contains(s) for s in syz2_local))
+               and all(gb_disp3.contains(s) for s in syz2))
     checks.append(_check("displayed third differential spans the next syzygies",
                          True, mutual3, "reference"))
     prof = tor_profile(M, M, 2, bounds["degree_bound"])

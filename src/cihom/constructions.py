@@ -12,7 +12,7 @@ iso-invariant data, so the non-canonical choice of generators is harmless.
 from __future__ import annotations
 
 from .fmodules import ModulePresentation, PolyMatrix
-from .groebner import Element, FreeModule, syzygy_generators
+from .groebner import FreeModule, syzygy_generators
 from .homology import (
     cokernel_of_map,
     kernel_of_map,
@@ -222,11 +222,7 @@ def quasi_lifting(M: ModulePresentation, split) -> QuasiLiftingResult:
     free_m = FreeModule(pr, free_degs)
     cols = [free_m.from_polys(c) for c in col_entries]
     syz, sdegs = syzygy_generators(cols, col_degs, free_m, intermediate.quotient_gens)
-    gen_free = FreeModule(pr, tuple(col_degs))
-    rels = PolyMatrix.from_columns(pr, tuple(col_degs),
-                                   [Element(gen_free, dict(s.terms)) for s in syz],
-                                   tuple(sdegs))
-    rels = rels.map_entries(intermediate.reduce)
+    rels = PolyMatrix.from_columns(pr, tuple(col_degs), syz, tuple(sdegs))
     E = ModulePresentation(intermediate, tuple(col_degs), rels, label=f"lift({M.label})")
     E_min = E.minimalize()
 

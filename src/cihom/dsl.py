@@ -293,15 +293,35 @@ def parse_session(text: str) -> Session:
 
 
 # Least accepted value of each numeric bound option.
-_OPTION_MINIMUM = {"steps": 1, "bound": 1, "tor_bound": 1, "degree_bound": 0}
+_OPTION_MINIMUM = {"steps": 1, "bound": 1, "tor_bound": 1, "degree_bound": 0,
+                   "max_gens": 1, "max_deg": 1}
+# Accepted values of each word option.
+_OPTION_CHOICES = {"over": ("quotient", "ambient"), "side": ("left", "right")}
+# The options each command reads; any other key is a parse error.
+_SINGLE_MODULE_OPTIONS = {"steps", "over"}
+_PAIR_OPTIONS = {"tor": {"bound", "degree_bound", "side"}, "ext": {"bound", "degree_bound"}}
+_CHECK_OPTIONS = {"bound", "degree_bound", "window", "n", "w"}
+_SEARCH_OPTIONS = {"ring", "samples", "seed", "max_gens", "max_deg", "tor_bound",
+                   "degree_bound"}
 
 
-def _check_minimum(key_tok, value):
-    """The value, or a ParseError at the key for a bound below its minimum."""
+def _check_key(key_tok, allowed):
+    """A ParseError at the key unless the command reads that option."""
+    if key_tok.text not in allowed:
+        raise ParseError(f"unknown option {key_tok.text!r}", key_tok.line, key_tok.col)
+
+
+def _check_value(key_tok, value):
+    """The value, or a ParseError at the key for a bound below its minimum
+    or a word outside its choices."""
     lo = _OPTION_MINIMUM.get(key_tok.text)
     if lo is not None and not (isinstance(value, int) and value >= lo):
         kind = "positive" if lo else "non-negative"
         raise ParseError(f"{key_tok.text} must be a {kind} integer", key_tok.line, key_tok.col)
+    choices = _OPTION_CHOICES.get(key_tok.text)
+    if choices is not None and value not in choices:
+        raise ParseError(f"{key_tok.text} must be {' or '.join(choices)}",
+                         key_tok.line, key_tok.col)
     return value
 
 
@@ -316,13 +336,12 @@ def _scalar_value(cur):
     return -int(t.text) if neg else int(t.text)
 
 
-def _parse_options(cur, session, poly_ring=None, allowed=None):
+def _parse_options(cur, session, allowed, poly_ring=None):
     opts = {}
     while cur.at("name") and cur.tokens[cur.pos + 1].kind == "=":
         key_tok = cur.next()
         key = key_tok.text
-        if allowed is not None and key not in allowed:
-            cur.error(f"unknown option {key!r}")
+        _check_key(key_tok, allowed)
         cur.expect("=")
         if key == "f" and poly_ring is not None:
             opts[key] = parse_polynomial(cur, poly_ring)
@@ -330,7 +349,7 @@ def _parse_options(cur, session, poly_ring=None, allowed=None):
             opts[key] = _parse_int_list(cur)
         else:
             opts[key] = _scalar_value(cur)
-        _check_minimum(key_tok, opts[key])
+        _check_value(key_tok, opts[key])
     return opts
 
 
@@ -451,8 +470,7 @@ def _require_module(cur, session, tok):
 def _parse_single_module_command(cur, session, keyword):
     cur.expect("name", keyword)
     mod = _require_module(cur, session, cur.expect("name"))
-    opts = _parse_options(cur, session,
-                          allowed={"steps", "over", "window"})
+    opts = _parse_options(cur, session, _SINGLE_MODULE_OPTIONS)
     session.commands.append({"command": keyword, "module": mod, **opts})
 
 
@@ -460,7 +478,7 @@ def _parse_pair_command(cur, session, keyword):
     cur.expect("name", keyword)
     a = _require_module(cur, session, cur.expect("name"))
     b = _require_module(cur, session, cur.expect("name"))
-    opts = _parse_options(cur, session, allowed={"bound", "degree_bound", "side"})
+    opts = _parse_options(cur, session, _PAIR_OPTIONS[keyword])
     session.commands.append({"command": keyword, "module": a, "argument": b, **opts})
 
 
@@ -468,7 +486,7 @@ def _parse_quasilift(cur, session):
     cur.expect("name", "quasilift")
     mod = _require_module(cur, session, cur.expect("name"))
     ring = session.ring_of(mod)
-    opts = _parse_options(cur, session, poly_ring=ring.poly_ring, allowed={"f"})
+    opts = _parse_options(cur, session, {"f"}, poly_ring=ring.poly_ring)
     if "f" not in opts:
         cur.error("quasilift needs f=<quotient generator>")
     session.commands.append({"command": "quasilift", "module": mod, "f": opts["f"]})
@@ -484,8 +502,9 @@ def _parse_check(cur, session):
     while not cur.at(")"):
         if cur.at("name") and cur.tokens[cur.pos + 1].kind == "=":
             key_tok = cur.next()
+            _check_key(key_tok, _CHECK_OPTIONS)
             cur.expect("=")
-            opts[key_tok.text] = _check_minimum(key_tok, _scalar_value(cur))
+            opts[key_tok.text] = _check_value(key_tok, _scalar_value(cur))
         else:
             mods.append(_require_module(cur, session, cur.expect("name")))
         if cur.at(","):
@@ -505,6 +524,7 @@ def _parse_search(cur, session):
     while not cur.at(")"):
         key_tok = cur.expect("name")
         key = key_tok.text
+        _check_key(key_tok, _SEARCH_OPTIONS)
         cur.expect("=")
         v = cur.next()
         if key == "ring":
@@ -512,7 +532,7 @@ def _parse_search(cur, session):
                 raise ParseError(f"undeclared ring {v.text!r}", v.line, v.col)
             opts["ring"] = v.text
         else:
-            opts[key] = _check_minimum(key_tok, int(v.text) if v.kind == "int" else v.text)
+            opts[key] = _check_value(key_tok, int(v.text) if v.kind == "int" else v.text)
         if cur.at(","):
             cur.next()
     cur.expect(")")

@@ -30,8 +30,8 @@ from .groebner import (
     minimal_generator_indices,
     syzygy_generators,
 )
-from .rings import (INF, NEG_INF, RingPresentation, add_numerator,
-                    dimension_and_multiplicity, hilbert_numerator)
+from .rings import (INF, RingPresentation, add_numerator, dimension_and_multiplicity,
+                    encode_infinite, hilbert_numerator)
 
 
 class PolyMatrix:
@@ -135,10 +135,6 @@ class PolyMatrix:
         return PolyMatrix(self.poly_ring, self.row_degs,
                           self.col_degs + other.col_degs, ents, check=False)
 
-    def map_entries(self, fn) -> "PolyMatrix":
-        ents = [[fn(p) for p in row] for row in self.entries]
-        return PolyMatrix(self.poly_ring, self.row_degs, self.col_degs, ents, check=False)
-
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self.entries for p in row)
 
@@ -190,12 +186,7 @@ class ModuleProfile:
         self.betti0 = betti0
 
     def as_dict(self):
-        def enc(v):
-            if v == INF:
-                return "inf"
-            if v == NEG_INF:
-                return "-inf"
-            return v
+        enc = encode_infinite
         return {"dim": enc(self.dim), "depth": enc(self.depth),
                 "length": enc(self.length), "betti0": self.betti0}
 
@@ -495,33 +486,23 @@ class ModulePresentation:
         generator space: (FreeModule of degs -gen_degs, minimal columns,
         their degrees)."""
         pr = self.ring.poly_ring
-        dual_degs = tuple(-d for d in self.gen_degs)
-        dual_free = FreeModule(pr, dual_degs)
+        dual_free = FreeModule(pr, tuple(-d for d in self.gen_degs))
         if self.n_rels == 0:
             cols = [dual_free.basis_element(i) for i in range(self.n_gens)]
-            return dual_free, cols, list(dual_degs)
+            return dual_free, cols, list(dual_free.gen_degs)
         At = self.relations.transpose()
         target = FreeModule(pr, At.row_degs)
-        at_cols = At.column_elements(target)
-        syz, degs = syzygy_generators(at_cols, list(At.col_degs), target,
+        # syzygies of the transposed relations: elements of dual_free
+        syz, degs = syzygy_generators(At.column_elements(target), list(At.col_degs), target,
                                       self.ring.quotient_gens)
-        # syzygy coordinates live in the dual of the generator space
-        cols = [Element(dual_free, dict(s.terms)) for s in syz]
-        if not cols:
+        if not syz:
             return dual_free, [], []
-        alive = minimal_generator_indices(cols, degs, dual_free, self.ring.quotient_gens)
-        return dual_free, [cols[i] for i in alive], [degs[i] for i in alive]
+        alive = minimal_generator_indices(syz, degs, dual_free, self.ring.quotient_gens)
+        return dual_free, [syz[i] for i in alive], [degs[i] for i in alive]
 
     def dual(self) -> "ModulePresentation":
         """Hom(M, R) presented as a cokernel; shifts are negated."""
-        dual_free, cols, degs = self.dual_generators()
-        if not cols:
-            return ModulePresentation.zero(self.ring, label=f"{self.label}*")
-        syz, sdegs = syzygy_generators(cols, degs, dual_free, self.ring.quotient_gens)
-        mat = PolyMatrix.from_columns(self.ring.poly_ring, tuple(degs),
-                                      [Element(FreeModule(self.ring.poly_ring, tuple(degs)),
-                                               dict(s.terms)) for s in syz], tuple(sdegs))
-        return ModulePresentation(self.ring, tuple(degs), mat, label=f"{self.label}*")
+        return _image_presentation(self.ring, *self.dual_generators(), label=f"{self.label}*")
 
     def biduality_report(self) -> BidualityReport:
         """Kernel and cokernel of M -> M**; torsion-freeness and reflexivity.
@@ -550,49 +531,28 @@ class ModulePresentation:
         the double dual gives the i-th column of the map.
         """
         M = self.minimalize()
-        pr = self.ring.poly_ring
         dual_free, dcols, ddegs = M.dual_generators()
-        m = len(dcols)
-        if m == 0:
-            bidual = ModulePresentation.zero(self.ring, label=f"{M.label}**")
-            psi = PolyMatrix.zero(pr, (), M.gen_degs)
-            return psi, bidual
-        # presentation of M*: generators dcols, relations among them
-        syzW, wdegs = syzygy_generators(dcols, ddegs, dual_free, self.ring.quotient_gens)
-        dual_gen_free = FreeModule(pr, tuple(ddegs))
-        W = PolyMatrix.from_columns(pr, tuple(ddegs),
-                                    [Element(dual_gen_free, dict(s.terms)) for s in syzW],
-                                    tuple(wdegs))
-        dual_pres = ModulePresentation(self.ring, tuple(ddegs), W, label=f"{M.label}*")
-        ddual_free, d2cols, d2degs = dual_pres.dual_generators()
+        d2cols = []
+        if dcols:
+            dual = _image_presentation(self.ring, dual_free, dcols, ddegs, f"{M.label}*")
+            ddual_free, d2cols, d2degs = dual.dual_generators()
         if not d2cols:
-            bidual = ModulePresentation.zero(self.ring, label=f"{M.label}**")
-            psi = PolyMatrix.zero(pr, (), M.gen_degs)
-            return psi, bidual
-        syzW2, w2degs = syzygy_generators(d2cols, d2degs, ddual_free, self.ring.quotient_gens)
-        d2_gen_free = FreeModule(pr, tuple(d2degs))
-        W2 = PolyMatrix.from_columns(pr, tuple(d2degs),
-                                     [Element(d2_gen_free, dict(s.terms)) for s in syzW2],
-                                     tuple(w2degs))
-        bidual = ModulePresentation(self.ring, tuple(d2degs), W2, label=f"{M.label}**")
+            return (PolyMatrix.zero(self.ring.poly_ring, (), M.gen_degs),
+                    ModulePresentation.zero(self.ring, label=f"{M.label}**"))
+        bidual = _image_presentation(self.ring, ddual_free, d2cols, d2degs, f"{M.label}**")
         # evaluation vectors: row i of the dual generator matrix, as an
         # element of the dual of M*'s generator space (= ddual_free coords)
         tracked = TrackedSubmodule(d2cols, d2degs, ddual_free, self.ring.quotient_gens)
         psi_cols = []
         for i in range(M.n_gens):
-            terms = {}
-            for k, col in enumerate(dcols):
-                comp = col.component(i)
-                for mono, c in comp.terms.items():
-                    terms[(k, mono)] = c
-            ev = Element(ddual_free, terms)
+            ev = Element(ddual_free, {(k, mono): c for k, col in enumerate(dcols)
+                                      for (p, mono), c in col.terms.items() if p == i})
             lifted = tracked.lift(ev)
             if lifted is None:
                 raise InvariantError("biduality evaluation must lie in the double dual")
             psi_cols.append(lifted)
         ents = [[psi_cols[j][l] for j in range(M.n_gens)] for l in range(len(d2degs))]
-        psi = PolyMatrix(pr, tuple(d2degs), M.gen_degs, ents)
-        return psi, bidual
+        return PolyMatrix(self.ring.poly_ring, tuple(d2degs), M.gen_degs, ents), bidual
 
     # -- numerical profile -------------------------------------------------------------
 
@@ -792,6 +752,17 @@ class ModulePresentation:
     def __repr__(self):
         return (f"ModulePresentation({self.label}: {self.n_gens} gens, "
                 f"{self.n_rels} relations over {self.ring.label})")
+
+
+def _image_presentation(ring: RingPresentation, free: FreeModule, cols, degs,
+                        label) -> ModulePresentation:
+    """The submodule of ``free`` generated by the columns (of degrees
+    ``degs``), presented on them by their syzygies; zero without columns."""
+    if not cols:
+        return ModulePresentation.zero(ring, label=label)
+    syz, sdegs = syzygy_generators(cols, degs, free, ring.quotient_gens)
+    mat = PolyMatrix.from_columns(ring.poly_ring, tuple(degs), syz, tuple(sdegs))
+    return ModulePresentation(ring, tuple(degs), mat, label=label)
 
 
 def equal_hilbert_functions(a: ModulePresentation, b: ModulePresentation,

@@ -9,12 +9,16 @@ Works over the ambient polynomial ring S and over quotients R = S/(f1..fc):
 quotient-ring computations augment the generator set with f_k*e_j columns and
 project them out afterwards, so one engine serves both rings.
 
-Syzygies, membership and lifts all run through one construction: each input
-column j gets a tracking coordinate e_j in an extension of the free module,
-ordered so that every main-block term dominates every tracking term.  A
-Groebner basis of the tracked columns then yields, in its zero-main-block
+Syzygies and lifts run through one construction, ``TrackedSubmodule``: each
+input column j gets a tracking coordinate e_j in an extension of the free
+module, ordered so that every main-block term dominates every tracking term.
+A Groebner basis of the tracked columns then yields, in its zero-main-block
 elements, generators of the syzygy module of the inputs, and reducing a
-tracked target against it decides membership and produces an explicit lift.
+tracked target against it produces an explicit lift.  ``syzygy_generators``
+hands the syzygies out once, in their final free module and with coefficients
+reduced modulo the quotient ideal.  Membership needs no tracking: it is a
+normal form against an untracked basis (``GroebnerBasis.contains``,
+``IncrementalModuleGB.contains``).
 """
 
 from __future__ import annotations
@@ -533,43 +537,43 @@ def tracked_buchberger(inputs: list, order: ModuleOrder):
 
 
 class TrackedSubmodule:
-    """Column set with tracking coordinates: syzygies, membership, lifts.
+    """Column set with tracking coordinates: syzygies and lifts.
 
     Input columns c_1..c_s of a free module F are extended to (c_j, e_j) in
     F + R^s; quotient relations get tracking coordinates too, which are
     discarded on projection.  The elimination order puts every F-term above
     every tracking term, so the active basis is a Groebner basis of the
-    column module (membership and lifts reduce against it) while the
-    collected elements' tracking parts generate the syzygy module of the
-    inputs over the declared ring.
+    column module (lifts reduce against it) while the collected elements'
+    tracking parts generate the syzygy module of the inputs over the
+    declared ring.  Tracking vectors are elements of ``syzygy_module``, the
+    free module R^s on the column degrees, with every coefficient reduced
+    modulo the quotient ideal.
     """
 
-    __slots__ = ("free", "columns", "col_degs", "quotient_polys", "tracked_module",
-                 "order", "active", "collected", "_by_position", "n_cols", "_ideal_gb")
+    __slots__ = ("free", "col_degs", "n_cols", "syzygy_module", "tracked_module", "order",
+                 "active", "collected", "_by_position", "_ideal_gb")
 
     def __init__(self, columns, col_degs, free: FreeModule, quotient_polys=()):
         self.free = free
-        self.columns = list(columns)
+        columns = list(columns)
         self.col_degs = list(col_degs)
-        self.quotient_polys = tuple(quotient_polys)
-        if len(self.columns) != len(self.col_degs):
+        if len(columns) != len(self.col_degs):
             raise ValueError("columns/col_degs length mismatch")
-        for c, d in zip(self.columns, self.col_degs):
+        for c, d in zip(columns, self.col_degs):
             cd = c.degree()
             if cd is not None and cd != d:
                 raise GradedViolationError(f"column of degree {cd} declared as degree {d}")
         qcols = quotient_columns(free, quotient_polys)
         qdegs = [c.degree() for c in qcols]
-        self.n_cols = len(self.columns)
-        all_cols = self.columns + qcols
-        all_degs = self.col_degs + qdegs
+        self.n_cols = len(columns)
         ring = free.ring
-        self.tracked_module = FreeModule(ring, free.gen_degs + tuple(all_degs))
+        self.syzygy_module = FreeModule(ring, self.col_degs)
+        self.tracked_module = FreeModule(ring, free.gen_degs + tuple(self.col_degs + qdegs))
         self.order = ModuleOrder(self.tracked_module, split=free.rank)
         tracked = []
         unit = (0,) * ring.nvars
         one = ring.field.one()
-        for j, col in enumerate(all_cols):
+        for j, col in enumerate(columns + qcols):
             terms = dict(col.terms)
             terms[(free.rank + j, unit)] = one
             tracked.append(Element(self.tracked_module, terms))
@@ -584,34 +588,23 @@ class TrackedSubmodule:
         else:
             self._ideal_gb = None
 
-    def _reduce_coeff(self, poly):
-        """Normal form of a coefficient modulo the quotient ideal."""
-        if self._ideal_gb is None:
-            return poly
-        return self._ideal_gb.reduce_poly(poly)
-
-    def _embed(self, e: Element) -> Element:
-        terms = {t: c for t, c in e.terms.items()}
-        return Element(self.tracked_module, terms)
-
-    def _main_part(self, e: Element) -> Element:
-        split = self.free.rank
-        return Element(self.free, {t: c for t, c in e.terms.items() if t[0] < split})
-
     def _tracking_vector(self, e: Element) -> Element:
         """Projection to the tracking coordinates of the original columns,
-        with coefficients reduced modulo the quotient ideal."""
-        split = self.free.rank
-        track = FreeModule(self.free.ring, tuple(self.col_degs))
-        terms = {}
-        for (p, m), c in e.terms.items():
-            if split <= p < split + self.n_cols:
-                terms[(p - split, m)] = c
-        vec = Element(track, terms)
+        each coordinate's coefficient reduced once modulo the quotient ideal."""
+        split, n = self.free.rank, self.n_cols
         if self._ideal_gb is None:
-            return vec
-        comps = [self._reduce_coeff(vec.component(j)) for j in range(self.n_cols)]
-        return track.from_polys(comps)
+            return Element(self.syzygy_module, {(p - split, m): c for (p, m), c in e.terms.items()
+                                                if split <= p < split + n})
+        by_col: dict = {}
+        for (p, m), c in e.terms.items():
+            if split <= p < split + n:
+                by_col.setdefault(p - split, {})[m] = c
+        ring, reduce_poly = self.free.ring, self._ideal_gb.reduce_poly
+        terms = {}
+        for j in sorted(by_col):
+            for m, c in reduce_poly(Polynomial(ring, by_col[j])).terms.items():
+                terms[(j, m)] = c
+        return Element(self.syzygy_module, terms)
 
     def syzygy_elements(self) -> list:
         """Generators of the syzygy module of the columns over the ring."""
@@ -626,28 +619,24 @@ class TrackedSubmodule:
                     out.append(vec)
         return out
 
-    def normal_form_main(self, e: Element) -> Element:
-        nf = normal_form(self._embed(e), self.active, self.order, self._by_position)
-        return self._main_part(nf)
-
-    def contains(self, e: Element) -> bool:
-        return not self.normal_form_main(e)
-
     def lift(self, e: Element):
         """Coefficients x with e = sum x_j * c_j over the ring, or None."""
-        nf = normal_form(self._embed(e), self.active, self.order, self._by_position)
-        if self._main_part(nf):
+        nf = normal_form(Element(self.tracked_module, dict(e.terms)), self.active,
+                         self.order, self._by_position)
+        if any(p < self.free.rank for p, _ in nf.terms):
             return None
         vec = self._tracking_vector(nf)
-        return [vec.component(j).scale(self.free.ring.field.neg(self.free.ring.field.one()))
-                for j in range(self.n_cols)]
+        minus_one = self.free.ring.field.neg(self.free.ring.field.one())
+        return [vec.component(j).scale(minus_one) for j in range(self.n_cols)]
 
 
 def syzygy_generators(columns, col_degs, free: FreeModule, quotient_polys=()):
     """Columns generating ker(free^s -> free) of the given columns over the ring.
 
-    Returns (elements of R^s, their degrees); s = len(columns).  Over a
-    quotient ring the internal computation appends the f_k * e_j relations
+    Returns (elements of R^s, their degrees); s = len(columns).  The elements
+    live in ``FreeModule(free.ring, col_degs)`` with every coefficient already
+    reduced modulo the quotient ideal, so callers use them as they come.  Over
+    a quotient ring the internal computation appends the f_k * e_j relations
     and projects their coordinates out.
     """
     tracked = TrackedSubmodule(columns, col_degs, free, quotient_polys)

@@ -22,8 +22,8 @@ from __future__ import annotations
 from .fmodules import ModulePresentation, PolyMatrix
 from .groebner import Element, FreeModule, syzygy_generators
 from .resolutions import FreeResolution, detect_periodicity, resolve
-from .rings import (INF, NEG_INF, RingPresentation, add_numerator,
-                    dimension_and_multiplicity)
+from .rings import (INF, RingPresentation, add_numerator, dimension_and_multiplicity,
+                    encode_infinite)
 
 
 def _restricted_syzygies(columns, col_degs, target: FreeModule, quotient, first: int):
@@ -39,10 +39,6 @@ def _restricted_syzygies(columns, col_degs, target: FreeModule, quotient, first:
     return out, out_degs
 
 
-def _columns_of(mat: PolyMatrix, free: FreeModule):
-    return mat.column_elements(free)
-
-
 def subquotient_presentation(ring: RingPresentation, gen_degs, outgoing: PolyMatrix | None,
                              target_rels: PolyMatrix | None, incoming: PolyMatrix | None,
                              own_rels: PolyMatrix | None, label="H") -> ModulePresentation:
@@ -54,38 +50,29 @@ def subquotient_presentation(ring: RingPresentation, gen_degs, outgoing: PolyMat
     space in.  Any of the matrices may be None (no constraint / no image).
     """
     pr = ring.poly_ring
-    p_own = len(gen_degs)
+    own_free = FreeModule(pr, tuple(gen_degs))
     if outgoing is None:
-        ker_cols = [FreeModule(pr, tuple(gen_degs)).basis_element(i) for i in range(p_own)]
+        ker_cols = [own_free.basis_element(i) for i in range(len(gen_degs))]
         ker_degs = list(gen_degs)
     else:
         tgt_free = FreeModule(pr, outgoing.row_degs)
-        cols = _columns_of(outgoing, tgt_free)
+        cols = outgoing.column_elements(tgt_free)
         degs = list(outgoing.col_degs)
         if target_rels is not None and target_rels.ncols:
-            cols += _columns_of(target_rels, tgt_free)
+            cols += target_rels.column_elements(tgt_free)
             degs += list(target_rels.col_degs)
         ker_cols, ker_degs = _restricted_syzygies(cols, degs, tgt_free,
-                                                  ring.quotient_gens, p_own)
-    own_free = FreeModule(pr, tuple(gen_degs))
-    denom_cols, denom_degs = [], []
-    if incoming is not None and incoming.ncols:
-        denom_cols += _columns_of(incoming, own_free)
-        denom_degs += list(incoming.col_degs)
-    if own_rels is not None and own_rels.ncols:
-        denom_cols += _columns_of(own_rels, own_free)
-        denom_degs += list(own_rels.col_degs)
+                                                  ring.quotient_gens, len(gen_degs))
     if not ker_cols:
         return ModulePresentation.zero(ring, label=label)
-    all_cols = [Element(own_free, dict(k.terms)) for k in ker_cols] + denom_cols
-    all_degs = list(ker_degs) + denom_degs
+    all_cols, all_degs = list(ker_cols), list(ker_degs)
+    for mat in (incoming, own_rels):
+        if mat is not None and mat.ncols:
+            all_cols += mat.column_elements(own_free)
+            all_degs += list(mat.col_degs)
     rel_cols, rel_degs = _restricted_syzygies(all_cols, all_degs, own_free,
                                               ring.quotient_gens, len(ker_cols))
-    gen_free = FreeModule(pr, tuple(ker_degs))
-    mat = PolyMatrix.from_columns(pr, tuple(ker_degs),
-                                  [Element(gen_free, dict(r.terms)) for r in rel_cols],
-                                  tuple(rel_degs))
-    mat = mat.map_entries(ring.reduce)
+    mat = PolyMatrix.from_columns(pr, tuple(ker_degs), rel_cols, tuple(rel_degs))
     return ModulePresentation(ring, tuple(ker_degs), mat, label=label)
 
 
@@ -167,10 +154,8 @@ class HomologyEntry:
         return tuple(self.hilbert[d] for d in range(self.initial_degree, top + 1))
 
     def as_dict(self):
-        def enc(v):
-            return "inf" if v == INF else ("-inf" if v == NEG_INF else v)
         return {"index": self.index, "vanishes": self.vanishes, "betti0": self.betti0,
-                "depth": enc(self.depth), "dim": enc(self.dim),
+                "depth": encode_infinite(self.depth), "dim": encode_infinite(self.dim),
                 "finite_length": self.finite_length,
                 "initial_degree": self.initial_degree,
                 "hilbert": list(self.normalized_hilbert())}
@@ -413,8 +398,7 @@ class DepthFormulaReport:
         self.shifted_form = shifted_form
 
     def as_dict(self):
-        def enc(v):
-            return "inf" if v == INF else ("-inf" if v == NEG_INF else v)
+        enc = encode_infinite
         return {"depth_M": enc(self.depth_M), "depth_N": enc(self.depth_N),
                 "depth_ring": enc(self.depth_ring), "depth_tensor": enc(self.depth_tensor),
                 "left": enc(self.left), "right": enc(self.right),
@@ -454,7 +438,7 @@ def depth_formula_check(M: ModulePresentation, N: ModulePresentation,
         depth_q = tensor.depth() if q == 0 else profile.entry(q).depth
         applicable = q == 0 or depth_q <= 1
         shifted = {"q": q,
-                   "depth_tor_q": "inf" if depth_q == INF else depth_q,
+                   "depth_tor_q": encode_infinite(depth_q),
                    "applicable": applicable,
                    "holds": (depth_M + depth_N == depth_R + depth_q - q)
                    if applicable and depth_q != INF else None}

@@ -101,12 +101,6 @@ class TermOrder:
         return f"TermOrder({self.kind!r})"
 
 
-def monomial_cmp(a: tuple, b: tuple, order: TermOrder) -> str:
-    """Compare two monomials; returns 'less', 'equal' or 'greater'."""
-    c = order.cmp(a, b)
-    return ("less", "equal", "greater")[c + 1]
-
-
 # ---------------------------------------------------------------------------
 # polynomials
 
@@ -388,19 +382,3 @@ class Polynomial:
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
-
-
-def poly_combine(p: Polynomial, q: Polynomial, op: str) -> Polynomial:
-    """Combine two polynomials with 'add', 'sub' or 'mul'."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def homogeneous_degree(p: Polynomial) -> DegreeReport:
-    """Common degree of all terms, or a report of the degrees present."""
-    return p.degree_report()

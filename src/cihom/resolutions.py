@@ -153,20 +153,14 @@ def resolve(M: ModulePresentation, steps: int, over: str = "quotient") -> FreeRe
         col_elems = prev.column_elements(src_free)
         syz, degs = syzygy_generators(col_elems, list(prev.col_degs), src_free,
                                       ring.quotient_gens)
-        target = FreeModule(pr, prev.col_degs)
-        from .groebner import Element
-        syz_elems = [Element(target, dict(s.terms)) for s in syz]
-        alive = minimal_generator_indices(syz_elems, degs, target, ring.quotient_gens)
-        syz_elems = [syz_elems[i] for i in alive]
-        degs = [degs[i] for i in alive]
-        if not syz_elems:
+        alive = minimal_generator_indices(syz, degs, FreeModule(pr, prev.col_degs),
+                                          ring.quotient_gens)
+        if not alive:
             cache["terminated"] = True
             break
-        order = sorted(range(len(syz_elems)), key=lambda t: (degs[t], t))
-        syz_elems = [syz_elems[t] for t in order]
-        degs = [degs[t] for t in order]
-        d = PolyMatrix.from_columns(pr, prev.col_degs, syz_elems, tuple(degs))
-        d = d.map_entries(ring.reduce)
+        alive.sort(key=lambda i: (degs[i], i))
+        d = PolyMatrix.from_columns(pr, prev.col_degs, [syz[i] for i in alive],
+                                    tuple(degs[i] for i in alive))
         for row in d.entries:
             for p in row:
                 if p and p.is_constant():

@@ -21,6 +21,11 @@ NEG_INF = float("-inf")
 INF = float("inf")
 
 
+def encode_infinite(v):
+    """A value for JSON output: the strings "inf" and "-inf" for INF and NEG_INF."""
+    return "inf" if v == INF else ("-inf" if v == NEG_INF else v)
+
+
 class HypothesisMissingError(ValueError):
     """An operation's hypothesis (certificate, primes, ...) is unavailable."""
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from .fmodules import ModulePresentation
 from .homology import depth_formula_check, tor_profile
 from .resolutions import module_complexity, resolve
-from .rings import INF, NEG_INF
+from .rings import INF, NEG_INF, encode_infinite
 
 
 class UnknownTheoremError(ValueError):
@@ -148,13 +148,13 @@ def _hyp_serre(inst, which, n):
 def _hyp_mcm(inst, which):
     mod = {"M": inst.M, "N": inst.N, "T": inst.tensor()}[which]
     return _ok(f"{which} is maximal Cohen-Macaulay", mod.is_maximal_cohen_macaulay(),
-               {"depth": _enc(mod.depth()), "ring_dim": inst.d})
+               {"depth": encode_infinite(mod.depth()), "ring_dim": inst.d})
 
 
 def _hyp_cm(inst, which):
     mod = {"M": inst.M, "N": inst.N, "T": inst.tensor()}[which]
     return _ok(f"{which} is Cohen-Macaulay", mod.is_cohen_macaulay(),
-               {"depth": _enc(mod.depth()), "dim": _enc(mod.dimension())})
+               {"depth": encode_infinite(mod.depth()), "dim": encode_infinite(mod.dimension())})
 
 
 def _hyp_nonzero(inst, which):
@@ -168,7 +168,7 @@ def _hyp_free_on(inst, which, n):
     mod = inst.M if which == "M" else inst.N
     codim = mod.nonfree_locus_codim()
     return _ok(f"{which} is locally free in height <= {n}", codim >= n + 1,
-               {"nonfree_locus_codim": _enc(codim)})
+               {"nonfree_locus_codim": encode_infinite(codim)})
 
 
 def _hyp_torsion_free(inst, which):
@@ -186,7 +186,7 @@ def _hyp_reflexive(inst, which):
 def _hyp_finite_length(inst, which):
     mod = {"M": inst.M, "N": inst.N, "T": inst.tensor()}[which]
     ln = mod.length()
-    return _ok(f"{which} has finite length", ln != INF, {"length": _enc(ln)})
+    return _ok(f"{which} has finite length", ln != INF, {"length": encode_infinite(ln)})
 
 
 def _hyp_vanishing(inst, lo, hi, subject="Tor"):
@@ -216,12 +216,8 @@ def _hyp_local_vanishing_surrogate(inst, height):
     return _line(f"Tor vanishes at primes of height <= {height} "
                  f"(surrogate: support codim >= {height + 1} in window)",
                  "satisfied" if ok else "failed",
-                 {"min_support_codim": _enc(worst) if worst is not None else "empty"},
+                 {"min_support_codim": encode_infinite(worst) if worst is not None else "empty"},
                  kind="surrogate")
-
-
-def _enc(v):
-    return "inf" if v == INF else ("-inf" if v == NEG_INF else v)
 
 
 # -- conclusion helpers -----------------------------------------------------------
@@ -305,7 +301,7 @@ def _check_2_3(inst, params):
             _hyp_finite_length(inst, "T")]
     dimsum = inst.dim("M") + inst.dim("N")
     hyps.append(_ok("dim M + dim N < dim R + codim", dimsum < d + c,
-                    {"dim_sum": _enc(dimsum), "bound": d + c}))
+                    {"dim_sum": encode_infinite(dimsum), "bound": d + c}))
     n = params.get("n") or _find_vanishing_run(inst, c)
     hyps.append(_ok(f"{c} consecutive Tor vanish from some n >= 1",
                     n is not None, {"n": n}))
@@ -378,9 +374,9 @@ def _check_2_8(inst, params):
     hyps = [_hyp_certified(inst), _ok("codimension >= 1", c >= 1),
             _model("admissible complete intersection"),
             _hyp_vanishing(inst, 1, c),
-            _ok("depth N > 0", inst.depth("N") > 0, {"depth_N": _enc(inst.depth("N"))}),
+            _ok("depth N > 0", inst.depth("N") > 0, {"depth_N": encode_infinite(inst.depth("N"))}),
             _ok("depth(M tensor N) > 0", inst.depth("T") > 0,
-                {"depth": _enc(inst.depth("T"))})]
+                {"depth": encode_infinite(inst.depth("T"))})]
     tail = [e for e in prof.entries if e.index > max(c, inst.tor_bound - 3)]
     hyps.append(_line("Tor_i has finite length for large i (surrogate: window tail)",
                       "satisfied" if all(e.finite_length or e.vanishes for e in tail) else "failed",
@@ -557,7 +553,8 @@ def _check_4_1(inst, params):
             _hyp_cm(inst, "M"), _hyp_cm(inst, "N"), _hyp_cm(inst, "T"),
             _ok("dim M + dim N <= dim R",
                 inst.dim("M") + inst.dim("N") <= inst.d,
-                {"dims": [_enc(inst.dim("M")), _enc(inst.dim("N"))], "d": inst.d}),
+                {"dims": [encode_infinite(inst.dim("M")), encode_infinite(inst.dim("N"))],
+                 "d": inst.d}),
             _hyp_vanishing(inst, 1, 1)]
     concl, tier = _concl_all_vanish(inst)
     return TheoremReport("4.1", inst.describe(), hyps, concl, tier)
@@ -588,7 +585,7 @@ def _check_4_6(inst, params):
             _hyp_finite_length(inst, "T"),
             _ok("depth M + depth N >= ambient depth",
                 inst.depth("M") + inst.depth("N") >= dS,
-                {"sum": _enc(inst.depth("M") + inst.depth("N")), "ambient_depth": dS})]
+                {"sum": encode_infinite(inst.depth("M") + inst.depth("N")), "ambient_depth": dS})]
     eq = inst.depth("M") + inst.depth("N") == dS
     pattern = _concl_even_nonzero_pattern(inst, include_zero=False)
     ok = eq and pattern["verdict"] == "holds"

@@ -131,8 +131,14 @@ def test_cli_steps_flag_zero_is_usage_error(capsys):
     ("check 4.3 on (M, degree_bound=-1)", "degree_bound",
      "degree_bound must be a non-negative integer"),
     ("search 3.6 with (ring=R, tor_bound=0)", "tor_bound", "tor_bound must be a positive integer"),
+    ("search 3.6 with (ring=R, max_gens=0)", "max_gens", "max_gens must be a positive integer"),
+    ("search 3.6 with (ring=R, max_deg=0)", "max_deg", "max_deg must be a positive integer"),
 ])
 def test_cli_bad_bound_is_parse_error(tmp_path, capsys, command, key, message):
+    _assert_parse_error_at_key(tmp_path, capsys, command, key, message)
+
+
+def _assert_parse_error_at_key(tmp_path, capsys, command, key, message):
     script = tmp_path / "b.ci"
     script.write_text(TWO_LINE_SCRIPT + command + "\n")
     assert main(["--script", str(script), "--format", "json"]) == 2
@@ -141,6 +147,28 @@ def test_cli_bad_bound_is_parse_error(tmp_path, capsys, command, key, message):
     column = command.index(key + "=") + 1
     assert captured.err.splitlines() == [
         f"cihom: parse error: line 4, column {column}: {message}"]
+
+
+@pytest.mark.parametrize("command, key, message", [
+    ("resolve M over=bogus", "over", "over must be quotient or ambient"),
+    ("tor M M side=bogus", "side", "side must be left or right"),
+    ("ext M M side=right", "side", "unknown option 'side'"),
+    ("search 3.6 with (ring=R, samples=2, bogus=3)", "bogus", "unknown option 'bogus'"),
+    ("check 2.1 on (M, foo=3)", "foo", "unknown option 'foo'"),
+    ("betti M window=5", "window", "unknown option 'window'"),
+])
+def test_cli_unread_option_is_parse_error(tmp_path, capsys, command, key, message):
+    # an option no command reads, or a word outside its choices, fails at the key
+    _assert_parse_error_at_key(tmp_path, capsys, command, key, message)
+
+
+def test_cli_accepted_option_values_run(tmp_path, capsys):
+    script = tmp_path / "ok.ci"
+    script.write_text(TWO_LINE_SCRIPT + "resolve M steps=3 over=ambient\n"
+                      "tor M M bound=1 side=right\ncheck 3.15 on (M, n=1, w=0, window=8)\n")
+    assert main(["--script", str(script), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["results"][1]["data"]["tor_profile"]["resolved_side"] == "right"
 
 
 def test_cli_zero_degree_bound_runs(tmp_path, capsys):

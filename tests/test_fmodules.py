@@ -313,3 +313,45 @@ def test_nonfree_locus_cyclic_cross_check(mod_M_two_nodes, ring_two_nodes):
     locus_dim = ideal_dimension(pr, list(ring.quotient_gens) + J + ann)
     codim_independent = ring.dimension() - locus_dim
     assert codim_independent == mod_M_two_nodes.nonfree_locus_codim() == 1
+
+
+# -- the biduality report's syzygy work --------------------------------------------------
+
+@pytest.mark.parametrize("which, dual_calls, syzygy_calls", [
+    ("quadric", 2, 8), ("two_nodes_N", 2, 8), ("torsion", 2, 6), ("finite_length", 1, 3)])
+def test_biduality_report_call_counts(monkeypatch, ring_quadric, ring_two_nodes, which,
+                                      dual_calls, syzygy_calls):
+    # Counts recorded before the dual and the M*/M** steps of biduality_map
+    # shared one presentation helper: M* and M** are each presented once, and
+    # a module whose dual is zero never asks for the dual of its dual.
+    from cihom import fmodules, groebner, homology, resolutions
+    calls = {"dual": 0, "syzygy": 0}
+    real_dual, real_syzygy = ModulePresentation.dual_generators, groebner.syzygy_generators
+
+    def counting_dual(self):
+        calls["dual"] += 1
+        return real_dual(self)
+
+    def counting_syzygy(*args, **kwargs):
+        calls["syzygy"] += 1
+        return real_syzygy(*args, **kwargs)
+
+    monkeypatch.setattr(ModulePresentation, "dual_generators", counting_dual)
+    for module in (fmodules, homology, resolutions):
+        monkeypatch.setattr(module, "syzygy_generators", counting_syzygy)
+    ring = ring_quadric if which == "quadric" else ring_two_nodes
+    pr = ring.poly_ring
+    zero = pr.zero()
+    if which == "quadric":
+        x, y, w, z = (pr.variable(v) for v in "xywz")
+        M = ModulePresentation.from_relations(ring, (0, 0, 0, 0), [[w, y, x, z]])
+    else:
+        x, y, z, u = (pr.variable(v) for v in "xyzu")
+        M = {"two_nodes_N": ModulePresentation.from_relations(
+                 ring, (0, 0, 0), [[zero, -z, y], [u, x, zero]]),
+             "torsion": ModulePresentation.from_relations(
+                 ring, (0, 1), [[x, zero], [y * z, u], [zero, x]]),
+             "finite_length": ModulePresentation.quotient_by_ideal(ring, [x, y, z, u])}[which]
+    rep = M.biduality_report()
+    assert calls == {"dual": dual_calls, "syzygy": syzygy_calls}
+    assert rep.torsion_free == (which in ("quadric", "two_nodes_N"))

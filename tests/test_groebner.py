@@ -426,3 +426,54 @@ def test_membership_drains_only_up_to_the_asked_degree(monkeypatch, ring_two_nod
     calls.clear()
     assert _minimal_generator_indices_full_drain(cols, degs, free, quot) == kept
     assert truncated < len(calls)
+
+
+# -- syzygies leave the tracked basis once, reduced and in their final module ----------
+
+def _projected_syzygies_reference(columns, col_degs, free, quotient_polys=()):
+    """syzygy_generators as it was: project each collected element onto the
+    tracking coordinates, then, over a quotient, cut that vector into
+    per-column polynomials with Element.component, reduce each one and
+    rebuild the vector with from_polys."""
+    ts = TrackedSubmodule(columns, col_degs, free, quotient_polys)
+    split, n = free.rank, len(columns)
+    track = FreeModule(free.ring, tuple(col_degs))
+    ideal_gb = None
+    if quotient_polys:
+        ideal_free = FreeModule(free.ring, (0,))
+        ideal_gb = groebner_basis([ideal_free.from_polys([f]) for f in quotient_polys],
+                                  ideal_free)
+    out, seen = [], set()
+    for g in ts.collected:
+        vec = Element(track, {(p - split, m): c for (p, m), c in g.terms.items()
+                              if split <= p < split + n})
+        if ideal_gb is not None:
+            vec = track.from_polys([ideal_gb.reduce_poly(vec.component(j)) for j in range(n)])
+        key = tuple(sorted(vec.terms.items()))
+        if vec and key not in seen:
+            seen.add(key)
+            out.append(vec)
+    return out, [s.degree() for s in out]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31),
+       st.sampled_from(["quadric", "two_nodes", "node"]), st.booleans())
+def test_syzygies_match_the_per_column_projection(ring_quadric, ring_two_nodes, ring_node,
+                                                  seed, which, over_quotient):
+    rng = random.Random(seed)
+    ring = {"quadric": ring_quadric, "two_nodes": ring_two_nodes, "node": ring_node}[which]
+    quot = ring.quotient_gens if over_quotient else ()
+    free = FreeModule(ring.poly_ring, tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 3))))
+    degs = [rng.randint(1, 3) for _ in range(rng.randint(1, 5))]
+    cols = [_random_element(free, rng, d, rng.randint(1, 4)) for d in degs]
+    if rng.random() < 0.3:  # a zero column and a repeated one
+        cols += [free.zero(), cols[0]]
+        degs += [degs[0], degs[0]]
+    syz, syz_degs = syzygy_generators(cols, degs, free, quot)
+    ref, ref_degs = _projected_syzygies_reference(cols, degs, free, quot)
+    assert [list(s.terms.items()) for s in syz] == [list(r.terms.items()) for r in ref]
+    assert syz_degs == ref_degs
+    assert all(s.module == FreeModule(ring.poly_ring, tuple(degs)) for s in syz)
+    if quot:  # the coefficients are already reduced: reducing again changes nothing
+        assert all(ring.reduce(p) is p for s in syz for p in s.components())

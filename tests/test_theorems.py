@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import pytest
 
@@ -231,6 +232,23 @@ def test_check_builds_the_tensor_once(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == (
         "4a8a321131637f60424826d9c29b0a3d3875de699405c0df436d14dbdc908b00")
+
+
+def test_harness_reports_digest(mod_M_two_nodes, mod_N_two_nodes, mod_quadric, node_pair,
+                                periodic_pair):
+    # One sha256 over every statement's report on the four fixture pairs,
+    # recorded before the syzygy callers stopped copying and re-reducing
+    # what syzygy_generators returns.
+    h = hashlib.sha256()
+    for M, N in [(mod_M_two_nodes, mod_N_two_nodes), (mod_quadric, mod_quadric),
+                 node_pair, periodic_pair]:
+        for sid in known_statements():
+            params = {"n": 1} if sid == "3.15" else {}
+            rep = check_theorem(sid, M, N, tor_bound=4, degree_bound=6, window=8, **params)
+            _soundness(rep)
+            h.update(json.dumps(rep.as_dict(), sort_keys=True).encode())
+    assert len(known_statements()) == 32
+    assert h.hexdigest() == "78531bebe48d5587fea21590d19271dd580aedaaeb59e470695bb8c6e949d70c"
 
 
 def _count_tor_profiles(monkeypatch):
