@@ -275,7 +275,7 @@ def parse_session(text: str) -> Session:
             _parse_ring_decl(cur, session)
         elif keyword == "module":
             _parse_module_decl(cur, session)
-        elif keyword in ("resolve", "betti", "profile", "pushforward"):
+        elif keyword in _SINGLE_MODULE_OPTIONS:
             _parse_single_module_command(cur, session, keyword)
         elif keyword in ("tor", "ext"):
             _parse_pair_command(cur, session, keyword)
@@ -298,7 +298,8 @@ _OPTION_MINIMUM = {"steps": 1, "bound": 1, "tor_bound": 1, "degree_bound": 0,
 # Accepted values of each word option.
 _OPTION_CHOICES = {"over": ("quotient", "ambient"), "side": ("left", "right")}
 # The options each command reads; any other key is a parse error.
-_SINGLE_MODULE_OPTIONS = {"steps", "over"}
+_SINGLE_MODULE_OPTIONS = {"resolve": {"steps", "over"}, "betti": {"steps"},
+                          "profile": set(), "pushforward": set()}
 _PAIR_OPTIONS = {"tor": {"bound", "degree_bound", "side"}, "ext": {"bound", "degree_bound"}}
 _CHECK_OPTIONS = {"bound", "degree_bound", "window", "n", "w"}
 _SEARCH_OPTIONS = {"ring", "samples", "seed", "max_gens", "max_deg", "tor_bound",
@@ -470,7 +471,7 @@ def _require_module(cur, session, tok):
 def _parse_single_module_command(cur, session, keyword):
     cur.expect("name", keyword)
     mod = _require_module(cur, session, cur.expect("name"))
-    opts = _parse_options(cur, session, _SINGLE_MODULE_OPTIONS)
+    opts = _parse_options(cur, session, _SINGLE_MODULE_OPTIONS[keyword])
     session.commands.append({"command": keyword, "module": mod, **opts})
 
 

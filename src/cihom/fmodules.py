@@ -92,8 +92,15 @@ class PolyMatrix:
 
     @classmethod
     def from_columns(cls, poly_ring, row_degs, columns, col_degs):
-        """columns: list of Element over a FreeModule with the row degrees."""
-        ents = [[col.component(i) for col in columns] for i in range(len(row_degs))]
+        """columns: list of Element over a FreeModule with the row degrees.
+        Each column's terms are read once, sorted into its rows."""
+        ents = [[None] * len(columns) for _ in row_degs]
+        for j, col in enumerate(columns):
+            by_row = [{} for _ in row_degs]
+            for (p, m), c in col.terms.items():
+                by_row[p][m] = c
+            for i, terms in enumerate(by_row):
+                ents[i][j] = Polynomial(poly_ring, terms)
         return cls(poly_ring, row_degs, col_degs, ents)
 
     def column_elements(self, free: FreeModule | None = None):
@@ -714,16 +721,14 @@ class ModulePresentation:
             return True
         if any(p.is_constant() and p for p in gens):
             return False
-        pr = self.ring.poly_ring
-        free = FreeModule(pr, (0,))
+        free = FreeModule(self.ring.poly_ring, (0,))
         for g in gens:
             gq = self.ring.reduce(g)
             if gq.is_zero():
                 continue
-            cols = [free.from_polys([gq])] + [free.from_polys([f]) for f in self.ring.quotient_gens]
-            degs = [gq.degree()] + [f.degree() for f in self.ring.quotient_gens]
-            syz, _ = syzygy_generators(cols, degs, free)
-            ann = [s.component(0) for s in syz if s.component(0)]
+            syz, _ = syzygy_generators([free.from_polys([gq])], [gq.degree()], free,
+                                       self.ring.quotient_gens)
+            ann = [s.component(0) for s in syz]
             if not any(not q.contains(a) for a in ann):
                 return False
         return True

@@ -6,15 +6,16 @@ which also collects syzygies) and incremental (``minimal_generator_indices``
 grows it one column at a time).
 
 Works over the ambient polynomial ring S and over quotients R = S/(f1..fc):
-quotient-ring computations augment the generator set with f_k*e_j columns and
-project them out afterwards, so one engine serves both rings.
+quotient-ring computations augment the generator set with f_k*e_j columns, so
+one engine serves both rings.
 
 Syzygies and lifts run through one construction, ``TrackedSubmodule``: each
 input column j gets a tracking coordinate e_j in an extension of the free
-module, ordered so that every main-block term dominates every tracking term.
-A Groebner basis of the tracked columns then yields, in its zero-main-block
-elements, generators of the syzygy module of the inputs, and reducing a
-tracked target against it produces an explicit lift.  ``syzygy_generators``
+module, ordered so that every main-block term dominates every tracking term;
+relation columns, the f_k*e_j among them, enter untracked.  A Groebner basis
+of both then yields, in its zero-main-block elements, generators of the
+syzygy module of the inputs modulo the relations, and reducing a tracked
+target against it produces an explicit lift.  ``syzygy_generators``
 hands the syzygies out once, in their final free module and with coefficients
 reduced modulo the quotient ideal.  Membership needs no tracking: it is a
 normal form against an untracked basis (``GroebnerBasis.contains``,
@@ -540,43 +541,42 @@ class TrackedSubmodule:
     """Column set with tracking coordinates: syzygies and lifts.
 
     Input columns c_1..c_s of a free module F are extended to (c_j, e_j) in
-    F + R^s; quotient relations get tracking coordinates too, which are
-    discarded on projection.  The elimination order puts every F-term above
-    every tracking term, so the active basis is a Groebner basis of the
-    column module (lifts reduce against it) while the collected elements'
-    tracking parts generate the syzygy module of the inputs over the
-    declared ring.  Tracking vectors are elements of ``syzygy_module``, the
-    free module R^s on the column degrees, with every coefficient reduced
-    modulo the quotient ideal.
+    F + R^s; relation columns, the quotient relations f_k e_j among them,
+    enter untracked.  The elimination order puts every F-term above every
+    tracking term, so the active basis is a Groebner basis of the module of
+    columns and relations (lifts reduce against it) while the collected
+    elements' tracking parts generate the syzygies of the columns modulo the
+    relations over the declared ring.  Tracking vectors are elements of
+    ``syzygy_module``, the free module R^s on the column degrees, with every
+    coefficient reduced modulo the quotient ideal.
     """
 
-    __slots__ = ("free", "col_degs", "n_cols", "syzygy_module", "tracked_module", "order",
+    __slots__ = ("free", "syzygy_module", "tracked_module", "order",
                  "active", "collected", "_by_position", "_ideal_gb")
 
-    def __init__(self, columns, col_degs, free: FreeModule, quotient_polys=()):
+    def __init__(self, columns, col_degs, free: FreeModule, quotient_polys=(), relations=()):
         self.free = free
         columns = list(columns)
-        self.col_degs = list(col_degs)
-        if len(columns) != len(self.col_degs):
+        col_degs = tuple(col_degs)
+        if len(columns) != len(col_degs):
             raise ValueError("columns/col_degs length mismatch")
-        for c, d in zip(columns, self.col_degs):
+        for c, d in zip(columns, col_degs):
             cd = c.degree()
             if cd is not None and cd != d:
                 raise GradedViolationError(f"column of degree {cd} declared as degree {d}")
-        qcols = quotient_columns(free, quotient_polys)
-        qdegs = [c.degree() for c in qcols]
-        self.n_cols = len(columns)
         ring = free.ring
-        self.syzygy_module = FreeModule(ring, self.col_degs)
-        self.tracked_module = FreeModule(ring, free.gen_degs + tuple(self.col_degs + qdegs))
+        self.syzygy_module = FreeModule(ring, col_degs)
+        self.tracked_module = FreeModule(ring, free.gen_degs + col_degs)
         self.order = ModuleOrder(self.tracked_module, split=free.rank)
         tracked = []
         unit = (0,) * ring.nvars
         one = ring.field.one()
-        for j, col in enumerate(columns + qcols):
+        for j, col in enumerate(columns):
             terms = dict(col.terms)
             terms[(free.rank + j, unit)] = one
             tracked.append(Element(self.tracked_module, terms))
+        for rel in list(relations) + quotient_columns(free, quotient_polys):
+            tracked.append(Element(self.tracked_module, rel.terms))
         self.active, self.collected = tracked_buchberger(tracked, self.order)
         self._by_position = {}
         for i, g in enumerate(self.active):
@@ -589,16 +589,14 @@ class TrackedSubmodule:
             self._ideal_gb = None
 
     def _tracking_vector(self, e: Element) -> Element:
-        """Projection to the tracking coordinates of the original columns,
+        """e, which has tracking terms only, as an element of ``syzygy_module``,
         each coordinate's coefficient reduced once modulo the quotient ideal."""
-        split, n = self.free.rank, self.n_cols
+        split = self.free.rank
         if self._ideal_gb is None:
-            return Element(self.syzygy_module, {(p - split, m): c for (p, m), c in e.terms.items()
-                                                if split <= p < split + n})
+            return Element(self.syzygy_module, {(p - split, m): c for (p, m), c in e.terms.items()})
         by_col: dict = {}
         for (p, m), c in e.terms.items():
-            if split <= p < split + n:
-                by_col.setdefault(p - split, {})[m] = c
+            by_col.setdefault(p - split, {})[m] = c
         ring, reduce_poly = self.free.ring, self._ideal_gb.reduce_poly
         terms = {}
         for j in sorted(by_col):
@@ -607,7 +605,7 @@ class TrackedSubmodule:
         return Element(self.syzygy_module, terms)
 
     def syzygy_elements(self) -> list:
-        """Generators of the syzygy module of the columns over the ring."""
+        """Generators of the syzygies modulo the relations, each one once."""
         out = []
         seen = set()
         for g in self.collected:
@@ -620,26 +618,26 @@ class TrackedSubmodule:
         return out
 
     def lift(self, e: Element):
-        """Coefficients x with e = sum x_j * c_j over the ring, or None."""
+        """Coefficients x with e = sum x_j * c_j modulo the relations, or None."""
         nf = normal_form(Element(self.tracked_module, dict(e.terms)), self.active,
                          self.order, self._by_position)
         if any(p < self.free.rank for p, _ in nf.terms):
             return None
         vec = self._tracking_vector(nf)
         minus_one = self.free.ring.field.neg(self.free.ring.field.one())
-        return [vec.component(j).scale(minus_one) for j in range(self.n_cols)]
+        return [vec.component(j).scale(minus_one) for j in range(self.syzygy_module.rank)]
 
 
-def syzygy_generators(columns, col_degs, free: FreeModule, quotient_polys=()):
-    """Columns generating ker(free^s -> free) of the given columns over the ring.
+def syzygy_generators(columns, col_degs, free: FreeModule, quotient_polys=(), relations=()):
+    """Columns generating the x in R^s, s = len(columns), with sum x_j c_j in
+    the span of ``relations`` over the ring (zero when there are none).
 
-    Returns (elements of R^s, their degrees); s = len(columns).  The elements
-    live in ``FreeModule(free.ring, col_degs)`` with every coefficient already
-    reduced modulo the quotient ideal, so callers use them as they come.  Over
-    a quotient ring the internal computation appends the f_k * e_j relations
-    and projects their coordinates out.
+    Returns (elements, their degrees).  The elements live in
+    ``FreeModule(free.ring, col_degs)`` with every coefficient already reduced
+    modulo the quotient ideal, so callers use them as they come.  The
+    relations and the f_k * e_j enter the computation untracked.
     """
-    tracked = TrackedSubmodule(columns, col_degs, free, quotient_polys)
+    tracked = TrackedSubmodule(columns, col_degs, free, quotient_polys, relations)
     syz = tracked.syzygy_elements()
     return syz, [s.degree() for s in syz]
 

@@ -1,11 +1,11 @@
 """Tor and Ext modules over the declared ring, with full profiles.
 
 Homology of a complex of finitely presented modules is presented as a
-subquotient: generators of the kernel come from syzygies of the outgoing map
-stacked with the target's relations, and relations come from syzygies of
-those generators stacked with the incoming map and the term's own relations.
-Tor_i(M, N) is the homology of (minimal resolution of M) tensor N, Ext^i the
-cohomology of Hom(resolution, N); both run through the same machinery.
+subquotient: generators of the kernel are syzygies of the outgoing map modulo
+the target's relations, and relations are syzygies of those generators modulo
+the incoming map and the term's own relations.  Tor_i(M, N) is the homology
+of (minimal resolution of M) tensor N, Ext^i the cohomology of
+Hom(resolution, N); one builder makes both complexes.
 
 "Vanishes for all i >= 1" is never asserted from a finite window alone: each
 profile carries an evidence tier: (a) finite projective dimension, (b)
@@ -20,23 +20,10 @@ independent calls may run concurrently; the dense verification path in
 from __future__ import annotations
 
 from .fmodules import ModulePresentation, PolyMatrix
-from .groebner import Element, FreeModule, syzygy_generators
+from .groebner import FreeModule, syzygy_generators
 from .resolutions import FreeResolution, detect_periodicity, resolve
 from .rings import (INF, RingPresentation, add_numerator, dimension_and_multiplicity,
                     encode_infinite)
-
-
-def _restricted_syzygies(columns, col_degs, target: FreeModule, quotient, first: int):
-    """Syzygies of the columns, restricted to the first ``first`` coordinates."""
-    syz, degs = syzygy_generators(columns, col_degs, target, quotient)
-    out_free = FreeModule(target.ring, tuple(col_degs[:first]))
-    out, out_degs = [], []
-    for s, d in zip(syz, degs):
-        terms = {(p, m): c for (p, m), c in s.terms.items() if p < first}
-        if terms:
-            out.append(Element(out_free, terms))
-            out_degs.append(d)
-    return out, out_degs
 
 
 def subquotient_presentation(ring: RingPresentation, gen_degs, outgoing: PolyMatrix | None,
@@ -56,24 +43,21 @@ def subquotient_presentation(ring: RingPresentation, gen_degs, outgoing: PolyMat
         ker_degs = list(gen_degs)
     else:
         tgt_free = FreeModule(pr, outgoing.row_degs)
-        cols = outgoing.column_elements(tgt_free)
-        degs = list(outgoing.col_degs)
-        if target_rels is not None and target_rels.ncols:
-            cols += target_rels.column_elements(tgt_free)
-            degs += list(target_rels.col_degs)
-        ker_cols, ker_degs = _restricted_syzygies(cols, degs, tgt_free,
-                                                  ring.quotient_gens, len(gen_degs))
+        ker_cols, ker_degs = syzygy_generators(
+            outgoing.column_elements(tgt_free), outgoing.col_degs, tgt_free,
+            ring.quotient_gens, _columns(target_rels, tgt_free))
     if not ker_cols:
         return ModulePresentation.zero(ring, label=label)
-    all_cols, all_degs = list(ker_cols), list(ker_degs)
-    for mat in (incoming, own_rels):
-        if mat is not None and mat.ncols:
-            all_cols += mat.column_elements(own_free)
-            all_degs += list(mat.col_degs)
-    rel_cols, rel_degs = _restricted_syzygies(all_cols, all_degs, own_free,
-                                              ring.quotient_gens, len(ker_cols))
+    rel_cols, rel_degs = syzygy_generators(
+        ker_cols, ker_degs, own_free, ring.quotient_gens,
+        _columns(incoming, own_free) + _columns(own_rels, own_free))
     mat = PolyMatrix.from_columns(pr, tuple(ker_degs), rel_cols, tuple(rel_degs))
     return ModulePresentation(ring, tuple(ker_degs), mat, label=label)
+
+
+def _columns(mat: PolyMatrix | None, free: FreeModule) -> list:
+    """The columns of ``mat`` as elements of ``free`` (none for None)."""
+    return [] if mat is None else mat.column_elements(free)
 
 
 def kernel_of_map(psi: PolyMatrix, source: ModulePresentation,
@@ -241,6 +225,50 @@ def _vanishing_evidence(entries, res: FreeResolution, ring: RingPresentation,
             "detail": "vanishing observed in the window only"}
 
 
+def _resolution_homology(M: ModulePresentation, N: ModulePresentation, lo: int, hi: int,
+                         sign: int):
+    """Homology at each index lo <= i <= hi of F tensor N (sign 1: Tor_i) or
+    of Hom(F, N) (sign -1: Ext^i), F a minimal resolution of M; also F.
+
+    Term i has generator degrees sign * a + b (a of F_i, b of N's minimal
+    generators) and relations the twisted copies of N's relations.  Its maps
+    are d_i and d_{i+1} tensor N (transposed for Hom): the first goes out of
+    term i for Tor and comes in for Ext, and the outgoing map lands in term
+    i - sign.
+    """
+    ring = M.ring
+    pr = ring.poly_ring
+    res = resolve(M, steps=hi + 1)
+    Nmin = N.minimalize()
+    B = Nmin.relations
+    n_degs = Nmin.gen_degs
+    name = "Tor" if sign > 0 else "Ext"
+
+    def rels(i):
+        degs = tuple(sign * a for a in res.step_degrees(i))
+        return _block_relations(degs, B, pr) if degs else None
+
+    def kron(i):
+        """d_i tensor N (d_i^T for Hom), or None past the resolution."""
+        d = res.differential(i)
+        if d is None:
+            return None
+        return _kron_map(d if sign > 0 else d.transpose(), n_degs, pr)
+
+    out = {}
+    for i in range(lo, hi + 1):
+        label = f"{name}{i}({M.label},{N.label})"
+        if not res.step_degrees(i) or not n_degs:
+            out[i] = ModulePresentation.zero(ring, label=label)
+            continue
+        lower, upper = kron(i), kron(i + 1)
+        outgoing, incoming = (lower, upper) if sign > 0 else (upper, lower)
+        out[i] = subquotient_presentation(
+            ring, tuple(sign * a + b for a in res.step_degrees(i) for b in n_degs),
+            outgoing, rels(i - sign), incoming, rels(i), label=label)
+    return out, res
+
+
 def tor_profile(M: ModulePresentation, N: ModulePresentation, bound: int,
                 degree_bound: int = 8, side: str = "left") -> TorProfile:
     """Tor_i(M, N) for 1 <= i <= bound via a minimal resolution.
@@ -249,45 +277,18 @@ def tor_profile(M: ModulePresentation, N: ModulePresentation, bound: int,
     recomputation used for cross-checks).
     """
     M.check_same_ring(N)
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be left or right, not {side!r}")
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if side == "right":
         prof = tor_profile(N, M, bound, degree_bound, side="left")
         return TorProfile(M, N, M.ring, bound, degree_bound, "right", prof.entries,
                           prof.tor0, prof.vanishing, prof.periodicity, prof.resolution)
-    ring = M.ring
-    pr = ring.poly_ring
-    res = resolve(M, steps=bound + 1)
-    Nmin = N.minimalize()
-    B = Nmin.relations
-    n_degs = Nmin.gen_degs
-
-    def term_degs(i):
-        return tuple(a + b for a in res.step_degrees(i) for b in n_degs)
-
-    def term_rels(i):
-        if not res.step_degrees(i):
-            return None
-        return _block_relations(res.step_degrees(i), B, pr)
-
-    def v_map(i):
-        d = res.differential(i)
-        if d is None:
-            return None
-        return _kron_map(d, n_degs, pr)
-
-    entries = []
-    for i in range(1, bound + 1):
-        if not res.step_degrees(i) or not n_degs:
-            pres = ModulePresentation.zero(ring, label=f"Tor{i}({M.label},{N.label})")
-        else:
-            pres = subquotient_presentation(
-                ring, term_degs(i), v_map(i), term_rels(i - 1), v_map(i + 1),
-                term_rels(i), label=f"Tor{i}({M.label},{N.label})")
-        entries.append(HomologyEntry(i, pres, degree_bound))
-    tensor = M.tensor(N)
-    tor0 = HomologyEntry(0, tensor, degree_bound)
-    vanishing = _vanishing_evidence(entries, res, ring, bound)
+    mods, res = _resolution_homology(M, N, 1, bound, 1)
+    entries = [HomologyEntry(i, mods[i], degree_bound) for i in range(1, bound + 1)]
+    tor0 = HomologyEntry(0, M.tensor(N), degree_bound)
+    vanishing = _vanishing_evidence(entries, res, M.ring, bound)
     periodicity = []
     for i in range(1, bound - 1):
         a, b = entries[i - 1], entries[i + 1]
@@ -295,47 +296,14 @@ def tor_profile(M: ModulePresentation, N: ModulePresentation, bound: int,
         if a.initial_degree is not None and b.initial_degree is not None:
             rec["twist"] = b.initial_degree - a.initial_degree
         periodicity.append(rec)
-    return TorProfile(M, N, ring, bound, degree_bound, side, entries, tor0,
+    return TorProfile(M, N, M.ring, bound, degree_bound, side, entries, tor0,
                       vanishing, periodicity, res)
 
 
 def ext_modules(M: ModulePresentation, N: ModulePresentation, lo: int, hi: int) -> dict:
     """Ext^i(M, N) presentations for lo <= i <= hi, via Hom(resolution, N)."""
     M.check_same_ring(N)
-    ring = M.ring
-    pr = ring.poly_ring
-    res = resolve(M, steps=hi + 1)
-    Nmin = N.minimalize()
-    B = Nmin.relations
-    n_degs = Nmin.gen_degs
-
-    def hom_degs(i):
-        return tuple(-a + b for a in res.step_degrees(i) for b in n_degs)
-
-    def hom_rels(i):
-        degs = tuple(-a for a in res.step_degrees(i))
-        if not degs:
-            return None
-        return _block_relations(degs, B, pr)
-
-    def w_map(i):
-        """Hom(F_i, N) -> Hom(F_{i+1}, N), precomposition with d_{i+1}."""
-        d = res.differential(i + 1)
-        if d is None:
-            return None
-        return _kron_map(d.transpose(), n_degs, pr)
-
-    out = {}
-    for i in range(lo, hi + 1):
-        if not res.step_degrees(i) or not n_degs:
-            out[i] = ModulePresentation.zero(ring, label=f"Ext{i}({M.label},{N.label})")
-            continue
-        incoming = w_map(i - 1) if i >= 1 else None
-        pres = subquotient_presentation(
-            ring, hom_degs(i), w_map(i), hom_rels(i + 1), incoming, hom_rels(i),
-            label=f"Ext{i}({M.label},{N.label})")
-        out[i] = pres
-    return out
+    return _resolution_homology(M, N, lo, hi, -1)[0]
 
 
 def ext_profile(M: ModulePresentation, N: ModulePresentation, bound: int,

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +158,9 @@ def _assert_parse_error_at_key(tmp_path, capsys, command, key, message):
     ("search 3.6 with (ring=R, samples=2, bogus=3)", "bogus", "unknown option 'bogus'"),
     ("check 2.1 on (M, foo=3)", "foo", "unknown option 'foo'"),
     ("betti M window=5", "window", "unknown option 'window'"),
+    ("profile M steps=1 over=ambient", "steps", "unknown option 'steps'"),
+    ("pushforward M steps=2", "steps", "unknown option 'steps'"),
+    ("betti M steps=3 over=ambient", "over", "unknown option 'over'"),
 ])
 def test_cli_unread_option_is_parse_error(tmp_path, capsys, command, key, message):
     # an option no command reads, or a word outside its choices, fails at the key
@@ -169,6 +174,16 @@ def test_cli_accepted_option_values_run(tmp_path, capsys):
     assert main(["--script", str(script), "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["results"][1]["data"]["tor_profile"]["resolved_side"] == "right"
+
+
+def test_session_script_output_is_byte_stable(capsys):
+    # Every script command over the two-node ring and the quadric.  Session
+    # JSON is byte-stable output, so one sha256 pins the whole document.
+    script = Path(__file__).parent / "data" / "session_all.ci"
+    assert main(["--script", str(script), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7cb916f1086ab805293dd3c9b254f5d13173c5582eca3dc59e79d796b9a03fb6")
 
 
 def test_cli_zero_degree_bound_runs(tmp_path, capsys):

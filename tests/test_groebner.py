@@ -323,13 +323,38 @@ def _terms_digest(groups):
     return h.hexdigest()
 
 
+def _tracked_as_before(columns, col_degs, free, quotient_polys=()):
+    """TrackedSubmodule's (active, collected) as built before quotient columns
+    entered untracked: every column, each quotient column f_k e_j included,
+    with its own tracking coordinate, fed to tracked_buchberger."""
+    qcols = quotient_columns(free, quotient_polys)
+    module = FreeModule(free.ring, free.gen_degs + tuple(col_degs)
+                        + tuple(q.degree() for q in qcols))
+    unit = (0,) * free.ring.nvars
+    tracked = []
+    for j, col in enumerate(list(columns) + qcols):
+        terms = dict(col.terms)
+        terms[(free.rank + j, unit)] = free.ring.field.one()
+        tracked.append(Element(module, terms))
+    return tracked_buchberger(tracked, ModuleOrder(module, split=free.rank))
+
+
 def test_engine_outputs_match_the_three_loops(ring_quadric, ring_two_nodes, ring_node):
     # Digests recorded with the separate buchberger, tracked_buchberger and
     # IncrementalModuleGB loops: any drift in basis or pair order shows here.
+    # The tracked digest is of the construction with tracked quotient
+    # columns; TrackedSubmodule must equal it with the quotient-coordinate
+    # terms deleted and the elements that leaves empty dropped.
     tracked, plain, kept = [], [], []
     for free, quot, cols, degs in _engine_cases(ring_quadric, ring_two_nodes, ring_node):
+        before = _tracked_as_before(cols, degs, free, quot)
+        tracked += before
         ts = TrackedSubmodule(cols, degs, free, quot)
-        tracked += [ts.active, ts.collected]
+        cut = free.rank + len(cols)  # the first quotient coordinate
+        assert ts.tracked_module.rank == cut
+        for new, old in zip((ts.active, ts.collected), before):
+            kept_terms = ([(t, c) for t, c in e.terms.items() if t[0] < cut] for e in old)
+            assert [list(e.terms.items()) for e in new] == [terms for terms in kept_terms if terms]
         plain.append(groebner_basis(cols, free, quot).generators)
         kept.append(minimal_generator_indices(cols, degs, free, quot))
     assert _terms_digest(tracked) == (
@@ -435,7 +460,7 @@ def _projected_syzygies_reference(columns, col_degs, free, quotient_polys=()):
     tracking coordinates, then, over a quotient, cut that vector into
     per-column polynomials with Element.component, reduce each one and
     rebuild the vector with from_polys."""
-    ts = TrackedSubmodule(columns, col_degs, free, quotient_polys)
+    collected = _tracked_as_before(columns, col_degs, free, quotient_polys)[1]
     split, n = free.rank, len(columns)
     track = FreeModule(free.ring, tuple(col_degs))
     ideal_gb = None
@@ -444,7 +469,7 @@ def _projected_syzygies_reference(columns, col_degs, free, quotient_polys=()):
         ideal_gb = groebner_basis([ideal_free.from_polys([f]) for f in quotient_polys],
                                   ideal_free)
     out, seen = [], set()
-    for g in ts.collected:
+    for g in collected:
         vec = Element(track, {(p - split, m): c for (p, m), c in g.terms.items()
                               if split <= p < split + n})
         if ideal_gb is not None:
@@ -477,3 +502,48 @@ def test_syzygies_match_the_per_column_projection(ring_quadric, ring_two_nodes, 
     assert all(s.module == FreeModule(ring.poly_ring, tuple(degs)) for s in syz)
     if quot:  # the coefficients are already reduced: reducing again changes nothing
         assert all(ring.reduce(p) is p for s in syz for p in s.components())
+
+
+# -- relation columns enter the syzygy engine untracked -------------------------------
+
+def _restricted_syzygies(columns, col_degs, target, quotient, first):
+    """subquotient_presentation's syzygy step as it was: syzygies of all the
+    columns, relations included, restricted to the first ``first``
+    coordinates, in order and with repeats."""
+    syz, degs = _projected_syzygies_reference(columns, col_degs, target, quotient)
+    out_free = FreeModule(target.ring, tuple(col_degs[:first]))
+    out, out_degs = [], []
+    for s, d in zip(syz, degs):
+        terms = {(p, m): c for (p, m), c in s.terms.items() if p < first}
+        if terms:
+            out.append(Element(out_free, terms))
+            out_degs.append(d)
+    return out, out_degs
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31),
+       st.sampled_from(["quadric", "two_nodes", "node"]), st.booleans())
+def test_relation_columns_match_the_restricted_syzygies(ring_quadric, ring_two_nodes,
+                                                        ring_node, seed, which, over_quotient):
+    rng = random.Random(seed)
+    ring = {"quadric": ring_quadric, "two_nodes": ring_two_nodes, "node": ring_node}[which]
+    quot = ring.quotient_gens if over_quotient else ()
+    free = FreeModule(ring.poly_ring, tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 3))))
+    degs = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+    cols = [_random_element(free, rng, d, rng.randint(1, 4)) for d in degs]
+    rel_degs = [rng.randint(1, 3) for _ in range(rng.randint(0, 3))]
+    rels = [_random_element(free, rng, d, rng.randint(1, 4)) for d in rel_degs]
+    if rng.random() < 0.5:  # a zero relation column and a repeated one
+        rels += [free.zero(), cols[0]]
+        rel_degs += [degs[0], degs[0]]
+    syz, syz_degs = syzygy_generators(cols, degs, free, quot, relations=rels)
+    ref, ref_degs = _restricted_syzygies(cols + rels, degs + rel_degs, free, quot, len(cols))
+    first, seen = [], set()
+    for r, d in zip(ref, ref_degs):
+        key = tuple(sorted(r.terms.items()))
+        if key not in seen:
+            seen.add(key)
+            first.append((list(r.terms.items()), d))
+    assert [(list(s.terms.items()), d) for s, d in zip(syz, syz_degs)] == first
+    assert all(s.module == FreeModule(ring.poly_ring, tuple(degs)) for s in syz)

@@ -1,3 +1,5 @@
+import pytest
+
 from cihom.fields import PrimeField
 from cihom.fmodules import ModulePresentation, PolyMatrix, equal_hilbert_functions
 from cihom.homology import (
@@ -49,6 +51,11 @@ def test_tor_symmetry_on_catalog(mod_M_two_nodes, mod_N_two_nodes, periodic_pair
             assert a.vanishes == b.vanishes
             assert a.normalized_hilbert() == b.normalized_hilbert()
             assert a.depth == b.depth and a.dim == b.dim
+
+
+def test_tor_rejects_an_unknown_side(mod_M_two_nodes):
+    with pytest.raises(ValueError, match="side must be left or right"):
+        tor_profile(mod_M_two_nodes, mod_M_two_nodes, 2, side="bogus")
 
 
 def test_tor0_matches_tensor(mod_M_two_nodes, mod_N_two_nodes):
