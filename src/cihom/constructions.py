@@ -90,8 +90,7 @@ def pushforward(M: ModulePresentation) -> PushforwardResult:
     m = len(dcols)
     free_degs = tuple(-g for g in ddegs)
     # embedding on generators: column i lists the dual generators' values at e_i
-    ents = [[dcols[k].component(i) for i in range(Mmin.n_gens)] for k in range(m)]
-    u = PolyMatrix(pr, free_degs, Mmin.gen_degs, ents)
+    u = PolyMatrix.from_columns(pr, dual_free.gen_degs, dcols, ddegs).transpose()
     M1 = ModulePresentation(M.ring, free_degs, u, label=f"{M.label}1").minimalize()
     free_pres = ModulePresentation.free(M.ring, free_degs, label="freecover")
     ker = kernel_of_map(u, Mmin, free_pres).minimalize()
@@ -208,28 +207,20 @@ def quasi_lifting(M: ModulePresentation, split) -> QuasiLiftingResult:
     free_degs = pf.free_degs
     pr = ring.poly_ring
     fd = f.degree()
-    z = pr.zero()
 
-    # E = ker(S'^(m) -> M1): generated by the embedding columns and f*basis
-    col_entries = []
-    col_degs = []
-    for j in range(Mmin.n_gens):
-        col_entries.append([pf.u.entries[k][j] for k in range(m)])
-        col_degs.append(Mmin.gen_degs[j])
-    for k in range(m):
-        col_entries.append([f if t == k else z for t in range(m)])
-        col_degs.append(free_degs[k] + fd)
+    # E = ker(S'^(m) -> M1): generated by the embedding columns and f*basis,
+    # the inclusion u | f (x) 1
+    incl = pf.u.hstack(PolyMatrix(pr, (0,), (fd,), [[f]]).kron_identity(free_degs))
+    col_degs = incl.col_degs
     free_m = FreeModule(pr, free_degs)
-    cols = [free_m.from_polys(c) for c in col_entries]
-    syz, sdegs = syzygy_generators(cols, col_degs, free_m, intermediate.quotient_gens)
-    rels = PolyMatrix.from_columns(pr, tuple(col_degs), syz, tuple(sdegs))
-    E = ModulePresentation(intermediate, tuple(col_degs), rels, label=f"lift({M.label})")
+    syz, sdegs = syzygy_generators(incl.column_elements(free_m), col_degs, free_m,
+                                   intermediate.quotient_gens)
+    rels = PolyMatrix.from_columns(pr, col_degs, syz, tuple(sdegs))
+    E = ModulePresentation(intermediate, col_degs, rels, label=f"lift({M.label})")
     E_min = E.minimalize()
 
     # (QL) exactness: inclusion composed with projection vanishes, and the
     # middle homology of E -> S'^(m) -> M1 is zero over S'
-    incl = PolyMatrix(pr, free_degs, tuple(col_degs),
-                      [[col_entries[j][k] for j in range(len(col_degs))] for k in range(m)])
     M1_over_int = ModulePresentation(intermediate, free_degs, incl, label="M1|S'")
     middle_ql = subquotient_presentation(
         intermediate, free_degs, PolyMatrix.identity(pr, free_degs),
@@ -238,19 +229,19 @@ def quasi_lifting(M: ModulePresentation, split) -> QuasiLiftingResult:
                                 ).minimalize()
 
     # connecting sequence over R: 0 -> M1 -> E/fE -> M -> 0 with block maps
-    E_over_R = ModulePresentation(ring, tuple(col_degs), rels, label=f"{E.label}/f")
+    E_over_R = ModulePresentation(ring, col_degs, rels, label=f"{E.label}/f")
     p = Mmin.n_gens
-    alpha = PolyMatrix.zero(pr, tuple(col_degs), tuple(d + fd for d in free_degs))
+    alpha = PolyMatrix.zero(pr, col_degs, tuple(d + fd for d in free_degs))
     for k in range(m):
         alpha.entries[p + k][k] = pr.one()
     M1_twist = pf.M1.twist(fd)
-    beta = PolyMatrix.zero(pr, Mmin.gen_degs, tuple(col_degs))
+    beta = PolyMatrix.zero(pr, Mmin.gen_degs, col_degs)
     for j in range(p):
         beta.entries[j][j] = pr.one()
     alpha_kernel = kernel_of_map(alpha, M1_twist, E_over_R).minimalize()
     beta_coker = cokernel_of_map(beta, Mmin).minimalize()
     middle_conn = subquotient_presentation(
-        ring, tuple(col_degs), beta, Mmin.relations, alpha,
+        ring, col_degs, beta, Mmin.relations, alpha,
         E_over_R.relations, label="connmiddle").minimalize()
 
     certificate = {

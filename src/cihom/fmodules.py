@@ -7,7 +7,10 @@ minimal form, one Hilbert series per presentation (Hilbert function,
 dimension, length), depth via the finite ambient resolution, Serre conditions
 via Ext codimensions, torsion and reflexivity via the biduality map, free loci
 and rank profiles, all live here.  Presentations are immutable; cached derived
-values are computed once.
+values are computed once.  The two Kronecker shapes of a relation matrix,
+``kron_identity`` (A (x) 1) and ``identity_kron`` (1 (x) B), build the tensor
+presentation coker(A (x) 1 | 1 (x) B), the ambient presentation and the terms
+of the Tor and Ext complexes.
 """
 
 from __future__ import annotations
@@ -134,6 +137,36 @@ class PolyMatrix:
                 row.append(acc)
             ents.append(row)
         return PolyMatrix(self.poly_ring, self.row_degs, other.col_degs, ents, check=False)
+
+    def kron_identity(self, degs) -> "PolyMatrix":
+        """self tensor the identity on R^degs: entry (i, j) sits at rows
+        i * n + k and columns j * n + k, twisted by degs[k] (n = len(degs))."""
+        n = len(degs)
+        z = self.poly_ring.zero()
+        rows = tuple(rd + d for rd in self.row_degs for d in degs)
+        cols = tuple(cd + d for cd in self.col_degs for d in degs)
+        ents = [[z] * len(cols) for _ in rows]
+        for i, row in enumerate(self.entries):
+            for j, p in enumerate(row):
+                if p:
+                    for k in range(n):
+                        ents[i * n + k][j * n + k] = p
+        return PolyMatrix(self.poly_ring, rows, cols, ents, check=False)
+
+    def identity_kron(self, degs) -> "PolyMatrix":
+        """The identity on R^degs tensor self: one copy of self per degree,
+        twisted by that degree, down the diagonal."""
+        nr, nc = self.nrows, self.ncols
+        z = self.poly_ring.zero()
+        rows = tuple(d + rd for d in degs for rd in self.row_degs)
+        cols = tuple(d + cd for d in degs for cd in self.col_degs)
+        ents = [[z] * len(cols) for _ in rows]
+        for t in range(len(degs)):
+            for i, row in enumerate(self.entries):
+                for j, p in enumerate(row):
+                    if p:
+                        ents[t * nr + i][t * nc + j] = p
+        return PolyMatrix(self.poly_ring, rows, cols, ents, check=False)
 
     def hstack(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.row_degs != other.row_degs:
@@ -387,27 +420,17 @@ class ModulePresentation:
     # -- ambient (S-level) presentation -------------------------------------------
 
     def ambient_presentation(self) -> "ModulePresentation":
-        """The same module viewed over the ambient ring S (quotient relations
-        appended as extra columns)."""
+        """The same module viewed over the ambient ring S: the quotient
+        relations f_k e_j, the block (f_1 .. f_c) (x) 1, appended as columns."""
         if self._ambient_pres is None:
             ring = self.ring
             if ring.is_ambient:
                 self._ambient_pres = self
             else:
                 pr = ring.poly_ring
-                extra_cols = []
-                extra_degs = []
-                z = pr.zero()
-                for f in ring.quotient_gens:
-                    fd = f.degree()
-                    for i in range(self.n_gens):
-                        extra_cols.append([f if r == i else z for r in range(self.n_gens)])
-                        extra_degs.append(fd + self.gen_degs[i])
-                ents = [[self.relations.entries[i][j] for j in range(self.n_rels)]
-                        + [extra_cols[t][i] for t in range(len(extra_cols))]
-                        for i in range(self.n_gens)]
-                mat = PolyMatrix(pr, self.gen_degs,
-                                 self.relations.col_degs + tuple(extra_degs), ents)
+                gens = ring.quotient_gens
+                row = PolyMatrix(pr, (0,), tuple(f.degree() for f in gens), [list(gens)])
+                mat = self.relations.hstack(row.kron_identity(self.gen_degs))
                 ambient = RingPresentation(pr, [], label=f"ambient({ring.label})")
                 self._ambient_pres = ModulePresentation(
                     ambient, self.gen_degs, mat, label=f"{self.label}|S")
@@ -455,35 +478,12 @@ class ModulePresentation:
     # -- tensor ------------------------------------------------------------------
 
     def tensor(self, other: "ModulePresentation") -> "ModulePresentation":
-        """Standard presentation of the tensor product over the ring."""
+        """Standard presentation coker(A (x) 1 | 1 (x) B) of the tensor product
+        over the ring, A and B the two relation matrices."""
         self.check_same_ring(other)
-        pr = self.ring.poly_ring
-        z = pr.zero()
-        pa, pb = self.n_gens, other.n_gens
-        gen_degs = tuple(self.gen_degs[i] + other.gen_degs[k]
-                         for i in range(pa) for k in range(pb))
-        cols = []
-        col_degs = []
-        A, B = self.relations, other.relations
-        for j in range(A.ncols):
-            for k in range(pb):
-                col = [z] * (pa * pb)
-                for i in range(pa):
-                    if A.entries[i][j]:
-                        col[i * pb + k] = A.entries[i][j]
-                cols.append(col)
-                col_degs.append(A.col_degs[j] + other.gen_degs[k])
-        for i in range(pa):
-            for j in range(B.ncols):
-                col = [z] * (pa * pb)
-                for k in range(pb):
-                    if B.entries[k][j]:
-                        col[i * pb + k] = B.entries[k][j]
-                cols.append(col)
-                col_degs.append(B.col_degs[j] + self.gen_degs[i])
-        ents = [[cols[j][t] for j in range(len(cols))] for t in range(pa * pb)]
-        mat = PolyMatrix(pr, gen_degs, tuple(col_degs), ents)
-        return ModulePresentation(self.ring, gen_degs, mat,
+        mat = self.relations.kron_identity(other.gen_degs).hstack(
+            other.relations.identity_kron(self.gen_degs))
+        return ModulePresentation(self.ring, mat.row_degs, mat,
                                   label=f"{self.label}(x){other.label}")
 
     # -- dual and biduality ---------------------------------------------------------

@@ -5,7 +5,9 @@ subquotient: generators of the kernel are syzygies of the outgoing map modulo
 the target's relations, and relations are syzygies of those generators modulo
 the incoming map and the term's own relations.  Tor_i(M, N) is the homology
 of (minimal resolution of M) tensor N, Ext^i the cohomology of
-Hom(resolution, N); one builder makes both complexes.
+Hom(resolution, N); one builder makes both complexes, from the two
+Kronecker shapes of ``PolyMatrix``: the maps are d_i (x) 1 (``kron_identity``)
+and the relations of each term 1 (x) B (``identity_kron``), B those of N.
 
 "Vanishes for all i >= 1" is never asserted from a finite window alone: each
 profile carries an evidence tier: (a) finite projective dimension, (b)
@@ -74,41 +76,6 @@ def cokernel_of_map(psi: PolyMatrix, target: ModulePresentation,
     """Presentation of target / im(psi)."""
     mat = target.relations.hstack(psi)
     return ModulePresentation(target.ring, target.gen_degs, mat, label=label)
-
-
-# ---------------------------------------------------------------------------
-# tensor / Hom terms of a resolution
-
-def _kron_map(d: PolyMatrix, coeff_degs, pr) -> PolyMatrix:
-    """d tensor identity: positions (i, k) with degrees d_deg[i] + coeff_degs[k]."""
-    nc = len(coeff_degs)
-    rows = tuple(rd + cd for rd in d.row_degs for cd in coeff_degs)
-    cols = tuple(cd0 + cd for cd0 in d.col_degs for cd in coeff_degs)
-    z = pr.zero()
-    ents = [[z] * len(cols) for _ in rows]
-    for i in range(d.nrows):
-        for j in range(d.ncols):
-            p = d.entries[i][j]
-            if p:
-                for k in range(nc):
-                    ents[i * nc + k][j * nc + k] = p
-    return PolyMatrix(pr, rows, cols, ents, check=False)
-
-
-def _block_relations(position_degs, B: PolyMatrix, pr) -> PolyMatrix:
-    """Relations of a direct sum of twisted copies of coker(B)."""
-    nk = B.nrows
-    rows = tuple(a + rd for a in position_degs for rd in B.row_degs)
-    cols = tuple(a + cd for a in position_degs for cd in B.col_degs)
-    z = pr.zero()
-    ents = [[z] * len(cols) for _ in rows]
-    for t in range(len(position_degs)):
-        for k in range(nk):
-            for c in range(B.ncols):
-                p = B.entries[k][c]
-                if p:
-                    ents[t * nk + k][t * B.ncols + c] = p
-    return PolyMatrix(pr, rows, cols, ents, check=False)
 
 
 class HomologyEntry:
@@ -237,7 +204,6 @@ def _resolution_homology(M: ModulePresentation, N: ModulePresentation, lo: int, 
     i - sign.
     """
     ring = M.ring
-    pr = ring.poly_ring
     res = resolve(M, steps=hi + 1)
     Nmin = N.minimalize()
     B = Nmin.relations
@@ -246,14 +212,14 @@ def _resolution_homology(M: ModulePresentation, N: ModulePresentation, lo: int, 
 
     def rels(i):
         degs = tuple(sign * a for a in res.step_degrees(i))
-        return _block_relations(degs, B, pr) if degs else None
+        return B.identity_kron(degs) if degs else None
 
     def kron(i):
         """d_i tensor N (d_i^T for Hom), or None past the resolution."""
         d = res.differential(i)
         if d is None:
             return None
-        return _kron_map(d if sign > 0 else d.transpose(), n_degs, pr)
+        return (d if sign > 0 else d.transpose()).kron_identity(n_degs)
 
     out = {}
     for i in range(lo, hi + 1):

@@ -228,15 +228,8 @@ class OracleContext:
             gen_degs = pres.gen_degs
             coords, _ = self.slice_coords(gen_degs, d)
             cols = self._quotient_multiples(gen_degs, d)
-            rel = pres.relations
-            for j in range(rel.ncols):
-                vec = {}
-                for i in range(rel.nrows):
-                    pp = rel.entries[i][j]
-                    if pp:
-                        for m, c in pp.terms.items():
-                            vec[(i, m)] = c
-                cols.extend(self.monomial_multiples(vec, rel.col_degs[j], d))
+            for deg, vec in _presentation_columns(pres):
+                cols.extend(self.monomial_multiples(vec, deg, d))
             A = self.dense(gen_degs, d, cols)
             self._value_spaces[key] = QuotientSpace(len(coords), A, self.p)
         return self._value_spaces[key]

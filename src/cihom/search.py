@@ -182,10 +182,9 @@ def _search_4_18(cfg, mods):
         return {"classification": "skipped", "reason": "zero module sampled"}
     bd = M.biduality_report()
     hyps["M_torsion_free"] = bd.torsion_free
-    dual = M.dual()
-    tensor = M.tensor(dual)
-    hyps["tensor_torsion_free"] = tensor.biduality_report().torsion_free
-    prof = tor_profile(M, dual, cfg.tor_bound, cfg.degree_bound)
+    prof = tor_profile(M, M.dual(), cfg.tor_bound, cfg.degree_bound)
+    # Tor_0 is M (x) M*, already minimalized.
+    hyps["tensor_torsion_free"] = prof.tor0.presentation.biduality_report().torsion_free
     first_zero = next((i for i in range(1, cfg.tor_bound + 1) if prof.vanishes(i)), None)
     hyps["some_tor_vanishes"] = first_zero is not None
     rec = {"hypotheses": hyps, "first_vanishing_index": first_zero}

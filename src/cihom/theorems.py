@@ -101,8 +101,7 @@ class _Instance:
     def cx(self, which):
         key = ("cx", which)
         if key not in self._cache:
-            mod = self.M if which == "M" else self.N
-            self._cache[key] = module_complexity(mod, window=self.window)
+            self._cache[key] = module_complexity(self.module(which), window=self.window)
         return self._cache[key]
 
     def tensor(self):
@@ -112,13 +111,21 @@ class _Instance:
         so taking it from there adds no work and builds it only once."""
         return self.profile().tor0.presentation
 
+    def module(self, which):
+        """M, N or (for "T") M (x) N; the tensor is built only when read."""
+        return self.tensor() if which == "T" else {"M": self.M, "N": self.N}[which]
+
+    def constant_rank(self, which):
+        """Whether M or N has constant rank (False without minimal primes)."""
+        if not self.ring.has_minimal_primes:
+            return False
+        return self.module(which).rank_profile()["constant_rank"]
+
     def depth(self, which):
-        mod = {"M": self.M, "N": self.N, "T": self.tensor()}[which]
-        return mod.depth()
+        return self.module(which).depth()
 
     def dim(self, which):
-        mod = {"M": self.M, "N": self.N, "T": self.tensor()}[which]
-        return mod.dimension()
+        return self.module(which).dimension()
 
     @property
     def d(self):
@@ -139,53 +146,45 @@ def _hyp_certified(inst):
 def _hyp_serre(inst, which, n):
     if n <= 0:
         return _ok(f"{which} satisfies the level-{n} depth condition (trivial)", True)
-    mod = {"M": inst.M, "N": inst.N, "T": inst.tensor()}[which]
-    rep = mod.serre_condition(n)
+    rep = inst.module(which).serre_condition(n)
     return _ok(f"{which} satisfies the level-{n} depth condition",
                rep["holds"], rep["witness"])
 
 
 def _hyp_mcm(inst, which):
-    mod = {"M": inst.M, "N": inst.N, "T": inst.tensor()}[which]
+    mod = inst.module(which)
     return _ok(f"{which} is maximal Cohen-Macaulay", mod.is_maximal_cohen_macaulay(),
                {"depth": encode_infinite(mod.depth()), "ring_dim": inst.d})
 
 
 def _hyp_cm(inst, which):
-    mod = {"M": inst.M, "N": inst.N, "T": inst.tensor()}[which]
+    mod = inst.module(which)
     return _ok(f"{which} is Cohen-Macaulay", mod.is_cohen_macaulay(),
                {"depth": encode_infinite(mod.depth()), "dim": encode_infinite(mod.dimension())})
 
 
 def _hyp_nonzero(inst, which):
-    mod = {"M": inst.M, "N": inst.N, "T": inst.tensor()}[which]
-    return _ok(f"{which} is nonzero", mod.n_gens > 0)
+    return _ok(f"{which} is nonzero", inst.module(which).n_gens > 0)
 
 
 def _hyp_free_on(inst, which, n):
     if n < 0:
         return _ok(f"{which} is locally free in height <= {n} (trivial)", True)
-    mod = inst.M if which == "M" else inst.N
-    codim = mod.nonfree_locus_codim()
+    codim = inst.module(which).nonfree_locus_codim()
     return _ok(f"{which} is locally free in height <= {n}", codim >= n + 1,
                {"nonfree_locus_codim": encode_infinite(codim)})
 
 
 def _hyp_torsion_free(inst, which):
-    mod = {"M": inst.M, "N": inst.N, "T": inst.tensor()}[which]
-    rep = mod.biduality_report()
-    return _ok(f"{which} is torsion-free", rep.torsion_free)
+    return _ok(f"{which} is torsion-free", inst.module(which).biduality_report().torsion_free)
 
 
 def _hyp_reflexive(inst, which):
-    mod = {"M": inst.M, "N": inst.N, "T": inst.tensor()}[which]
-    rep = mod.biduality_report()
-    return _ok(f"{which} is reflexive", rep.reflexive)
+    return _ok(f"{which} is reflexive", inst.module(which).biduality_report().reflexive)
 
 
 def _hyp_finite_length(inst, which):
-    mod = {"M": inst.M, "N": inst.N, "T": inst.tensor()}[which]
-    ln = mod.length()
+    ln = inst.module(which).length()
     return _ok(f"{which} has finite length", ln != INF, {"length": encode_infinite(ln)})
 
 
@@ -711,8 +710,8 @@ def _check_4_13(inst, params):
 
 def _check_4_14(inst, params):
     r = max(inst.cx("M").value, inst.cx("N").value)
-    rk_m = inst.M.rank_profile()["constant_rank"] if inst.ring.has_minimal_primes else False
-    rk_n = inst.N.rank_profile()["constant_rank"] if inst.ring.has_minimal_primes else False
+    rk_m = inst.constant_rank("M")
+    rk_n = inst.constant_rank("N")
     hyps = [_hyp_certified(inst), _ok("dim R = 1", inst.d == 1),
             _ok("M or N has constant rank", rk_m or rk_n, {"M": rk_m, "N": rk_n}),
             _line(f"r = max complexity estimate = {r}", "satisfied", None,
@@ -725,8 +724,8 @@ def _check_4_14(inst, params):
 
 def _check_4_15(inst, params):
     r = max(inst.cx("M").value, inst.cx("N").value)
-    rk_m = inst.M.rank_profile()["constant_rank"] if inst.ring.has_minimal_primes else False
-    rk_n = inst.N.rank_profile()["constant_rank"] if inst.ring.has_minimal_primes else False
+    rk_m = inst.constant_rank("M")
+    rk_n = inst.constant_rank("N")
     hyps = [_hyp_certified(inst),
             _ok("M or N has constant rank", rk_m or rk_n, {"M": rk_m, "N": rk_n}),
             _line(f"r = max complexity estimate = {r}", "satisfied", None,
@@ -747,7 +746,7 @@ def _check_4_17(inst, params):
     odd_zero = next((j for j in range(1, inst.tor_bound + 1, 2) if prof.vanishes(j)), None)
     alt1 = even_zero is not None and odd_zero is not None
     cx_m = inst.cx("M").value
-    rk = inst.M.rank_profile()["constant_rank"] if inst.ring.has_minimal_primes else False
+    rk = inst.constant_rank("M")
     alt2 = rk and cx_m <= 1
     hyps.append(_line(
         "some even and some odd Tor index vanish (global surrogate for the "
@@ -763,8 +762,8 @@ def _check_4_17(inst, params):
 
 def _check_4_20(inst, params):
     c = inst.c
-    rk_m = inst.M.rank_profile()["constant_rank"] if inst.ring.has_minimal_primes else False
-    rk_n = inst.N.rank_profile()["constant_rank"] if inst.ring.has_minimal_primes else False
+    rk_m = inst.constant_rank("M")
+    rk_n = inst.constant_rank("N")
     hyps = [_hyp_certified(inst),
             _ok("M or N has constant rank", rk_m or rk_n, {"M": rk_m, "N": rk_n}),
             _hyp_vanishing(inst, 1, c - 1), _hyp_reflexive(inst, "T")]
@@ -777,9 +776,9 @@ def _check_4_20(inst, params):
 def _check_4_21(inst, params):
     c = inst.c
     n = params.get("n") or _find_vanishing_run(inst, c)
-    rk_n = inst.N.rank_profile()["constant_rank"] if inst.ring.has_minimal_primes else False
+    rk_n = inst.constant_rank("N")
     free_m = inst.M.free_on_height(1)
-    rk_m = inst.M.rank_profile()["constant_rank"] if inst.ring.has_minimal_primes else False
+    rk_m = inst.constant_rank("M")
     hyps = [_hyp_certified(inst), _ok("dim R = 2", inst.d == 2),
             _ok("codimension >= 1", c >= 1),
             _ok(f"{c} consecutive Tor vanish from some positive n", n is not None,
@@ -799,9 +798,9 @@ def _check_4_21(inst, params):
 
 def _check_4_22(inst, params):
     c = inst.c
-    rk_n = inst.N.rank_profile()["constant_rank"] if inst.ring.has_minimal_primes else False
+    rk_n = inst.constant_rank("N")
     free_m = inst.M.free_on_height(1)
-    rk_m = inst.M.rank_profile()["constant_rank"] if inst.ring.has_minimal_primes else False
+    rk_m = inst.constant_rank("M")
     hyps = [_hyp_certified(inst),
             _hyp_vanishing(inst, 1, c - 2),
             _hyp_serre(inst, "T", 3),

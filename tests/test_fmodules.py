@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cihom.fields import PrimeField
-from cihom.fmodules import ModulePresentation, equal_hilbert_functions
+from cihom.fmodules import ModulePresentation, PolyMatrix, equal_hilbert_functions
 from cihom.polynomials import PolyRing, monomials_of_degree
 from cihom.rings import INF, NEG_INF, HypothesisMissingError, RingPresentation
 
@@ -355,3 +357,158 @@ def test_biduality_report_call_counts(monkeypatch, ring_quadric, ring_two_nodes,
     rep = M.biduality_report()
     assert calls == {"dual": dual_calls, "syzygy": syzygy_calls}
     assert rep.torsion_free == (which in ("quadric", "two_nodes_N"))
+
+
+# -- the Kronecker builders against the block loops they replaced ------------------------
+#
+# The references are the hand-written loops that built these matrices before
+# PolyMatrix.kron_identity and PolyMatrix.identity_kron did.
+
+def _tensor_reference(Mp, Np):
+    """Relations of M (x) N as ModulePresentation.tensor built them."""
+    pr = Mp.ring.poly_ring
+    z = pr.zero()
+    pa, pb = Mp.n_gens, Np.n_gens
+    gen_degs = tuple(Mp.gen_degs[i] + Np.gen_degs[k] for i in range(pa) for k in range(pb))
+    cols = []
+    col_degs = []
+    A, B = Mp.relations, Np.relations
+    for j in range(A.ncols):
+        for k in range(pb):
+            col = [z] * (pa * pb)
+            for i in range(pa):
+                if A.entries[i][j]:
+                    col[i * pb + k] = A.entries[i][j]
+            cols.append(col)
+            col_degs.append(A.col_degs[j] + Np.gen_degs[k])
+    for i in range(pa):
+        for j in range(B.ncols):
+            col = [z] * (pa * pb)
+            for k in range(pb):
+                if B.entries[k][j]:
+                    col[i * pb + k] = B.entries[k][j]
+            cols.append(col)
+            col_degs.append(B.col_degs[j] + Mp.gen_degs[i])
+    ents = [[cols[j][t] for j in range(len(cols))] for t in range(pa * pb)]
+    return PolyMatrix(pr, gen_degs, tuple(col_degs), ents)
+
+
+def _ambient_reference(Mp):
+    """Relations of ModulePresentation.ambient_presentation over a quotient ring."""
+    pr = Mp.ring.poly_ring
+    extra_cols = []
+    extra_degs = []
+    z = pr.zero()
+    for f in Mp.ring.quotient_gens:
+        fd = f.degree()
+        for i in range(Mp.n_gens):
+            extra_cols.append([f if r == i else z for r in range(Mp.n_gens)])
+            extra_degs.append(fd + Mp.gen_degs[i])
+    ents = [[Mp.relations.entries[i][j] for j in range(Mp.n_rels)]
+            + [extra_cols[t][i] for t in range(len(extra_cols))]
+            for i in range(Mp.n_gens)]
+    return PolyMatrix(pr, Mp.gen_degs, Mp.relations.col_degs + tuple(extra_degs), ents)
+
+
+def _kron_map_reference(d, coeff_degs, pr):
+    """d tensor identity, as homology._kron_map built it."""
+    nc = len(coeff_degs)
+    rows = tuple(rd + cd for rd in d.row_degs for cd in coeff_degs)
+    cols = tuple(cd0 + cd for cd0 in d.col_degs for cd in coeff_degs)
+    z = pr.zero()
+    ents = [[z] * len(cols) for _ in rows]
+    for i in range(d.nrows):
+        for j in range(d.ncols):
+            p = d.entries[i][j]
+            if p:
+                for k in range(nc):
+                    ents[i * nc + k][j * nc + k] = p
+    return PolyMatrix(pr, rows, cols, ents, check=False)
+
+
+def _block_relations_reference(position_degs, B, pr):
+    """Relations of a sum of twisted copies of coker(B), as
+    homology._block_relations built them."""
+    nk = B.nrows
+    rows = tuple(a + rd for a in position_degs for rd in B.row_degs)
+    cols = tuple(a + cd for a in position_degs for cd in B.col_degs)
+    z = pr.zero()
+    ents = [[z] * len(cols) for _ in rows]
+    for t in range(len(position_degs)):
+        for k in range(nk):
+            for c in range(B.ncols):
+                p = B.entries[k][c]
+                if p:
+                    ents[t * nk + k][t * B.ncols + c] = p
+    return PolyMatrix(pr, rows, cols, ents, check=False)
+
+
+def _assert_same_matrix(got, want):
+    """Equal degrees and, entry by entry, equal term dicts in the same order."""
+    assert got.row_degs == want.row_degs
+    assert got.col_degs == want.col_degs
+    assert [[list(p.terms.items()) for p in row] for row in got.entries] == \
+        [[list(p.terms.items()) for p in row] for row in want.entries]
+
+
+def _random_presentation(ring, rng):
+    """Zero to three generators in degrees -2..1; relation columns, some
+    with zero entries, or (without generators) columns with no rows."""
+    pr = ring.poly_ring
+    gen_degs = tuple(rng.randint(-2, 1) for _ in range(rng.randint(0, 3)))
+    n_cols = rng.randint(0, 3)
+    if not gen_degs:
+        col_degs = tuple(rng.randint(-1, 3) for _ in range(n_cols))
+        return ModulePresentation(ring, (), PolyMatrix(pr, (), col_degs, []))
+    columns = []
+    for _ in range(n_cols):
+        top = max(gen_degs) + rng.randint(0, 2)
+        col = []
+        for g in gen_degs:
+            poly = pr.zero()
+            if top > g and rng.random() < 0.7:
+                monos = list(monomials_of_degree(pr.nvars, top - g))
+                for _t in range(rng.randint(1, 2)):
+                    poly = poly + pr.monomial(rng.choice(monos), F.from_int(rng.randint(1, 50)))
+            col.append(poly)
+        columns.append(col)
+    return ModulePresentation.from_relations(ring, gen_degs, columns)
+
+
+def _check_builders(M, N, degs):
+    pr = M.ring.poly_ring
+    _assert_same_matrix(M.tensor(N).relations, _tensor_reference(M, N))
+    _assert_same_matrix(M.ambient_presentation().relations, _ambient_reference(M))
+    for A in (M.relations, M.relations.transpose()):
+        _assert_same_matrix(A.kron_identity(degs), _kron_map_reference(A, degs, pr))
+        _assert_same_matrix(A.identity_kron(degs), _block_relations_reference(degs, A, pr))
+
+
+RINGS = st.sampled_from(["quadric", "two_nodes", "node"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31), RINGS)
+def test_kronecker_builders_match_the_block_loops(ring_quadric, ring_two_nodes, ring_node,
+                                                  seed, which):
+    ring = {"quadric": ring_quadric, "two_nodes": ring_two_nodes, "node": ring_node}[which]
+    rng = random.Random(seed)
+    M, N = _random_presentation(ring, rng), _random_presentation(ring, rng)
+    degs = tuple(rng.randint(-2, 2) for _ in range(rng.randint(0, 3)))
+    _check_builders(M, N, degs)
+
+
+@pytest.mark.parametrize("which", ["quadric", "two_nodes", "node"])
+def test_kronecker_builders_on_edge_presentations(which, ring_quadric, ring_two_nodes,
+                                                  ring_node):
+    ring = {"quadric": ring_quadric, "two_nodes": ring_two_nodes, "node": ring_node}[which]
+    pr = ring.poly_ring
+    x = pr.variable(pr.variables[0])
+    edges = [ModulePresentation.zero(ring),
+             ModulePresentation.free(ring, (-1, 2)),
+             ModulePresentation(ring, (), PolyMatrix(pr, (), (1, 3), [])),
+             ModulePresentation.quotient_by_ideal(ring, [x, x * x]).twist(-2)]
+    for M in edges:
+        for N in edges:
+            for degs in ((), (0,), (-2, 1)):
+                _check_builders(M, N, degs)

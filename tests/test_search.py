@@ -127,6 +127,51 @@ def test_3_6_findings_unchanged(monkeypatch, ring_quadric):
     assert counterexample_search(_search_3_6_config(ring_quadric)) == log
 
 
+def _search_4_18_own_tensor(cfg, mods):
+    """The 4.18 handler as it was before it read M (x) M* from Tor_0: it
+    builds and minimalizes the tensor itself, before the Tor profile."""
+    (M,) = mods
+    ring = cfg.ring
+    hyps = {"one_dimensional": ring.dimension() == 1,
+            "certified": ring.certified,
+            "domain": ring.is_domain()["domain"]}
+    if M.n_gens == 0:
+        return {"classification": "skipped", "reason": "zero module sampled"}
+    hyps["M_torsion_free"] = M.biduality_report().torsion_free
+    dual = M.dual()
+    hyps["tensor_torsion_free"] = M.tensor(dual).biduality_report().torsion_free
+    prof = tor_profile(M, dual, cfg.tor_bound, cfg.degree_bound)
+    first_zero = next((i for i in range(1, cfg.tor_bound + 1) if prof.vanishes(i)), None)
+    hyps["some_tor_vanishes"] = first_zero is not None
+    rec = {"hypotheses": hyps, "first_vanishing_index": first_zero}
+    if not all(hyps.values()):
+        rec["classification"] = "miss"
+        return rec
+    rec["M_free"] = M.is_free()
+    rec["classification"] = "near-miss" if rec["M_free"] else "candidate"
+    return rec
+
+
+def _search_4_18_config(ring):
+    x, y = ring.poly_ring.variable("x"), ring.poly_ring.variable("y")
+    preset = [(ModulePresentation.quotient_by_ideal(ring, [x], label="Mx"),),
+              (ModulePresentation.free(ring, (0, 1), label="F"),),
+              (ModulePresentation.quotient_by_ideal(ring, [x, y], label="k"),)]
+    return SearchConfig(ring, "4.18", samples=6, seed=2, preset=preset)
+
+
+# sha256 of the JSON log of _search_4_18_config (keys in insertion order),
+# recorded while the handler still built M (x) M* itself.
+SEARCH_4_18_LOG_SHA256 = "888ab4ebb8ff48ef5289cb12c367b7ce11630b3a9c720148b08fd14e47289d73"
+
+
+def test_4_18_findings_unchanged(monkeypatch, ring_node):
+    text = json.dumps(counterexample_search(_search_4_18_config(ring_node)))
+    assert hashlib.sha256(text.encode()).hexdigest() == SEARCH_4_18_LOG_SHA256
+    monkeypatch.setattr(search, "_search_4_18", _search_4_18_own_tensor)
+    assert json.dumps(counterexample_search(_search_4_18_config(ring_node))) == text
+
+
 @pytest.mark.parametrize("kind", ["hypothesis", "torsion", "guardrail"])
 def test_search_skips_hypothesis_and_guardrail_errors(monkeypatch, ring_node, kind):
     zero = ModulePresentation.zero(ring_node, label="Z")

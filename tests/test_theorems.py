@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 
 import pytest
@@ -252,12 +253,17 @@ def test_harness_reports_digest(mod_M_two_nodes, mod_N_two_nodes, mod_quadric, n
 
 
 def _count_tor_profiles(monkeypatch):
-    """Wrap tor_profile wherever it is looked up; returns the call list."""
+    """Wrap tor_profile wherever it is looked up; returns the list of calls,
+    each as (module label, argument label, side)."""
     calls = []
     real = homology.tor_profile
+    signature = inspect.signature(real)
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append((bound.arguments["M"].label, bound.arguments["N"].label,
+                      bound.arguments["side"]))
         return real(*args, **kwargs)
 
     for module in (homology, theorems, catalog):
@@ -271,6 +277,16 @@ def test_depth_formula_reuses_the_left_profile(sid, monkeypatch, mod_M_two_nodes
     calls = _count_tor_profiles(monkeypatch)
     check_theorem(sid, mod_M_two_nodes, mod_N_two_nodes, tor_bound=4, degree_bound=6)
     assert len(calls) == 1
+
+
+def test_3_8_builds_no_left_profile_of_the_pair(monkeypatch, mod_M_two_nodes,
+                                                mod_N_two_nodes):
+    # 3.8 reads only the right profile; its hypotheses on M and N alone
+    # must not build M (x) N through the left one.
+    calls = _count_tor_profiles(monkeypatch)
+    check_theorem("3.8", mod_M_two_nodes, mod_N_two_nodes, tor_bound=4)
+    assert ("M", "N", "left") not in calls
+    assert calls == [("M", "N", "right"), ("N", "M", "left")]
 
 
 def test_example_4_5_builds_one_tor_profile(monkeypatch, capsys):
