@@ -28,8 +28,7 @@ from .groebner import (
     Element,
     FreeModule,
     TrackedSubmodule,
-    groebner_basis,
-    lead_term,
+    initial_terms,
     minimal_generator_indices,
     syzygy_generators,
 )
@@ -260,7 +259,7 @@ class ModulePresentation:
 
     __slots__ = ("ring", "gen_degs", "relations", "label",
                  "_minimal", "_hf_num", "_ambient_pres", "_free_module", "_res_cache",
-                 "_ext_dims")
+                 "_ext_dims", "_dual_gens")
 
     def __init__(self, ring: RingPresentation, gen_degs, relations: PolyMatrix,
                  label="M"):
@@ -277,6 +276,7 @@ class ModulePresentation:
         self._free_module = None
         self._res_cache = None
         self._ext_dims = None
+        self._dual_gens = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -442,13 +442,12 @@ class ModulePresentation:
         """Numerator K of the Hilbert series K(t) / (1 - t)^n (n ambient
         variables), computed once: the initial module of the relations splits
         by position into monomial ideals L_i, so K = sum_i t^(gen_degs[i]) K(L_i).
+        Only lead terms are read, so the Groebner basis is not interreduced.
         """
         if self._hf_num is None:
-            gb = groebner_basis(self.relation_elements(), self.free_module(),
-                                self.ring.quotient_gens)
             leads = [[] for _ in self.gen_degs]
-            for g in gb.generators:
-                p, m = lead_term(g, gb.order)
+            for p, m in initial_terms(self.relation_elements(), self.free_module(),
+                                      self.ring.quotient_gens):
                 leads[p].append(m)
             num: dict = {}
             for gdeg, monos in zip(self.gen_degs, leads):
@@ -491,21 +490,26 @@ class ModulePresentation:
     def dual_generators(self):
         """Generators of Hom(M, R) inside the dual coordinates of the
         generator space: (FreeModule of degs -gen_degs, minimal columns,
-        their degrees)."""
-        pr = self.ring.poly_ring
-        dual_free = FreeModule(pr, tuple(-d for d in self.gen_degs))
-        if self.n_rels == 0:
-            cols = [dual_free.basis_element(i) for i in range(self.n_gens)]
-            return dual_free, cols, list(dual_free.gen_degs)
-        At = self.relations.transpose()
-        target = FreeModule(pr, At.row_degs)
-        # syzygies of the transposed relations: elements of dual_free
-        syz, degs = syzygy_generators(At.column_elements(target), list(At.col_degs), target,
-                                      self.ring.quotient_gens)
-        if not syz:
-            return dual_free, [], []
-        alive = minimal_generator_indices(syz, degs, dual_free, self.ring.quotient_gens)
-        return dual_free, [syz[i] for i in alive], [degs[i] for i in alive]
+        their degrees), the last two as tuples.  Computed once per
+        presentation: biduality and ``pushforward`` both read them from the
+        minimal presentation."""
+        if self._dual_gens is None:
+            pr = self.ring.poly_ring
+            dual_free = FreeModule(pr, tuple(-d for d in self.gen_degs))
+            if self.n_rels == 0:
+                cols = [dual_free.basis_element(i) for i in range(self.n_gens)]
+                degs = dual_free.gen_degs
+            else:
+                At = self.relations.transpose()
+                target = FreeModule(pr, At.row_degs)
+                # syzygies of the transposed relations: elements of dual_free
+                syz, sdegs = syzygy_generators(At.column_elements(target), list(At.col_degs),
+                                               target, self.ring.quotient_gens)
+                alive = minimal_generator_indices(syz, sdegs, dual_free,
+                                                  self.ring.quotient_gens) if syz else []
+                cols, degs = [syz[i] for i in alive], [sdegs[i] for i in alive]
+            self._dual_gens = (dual_free, tuple(cols), tuple(degs))
+        return self._dual_gens
 
     def dual(self) -> "ModulePresentation":
         """Hom(M, R) presented as a cokernel; shifts are negated."""

@@ -519,6 +519,17 @@ def groebner_basis(columns, free: FreeModule, quotient_polys=()) -> GroebnerBasi
     return GroebnerBasis(free, order, gens, quotient_polys)
 
 
+def initial_terms(columns, free: FreeModule, quotient_polys=()) -> list:
+    """Lead terms (position, monomial) of a Groebner basis of the columns,
+    the quotient relations f_k * e_j appended: they generate the initial
+    module.  The basis is not interreduced, so some terms may be redundant."""
+    elems = list(columns) + quotient_columns(free, quotient_polys)
+    order = ModuleOrder(free)
+    gb = IncrementalModuleGB(order, coprime=free.rank == 1 and not quotient_polys)
+    gb.extend(elems)
+    return [lead_term(g, order) for g in gb.basis]
+
+
 def tracked_buchberger(inputs: list, order: ModuleOrder):
     """Groebner basis of the main block plus collected syzygies.
 

@@ -14,9 +14,13 @@ profile carries an evidence tier: (a) finite projective dimension, (b)
 window vanishing plus resolution periodicity covering the tail, (c) window
 vanishing plus an applicable rigidity instance, (d) window only.
 
-Each Tor/Ext call is an isolated computation over immutable inputs, so
-independent calls may run concurrently; the dense verification path in
-``oracle`` shares nothing with this pipeline by construction.
+A Tor profile fills itself on first read: each Tor_i, the tensor slot,
+the vanishing evidence and the resolution are built when a caller first
+asks for them, so a search that stops at the first nonzero Tor_i builds
+nothing past it.  Built modules and the resolution cached on M's minimal
+presentation are reused by later reads; a profile is not safe to fill from
+two threads at once.  The dense verification path in ``oracle`` shares
+nothing with this pipeline by construction.
 """
 
 from __future__ import annotations
@@ -126,55 +130,115 @@ class HomologyEntry:
 
 
 class TorProfile:
-    """Tor_i(M, N) for 1 <= i <= bound, plus the Tor_0 = tensor slot."""
+    """Tor_i(M, N) for 1 <= i <= bound, plus the Tor_0 = tensor slot.
 
-    __slots__ = ("M", "N", "ring", "bound", "degree_bound", "side", "entries",
-                 "tor0", "vanishing", "periodicity", "resolution")
+    The profile fills itself on first read.  ``entry(i)`` builds Tor_i
+    alone, from the resolution of M that is cached on M's minimal
+    presentation and extended only through step i + 1; ``tor0``,
+    ``vanishing``, ``periodicity`` and ``resolution`` are built when first
+    read.  ``vanishing``, ``all_vanish_in_window`` and ``vanish_range`` stop
+    at the first nonzero Tor_i, and ``vanishing`` reads the resolution only
+    when every Tor_i in the window vanishes.  ``entries`` and ``as_dict``
+    build everything.  A right-side profile resolves N: it reads every field
+    from its left profile of (N, M) and builds nothing of its own.
+    """
 
-    def __init__(self, M, N, ring, bound, degree_bound, side, entries, tor0,
-                 vanishing, periodicity, resolution):
+    __slots__ = ("M", "N", "ring", "bound", "degree_bound", "side", "_left",
+                 "_entries", "_tor0", "_vanishing", "_periodicity", "_resolution")
+
+    def __init__(self, M, N, bound, degree_bound, side="left"):
         self.M = M
         self.N = N
-        self.ring = ring
+        self.ring = M.ring
         self.bound = bound
         self.degree_bound = degree_bound
         self.side = side
-        self.entries = entries
-        self.tor0 = tor0
-        self.vanishing = vanishing
-        self.periodicity = periodicity
-        self.resolution = resolution
+        self._left = tor_profile(N, M, bound, degree_bound) if side == "right" else None
+        self._entries: dict = {}
+        self._tor0 = None
+        self._vanishing = None
+        self._periodicity = None
+        self._resolution = None
 
     def entry(self, i: int) -> HomologyEntry:
+        """Tor_i for 0 <= i <= bound, built on first read."""
         if i == 0:
             return self.tor0
-        return self.entries[i - 1]
+        if not 1 <= i <= self.bound:
+            raise IndexError(f"Tor index {i} outside the window 0..{self.bound}")
+        left = self._left or self
+        e = left._entries.get(i)
+        if e is None:
+            mods, _ = _resolution_homology(left.M, left.N, i, i, 1)
+            e = left._entries[i] = HomologyEntry(i, mods[i], self.degree_bound)
+        return e
+
+    @property
+    def entries(self) -> list:
+        return [self.entry(i) for i in range(1, self.bound + 1)]
+
+    @property
+    def tor0(self) -> HomologyEntry:
+        left = self._left or self
+        if left._tor0 is None:
+            left._tor0 = HomologyEntry(0, left.M.tensor(left.N), self.degree_bound)
+        return left._tor0
+
+    @property
+    def resolution(self) -> FreeResolution:
+        left = self._left or self
+        if left._resolution is None:
+            left._resolution = resolve(left.M, steps=self.bound + 1)
+        return left._resolution
+
+    @property
+    def vanishing(self) -> dict:
+        left = self._left or self
+        if left._vanishing is None:
+            left._vanishing = _vanishing_evidence(left)
+        return left._vanishing
+
+    @property
+    def periodicity(self) -> list:
+        """Tor_i against Tor_(i+2) for 1 <= i <= bound - 2."""
+        left = self._left or self
+        if left._periodicity is None:
+            entries = left.entries
+            left._periodicity = []
+            for a, b in zip(entries, entries[2:]):
+                rec = {"i": a.index, "distance": 2, "equal": a.graded_data_equal(b)}
+                if a.initial_degree is not None and b.initial_degree is not None:
+                    rec["twist"] = b.initial_degree - a.initial_degree
+                left._periodicity.append(rec)
+        return left._periodicity
 
     def vanishes(self, i: int) -> bool:
         return self.entry(i).vanishes
 
     def all_vanish_in_window(self) -> bool:
-        return all(e.vanishes for e in self.entries)
+        return self.vanish_range(1, self.bound)
 
     def vanish_range(self, lo: int, hi: int) -> bool:
         return all(self.entry(i).vanishes for i in range(lo, hi + 1))
 
     def as_dict(self):
+        # Tor_1..Tor_bound, then Tor_0, the evidence and the periodicity:
+        # the order in which the profile has always been built.
+        entries = [e.as_dict() for e in self.entries]
         return {"module": self.M.label, "argument": self.N.label,
                 "ring": self.ring.label, "bound": self.bound,
                 "degree_bound": self.degree_bound, "resolved_side": self.side,
                 "tor0": self.tor0.as_dict(),
-                "entries": [e.as_dict() for e in self.entries],
+                "entries": entries,
                 "vanishing": self.vanishing,
                 "periodicity": self.periodicity}
 
 
-def _vanishing_evidence(entries, res: FreeResolution, ring: RingPresentation,
-                        bound: int) -> dict:
-    all_zero = all(e.vanishes for e in entries)
-    if not all_zero:
+def _vanishing_evidence(prof: TorProfile) -> dict:
+    if not prof.all_vanish_in_window():
         return {"all_vanish_in_window": False, "tier": None,
                 "detail": "nonzero homology in window"}
+    res, ring, bound = prof.resolution, prof.ring, prof.bound
     if res.terminated:
         return {"all_vanish_in_window": True, "tier": "pd-finite",
                 "detail": f"resolution terminates at step {res.length()}"}
@@ -240,30 +304,15 @@ def tor_profile(M: ModulePresentation, N: ModulePresentation, bound: int,
     """Tor_i(M, N) for 1 <= i <= bound via a minimal resolution.
 
     side='left' resolves M, side='right' resolves N (the symmetric
-    recomputation used for cross-checks).
+    recomputation used for cross-checks).  The arguments are checked here;
+    every Tor module is built on first read (see ``TorProfile``).
     """
     M.check_same_ring(N)
     if side not in ("left", "right"):
         raise ValueError(f"side must be left or right, not {side!r}")
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    if side == "right":
-        prof = tor_profile(N, M, bound, degree_bound, side="left")
-        return TorProfile(M, N, M.ring, bound, degree_bound, "right", prof.entries,
-                          prof.tor0, prof.vanishing, prof.periodicity, prof.resolution)
-    mods, res = _resolution_homology(M, N, 1, bound, 1)
-    entries = [HomologyEntry(i, mods[i], degree_bound) for i in range(1, bound + 1)]
-    tor0 = HomologyEntry(0, M.tensor(N), degree_bound)
-    vanishing = _vanishing_evidence(entries, res, M.ring, bound)
-    periodicity = []
-    for i in range(1, bound - 1):
-        a, b = entries[i - 1], entries[i + 1]
-        rec = {"i": i, "distance": 2, "equal": a.graded_data_equal(b)}
-        if a.initial_degree is not None and b.initial_degree is not None:
-            rec["twist"] = b.initial_degree - a.initial_degree
-        periodicity.append(rec)
-    return TorProfile(M, N, M.ring, bound, degree_bound, side, entries, tor0,
-                      vanishing, periodicity, res)
+    return TorProfile(M, N, bound, degree_bound, side)
 
 
 def ext_modules(M: ModulePresentation, N: ModulePresentation, lo: int, hi: int) -> dict:

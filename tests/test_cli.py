@@ -354,6 +354,22 @@ def test_cli_bad_field_is_input_error(tag, tmp_path, capsys):
     assert main(["--example", "4.4", "--field", tag]) == 2
 
 
+def test_cli_invariant_error_in_a_tor_module_exits_4(monkeypatch, capsys):
+    # Tor profiles are built when read; every read happens inside main's
+    # error handling, so an invariant failure there never reaches emit_json.
+    from cihom import homology
+    from cihom.polynomials import InvariantError
+
+    def broken(*args, **kwargs):
+        raise InvariantError("subquotient broken")
+
+    monkeypatch.setattr(homology, "subquotient_presentation", broken)
+    assert main(["--example", "4.19", "--format", "json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "cihom: internal error: subquotient broken\n"
+    assert captured.out == ""
+
+
 def test_cli_invariant_error_exit_code(monkeypatch, capsys):
     import cihom.catalog as cat
     from cihom.polynomials import InvariantError

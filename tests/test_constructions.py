@@ -53,6 +53,27 @@ def test_pushforward_m_counts_dual_generators(mod_M_two_nodes):
     assert pf.m == dual.n_gens
 
 
+def test_dual_generators_are_computed_once(mod_quadric, monkeypatch):
+    # pushforward reads the dual generators of the minimal presentation twice,
+    # through biduality and for the embedding; the second read does no
+    # syzygy work.
+    from cihom import fmodules
+    Mq = ModulePresentation(mod_quadric.ring, mod_quadric.gen_degs, mod_quadric.relations,
+                            label="Mq").minimalize()
+    first = Mq.dual_generators()
+    calls = []
+    real = fmodules.syzygy_generators
+    monkeypatch.setattr(fmodules, "syzygy_generators",
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    assert Mq.dual_generators() is first
+    assert calls == []
+    pf = pushforward(Mq)
+    assert pf.exact and pf.m == len(first[1])
+    # Biduality presents M*, finds its dual generators and presents M**; the
+    # dual generators of Mq are not recomputed, by biduality or the embedding.
+    assert len(calls) == 3
+
+
 def test_pushforward_serre_drop(mod_M_two_nodes):
     # level-n depth condition drops by one along a pushforward
     pf = pushforward(mod_M_two_nodes)

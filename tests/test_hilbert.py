@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 
 from cihom.fields import PrimeField
 from cihom.fmodules import ModulePresentation
-from cihom.groebner import groebner_basis, lead_term
+from cihom.groebner import groebner_basis, initial_terms, lead_term
 from cihom.homology import ext_ambient_dimensions, ext_modules
 from cihom.polynomials import PolyRing, mono_divides, monomials_of_degree
 from cihom.rings import (
     INF,
     NEG_INF,
     RingPresentation,
+    add_numerator,
     dimension_and_multiplicity,
     hilbert_numerator,
     ideal_dimension,
@@ -174,6 +175,32 @@ def test_series_matches_the_enumerators(ring_quadric, ring_two_nodes, ring_node,
         assert dim == _dimension_reference(M)
         assert type(dim) is (float if dim == NEG_INF else int)
         assert length == _length_reference(M)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31), RINGS)
+def test_lead_only_numerator_matches_the_interreduced_basis(ring_quadric, ring_two_nodes,
+                                                            ring_node, seed, which):
+    # hilbert_numerator reads the leads of the pair engine's basis before
+    # interreduction; the reduced basis's leads are the minimal generators
+    # of the same initial module, so both give one numerator.
+    ring = _ring(which, {"quadric": ring_quadric, "two_nodes": ring_two_nodes,
+                         "node": ring_node})
+    rng = random.Random(seed)
+    for _ in range(3):
+        M = _random_module(ring, rng)
+        for pres in (M, M.minimalize()):
+            reduced = _leads_by_position(pres)
+            raw = {i: [] for i in range(pres.n_gens)}
+            for p, m in initial_terms(pres.relation_elements(), pres.free_module(),
+                                      ring.quotient_gens):
+                raw[p].append(m)
+            num: dict = {}
+            for i, gdeg in enumerate(pres.gen_degs):
+                assert all(any(mono_divides(r, m) for r in reduced[i]) for m in raw[i])
+                assert set(reduced[i]) <= set(raw[i])
+                add_numerator(num, hilbert_numerator(reduced[i]), gdeg)
+            assert pres.hilbert_numerator() == num
 
 
 @settings(max_examples=40, deadline=None)

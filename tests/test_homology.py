@@ -1,8 +1,15 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cihom import homology
 from cihom.fields import PrimeField
 from cihom.fmodules import ModulePresentation, PolyMatrix, equal_hilbert_functions
 from cihom.homology import (
+    HomologyEntry,
+    _resolution_homology,
     depth_formula_check,
     ext_modules,
     ext_profile,
@@ -11,7 +18,9 @@ from cihom.homology import (
     tor_profile,
 )
 from cihom.polynomials import PolyRing
+from cihom.resolutions import detect_periodicity
 from cihom.rings import RingPresentation
+from cihom.search import SearchConfig, _search_3_6, random_homogeneous_module
 
 F = PrimeField(32003)
 
@@ -56,6 +65,138 @@ def test_tor_symmetry_on_catalog(mod_M_two_nodes, mod_N_two_nodes, periodic_pair
 def test_tor_rejects_an_unknown_side(mod_M_two_nodes):
     with pytest.raises(ValueError, match="side must be left or right"):
         tor_profile(mod_M_two_nodes, mod_M_two_nodes, 2, side="bogus")
+
+
+# -- the on-demand profile against the eager builder ---------------------------------
+
+def _eager_vanishing_evidence(entries, res, ring, bound):
+    if not all(e.vanishes for e in entries):
+        return {"all_vanish_in_window": False, "tier": None,
+                "detail": "nonzero homology in window"}
+    if res.terminated:
+        return {"all_vanish_in_window": True, "tier": "pd-finite",
+                "detail": f"resolution terminates at step {res.length()}"}
+    if res.steps_computed() >= 6:
+        per = detect_periodicity(res)
+        if per["periodic"] and bound >= per["onset"] + per["period"] - 1:
+            return {"all_vanish_in_window": True, "tier": "periodicity",
+                    "detail": f"resolution periodic (period {per['period']}, "
+                              f"onset {per['onset']}); window covers one period"}
+    if ring.certified and bound >= ring.codim + 1:
+        return {"all_vanish_in_window": True, "tier": "rigidity",
+                "detail": f"{ring.codim + 1} consecutive vanishing steps over a "
+                          f"codimension-{ring.codim} complete intersection"}
+    return {"all_vanish_in_window": True, "tier": "window-only",
+            "detail": "vanishing observed in the window only"}
+
+
+def _eager_tor_profile_dict(M, N, bound, degree_bound, side="left"):
+    """``tor_profile(...).as_dict()`` as tor_profile built it before the
+    profile filled itself on first read: the resolution through step
+    bound + 1, every Tor_i, then Tor_0, the evidence and the periodicity."""
+    if side == "right":
+        doc = _eager_tor_profile_dict(N, M, bound, degree_bound)
+        doc.update(module=M.label, argument=N.label, resolved_side="right")
+        return doc
+    mods, res = _resolution_homology(M, N, 1, bound, 1)
+    entries = [HomologyEntry(i, mods[i], degree_bound) for i in range(1, bound + 1)]
+    tor0 = HomologyEntry(0, M.tensor(N), degree_bound)
+    vanishing = _eager_vanishing_evidence(entries, res, M.ring, bound)
+    periodicity = []
+    for i in range(1, bound - 1):
+        a, b = entries[i - 1], entries[i + 1]
+        rec = {"i": i, "distance": 2, "equal": a.graded_data_equal(b)}
+        if a.initial_degree is not None and b.initial_degree is not None:
+            rec["twist"] = b.initial_degree - a.initial_degree
+        periodicity.append(rec)
+    return {"module": M.label, "argument": N.label, "ring": M.ring.label, "bound": bound,
+            "degree_bound": degree_bound, "resolved_side": side,
+            "tor0": tor0.as_dict(), "entries": [e.as_dict() for e in entries],
+            "vanishing": vanishing, "periodicity": periodicity}
+
+
+def _random_pair(ring, seed):
+    rng = random.Random(seed)
+    return (random_homogeneous_module(ring, rng, 2, 1, label="A"),
+            random_homogeneous_module(ring, rng, 2, 1, label="B"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31),
+       st.sampled_from(["quadric", "two_nodes", "node"]),
+       st.integers(min_value=1, max_value=5), st.sampled_from(["left", "right"]),
+       st.randoms(use_true_random=False))
+def test_on_demand_profile_matches_the_eager_builder(ring_quadric, ring_two_nodes, ring_node,
+                                                     seed, which, bound, side, order):
+    ring = {"quadric": ring_quadric, "two_nodes": ring_two_nodes, "node": ring_node}[which]
+    # Two copies of the pair, so the two builders share no cached work.
+    M, N = _random_pair(ring, seed)
+    prof = tor_profile(M, N, bound, 6, side=side)
+    reads = list(range(bound + 1)) + ["vanishing", "resolution"]
+    order.shuffle(reads)
+    for r in reads[:order.randint(0, len(reads))]:
+        if isinstance(r, int):
+            prof.entry(r)
+        else:
+            getattr(prof, r)
+    assert prof.as_dict() == _eager_tor_profile_dict(*_random_pair(ring, seed), bound, 6, side)
+
+
+def _count_builds(monkeypatch):
+    """Tor subquotients and HomologyEntry builds made from now on."""
+    built = {"tor": 0, "entries": 0}
+    real_sub, real_init = homology.subquotient_presentation, HomologyEntry.__init__
+
+    def sub(*args, **kwargs):
+        built["tor"] += kwargs.get("label", "").startswith("Tor")
+        return real_sub(*args, **kwargs)
+
+    def init(self, *args, **kwargs):
+        built["entries"] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(homology, "subquotient_presentation", sub)
+    monkeypatch.setattr(HomologyEntry, "__init__", init)
+    return built
+
+
+def test_3_6_search_stops_at_the_first_nonzero_tor(ring_quadric, monkeypatch):
+    # The search36 benchmark's item with seed 3: Tor_1 is nonzero, so the
+    # 3.6 verdict is a miss after Tor_1 and Tor_0, with M resolved to step 2.
+    cfg = SearchConfig(ring_quadric, "3.6", samples=1, seed=3, max_gens=2, max_deg=1)
+    rng = random.Random(cfg.seed)
+    M = random_homogeneous_module(ring_quadric, rng, 2, 1, label="S0a")
+    N = random_homogeneous_module(ring_quadric, rng, 2, 1, label="S0b")
+    built = _count_builds(monkeypatch)
+    rec = _search_3_6(cfg, (M, N))
+    assert rec["classification"] == "miss"
+    assert rec["hypotheses"]["all_tor_vanish_certified"] is False
+    assert built == {"tor": 1, "entries": 2}
+    assert len(M.minimalize()._res_cache["diffs"]) == 2
+    assert not tor_profile(M, N, cfg.tor_bound).vanishes(1)
+
+
+def test_right_profile_builds_no_entries_of_its_own(mod_M_two_nodes, mod_N_two_nodes,
+                                                    monkeypatch):
+    M = ModulePresentation(mod_M_two_nodes.ring, mod_M_two_nodes.gen_degs,
+                           mod_M_two_nodes.relations, label="M")
+    built = _count_builds(monkeypatch)
+    right = tor_profile(M, mod_N_two_nodes, 3, side="right")
+    assert built == {"tor": 0, "entries": 0}
+    doc = right.as_dict()
+    assert built == {"tor": 3, "entries": 4}
+    assert right.entries == right._left.entries and right.tor0 is right._left.tor0
+    assert (right._entries, right._tor0, right._vanishing, right._periodicity,
+            right._resolution) == ({}, None, None, None, None)
+    assert right.resolution.module is mod_N_two_nodes.minimalize()
+    assert doc["resolved_side"] == "right" and built == {"tor": 3, "entries": 4}
+
+
+def test_profile_entry_outside_the_window(mod_M_two_nodes, mod_N_two_nodes):
+    prof = tor_profile(mod_M_two_nodes, mod_N_two_nodes, 2)
+    for i in (-1, 3):
+        with pytest.raises(IndexError):
+            prof.entry(i)
 
 
 def test_tor0_matches_tensor(mod_M_two_nodes, mod_N_two_nodes):
