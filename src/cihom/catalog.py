@@ -108,7 +108,7 @@ def _run_3_13(field, bounds):
                  free2.from_polys([x, zero])]
     free1 = FreeModule(pr, (0,))
     cols = [free1.from_polys([y]), free1.from_polys([u])]
-    syz, degs = syzygy_generators(cols, [1, 1], free1, ring.quotient_gens)
+    syz, degs = syzygy_generators(cols, [1, 1], free1, ring)
     gb_syz = groebner_basis(syz, free2, ring.quotient_gens)
     gb_disp = groebner_basis(displayed, free2, ring.quotient_gens)
     mutual = (all(gb_syz.contains(e) for e in displayed)
@@ -121,7 +121,7 @@ def _run_3_13(field, bounds):
                   free3.from_polys([-y, z, zero]),
                   free3.from_polys([zero, x, u]),
                   free3.from_polys([zero, zero, y])]
-    syz2, degs2 = syzygy_generators(displayed, [2, 2, 2], free2, ring.quotient_gens)
+    syz2, degs2 = syzygy_generators(displayed, [2, 2, 2], free2, ring)
     gb_syz2 = groebner_basis(syz2, free3, ring.quotient_gens)
     gb_disp3 = groebner_basis(displayed3, free3, ring.quotient_gens)
     mutual3 = (all(gb_syz2.contains(e) for e in displayed3)

@@ -214,7 +214,7 @@ def quasi_lifting(M: ModulePresentation, split) -> QuasiLiftingResult:
     col_degs = incl.col_degs
     free_m = FreeModule(pr, free_degs)
     syz, sdegs = syzygy_generators(incl.column_elements(free_m), col_degs, free_m,
-                                   intermediate.quotient_gens)
+                                   intermediate)
     rels = PolyMatrix.from_columns(pr, col_degs, syz, tuple(sdegs))
     E = ModulePresentation(intermediate, col_degs, rels, label=f"lift({M.label})")
     E_min = E.minimalize()

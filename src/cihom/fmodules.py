@@ -504,7 +504,7 @@ class ModulePresentation:
                 target = FreeModule(pr, At.row_degs)
                 # syzygies of the transposed relations: elements of dual_free
                 syz, sdegs = syzygy_generators(At.column_elements(target), list(At.col_degs),
-                                               target, self.ring.quotient_gens)
+                                               target, self.ring)
                 alive = minimal_generator_indices(syz, sdegs, dual_free,
                                                   self.ring.quotient_gens) if syz else []
                 cols, degs = [syz[i] for i in alive], [sdegs[i] for i in alive]
@@ -553,7 +553,7 @@ class ModulePresentation:
         bidual = _image_presentation(self.ring, ddual_free, d2cols, d2degs, f"{M.label}**")
         # evaluation vectors: row i of the dual generator matrix, as an
         # element of the dual of M*'s generator space (= ddual_free coords)
-        tracked = TrackedSubmodule(d2cols, d2degs, ddual_free, self.ring.quotient_gens)
+        tracked = TrackedSubmodule(d2cols, d2degs, ddual_free, self.ring)
         psi_cols = []
         for i in range(M.n_gens):
             ev = Element(ddual_free, {(k, mono): c for k, col in enumerate(dcols)
@@ -730,8 +730,7 @@ class ModulePresentation:
             gq = self.ring.reduce(g)
             if gq.is_zero():
                 continue
-            syz, _ = syzygy_generators([free.from_polys([gq])], [gq.degree()], free,
-                                       self.ring.quotient_gens)
+            syz, _ = syzygy_generators([free.from_polys([gq])], [gq.degree()], free, self.ring)
             ann = [s.component(0) for s in syz]
             if not any(not q.contains(a) for a in ann):
                 return False
@@ -769,7 +768,7 @@ def _image_presentation(ring: RingPresentation, free: FreeModule, cols, degs,
     ``degs``), presented on them by their syzygies; zero without columns."""
     if not cols:
         return ModulePresentation.zero(ring, label=label)
-    syz, sdegs = syzygy_generators(cols, degs, free, ring.quotient_gens)
+    syz, sdegs = syzygy_generators(cols, degs, free, ring)
     mat = PolyMatrix.from_columns(ring.poly_ring, tuple(degs), syz, tuple(sdegs))
     return ModulePresentation(ring, tuple(degs), mat, label=label)
 

@@ -560,13 +560,19 @@ class TrackedSubmodule:
     relations over the declared ring.  Tracking vectors are elements of
     ``syzygy_module``, the free module R^s on the column degrees, with every
     coefficient reduced modulo the quotient ideal.
+
+    ``quotient_ring`` is the ring presentation the columns live over (None:
+    the polynomial ring itself); its quotient relations enter the
+    computation and its reduced ideal basis (``ideal_gb``) reduces the
+    tracking coefficients.
     """
 
     __slots__ = ("free", "syzygy_module", "tracked_module", "order",
                  "active", "collected", "_by_position", "_ideal_gb")
 
-    def __init__(self, columns, col_degs, free: FreeModule, quotient_polys=(), relations=()):
+    def __init__(self, columns, col_degs, free: FreeModule, quotient_ring=None, relations=()):
         self.free = free
+        quotient_polys = quotient_ring.quotient_gens if quotient_ring is not None else ()
         columns = list(columns)
         col_degs = tuple(col_degs)
         if len(columns) != len(col_degs):
@@ -592,12 +598,7 @@ class TrackedSubmodule:
         self._by_position = {}
         for i, g in enumerate(self.active):
             self._by_position.setdefault(lead_term(g, self.order)[0], []).append(i)
-        if quotient_polys:
-            ideal_free = FreeModule(ring, (0,))
-            self._ideal_gb = groebner_basis(
-                [ideal_free.from_polys([f]) for f in quotient_polys], ideal_free)
-        else:
-            self._ideal_gb = None
+        self._ideal_gb = quotient_ring.ideal_gb if quotient_polys else None
 
     def _tracking_vector(self, e: Element) -> Element:
         """e, which has tracking terms only, as an element of ``syzygy_module``,
@@ -639,16 +640,18 @@ class TrackedSubmodule:
         return [vec.component(j).scale(minus_one) for j in range(self.syzygy_module.rank)]
 
 
-def syzygy_generators(columns, col_degs, free: FreeModule, quotient_polys=(), relations=()):
+def syzygy_generators(columns, col_degs, free: FreeModule, quotient_ring=None, relations=()):
     """Columns generating the x in R^s, s = len(columns), with sum x_j c_j in
-    the span of ``relations`` over the ring (zero when there are none).
+    the span of ``relations`` over the ring (zero when there are none); the
+    ring is ``quotient_ring``, a ring presentation, or the polynomial ring
+    when it is None.
 
     Returns (elements, their degrees).  The elements live in
     ``FreeModule(free.ring, col_degs)`` with every coefficient already reduced
     modulo the quotient ideal, so callers use them as they come.  The
     relations and the f_k * e_j enter the computation untracked.
     """
-    tracked = TrackedSubmodule(columns, col_degs, free, quotient_polys, relations)
+    tracked = TrackedSubmodule(columns, col_degs, free, quotient_ring, relations)
     syz = tracked.syzygy_elements()
     return syz, [s.degree() for s in syz]
 

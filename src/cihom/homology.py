@@ -51,11 +51,11 @@ def subquotient_presentation(ring: RingPresentation, gen_degs, outgoing: PolyMat
         tgt_free = FreeModule(pr, outgoing.row_degs)
         ker_cols, ker_degs = syzygy_generators(
             outgoing.column_elements(tgt_free), outgoing.col_degs, tgt_free,
-            ring.quotient_gens, _columns(target_rels, tgt_free))
+            ring, _columns(target_rels, tgt_free))
     if not ker_cols:
         return ModulePresentation.zero(ring, label=label)
     rel_cols, rel_degs = syzygy_generators(
-        ker_cols, ker_degs, own_free, ring.quotient_gens,
+        ker_cols, ker_degs, own_free, ring,
         _columns(incoming, own_free) + _columns(own_rels, own_free))
     mat = PolyMatrix.from_columns(pr, tuple(ker_degs), rel_cols, tuple(rel_degs))
     return ModulePresentation(ring, tuple(ker_degs), mat, label=label)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .fields import PrimeField
 from .fmodules import ModulePresentation, PolyMatrix
-from .linalg import MAX_SLICE, EchelonAccumulator, residue_dtype
+from .linalg import MAX_SLICE, EchelonAccumulator, _rref, _zeros
 from .polynomials import mono_mul, monomials_of_degree
 from .rings import RingPresentation
 
@@ -37,44 +37,6 @@ def monomial_basis(nvars: int, degree: int):
     return tuple(monomials_of_degree(nvars, degree))
 
 
-def _rref(A, p):
-    """Reduced row echelon form mod p (p None: over the rationals), with the
-    pivot column list.  Arrays come from ``_zeros``, so their dtype is
-    ``residue_dtype(p)``: int64 only where it cannot overflow.
-
-    The matrices are built from monomial shifts and are mostly zero, so a
-    pivot (r, c) updates only the rows with a nonzero in column c, and only
-    from column c on: row r is zero left of c, so no other column changes."""
-    A = A.copy()
-    m, n = A.shape
-    r = 0
-    pivots = []
-    for c in range(n):
-        if r >= m:
-            break
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
-            continue
-        t = r + int(nz[0])
-        if t != r:
-            A[[r, t]] = A[[t, r]]
-        if p is not None:
-            A[r, c:] = (A[r, c:] * pow(int(A[r, c]), p - 2, p)) % p
-        else:
-            A[r, c:] = A[r, c:] * (Fraction(1) / A[r, c])
-        rows = np.nonzero(A[:, c])[0]
-        rows = rows[rows != r]
-        if rows.size:
-            block = A[rows, c:]
-            block -= np.multiply.outer(block[:, 0], A[r, c:])
-            if p is not None:
-                block %= p
-            A[rows, c:] = block
-        pivots.append(c)
-        r += 1
-    return A, pivots
-
-
 def _kernel_basis(A, p):
     """Columns spanning ker(A) as a (n x k) array; None when k = 0."""
     m, n = A.shape
@@ -88,18 +50,10 @@ def _kernel_basis(A, p):
     if not free:
         return None
     K = _zeros((n, len(free)), p)
-    for t, j in enumerate(free):
-        K[j, t] = 1 if p is not None else Fraction(1)
-        for i, pc in enumerate(pivots):
-            K[pc, t] = (-int(R[i, j])) % p if p is not None else -R[i][j]
+    K[free, range(len(free))] = 1 if p is not None else Fraction(1)
+    tails = -R[:len(pivots)][:, free]
+    K[pivots, :] = tails % p if p is not None else tails
     return K
-
-
-def _zeros(shape, p):
-    A = np.zeros(shape, dtype=residue_dtype(p))
-    if p is None:
-        A[:] = Fraction(0)
-    return A
 
 
 def _eye(n, p):
@@ -112,11 +66,12 @@ def _eye(n, p):
 class QuotientSpace:
     """A coordinate space modulo a stored column span, with fast reduction.
 
-    Keeps the reduced row echelon form of the subspace, so reducing a batch
-    of columns is a single matrix product.
+    Keeps the reduced row echelon form of the subspace and, for each row
+    with nonzero entries off the pivot columns (its tail), the coordinates
+    of those entries.
     """
 
-    __slots__ = ("dim", "rank", "echelon", "pivots", "p")
+    __slots__ = ("dim", "rank", "echelon", "pivots", "tails", "p")
 
     def __init__(self, dim: int, subspace_cols, p):
         self.dim = dim
@@ -124,25 +79,46 @@ class QuotientSpace:
         if subspace_cols is None or subspace_cols.shape[1] == 0 or dim == 0:
             self.echelon = None
             self.pivots = []
+            self.tails = []
             self.rank = 0
             return
         E, pivots = _rref(subspace_cols.T, p)
         self.echelon = E[:len(pivots)].copy()  # not a view: E is dropped
         self.pivots = pivots
         self.rank = len(pivots)
+        self.tails = []
+        for a, c in enumerate(pivots):
+            support = self.echelon[a].nonzero()[0]
+            support = support[support != c]
+            if support.size:
+                self.tails.append((a, support))
 
     @property
     def quotient_dim(self) -> int:
         return self.dim - self.rank
 
     def reduce_columns(self, V):
-        """Residuals of the columns of V modulo the subspace."""
+        """Residuals of the columns of V modulo the subspace.
+
+        The echelon rows are the identity on the pivot coordinates, so a
+        residual is V with its pivot rows zeroed, minus the outer product of
+        each tail with the matching pivot row of V.  The subspaces are
+        spanned by monomial shifts, so tails are short or absent and the
+        pivot rows of V mostly zero: only nonzero entries are multiplied,
+        which also keeps Fraction arithmetic off the zeros."""
         if self.rank == 0 or V.shape[1] == 0:
             return V
         P = V[self.pivots, :]
+        out = V.copy()
+        out[self.pivots, :] = 0 if self.p is not None else Fraction(0)
+        for a, support in self.tails:
+            cols = P[a].nonzero()[0]
+            if cols.size:
+                out[support[:, None], cols] -= np.multiply.outer(self.echelon[a, support],
+                                                                 P[a, cols])
         if self.p is not None:
-            return (V - self.echelon.T @ P) % self.p
-        return V - self.echelon.T @ P
+            out %= self.p
+        return out
 
 
 class OracleContext:
@@ -183,14 +159,19 @@ class OracleContext:
 
     def dense(self, gen_degs: tuple, d: int, sparse_vecs):
         """Stack sparse {(pos, mono): coeff} vectors as dense columns."""
-        coords, index = self.slice_coords(gen_degs, d)
+        coords, _ = self.slice_coords(gen_degs, d)
         A = _zeros((len(coords), len(sparse_vecs)), self.p)
+        self.write_columns(A, gen_degs, d, sparse_vecs)
+        return A
+
+    def write_columns(self, A, gen_degs: tuple, d: int, sparse_vecs):
+        """Write sparse vectors into the first columns of A."""
+        _, index = self.slice_coords(gen_degs, d)
         for j, vec in enumerate(sparse_vecs):
             for cm, c in vec.items():
                 i = index.get(cm)
                 if i is not None:
                     A[i, j] = c
-        return A
 
     @staticmethod
     def shift(vec: dict, mono: tuple) -> dict:
@@ -268,68 +249,78 @@ def _presentation_columns(pres: ModulePresentation):
     return cols
 
 
+def _kernel_piece(ctx: OracleContext, pres: ModulePresentation, steps, d: int):
+    """Columns spanning the degree-d piece of the kernel of the last free
+    module's map, in that free module's coordinates, quotient multiples
+    included; None when it is zero.  For the first step the map is onto the
+    module, whose kernel is the span of the relation images and quotient
+    multiples (an echelon basis); later it is the induced map of the last
+    step, taken modulo the quotient multiples of its target."""
+    prev_degs = tuple(steps[-1].gen_degs)
+    if len(steps) == 1:
+        candidates = []
+        for cdeg, vec in _presentation_columns(pres):
+            candidates.extend(ctx.monomial_multiples(vec, cdeg, d))
+        candidates.extend(ctx._quotient_multiples(prev_degs, d))
+        E, pivots = _rref(ctx.dense(prev_degs, d, candidates).T, ctx.p)
+        # copied so the whole RREF is not kept
+        return E[:len(pivots)].copy().T if pivots else None
+    prev = steps[-1]
+    src_degs = tuple(steps[-2].gen_degs)
+    # columns of the induced map at degree d
+    cols = []
+    for g, vec in zip(prev.gen_degs, prev.gen_vecs):
+        for m in monomial_basis(ctx.pr.nvars, d - g) if d >= g else ():
+            cols.append(ctx.shift(vec, m))
+    L = ctx.dense(src_degs, d, cols)
+    return _kernel_basis(ctx.free_space(src_degs, d).reduce_columns(L), ctx.p)
+
+
 def truncated_resolution(ctx: OracleContext, pres: ModulePresentation, hsteps: int):
     """Free modules F_0..F_hsteps with generator vectors, exact through the
     degree bound: kernels are covered degree by degree and generators are
     chosen minimally (complement of the lower-degree span)."""
     D = ctx.degree_bound
+    nvars = ctx.pr.nvars
     steps = [TruncatedStep(pres.gen_degs, [])]
     for step in range(1, hsteps + 1):
-        prev = steps[-1]
-        prev_degs = tuple(prev.gen_degs)
-        lo = min(prev_degs, default=0)
+        prev_degs = tuple(steps[-1].gen_degs)
         gen_degs, gen_vecs = [], []
-        preimage: dict = {}
-        for d in range(lo, D + 1):
-            coords, _ = ctx.slice_coords(prev_degs, d)
-            if not coords:
-                continue
-            if step == 1:
-                candidates = []
-                for cdeg, vec in _presentation_columns(pres):
-                    candidates.extend(ctx.monomial_multiples(vec, cdeg, d))
-                candidates.extend(ctx._quotient_multiples(prev_degs, d))
-                C = ctx.dense(prev_degs, d, candidates)
-                # basis of the span; copied so the whole RREF is not kept
-                E, pivots = _rref(C.T, ctx.p)
-                P = E[:len(pivots)].copy().T if pivots else None
-            else:
-                src_degs = tuple(steps[-2].gen_degs)
-                # columns of the induced map at degree d
-                cols = []
-                for j, (g, vec) in enumerate(zip(prev.gen_degs, prev.gen_vecs)):
-                    for m in monomial_basis(ctx.pr.nvars, d - g) if d >= g else ():
-                        cols.append(ctx.shift(vec, m))
-                tgt_space = ctx.free_space(src_degs, d)
-                L = ctx.dense(src_degs, d, cols)
-                Lq = tgt_space.reduce_columns(L)
-                K = _kernel_basis(Lq, ctx.p)
-                P = K
+        # columns that span the kernel piece one degree lower together with
+        # its quotient multiples
+        prev_base = None
+        for d in range(min(prev_degs, default=0), D + 1):
+            coords, index = ctx.slice_coords(prev_degs, d)
+            P = _kernel_piece(ctx, pres, steps, d) if coords else None
             if P is None:
+                prev_base = None
                 continue
-            # seed with quotient multiples and shifts of lower-degree kernels
-            width = len(coords)
-            acc = EchelonAccumulator(ctx.pr.field, width)
-            for vec in ctx._quotient_multiples(prev_degs, d):
-                dense = ctx.dense(prev_degs, d, [vec])[:, 0]
-                acc.add(dense)
-            prev_base = preimage.get(d - 1)
+            # The seeds (quotient multiples, then each variable times each
+            # column of prev_base) span the part of the kernel piece that
+            # lower-degree generators cover.  They fill one block and P
+            # follows them, so the greedy pick keeps exactly the columns of
+            # P outside the span of the seeds and of the columns of P left of
+            # them: a minimal set of new generators.  The picks after the
+            # quotient multiples are the next prev_base: multiplying by a
+            # variable keeps quotient multiples inside the next ones.
+            quotient = ctx._quotient_multiples(prev_degs, d)
+            nseeds = len(quotient) + (nvars * prev_base.shape[1] if prev_base is not None else 0)
+            block = _zeros((len(coords), nseeds + P.shape[1]), ctx.p)
+            ctx.write_columns(block, prev_degs, d, quotient)
             if prev_base is not None:
                 pcoords, _ = ctx.slice_coords(prev_degs, d - 1)
-                for t in range(prev_base.shape[1]):
-                    sparse = {pcoords[i]: prev_base[i, t]
-                              for i in range(len(pcoords)) if prev_base[i, t]}
-                    for v in range(ctx.pr.nvars):
-                        mono = tuple(1 if w == v else 0 for w in range(ctx.pr.nvars))
-                        shifted = ctx.shift(sparse, mono)
-                        acc.add(ctx.dense(prev_degs, d, [shifted])[:, 0])
-            pcoords_d, _ = ctx.slice_coords(prev_degs, d)
-            for t in range(P.shape[1]):
-                v = P[:, t]
-                if acc.add(v):
+                for v in range(nvars):
+                    mono = tuple(1 if w == v else 0 for w in range(nvars))
+                    rows = [index[(pos, mono_mul(m, mono))] for pos, m in pcoords]
+                    block[np.ix_(rows, range(len(quotient) + v, nseeds, nvars))] = prev_base
+            block[:, nseeds:] = P
+            picks = EchelonAccumulator(ctx.pr.field, len(coords)).add(block)
+            for j in picks:
+                if j >= nseeds:
+                    v = P[:, j - nseeds]
                     gen_degs.append(d)
-                    gen_vecs.append({pcoords_d[i]: v[i] for i in range(len(pcoords_d)) if v[i]})
-            preimage[d] = P
+                    gen_vecs.append({coords[i]: v[i] for i in v.nonzero()[0]})
+            prev_base = block[:, [j for j in picks if j >= len(quotient)]]
         steps.append(TruncatedStep(gen_degs, gen_vecs))
         if not gen_degs:
             # kernel trivial through the degree bound: later steps stay empty
@@ -362,24 +353,20 @@ def _induced_map_columns(ctx, src_degs, src_vecs, tgt_degs, N, d):
             tgt_index[(pos, cm)] = off
             off += 1
     nrows = off
-    columns = []
-    for j, (g, vec) in enumerate(zip(src_degs, src_vecs)):
-        coords_src, _ = ctx.slice_coords(N.gen_degs, d - g)
-        for cm in coords_src:
-            npos, nmono = cm
-            col = _zeros((nrows, 1), ctx.p)[:, 0]
+    src_coords = [ctx.slice_coords(N.gen_degs, d - g)[0] for g in src_degs]
+    A = _zeros((nrows, sum(len(c) for c in src_coords)), ctx.p)
+    j = 0
+    for coords_src, vec in zip(src_coords, src_vecs):
+        for npos, nmono in coords_src:
             for (pos, mono), c in vec.items():
-                key = (pos, (npos, mono_mul(nmono, mono)))
-                i = tgt_index.get(key)
+                i = tgt_index.get((pos, (npos, mono_mul(nmono, mono))))
                 if i is not None:
                     if ctx.p is not None:
-                        col[i] = (col[i] + c) % ctx.p
+                        A[i, j] = (A[i, j] + c) % ctx.p
                     else:
-                        col[i] = col[i] + c
-            columns.append(col)
-    if not columns:
-        return _zeros((nrows, 0), ctx.p)
-    return np.stack(columns, axis=1)
+                        A[i, j] = A[i, j] + c
+            j += 1
+    return A
 
 
 def _block_quotient(ctx, gen_degs, N, d):
@@ -430,12 +417,8 @@ def _homology_dims(ctx: OracleContext, steps, N: ModulePresentation,
                 continue
             Vi = _induced_map_columns(ctx, Ti.gen_degs, Ti.gen_vecs, tgt_degs, Nmin, d)
             Vi_red = _reduce_blockwise(red_t, offs_t, dims_t, Vi, ctx.p)
-            # rank of the induced outgoing map: accumulate residual columns
-            acc = EchelonAccumulator(ctx.pr.field, total_t if total_t else 1)
-            rank_out = 0
-            for j in range(Vi_red.shape[1]):
-                if acc.add(Vi_red[:, j]):
-                    rank_out += 1
+            # rank of the induced outgoing map: the span of the residual columns
+            rank_out = len(EchelonAccumulator(ctx.pr.field, total_t).add(Vi_red))
             ker_dim = dimQ_src - rank_out
             # incoming map from step i+1
             Tnext = steps[i + 1]
@@ -444,10 +427,7 @@ def _homology_dims(ctx: OracleContext, steps, N: ModulePresentation,
                 Vn = _induced_map_columns(ctx, Tnext.gen_degs, Tnext.gen_vecs,
                                           tuple(Ti.gen_degs), Nmin, d)
                 Vn_red = _reduce_blockwise(red_s, offs_s, dims_s, Vn, ctx.p)
-                acc2 = EchelonAccumulator(ctx.pr.field, total_s if total_s else 1)
-                for j in range(Vn_red.shape[1]):
-                    if acc2.add(Vn_red[:, j]):
-                        rank_in += 1
+                rank_in = len(EchelonAccumulator(ctx.pr.field, total_s).add(Vn_red))
             dims_i[d] = ker_dim - rank_in
         out[i] = dims_i
     return out
@@ -497,11 +477,7 @@ def map_kernel_cokernel_oracle(psi: PolyMatrix, source: ModulePresentation,
         # psi descends, so source-subspace columns reduce to zero residuals
         # and the residual column span is exactly the induced image
         A_red = tgt_q.reduce_columns(A)
-        acc = EchelonAccumulator(ctx.pr.field, A_red.shape[0] if A_red.shape[0] else 1)
-        rank_ind = 0
-        for j in range(A_red.shape[1]):
-            if acc.add(A_red[:, j]):
-                rank_ind += 1
+        rank_ind = len(EchelonAccumulator(ctx.pr.field, A_red.shape[0]).add(A_red))
         ker[d] = src_q.quotient_dim - rank_ind
         coker[d] = tgt_q.quotient_dim - rank_ind
     return ker, coker

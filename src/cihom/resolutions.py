@@ -151,8 +151,7 @@ def resolve(M: ModulePresentation, steps: int, over: str = "quotient") -> FreeRe
         prev = diffs[-1]
         src_free = FreeModule(pr, prev.row_degs)
         col_elems = prev.column_elements(src_free)
-        syz, degs = syzygy_generators(col_elems, list(prev.col_degs), src_free,
-                                      ring.quotient_gens)
+        syz, degs = syzygy_generators(col_elems, list(prev.col_degs), src_free, ring)
         alive = minimal_generator_indices(syz, degs, FreeModule(pr, prev.col_degs),
                                           ring.quotient_gens)
         if not alive:

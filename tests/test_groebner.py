@@ -80,7 +80,7 @@ def test_syzygies_of_displayed_matrix(ring_two_nodes):
     quot = ring_two_nodes.quotient_gens
     free = FreeModule(pr, (0,))
     syz, degs = syzygy_generators([free.from_polys([y]), free.from_polys([u])],
-                                  [1, 1], free, quot)
+                                  [1, 1], free, ring_two_nodes)
     free2 = FreeModule(pr, (1, 1))
     displayed = [free2.from_polys([pr.zero(), z]), free2.from_polys([-u, y]),
                  free2.from_polys([x, pr.zero()])]
@@ -102,8 +102,7 @@ def test_syzygies_over_node(ring_node):
     pr = ring_node.poly_ring
     x, y = pr.variable("x"), pr.variable("y")
     free = FreeModule(pr, (0,))
-    syz, degs = syzygy_generators([free.from_polys([x])], [1], free,
-                                  ring_node.quotient_gens)
+    syz, degs = syzygy_generators([free.from_polys([x])], [1], free, ring_node)
     free1 = FreeModule(pr, (1,))
     gb = groebner_basis(syz, free1, ring_node.quotient_gens)
     assert gb.contains(free1.from_polys([y]))
@@ -178,7 +177,7 @@ def test_syzygy_columns_annihilate(ring_two_nodes):
         if e:
             cols.append(e)
             degs.append(1)
-    syz, sdegs = syzygy_generators(cols, degs, free, quot)
+    syz, sdegs = syzygy_generators(cols, degs, free, ring_two_nodes)
     gb_cols = groebner_basis(cols, free, quot)
     for s in syz:
         combo = free.zero()
@@ -287,7 +286,7 @@ def test_normal_form_matches_reference(ring_quadric, ring_two_nodes, seed, which
         assert_matches_reference(e, cols, gb.order)
     # The elimination order of the tracking construction: every main-block
     # term above every tracking term.
-    tracked = TrackedSubmodule(cols, [c.degree() for c in cols], free, quot)
+    tracked = TrackedSubmodule(cols, [c.degree() for c in cols], free, ring)
     assert tracked.order.split == free.rank < tracked.tracked_module.rank
     for _ in range(4):
         e = _random_element(tracked.tracked_module, rng, rng.randint(1, 3), rng.randint(1, 8))
@@ -297,16 +296,17 @@ def test_normal_form_matches_reference(ring_quadric, ring_two_nodes, seed, which
 # -- the one pair engine, pinned to the three loops it replaced -------------------
 
 def _engine_cases(ring_quadric, ring_two_nodes, ring_node):
-    """(free module, quotient polys, columns, column degrees), fixed by a seed:
-    each column set once as drawn, once with a zero and a repeated column."""
+    """(free module, quotient ring or None, columns, column degrees), fixed by
+    a seed: each column set once as drawn, once with a zero and a repeated
+    column."""
     rng = random.Random(41)
     cases = []
-    two_nodes = ring_two_nodes.quotient_gens
-    for ring, quot, gen_degs, hi in (
-            (ring_quadric, ring_quadric.quotient_gens, (0, 0), 2),
-            (ring_two_nodes, two_nodes, (0,), 2), (ring_two_nodes, two_nodes, (0, 1), 2),
-            (ring_node, ring_node.quotient_gens, (0, 0, 1), 3),
-            (ring_two_nodes, (), (0,), 3)):  # an ideal of the ambient ring: ideal_mode
+    for ring, over_quotient, gen_degs, hi in (
+            (ring_quadric, True, (0, 0), 2),
+            (ring_two_nodes, True, (0,), 2), (ring_two_nodes, True, (0, 1), 2),
+            (ring_node, True, (0, 0, 1), 3),
+            (ring_two_nodes, False, (0,), 3)):  # an ideal of the ambient ring: ideal_mode
+        quot = ring if over_quotient else None
         free = FreeModule(ring.poly_ring, gen_degs)
         degs = [rng.randint(max(1, min(gen_degs)), hi) for _ in range(4)]
         cols = [_random_element(free, rng, d, rng.randint(1, 4)) for d in degs]
@@ -346,10 +346,11 @@ def test_engine_outputs_match_the_three_loops(ring_quadric, ring_two_nodes, ring
     # columns; TrackedSubmodule must equal it with the quotient-coordinate
     # terms deleted and the elements that leaves empty dropped.
     tracked, plain, kept = [], [], []
-    for free, quot, cols, degs in _engine_cases(ring_quadric, ring_two_nodes, ring_node):
+    for free, quotient_ring, cols, degs in _engine_cases(ring_quadric, ring_two_nodes, ring_node):
+        quot = quotient_ring.quotient_gens if quotient_ring is not None else ()
         before = _tracked_as_before(cols, degs, free, quot)
         tracked += before
-        ts = TrackedSubmodule(cols, degs, free, quot)
+        ts = TrackedSubmodule(cols, degs, free, quotient_ring)
         cut = free.rank + len(cols)  # the first quotient coordinate
         assert ts.tracked_module.rank == cut
         for new, old in zip((ts.active, ts.collected), before):
@@ -495,7 +496,7 @@ def test_syzygies_match_the_per_column_projection(ring_quadric, ring_two_nodes, 
     if rng.random() < 0.3:  # a zero column and a repeated one
         cols += [free.zero(), cols[0]]
         degs += [degs[0], degs[0]]
-    syz, syz_degs = syzygy_generators(cols, degs, free, quot)
+    syz, syz_degs = syzygy_generators(cols, degs, free, ring if over_quotient else None)
     ref, ref_degs = _projected_syzygies_reference(cols, degs, free, quot)
     assert [list(s.terms.items()) for s in syz] == [list(r.terms.items()) for r in ref]
     assert syz_degs == ref_degs
@@ -537,7 +538,8 @@ def test_relation_columns_match_the_restricted_syzygies(ring_quadric, ring_two_n
     if rng.random() < 0.5:  # a zero relation column and a repeated one
         rels += [free.zero(), cols[0]]
         rel_degs += [degs[0], degs[0]]
-    syz, syz_degs = syzygy_generators(cols, degs, free, quot, relations=rels)
+    syz, syz_degs = syzygy_generators(cols, degs, free, ring if over_quotient else None,
+                                      relations=rels)
     ref, ref_degs = _restricted_syzygies(cols + rels, degs + rel_degs, free, quot, len(cols))
     first, seen = [], set()
     for r, d in zip(ref, ref_degs):

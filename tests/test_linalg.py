@@ -213,3 +213,96 @@ def test_quotient_space_owns_its_rank_rows():
     assert qs.echelon.shape == (4, 7)
     assert qs.echelon.base is None
     assert not np.any(qs.reduce_columns(cols))
+
+
+# -- block adds -------------------------------------------------------------------
+
+class _OneVectorAccumulator:
+    """The accumulator as it was before block adds: each vector is reduced
+    against the stored pivot rows one row at a time and stored, scaled to a
+    leading one, when something is left."""
+
+    def __init__(self, p, width):
+        self.p = p
+        self.width = width
+        self.rows, self.pivot_cols = [], []
+
+    def add(self, vec) -> bool:
+        p = self.p
+        if p is not None:
+            v = [int(x) % p for x in vec]
+            for row, c in zip(self.rows, self.pivot_cols):
+                f = v[c]
+                if f:
+                    v = [(a - f * b) % p for a, b in zip(v, row)]
+        else:
+            v = [Fraction(x) for x in vec]
+            for row, c in zip(self.rows, self.pivot_cols):
+                f = v[c]
+                if f != 0:
+                    v = [a - f * b for a, b in zip(v, row)]
+        c = next((i for i, x in enumerate(v) if x != 0), None)
+        if c is None:
+            return False
+        inv = pow(v[c], p - 2, p) if p is not None else 1 / v[c]
+        self.rows.append([(x * inv) % p if p is not None else x * inv for x in v])
+        self.pivot_cols.append(c)
+        return True
+
+
+def _field(p):
+    return PrimeField(p) if p is not None else RationalField()
+
+
+def _greedy_reference(A, p):
+    ref = _OneVectorAccumulator(p, A.shape[0])
+    return [j for j in range(A.shape[1]) if ref.add(A[:, j])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_field_matrices(), st.lists(st.integers(min_value=0, max_value=16), max_size=4))
+def test_block_add_picks_the_greedy_columns(case, cuts):
+    A, p = case
+    m, n = A.shape
+    expected = _greedy_reference(A, p)
+    acc = EchelonAccumulator(_field(p), m)
+    assert acc.add(A) == expected
+    assert acc.rank == len(expected) == _rank(A, p)
+    # the same columns split into consecutive blocks, some of them empty
+    bounds = [0] + sorted(c % (n + 1) for c in cuts) + [n]
+    acc = EchelonAccumulator(_field(p), m)
+    picked = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        picked += [lo + j for j in acc.add(A[:, lo:hi])]
+    assert picked == expected
+    assert acc.rank == len(expected) == _rank(A, p)
+
+
+def test_block_add_empty_and_zero_blocks():
+    for p in (P, 4294967311, None):
+        acc = EchelonAccumulator(_field(p), 4)
+        assert acc.add(_zeros((4, 0), p)) == []
+        assert acc.add(_zeros((4, 3), p)) == []
+        assert acc.rank == 0
+        assert EchelonAccumulator(_field(p), 0).add(_zeros((0, 5), p)) == []
+
+
+def test_block_add_full_rank_block():
+    rng = random.Random(17)
+    for p in (P, 4294967311, None):
+        n = 6
+        # upper triangular with a nonzero diagonal, then two dependent columns
+        A = _zeros((n, n + 2), p)
+        for i in range(n):
+            for j in range(i, n):
+                if p is not None:
+                    A[i, j] = rng.randrange(1, p)
+                else:
+                    A[i, j] = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        A[:, n] = A[:, 0]
+        A[:, n + 1] = (A[:, 1] + A[:, 2]) % p if p is not None else A[:, 1] + A[:, 2]
+        acc = EchelonAccumulator(_field(p), n)
+        assert acc.add(A) == list(range(n)) == _greedy_reference(A, p)
+        assert acc.rank == n
+        assert acc.add(A) == []
+        assert acc.contains(A[:, n + 1])
