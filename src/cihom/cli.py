@@ -14,16 +14,33 @@ import sys
 
 from .catalog import UnknownExampleError, catalog_ids, run_example
 from .constructions import InvalidSplitError, TorsionInputError, pushforward, quasi_lifting
-from .dsl import ParseError, parse_session
+from .dsl import _OPTION_MINIMUM, ParseError, parse_session
 from .fields import FieldError
 from .homology import ext_profile, tor_profile
 from .oracle import OracleTooLargeError
 from .polynomials import GradedViolationError, IncompatibleOperandsError, InvariantError
 from .reports import emit_json, emit_text, make_document
-from .resolutions import betti_table, detect_periodicity, module_complexity, resolve
+from .resolutions import (InsufficientWindowError, betti_table, detect_periodicity,
+                          module_complexity, resolve)
 from .rings import HypothesisMissingError
 from .search import SearchConfig, counterexample_search
 from .theorems import UnknownTheoremError, check_theorem
+
+
+def _at_least(key):
+    """An argparse type: an integer no smaller than the script option
+    ``key``'s minimum."""
+    lo = _OPTION_MINIMUM[key]
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < lo:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {lo}, got {text}")
+        return value
+    return parse
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -40,13 +57,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     help="output format (env CIHOM_FORMAT sets the default)")
     ap.add_argument("--field", default="f32003",
                     help="coefficient field tag: f32003 (default), fP, rational")
-    ap.add_argument("--steps", type=int, default=None,
+    ap.add_argument("--steps", type=_at_least("steps"), default=None,
                     help="default resolution step bound")
-    ap.add_argument("--tor-bound", type=int, default=6,
+    ap.add_argument("--tor-bound", type=_at_least("tor_bound"), default=6,
                     help="default Tor/Ext index bound")
-    ap.add_argument("--degree-bound", type=int, default=8,
+    ap.add_argument("--degree-bound", type=_at_least("degree_bound"), default=8,
                     help="default graded Hilbert degree bound")
-    ap.add_argument("--seed", type=int, default=1, help="default search seed")
+    ap.add_argument("--seed", type=_at_least("seed"), default=1, help="default search seed")
     return ap
 
 
@@ -137,44 +154,39 @@ def _run_command(cmd: dict, session, defaults: dict) -> dict:
         return {"kind": "check", "title": cmd["id"],
                 "data": {"theorem_reports": [rep.as_dict()]}}
     if kind == "search":
-        ring = session.rings[cmd["ring"]]
-        cfg = SearchConfig(ring, cmd["id"],
-                           samples=cmd.get("samples", 20),
-                           seed=cmd.get("seed", defaults["seed"]),
-                           max_gens=cmd.get("max_gens", 2),
-                           max_deg=cmd.get("max_deg", 2),
-                           tor_bound=cmd.get("tor_bound", 5),
-                           degree_bound=cmd.get("degree_bound", 6))
+        opts = {k: v for k, v in cmd.items() if k not in ("command", "id", "ring")}
+        cfg = SearchConfig(session.rings[cmd["ring"]], cmd["id"],
+                           **{"seed": defaults["seed"], **opts})
         log = counterexample_search(cfg)
         return {"kind": "search", "title": cmd["id"], "data": log}
     raise ValueError(f"unhandled command {kind!r}")
 
 
+def _failed(result: dict) -> bool:
+    """A catalog entry with a failed expectation, or a check whose verdict
+    is ``fails`` (unmet hypotheses read ``hypotheses-unmet``, not ``fails``)."""
+    data = result["data"]
+    if result["kind"] == "example":
+        return not data["pass"]
+    if result["kind"] == "check":
+        return data["theorem_reports"][0]["conclusion"].get("verdict") == "fails"
+    return False
+
+
 def main(argv=None) -> int:
     ap = build_arg_parser()
     args = ap.parse_args(argv)
-    for flag, value, lo in (("--steps", args.steps, 1), ("--tor-bound", args.tor_bound, 1),
-                            ("--degree-bound", args.degree_bound, 0)):
-        if value is not None and value < lo:
-            ap.error(f"argument {flag}: must be an integer >= {lo}, got {value}")
     if not args.script and not args.example:
         ap.print_usage(sys.stderr)
         print("cihom: provide --script FILE or --example ID", file=sys.stderr)
         return 2
 
-    defaults = {"field": args.field, "steps": args.steps,
-                "tor_bound": args.tor_bound, "degree_bound": args.degree_bound,
-                "seed": args.seed}
-    results = []
-    failed = False
+    bounds = {"steps": args.steps, "tor_bound": args.tor_bound,
+              "degree_bound": args.degree_bound, "seed": args.seed}
+    defaults = {"field": args.field, **bounds}
+    session = None
+    commands = [{"command": "example", "id": args.example}] if args.example else []
     try:
-        if args.example:
-            data = run_example(args.example, field_tag=args.field,
-                               bounds={"steps": args.steps,
-                                       "tor_bound": args.tor_bound,
-                                       "degree_bound": args.degree_bound})
-            results.append({"kind": "example", "title": args.example, "data": data})
-            failed = failed or not data["pass"]
         if args.script:
             try:
                 with open(args.script, "r", encoding="utf-8") as fh:
@@ -183,26 +195,16 @@ def main(argv=None) -> int:
                 print(f"cihom: cannot read script: {err}", file=sys.stderr)
                 return 2
             session = parse_session(text)
-            for cmd in session.commands:
-                out = _run_command(cmd, session, defaults)
-                results.append(out)
-                data = out.get("data", {})
-                if out["kind"] == "example" and not data.get("pass", True):
-                    failed = True
-                if out["kind"] == "check":
-                    rep = data["theorem_reports"][0]
-                    if (rep["conclusion"].get("verdict") == "fails"
-                            and rep["asserted"] is False
-                            and all(h["status"] in ("satisfied", "model-level")
-                                    for h in rep["hypotheses"])):
-                        failed = True
+            commands += session.commands
+        results = [_run_command(cmd, session, defaults) for cmd in commands]
     except ParseError as err:
         print(f"cihom: parse error: {err}", file=sys.stderr)
         return 2
     except (UnknownExampleError, UnknownTheoremError, InvalidSplitError) as err:
         print(f"cihom: {err}", file=sys.stderr)
         return 2
-    except (GradedViolationError, IncompatibleOperandsError, FieldError) as err:
+    except (GradedViolationError, IncompatibleOperandsError, FieldError,
+            InsufficientWindowError) as err:
         print(f"cihom: input error: {err}", file=sys.stderr)
         return 2
     except (OracleTooLargeError,) as err:
@@ -215,14 +217,12 @@ def main(argv=None) -> int:
         print(f"cihom: internal error: {err}", file=sys.stderr)
         return 4
 
-    bounds = {"steps": args.steps, "tor_bound": args.tor_bound,
-              "degree_bound": args.degree_bound, "seed": args.seed}
     document = make_document(results, args.field, bounds)
     if args.format == "json":
         sys.stdout.write(emit_json(document))
     else:
         sys.stdout.write(emit_text(document))
-    return 1 if failed else 0
+    return 1 if any(_failed(r) for r in results) else 0
 
 
 if __name__ == "__main__":

@@ -3,8 +3,8 @@
 Grammar (one statement per line continuation is not needed; whitespace is
 free-form):
 
-    ring R = quotient(field=f32003, vars=[x,y,z,u], degrees=[1,1,1,1],
-                      ideal=[x*y, z*u], minimal_primes=[[x,z],[y,u]])
+    ring R = quotient(field=f32003, vars=[x,y,z,u], ideal=[x*y, z*u],
+                      minimal_primes=[[x,z],[y,u]])
     module M = coker(R, shifts=[0], matrix=[[y, u]])
     resolve M steps=6
     betti M
@@ -19,6 +19,14 @@ free-form):
 
 Polynomials use ``3*x^2*y - z*u`` syntax.  Parse errors carry line/column;
 undeclared names are rejected at parse time.
+
+Lists and the arguments of ``quotient``, ``check ... on`` and ``search ...
+with`` are comma-separated, with no comma before the closing bracket
+(``_parse_list``).  An option is read by ``_parse_option``: an unread or
+repeated key, or a value of the wrong kind (an integer below its
+``_OPTION_MINIMUM``, which the CLI's bound flags share, a word outside its
+``_OPTION_CHOICES``, an undeclared ring), is a parse error at the key.
+``degrees=`` accepts only ``[1,...,1]``.
 """
 
 from __future__ import annotations
@@ -131,6 +139,10 @@ class _Cursor:
         t = self.peek()
         return t.kind == kind and (text is None or t.text == text)
 
+    def at_option(self) -> bool:
+        """At 'name =', the start of a key=value option."""
+        return self.at("name") and self.tokens[self.pos + 1].kind == "="
+
     def error(self, message):
         t = self.peek()
         raise ParseError(message, t.line, t.col)
@@ -181,50 +193,30 @@ def parse_polynomial(cur: _Cursor, poly_ring) -> Polynomial:
     return p
 
 
-def _parse_int_list(cur):
-    cur.expect("[")
+def _parse_list(cur, item, brackets="[]"):
+    """'[' item (',' item)* ']' or '[]', each item read by ``item(cur)``; a
+    comma before ']' is a parse error.  ``brackets`` names other delimiters,
+    as in ``check ... on (...)``."""
+    open_, close = brackets
+    cur.expect(open_)
     out = []
-    while not cur.at("]"):
-        neg = False
-        if cur.at("-"):
-            cur.next()
-            neg = True
-        t = cur.expect("int")
-        out.append(-int(t.text) if neg else int(t.text))
-        if cur.at(","):
-            cur.next()
-        elif not cur.at("]"):
-            cur.error("expected ',' or ']' in integer list")
-    cur.expect("]")
+    while not cur.at(close):
+        if out:
+            cur.expect(",")
+            if cur.at(close):
+                cur.error("dangling comma in list")
+        out.append(item(cur))
+    cur.expect(close)
     return out
 
 
-def _parse_name_list(cur):
-    cur.expect("[")
-    out = []
-    while not cur.at("]"):
-        out.append(cur.expect("name").text)
-        if cur.at(","):
-            cur.next()
-        elif not cur.at("]"):
-            cur.error("expected ',' or ']' in name list")
-    cur.expect("]")
-    return out
-
-
-def _parse_poly_list(cur, poly_ring):
-    cur.expect("[")
-    out = []
-    while not cur.at("]"):
-        out.append(parse_polynomial(cur, poly_ring))
-        if cur.at(","):
-            cur.next()
-            if cur.at("]"):
-                cur.error("dangling comma in polynomial list")
-        elif not cur.at("]"):
-            cur.error("expected ',' or ']' in polynomial list")
-    cur.expect("]")
-    return out
+def _parse_int(cur) -> int:
+    """['-'] INT."""
+    neg = cur.at("-")
+    if neg:
+        cur.next()
+    value = int(cur.expect("int").text)
+    return -value if neg else value
 
 
 def _parse_glued_id(cur) -> str:
@@ -292,9 +284,12 @@ def parse_session(text: str) -> Session:
     return session
 
 
-# Least accepted value of each numeric bound option.
+# Least accepted value of each integer option; --steps, --tor-bound,
+# --degree-bound and --seed read the same table.  A window needs at least
+# four Betti numbers, so window starts at 3.
 _OPTION_MINIMUM = {"steps": 1, "bound": 1, "tor_bound": 1, "degree_bound": 0,
-                   "max_gens": 1, "max_deg": 1}
+                   "max_gens": 1, "max_deg": 1, "samples": 1, "seed": 0,
+                   "n": 0, "w": 0, "window": 3}
 # Accepted values of each word option.
 _OPTION_CHOICES = {"over": ("quotient", "ambient"), "side": ("left", "right")}
 # The options each command reads; any other key is a parse error.
@@ -306,51 +301,51 @@ _SEARCH_OPTIONS = {"ring", "samples", "seed", "max_gens", "max_deg", "tor_bound"
                    "degree_bound"}
 
 
-def _check_key(key_tok, allowed):
-    """A ParseError at the key unless the command reads that option."""
-    if key_tok.text not in allowed:
-        raise ParseError(f"unknown option {key_tok.text!r}", key_tok.line, key_tok.col)
+def _parse_option(cur, session, allowed, opts, poly_ring=None):
+    """Read one key=value into ``opts``, or raise a ParseError at the key
+    when the command does not read that key, the key is already given, or
+    the value is not of the key's kind: an integer at least its
+    ``_OPTION_MINIMUM``, a word from its ``_OPTION_CHOICES``, a polynomial
+    over ``poly_ring`` (``f=``) or a declared ring (``ring=``)."""
+    key_tok = cur.expect("name")
+    key = key_tok.text
 
+    def fail(message):
+        raise ParseError(message, key_tok.line, key_tok.col)
 
-def _check_value(key_tok, value):
-    """The value, or a ParseError at the key for a bound below its minimum
-    or a word outside its choices."""
-    lo = _OPTION_MINIMUM.get(key_tok.text)
-    if lo is not None and not (isinstance(value, int) and value >= lo):
-        kind = "positive" if lo else "non-negative"
-        raise ParseError(f"{key_tok.text} must be a {kind} integer", key_tok.line, key_tok.col)
-    choices = _OPTION_CHOICES.get(key_tok.text)
-    if choices is not None and value not in choices:
-        raise ParseError(f"{key_tok.text} must be {' or '.join(choices)}",
-                         key_tok.line, key_tok.col)
-    return value
-
-
-def _scalar_value(cur):
-    """An integer, possibly negative, or else the next token's text."""
-    neg = cur.at("-")
-    if neg:
-        cur.next()
-    t = cur.next()
-    if t.kind != "int":
-        return t.text
-    return -int(t.text) if neg else int(t.text)
+    if key not in allowed:
+        fail(f"unknown option {key!r}")
+    if key in opts:
+        fail(f"option {key!r} given twice")
+    cur.expect("=")
+    if key == "f":
+        opts[key] = parse_polynomial(cur, poly_ring)
+    elif key in _OPTION_MINIMUM:
+        lo = _OPTION_MINIMUM[key]
+        try:
+            value = _parse_int(cur)
+        except ParseError:
+            value = None
+        if value is None or value < lo:
+            kind = {0: "a non-negative integer", 1: "a positive integer"}.get(
+                lo, f"an integer >= {lo}")
+            fail(f"{key} must be {kind}")
+        opts[key] = value
+    else:
+        value = cur.next().text
+        if key == "ring" and value not in session.rings:
+            fail(f"undeclared ring {value!r}")
+        choices = _OPTION_CHOICES.get(key)
+        if choices is not None and value not in choices:
+            fail(f"{key} must be {' or '.join(choices)}")
+        opts[key] = value
 
 
 def _parse_options(cur, session, allowed, poly_ring=None):
+    """The space-separated key=value options after a command's operands."""
     opts = {}
-    while cur.at("name") and cur.tokens[cur.pos + 1].kind == "=":
-        key_tok = cur.next()
-        key = key_tok.text
-        _check_key(key_tok, allowed)
-        cur.expect("=")
-        if key == "f" and poly_ring is not None:
-            opts[key] = parse_polynomial(cur, poly_ring)
-        elif cur.at("["):
-            opts[key] = _parse_int_list(cur)
-        else:
-            opts[key] = _scalar_value(cur)
-        _check_value(key_tok, opts[key])
+    while cur.at_option():
+        _parse_option(cur, session, allowed, opts, poly_ring)
     return opts
 
 
@@ -361,57 +356,55 @@ def _parse_ring_decl(cur, session):
         cur.error(f"name {name!r} already declared")
     cur.expect("=")
     cur.expect("name", "quotient")
-    cur.expect("(")
     field_tag = "f32003"
     variables = None
-    degrees = None
-    ideal_tokens_start = None
     poly_ring = None
     ideal = []
     primes = None
-    while not cur.at(")"):
-        key = cur.expect("name").text
+
+    def argument(cur):
+        nonlocal field_tag, variables, poly_ring, ideal, primes
+        key_tok = cur.expect("name")
+        key = key_tok.text
         cur.expect("=")
         if key == "field":
+            if poly_ring is not None:
+                cur.error("declare field= before ideal=[] and minimal_primes=[]")
             field_tag = cur.next().text
         elif key == "vars":
-            variables = _parse_name_list(cur)
-        elif key == "degrees":
-            degrees = _parse_int_list(cur)
-        elif key == "ideal":
-            if variables is None:
-                cur.error("declare vars=[] before ideal=[]")
-            from .fields import field_by_tag
-            poly_ring = poly_ring or _mk_poly_ring(field_tag, variables, degrees)
-            ideal = _parse_poly_list(cur, poly_ring)
-        elif key == "minimal_primes":
-            if variables is None:
-                cur.error("declare vars=[] before minimal_primes=[]")
-            poly_ring = poly_ring or _mk_poly_ring(field_tag, variables, degrees)
-            cur.expect("[")
-            primes = []
-            while not cur.at("]"):
-                primes.append(_parse_poly_list(cur, poly_ring))
-                if cur.at(","):
-                    cur.next()
-            cur.expect("]")
-        else:
+            variables = _parse_list(cur, lambda cur: cur.expect("name").text)
+        elif key not in ("degrees", "ideal", "minimal_primes"):
             cur.error(f"unknown ring option {key!r}")
-        if cur.at(","):
-            cur.next()
-    cur.expect(")")
+        elif variables is None:
+            cur.error(f"declare vars=[] before {key}=[]")
+        elif key == "degrees":
+            if _parse_list(cur, _parse_int) != [1] * len(variables):
+                raise ParseError("degrees must be [1,...,1], one per variable: only the "
+                                 "standard grading is supported", key_tok.line, key_tok.col)
+        else:
+            poly_ring = poly_ring or _mk_poly_ring(field_tag, variables)
+
+            def poly(cur):
+                return parse_polynomial(cur, poly_ring)
+
+            if key == "ideal":
+                ideal = _parse_list(cur, poly)
+            else:
+                primes = _parse_list(cur, lambda cur: _parse_list(cur, poly))
+
+    _parse_list(cur, argument, "()")
     if variables is None:
         cur.error("ring declaration needs vars=[...]")
-    poly_ring = poly_ring or _mk_poly_ring(field_tag, variables, degrees)
+    poly_ring = poly_ring or _mk_poly_ring(field_tag, variables)
     ring = RingPresentation(poly_ring, ideal, label=name,
                             minimal_primes=primes)
     session.rings[name] = ring
 
 
-def _mk_poly_ring(field_tag, variables, degrees):
+def _mk_poly_ring(field_tag, variables):
     from .fields import field_by_tag
     from .polynomials import PolyRing
-    return PolyRing(field_by_tag(field_tag), variables, degrees)
+    return PolyRing(field_by_tag(field_tag), variables)
 
 
 def _parse_module_decl(cur, session):
@@ -428,22 +421,18 @@ def _parse_module_decl(cur, session):
         raise ParseError(f"undeclared ring {ring_tok.text!r}", ring_tok.line, ring_tok.col)
     shifts = [0]
     rows = None
+
+    def poly(cur):
+        return parse_polynomial(cur, ring.poly_ring)
+
     while cur.at(","):
         cur.next()
         key = cur.expect("name").text
         cur.expect("=")
         if key == "shifts":
-            shifts = _parse_int_list(cur)
+            shifts = _parse_list(cur, _parse_int)
         elif key == "matrix":
-            cur.expect("[")
-            rows = []
-            while not cur.at("]"):
-                rows.append(_parse_poly_list(cur, ring.poly_ring))
-                if cur.at(","):
-                    cur.next()
-                    if cur.at("]"):
-                        cur.error("dangling comma in matrix")
-            cur.expect("]")
+            rows = _parse_list(cur, lambda cur: _parse_list(cur, poly))
         else:
             cur.error(f"unknown module option {key!r}")
     cur.expect(")")
@@ -497,20 +486,18 @@ def _parse_check(cur, session):
     cur.expect("name", "check")
     sid = _parse_glued_id(cur)
     cur.expect("name", "on")
-    cur.expect("(")
     mods = []
     opts = {}
-    while not cur.at(")"):
-        if cur.at("name") and cur.tokens[cur.pos + 1].kind == "=":
-            key_tok = cur.next()
-            _check_key(key_tok, _CHECK_OPTIONS)
-            cur.expect("=")
-            opts[key_tok.text] = _check_value(key_tok, _scalar_value(cur))
+
+    def item(cur):
+        if cur.at_option():
+            _parse_option(cur, session, _CHECK_OPTIONS, opts)
+        elif len(mods) == 2:
+            cur.error("check takes one or two modules")
         else:
             mods.append(_require_module(cur, session, cur.expect("name")))
-        if cur.at(","):
-            cur.next()
-    cur.expect(")")
+
+    _parse_list(cur, item, "()")
     if not mods:
         cur.error("check needs at least one module")
     session.commands.append({"command": "check", "id": sid, "modules": mods, **opts})
@@ -520,23 +507,8 @@ def _parse_search(cur, session):
     cur.expect("name", "search")
     qid = _parse_glued_id(cur)
     cur.expect("name", "with")
-    cur.expect("(")
     opts = {}
-    while not cur.at(")"):
-        key_tok = cur.expect("name")
-        key = key_tok.text
-        _check_key(key_tok, _SEARCH_OPTIONS)
-        cur.expect("=")
-        v = cur.next()
-        if key == "ring":
-            if v.text not in session.rings:
-                raise ParseError(f"undeclared ring {v.text!r}", v.line, v.col)
-            opts["ring"] = v.text
-        else:
-            opts[key] = _check_value(key_tok, int(v.text) if v.kind == "int" else v.text)
-        if cur.at(","):
-            cur.next()
-    cur.expect(")")
+    _parse_list(cur, lambda cur: _parse_option(cur, session, _SEARCH_OPTIONS, opts), "()")
     if "ring" not in opts:
         cur.error("search needs ring=<declared ring>")
     session.commands.append({"command": "search", "id": qid, **opts})
@@ -558,7 +530,6 @@ def unparse_declarations(session: Session) -> str:
         pr = ring.poly_ring
         parts = [f"field={pr.field.tag}",
                  "vars=[" + ",".join(pr.variables) + "]",
-                 "degrees=[" + ",".join(str(d) for d in pr.degrees) + "]",
                  "ideal=[" + ", ".join(f.text() for f in ring.quotient_gens) + "]"]
         if ring.has_minimal_primes:
             primes = ring.minimal_primes()

@@ -140,23 +140,18 @@ class DegreeReport:
 class PolyRing:
     """A standard-graded polynomial ring over an exact field.
 
-    Holds the field, variable names, per-variable degrees (all one by
-    default) and the active term order.  Acts as the factory for Polynomial
-    values; rings compare by content so equal rings interoperate.
+    Holds the field, variable names (each of degree one) and the active
+    term order.  Acts as the factory for Polynomial values; rings compare
+    by content so equal rings interoperate.
     """
 
-    __slots__ = ("field", "variables", "degrees", "order", "_zero", "_one")
+    __slots__ = ("field", "variables", "order", "_zero", "_one")
 
-    def __init__(self, field, variables, degrees=None, order=None):
+    def __init__(self, field, variables, order=None):
         self.field = field
         self.variables = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable names")
-        self.degrees = tuple(degrees) if degrees is not None else (1,) * len(self.variables)
-        if len(self.degrees) != len(self.variables):
-            raise ValueError("degrees/variables length mismatch")
-        if any(d != 1 for d in self.degrees):
-            raise ValueError("only standard grading (all weights 1) is supported")
         self.order = order if order is not None else TermOrder("grevlex")
         self._zero = None
         self._one = None
@@ -166,8 +161,7 @@ class PolyRing:
         return len(self.variables)
 
     def compatible(self, other: "PolyRing") -> bool:
-        return (self.field == other.field and self.variables == other.variables
-                and self.degrees == other.degrees)
+        return self.field == other.field and self.variables == other.variables
 
     def check_compatible(self, other: "PolyRing"):
         if not self.compatible(other):
@@ -220,7 +214,7 @@ class PolyRing:
         return isinstance(other, PolyRing) and self.compatible(other) and self.order == other.order
 
     def __hash__(self):
-        return hash((self.field, self.variables, self.degrees, self.order))
+        return hash((self.field, self.variables, self.order))
 
     def __repr__(self):
         return f"PolyRing({self.field.tag}, vars={list(self.variables)}, order={self.order.kind})"

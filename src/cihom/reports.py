@@ -30,12 +30,6 @@ def emit_json(document: dict) -> str:
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
-def _fmt(v):
-    if isinstance(v, float):
-        return str(v)
-    return str(v)
-
-
 def _text_lines(obj, indent=0):
     pad = "  " * indent
     lines = []
@@ -45,11 +39,11 @@ def _text_lines(obj, indent=0):
                 lines.append(f"{pad}{k}:")
                 lines.extend(_text_lines(v, indent + 1))
             else:
-                lines.append(f"{pad}{k}: {_fmt(v)}")
+                lines.append(f"{pad}{k}: {v}")
     elif isinstance(obj, list):
         simple = all(not isinstance(x, (dict, list)) for x in obj)
         if simple:
-            lines.append(f"{pad}{', '.join(_fmt(x) for x in obj)}")
+            lines.append(f"{pad}{', '.join(str(x) for x in obj)}")
         else:
             for x in obj:
                 lines.extend(_text_lines(x, indent))
@@ -57,7 +51,7 @@ def _text_lines(obj, indent=0):
             while lines and lines[-1] == "":
                 lines.pop()
     else:
-        lines.append(f"{pad}{_fmt(obj)}")
+        lines.append(f"{pad}{obj}")
     return lines
 
 
@@ -99,10 +93,8 @@ def emit_text(document: dict) -> str:
             lines.append(f"example {body.get('id')}: "
                          + ("PASS" if body.get("pass") else "FAIL"))
             lines.extend(_checks_table(body))
-        elif kind in ("tor", "ext") and "tor_profile" in body:
+        elif kind == "tor":
             lines.extend(_tor_table(body["tor_profile"]))
-        elif kind == "tor" and "entries" in body:
-            lines.extend(_tor_table(body))
         else:
             lines.extend(_text_lines(body, indent=1))
         lines.append("")

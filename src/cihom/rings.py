@@ -367,7 +367,7 @@ class RingPresentation:
                 + (f"/({quot})" if quot else "") + ")")
 
 
-def make_quotient_ring(field_tag, variables, degrees=None, quotient_gens=(),
+def make_quotient_ring(field_tag, variables, quotient_gens=(),
                        label="R", minimal_primes=None, order=None) -> RingPresentation:
     """Build S/(f1..fc) from a field tag, variable names and generators.
 
@@ -376,7 +376,7 @@ def make_quotient_ring(field_tag, variables, degrees=None, quotient_gens=(),
     in the CLI layer.
     """
     field = field_by_tag(field_tag) if isinstance(field_tag, str) else field_tag
-    poly_ring = PolyRing(field, variables, degrees, order=order)
+    poly_ring = PolyRing(field, variables, order=order)
     gens = []
     for f in quotient_gens:
         if not isinstance(f, Polynomial):

@@ -186,6 +186,69 @@ def test_session_script_output_is_byte_stable(capsys):
         "7cb916f1086ab805293dd3c9b254f5d13173c5582eca3dc59e79d796b9a03fb6")
 
 
+def test_session_script_text_output_is_byte_stable(capsys):
+    script = Path(__file__).parent / "data" / "session_all.ci"
+    assert main(["--script", str(script), "--format", "text"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "29094ce24c08cd3f894962e16969b1e96eca284630b340a388b1ada07dfbba02")
+
+
+_SHORT_WINDOW = "cihom: input error: betti window of length 3 is too short (need >= 4)"
+
+
+@pytest.mark.parametrize("line, flags, message", [
+    # '@' marks the token a parse error points at; it is not part of the script
+    ("search 3.6 with (ring=R, @samples=abc)", [], "samples must be a positive integer"),
+    ("search 3.6 with (ring=R, @samples=0)", [], "samples must be a positive integer"),
+    ("search 3.6 with (ring=R, @seed=abc)", [], "seed must be a non-negative integer"),
+    ("search 3.6 with (ring=R, @seed=-3)", [], "seed must be a non-negative integer"),
+    ("search 3.6 with (ring=R, @ring=R)", [], "option 'ring' given twice"),
+    ("check 2.2 on (M, @n=abc)", [], "n must be a non-negative integer"),
+    ("check 4.11 on (M, @w=abc)", [], "w must be a non-negative integer"),
+    ("check 2.4 on (M, @window=2)", [], "window must be an integer >= 3"),
+    ("check 2.4 on (M, @window=-3)", [], "window must be an integer >= 3"),
+    ("check 2.4 on (M, @window=abc)", [], "window must be an integer >= 3"),
+    ("check 4.3 on (M, M, @M)", [], "check takes one or two modules"),
+    ("tor M M bound=2 @bound=3", [], "option 'bound' given twice"),
+    ("module Z = coker(R, shifts=[0,@])", [], "dangling comma in list"),
+    ("ring P = quotient(field=f32003, vars=[x,@])", [], "dangling comma in list"),
+    ("ring P = quotient(field=f32003 @vars=[x,y])", [], "expected ',', found 'vars'"),
+    ("ring P = quotient(vars=[x,y], ideal=[x*y], field=@rational)", [],
+     "declare field= before ideal=[] and minimal_primes=[]"),
+    ("ring P = quotient(field=f32003, vars=[x,y], @degrees=[2,1], ideal=[x*y])", [],
+     "degrees must be [1,...,1], one per variable: only the standard grading is supported"),
+    ("betti M steps=2", [], _SHORT_WINDOW),
+    ("betti M", ["--steps", "2"], _SHORT_WINDOW),
+    ("betti M", ["--seed", "-5"], "cihom: error: argument --seed: must be an integer >= 0, got -5"),
+])
+def test_cli_bad_input_exits_2(tmp_path, capsys, line, flags, message):
+    script = tmp_path / "bad.ci"
+    script.write_text(TWO_LINE_SCRIPT + line.replace("@", "") + "\n")
+    try:
+        rc = main(["--script", str(script), "--format", "json", *flags])
+    except SystemExit as exc:  # argparse rejects a flag
+        rc = exc.code
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and "Traceback" not in captured.err
+    if "@" in line:
+        message = f"cihom: parse error: line 4, column {line.index('@') + 1}: {message}"
+    assert captured.err.splitlines()[-1] == message
+
+
+def test_cli_least_accepted_values_run(tmp_path, capsys):
+    script = tmp_path / "least.ci"
+    script.write_text(TWO_LINE_SCRIPT
+                      + "ring P = quotient(field=f32003, vars=[x,y], degrees=[1,1], ideal=[x*y])\n"
+                      "check 2.2 on (M, n=0)\ncheck 4.11 on (M, w=0)\n"
+                      "check 2.4 on (M, window=3)\nbetti M steps=3\n"
+                      "search 3.6 with (ring=R, samples=1, seed=0, max_gens=1, max_deg=1)\n")
+    assert main(["--script", str(script), "--format", "json", "--seed", "0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [r["kind"] for r in doc["results"]] == ["check"] * 3 + ["betti", "search"]
+    assert doc["results"][4]["data"]["config"]["seed"] == 0
+
+
 def test_cli_zero_degree_bound_runs(tmp_path, capsys):
     script = tmp_path / "d0.ci"
     script.write_text(TWO_LINE_SCRIPT + "tor M M bound=1 degree_bound=0\n")
@@ -195,7 +258,7 @@ def test_cli_zero_degree_bound_runs(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--tor-bound", "0"], ["--tor-bound", "-3"],
-                                   ["--degree-bound", "-1"]])
+                                   ["--degree-bound", "-1"], ["--seed", "-5"]])
 @pytest.mark.parametrize("source", [["--example", "4.5"], ["--script", "unread.ci"]])
 def test_cli_bad_bound_flag_is_usage_error(capsys, flags, source):
     with pytest.raises(SystemExit) as exc:
