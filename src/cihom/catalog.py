@@ -4,8 +4,8 @@ Each entry constructs its ring and modules from scratch, runs the relevant
 computations, and diffs the results against the recorded expectations.
 Expectations carry a provenance tag: "reference" values come from the worked
 instance the entry reproduces, "trivial" ones are forced by definitions, and
-"derived" ones were computed here and cross-checked against the dense
-linear-algebra path.  The matrices are hard-coded exactly as displayed in
+"derived" ones were computed here and cross-checked against the
+linear-algebra oracle.  The matrices are hard-coded exactly as displayed in
 the source instances; they are the ground-truth fixtures.
 """
 

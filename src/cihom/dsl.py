@@ -373,6 +373,10 @@ def _parse_ring_decl(cur, session):
             field_tag = cur.next().text
         elif key == "vars":
             variables = _parse_list(cur, lambda cur: cur.expect("name").text)
+            repeated = next((v for i, v in enumerate(variables) if v in variables[:i]), None)
+            if repeated is not None:
+                raise ParseError(f"duplicate variable name {repeated!r}",
+                                 key_tok.line, key_tok.col)
         elif key not in ("degrees", "ideal", "minimal_primes"):
             cur.error(f"unknown ring option {key!r}")
         elif variables is None:
@@ -504,8 +508,13 @@ def _parse_check(cur, session):
 
 
 def _parse_search(cur, session):
+    from .search import KNOWN_QUESTIONS
     cur.expect("name", "search")
+    id_tok = cur.peek()
     qid = _parse_glued_id(cur)
+    if qid not in KNOWN_QUESTIONS:
+        raise ParseError(f"unknown question id {qid!r}; known: {', '.join(KNOWN_QUESTIONS)}",
+                         id_tok.line, id_tok.col)
     cur.expect("name", "with")
     opts = {}
     _parse_list(cur, lambda cur: _parse_option(cur, session, _SEARCH_OPTIONS, opts), "()")

@@ -550,10 +550,13 @@ class ModulePresentation:
         if not d2cols:
             return (PolyMatrix.zero(self.ring.poly_ring, (), M.gen_degs),
                     ModulePresentation.zero(self.ring, label=f"{M.label}**"))
-        bidual = _image_presentation(self.ring, ddual_free, d2cols, d2degs, f"{M.label}**")
+        # one tracked basis of the double dual's generators gives both its
+        # syzygies (the presentation) and the lifts below
+        tracked = TrackedSubmodule(d2cols, d2degs, ddual_free, self.ring)
+        bidual = _image_presentation(self.ring, ddual_free, d2cols, d2degs, f"{M.label}**",
+                                     tracked)
         # evaluation vectors: row i of the dual generator matrix, as an
         # element of the dual of M*'s generator space (= ddual_free coords)
-        tracked = TrackedSubmodule(d2cols, d2degs, ddual_free, self.ring)
         psi_cols = []
         for i in range(M.n_gens):
             ev = Element(ddual_free, {(k, mono): c for k, col in enumerate(dcols)
@@ -763,13 +766,18 @@ class ModulePresentation:
 
 
 def _image_presentation(ring: RingPresentation, free: FreeModule, cols, degs,
-                        label) -> ModulePresentation:
+                        label, tracked=None) -> ModulePresentation:
     """The submodule of ``free`` generated by the columns (of degrees
-    ``degs``), presented on them by their syzygies; zero without columns."""
+    ``degs``), presented on them by their syzygies; zero without columns.
+    ``tracked`` is the columns' ``TrackedSubmodule`` when the caller has
+    already built it."""
     if not cols:
         return ModulePresentation.zero(ring, label=label)
-    syz, sdegs = syzygy_generators(cols, degs, free, ring)
-    mat = PolyMatrix.from_columns(ring.poly_ring, tuple(degs), syz, tuple(sdegs))
+    if tracked is None:
+        tracked = TrackedSubmodule(cols, degs, free, ring)
+    syz = tracked.syzygy_elements()
+    mat = PolyMatrix.from_columns(ring.poly_ring, tuple(degs), syz,
+                                  tuple(s.degree() for s in syz))
     return ModulePresentation(ring, tuple(degs), mat, label=label)
 
 

@@ -19,7 +19,7 @@ the vanishing evidence and the resolution are built when a caller first
 asks for them, so a search that stops at the first nonzero Tor_i builds
 nothing past it.  Built modules and the resolution cached on M's minimal
 presentation are reused by later reads; a profile is not safe to fill from
-two threads at once.  The dense verification path in ``oracle`` shares
+two threads at once.  The linear-algebra verification path in ``oracle`` shares
 nothing with this pipeline by construction.
 """
 

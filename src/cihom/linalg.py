@@ -1,17 +1,18 @@
-"""Exact dense linear algebra over the coefficient fields.
+"""Exact sparse linear algebra over the coefficient fields.
 
-This module holds the dense path's one row reduction (``_rref``), its array
-type per field (``residue_dtype``, ``_zeros``) and the ``EchelonAccumulator``
-that answers greedy rank and independence questions with it.  The oracle
-imports ``_rref`` and ``_zeros`` by name and builds its kernels on them.
-The rationals use Fraction entries.
+A vector is a dict {coordinate: nonzero value}: ints in [0, p) mod a prime
+p, Fractions over the rationals (p None).  The oracle's matrices are
+monomial shifts and almost all zero, and eliminating them makes little
+fill-in (structured Gaussian elimination, LaMacchia and Odlyzko 1990), so
+one Gauss-Jordan elimination on such rows serves every question:
+``_rref`` gives the reduced row echelon form of a ``SparseMatrix``,
+``_reduce`` takes a vector modulo a reduced basis, and
+``EchelonAccumulator`` answers greedy rank and independence questions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-import numpy as np
 
 from .fields import PrimeField
 
@@ -19,116 +20,133 @@ from .fields import PrimeField
 MAX_SLICE = 6000
 
 
-def residue_dtype(p):
-    """numpy dtype that holds arithmetic mod p exactly: int64 or object.
+class SparseMatrix:
+    """An m x n matrix held as its m rows, each a dict {column: value}."""
 
-    The largest intermediate on the dense path is a dot product of at most
-    MAX_SLICE residue pairs, each product below (p-1)**2, subtracted from a
-    residue (``QuotientSpace.reduce_columns``: the subspace rank is at most
-    the slice dimension).  The block row reduction ``_rref``, which every
-    ``EchelonAccumulator.add`` runs, forms single such products: each pivot
-    subtracts one product of two residues from a residue and reduces mod p
-    at once.  So int64 is exact while MAX_SLICE * (p-1)**2 < 2**63, that is
-    for p up to about 3.9e7; above it, and for the rationals (``p is None``),
-    entries are Python objects (ints mod p, Fractions) and never overflow.
-    """
-    if p is not None and MAX_SLICE * (p - 1) ** 2 < 2 ** 63:
-        return np.int64
-    return object
+    __slots__ = ("rows", "shape")
 
+    def __init__(self, rows: list, ncols: int):
+        self.rows = rows
+        self.shape = (len(rows), ncols)
 
-def _zeros(shape, p):
-    A = np.zeros(shape, dtype=residue_dtype(p))
-    if p is None:
-        A[:] = Fraction(0)
-    return A
+    @classmethod
+    def from_columns(cls, cols: list, nrows: int) -> "SparseMatrix":
+        rows = [{} for _ in range(nrows)]
+        for j, col in enumerate(cols):
+            for i, x in col.items():
+                rows[i][j] = x
+        return cls(rows, len(cols))
 
 
-def _rref(A, p):
-    """Reduced row echelon form mod p (p None: over the rationals), with the
-    pivot column list.  Arrays come from ``_zeros``, so their dtype is
-    ``residue_dtype(p)``: int64 only where it cannot overflow.  The input is
-    not changed; its entries are taken mod p.
+def _reduce(vec: dict, basis: dict, p) -> dict:
+    """vec modulo the span of a reduced basis {pivot: row}, as a new dict
+    with its entries taken mod p and its zeros dropped.
 
-    The matrices are built from monomial shifts and are mostly zero, so a
-    pivot (r, c) updates only the rows with a nonzero in column c, and only
-    the columns where row r is nonzero: no other entry changes.  Over the
-    rationals no Fraction is multiplied by zero."""
-    A = np.remainder(A, p, order="C") if p is not None else A.copy()
-    m, n = A.shape
-    r = 0
-    pivots = []
-    for c in range(n):
-        if r >= m:
-            break
-        nz = A[r:, c].nonzero()[0]
-        if nz.size == 0:
-            continue
-        t = r + int(nz[0])
-        if t != r:
-            A[[r, t]] = A[[t, r]]
-        cols = c + A[r, c:].nonzero()[0]
-        if p is not None:
-            row = (A[r, cols] * pow(int(A[r, c]), p - 2, p)) % p
-        else:
-            row = A[r, cols] * (Fraction(1) / A[r, c])
-        A[r, cols] = row
-        rows = A[:, c].nonzero()[0]
-        rows = rows[rows != r]
-        if rows.size:
-            sub = (rows[:, None], cols)
-            block = A[sub]
-            block -= np.multiply.outer(block[:, 0], row)
+    Each basis row has a one at its pivot and a zero at every other pivot,
+    so subtracting it clears that pivot and touches no other: one pass over
+    the pivots in vec's support leaves no pivot behind."""
+    if p is not None:
+        v = {i: x % p for i, x in vec.items() if x % p}
+    else:
+        v = {i: x for i, x in vec.items() if x}
+    for q in [i for i in v if i in basis]:
+        f = v[q]
+        for i, b in basis[q].items():
+            x = v.get(i, 0) - f * b
             if p is not None:
-                block %= p
-            A[sub] = block
-        pivots.append(c)
-        r += 1
-    return A, pivots
+                x %= p
+            if x:
+                v[i] = x
+            else:
+                del v[i]
+    return v
+
+
+def _insert(basis: dict, holders: dict, v: dict, p) -> None:
+    """Add a nonzero vector, already reduced modulo ``basis``, as a new row.
+
+    Its pivot is its least coordinate; the row is scaled to a one there, and
+    the rows that ``holders`` (non-pivot column -> pivots of the rows nonzero
+    in that column) lists at the pivot are cleared there, so the basis stays
+    fully reduced and every row keeps its least coordinate as its pivot."""
+    c = min(v)
+    if p is not None:
+        if v[c] != 1:
+            inv = pow(v[c], -1, p)
+            v = {i: x * inv % p for i, x in v.items()}
+    else:
+        inv = 1 / Fraction(v[c])
+        v = {i: x * inv for i, x in v.items()}
+    for q in holders.pop(c, ()):
+        row = basis[q]
+        f = row.pop(c)
+        for i, b in v.items():
+            if i == c:
+                continue
+            x = row.get(i, 0) - f * b
+            if p is not None:
+                x %= p
+            if x:
+                row[i] = x
+                holders.setdefault(i, set()).add(q)
+            else:
+                del row[i]
+                holders[i].discard(q)
+    basis[c] = v
+    for i in v:
+        if i != c:
+            holders.setdefault(i, set()).add(c)
+
+
+def _rref(A: SparseMatrix, p):
+    """Reduced row echelon form mod p (p None: over the rationals): the
+    nonzero rows in pivot order, and their pivot columns.  The input is not
+    changed; its entries are taken mod p."""
+    basis, holders = {}, {}
+    for row in A.rows:
+        v = _reduce(row, basis, p) if row else row
+        if v:
+            _insert(basis, holders, v, p)
+    pivots = sorted(basis)
+    return [basis[c] for c in pivots], pivots
 
 
 class EchelonAccumulator:
     """A growing span in a space of the given width, for greedy spanning and
     extension questions.
 
-    ``add(block)`` takes a (width x k) block of column vectors; a 1-D vector
-    counts as a one-column block.  It returns the positions of the columns
-    that raised the rank, in greedy left-to-right order: column j is picked
-    when it lies outside the span of everything added before and of the
-    block's columns left of j.  A non-empty list is truthy, so ``if
-    acc.add(v)`` asks whether one vector was independent.
+    ``add(block)`` takes a list of column vectors; one vector (a dict) counts
+    as a one-column block.  It returns the positions of the columns that
+    raised the rank, in greedy left-to-right order: column j is picked when
+    it lies outside the span of everything added before and of the block's
+    columns left of j.  A non-empty list is truthy, so ``if acc.add(v)``
+    asks whether one vector was independent.
 
-    Each ``add`` is one ``_rref`` of the stored basis and the block side by
-    side: the pivot columns of that reduction are exactly the greedy picks,
-    and the stored basis (the columns picked so far, as given) is always
-    independent, so its columns are the first pivots.
+    The span is kept as the reduced rows of ``_rref``: each column is
+    reduced against them and, when something is left, joins them.
     """
 
     def __init__(self, field, width: int):
         self.field = field
         self.width = width
         self.prime = field.p if isinstance(field, PrimeField) else None
-        self.dtype = residue_dtype(self.prime)
-        self.basis = _zeros((width, 0), self.prime)
+        self.basis: dict = {}      # pivot -> reduced row
+        self._holders: dict = {}   # non-pivot column -> pivots of rows nonzero there
 
     @property
     def rank(self) -> int:
-        return self.basis.shape[1]
-
-    def _reduce(self, block):
-        """The stored basis followed by the block, and its pivot columns."""
-        B = np.asarray(block, dtype=self.dtype)
-        if B.ndim == 1:
-            B = B[:, None]
-        X = np.hstack([self.basis, B]) if self.rank else B
-        return X, _rref(X, self.prime)[1]
+        return len(self.basis)
 
     def add(self, block) -> list:
-        X, pivots = self._reduce(block)
-        picked = [c - self.rank for c in pivots[self.rank:]]
-        if picked:
-            self.basis = X[:, pivots]
+        if isinstance(block, dict):
+            block = [block]
+        picked = []
+        for j, vec in enumerate(block):
+            v = _reduce(vec, self.basis, self.prime) if vec else vec
+            if v:
+                _insert(self.basis, self._holders, v, self.prime)
+                picked.append(j)
         return picked
 
-    def contains(self, vec) -> bool:
-        return len(self._reduce(vec)[1]) == self.rank
+    def contains(self, vec: dict) -> bool:
+        return not _reduce(vec, self.basis, self.prime)

@@ -1,10 +1,12 @@
-"""Degree-truncated dense linear-algebra oracle for graded homology.
+"""Degree-truncated sparse linear-algebra oracle for graded homology.
 
 An independent verification path: graded pieces of modules over R = S/(f)
 are represented by ambient monomial coordinates modulo explicit image
 subspaces, resolutions are rebuilt degree by degree from kernels of
 assembled coefficient matrices, and homology dimensions come from ranks.
-No Groebner machinery is used anywhere on this path.
+No Groebner machinery is used anywhere on this path.  Vectors are sparse
+dicts {coordinate index: value} and every rank, kernel and quotient comes
+from the one elimination in ``linalg``.
 
 The truncation is sound: a graded piece in degree d only involves
 generators and relations of degree <= d, so every reported value is exact.
@@ -15,11 +17,9 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-import numpy as np
-
 from .fields import PrimeField
 from .fmodules import ModulePresentation, PolyMatrix
-from .linalg import MAX_SLICE, EchelonAccumulator, _rref, _zeros
+from .linalg import MAX_SLICE, EchelonAccumulator, SparseMatrix, _reduce, _rref
 from .polynomials import mono_mul, monomials_of_degree
 from .rings import RingPresentation
 
@@ -37,88 +37,45 @@ def monomial_basis(nvars: int, degree: int):
     return tuple(monomials_of_degree(nvars, degree))
 
 
-def _kernel_basis(A, p):
-    """Columns spanning ker(A) as a (n x k) array; None when k = 0."""
-    m, n = A.shape
-    if n == 0:
-        return None
-    if m == 0:
-        return _eye(n, p)
-    R, pivots = _rref(A, p)
+def _kernel_basis(A: SparseMatrix, p):
+    """Vectors spanning ker(A) in the coordinates 0..n-1 of its columns;
+    None when the kernel is zero.  One vector per non-pivot column j of the
+    RREF: a one at j, minus column j's entries at the pivots."""
+    rows, pivots = _rref(A, p)
     pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
-    if not free:
-        return None
-    K = _zeros((n, len(free)), p)
-    K[free, range(len(free))] = 1 if p is not None else Fraction(1)
-    tails = -R[:len(pivots)][:, free]
-    K[pivots, :] = tails % p if p is not None else tails
-    return K
-
-
-def _eye(n, p):
-    A = _zeros((n, n), p)
-    for i in range(n):
-        A[i, i] = 1 if p is not None else Fraction(1)
-    return A
+    one = 1 if p is not None else Fraction(1)
+    K = {j: {j: one} for j in range(A.shape[1]) if j not in pivot_set}
+    for c, row in zip(pivots, rows):
+        for j, x in row.items():
+            if j != c:
+                K[j][c] = -x % p if p is not None else -x
+    return list(K.values()) or None
 
 
 class QuotientSpace:
-    """A coordinate space modulo a stored column span, with fast reduction.
+    """A coordinate space modulo the span of some vectors, kept as their
+    reduced basis {pivot: row} from ``_rref``."""
 
-    Keeps the reduced row echelon form of the subspace and, for each row
-    with nonzero entries off the pivot columns (its tail), the coordinates
-    of those entries.
-    """
+    __slots__ = ("dim", "rank", "basis", "p")
 
-    __slots__ = ("dim", "rank", "echelon", "pivots", "tails", "p")
-
-    def __init__(self, dim: int, subspace_cols, p):
+    def __init__(self, dim: int, vectors: list, p):
         self.dim = dim
         self.p = p
-        if subspace_cols is None or subspace_cols.shape[1] == 0 or dim == 0:
-            self.echelon = None
-            self.pivots = []
-            self.tails = []
-            self.rank = 0
-            return
-        E, pivots = _rref(subspace_cols.T, p)
-        self.echelon = E[:len(pivots)].copy()  # not a view: E is dropped
-        self.pivots = pivots
+        rows, pivots = _rref(SparseMatrix(vectors, dim), p)
+        self.basis = dict(zip(pivots, rows))
         self.rank = len(pivots)
-        self.tails = []
-        for a, c in enumerate(pivots):
-            support = self.echelon[a].nonzero()[0]
-            support = support[support != c]
-            if support.size:
-                self.tails.append((a, support))
 
     @property
     def quotient_dim(self) -> int:
         return self.dim - self.rank
 
-    def reduce_columns(self, V):
-        """Residuals of the columns of V modulo the subspace.
-
-        The echelon rows are the identity on the pivot coordinates, so a
-        residual is V with its pivot rows zeroed, minus the outer product of
-        each tail with the matching pivot row of V.  The subspaces are
-        spanned by monomial shifts, so tails are short or absent and the
-        pivot rows of V mostly zero: only nonzero entries are multiplied,
-        which also keeps Fraction arithmetic off the zeros."""
-        if self.rank == 0 or V.shape[1] == 0:
+    def reduce_columns(self, V: list) -> list:
+        """Residuals of the vectors V modulo the subspace: each has zeros at
+        the pivots.  The subspaces are spanned by monomial shifts, so their
+        rows are short and most entries of V meet no pivot."""
+        if not self.rank:
             return V
-        P = V[self.pivots, :]
-        out = V.copy()
-        out[self.pivots, :] = 0 if self.p is not None else Fraction(0)
-        for a, support in self.tails:
-            cols = P[a].nonzero()[0]
-            if cols.size:
-                out[support[:, None], cols] -= np.multiply.outer(self.echelon[a, support],
-                                                                 P[a, cols])
-        if self.p is not None:
-            out %= self.p
-        return out
+        return [_reduce(v, self.basis, self.p) if v else {} for v in V]
 
 
 class OracleContext:
@@ -157,21 +114,12 @@ class OracleContext:
             self._slices[key] = (coords, {cm: i for i, cm in enumerate(coords)})
         return self._slices[key]
 
-    def dense(self, gen_degs: tuple, d: int, sparse_vecs):
-        """Stack sparse {(pos, mono): coeff} vectors as dense columns."""
-        coords, _ = self.slice_coords(gen_degs, d)
-        A = _zeros((len(coords), len(sparse_vecs)), self.p)
-        self.write_columns(A, gen_degs, d, sparse_vecs)
-        return A
-
-    def write_columns(self, A, gen_degs: tuple, d: int, sparse_vecs):
-        """Write sparse vectors into the first columns of A."""
+    def vectors(self, gen_degs: tuple, d: int, sparse_vecs) -> list:
+        """{(pos, mono): coeff} vectors in the slice's coordinate indices;
+        terms outside the slice are dropped."""
         _, index = self.slice_coords(gen_degs, d)
-        for j, vec in enumerate(sparse_vecs):
-            for cm, c in vec.items():
-                i = index.get(cm)
-                if i is not None:
-                    A[i, j] = c
+        return [{index[cm]: c for cm, c in vec.items() if cm in index}
+                for vec in sparse_vecs]
 
     @staticmethod
     def shift(vec: dict, mono: tuple) -> dict:
@@ -211,8 +159,8 @@ class OracleContext:
             cols = self._quotient_multiples(gen_degs, d)
             for deg, vec in _presentation_columns(pres):
                 cols.extend(self.monomial_multiples(vec, deg, d))
-            A = self.dense(gen_degs, d, cols)
-            self._value_spaces[key] = QuotientSpace(len(coords), A, self.p)
+            self._value_spaces[key] = QuotientSpace(
+                len(coords), self.vectors(gen_degs, d, cols), self.p)
         return self._value_spaces[key]
 
     def free_space(self, gen_degs: tuple, d: int) -> QuotientSpace:
@@ -220,8 +168,9 @@ class OracleContext:
         key = (("free",) + gen_degs, d)
         if key not in self._value_spaces:
             coords, _ = self.slice_coords(gen_degs, d)
-            A = self.dense(gen_degs, d, self._quotient_multiples(gen_degs, d))
-            self._value_spaces[key] = QuotientSpace(len(coords), A, self.p)
+            cols = self._quotient_multiples(gen_degs, d)
+            self._value_spaces[key] = QuotientSpace(
+                len(coords), self.vectors(gen_degs, d, cols), self.p)
         return self._value_spaces[key]
 
 
@@ -250,7 +199,7 @@ def _presentation_columns(pres: ModulePresentation):
 
 
 def _kernel_piece(ctx: OracleContext, pres: ModulePresentation, steps, d: int):
-    """Columns spanning the degree-d piece of the kernel of the last free
+    """Vectors spanning the degree-d piece of the kernel of the last free
     module's map, in that free module's coordinates, quotient multiples
     included; None when it is zero.  For the first step the map is onto the
     module, whose kernel is the span of the relation images and quotient
@@ -262,9 +211,9 @@ def _kernel_piece(ctx: OracleContext, pres: ModulePresentation, steps, d: int):
         for cdeg, vec in _presentation_columns(pres):
             candidates.extend(ctx.monomial_multiples(vec, cdeg, d))
         candidates.extend(ctx._quotient_multiples(prev_degs, d))
-        E, pivots = _rref(ctx.dense(prev_degs, d, candidates).T, ctx.p)
-        # copied so the whole RREF is not kept
-        return E[:len(pivots)].copy().T if pivots else None
+        A = SparseMatrix(ctx.vectors(prev_degs, d, candidates),
+                         len(ctx.slice_coords(prev_degs, d)[0]))
+        return _rref(A, ctx.p)[0] or None
     prev = steps[-1]
     src_degs = tuple(steps[-2].gen_degs)
     # columns of the induced map at degree d
@@ -272,8 +221,9 @@ def _kernel_piece(ctx: OracleContext, pres: ModulePresentation, steps, d: int):
     for g, vec in zip(prev.gen_degs, prev.gen_vecs):
         for m in monomial_basis(ctx.pr.nvars, d - g) if d >= g else ():
             cols.append(ctx.shift(vec, m))
-    L = ctx.dense(src_degs, d, cols)
-    return _kernel_basis(ctx.free_space(src_degs, d).reduce_columns(L), ctx.p)
+    target = ctx.free_space(src_degs, d)
+    L = target.reduce_columns(ctx.vectors(src_degs, d, cols))
+    return _kernel_basis(SparseMatrix.from_columns(L, target.dim), ctx.p)
 
 
 def truncated_resolution(ctx: OracleContext, pres: ModulePresentation, hsteps: int):
@@ -295,32 +245,33 @@ def truncated_resolution(ctx: OracleContext, pres: ModulePresentation, hsteps: i
             if P is None:
                 prev_base = None
                 continue
-            # The seeds (quotient multiples, then each variable times each
-            # column of prev_base) span the part of the kernel piece that
-            # lower-degree generators cover.  They fill one block and P
-            # follows them, so the greedy pick keeps exactly the columns of
-            # P outside the span of the seeds and of the columns of P left of
-            # them: a minimal set of new generators.  The picks after the
-            # quotient multiples are the next prev_base: multiplying by a
-            # variable keeps quotient multiples inside the next ones.
-            quotient = ctx._quotient_multiples(prev_degs, d)
-            nseeds = len(quotient) + (nvars * prev_base.shape[1] if prev_base is not None else 0)
-            block = _zeros((len(coords), nseeds + P.shape[1]), ctx.p)
-            ctx.write_columns(block, prev_degs, d, quotient)
+            # The seeds (the reduced basis of the quotient multiples, then
+            # each variable times each column of prev_base) span the part of
+            # the kernel piece that lower-degree generators cover.  They fill
+            # one block and P follows them, so the greedy pick keeps exactly
+            # the columns of P outside the span of the seeds and of the
+            # columns of P left of them: a minimal set of new generators.
+            # The picks after the quotient multiples are the next prev_base:
+            # multiplying by a variable keeps quotient multiples inside the
+            # next ones.
+            block = list(ctx.free_space(prev_degs, d).basis.values())
+            nquotient = len(block)
             if prev_base is not None:
                 pcoords, _ = ctx.slice_coords(prev_degs, d - 1)
+                moves = []
                 for v in range(nvars):
                     mono = tuple(1 if w == v else 0 for w in range(nvars))
-                    rows = [index[(pos, mono_mul(m, mono))] for pos, m in pcoords]
-                    block[np.ix_(rows, range(len(quotient) + v, nseeds, nvars))] = prev_base
-            block[:, nseeds:] = P
+                    moves.append([index[(pos, mono_mul(m, mono))] for pos, m in pcoords])
+                block += [{move[i]: x for i, x in vec.items()}
+                          for vec in prev_base for move in moves]
+            nseeds = len(block)
+            block += P
             picks = EchelonAccumulator(ctx.pr.field, len(coords)).add(block)
             for j in picks:
                 if j >= nseeds:
-                    v = P[:, j - nseeds]
                     gen_degs.append(d)
-                    gen_vecs.append({coords[i]: v[i] for i in v.nonzero()[0]})
-            prev_base = block[:, [j for j in picks if j >= len(quotient)]]
+                    gen_vecs.append({coords[i]: x for i, x in block[j].items()})
+            prev_base = [block[j] for j in picks if j >= nquotient]
         steps.append(TruncatedStep(gen_degs, gen_vecs))
         if not gen_degs:
             # kernel trivial through the degree bound: later steps stay empty
@@ -335,7 +286,7 @@ def tor_oracle(M: ModulePresentation, N: ModulePresentation, index_bound: int,
     """Graded dimensions of Tor_i(M, N) for 1 <= i <= index_bound.
 
     Returns {i: {d: dim}} for d from the smallest generator degree through
-    degree_bound, computed purely by dense linear algebra on graded pieces.
+    degree_bound, computed purely by linear algebra on graded pieces.
     """
     M.check_same_ring(N)
     ctx = OracleContext(M.ring, degree_bound)
@@ -343,55 +294,30 @@ def tor_oracle(M: ModulePresentation, N: ModulePresentation, index_bound: int,
     return _homology_dims(ctx, steps, N, index_bound, degree_bound)
 
 
-def _induced_map_columns(ctx, src_degs, src_vecs, tgt_degs, N, d):
-    """Columns of (d_step tensor N)_d: source block coords -> target coords."""
-    tgt_index = {}
-    off = 0
-    for pos, g in enumerate(tgt_degs):
-        coords, _ = ctx.slice_coords(N.gen_degs, d - g)
-        for cm in coords:
-            tgt_index[(pos, cm)] = off
-            off += 1
-    nrows = off
-    src_coords = [ctx.slice_coords(N.gen_degs, d - g)[0] for g in src_degs]
-    A = _zeros((nrows, sum(len(c) for c in src_coords)), ctx.p)
-    j = 0
-    for coords_src, vec in zip(src_coords, src_vecs):
-        for npos, nmono in coords_src:
+def _induced_rank(ctx, src: TruncatedStep, tgt_degs, N, d) -> int:
+    """Rank of (d_step tensor N)_d from the source step's free module into
+    that of tgt_degs.  Target generator pos contributes the block N_{d-g}
+    (g its degree), taken modulo its value space; the residual columns of
+    all blocks side by side span the image."""
+    spaces = [ctx.value_space(N, d - g) for g in tgt_degs]
+    index = [ctx.slice_coords(N.gen_degs, d - g)[1] for g in tgt_degs]
+    blocks = [[] for _ in tgt_degs]
+    for g, vec in zip(src.gen_degs, src.gen_vecs):
+        for npos, nmono in ctx.slice_coords(N.gen_degs, d - g)[0]:
+            parts = [{} for _ in tgt_degs]
             for (pos, mono), c in vec.items():
-                i = tgt_index.get((pos, (npos, mono_mul(nmono, mono))))
+                i = index[pos].get((npos, mono_mul(nmono, mono)))
                 if i is not None:
-                    if ctx.p is not None:
-                        A[i, j] = (A[i, j] + c) % ctx.p
-                    else:
-                        A[i, j] = A[i, j] + c
-            j += 1
-    return A
-
-
-def _block_quotient(ctx, gen_degs, N, d):
-    """Block-diagonal quotient data for (R^{gen_degs} tensor N)_d."""
-    dims, ranks, reducers, offsets = [], [], [], []
+                    parts[pos][i] = parts[pos].get(i, 0) + c
+            for block, part in zip(blocks, parts):
+                block.append(part)
+    cols = [{} for _ in blocks[0]] if blocks else []
     off = 0
-    for g in gen_degs:
-        qs = ctx.value_space(N, d - g)
-        dims.append(qs.dim)
-        ranks.append(qs.rank)
-        reducers.append(qs)
-        offsets.append(off)
+    for qs, block in zip(spaces, blocks):
+        for col, v in zip(cols, qs.reduce_columns(block)):
+            col.update({off + i: x for i, x in v.items()})
         off += qs.dim
-    return dims, ranks, reducers, offsets, off
-
-
-def _reduce_blockwise(reducers, offsets, dims, V, p):
-    if V.shape[1] == 0:
-        return V
-    out = V.copy()
-    for qs, off, dim in zip(reducers, offsets, dims):
-        if dim == 0 or qs.rank == 0:
-            continue
-        out[off:off + dim, :] = qs.reduce_columns(out[off:off + dim, :])
-    return out
+    return len(EchelonAccumulator(ctx.pr.field, off).add(cols))
 
 
 def _homology_dims(ctx: OracleContext, steps, N: ModulePresentation,
@@ -403,31 +329,15 @@ def _homology_dims(ctx: OracleContext, steps, N: ModulePresentation,
     out: dict = {}
     for i in range(1, index_bound + 1):
         dims_i = {}
+        Ti, Tnext = steps[i], steps[i + 1]
         for d in range(lo, degree_bound + 1):
-            Ti = steps[i]
-            if not Ti.gen_degs:
-                dims_i[d] = 0
-                continue
-            tgt_degs = tuple(steps[i - 1].gen_degs)
-            dims_t, ranks_t, red_t, offs_t, total_t = _block_quotient(ctx, tgt_degs, Nmin, d)
-            dims_s, ranks_s, red_s, offs_s, total_s = _block_quotient(ctx, tuple(Ti.gen_degs), Nmin, d)
-            dimQ_src = sum(ds - rs for ds, rs in zip(dims_s, ranks_s))
+            dimQ_src = sum(ctx.value_space(Nmin, d - g).quotient_dim for g in Ti.gen_degs)
             if dimQ_src == 0:
                 dims_i[d] = 0
                 continue
-            Vi = _induced_map_columns(ctx, Ti.gen_degs, Ti.gen_vecs, tgt_degs, Nmin, d)
-            Vi_red = _reduce_blockwise(red_t, offs_t, dims_t, Vi, ctx.p)
-            # rank of the induced outgoing map: the span of the residual columns
-            rank_out = len(EchelonAccumulator(ctx.pr.field, total_t).add(Vi_red))
-            ker_dim = dimQ_src - rank_out
-            # incoming map from step i+1
-            Tnext = steps[i + 1]
-            rank_in = 0
-            if Tnext.gen_degs:
-                Vn = _induced_map_columns(ctx, Tnext.gen_degs, Tnext.gen_vecs,
-                                          tuple(Ti.gen_degs), Nmin, d)
-                Vn_red = _reduce_blockwise(red_s, offs_s, dims_s, Vn, ctx.p)
-                rank_in = len(EchelonAccumulator(ctx.pr.field, total_s).add(Vn_red))
+            # kernel of the outgoing map minus the image of the incoming one
+            ker_dim = dimQ_src - _induced_rank(ctx, Ti, steps[i - 1].gen_degs, Nmin, d)
+            rank_in = _induced_rank(ctx, Tnext, Ti.gen_degs, Nmin, d) if Tnext.gen_degs else 0
             dims_i[d] = ker_dim - rank_in
         out[i] = dims_i
     return out
@@ -473,11 +383,10 @@ def map_kernel_cokernel_oracle(psi: PolyMatrix, source: ModulePresentation,
                         key = (i, mono_mul(m, mono))
                         vec[key] = c
             cols.append(vec)
-        A = ctx.dense(target.gen_degs, d, cols)
         # psi descends, so source-subspace columns reduce to zero residuals
         # and the residual column span is exactly the induced image
-        A_red = tgt_q.reduce_columns(A)
-        rank_ind = len(EchelonAccumulator(ctx.pr.field, A_red.shape[0]).add(A_red))
+        A_red = tgt_q.reduce_columns(ctx.vectors(target.gen_degs, d, cols))
+        rank_ind = len(EchelonAccumulator(ctx.pr.field, tgt_q.dim).add(A_red))
         ker[d] = src_q.quotient_dim - rank_ind
         coker[d] = tgt_q.quotient_dim - rank_ind
     return ker, coker

@@ -100,7 +100,7 @@ def _locally_free_at_minimal_primes(M: ModulePresentation) -> bool:
 def counterexample_search(cfg: SearchConfig) -> dict:
     """Run the configured search; returns the findings log."""
     # Imported here, not at the top, so that importing cihom does not load
-    # numpy through the dense oracle.
+    # the oracle.
     from .oracle import OracleTooLargeError
     handler = {"3.17": _search_3_17, "4.16": _search_4_16,
                "4.18": _search_4_18, "4.10": _search_4_10,

@@ -221,6 +221,10 @@ _SHORT_WINDOW = "cihom: input error: betti window of length 3 is too short (need
     ("betti M steps=2", [], _SHORT_WINDOW),
     ("betti M", ["--steps", "2"], _SHORT_WINDOW),
     ("betti M", ["--seed", "-5"], "cihom: error: argument --seed: must be an integer >= 0, got -5"),
+    ("ring P = quotient(field=f32003, @vars=[x,x], ideal=[x])", [],
+     "duplicate variable name 'x'"),
+    ("search @9.9 with (ring=R, samples=1)", [],
+     "unknown question id '9.9'; known: 3.17, 4.16, 4.18, 4.10, 3.6"),
 ])
 def test_cli_bad_input_exits_2(tmp_path, capsys, line, flags, message):
     script = tmp_path / "bad.ci"

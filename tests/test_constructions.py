@@ -31,7 +31,7 @@ def test_pushforward_node(ring_node, node_pair):
     m1 = pf.M1.minimalize()
     twist = m1.gen_degs[0]
     assert equal_hilbert_functions(m1, My.twist(twist), 8)
-    # independent dense check of injectivity and the cokernel values
+    # independent oracle check of injectivity and the cokernel values
     kdims, cdims = map_kernel_cokernel_oracle(pf.u, pf.M,
                                               ModulePresentation.free(ring_node, pf.free_degs),
                                               6)
@@ -56,21 +56,24 @@ def test_pushforward_m_counts_dual_generators(mod_M_two_nodes):
 def test_dual_generators_are_computed_once(mod_quadric, monkeypatch):
     # pushforward reads the dual generators of the minimal presentation twice,
     # through biduality and for the embedding; the second read does no
-    # syzygy work.
+    # syzygy work.  calls records each tracked Groebner basis fmodules
+    # builds: a syzygy_generators call or a TrackedSubmodule of its own.
     from cihom import fmodules
     Mq = ModulePresentation(mod_quadric.ring, mod_quadric.gen_degs, mod_quadric.relations,
                             label="Mq").minimalize()
     first = Mq.dual_generators()
     calls = []
-    real = fmodules.syzygy_generators
-    monkeypatch.setattr(fmodules, "syzygy_generators",
-                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    for name in ("syzygy_generators", "TrackedSubmodule"):
+        real = getattr(fmodules, name)
+        monkeypatch.setattr(fmodules, name, lambda *args, real=real, **kwargs:
+                            calls.append(args) or real(*args, **kwargs))
     assert Mq.dual_generators() is first
     assert calls == []
     pf = pushforward(Mq)
     assert pf.exact and pf.m == len(first[1])
-    # Biduality presents M*, finds its dual generators and presents M**; the
-    # dual generators of Mq are not recomputed, by biduality or the embedding.
+    # Biduality presents M*, finds its dual generators and presents M** from
+    # the tracked basis that also lifts the biduality map; the dual
+    # generators of Mq are not recomputed, by biduality or the embedding.
     assert len(calls) == 3
 
 

@@ -319,28 +319,29 @@ def test_nonfree_locus_cyclic_cross_check(mod_M_two_nodes, ring_two_nodes):
 
 # -- the biduality report's syzygy work --------------------------------------------------
 
-@pytest.mark.parametrize("which, dual_calls, syzygy_calls", [
+@pytest.mark.parametrize("which, dual_calls, tracked_bases", [
     ("quadric", 2, 8), ("two_nodes_N", 2, 8), ("torsion", 2, 6), ("finite_length", 1, 3)])
 def test_biduality_report_call_counts(monkeypatch, ring_quadric, ring_two_nodes, which,
-                                      dual_calls, syzygy_calls):
-    # Counts recorded before the dual and the M*/M** steps of biduality_map
-    # shared one presentation helper: M* and M** are each presented once, and
-    # a module whose dual is zero never asks for the dual of its dual.
-    from cihom import fmodules, groebner, homology, resolutions
-    calls = {"dual": 0, "syzygy": 0}
-    real_dual, real_syzygy = ModulePresentation.dual_generators, groebner.syzygy_generators
+                                      dual_calls, tracked_bases):
+    # M* and M** are each presented once, a module whose dual is zero never
+    # asks for the dual of its dual, and one tracked Groebner basis of M**'s
+    # generators gives both its presentation and the lifts of the biduality
+    # map.  Every syzygy computation and every lift builds one
+    # TrackedSubmodule, so counting them counts the tracked bases.
+    from cihom import groebner
+    calls = {"dual": 0, "tracked": 0}
+    real_dual, real_init = ModulePresentation.dual_generators, groebner.TrackedSubmodule.__init__
 
     def counting_dual(self):
         calls["dual"] += 1
         return real_dual(self)
 
-    def counting_syzygy(*args, **kwargs):
-        calls["syzygy"] += 1
-        return real_syzygy(*args, **kwargs)
+    def counting_init(self, *args, **kwargs):
+        calls["tracked"] += 1
+        real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(ModulePresentation, "dual_generators", counting_dual)
-    for module in (fmodules, homology, resolutions):
-        monkeypatch.setattr(module, "syzygy_generators", counting_syzygy)
+    monkeypatch.setattr(groebner.TrackedSubmodule, "__init__", counting_init)
     ring = ring_quadric if which == "quadric" else ring_two_nodes
     pr = ring.poly_ring
     zero = pr.zero()
@@ -355,7 +356,7 @@ def test_biduality_report_call_counts(monkeypatch, ring_quadric, ring_two_nodes,
                  ring, (0, 1), [[x, zero], [y * z, u], [zero, x]]),
              "finite_length": ModulePresentation.quotient_by_ideal(ring, [x, y, z, u])}[which]
     rep = M.biduality_report()
-    assert calls == {"dual": dual_calls, "syzygy": syzygy_calls}
+    assert calls == {"dual": dual_calls, "tracked": tracked_bases}
     assert rep.torsion_free == (which in ("quadric", "two_nodes_N"))
 
 

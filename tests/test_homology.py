@@ -312,7 +312,7 @@ def test_kernel_of_injective_multiplication(ring_node):
     psi = PolyMatrix(pr, (0,), (1,), [[x]])
     ker = kernel_of_map(psi, shifted, My).minimalize()
     assert ker.n_gens == 0
-    # cross-check through the dense linear-algebra path
+    # cross-check through the linear-algebra oracle
     from cihom.oracle import map_kernel_cokernel_oracle
     kdims, _ = map_kernel_cokernel_oracle(psi, shifted, My, 6)
     assert all(v == 0 for v in kdims.values())

@@ -119,7 +119,7 @@ def test_guardrail_variables():
 
 def test_syzygy_hilbert_matches_oracle(ring_two_nodes):
     # kernel of a small homogeneous matrix on free modules: the syzygy
-    # presentation's Hilbert values equal the dense kernel dimensions
+    # presentation's Hilbert values equal the oracle's kernel dimensions
     import random as _random
     from cihom.fmodules import PolyMatrix
     from cihom.groebner import Element, syzygy_generators
@@ -185,7 +185,7 @@ def test_value_space_cache_keyed_on_the_presentation(ring_two_nodes):
 
 
 def test_importing_cihom_does_not_load_the_oracle():
-    # The Groebner pipeline needs no numpy; only the dense path loads it.
+    # The Groebner pipeline does not load the oracle, and nothing loads numpy.
     code = "import sys, cihom; print('cihom.oracle' in sys.modules, 'numpy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
