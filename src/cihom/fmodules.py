@@ -530,7 +530,7 @@ class ModulePresentation:
         psi, bidual = M.biduality_map()
         ker = kernel_of_map(psi, M, bidual).minimalize()
         coker = cokernel_of_map(psi, bidual).minimalize()
-        torsion_free = ker.n_gens == 0 and M.serre_condition(1)["holds"]
+        torsion_free = ker.n_gens == 0 and M.satisfies_serre(1)
         reflexive = ker.n_gens == 0 and coker.n_gens == 0
         return BidualityReport(ker, coker, torsion_free, reflexive)
 
@@ -654,7 +654,24 @@ class ModulePresentation:
         return {"holds": True, "level": n, "witness": None}
 
     def satisfies_serre(self, n: int) -> bool:
-        return self.serre_condition(n)["holds"]
+        """``serre_condition(n)["holds"]``, rejecting first on depth alone.
+
+        A nonzero M with depth M < min(n, dim R) fails the condition, so no
+        Ext dimension is computed for it.  Proof: let p = pd_S M, so depth M
+        = dim S - p.  Ext^p_S(M, S) is nonzero (the last map of a minimal
+        resolution has entries in the maximal ideal), so its support has
+        dimension >= 0.  If p > codim, level j = p of the condition needs
+        0 <= dim S - p - n, that is depth M >= n.  If p <= codim, then depth
+        M >= dim S - codim = dim R.  The depth reads the same ambient
+        resolution that ``ext_ambient_dimensions`` builds.
+        """
+        if n < 1:
+            raise ValueError("serre level must be a positive integer")
+        self.ring.require_certified()
+        M = self.minimalize()
+        if M.n_gens and M.depth() < min(n, self.ring.dimension()):
+            return False
+        return M.serre_condition(n)["holds"]
 
     # -- free locus -------------------------------------------------------------------
 

@@ -17,10 +17,13 @@ vanishing plus an applicable rigidity instance, (d) window only.
 A Tor profile fills itself on first read: each Tor_i, the tensor slot,
 the vanishing evidence and the resolution are built when a caller first
 asks for them, so a search that stops at the first nonzero Tor_i builds
-nothing past it.  Built modules and the resolution cached on M's minimal
-presentation are reused by later reads; a profile is not safe to fill from
-two threads at once.  The linear-algebra verification path in ``oracle`` shares
-nothing with this pipeline by construction.
+nothing past it.  Each entry (``HomologyEntry``) in turn fills its depth,
+dimension, finite length and Hilbert data on first read, so a verdict that
+reads only which Tor_i vanish builds no ambient resolution of them.  Built
+modules and the resolution cached on M's minimal presentation are reused by
+later reads; a profile is not safe to fill from two threads at once.  The
+linear-algebra verification path in ``oracle`` shares nothing with this
+pipeline by construction.
 """
 
 from __future__ import annotations
@@ -83,23 +86,47 @@ def cokernel_of_map(psi: PolyMatrix, target: ModulePresentation,
 
 
 class HomologyEntry:
-    """Minimal presentation and numeric profile of one Tor/Ext module."""
+    """Minimal presentation and numeric profile of one Tor/Ext module.
 
-    __slots__ = ("index", "presentation", "vanishes", "betti0", "depth", "dim",
-                 "finite_length", "hilbert", "initial_degree")
+    The presentation, ``vanishes``, ``betti0`` and ``initial_degree`` are
+    set at construction.  ``depth`` (an ambient resolution), ``dim``,
+    ``finite_length`` and ``hilbert`` are filled on first read from the
+    presentation's own caches (its ambient resolution and its Hilbert
+    numerator), so a caller that reads only vanishing builds neither;
+    ``dim`` and ``finite_length`` never build the resolution.
+    """
+
+    __slots__ = ("index", "presentation", "vanishes", "betti0", "initial_degree",
+                 "_degree_bound", "_hilbert")
 
     def __init__(self, index, presentation, degree_bound):
         self.index = index
         self.presentation = presentation.minimalize()
         self.vanishes = self.presentation.n_gens == 0
         self.betti0 = self.presentation.n_gens
-        profile = self.presentation.module_profile()
-        self.depth = profile.depth
-        self.dim = profile.dim
-        self.finite_length = profile.length != INF
         self.initial_degree = self.presentation.initial_degree()
-        lo = min(0, self.initial_degree) if self.initial_degree is not None else 0
-        self.hilbert = self.presentation.hilbert_function(degree_bound, dmin=lo)
+        self._degree_bound = degree_bound
+        self._hilbert = None
+
+    @property
+    def depth(self) -> float:
+        return self.presentation.depth()
+
+    @property
+    def dim(self) -> float:
+        return self.presentation.dimension()
+
+    @property
+    def finite_length(self) -> bool:
+        return self.presentation.length() != INF
+
+    @property
+    def hilbert(self) -> dict:
+        """Hilbert values from min(0, initial degree) through the degree bound."""
+        if self._hilbert is None:
+            lo = min(0, self.initial_degree) if self.initial_degree is not None else 0
+            self._hilbert = self.presentation.hilbert_function(self._degree_bound, dmin=lo)
+        return self._hilbert
 
     def normalized_hilbert(self):
         """Hilbert values listed from the initial degree (empty if zero)."""

@@ -8,6 +8,7 @@ from cihom.fields import PrimeField
 from cihom.fmodules import ModulePresentation, PolyMatrix, equal_hilbert_functions
 from cihom.polynomials import PolyRing, monomials_of_degree
 from cihom.rings import INF, NEG_INF, HypothesisMissingError, RingPresentation
+from cihom.search import random_homogeneous_module
 
 F = PrimeField(32003)
 
@@ -161,7 +162,8 @@ def _quadric_column_module(ring):
     return ModulePresentation.from_relations(ring, (0, 0, 0, 0), [[w, y, x, z]], label="Mq")
 
 
-def test_serre_levels_share_one_ext_computation(monkeypatch, ring_quadric):
+def _record_ext_calls(monkeypatch):
+    """Presentations passed to ``ext_ambient_dimensions`` from now on."""
     import cihom.homology as homology
     calls = []
     real = homology.ext_ambient_dimensions
@@ -171,6 +173,11 @@ def test_serre_levels_share_one_ext_computation(monkeypatch, ring_quadric):
         return real(M)
 
     monkeypatch.setattr(homology, "ext_ambient_dimensions", counting)
+    return calls
+
+
+def test_serre_levels_share_one_ext_computation(monkeypatch, ring_quadric):
+    calls = _record_ext_calls(monkeypatch)
     M = _quadric_column_module(ring_quadric)
     verdicts = {n: M.serre_condition(n) for n in (2, 1, 3)}
     assert M.satisfies_serre(2) and not M.satisfies_serre(3)
@@ -180,6 +187,67 @@ def test_serre_levels_share_one_ext_computation(monkeypatch, ring_quadric):
     for n, verdict in verdicts.items():
         assert _quadric_column_module(ring_quadric).serre_condition(n) == verdict
     assert len(calls) == 1 + len(verdicts)
+
+
+def _residue_field(ring):
+    pr = ring.poly_ring
+    return ModulePresentation.quotient_by_ideal(
+        ring, [pr.variable(v) for v in pr.variables], label="k")
+
+
+def _assert_serre_test_matches_condition(M):
+    for n in (1, 2, 3, 4):
+        assert M.satisfies_serre(n) == M.serre_condition(n)["holds"], (M, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31),
+       st.sampled_from(["quadric", "two_nodes", "node"]))
+def test_depth_precheck_agrees_with_the_ext_test(ring_quadric, ring_two_nodes, ring_node,
+                                                 seed, which):
+    # satisfies_serre rejects on depth before any Ext dimension; it must
+    # reach serre_condition's verdict on modules and on their tensors.
+    ring = {"quadric": ring_quadric, "two_nodes": ring_two_nodes, "node": ring_node}[which]
+    rng = random.Random(seed)
+    M = random_homogeneous_module(ring, rng, 2, rng.randint(1, 2), label="A")
+    N = random_homogeneous_module(ring, rng, 2, 1, label="B")
+    for mod in (M, N, M.tensor(N)):
+        _assert_serre_test_matches_condition(mod)
+
+
+@pytest.mark.parametrize("which", ["quadric", "two_nodes", "node"])
+def test_depth_precheck_on_zero_free_and_residue_field(which, ring_quadric, ring_two_nodes,
+                                                       ring_node):
+    ring = {"quadric": ring_quadric, "two_nodes": ring_two_nodes, "node": ring_node}[which]
+    k = _residue_field(ring)
+    for mod in (ModulePresentation.zero(ring), ModulePresentation.free(ring, (0, 1)), k):
+        _assert_serre_test_matches_condition(mod)
+    # k has depth 0 over a ring of positive dimension: no level holds
+    assert not any(k.satisfies_serre(n) for n in (1, 2, 3, 4))
+
+
+def test_depth_precheck_skips_the_ext_dimensions(monkeypatch, ring_quadric):
+    calls = _record_ext_calls(monkeypatch)
+    k = _residue_field(ring_quadric)
+    assert not any(k.satisfies_serre(n) for n in (1, 2, 3, 4))
+    assert calls == []
+    assert not k.serre_condition(1)["holds"] and len(calls) == 1
+
+
+def test_serre_level_must_be_positive(mod_quadric):
+    for check in (mod_quadric.satisfies_serre, mod_quadric.serre_condition):
+        with pytest.raises(ValueError, match="serre level"):
+            check(0)
+
+
+def test_serre_needs_certified_ring():
+    pr = PolyRing(F, ["x", "y"])
+    x = pr.variable("x")
+    bad = RingPresentation(pr, [x * x, x * x], label="bad")
+    k = ModulePresentation.quotient_by_ideal(bad, [x, pr.variable("y")])
+    for check in (k.satisfies_serre, k.serre_condition):
+        with pytest.raises(HypothesisMissingError):
+            check(1)
 
 
 # -- free locus ---------------------------------------------------------------------

@@ -19,7 +19,7 @@ from cihom.homology import (
 )
 from cihom.polynomials import PolyRing
 from cihom.resolutions import detect_periodicity
-from cihom.rings import RingPresentation
+from cihom.rings import INF, RingPresentation, encode_infinite
 from cihom.search import SearchConfig, _search_3_6, random_homogeneous_module
 
 F = PrimeField(32003)
@@ -174,6 +174,72 @@ def test_3_6_search_stops_at_the_first_nonzero_tor(ring_quadric, monkeypatch):
     assert built == {"tor": 1, "entries": 2}
     assert len(M.minimalize()._res_cache["diffs"]) == 2
     assert not tor_profile(M, N, cfg.tor_bound).vanishes(1)
+
+
+def _record_depth_reads(monkeypatch):
+    """Presentations whose ``depth`` is called from now on."""
+    read = []
+    real = ModulePresentation.depth
+
+    def depth(self):
+        read.append(self)
+        return real(self)
+
+    monkeypatch.setattr(ModulePresentation, "depth", depth)
+    return read
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_3_6_search_reads_no_depth_of_a_higher_tor(ring_quadric, monkeypatch, seed):
+    # search36 benchmark items: with seed 1 Tor_1..Tor_5 all vanish, with
+    # seed 3 Tor_1 is nonzero.  The verdict reads only which Tor_i vanish,
+    # so no Tor_i with i >= 1 has its depth computed; the tensor (Tor_0)
+    # does, in its Serre test.
+    cfg = SearchConfig(ring_quadric, "3.6", samples=1, seed=seed, max_gens=2, max_deg=1)
+    rng = random.Random(cfg.seed)
+    M = random_homogeneous_module(ring_quadric, rng, 2, 1, label="S0a")
+    N = random_homogeneous_module(ring_quadric, rng, 2, 1, label="S0b")
+    entries = []
+    real_init = HomologyEntry.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        entries.append(self)
+
+    monkeypatch.setattr(HomologyEntry, "__init__", init)
+    read = _record_depth_reads(monkeypatch)
+    _search_3_6(cfg, (M, N))
+    higher = [e.presentation for e in entries if e.index >= 1]
+    tensor = next(e.presentation for e in entries if e.index == 0)
+    assert higher and not any(p is q for p in higher for q in read)
+    assert any(q is tensor for q in read)
+
+
+def _eager_entry_dict(index, pres, degree_bound):
+    """``HomologyEntry.as_dict()`` as the entry computed it when every field
+    was filled at construction: ``module_profile`` and ``hilbert_function``
+    on the entry's own (minimal) presentation."""
+    profile = pres.module_profile()
+    initial = pres.initial_degree()
+    lo = min(0, initial) if initial is not None else 0
+    hilbert = pres.hilbert_function(degree_bound, dmin=lo)
+    normalized = [] if initial is None else [hilbert[d] for d in range(initial, max(hilbert) + 1)]
+    return {"index": index, "vanishes": pres.n_gens == 0, "betti0": pres.n_gens,
+            "depth": encode_infinite(profile.depth), "dim": encode_infinite(profile.dim),
+            "finite_length": profile.length != INF, "initial_degree": initial,
+            "hilbert": normalized}
+
+
+def test_lazy_entries_match_the_eager_profile(mod_M_two_nodes, mod_N_two_nodes, mod_quadric,
+                                              monkeypatch):
+    read = _record_depth_reads(monkeypatch)
+    for M, N, bound in ((mod_M_two_nodes, mod_N_two_nodes, 5), (mod_quadric, mod_quadric, 4)):
+        prof = tor_profile(M, N, bound, 6)
+        for e in [prof.tor0] + prof.entries:
+            # dim, finite length and the Hilbert data never build the depth
+            e.dim, e.finite_length, e.hilbert
+            assert not any(q is e.presentation for q in read)
+            assert e.as_dict() == _eager_entry_dict(e.index, e.presentation, 6)
 
 
 def test_right_profile_builds_no_entries_of_its_own(mod_M_two_nodes, mod_N_two_nodes,
