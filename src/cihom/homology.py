@@ -11,8 +11,10 @@ and the relations of each term 1 (x) B (``identity_kron``), B those of N.
 
 "Vanishes for all i >= 1" is never asserted from a finite window alone: each
 profile carries an evidence tier: (a) finite projective dimension, (b)
-window vanishing plus resolution periodicity covering the tail, (c) window
-vanishing plus an applicable rigidity instance, (d) window only.
+window vanishing plus a certified periodic resolution (a constant base
+change d_o ~ d_(o+p), which makes the whole tail periodic) whose period the
+window covers, (c) window vanishing plus an applicable rigidity instance,
+(d) window only.  ``TorProfile.vanishing_certified`` is (a), (b) or (c).
 
 A Tor profile fills itself on first read: each Tor_i, the tensor slot,
 the vanishing evidence and the resolution are built when a caller first
@@ -226,6 +228,13 @@ class TorProfile:
         return left._vanishing
 
     @property
+    def vanishing_certified(self) -> bool:
+        """Every Tor_i in the window vanishes and the evidence tier certifies
+        the tail: finite projective dimension, periodicity or rigidity."""
+        v = self.vanishing
+        return v["all_vanish_in_window"] and v["tier"] in ("pd-finite", "periodicity", "rigidity")
+
+    @property
     def periodicity(self) -> list:
         """Tor_i against Tor_(i+2) for 1 <= i <= bound - 2."""
         left = self._left or self
@@ -437,8 +446,7 @@ def depth_formula_check(M: ModulePresentation, N: ModulePresentation,
     if profile is None:
         profile = tor_profile(M, N, bound, degree_bound)
     tier = profile.vanishing["tier"]
-    hypothesis_met = profile.vanishing["all_vanish_in_window"] and tier in (
-        "pd-finite", "periodicity", "rigidity")
+    hypothesis_met = profile.vanishing_certified
     tensor = profile.tor0.presentation  # M (x) N, already minimalized as Tor_0
     depth_M, depth_N = M.depth(), N.depth()
     depth_R = ring_depth(M.ring)

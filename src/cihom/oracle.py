@@ -343,12 +343,6 @@ def _homology_dims(ctx: OracleContext, steps, N: ModulePresentation,
     return out
 
 
-def tor_oracle_single(M: ModulePresentation, N: ModulePresentation, index: int,
-                      degree_bound: int) -> dict:
-    """Graded dimensions of a single Tor module."""
-    return tor_oracle(M, N, index, degree_bound)[index]
-
-
 def module_hilbert_oracle(M: ModulePresentation, degree_bound: int) -> dict:
     """Graded dimensions of the module itself, by plain rank computations."""
     ctx = OracleContext(M.ring, degree_bound)

@@ -7,16 +7,22 @@ Nakayama), so minimality is structural and asserted per step.  Over the
 ambient ring resolutions terminate by the syzygy theorem; over quotients
 they are truncated at a requested bound.
 
+Periodicity is certified: constant invertible A and B, degree-preserving up
+to one twist t, with A.d_(o+p) = d_o.B are an isomorphism syz^(o+p-1) M =
+syz^(o-1) M(-t), so by uniqueness of minimal resolutions the whole tail is
+p-periodic from o on, in every codimension.  The pairs (A, B) solve a linear
+system over k, which the syzygy engine solves.
+
 A resolution cache is append-only and extended by the single task that
 requested it; returned FreeResolution views are immutable and safe to share.
 """
 
 from __future__ import annotations
 
-import itertools
+import random
 
 from .fmodules import ModulePresentation, PolyMatrix
-from .groebner import FreeModule, minimal_generator_indices, syzygy_generators
+from .groebner import Element, FreeModule, minimal_generator_indices, syzygy_generators
 from .polynomials import InvariantError
 
 
@@ -292,91 +298,78 @@ class InsufficientStepsError(ValueError):
     pass
 
 
-def _unit_match(A: PolyMatrix, B: PolyMatrix, row_perm, field):
-    """Column matching of B against A (rows permuted) up to unit scaling."""
-    ncols = A.ncols
-    used = [False] * ncols
-    for j in range(ncols):
-        found = None
-        for k in range(ncols):
-            if used[k]:
-                continue
-            scale = None
-            ok = True
-            for i in range(A.nrows):
-                a = A.entries[row_perm[i]][k]
-                b = B.entries[i][j]
-                if a.is_zero() != b.is_zero():
-                    ok = False
-                    break
-                if a.is_zero():
-                    continue
-                if set(a.terms) != set(b.terms):
-                    ok = False
-                    break
-                for mono, cb in b.terms.items():
-                    ca = a.terms[mono]
-                    r = field.div(cb, ca)
-                    if scale is None:
-                        scale = r
-                    elif not field.eq(scale, r):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                found = k
-                break
-        if found is None:
-            return False
-        used[found] = True
-    return True
+_MAX_PERIOD = 3
+_COMBINATIONS = 4  # seeded combinations of the solution space tried for an invertible pair
 
 
-def _equivalent_up_to_perm(A: PolyMatrix, B: PolyMatrix, field, size_cap=6) -> bool:
-    """A ~ B under row/column permutation, unit scaling and a uniform twist."""
-    if A.nrows != B.nrows or A.ncols != B.ncols:
-        return False
-    if A.nrows == 0 or A.ncols == 0:
-        return True
-    twists = {br - ar for ar, br in zip(sorted(A.row_degs), sorted(B.row_degs))}
-    if len(twists) != 1:
-        return False
-    t = next(iter(twists))
-    if sorted(b - t for b in B.col_degs) != sorted(A.col_degs):
-        return False
-    if A.nrows > size_cap or A.ncols > size_cap:
-        return False
-    for perm in itertools.permutations(range(A.nrows)):
-        if any(A.row_degs[perm[i]] != B.row_degs[i] - t for i in range(A.nrows)):
-            continue
-        if _unit_match(A, B, perm, field):
-            return True
-    return False
+def _invertible(mat: PolyMatrix) -> bool:
+    """A square constant matrix keeps every column as a minimal generator."""
+    free = FreeModule(mat.poly_ring, (0,) * mat.nrows)
+    kept = minimal_generator_indices(mat.column_elements(free), [0] * mat.ncols, free)
+    return len(kept) == mat.ncols
 
 
-def detect_periodicity(res: FreeResolution, max_period: int = 3) -> dict:
-    """Repetition of differentials up to permutation, unit scaling and twist.
+def _equivalence(D: PolyMatrix, E: PolyMatrix):
+    """Constant invertible matrices (A, B) with A.E = D.B, or None.
 
-    Requires at least 6 computed steps; a finite resolution is not periodic.
+    E's degrees are D's up to one twist t, which A and B preserve.  Entries
+    are reduced modulo the quotient ideal, and so is every k-combination of
+    them, so A.E = D.B over the ring is one linear equation over k per entry
+    and monomial.  Its solutions are the syzygies of the unknowns' constant
+    coefficient columns, all of degree 0; a few seeded combinations of them
+    are tried for an invertible pair.
+    """
+    r, c = D.nrows, D.ncols
+    twists = {e - d for d, e in zip(sorted(D.row_degs), sorted(E.row_degs))}
+    if (E.nrows, E.ncols) != (r, c) or not r or not c or len(twists) != 1:
+        return None
+    t = twists.pop()
+    # A constant base change keeps the k-span of the entries: both use the same monomials.
+    monomials = [{m for row in mat.entries for p in row for m in p.terms} for mat in (D, E)]
+    if sorted(E.col_degs) != sorted(d + t for d in D.col_degs) or monomials[0] != monomials[1]:
+        return None
+    pr, field = D.poly_ring, D.poly_ring.field
+    a_vars = [(i, k) for i in range(r) for k in range(r) if E.row_degs[k] == D.row_degs[i] + t]
+    b_vars = [(s, j) for s in range(c) for j in range(c) if E.col_degs[j] == D.col_degs[s] + t]
+    unit = (0,) * pr.nvars
+    equations: dict = {}  # (row i, column j, monomial) of A.E - D.B -> position
+    columns = [{(equations.setdefault((i, j, m), len(equations)), unit): v
+                for j in range(c) for m, v in E.entries[k][j].terms.items()} for i, k in a_vars]
+    columns += [{(equations.setdefault((i, j, m), len(equations)), unit): field.neg(v)
+                 for i in range(r) for m, v in D.entries[i][s].terms.items()} for s, j in b_vars]
+    free = FreeModule(pr, (0,) * len(equations))
+    kernel, _ = syzygy_generators([Element(free, terms) for terms in columns],
+                                  [0] * len(columns), free)
+    rng = random.Random(0)
+    for _ in range(_COMBINATIONS):
+        x = FreeModule(pr, (0,) * len(columns)).zero()
+        for vec in kernel:
+            x = x.add(vec.scale(field.from_int(rng.randrange(1, 1 << 15))))
+        a, b = [[pr.zero()] * r for _ in range(r)], [[pr.zero()] * c for _ in range(c)]
+        for (u, _m), v in x.terms.items():
+            mat, (i, k) = (a, a_vars[u]) if u < len(a_vars) else (b, b_vars[u - len(a_vars)])
+            mat[i][k] = pr.constant(v)
+        A = PolyMatrix(pr, tuple(d + t for d in D.row_degs), E.row_degs, a)
+        B = PolyMatrix(pr, D.col_degs, tuple(e - t for e in E.col_degs), b)
+        if _invertible(A) and _invertible(B):
+            return A, B
+    return None
+
+
+def detect_periodicity(res: FreeResolution) -> dict:
+    """The first period p <= 3, then onset 1 <= o <= n - 2p (n computed steps),
+    with d_o and d_(o+p) equivalent (``_equivalence``), which certifies that
+    the whole tail is p-periodic from o on.  ``periodic: False`` means no such
+    equivalence in the window, not a proof that the resolution is not
+    periodic; a finite resolution is never periodic.  Needs >= 6 steps.
     """
     if res.terminated:
         return {"periodic": False, "period": None, "onset": None}
     n = res.steps_computed()
     if n < 6:
         raise InsufficientStepsError("periodicity detection needs >= 6 resolution steps")
-    field = res.ring.field
-    for period in range(1, max_period + 1):
+    for period in range(1, _MAX_PERIOD + 1):
         for onset in range(1, n - 2 * period + 1):
-            ok = True
-            for i in range(onset, n - period + 1):
-                A = res.differential(i)
-                B = res.differential(i + period)
-                if B is None:
-                    break
-                if not _equivalent_up_to_perm(A, B, field):
-                    ok = False
-                    break
-            if ok:
+            if _equivalence(res.differential(onset), res.differential(onset + period)):
                 return {"periodic": True, "period": period, "onset": onset}
     return {"periodic": False, "period": None, "onset": None}

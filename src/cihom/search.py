@@ -205,11 +205,10 @@ def _search_3_6(cfg, mods):
     if M.n_gens == 0 or N.n_gens == 0:
         return {"classification": "skipped", "reason": "zero module sampled"}
     prof = tor_profile(M, N, cfg.tor_bound, cfg.degree_bound)
-    certified = prof.vanishing["tier"] in ("pd-finite", "periodicity", "rigidity")
     tensor = prof.tor0.presentation  # M (x) N, already minimalized as Tor_0
     level = next((n for n in (2, 1) if tensor.satisfies_serre(n)), None)
     hyps = {"certified": cfg.ring.certified,
-            "all_tor_vanish_certified": prof.all_vanish_in_window() and certified,
+            "all_tor_vanish_certified": prof.vanishing_certified,
             "tensor_serre_level": level}
     rec = {"hypotheses": hyps}
     if not (hyps["certified"] and hyps["all_tor_vanish_certified"] and level):

@@ -227,7 +227,7 @@ def _concl_all_vanish(inst):
     return ({"statement": "Tor_i(M, N) = 0 for all i >= 1",
              "verdict": "holds" if ok else "fails",
              "window": inst.tor_bound,
-             "certified": prof.vanishing["tier"] in ("pd-finite", "periodicity", "rigidity"),
+             "certified": prof.vanishing_certified,
              "detail": prof.vanishing},
             prof.vanishing["tier"])
 
@@ -561,10 +561,9 @@ def _check_4_1(inst, params):
 
 def _check_4_3(inst, params):
     prof = inst.profile()
-    certified = prof.vanishing["tier"] in ("pd-finite", "periodicity", "rigidity")
     hyps = [_hyp_certified(inst),
             _ok("Tor_i(M, M) = 0 for all i >= 1 (certified)",
-                prof.all_vanish_in_window() and certified, prof.vanishing)]
+                prof.vanishing_certified, prof.vanishing)]
     cm_m = inst.M.is_cohen_macaulay() and inst.M.n_gens > 0
     cm_t = inst.tensor().is_cohen_macaulay() and inst.tensor().n_gens > 0
     hyps.append(_ok("M or M tensor M is Cohen-Macaulay (nonzero)", cm_m or cm_t,

@@ -13,7 +13,6 @@ from cihom.oracle import (
     OracleTooLargeError,
     module_hilbert_oracle,
     tor_oracle,
-    tor_oracle_single,
 )
 from cihom.polynomials import PolyRing
 from cihom.rings import RingPresentation
@@ -30,7 +29,7 @@ def test_oracle_tor_of_free_is_zero(ring_two_nodes, mod_N_two_nodes):
 
 def test_oracle_periodic_tor_values(periodic_pair):
     M, N = periodic_pair
-    dims = tor_oracle_single(M, N, 1, 6)
+    dims = tor_oracle(M, N, 1, 6)[1]
     assert [dims[d] for d in range(2, 7)] == [1, 1, 1, 1, 1]
     assert dims[0] == 0 and dims[1] == 0
 

@@ -1,14 +1,18 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cihom.fields import PrimeField
-from cihom.fmodules import ModulePresentation
+from cihom.fields import PrimeField, field_by_tag
+from cihom.fmodules import ModulePresentation, PolyMatrix
 from cihom.polynomials import PolyRing, monomials_of_degree
 from cihom.resolutions import (
     InsufficientStepsError,
     InsufficientWindowError,
     MinimalityRequiredError,
+    _equivalence,
     betti_table,
     complexity_estimate,
     detect_periodicity,
@@ -16,6 +20,7 @@ from cihom.resolutions import (
     resolve,
 )
 from cihom.rings import RingPresentation
+from cihom.search import random_homogeneous_module
 
 F = PrimeField(32003)
 
@@ -183,3 +188,174 @@ def test_codim_three_generality():
     res = resolve(M, steps=5)
     assert res.betti_numbers() == [1, 3, 6, 10, 15, 21]
     assert M.is_maximal_cohen_macaulay()
+
+
+# -- periodicity certificates against the permutation search they replaced ----------
+
+def _unit_match(A, B, row_perm, field):
+    """Column matching of B against A (rows permuted) up to unit scaling."""
+    used = [False] * A.ncols
+    for j in range(A.ncols):
+        found = None
+        for k in range(A.ncols):
+            if used[k]:
+                continue
+            scale = None
+            ok = True
+            for i in range(A.nrows):
+                a = A.entries[row_perm[i]][k]
+                b = B.entries[i][j]
+                if a.is_zero() != b.is_zero():
+                    ok = False
+                    break
+                if a.is_zero():
+                    continue
+                if set(a.terms) != set(b.terms):
+                    ok = False
+                    break
+                for mono, cb in b.terms.items():
+                    r = field.div(cb, a.terms[mono])
+                    if scale is None:
+                        scale = r
+                    elif not field.eq(scale, r):
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                found = k
+                break
+        if found is None:
+            return False
+        used[found] = True
+    return True
+
+
+def _equivalent_up_to_perm(A, B, field, size_cap=6):
+    """A ~ B under row/column permutation, unit scaling and a uniform twist."""
+    if A.nrows != B.nrows or A.ncols != B.ncols:
+        return False
+    if A.nrows == 0 or A.ncols == 0:
+        return True
+    twists = {br - ar for ar, br in zip(sorted(A.row_degs), sorted(B.row_degs))}
+    if len(twists) != 1:
+        return False
+    t = next(iter(twists))
+    if sorted(b - t for b in B.col_degs) != sorted(A.col_degs):
+        return False
+    if A.nrows > size_cap or A.ncols > size_cap:
+        return False
+    for perm in itertools.permutations(range(A.nrows)):
+        if any(A.row_degs[perm[i]] != B.row_degs[i] - t for i in range(A.nrows)):
+            continue
+        if _unit_match(A, B, perm, field):
+            return True
+    return False
+
+
+def _reference_periodicity(res, max_period=3):
+    """The capped permutation search that ``detect_periodicity`` replaced:
+    every differential in the window from the onset on matches the one a
+    period later up to permutation, unit scaling and twist."""
+    if res.terminated:
+        return {"periodic": False, "period": None, "onset": None}
+    n = res.steps_computed()
+    field = res.ring.field
+    for period in range(1, max_period + 1):
+        for onset in range(1, n - 2 * period + 1):
+            if all(_equivalent_up_to_perm(res.differential(i), res.differential(i + period), field)
+                   for i in range(onset, n - period + 1)):
+                return {"periodic": True, "period": period, "onset": onset}
+    return {"periodic": False, "period": None, "onset": None}
+
+
+def _rank(rows, field):
+    """Rank of a matrix of field elements, by Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if not field.is_zero(rows[i][col])), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = field.inv(rows[rank][col])
+        for i in range(rank + 1, len(rows)):
+            f = field.mul(rows[i][col], inv)
+            rows[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _check_equivalence(ring, D, E, pair):
+    """A.E - D.B reduces to zero over the ring, and A and B have full rank."""
+    A, B = pair
+    field = ring.field
+    left, right = A.compose(E), D.compose(B)
+    for i in range(D.nrows):
+        for j in range(D.ncols):
+            assert ring.reduce(left.entries[i][j] - right.entries[i][j]).is_zero()
+    for mat in (A, B):
+        assert all(p.is_zero() or p.is_constant() for row in mat.entries for p in row)
+        consts = [[p.constant_value() if p else field.zero() for p in row] for row in mat.entries]
+        assert _rank(consts, field) == mat.nrows == mat.ncols
+
+
+def _property_rings(tag):
+    """The quadric, the two-node ring, k[x,y,z]/(xy) and k[x,y,z]/(x^2,y^2,z^2)."""
+    F = field_by_tag(tag)
+    pr = PolyRing(F, ["x", "y", "w", "z"])
+    x, y, w, z = (pr.variable(v) for v in "xywz")
+    quadric = RingPresentation(pr, [x * w - y * z], label="R_quadric")
+    pr = PolyRing(F, ["x", "y", "z", "u"])
+    x, y, z, u = (pr.variable(v) for v in "xyzu")
+    two_nodes = RingPresentation(pr, [x * y, z * u], label="R_xyzu")
+    pr = PolyRing(F, ["x", "y", "z"])
+    x, y, z = (pr.variable(v) for v in "xyz")
+    return [quadric, two_nodes, RingPresentation(pr, [x * y], label="R_xy"),
+            RingPresentation(pr, [x * x, y * y, z * z], label="R_squares")]
+
+
+_PROPERTY_RINGS = {tag: _property_rings(tag) for tag in ("f3", "f32003", "rational")}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_PROPERTY_RINGS)), st.integers(0, 3), st.integers(0, 10**6))
+def test_periodicity_certificate_covers_the_permutation_search(tag, ring_index, seed):
+    ring = _PROPERTY_RINGS[tag][ring_index]
+    res = resolve(random_homogeneous_module(ring, random.Random(seed)), steps=7)
+    ref = _reference_periodicity(res)
+    per = detect_periodicity(res)
+    if ref["periodic"]:
+        assert per["periodic"]
+        assert (per["period"], per["onset"]) <= (ref["period"], ref["onset"])
+    for period in (1, 2, 3):
+        for i in range(1, res.steps_computed() - period + 1):
+            D, E = res.differential(i), res.differential(i + period)
+            pair = _equivalence(D, E)
+            if pair is not None:
+                _check_equivalence(ring, D, E, pair)
+
+
+def test_equivalence_rejects_x_against_y_over_the_node(ring_node):
+    pr = ring_node.poly_ring
+    x, y = pr.variable("x"), pr.variable("y")
+    D = PolyMatrix(pr, (0,), (1,), [[x]])
+    E = PolyMatrix(pr, (1,), (2,), [[y]])
+    assert _equivalence(D, E) is None
+    pair = _equivalence(D, PolyMatrix(pr, (1,), (2,), [[x]]))
+    assert pair is not None
+    _check_equivalence(ring_node, D, PolyMatrix(pr, (1,), (2,), [[x]]), pair)
+
+
+@pytest.mark.parametrize("tag", ["f32003", "f3", "rational"])
+def test_quadric_residue_field_is_periodic_above_the_old_cap(tag):
+    ring = _PROPERTY_RINGS[tag][0]
+    pr = ring.poly_ring
+    k = ModulePresentation.quotient_by_ideal(ring, [pr.variable(v) for v in "xywz"], label="k")
+    res = resolve(k, steps=10)
+    assert res.betti_numbers() == [1, 4, 7] + [8] * 8
+    assert (res.differential(4).nrows, res.differential(4).ncols) == (8, 8)
+    assert detect_periodicity(res) == {"periodic": True, "period": 1, "onset": 4}
+    assert _reference_periodicity(res)["periodic"] is False
+    pair = _equivalence(res.differential(4), res.differential(5))
+    _check_equivalence(ring, res.differential(4), res.differential(5), pair)

@@ -83,13 +83,12 @@ def _search_3_6_own_tensor(cfg, mods):
     if M.n_gens == 0 or N.n_gens == 0:
         return {"classification": "skipped", "reason": "zero module sampled"}
     prof = tor_profile(M, N, cfg.tor_bound, cfg.degree_bound)
-    certified = prof.vanishing["tier"] in ("pd-finite", "periodicity", "rigidity")
     tensor = M.tensor(N)
     level = next((n for n in (2, 1)
                   if ModulePresentation(tensor.ring, tensor.gen_degs, tensor.relations,
                                         label=tensor.label).satisfies_serre(n)), None)
     hyps = {"certified": cfg.ring.certified,
-            "all_tor_vanish_certified": prof.all_vanish_in_window() and certified,
+            "all_tor_vanish_certified": prof.vanishing_certified,
             "tensor_serre_level": level}
     rec = {"hypotheses": hyps}
     if not (hyps["certified"] and hyps["all_tor_vanish_certified"] and level):
