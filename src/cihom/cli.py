@@ -22,7 +22,7 @@ from .polynomials import GradedViolationError, IncompatibleOperandsError, Invari
 from .reports import emit_json, emit_text, make_document
 from .resolutions import (InsufficientWindowError, betti_table, detect_periodicity,
                           module_complexity, resolve)
-from .rings import HypothesisMissingError
+from .rings import HypothesisMissingError, UnitIdealError
 from .search import SearchConfig, counterexample_search
 from .theorems import UnknownTheoremError, check_theorem
 
@@ -204,7 +204,7 @@ def main(argv=None) -> int:
         print(f"cihom: {err}", file=sys.stderr)
         return 2
     except (GradedViolationError, IncompatibleOperandsError, FieldError,
-            InsufficientWindowError) as err:
+            InsufficientWindowError, UnitIdealError) as err:
         print(f"cihom: input error: {err}", file=sys.stderr)
         return 2
     except (OracleTooLargeError,) as err:

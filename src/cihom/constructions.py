@@ -273,13 +273,12 @@ def _free_off_hypersurface(E: ModulePresentation, intermediate: RingPresentation
     """Spot check that E localizes free away from V(f): the non-free locus
     must be contained in V(f), tested by radical membership of f through a
     bounded power ladder (recorded as spot-checked, not proven)."""
-    codim = E.nonfree_locus_codim()
-    if codim == INF:
+    ext1 = E.nonfree_locus_module()
+    if ext1.n_gens == 0:
         return {"status": "free-everywhere", "ok": True}
     from .rings import ideal_groebner, ideal_contains
-    ext1_fitt = _nonfree_locus_ideal(E)
     gb = ideal_groebner(intermediate.poly_ring,
-                        list(intermediate.quotient_gens) + ext1_fitt)
+                        list(intermediate.quotient_gens) + ext1.fitting_ideal(0))
     power = intermediate.poly_ring.one()
     for k in range(1, power_bound + 1):
         power = power * f
@@ -287,11 +286,3 @@ def _free_off_hypersurface(E: ModulePresentation, intermediate: RingPresentation
             return {"status": f"nonfree-locus inside V(split): f^{k} in the locus ideal",
                     "ok": True, "power": k}
     return {"status": "inconclusive within power bound", "ok": False}
-
-
-def _nonfree_locus_ideal(E: ModulePresentation):
-    from .homology import ext_modules
-    ext1 = ext_modules(E, E.first_syzygy(), 1, 1)[1].minimalize()
-    if ext1.n_gens == 0:
-        return [E.ring.poly_ring.one()]
-    return ext1.fitting_ideal(0)

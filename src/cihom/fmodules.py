@@ -681,17 +681,21 @@ class ModulePresentation:
         res = resolve(self.minimalize(), steps=2)
         return res.syzygy_module(1)
 
-    def nonfree_locus_codim(self) -> float:
-        """Codimension in Spec R of the support of Ext^1(M, syz^1 M).
+    def nonfree_locus_module(self) -> "ModulePresentation":
+        """Ext^1(M, syz^1 M), minimalized; its support is the non-free locus.
 
-        inf when the support is empty, i.e. when M is free (projective =
-        free in the graded local setting).
+        Zero exactly when M is free (projective = free in the graded local
+        setting).
         """
         M = self.minimalize()
         if M.n_rels == 0:
-            return INF
+            return ModulePresentation.zero(self.ring)
         from .homology import ext_modules
-        ext1 = ext_modules(M, M.first_syzygy(), 1, 1)[1].minimalize()
+        return ext_modules(M, M.first_syzygy(), 1, 1)[1].minimalize()
+
+    def nonfree_locus_codim(self) -> float:
+        """Codimension in Spec R of the non-free locus; inf when M is free."""
+        ext1 = self.nonfree_locus_module()
         if ext1.n_gens == 0:
             return INF
         return self.ring.dimension() - ext1.dimension()

@@ -4,7 +4,8 @@ Resolutions are built by iterated syzygy computation: each differential's
 columns are pruned to a minimal generating set of the kernel, which keeps
 every later differential's entries inside the irrelevant ideal (graded
 Nakayama), so minimality is structural and asserted per step.  Over the
-ambient ring resolutions terminate by the syzygy theorem; over quotients
+ambient ring S resolutions terminate by the syzygy theorem: they stop after
+d_(dim S), whose syzygies are zero and are not computed.  Over quotients
 they are truncated at a requested bound.
 
 Periodicity is certified: constant invertible A and B, degree-preserving up
@@ -154,6 +155,10 @@ def resolve(M: ModulePresentation, steps: int, over: str = "quotient") -> FreeRe
             if Mmin.n_rels == 0:
                 cache["terminated"] = True
             continue
+        if not ring.quotient_gens and len(diffs) >= pr.nvars:
+            # syzygy theorem: d_(dim S) of a minimal S-resolution is injective
+            cache["terminated"] = True
+            break
         prev = diffs[-1]
         src_free = FreeModule(pr, prev.row_degs)
         col_elems = prev.column_elements(src_free)

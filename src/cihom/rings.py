@@ -30,6 +30,10 @@ class HypothesisMissingError(ValueError):
     """An operation's hypothesis (certificate, primes, ...) is unavailable."""
 
 
+class UnitIdealError(ValueError):
+    """A quotient generator is a nonzero constant: S/(f) is the zero ring."""
+
+
 def _as_ideal_elements(poly_ring: PolyRing, polys):
     free = FreeModule(poly_ring, (0,))
     return free, [free.from_polys([p]) for p in polys if p]
@@ -230,6 +234,9 @@ class RingPresentation:
         for f in quotient_gens:
             if f.is_zero():
                 continue
+            if f.is_constant():
+                raise UnitIdealError(f"quotient generator {f} is a nonzero constant: "
+                                     "the ideal is the unit ideal")
             rep = f.degree_report()
             if not rep.homogeneous:
                 raise GradedViolationError(

@@ -8,6 +8,21 @@ there).  Hypotheses that the graded equicharacteristic model satisfies
 automatically (unramified/admissible base) are tagged model-level;
 complexity hypotheses consume window estimates and are tagged as such;
 pointwise-prime hypotheses are replaced by explicitly labeled surrogates.
+
+A checker takes the instance and the statement's parameters and returns
+``(hypotheses, conclusion, tier)``; ``check_theorem`` wraps them in the one
+``TheoremReport`` under the registry id.  Lines that several statements
+share come from one builder each:
+
+- ``_hyp_complexity(inst, min|max)``: r and its estimate-based line;
+- ``_hyp_run(inst, params, length, label, start)``: the n that starts a
+  run of ``length`` vanishing Tor, its line, and the Tor_n..n+length-1
+  line.  An explicit ``n`` is used as given; otherwise it is the first
+  run in the window.  The run line holds exactly when n >= start and the
+  run lies in the window;
+- ``_hyp_constant_rank``: "M or N has constant rank";
+- ``_hyp_free_height_one``: M free of constant rank in height <= 1;
+- ``_concl_free``: the conclusion "M is free".
 """
 
 from __future__ import annotations
@@ -188,15 +203,15 @@ def _hyp_finite_length(inst, which):
     return _ok(f"{which} has finite length", ln != INF, {"length": encode_infinite(ln)})
 
 
-def _hyp_vanishing(inst, lo, hi, subject="Tor"):
+def _hyp_vanishing(inst, lo, hi):
     if hi < lo:
-        return _ok(f"{subject} {lo}..{hi} vanish (empty range)", True)
+        return _ok(f"Tor {lo}..{hi} vanish (empty range)", True)
     prof = inst.profile()
     if hi > inst.tor_bound:
-        return _ok(f"{subject} {lo}..{hi} vanish", False,
+        return _ok(f"Tor {lo}..{hi} vanish", False,
                    f"window bound {inst.tor_bound} too small for index {hi}")
     oks = [prof.vanishes(i) for i in range(lo, hi + 1)]
-    return _ok(f"{subject} indices {lo}..{hi} vanish", all(oks),
+    return _ok(f"Tor indices {lo}..{hi} vanish", all(oks),
                {"vanishing": oks})
 
 
@@ -219,6 +234,56 @@ def _hyp_local_vanishing_surrogate(inst, height):
                  kind="surrogate")
 
 
+def _hyp_complexity(inst, pick):
+    """r = pick(cx M, cx N) of the window estimates, and its line."""
+    r = pick(inst.cx("M").value, inst.cx("N").value)
+    return r, _line(f"r = {pick.__name__} complexity estimate = {r}", "satisfied", None,
+                    kind="estimate-based")
+
+
+def _find_vanishing_run(inst, length, start):
+    prof = inst.profile()
+    for n in range(start, inst.tor_bound - length + 2):
+        if all(prof.vanishes(i) for i in range(n, n + length)):
+            return n
+    return None
+
+
+def _hyp_run(inst, params, length, label, start=1):
+    """n, the line "``length`` consecutive Tor vanish from n >= start", and
+    the Tor_n..n+length-1 line (a list, empty when n is None or below start).
+
+    An explicit ``n`` is used as given, otherwise the first run in the
+    window.  The run line holds when n >= start and the run lies in the
+    window; the vanishing line checks the run itself."""
+    n = params.get("n")
+    if n is None:
+        n = _find_vanishing_run(inst, length, start)
+    in_range = n is not None and n >= start
+    run = _ok(label, in_range and n + length - 1 <= inst.tor_bound, {"n": n})
+    return n, run, [_hyp_vanishing(inst, n, n + length - 1)] if in_range else []
+
+
+def _hyp_constant_rank(inst):
+    rk_m, rk_n = inst.constant_rank("M"), inst.constant_rank("N")
+    return _ok("M or N has constant rank", rk_m or rk_n, {"M": rk_m, "N": rk_n})
+
+
+def _hyp_free_height_one(inst):
+    free_m, rk_m = inst.M.free_on_height(1), inst.constant_rank("M")
+    return _line("M is free of constant rank in height <= 1 "
+                 "(checked: height-one freeness plus constant generic rank)",
+                 "satisfied" if free_m and rk_m else "failed",
+                 {"free_on_height_1": free_m, "constant_rank": rk_m},
+                 kind="surrogate")
+
+
+def _depth_start(inst):
+    """dim R - max(depth M, depth N) + 1, with infinite depths read as 0."""
+    depths = (inst.depth(which) for which in "MN")
+    return inst.d - max(int(v) if v not in (INF, NEG_INF) else 0 for v in depths) + 1
+
+
 # -- conclusion helpers -----------------------------------------------------------
 
 def _concl_all_vanish(inst):
@@ -233,6 +298,8 @@ def _concl_all_vanish(inst):
 
 
 def _concl_vanish_from(inst, n):
+    """Tor_i = 0 for all i >= n, from n = 1 when no n was found."""
+    n = 1 if n is None else n
     prof = inst.profile()
     ok = prof.vanish_range(n, inst.tor_bound)
     return ({"statement": f"Tor_i(M, N) = 0 for all i >= {n}",
@@ -261,37 +328,46 @@ def _concl_even_nonzero_pattern(inst, include_zero):
             "detail": detail}
 
 
-# -- checkers -----------------------------------------------------------------------
+def _concl_free(inst):
+    return {"statement": "M is free", "verdict": "holds" if inst.M.is_free() else "fails",
+            "detail": {"minimal_relations": inst.M.minimalize().n_rels}}
+
+
+def _even_vanish_with_odd_clause(inst):
+    prof = inst.profile()
+    evens = {i: prof.vanishes(i) for i in range(2, inst.tor_bound + 1, 2)}
+    even_ok = all(evens.values())
+    odd_zero = next((j for j in range(1, inst.tor_bound + 1, 2) if prof.vanishes(j)), None)
+    detail = {"even_vanishing": evens, "first_vanishing_odd": odd_zero}
+    if odd_zero is not None:
+        detail["all_vanish_given_odd"] = prof.all_vanish_in_window()
+        ok = even_ok and prof.all_vanish_in_window()
+    else:
+        ok = even_ok
+    concl = {"statement": "Tor_i = 0 for even i >= 2; if some odd index vanishes, "
+                          "all indices vanish",
+             "verdict": "holds" if ok else "fails", "detail": detail}
+    tier = prof.vanishing["tier"] if prof.all_vanish_in_window() else None
+    return concl, tier
+
+
+# -- checkers: each returns (hypotheses, conclusion, tier) ---------------------------
 
 def _check_2_1(inst, params):
-    prof = inst.profile()
     hyps = [_ok(f"{inst.ring.label} is regular (codimension 0)",
                 inst.ring.codim == 0 and inst.ring.certified)]
-    n = params.get("n") or next((i for i in range(1, inst.tor_bound + 1)
-                                 if prof.vanishes(i)), None)
-    hyps.append(_ok("some Tor_n vanishes with n >= 1", n is not None, {"n": n}))
-    concl, tier = _concl_vanish_from(inst, n if n is not None else 1)
-    return TheoremReport("2.1", inst.describe(), hyps, concl, tier)
-
-
-def _find_vanishing_run(inst, length, start_min=1):
-    prof = inst.profile()
-    for n in range(start_min, inst.tor_bound - length + 2):
-        if all(prof.vanishes(i) for i in range(n, n + length)):
-            return n
-    return None
+    n, run, vanishing = _hyp_run(inst, params, 1, "some Tor_n vanishes with n >= 1")
+    # a searched n is a vanishing index by construction; an explicit one
+    # that is not adds its failed vanishing line
+    hyps += [run] + [h for h in vanishing if h["status"] == "failed"]
+    return hyps, *_concl_vanish_from(inst, n)
 
 
 def _check_2_2(inst, params):
     c = inst.c
-    hyps = [_hyp_certified(inst)]
-    n = params.get("n") or _find_vanishing_run(inst, c + 1)
-    hyps.append(_ok(f"{c + 1} consecutive Tor vanish from some n >= 1",
-                    n is not None and n + c <= inst.tor_bound, {"n": n}))
-    if n is not None:
-        hyps.append(_hyp_vanishing(inst, n, n + c))
-    concl, tier = _concl_vanish_from(inst, n if n is not None else 1)
-    return TheoremReport("2.2", inst.describe(), hyps, concl, tier)
+    n, run, vanishing = _hyp_run(inst, params, c + 1,
+                                 f"{c + 1} consecutive Tor vanish from some n >= 1")
+    return [_hyp_certified(inst), run, *vanishing], *_concl_vanish_from(inst, n)
 
 
 def _check_2_3(inst, params):
@@ -301,42 +377,30 @@ def _check_2_3(inst, params):
     dimsum = inst.dim("M") + inst.dim("N")
     hyps.append(_ok("dim M + dim N < dim R + codim", dimsum < d + c,
                     {"dim_sum": encode_infinite(dimsum), "bound": d + c}))
-    n = params.get("n") or _find_vanishing_run(inst, c)
-    hyps.append(_ok(f"{c} consecutive Tor vanish from some n >= 1",
-                    n is not None, {"n": n}))
-    if n is not None:
-        hyps.append(_hyp_vanishing(inst, n, n + c - 1))
-        if n <= d:
-            hyps.append(_model("base ring unramified (needed since n <= dim R)"))
-    concl, tier = _concl_vanish_from(inst, n if n is not None else 1)
-    return TheoremReport("2.3", inst.describe(), hyps, concl, tier)
+    n, run, vanishing = _hyp_run(inst, params, c,
+                                 f"{c} consecutive Tor vanish from some n >= 1")
+    hyps += [run, *vanishing]
+    if n is not None and n <= d:
+        hyps.append(_model("base ring unramified (needed since n <= dim R)"))
+    return hyps, *_concl_vanish_from(inst, n)
 
 
 def _check_2_4(inst, params):
-    r = min(inst.cx("M").value, inst.cx("N").value)
-    b = max(_depth_int(inst, "M"), _depth_int(inst, "N"))
-    start = inst.d - b + 1
+    r, _ = _hyp_complexity(inst, min)
+    start = _depth_start(inst)
     hyps = [_hyp_certified(inst),
             _line(f"r = min of the complexity estimates = {r}", "satisfied",
                   {"cx_M": inst.cx("M").as_dict(), "cx_N": inst.cx("N").as_dict()},
                   kind="estimate-based")]
-    n = params.get("n") or _find_vanishing_run(inst, r + 1, start_min=max(1, start))
-    hyps.append(_ok(f"{r + 1} consecutive Tor vanish from some n >= dim - depth + 1 = {start}",
-                    n is not None, {"n": n}))
-    if n is not None:
-        hyps.append(_hyp_vanishing(inst, n, n + r))
-    concl, tier = _concl_vanish_from(inst, max(1, start))
-    return TheoremReport("2.4", inst.describe(), hyps, concl, tier)
-
-
-def _depth_int(inst, which):
-    v = inst.depth(which)
-    return int(v) if v not in (INF, NEG_INF) else 0
+    _, run, vanishing = _hyp_run(
+        inst, params, r + 1,
+        f"{r + 1} consecutive Tor vanish from some n >= dim - depth + 1 = {start}",
+        start=max(1, start))
+    return hyps + [run, *vanishing], *_concl_vanish_from(inst, max(1, start))
 
 
 def _check_2_6(inst, params):
-    b = max(_depth_int(inst, "M"), _depth_int(inst, "N"))
-    start = max(1, inst.d - b + 1)
+    start = max(1, _depth_start(inst))
     cxm, cxn = inst.cx("M").value, inst.cx("N").value
     hyps = [_hyp_certified(inst),
             _line("at least one module has complexity <= 1",
@@ -351,7 +415,7 @@ def _check_2_6(inst, params):
             ok = ok and rec["equal"]
     concl = {"statement": f"Tor_i and Tor_(i+2) share graded data for i >= {start}",
              "verdict": "holds" if ok else "fails", "detail": detail}
-    return TheoremReport("2.6", inst.describe(), hyps, concl, None)
+    return hyps, concl, None
 
 
 def _check_2_7(inst, params):
@@ -364,7 +428,7 @@ def _check_2_7(inst, params):
     concl = {"statement": "depth M + depth N = depth R + depth(M tensor N)",
              "verdict": "holds" if rep.holds else "fails",
              "detail": rep.as_dict()}
-    return TheoremReport("2.7", inst.describe(), hyps, concl, rep.tier)
+    return hyps, concl, rep.tier
 
 
 def _check_2_8(inst, params):
@@ -381,8 +445,7 @@ def _check_2_8(inst, params):
                       "satisfied" if all(e.finite_length or e.vanishes for e in tail) else "failed",
                       {e.index: e.finite_length or e.vanishes for e in tail},
                       kind="surrogate"))
-    concl, tier = _concl_all_vanish(inst)
-    return TheoremReport("2.8", inst.describe(), hyps, concl, tier)
+    return hyps, *_concl_all_vanish(inst)
 
 
 def _check_3_3(inst, params):
@@ -391,8 +454,7 @@ def _check_3_3(inst, params):
             _hyp_free_on(inst, "M", c),
             _hyp_serre(inst, "M", c), _hyp_serre(inst, "N", c),
             _hyp_serre(inst, "T", c + 1)]
-    concl, tier = _concl_all_vanish(inst)
-    return TheoremReport("3.3", inst.describe(), hyps, concl, tier)
+    return hyps, *_concl_all_vanish(inst)
 
 
 def _check_3_4(inst, params):
@@ -417,26 +479,23 @@ def _check_3_4(inst, params):
                         "all_vanish": vanish, "branch":
                         "maximal-complexity" if both_max else
                         ("vanishing" if vanish else "neither")}}
-    return TheoremReport("3.4", inst.describe(), hyps, concl,
-                         prof.vanishing["tier"] if vanish else None)
+    return hyps, concl, prof.vanishing["tier"] if vanish else None
 
 
 def _check_3_7(inst, params):
-    r = min(inst.cx("M").value, inst.cx("N").value)
-    b = max(_depth_int(inst, "M"), _depth_int(inst, "N"))
-    start = max(1, inst.d - b + 1)
+    r, _ = _hyp_complexity(inst, min)
+    start = max(1, _depth_start(inst))
+    n, run, vanishing = _hyp_run(inst, params, r,
+                                 f"{r} consecutive Tor vanish from some n >= {start}",
+                                 start=start)
     hyps = [_hyp_certified(inst),
             _line(f"r = min complexity estimate = {r} >= 1",
-                  "satisfied" if r >= 1 else "failed", None, kind="estimate-based")]
-    n = params.get("n") or _find_vanishing_run(inst, r, start_min=start)
-    hyps.append(_ok(f"{r} consecutive Tor vanish from some n >= {start}",
-                    n is not None, {"n": n}))
-    prof = inst.profile()
+                  "satisfied" if r >= 1 else "failed", None, kind="estimate-based"),
+            run]
     if n is None:
-        concl = {"statement": "parity vanishing propagates", "verdict": "fails",
-                 "detail": "no starting run found"}
-        return TheoremReport("3.7", inst.describe(), hyps, concl, None)
-    hyps.append(_hyp_vanishing(inst, n, n + r - 1))
+        return hyps, {"statement": "parity vanishing propagates", "verdict": "fails",
+                      "detail": "no starting run found"}, None
+    prof = inst.profile()
     if r % 2 == 1:
         idxs = [i for i in range(n, inst.tor_bound + 1) if (i - n) % 2 == 0]
         stmt = f"Tor_(n+2i) = 0 for all i >= 0 (n = {n})"
@@ -446,7 +505,7 @@ def _check_3_7(inst, params):
     ok = all(prof.vanishes(i) for i in idxs)
     concl = {"statement": stmt, "verdict": "holds" if ok else "fails",
              "detail": {i: prof.vanishes(i) for i in idxs}}
-    return TheoremReport("3.7", inst.describe(), hyps, concl, None)
+    return hyps + vanishing, concl, None
 
 
 def _check_3_8(inst, params):
@@ -460,56 +519,28 @@ def _check_3_8(inst, params):
     concl = {"statement": "Tor_i(M, N) = 0 for all i >= 1",
              "verdict": "holds" if ok else "fails",
              "detail": prof.vanishing}
-    return TheoremReport("3.8", inst.describe(), hyps, concl, prof.vanishing["tier"])
+    return hyps, concl, prof.vanishing["tier"]
 
 
 def _check_3_9(inst, params, part):
-    r = min(inst.cx("M").value, inst.cx("N").value)
-    hyps = [_hyp_certified(inst), _hyp_mcm(inst, "M"),
-            _line(f"r = min complexity estimate = {r}", "satisfied", None,
-                  kind="estimate-based")]
+    r, cx_line = _hyp_complexity(inst, min)
+    hyps = [_hyp_certified(inst), _hyp_mcm(inst, "M"), cx_line]
     if part == 1:
         hyps += [_hyp_free_on(inst, "M", r), _hyp_serre(inst, "N", r),
                  _hyp_serre(inst, "T", r + 1)]
-        concl, tier = _concl_all_vanish(inst)
-        return TheoremReport("3.9.1", inst.describe(), hyps, concl, tier)
+        return hyps, *_concl_all_vanish(inst)
     hyps += [_hyp_free_on(inst, "M", r - 1), _hyp_serre(inst, "N", r - 1),
              _hyp_serre(inst, "T", r)]
-    concl, tier = _even_vanish_with_odd_clause(inst)
-    return TheoremReport("3.9.2", inst.describe(), hyps, concl, tier)
-
-
-def _even_vanish_with_odd_clause(inst):
-    prof = inst.profile()
-    evens = {i: prof.vanishes(i) for i in range(2, inst.tor_bound + 1, 2)}
-    even_ok = all(evens.values())
-    odd_zero = next((j for j in range(1, inst.tor_bound + 1, 2) if prof.vanishes(j)), None)
-    detail = {"even_vanishing": evens, "first_vanishing_odd": odd_zero}
-    if odd_zero is not None:
-        detail["all_vanish_given_odd"] = prof.all_vanish_in_window()
-        ok = even_ok and prof.all_vanish_in_window()
-    else:
-        ok = even_ok
-    concl = {"statement": "Tor_i = 0 for even i >= 2; if some odd index vanishes, "
-                          "all indices vanish",
-             "verdict": "holds" if ok else "fails", "detail": detail}
-    tier = prof.vanishing["tier"] if prof.all_vanish_in_window() else None
-    return concl, tier
+    return hyps, *_even_vanish_with_odd_clause(inst)
 
 
 def _check_3_12(inst, params, part):
-    r = min(inst.cx("M").value, inst.cx("N").value)
+    r, cx_line = _hyp_complexity(inst, min)
     hyps = [_hyp_certified(inst), _hyp_mcm(inst, "M"), _hyp_mcm(inst, "N"),
-            _hyp_mcm(inst, "T"),
-            _line(f"r = min complexity estimate = {r}", "satisfied", None,
-                  kind="estimate-based")]
+            _hyp_mcm(inst, "T"), cx_line]
     if part == 1:
-        hyps.append(_hyp_free_on(inst, "M", r))
-        concl, tier = _concl_all_vanish(inst)
-        return TheoremReport("3.12.1", inst.describe(), hyps, concl, tier)
-    hyps.append(_hyp_free_on(inst, "M", r - 1))
-    concl, tier = _even_vanish_with_odd_clause(inst)
-    return TheoremReport("3.12.2", inst.describe(), hyps, concl, tier)
+        return hyps + [_hyp_free_on(inst, "M", r)], *_concl_all_vanish(inst)
+    return hyps + [_hyp_free_on(inst, "M", r - 1)], *_even_vanish_with_odd_clause(inst)
 
 
 def _check_3_15(inst, params):
@@ -523,8 +554,7 @@ def _check_3_15(inst, params):
             _hyp_serre(inst, "M", c - n), _hyp_serre(inst, "N", c - n),
             _hyp_free_on(inst, "M", c - n), _hyp_serre(inst, "T", c - n + 1),
             _hyp_vanishing(inst, 1, n)]
-    concl, tier = _concl_all_vanish(inst)
-    return TheoremReport("3.15", inst.describe(), hyps, concl, tier)
+    return hyps, *_concl_all_vanish(inst)
 
 
 def _check_3_16(inst, params):
@@ -542,8 +572,7 @@ def _check_3_16(inst, params):
              "verdict": "holds" if (branch_a or vanish) else "fails",
              "detail": {"cx_M": cxm, "cx_N": cxn, "tor1_nonzero": not prof.vanishes(1),
                         "all_vanish": vanish}}
-    return TheoremReport("3.16", inst.describe(), hyps, concl,
-                         prof.vanishing["tier"] if vanish else None)
+    return hyps, concl, prof.vanishing["tier"] if vanish else None
 
 
 def _check_4_1(inst, params):
@@ -555,8 +584,7 @@ def _check_4_1(inst, params):
                 {"dims": [encode_infinite(inst.dim("M")), encode_infinite(inst.dim("N"))],
                  "d": inst.d}),
             _hyp_vanishing(inst, 1, 1)]
-    concl, tier = _concl_all_vanish(inst)
-    return TheoremReport("4.1", inst.describe(), hyps, concl, tier)
+    return hyps, *_concl_all_vanish(inst)
 
 
 def _check_4_3(inst, params):
@@ -568,10 +596,7 @@ def _check_4_3(inst, params):
     cm_t = inst.tensor().is_cohen_macaulay() and inst.tensor().n_gens > 0
     hyps.append(_ok("M or M tensor M is Cohen-Macaulay (nonzero)", cm_m or cm_t,
                     {"M": cm_m, "tensor": cm_t}))
-    free = inst.M.is_free()
-    concl = {"statement": "M is free", "verdict": "holds" if free else "fails",
-             "detail": {"minimal_relations": inst.M.minimalize().n_rels}}
-    return TheoremReport("4.3", inst.describe(), hyps, concl, prof.vanishing["tier"])
+    return hyps, _concl_free(inst), prof.vanishing["tier"]
 
 
 def _check_4_6(inst, params):
@@ -591,7 +616,7 @@ def _check_4_6(inst, params):
                           "Tor_i != 0 iff i is a positive even integer",
              "verdict": "holds" if ok else "fails",
              "detail": {"depth_equality": eq, "pattern": pattern["detail"]}}
-    return TheoremReport("4.6", inst.describe(), hyps, concl, None)
+    return hyps, concl, None
 
 
 def _check_4_7(inst, params):
@@ -599,8 +624,7 @@ def _check_4_7(inst, params):
             _ok("codimension equals dimension >= 1", inst.c == inst.d and inst.c >= 1,
                 {"codim": inst.c, "dim": inst.d}),
             _hyp_mcm(inst, "M"), _hyp_mcm(inst, "N"), _hyp_finite_length(inst, "T")]
-    concl = _concl_even_nonzero_pattern(inst, include_zero=True)
-    return TheoremReport("4.7", inst.describe(), hyps, concl, None)
+    return hyps, _concl_even_nonzero_pattern(inst, include_zero=True), None
 
 
 def _check_4_8(inst, params):
@@ -609,16 +633,13 @@ def _check_4_8(inst, params):
             _ok("codimension >= 1", c >= 1),
             _hyp_nonzero(inst, "M"), _hyp_nonzero(inst, "N"),
             _hyp_cm(inst, "M"), _hyp_cm(inst, "N"), _hyp_finite_length(inst, "T")]
-    n = params.get("n") or _find_vanishing_run(inst, c)
-    hyps.append(_ok(f"{c} consecutive Tor vanish from some positive n", n is not None,
-                    {"n": n}))
-    if n is not None:
-        hyps.append(_hyp_vanishing(inst, n, n + c - 1))
-        if c == 1:
-            hyps.append(_ok("n is a positive even integer (codimension one case)",
-                            n % 2 == 0, {"n": n}))
-    concl, tier = _concl_vanish_from(inst, n if n is not None else 1)
-    return TheoremReport("4.8", inst.describe(), hyps, concl, tier)
+    n, run, vanishing = _hyp_run(inst, params, c,
+                                 f"{c} consecutive Tor vanish from some positive n")
+    hyps += [run, *vanishing]
+    if n is not None and c == 1:
+        hyps.append(_ok("n is a positive even integer (codimension one case)",
+                        n > 0 and n % 2 == 0, {"n": n}))
+    return hyps, *_concl_vanish_from(inst, n)
 
 
 def _check_4_9(inst, params):
@@ -638,33 +659,29 @@ def _check_4_9(inst, params):
              "verdict": "holds" if ok else "fails",
              "detail": {"vanishing": vanish_concl["detail"],
                         "depth_formula": rep.as_dict()}}
-    return TheoremReport("4.9", inst.describe(), hyps, concl, tier)
+    return hyps, concl, tier
 
 
 def _check_4_11(inst, params):
-    r = min(inst.cx("M").value, inst.cx("N").value)
-    b = max(_depth_int(inst, "M"), _depth_int(inst, "N"))
-    start = max(1, inst.d - b + 1)
+    r, cx_line = _hyp_complexity(inst, min)
+    start = max(1, _depth_start(inst))
     w = params.get("w", 0)
-    n = params.get("n") or _find_vanishing_run(inst, max(r, 1), start_min=start)
-    hyps = [_hyp_certified(inst),
-            _line(f"r = min complexity estimate = {r}", "satisfied", None,
-                  kind="estimate-based"),
-            _ok(f"Tor_n..n+r-1 vanish for some n >= {start}", n is not None, {"n": n})]
-    prof = inst.profile()
+    n, run, vanishing = _hyp_run(inst, params, max(r, 1),
+                                 f"Tor_n..n+r-1 vanish for some n >= {start}", start=start)
+    hyps = [_hyp_certified(inst), cx_line, run]
     if n is None:
-        concl = {"statement": "vanishing tail or depth-zero predecessor",
-                 "verdict": "fails", "detail": "no starting run found"}
-        return TheoremReport("4.11", inst.describe(), hyps, concl, None)
-    hyps.append(_hyp_vanishing(inst, n, n + max(r, 1) - 1))
+        return hyps, {"statement": "vanishing tail or depth-zero predecessor",
+                      "verdict": "fails", "detail": "no starting run found"}, None
+    prof = inst.profile()
     fl_idx = [n + 2 * w + i for i in range(1, max(r, 1) + 1) if n + 2 * w + i <= inst.tor_bound]
+    hyps += vanishing
     hyps.append(_ok("Tor_(n+2w+i) has finite length for i = 1..r",
                     all(prof.entry(i).finite_length or prof.entry(i).vanishes
                         for i in fl_idx),
                     {i: prof.entry(i).finite_length or prof.entry(i).vanishes
                      for i in fl_idx}))
     tail_ok = prof.vanish_range(start, inst.tor_bound)
-    if n >= 2:
+    if 2 <= n <= inst.tor_bound + 1:
         prev = prof.entry(n - 1)
         depth_zero = (not prev.vanishes) and prev.depth == 0
     else:
@@ -674,66 +691,50 @@ def _check_4_11(inst, params):
                           f"depth Tor_{n - 1} = 0",
              "verdict": "holds" if ok else "fails",
              "detail": {"tail_vanishes": tail_ok, "depth_zero_predecessor": depth_zero}}
-    return TheoremReport("4.11", inst.describe(), hyps, concl, None)
+    return hyps, concl, None
 
 
 def _check_4_12(inst, params):
-    r = min(inst.cx("M").value, inst.cx("N").value)
+    r, cx_line = _hyp_complexity(inst, min)
     prof = inst.profile()
     hyps = [_hyp_certified(inst), _hyp_mcm(inst, "M"),
             _ok("depth(M tensor N) > 0", inst.depth("T") > 0),
-            _line(f"r = min complexity estimate = {r}", "satisfied", None,
-                  kind="estimate-based"),
+            cx_line,
             _hyp_vanishing(inst, 1, r),
             _line("Tor_i has finite length for all i >= 1 (window surrogate)",
                   "satisfied" if all(e.finite_length or e.vanishes for e in prof.entries)
                   else "failed",
                   {e.index: e.finite_length or e.vanishes for e in prof.entries},
                   kind="surrogate")]
-    concl, tier = _concl_all_vanish(inst)
-    return TheoremReport("4.12", inst.describe(), hyps, concl, tier)
+    return hyps, *_concl_all_vanish(inst)
 
 
 def _check_4_13(inst, params):
-    r = min(inst.cx("M").value, inst.cx("N").value)
-    hyps = [_hyp_certified(inst),
-            _line(f"r = min complexity estimate = {r}", "satisfied", None,
-                  kind="estimate-based"),
+    r, cx_line = _hyp_complexity(inst, min)
+    hyps = [_hyp_certified(inst), cx_line,
             _hyp_vanishing(inst, 1, r - 1),
             _hyp_mcm(inst, "M"), _hyp_reflexive(inst, "T"),
             _hyp_torsion_free(inst, "N"),
             _hyp_local_vanishing_surrogate(inst, 1)]
-    concl, tier = _concl_all_vanish(inst)
-    return TheoremReport("4.13", inst.describe(), hyps, concl, tier)
+    return hyps, *_concl_all_vanish(inst)
 
 
 def _check_4_14(inst, params):
-    r = max(inst.cx("M").value, inst.cx("N").value)
-    rk_m = inst.constant_rank("M")
-    rk_n = inst.constant_rank("N")
+    r, cx_line = _hyp_complexity(inst, max)
     hyps = [_hyp_certified(inst), _ok("dim R = 1", inst.d == 1),
-            _ok("M or N has constant rank", rk_m or rk_n, {"M": rk_m, "N": rk_n}),
-            _line(f"r = max complexity estimate = {r}", "satisfied", None,
-                  kind="estimate-based"),
+            _hyp_constant_rank(inst), cx_line,
             _hyp_vanishing(inst, 1, r - 1),
             _hyp_torsion_free(inst, "M"), _hyp_torsion_free(inst, "T")]
-    concl, tier = _concl_all_vanish(inst)
-    return TheoremReport("4.14", inst.describe(), hyps, concl, tier)
+    return hyps, *_concl_all_vanish(inst)
 
 
 def _check_4_15(inst, params):
-    r = max(inst.cx("M").value, inst.cx("N").value)
-    rk_m = inst.constant_rank("M")
-    rk_n = inst.constant_rank("N")
-    hyps = [_hyp_certified(inst),
-            _ok("M or N has constant rank", rk_m or rk_n, {"M": rk_m, "N": rk_n}),
-            _line(f"r = max complexity estimate = {r}", "satisfied", None,
-                  kind="estimate-based"),
+    r, cx_line = _hyp_complexity(inst, max)
+    hyps = [_hyp_certified(inst), _hyp_constant_rank(inst), cx_line,
             _hyp_vanishing(inst, 1, r - 1),
             _hyp_mcm(inst, "M"), _hyp_reflexive(inst, "T"),
             _hyp_torsion_free(inst, "N")]
-    concl, tier = _concl_all_vanish(inst)
-    return TheoremReport("4.15", inst.describe(), hyps, concl, tier)
+    return hyps, *_concl_all_vanish(inst)
 
 
 def _check_4_17(inst, params):
@@ -753,65 +754,38 @@ def _check_4_17(inst, params):
         "satisfied" if (alt1 or alt2) else "failed",
         {"even_zero": even_zero, "odd_zero": odd_zero,
          "constant_rank": rk, "cx_M": cx_m}, kind="surrogate"))
-    free = inst.M.is_free()
-    concl = {"statement": "M is free", "verdict": "holds" if free else "fails",
-             "detail": {"minimal_relations": inst.M.minimalize().n_rels}}
-    return TheoremReport("4.17", inst.describe(), hyps, concl, None)
+    return hyps, _concl_free(inst), None
 
 
 def _check_4_20(inst, params):
     c = inst.c
-    rk_m = inst.constant_rank("M")
-    rk_n = inst.constant_rank("N")
-    hyps = [_hyp_certified(inst),
-            _ok("M or N has constant rank", rk_m or rk_n, {"M": rk_m, "N": rk_n}),
+    hyps = [_hyp_certified(inst), _hyp_constant_rank(inst),
             _hyp_vanishing(inst, 1, c - 1), _hyp_reflexive(inst, "T")]
     if c >= 2:
         hyps += [_hyp_torsion_free(inst, "M"), _hyp_torsion_free(inst, "N")]
-    concl, tier = _concl_all_vanish(inst)
-    return TheoremReport("4.20", inst.describe(), hyps, concl, tier)
+    return hyps, *_concl_all_vanish(inst)
 
 
 def _check_4_21(inst, params):
     c = inst.c
-    n = params.get("n") or _find_vanishing_run(inst, c)
-    rk_n = inst.constant_rank("N")
-    free_m = inst.M.free_on_height(1)
-    rk_m = inst.constant_rank("M")
+    n, run, vanishing = _hyp_run(inst, params, c,
+                                 f"{c} consecutive Tor vanish from some positive n")
     hyps = [_hyp_certified(inst), _ok("dim R = 2", inst.d == 2),
-            _ok("codimension >= 1", c >= 1),
-            _ok(f"{c} consecutive Tor vanish from some positive n", n is not None,
-                {"n": n}),
+            _ok("codimension >= 1", c >= 1), run,
             _hyp_torsion_free(inst, "M"), _hyp_torsion_free(inst, "N"),
-            _ok("N has constant rank", rk_n),
-            _line("M is free of constant rank in height <= 1 "
-                  "(checked: height-one freeness plus constant generic rank)",
-                  "satisfied" if free_m and rk_m else "failed",
-                  {"free_on_height_1": free_m, "constant_rank": rk_m},
-                  kind="surrogate")]
-    if n is not None:
-        hyps.append(_hyp_vanishing(inst, n, n + c - 1))
-    concl, tier = _concl_vanish_from(inst, n if n is not None else 1)
-    return TheoremReport("4.21", inst.describe(), hyps, concl, tier)
+            _ok("N has constant rank", inst.constant_rank("N")),
+            _hyp_free_height_one(inst), *vanishing]
+    return hyps, *_concl_vanish_from(inst, n)
 
 
 def _check_4_22(inst, params):
-    c = inst.c
-    rk_n = inst.constant_rank("N")
-    free_m = inst.M.free_on_height(1)
-    rk_m = inst.constant_rank("M")
     hyps = [_hyp_certified(inst),
-            _hyp_vanishing(inst, 1, c - 2),
+            _hyp_vanishing(inst, 1, inst.c - 2),
             _hyp_serre(inst, "T", 3),
             _hyp_reflexive(inst, "M"), _hyp_reflexive(inst, "N"),
-            _ok("N has constant rank", rk_n),
-            _line("M is free of constant rank in height <= 1 "
-                  "(checked: height-one freeness plus constant generic rank)",
-                  "satisfied" if free_m and rk_m else "failed",
-                  {"free_on_height_1": free_m, "constant_rank": rk_m},
-                  kind="surrogate")]
-    concl, tier = _concl_all_vanish(inst)
-    return TheoremReport("4.22", inst.describe(), hyps, concl, tier)
+            _ok("N has constant rank", inst.constant_rank("N")),
+            _hyp_free_height_one(inst)]
+    return hyps, *_concl_all_vanish(inst)
 
 
 _CHECKERS = {
@@ -875,4 +849,5 @@ def check_theorem(statement_id: str, M: ModulePresentation,
         N = M.dual()
         N.label = f"{M.label}*"
     inst = _Instance(M, N, tor_bound, degree_bound, window)
-    return _CHECKERS[sid](inst, params)
+    hypotheses, conclusion, tier = _CHECKERS[sid](inst, params)
+    return TheoremReport(sid, inst.describe(), hypotheses, conclusion, tier)

@@ -400,6 +400,17 @@ def test_cli_inhomogeneous_entry_is_input_error(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["resolve M", "check 2.1 on (M)"])
+def test_cli_unit_ideal_is_input_error(command, tmp_path, capsys):
+    script = tmp_path / "unit.ci"
+    script.write_text("ring R = quotient(vars=[x,y], ideal=[1])\n"
+                      "module M = coker(R, shifts=[0], matrix=[[x]])\n" + command + "\n")
+    assert main(["--script", str(script)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cihom: input error:") and "nonzero constant" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_cli_modules_over_different_rings_is_input_error(tmp_path, capsys):
     script = tmp_path / "rings.ci"
     script.write_text(TWO_LINE_SCRIPT

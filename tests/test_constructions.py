@@ -1,5 +1,6 @@
 import pytest
 
+from cihom import homology
 from cihom.constructions import (
     InvalidSplitError,
     TorsionInputError,
@@ -138,6 +139,23 @@ def test_quasi_lifting_two_nodes(mod_M_two_nodes, ring_two_nodes):
     assert ql.depth_check["holds"]
     assert ql.intermediate.codim == 1
     assert ql.free_off_split["ok"]
+
+
+def test_quasi_lifting_builds_the_nonfree_locus_once(mod_N_two_nodes, monkeypatch):
+    # Ext^1(E, syz^1 E) gives both the free-locus test and its Fitting ideal
+    calls = []
+    real = homology.ext_modules
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(homology, "ext_modules", counting)
+    N = mod_N_two_nodes
+    ql = quasi_lifting(ModulePresentation(N.ring, N.gen_degs, N.relations, label="N"), 0)
+    assert not ql.E_min.is_free()
+    assert ql.free_off_split["ok"]
+    assert len(calls) == 1
 
 
 def test_quasi_lifting_change_of_rings(mod_M_two_nodes):

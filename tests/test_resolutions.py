@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cihom import resolutions
 from cihom.fields import PrimeField, field_by_tag
 from cihom.fmodules import ModulePresentation, PolyMatrix
 from cihom.polynomials import PolyRing, monomials_of_degree
@@ -149,6 +150,28 @@ def test_hilbert_syzygy_bound_over_ambient():
         res = resolve(M, steps=pr.nvars + 1)
         assert res.terminated
         assert res.length() <= pr.nvars
+
+
+def test_ambient_resolution_stops_at_dim_s(monkeypatch):
+    # k = S/(x, y, w, z) has pd 4 = dim S.  d_2, d_3 and d_4 come from
+    # syzygies; by the syzygy theorem those of d_4 are zero, so they are
+    # not computed
+    calls = []
+    real = resolutions.syzygy_generators
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(resolutions, "syzygy_generators", counting)
+    pr = PolyRing(F, ["x", "y", "w", "z"])
+    S = RingPresentation(pr, [], label="S")
+    k = ModulePresentation.quotient_by_ideal(S, [pr.variable(v) for v in "xywz"], label="k")
+    assert k.depth() == 0
+    assert len(calls) == 3
+    res = resolve(k, steps=6)
+    assert res.terminated and res.betti_numbers() == [1, 4, 6, 4, 1, 0, 0]
+    assert len(calls) == 3
 
 
 def test_euler_characteristic_against_hilbert(mod_M_two_nodes, mod_N_two_nodes):

@@ -17,6 +17,7 @@ from cihom.rings import (
     NEG_INF,
     HypothesisMissingError,
     RingPresentation,
+    UnitIdealError,
     ideal_dimension,
     make_quotient_ring,
 )
@@ -62,6 +63,17 @@ def test_degree_one_generator_warns_not_fatal():
     ring = RingPresentation(pr, [x], label="warned")
     assert ring.warnings and "degree 1" in ring.warnings[0]
     assert ring.certified
+
+
+def test_unit_ideal_rejected():
+    # S/(1) is the zero ring: its dimension is -inf, so it is refused at
+    # construction rather than in a later dimension read
+    pr = PolyRing(F, ["x", "y"])
+    x = pr.variable("x")
+    for gens in ([pr.one()], [x * x, pr.one() + pr.one()]):
+        with pytest.raises(UnitIdealError, match="nonzero constant"):
+            RingPresentation(pr, gens)
+    assert RingPresentation(pr, [pr.zero(), x * x]).codim == 1
 
 
 def test_inhomogeneous_generator_rejected():

@@ -8,6 +8,8 @@ from cihom import catalog, homology, theorems
 from cihom.cli import main
 from cihom.fields import PrimeField
 from cihom.fmodules import ModulePresentation
+from cihom.polynomials import PolyRing
+from cihom.rings import RingPresentation
 from cihom.theorems import UnknownTheoremError, check_theorem, known_statements
 
 F = PrimeField(32003)
@@ -250,6 +252,67 @@ def test_harness_reports_digest(mod_M_two_nodes, mod_N_two_nodes, mod_quadric, n
             h.update(json.dumps(rep.as_dict(), sort_keys=True).encode())
     assert len(known_statements()) == 32
     assert h.hexdigest() == "78531bebe48d5587fea21590d19271dd580aedaaeb59e470695bb8c6e949d70c"
+
+
+# statements whose hypotheses include "k consecutive Tor vanish from some n"
+_RUN_STATEMENTS = ("2.1", "2.2", "2.3", "2.4", "3.7", "4.8", "4.11", "4.21")
+
+
+def _fixture_pairs(mod_M_two_nodes, mod_N_two_nodes, mod_quadric, node_pair, periodic_pair):
+    return [(mod_M_two_nodes, mod_N_two_nodes), (mod_quadric, mod_quadric), node_pair,
+            periodic_pair]
+
+
+@pytest.mark.parametrize("n", [0, 9])
+def test_explicit_n_off_the_run_range_leaves_hypotheses_unmet(
+        n, mod_M_two_nodes, mod_N_two_nodes, mod_quadric, node_pair, periodic_pair):
+    # n = 0 lies below every statement's start, and a run from n = 9 leaves
+    # the window 1..4: the run line fails with the given n as its evidence,
+    # and n = 0 adds no Tor_0 vanishing line
+    for M, N in _fixture_pairs(mod_M_two_nodes, mod_N_two_nodes, mod_quadric, node_pair,
+                               periodic_pair):
+        for sid in _RUN_STATEMENTS:
+            rep = check_theorem(sid, M, N, tor_bound=4, degree_bound=6, window=8, n=n)
+            assert not rep.hypotheses_met, (sid, M.label)
+            runs = [h for h in rep.hypotheses if h["evidence"] == {"n": n}]
+            assert runs and runs[0]["status"] == "failed", (sid, M.label)
+            assert not any(h["name"].startswith(("Tor indices 0..", "Tor 0.."))
+                           for h in rep.hypotheses), (sid, M.label)
+            _soundness(rep)
+
+
+def test_the_searched_n_given_explicitly_gives_the_same_report(
+        mod_M_two_nodes, mod_N_two_nodes, mod_quadric, node_pair, periodic_pair):
+    found = 0
+    for M, N in _fixture_pairs(mod_M_two_nodes, mod_N_two_nodes, mod_quadric, node_pair,
+                               periodic_pair):
+        for sid in _RUN_STATEMENTS:
+            rep = check_theorem(sid, M, N, tor_bound=4, degree_bound=6, window=8)
+            n = next(h["evidence"]["n"] for h in rep.hypotheses
+                     if isinstance(h["evidence"], dict) and "n" in h["evidence"])
+            if n is None:
+                continue
+            found += 1
+            again = check_theorem(sid, M, N, tor_bound=4, degree_bound=6, window=8, n=n)
+            assert again.as_dict() == rep.as_dict(), (sid, M.label, n)
+    assert found >= len(_RUN_STATEMENTS)
+
+
+def test_2_1_checks_an_explicit_n():
+    # over k[x, y], Tor_1(S/(x), S/(x)) = S/(x) and Tor_2 = 0: an explicit
+    # n = 1 must not pass as a vanishing index and turn Auslander-Lichtenbaum
+    # rigidity into a false counterexample
+    pr = PolyRing(F, ["x", "y"])
+    S = RingPresentation(pr, [], label="S")
+    M = ModulePresentation.quotient_by_ideal(S, [pr.variable("x")], label="Sx")
+    given = check_theorem("2.1", M, M, tor_bound=4, n=1)
+    assert not given.hypotheses_met
+    assert given.as_dict()["conclusion"]["verdict"] == "hypotheses-unmet"
+    assert [h["status"] for h in given.hypotheses if h["name"] == "Tor indices 1..1 vanish"] \
+        == ["failed"]
+    searched = check_theorem("2.1", M, M, tor_bound=4)
+    assert searched.asserted
+    assert searched.hypotheses[1]["evidence"] == {"n": 2}
 
 
 def _count_tor_profiles(monkeypatch):
