@@ -2,8 +2,9 @@
 
 Exit codes: 0 all checks pass, 1 some expectation failed, 2 usage, parse or
 input error (inhomogeneous data, operands over different rings, a field tag
-that names no field), 3 an internal guardrail fired (oracle size caps and
-friends), 4 an internal invariant failed (an engine fault, not bad input).
+that names no field), 3 an internal guardrail fired (oracle size caps, a
+degree beyond the Groebner engine's term-code range), 4 an internal
+invariant failed (an engine fault, not bad input).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .catalog import UnknownExampleError, catalog_ids, run_example
 from .constructions import InvalidSplitError, TorsionInputError, pushforward, quasi_lifting
 from .dsl import _OPTION_MINIMUM, ParseError, parse_session
 from .fields import FieldError
+from .groebner import TermCodeRangeError
 from .homology import ext_profile, tor_profile
 from .oracle import OracleTooLargeError
 from .polynomials import GradedViolationError, IncompatibleOperandsError, InvariantError
@@ -207,7 +209,7 @@ def main(argv=None) -> int:
             InsufficientWindowError, UnitIdealError) as err:
         print(f"cihom: input error: {err}", file=sys.stderr)
         return 2
-    except (OracleTooLargeError,) as err:
+    except (OracleTooLargeError, TermCodeRangeError) as err:
         print(f"cihom: guardrail: {err}", file=sys.stderr)
         return 3
     except (TorsionInputError, HypothesisMissingError) as err:

@@ -34,6 +34,7 @@ from __future__ import annotations
 from .fmodules import ModulePresentation
 from .polynomials import Polynomial
 from .rings import RingPresentation
+from .theorems import ALIASES, PARAMETER_READERS, known_statements
 
 
 class ParseError(ValueError):
@@ -492,9 +493,18 @@ def _parse_check(cur, session):
     cur.expect("name", "on")
     mods = []
     opts = {}
+    # n= and w= only for a statement that reads them; an unknown id is
+    # reported when the check runs
+    statement = ALIASES.get(sid, sid)
+    known = statement in known_statements()
 
     def item(cur):
         if cur.at_option():
+            key = cur.peek()
+            readers = PARAMETER_READERS.get(key.text)
+            if known and readers is not None and statement not in readers:
+                raise ParseError(f"statement {sid} does not read option {key.text!r}",
+                                 key.line, key.col)
             _parse_option(cur, session, _CHECK_OPTIONS, opts)
         elif len(mods) == 2:
             cur.error("check takes one or two modules")

@@ -20,11 +20,48 @@ hands the syzygies out once, in their final free module and with coefficients
 reduced modulo the quotient ideal.  Membership needs no tracking: it is a
 normal form against an untracked basis (``GroebnerBasis.contains``,
 ``IncrementalModuleGB.contains``).
+
+Term codes.  Inside the pair engine (``normal_form``, ``s_pair``,
+``IncrementalModuleGB``, ``interreduce`` and the bases of
+``TrackedSubmodule``) a term (p, m) is one int, ``ModuleOrder.encode``.  The
+code is mixed-radix; its fields, from most to least significant, are
+
+- the block flag (1 for positions below the split);
+- the shifted degree deg m + gen_degs[p], plus an offset that makes it
+  non-negative;
+- the ring order's key of m, one field per slot: deg, B - e_n, ..., B - e_1
+  for grevlex; e_1, ..., e_n for lex; deg, e_1, ..., e_n for grlex
+  (B = _FIELD_MAX);
+- rank - 1 - p.
+
+Each field holds a value below 2^_VALUE_BITS; an exponent slot has one guard
+bit above it.  Comparing two codes as ints then compares their fields in
+turn, which is the term order: block, shifted degree, ring order, earlier
+position.  Every field is affine in the exponents with a slope that does not
+depend on p, so code(p, m*s) - code(p, m) depends on s alone, and a reducer's
+term moves under the shift t / lead by adding t - lead.  For two codes of
+one position, the monomial of one divides the other's exactly when their
+difference (taken in the direction in which the slots grow with the
+exponents) has no guard bit set: a slot that goes negative borrows through
+its guard bit.  The same guard bits pick each slot's maximum for the lcm of
+two leads (``ModuleOrder.lcm``), so pairs are formed on codes too.
+
+Codes stay exact only while every field fits.  Homogeneity bounds every
+exponent of a term by its degree, and every term the engine makes has the
+shifted degree of an input term or of a queued pair's lcm; so ``encode``
+and ``lcm`` (and with it ``IncrementalModuleGB.add``) raise
+``TermCodeRangeError`` when such a degree does not fit, before any code
+could wrap into a neighbouring field.
+Encoding happens where columns enter the engine, decoding where results
+leave it (syzygies, lifts, ``GroebnerBasis`` generators and leads,
+``initial_terms``), so no caller outside this module sees a code.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
+import operator
 
 from .polynomials import (
     GradedViolationError,
@@ -32,11 +69,19 @@ from .polynomials import (
     PolyRing,
     Polynomial,
     mono_degree,
-    mono_div,
     mono_divides,
-    mono_lcm,
     mono_mul,
 )
+
+# Value bits of one term-code field; exponent slots add a guard bit above.
+_VALUE_BITS = 31
+_FIELD_MAX = (1 << _VALUE_BITS) - 1
+_SLOT_BITS = _VALUE_BITS + 1
+_SLOT_MASK = (1 << _SLOT_BITS) - 1
+
+
+class TermCodeRangeError(RuntimeError):
+    """A term's degree does not fit the fixed width of a term-code field."""
 
 
 class FreeModule:
@@ -83,7 +128,12 @@ class FreeModule:
 
 
 class Element:
-    """Element of a graded free module: dict of (position, monomial) -> coeff."""
+    """Element of a graded free module: dict of (position, monomial) -> coeff.
+
+    Inside the pair engine the keys are instead the int term codes of a
+    ``ModuleOrder``; the arithmetic methods below read (position, monomial)
+    keys only.
+    """
 
     __slots__ = ("module", "terms", "_lead")
 
@@ -107,10 +157,6 @@ class Element:
             raise GradedViolationError(f"inhomogeneous module element: degrees {sorted(degs)}")
         return next(iter(degs))
 
-    def is_homogeneous(self) -> bool:
-        degs = {mono_degree(m) + self.module.gen_degs[p] for (p, m) in self.terms}
-        return len(degs) <= 1
-
     def component(self, i: int) -> Polynomial:
         ring = self.module.ring
         return Polynomial(ring, {m: c for (p, m), c in self.terms.items() if p == i})
@@ -130,23 +176,6 @@ class Element:
                     res[t] = s
             else:
                 res[t] = c
-        return Element(self.module, res)
-
-    def sub_scaled(self, other: "Element", mono: tuple, coeff) -> "Element":
-        """self - coeff * mono * other, the Buchberger reduction step."""
-        field = self.module.ring.field
-        res = dict(self.terms)
-        for (p, m), c in other.terms.items():
-            t = (p, mono_mul(m, mono))
-            d = field.mul(c, coeff)
-            if t in res:
-                s = field.sub(res[t], d)
-                if field.is_zero(s):
-                    del res[t]
-                else:
-                    res[t] = s
-            else:
-                res[t] = field.neg(d)
         return Element(self.module, res)
 
     def scale(self, coeff) -> "Element":
@@ -184,111 +213,209 @@ class Element:
         return "(" + ", ".join(p.text() for p in self.components()) + ")"
 
 
+@functools.lru_cache(maxsize=None)
+def _code_layout(nvars: int, kind: str, pos_bits: int) -> tuple:
+    """The parts of a term code's layout that depend only on the variable
+    count, the ring order and the position field's width, in the order
+    ``ModuleOrder`` unpacks them; one run meets few such triples."""
+    # Exponent slots grow with the exponents except under grevlex (B - e).
+    ascending = kind != "grevlex"
+    slot_shifts = tuple(pos_bits + _SLOT_BITS * s
+                        for s in (range(nvars - 1, -1, -1) if ascending else range(nvars)))
+    top = pos_bits + _SLOT_BITS * nvars
+    degree_weight = 0
+    if kind != "lex":     # grevlex and grlex refine total degree
+        degree_weight = 1 << top
+        top += _SLOT_BITS
+    # each exponent moves its slot, the degree field and the shifted-degree field
+    degree_weight += 1 << top
+    sign = 1 if ascending else -1
+    flip = 0 if ascending else _FIELD_MAX     # a grevlex slot holds B - e = B ^ e
+    return (ascending, slot_shifts, top, 1 << (top + _SLOT_BITS),
+            sum(1 << (s + _VALUE_BITS) for s in slot_shifts), flip,
+            sum(_FIELD_MAX << s for s in slot_shifts),
+            # one bit per slot: multiplying the slots by it sums them into the top one
+            sum(1 << (_SLOT_BITS * k) for k in range(nvars)),
+            pos_bits + _SLOT_BITS * max(nvars - 1, 0), degree_weight,
+            tuple(sign * (1 << s) + degree_weight for s in slot_shifts),
+            sum(flip << s for s in slot_shifts))
+
+
 class ModuleOrder:
-    """Graded term-over-position order with an optional elimination split.
+    """Graded term-over-position order with an optional elimination split,
+    and its int term codes (see the module docstring for their layout).
 
     Positions below ``split`` form the main block and dominate every tracking
     position.  Within a block terms compare by shifted degree, then the ring
-    order on monomials, then by earlier position.  Larger key = larger term.
-    Keys are memoized per order instance, so each term's key is built once
-    for as long as the order lives.
+    order on monomials, then by earlier position: larger code = larger term.
+    ``position_mask`` cuts a code's position field, ``block_flag`` is set in
+    the codes of the main block, and ``guard_mask`` holds the exponent
+    slots' guard bits.
     """
 
-    __slots__ = ("module", "split", "_keys")
+    __slots__ = ("module", "split", "position_mask", "block_flag", "guard_mask",
+                 "ascending", "_offset", "_raised_degs", "_degree_shift", "_slot_shifts",
+                 "_slot_flip", "_slot_values", "_slot_ones", "_sum_shift", "_degree_weight",
+                 "_weights", "_base")
 
     def __init__(self, module: FreeModule, split: int | None = None):
         self.module = module
         self.split = module.rank if split is None else split
-        self._keys: dict = {}
+        rank = module.rank
+        pos_bits = (rank - 1).bit_length() if rank else 0
+        self.position_mask = (1 << pos_bits) - 1
+        (self.ascending, self._slot_shifts, self._degree_shift, self.block_flag,
+         self.guard_mask, self._slot_flip, self._slot_values, self._slot_ones,
+         self._sum_shift, self._degree_weight, self._weights,
+         slot_floor) = _code_layout(module.ring.nvars, module.ring.order.kind, pos_bits)
+        gen_degs = module.gen_degs
+        self._offset = offset = -min(gen_degs + (0,))   # no shifted degree below 0
+        self._raised_degs = tuple([d + offset for d in gen_degs])
+        # code(p, m) = _base[p] + sum_i m_i * _weights[i]
+        flag, shift = self.block_flag, self._degree_shift
+        self._base = tuple([(flag if p < self.split else 0) + (d << shift) + slot_floor
+                            + (rank - 1 - p) for p, d in enumerate(self._raised_degs)])
 
-    def key(self, term):
-        k = self._keys.get(term)
-        if k is None:
-            p, m = term
-            k = self._keys[term] = (1 if p < self.split else 0,
-                                    mono_degree(m) + self.module.gen_degs[p],
-                                    self.module.ring.order.key(m), -p)
-        return k
+    def _out_of_range(self, shifted_degree: int) -> TermCodeRangeError:
+        return TermCodeRangeError(
+            f"shifted degree {shifted_degree} does not fit a term code (generator degrees "
+            f"from {-self._offset}; at most {_FIELD_MAX} above the lowest)")
+
+    def encode(self, term) -> int:
+        """Code of the term (p, m); TermCodeRangeError when it does not fit."""
+        p, m = term
+        if not 0 <= sum(m) + self._raised_degs[p] <= _FIELD_MAX:
+            raise self._out_of_range(sum(m) + self.module.gen_degs[p])
+        return self._base[p] + sum(map(operator.mul, m, self._weights))
+
+    def position(self, code: int) -> int:
+        """The position p of a code."""
+        return self.module.rank - 1 - (code & self.position_mask)
+
+    def decode(self, code: int):
+        """The term (p, m) of a code."""
+        flip = self._slot_flip
+        return (self.position(code),
+                tuple([flip ^ (code >> s & _FIELD_MAX) for s in self._slot_shifts]))
+
+    def lcm(self, a: int, b: int) -> int:
+        """Code of the lcm of two terms of one position; TermCodeRangeError
+        when it does not fit.
+
+        The lcm is a times s, s_i = max(0, b_i - a_i).  Subtracting the slots
+        with every guard bit set leaves a slot's guard bit exactly where that
+        difference is non-negative, and the difference in its value bits.
+        """
+        values, guard = self._slot_values, self.guard_mask
+        if self.ascending:
+            diff = ((b & values) | guard) - (a & values)
+        else:                                   # slots hold B - e
+            diff = ((a & values) | guard) - (b & values)
+        kept = diff & guard
+        s = diff & (kept - (kept >> _VALUE_BITS))
+        # deg s <= deg b fits one slot, so no partial sum carries
+        deg = (s * self._slot_ones >> self._sum_shift) & _FIELD_MAX
+        raised = (a >> self._degree_shift & _SLOT_MASK) + deg    # its shifted degree + offset
+        if raised > _FIELD_MAX:
+            raise self._out_of_range(raised - self._offset)
+        return a + (s if self.ascending else -s) + deg * self._degree_weight
+
+    def encode_element(self, e: Element) -> Element:
+        """e with its terms coded, as an element of this order's module."""
+        encode = self.encode
+        return Element(self.module, {encode(t): c for t, c in e.terms.items()})
+
+    def decode_element(self, e: Element) -> Element:
+        """The coded e with (position, monomial) keys, in the same term order."""
+        decode = self.decode
+        return Element(self.module, {decode(t): c for t, c in e.terms.items()})
+
+    def degree(self, code: int) -> int:
+        """Shifted degree of a coded term."""
+        return (code >> self._degree_shift & _SLOT_MASK) - self._offset
+
+    def element_degree(self, e: Element):
+        """Common shifted degree of a coded element (None for zero); raises if mixed."""
+        shift, offset = self._degree_shift, self._offset
+        degs = {(t >> shift & _SLOT_MASK) - offset for t in e.terms}
+        if len(degs) > 1:
+            raise GradedViolationError(f"inhomogeneous module element: degrees {sorted(degs)}")
+        return next(iter(degs), None)
+
+    def divides(self, a: int, b: int) -> bool:
+        """The term a divides the term b: one position, and its monomial divides."""
+        if (a ^ b) & self.position_mask:
+            return False
+        return not ((b - a) if self.ascending else (a - b)) & self.guard_mask
 
 
-def lead_term(e: Element, order: ModuleOrder):
+def lead_term(e: Element, order: ModuleOrder) -> int:
+    """Code of the leading term of a coded element."""
     if e._lead is None:
-        e._lead = max(e.terms, key=order.key)
+        lead = max(e.terms)
+        if not isinstance(lead, int):   # the largest (p, m) tuple is no lead term
+            raise TypeError("lead_term needs a coded element (ModuleOrder.encode_element)")
+        e._lead = lead
     return e._lead
 
 
-# heapq's max-heap functions are private before Python 3.14, public from it.
-_heapify_max = getattr(heapq, "heapify_max", None) or heapq._heapify_max
-_heappop_max = getattr(heapq, "heappop_max", None) or heapq._heappop_max
-
-
-def _heappush_max(heap: list, item):
-    """Push onto a max-heap: append, then sift the new leaf up."""
-    heap.append(item)
-    pos = len(heap) - 1
-    while pos:
-        parent = (pos - 1) >> 1
-        if not heap[parent] < item:
-            break
-        heap[pos] = heap[parent]
-        pos = parent
-    heap[pos] = item
+def _index_leads(basis: list, order: ModuleOrder) -> dict:
+    """Position field -> [(lead code, index)] over the nonzero basis elements."""
+    by_position: dict = {}
+    for i, g in enumerate(basis):
+        if g:
+            lead = lead_term(g, order)
+            by_position.setdefault(lead & order.position_mask, []).append((lead, i))
+    return by_position
 
 
 def normal_form(e: Element, basis: list, order: ModuleOrder,
                 by_position: dict | None = None) -> Element:
-    """Fully reduced remainder of e modulo the basis elements.
+    """Fully reduced remainder of the coded element e modulo the basis elements.
 
     Zero iff e lies in the generated submodule (when basis is a Groebner
-    basis); idempotent.  ``by_position`` maps lead position -> list of basis
-    indices and is rebuilt when absent.
+    basis); idempotent.  ``by_position`` maps a lead's position field to the
+    (lead code, basis index) pairs in basis order, and is rebuilt when absent.
 
-    The work terms live in a dict changed in place, beside a max-heap of
-    (order key, term) pairs, so each term's key is computed once, when the
-    term enters the work set.  A popped term missing from the dict was
-    cancelled and is skipped; a processed term never comes back, because a
-    reduction step only introduces terms below the current lead.
+    The work terms live in a dict changed in place, beside a heap of negated
+    codes, so the largest term pops first.  A popped term missing from the
+    dict was cancelled and is skipped; a processed term never comes back,
+    because a reduction step only introduces terms below the current lead.
     """
     if by_position is None:
-        by_position = {}
-        for i, g in enumerate(basis):
-            if g:
-                by_position.setdefault(lead_term(g, order)[0], []).append(i)
+        by_position = _index_leads(basis, order)
     field = e.module.ring.field
-    add, mul, is_zero = field.add, field.mul, field.is_zero
-    key = order.key
+    add, mul, neg, div, is_zero = field.add, field.mul, field.neg, field.div, field.is_zero
+    pmask, guard, ascending = order.position_mask, order.guard_mask, order.ascending
+    heappush, heappop = heapq.heappush, heapq.heappop
     work = dict(e.terms)
-    heap = [(key(t), t) for t in work]
-    _heapify_max(heap)
+    heap = [-t for t in work]
+    heapq.heapify(heap)
     remainder: dict = {}
     while heap:
-        t = _heappop_max(heap)[1]
+        t = -heappop(heap)
         c = work.pop(t, None)
         if c is None:
             continue
-        pos, mono = t
-        reducer = None
-        for i in by_position.get(pos, ()):
-            g = basis[i]
-            glt = lead_term(g, order)
-            if mono_divides(glt[1], mono):
-                reducer = g
+        for lead, i in by_position.get(t & pmask, ()):
+            if not ((t - lead) if ascending else (lead - t)) & guard:
                 break
-        if reducer is None:
+        else:
             remainder[t] = c
             continue
-        # work -= (c / lc) * shift * reducer; its lead cancels t exactly.
-        shift = mono_div(mono, glt[1])
-        ncoeff = field.neg(field.div(c, reducer.terms[glt]))
+        # work -= (c / lc) * (t / lead) * reducer; its lead cancels t exactly.
+        reducer = basis[i]
+        shift = t - lead
+        ncoeff = neg(div(c, reducer.terms[lead]))
         for rt, rc in reducer.terms.items():
-            if rt == glt:
+            if rt == lead:
                 continue
-            u = (rt[0], mono_mul(rt[1], shift))
+            u = rt + shift
             d = mul(rc, ncoeff)
             old = work.get(u)
             if old is None:
                 work[u] = d
-                _heappush_max(heap, (key(u), u))
+                heappush(heap, -u)
             else:
                 s = add(old, d)
                 if is_zero(s):
@@ -299,31 +426,46 @@ def normal_form(e: Element, basis: list, order: ModuleOrder,
 
 
 def s_pair(f: Element, g: Element, order: ModuleOrder) -> Element:
-    """S-element of two module elements with leading terms in one position."""
+    """S-element of two coded module elements with leading terms in one position."""
     field = f.module.ring.field
-    (pf, mf) = lead_term(f, order)
-    (pg, mg) = lead_term(g, order)
-    if pf != pg:
-        raise IncompatibleOperandsError(
-            f"S-pair of elements with leads in positions {pf} and {pg}")
-    lcm = mono_lcm(mf, mg)
-    left = f.mul_term(mono_div(lcm, mf), field.inv(f.terms[(pf, mf)]))
-    return left.sub_scaled(g, mono_div(lcm, mg), field.inv(g.terms[(pg, mg)]))
+    lf, lg = lead_term(f, order), lead_term(g, order)
+    if (lf ^ lg) & order.position_mask:
+        raise IncompatibleOperandsError(f"S-pair of elements with leads in positions "
+                                        f"{order.position(lf)} and {order.position(lg)}")
+    lcm = order.lcm(lf, lg)
+    mul, sub, is_zero = field.mul, field.sub, field.is_zero
+    shift, coeff = lcm - lf, field.inv(f.terms[lf])
+    res = {t + shift: mul(c, coeff) for t, c in f.terms.items()}
+    shift, coeff = lcm - lg, field.inv(g.terms[lg])
+    for t, c in g.terms.items():
+        u = t + shift
+        d = mul(c, coeff)
+        old = res.get(u)
+        if old is None:
+            res[u] = field.neg(d)
+        else:
+            s = sub(old, d)
+            if is_zero(s):
+                del res[u]
+            else:
+                res[u] = s
+    return Element(f.module, res)
 
 
 class IncrementalModuleGB:
     """The Buchberger pair engine behind every Groebner basis in this module.
 
-    ``extend`` inserts a batch of homogeneous generators and drains the
-    queued S-pairs by normal selection (smallest shifted lcm degree first,
-    then the larger and the smaller basis index) with the chain criterion.
-    ``add`` inserts one generator and leaves its pairs queued; ``contains``
-    drains only the pairs up to the degree it asks about.  Basis elements
-    are monic.  An element whose lead lies in the tracking block (position
-    >= ``order.split``) is collected unscaled in ``collected`` and never
-    joins the basis.  ``coprime`` also skips pairs with coprime leads, which
-    is valid for rank-one input only.  Not interreduced (membership only
-    needs the Groebner property).
+    It works on coded elements of ``order``.  ``extend`` inserts a batch of
+    homogeneous generators and drains the queued S-pairs by normal selection
+    (smallest shifted lcm degree first, then the larger and the smaller
+    basis index) with the chain criterion.  ``add`` inserts one generator
+    and leaves its pairs queued; ``contains`` drains only the pairs up to
+    the degree it asks about.  Basis elements are monic.  An element whose
+    lead lies in the tracking block (position >= ``order.split``) is
+    collected unscaled in ``collected`` and never joins the basis.
+    ``coprime`` also skips pairs with coprime leads, which is valid for
+    rank-one input only.  Not interreduced (membership only needs the
+    Groebner property).
     """
 
     __slots__ = ("order", "coprime", "basis", "collected", "_by_position", "_heap", "_pending")
@@ -333,8 +475,8 @@ class IncrementalModuleGB:
         self.coprime = coprime
         self.basis: list = []
         self.collected: list = []
-        self._by_position: dict = {}
-        self._heap: list = []      # (shifted lcm degree, j, i, lcm) for pairs i < j
+        self._by_position: dict = {}   # position field -> [(lead code, index)]
+        self._heap: list = []      # (shifted lcm degree, j, i, lcm code) for pairs i < j
         self._pending: set = set()
 
     def add(self, e: Element):
@@ -343,39 +485,39 @@ class IncrementalModuleGB:
             return
         order = self.order
         lead = lead_term(e, order)
-        if lead[0] >= order.split:
+        if not lead & order.block_flag:
             self.collected.append(e)
             return
         g = e.scale(e.module.ring.field.inv(e.terms[lead]))
+        g._lead = lead
         idx = len(self.basis)
         self.basis.append(g)
-        pos, mono = lead_term(g, order)
-        same = self._by_position.setdefault(pos, [])
-        shift = order.module.gen_degs[pos]
-        for k in same:
-            mk = lead_term(self.basis[k], order)[1]
-            lcm = mono_lcm(mk, mono)
-            if self.coprime and mono_mul(mk, mono) == lcm:
+        same = self._by_position.setdefault(lead & order.position_mask, [])
+        unit = (order.encode((order.position(lead), (0,) * order.module.ring.nvars))
+                if self.coprime else None)
+        for lead_k, k in same:
+            lcm = order.lcm(lead_k, lead)   # TermCodeRangeError when it does not fit
+            if self.coprime and lcm - lead_k == lead - unit:
                 continue  # coprime leads: the S-pair reduces to zero
-            heapq.heappush(self._heap, (mono_degree(lcm) + shift, idx, k, lcm))
+            heapq.heappush(self._heap, (order.degree(lcm), idx, k, lcm))
             self._pending.add((k, idx))
-        same.append(idx)
+        same.append((lead, idx))
 
     def _drain(self, upto=None):
         """Reduce queued pairs; with ``upto``, leave those of shifted lcm degree
         above it queued (pending for the chain criterion): homogeneous inputs
         then give a Groebner basis through degree ``upto``."""
         basis, order, pending, heap = self.basis, self.order, self._pending, self._heap
+        pmask, divides = order.position_mask, order.divides
         while heap and (upto is None or heap[0][0] <= upto):
             _, j, i, lcm = heapq.heappop(heap)
             pending.remove((i, j))
             # Chain criterion: skip (i, j) when the lead of some k divides
             # the lcm and both (i, k) and (j, k) have already been handled.
-            if any(k != i and k != j
-                   and mono_divides(lead_term(basis[k], order)[1], lcm)
+            if any(k != i and k != j and divides(lead_k, lcm)
                    and (min(i, k), max(i, k)) not in pending
                    and (min(j, k), max(j, k)) not in pending
-                   for k in self._by_position[lead_term(basis[i], order)[0]]):
+                   for lead_k, k in self._by_position[lcm & pmask]):
                 continue
             s = s_pair(basis[i], basis[j], order)
             r = normal_form(s, basis, order, self._by_position)
@@ -383,23 +525,22 @@ class IncrementalModuleGB:
                 self.add(r)
 
     def extend(self, elements):
-        """Insert the homogeneous elements (zeros are skipped), then drain."""
+        """Insert the homogeneous coded elements (zeros are skipped), then drain."""
         for e in elements:
-            if not e.is_homogeneous():
-                raise GradedViolationError("Groebner input must be homogeneous")
+            self.order.element_degree(e)   # raises GradedViolationError if mixed
             self.add(e)
         self._drain()
 
     def contains(self, e: Element) -> bool:
-        """Membership of e, after draining the queued pairs up to its degree."""
+        """Membership of the coded e, after draining the queued pairs up to its degree."""
         if not e:
             return True
-        self._drain(e.degree())
+        self._drain(self.order.element_degree(e))
         return not normal_form(e, self.basis, self.order, self._by_position)
 
 
 def buchberger(elements: list, order: ModuleOrder, ideal_mode: bool = False) -> list:
-    """Reduced Groebner basis of the submodule generated by the elements.
+    """Reduced Groebner basis of the submodule generated by the coded elements.
 
     Inputs must be homogeneous.  In ideal_mode (rank-one input, valid only
     there) the pair engine also skips pairs with coprime leads.
@@ -415,17 +556,9 @@ def interreduce(basis: list, order: ModuleOrder) -> list:
     keep = []
     leads = [lead_term(g, order) for g in basis]
     for i, g in enumerate(basis):
-        pi, mi = leads[i]
-        redundant = False
-        for j, _h in enumerate(basis):
-            if i == j:
-                continue
-            pj, mj = leads[j]
-            if pj == pi and mono_divides(mj, mi):
-                if mj != mi or j < i:
-                    redundant = True
-                    break
-        if not redundant:
+        li = leads[i]
+        if not any(j != i and order.divides(lj, li) and (lj != li or j < i)
+                   for j, lj in enumerate(leads)):
             keep.append(g)
     # Tail-reduce each survivor against the others.
     reduced = []
@@ -434,34 +567,40 @@ def interreduce(basis: list, order: ModuleOrder) -> list:
         r = normal_form(g, others, order)
         if r:
             reduced.append(r.scale(r.module.ring.field.inv(r.terms[lead_term(r, order)])))
-    reduced.sort(key=lambda e: order.key(lead_term(e, order)))
+    reduced.sort(key=lambda e: lead_term(e, order))
     return reduced
 
 
 class GroebnerBasis:
     """A reduced Groebner basis of a submodule of a graded free module.
 
-    ``quotient_polys`` records the quotient relations that were appended, so
-    normal forms decide membership over R = S/(quotient) as well as over S.
+    ``generators`` and ``lead_terms`` are decoded, (position, monomial)
+    keyed; the coded basis stays inside.  ``quotient_polys`` records the
+    quotient relations that were appended, so normal forms decide membership
+    over R = S/(quotient) as well as over S.
     """
 
-    __slots__ = ("module", "order", "generators", "quotient_polys", "_by_position",
-                 "_lead_monos")
+    __slots__ = ("module", "order", "generators", "lead_terms", "quotient_polys", "_basis",
+                 "_by_position", "_lead_monos")
 
-    def __init__(self, module, order, generators, quotient_polys):
+    def __init__(self, module, order, basis, quotient_polys):
         self.module = module
         self.order = order
-        self.generators = generators
+        self._basis = basis
+        self.generators = [order.decode_element(g) for g in basis]
+        self.lead_terms = [order.decode(lead_term(g, order)) for g in basis]
         self.quotient_polys = tuple(quotient_polys)
-        self._by_position = {}
-        for i, g in enumerate(generators):
-            self._by_position.setdefault(lead_term(g, order)[0], []).append(i)
+        self._by_position = _index_leads(basis, order)
         self._lead_monos = None
 
-    def normal_form(self, e: Element) -> Element:
+    def _reduce(self, e: Element) -> Element:
         if e.module != self.module:
             raise IncompatibleOperandsError("element from a different free module")
-        return normal_form(e, self.generators, self.order, self._by_position)
+        return normal_form(self.order.encode_element(e), self._basis, self.order,
+                           self._by_position)
+
+    def normal_form(self, e: Element) -> Element:
+        return self.order.decode_element(self._reduce(e))
 
     def reduce_poly(self, poly: Polynomial) -> Polynomial:
         """Normal form of a polynomial modulo a rank-one basis (an ideal).
@@ -476,8 +615,7 @@ class GroebnerBasis:
             if self.module.rank != 1:
                 raise IncompatibleOperandsError(
                     f"polynomial reduction needs a rank-one basis, not rank {self.module.rank}")
-            leads = self._lead_monos = tuple(lead_term(g, self.order)[1]
-                                             for g in self.generators)
+            leads = self._lead_monos = tuple(m for _, m in self.lead_terms)
         for mono in poly.terms:
             for lead in leads:
                 if mono_divides(lead, mono):
@@ -485,7 +623,7 @@ class GroebnerBasis:
         return poly
 
     def contains(self, e: Element) -> bool:
-        return not self.normal_form(e)
+        return not self._reduce(e)
 
     def __len__(self):
         return len(self.generators)
@@ -512,8 +650,9 @@ def groebner_basis(columns, free: FreeModule, quotient_polys=()) -> GroebnerBasi
     Over a quotient ring the f_k * e_j relations are appended internally, so
     ``normal_form(e) == 0`` decides membership over the quotient.
     """
-    elems = list(columns) + quotient_columns(free, quotient_polys)
     order = ModuleOrder(free)
+    elems = [order.encode_element(c)
+             for c in list(columns) + quotient_columns(free, quotient_polys)]
     ideal_mode = free.rank == 1 and not quotient_polys
     gens = buchberger(elems, order, ideal_mode=ideal_mode)
     return GroebnerBasis(free, order, gens, quotient_polys)
@@ -523,15 +662,15 @@ def initial_terms(columns, free: FreeModule, quotient_polys=()) -> list:
     """Lead terms (position, monomial) of a Groebner basis of the columns,
     the quotient relations f_k * e_j appended: they generate the initial
     module.  The basis is not interreduced, so some terms may be redundant."""
-    elems = list(columns) + quotient_columns(free, quotient_polys)
     order = ModuleOrder(free)
     gb = IncrementalModuleGB(order, coprime=free.rank == 1 and not quotient_polys)
-    gb.extend(elems)
-    return [lead_term(g, order) for g in gb.basis]
+    gb.extend(order.encode_element(c)
+              for c in list(columns) + quotient_columns(free, quotient_polys))
+    return [order.decode(lead_term(g, order)) for g in gb.basis]
 
 
 def tracked_buchberger(inputs: list, order: ModuleOrder):
-    """Groebner basis of the main block plus collected syzygies.
+    """Groebner basis of the main block plus collected syzygies, all coded.
 
     The inputs stay in the active basis (so every input is trivially
     expressible in it) and only pairs with leads in the main block are
@@ -557,9 +696,10 @@ class TrackedSubmodule:
     tracking term, so the active basis is a Groebner basis of the module of
     columns and relations (lifts reduce against it) while the collected
     elements' tracking parts generate the syzygies of the columns modulo the
-    relations over the declared ring.  Tracking vectors are elements of
-    ``syzygy_module``, the free module R^s on the column degrees, with every
-    coefficient reduced modulo the quotient ideal.
+    relations over the declared ring.  ``active`` and ``collected`` are coded
+    in ``order``.  Tracking vectors are elements of ``syzygy_module``, the
+    free module R^s on the column degrees, with every coefficient reduced
+    modulo the quotient ideal.
 
     ``quotient_ring`` is the ring presentation the columns live over (None:
     the polynomial ring itself); its quotient relations enter the
@@ -584,31 +724,34 @@ class TrackedSubmodule:
         ring = free.ring
         self.syzygy_module = FreeModule(ring, col_degs)
         self.tracked_module = FreeModule(ring, free.gen_degs + col_degs)
-        self.order = ModuleOrder(self.tracked_module, split=free.rank)
+        self.order = order = ModuleOrder(self.tracked_module, split=free.rank)
         tracked = []
         unit = (0,) * ring.nvars
         one = ring.field.one()
         for j, col in enumerate(columns):
             terms = dict(col.terms)
             terms[(free.rank + j, unit)] = one
-            tracked.append(Element(self.tracked_module, terms))
+            tracked.append(order.encode_element(Element(self.tracked_module, terms)))
         for rel in list(relations) + quotient_columns(free, quotient_polys):
-            tracked.append(Element(self.tracked_module, rel.terms))
-        self.active, self.collected = tracked_buchberger(tracked, self.order)
-        self._by_position = {}
-        for i, g in enumerate(self.active):
-            self._by_position.setdefault(lead_term(g, self.order)[0], []).append(i)
+            tracked.append(order.encode_element(rel))
+        self.active, self.collected = tracked_buchberger(tracked, order)
+        self._by_position = _index_leads(self.active, order)
         self._ideal_gb = quotient_ring.ideal_gb if quotient_polys else None
 
     def _tracking_vector(self, e: Element) -> Element:
-        """e, which has tracking terms only, as an element of ``syzygy_module``,
-        each coordinate's coefficient reduced once modulo the quotient ideal."""
-        split = self.free.rank
+        """The coded e, which has tracking terms only, as an element of
+        ``syzygy_module``, each coordinate's coefficient reduced once modulo
+        the quotient ideal."""
+        split, decode = self.free.rank, self.order.decode
+        terms = {}
+        for code, c in e.terms.items():
+            p, m = decode(code)
+            terms[(p - split, m)] = c
         if self._ideal_gb is None:
-            return Element(self.syzygy_module, {(p - split, m): c for (p, m), c in e.terms.items()})
+            return Element(self.syzygy_module, terms)
         by_col: dict = {}
-        for (p, m), c in e.terms.items():
-            by_col.setdefault(p - split, {})[m] = c
+        for (j, m), c in terms.items():
+            by_col.setdefault(j, {})[m] = c
         ring, reduce_poly = self.free.ring, self._ideal_gb.reduce_poly
         terms = {}
         for j in sorted(by_col):
@@ -631,9 +774,9 @@ class TrackedSubmodule:
 
     def lift(self, e: Element):
         """Coefficients x with e = sum x_j * c_j modulo the relations, or None."""
-        nf = normal_form(Element(self.tracked_module, dict(e.terms)), self.active,
-                         self.order, self._by_position)
-        if any(p < self.free.rank for p, _ in nf.terms):
+        order = self.order
+        nf = normal_form(order.encode_element(e), self.active, order, self._by_position)
+        if any(t & order.block_flag for t in nf.terms):
             return None
         vec = self._tracking_vector(nf)
         minus_one = self.free.ring.field.neg(self.free.ring.field.one())
@@ -665,14 +808,16 @@ def minimal_generator_indices(columns, col_degs, free: FreeModule, quotient_poly
     Each membership question drains the pairs only up to the column's degree.
     """
     n = len(columns)
-    gb = IncrementalModuleGB(ModuleOrder(free))
+    order = ModuleOrder(free)
+    gb = IncrementalModuleGB(order)
     for q in quotient_columns(free, quotient_polys):
-        gb.add(q)
+        gb.add(order.encode_element(q))
     kept = []
     for i in sorted(range(n), key=lambda k: (col_degs[k], k)):
         col = columns[i]
         if not col:
             continue
+        col = order.encode_element(col)
         if gb.contains(col):
             continue
         kept.append(i)

@@ -15,7 +15,7 @@ import random
 
 from .fields import field_by_tag
 from .polynomials import GradedViolationError, PolyRing, Polynomial, mono_divides
-from .groebner import FreeModule, groebner_basis, lead_term
+from .groebner import FreeModule, groebner_basis
 
 NEG_INF = float("-inf")
 INF = float("inf")
@@ -107,7 +107,7 @@ def dimension_and_multiplicity(num: dict, nvars: int):
 def ideal_dimension(poly_ring: PolyRing, polys) -> float:
     """Krull dimension of S/(polys), from its initial ideal; -inf for the unit ideal."""
     gb = ideal_groebner(poly_ring, polys)
-    leads = [lead_term(g, gb.order)[1] for g in gb.generators]
+    leads = [m for _, m in gb.lead_terms]
     return dimension_and_multiplicity(hilbert_numerator(leads), poly_ring.nvars)[0]
 
 

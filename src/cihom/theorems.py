@@ -823,6 +823,14 @@ _CHECKERS = {
     "4.22": _check_4_22,
 }
 
+# The statements that read each optional parameter: n starts a vanishing
+# run (the ``_hyp_run`` users) or is 3.15's index, and w is 4.11's.  A
+# script's ``check`` rejects either key for every other statement.
+PARAMETER_READERS = {
+    "n": frozenset({"2.1", "2.2", "2.3", "2.4", "3.7", "3.15", "4.8", "4.11", "4.21"}),
+    "w": frozenset({"4.11"}),
+}
+
 ALIASES = {"1.1": "3.12.2", "1.2": "4.15", "3.9": "3.9.1", "3.12": "3.12.1",
            "3.12(1)": "3.12.1", "3.12(2)": "3.12.2", "3.9(1)": "3.9.1",
            "3.9(2)": "3.9.2"}

@@ -9,7 +9,7 @@ import time
 
 from cihom.fields import PrimeField
 from cihom.fmodules import ModulePresentation
-from cihom.groebner import FreeModule, groebner_basis, lead_term, normal_form, s_pair
+from cihom.groebner import FreeModule, groebner_basis, normal_form, s_pair
 from cihom.homology import depth_formula_check, tor_profile
 from cihom.oracle import tor_oracle
 from cihom.polynomials import monomials_of_degree
@@ -203,10 +203,10 @@ def test_criterion_9_property_suites(ring_two_nodes, ring_quadric, ring_node,
             if not cols:
                 continue
             gb = groebner_basis(cols, free)
-            gens = gb.generators
+            gens = [gb.order.encode_element(g) for g in gb.generators]
             for i in range(len(gens)):
                 for j in range(i):
-                    if lead_term(gens[i], gb.order)[0] != lead_term(gens[j], gb.order)[0]:
+                    if gb.lead_terms[i][0] != gb.lead_terms[j][0]:
                         continue
                     s = s_pair(gens[i], gens[j], gb.order)
                     assert not normal_form(s, gens, gb.order)

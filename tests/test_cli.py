@@ -170,7 +170,8 @@ def test_cli_unread_option_is_parse_error(tmp_path, capsys, command, key, messag
 def test_cli_accepted_option_values_run(tmp_path, capsys):
     script = tmp_path / "ok.ci"
     script.write_text(TWO_LINE_SCRIPT + "resolve M steps=3 over=ambient\n"
-                      "tor M M bound=1 side=right\ncheck 3.15 on (M, n=1, w=0, window=8)\n")
+                      "tor M M bound=1 side=right\ncheck 3.15 on (M, n=1, window=8)\n"
+                      "check 4.11 on (M, n=1, w=0, window=8)\n")
     assert main(["--script", str(script), "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["results"][1]["data"]["tor_profile"]["resolved_side"] == "right"
@@ -225,6 +226,8 @@ _SHORT_WINDOW = "cihom: input error: betti window of length 3 is too short (need
      "duplicate variable name 'x'"),
     ("search @9.9 with (ring=R, samples=1)", [],
      "unknown question id '9.9'; known: 3.17, 4.16, 4.18, 4.10, 3.6"),
+    ("check 2.2 on (M, n=1, @w=1)", [], "statement 2.2 does not read option 'w'"),
+    ("check 3.9 on (M, @n=1)", [], "statement 3.9 does not read option 'n'"),
 ])
 def test_cli_bad_input_exits_2(tmp_path, capsys, line, flags, message):
     script = tmp_path / "bad.ci"
@@ -356,6 +359,47 @@ def test_empty_session_header_only(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.startswith("cihom ")
+
+
+NODE_SCRIPT = """
+ring P = quotient(field=f32003, vars=[x,y], degrees=[1,1], ideal=[x*y])
+module M = coker(P, shifts=[0], matrix=[[x]])
+module N = coker(P, shifts=[0], matrix=[[y]])
+"""
+
+
+def test_cli_check_rejects_parameters_the_statement_does_not_read(tmp_path, capsys):
+    # 3.3 reads neither n nor w; both were once accepted and silently ignored
+    script = tmp_path / "unread.ci"
+    script.write_text(NODE_SCRIPT + "check 3.3 on (M, N, n=5, w=3, bound=4)\n")
+    assert main(["--script", str(script)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        "cihom: parse error: line 5, column 21: statement 3.3 does not read option 'n'"]
+
+
+def test_cli_check_accepts_the_parameters_a_statement_reads(tmp_path, capsys):
+    script = tmp_path / "read.ci"
+    script.write_text(NODE_SCRIPT + "check 2.2 on (M, N, n=1, bound=4)\n"
+                      "check 4.11 on (M, N, w=1, bound=4)\n")
+    # Tor never vanishes here, so 4.11 has no run to start from: its verdict
+    # fails (exit 1), the script itself parses and runs
+    assert main(["--script", str(script), "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert [(r["title"], r["data"]["theorem_reports"][0]["conclusion"]["verdict"])
+            for r in doc["results"]] == [("2.2", "hypotheses-unmet"), ("4.11", "fails")]
+
+
+def test_cli_term_code_range_is_a_guardrail(tmp_path, capsys):
+    # a generator degree of 2^40 does not fit the Groebner engine's term codes
+    script = tmp_path / "huge.ci"
+    script.write_text(TWO_LINE_SCRIPT
+                      + "module H = coker(R, shifts=[1099511627776], matrix=[[y, u]])\n"
+                      + "resolve H steps=3\n")
+    assert main(["--script", str(script)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("cihom: guardrail: shifted degree 1099511627")
 
 
 def test_cli_guardrail_exit_code(tmp_path, capsys):

@@ -5,17 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cihom.fields import PrimeField
+from cihom import groebner
+from cihom.fields import PrimeField, field_by_tag
+from cihom.fmodules import ModulePresentation
 from cihom.groebner import (
     Element,
     FreeModule,
     GroebnerBasis,
     IncrementalModuleGB,
     ModuleOrder,
+    TermCodeRangeError,
     TrackedSubmodule,
     buchberger,
     groebner_basis,
-    lead_term,
     minimal_generator_indices,
     normal_form,
     quotient_columns,
@@ -27,10 +29,16 @@ from cihom.polynomials import (
     GradedViolationError,
     IncompatibleOperandsError,
     PolyRing,
+    TermOrder,
     mono_div,
     mono_divides,
+    mono_lcm,
+    mono_mul,
     monomials_of_degree,
 )
+from cihom.resolutions import resolve
+from cihom.rings import RingPresentation
+from cihom.search import SearchConfig, counterexample_search
 
 F = PrimeField(32003)
 
@@ -124,12 +132,10 @@ def _random_ideal(pr, rng, n_gens=3, max_deg=2):
 
 
 def assert_buchberger_criterion(gb: GroebnerBasis):
-    gens = gb.generators
+    gens = [gb.order.encode_element(g) for g in gb.generators]
     for i in range(len(gens)):
         for j in range(i):
-            pi = lead_term(gens[i], gb.order)[0]
-            pj = lead_term(gens[j], gb.order)[0]
-            if pi != pj:
+            if gb.lead_terms[i][0] != gb.lead_terms[j][0]:
                 continue
             s = s_pair(gens[i], gens[j], gb.order)
             assert not normal_form(s, gens, gb.order), (i, j)
@@ -214,67 +220,171 @@ def test_s_pair_rejects_leads_in_different_positions():
     x, y = pr.variable("x"), pr.variable("y")
     free = FreeModule(pr, (0, 0))
     gb = groebner_basis([], free)
-    f = free.from_polys([x, pr.zero()])
-    g = free.from_polys([pr.zero(), y])
+    f = gb.order.encode_element(free.from_polys([x, pr.zero()]))
+    g = gb.order.encode_element(free.from_polys([pr.zero(), y]))
     with pytest.raises(IncompatibleOperandsError):
         s_pair(f, g, gb.order)
 
 
-# -- the heap-ordered normal form against the max-rescan reducer -----------------
+# -- term codes against the tuple key they replaced --------------------------------
 
 def _reference_key(order, term):
-    """ModuleOrder's key, computed afresh on every call (no memo)."""
+    """ModuleOrder's term order as a tuple key: block, shifted degree, ring
+    order, earlier position.  Larger key = larger term."""
     p, m = term
     return (1 if p < order.split else 0, sum(m) + order.module.gen_degs[p],
             order.module.ring.order.key(m), -p)
 
 
+def _random_term(order, rng, max_exp=6):
+    return (rng.randrange(order.module.rank),
+            tuple(rng.randint(0, max_exp) for _ in range(order.module.ring.nvars)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31), st.sampled_from(TermOrder.KINDS))
+def test_term_codes_match_the_tuple_key(seed, kind):
+    # rank 1 to 3, generator degrees down to -3, a split anywhere up to the rank
+    rng = random.Random(seed)
+    nvars, rank = rng.randint(1, 4), rng.randint(1, 3)
+    pr = PolyRing(F, [f"x{i}" for i in range(nvars)], TermOrder(kind))
+    order = ModuleOrder(FreeModule(pr, tuple(rng.randint(-3, 3) for _ in range(rank))),
+                        split=rng.randint(0, rank))
+    encode, unit = order.encode, (0,) * nvars
+    for _ in range(30):
+        a, b = _random_term(order, rng), _random_term(order, rng)
+        ca, cb = encode(a), encode(b)
+        assert (ca > cb) == (_reference_key(order, a) > _reference_key(order, b))
+        assert (ca == cb) == (a == b)
+        assert order.decode(ca) == a and order.decode(cb) == b
+        assert order.degree(ca) == sum(a[1]) + order.module.gen_degs[a[0]]
+        assert order.divides(ca, cb) == (a[0] == b[0] and mono_divides(a[1], b[1]))
+        assert order.lcm(ca, encode((a[0], b[1]))) == encode((a[0], mono_lcm(a[1], b[1])))
+        s = _random_term(order, rng, max_exp=3)[1]
+        shifted = encode((a[0], mono_mul(a[1], s)))
+        assert shifted - ca == encode((b[0], mono_mul(b[1], s))) - cb
+        assert order.divides(ca, shifted) and order.divides(shifted, ca) == (s == unit)
+
+
+@pytest.mark.parametrize("kind", TermOrder.KINDS)
+def test_term_codes_at_the_field_limit(kind):
+    # The largest exponent that fits, next to zero: guard bits keep the
+    # divisibility test and the lcm exact, and one more degree is refused.
+    top = groebner._FIELD_MAX
+    pr = PolyRing(F, ["x", "y"], TermOrder(kind))
+    order = ModuleOrder(FreeModule(pr, (-2, 0)), split=1)
+    terms = [(0, (top, 0)), (0, (0, top)), (1, (top - 2, 0)), (1, (0, top - 2)),
+             (0, (0, 0)), (1, (0, 0))]
+    codes = [order.encode(t) for t in terms]
+    assert [order.decode(c) for c in codes] == terms
+    assert (sorted(range(len(terms)), key=codes.__getitem__)
+            == sorted(range(len(terms)), key=lambda i: _reference_key(order, terms[i])))
+    for a, ca in zip(terms, codes):
+        for b, cb in zip(terms, codes):
+            assert order.divides(ca, cb) == (a[0] == b[0] and mono_divides(a[1], b[1]))
+    assert order.lcm(codes[2], codes[5]) == codes[2]
+    with pytest.raises(TermCodeRangeError):
+        order.lcm(codes[0], codes[1])
+    with pytest.raises(TermCodeRangeError):
+        order.encode((0, (top, 1)))
+    with pytest.raises(TermCodeRangeError):
+        order.encode((1, (top - 1, 0)))
+
+
+def test_lead_term_refuses_a_decoded_element():
+    pr = ring4()
+    x, y = pr.variable("x"), pr.variable("y")
+    free = FreeModule(pr, (0,))
+    gb = groebner_basis([free.from_polys([x * x + y * y])], free)
+    with pytest.raises(TypeError):
+        groebner.lead_term(gb.generators[0], gb.order)
+    assert gb.lead_terms == [(0, (2, 0, 0, 0))]
+
+
+def test_term_code_range_guardrail():
+    # Explicit raises, so they hold under python -O too.
+    pr = ring4()
+    x = pr.variable("x")
+    free = FreeModule(pr, (2 ** 40,))
+    with pytest.raises(TermCodeRangeError):   # an input term that does not fit
+        groebner_basis([free.from_polys([x])], free)
+    top = groebner._FIELD_MAX
+    free = FreeModule(pr, (0,))
+    order = ModuleOrder(free)
+    gb = IncrementalModuleGB(order)
+    gb.add(order.encode_element(free.from_polys([pr.monomial((top, 0, 0, 0), F.one())])))
+    with pytest.raises(TermCodeRangeError):   # two that fit, whose pair's lcm does not
+        gb.add(order.encode_element(free.from_polys([pr.monomial((0, top, 0, 0), F.one())])))
+
+
+# -- the heap-ordered coded normal form against the max-rescan reducer ------------
+
 def reference_normal_form(e, basis, order):
-    """Reduction that rescans the whole work element for its lead each step."""
-    by_position = {}
-    for i, g in enumerate(basis):
-        if g:
-            by_position.setdefault(lead_term(g, order)[0], []).append(i)
+    """Reduction on (position, monomial) terms, ordered by the tuple key, that
+    rescans the whole work element for its lead each step."""
+    def key(term):
+        return _reference_key(order, term)
+
+    leads = [max(g.terms, key=key) if g else None for g in basis]
     field = e.module.ring.field
     remainder = {}
     work = Element(e.module, dict(e.terms))
     while work.terms:
-        t = max(work.terms, key=lambda term: _reference_key(order, term))
-        reducer = next((basis[i] for i in by_position.get(t[0], ())
-                        if mono_divides(lead_term(basis[i], order)[1], t[1])), None)
-        if reducer is None:
+        t = max(work.terms, key=key)
+        i = next((i for i, lead in enumerate(leads)
+                  if lead and lead[0] == t[0] and mono_divides(lead[1], t[1])), None)
+        if i is None:
             remainder[t] = work.terms.pop(t)
             continue
-        glt = lead_term(reducer, order)
-        coeff = field.div(work.terms[t], reducer.terms[glt])
-        work = work.sub_scaled(reducer, mono_div(t[1], glt[1]), coeff)
+        coeff = field.div(work.terms[t], basis[i].terms[leads[i]])
+        work = work.add(basis[i].mul_term(mono_div(t[1], leads[i][1]), field.neg(coeff)))
     return Element(e.module, remainder)
 
 
 def _random_element(free, rng, degree, n_terms):
     """Homogeneous element of the given degree with up to n_terms terms."""
-    nvars = free.ring.nvars
+    nvars, field = free.ring.nvars, free.ring.field
     positions = [p for p, d in enumerate(free.gen_degs) if d <= degree]
     terms = {}
     for _ in range(n_terms):
         p = rng.choice(positions)
         mono = rng.choice(list(monomials_of_degree(nvars, degree - free.gen_degs[p])))
-        terms[(p, mono)] = F.from_int(rng.randint(1, F.p - 1))
+        c = field.from_int(rng.randint(1, F.p - 1))
+        terms[(p, mono)] = field.one() if field.is_zero(c) else c
     return Element(free, terms)
 
 
 def assert_matches_reference(e, basis, order):
-    nf = normal_form(e, basis, order)
-    assert list(nf.terms.items()) == list(reference_normal_form(e, basis, order).terms.items())
-    again = normal_form(nf, basis, order)
+    """The coded normal form of e, decoded, is the reference's, term for term."""
+    coded = [order.encode_element(g) for g in basis]
+    nf = normal_form(order.encode_element(e), coded, order)
+    assert (list(order.decode_element(nf).terms.items())
+            == list(reference_normal_form(e, basis, order).terms.items()))
+    again = normal_form(nf, coded, order)
     assert list(again.terms.items()) == list(nf.terms.items())
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=2 ** 31), st.sampled_from(["quadric", "two_nodes"]))
-def test_normal_form_matches_reference(ring_quadric, ring_two_nodes, seed, which):
+_RINGS: dict = {}
+
+
+def _ring(which, kind, field_tag):
+    """The quadric k[x,y,w,z]/(xw - yz) or k[x,y,z,u]/(xy, zu), under the
+    given term order and field, built once."""
+    if (which, kind, field_tag) not in _RINGS:
+        names = "xywz" if which == "quadric" else "xyzu"
+        pr = PolyRing(field_by_tag(field_tag), list(names), TermOrder(kind))
+        a, b, c, d = (pr.variable(v) for v in names)
+        gens = [a * c - b * d] if which == "quadric" else [a * b, c * d]
+        _RINGS[which, kind, field_tag] = RingPresentation(pr, gens, label=which)
+    return _RINGS[which, kind, field_tag]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31), st.sampled_from(["quadric", "two_nodes"]),
+       st.sampled_from(TermOrder.KINDS), st.sampled_from(["f32003", "f3", "rational"]))
+def test_normal_form_matches_reference(seed, which, kind, field_tag):
     rng = random.Random(seed)
-    ring = ring_quadric if which == "quadric" else ring_two_nodes
+    ring = _ring(which, kind, field_tag)
     pr, quot = ring.poly_ring, ring.quotient_gens
     free = FreeModule(pr, tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 3))))
     cols = [_random_element(free, rng, rng.randint(1, 2), rng.randint(1, 4))
@@ -288,9 +398,10 @@ def test_normal_form_matches_reference(ring_quadric, ring_two_nodes, seed, which
     # term above every tracking term.
     tracked = TrackedSubmodule(cols, [c.degree() for c in cols], free, ring)
     assert tracked.order.split == free.rank < tracked.tracked_module.rank
+    active = [tracked.order.decode_element(g) for g in tracked.active]
     for _ in range(4):
         e = _random_element(tracked.tracked_module, rng, rng.randint(1, 3), rng.randint(1, 8))
-        assert_matches_reference(e, tracked.active, tracked.order)
+        assert_matches_reference(e, active, tracked.order)
 
 
 # -- the one pair engine, pinned to the three loops it replaced -------------------
@@ -330,13 +441,16 @@ def _tracked_as_before(columns, col_degs, free, quotient_polys=()):
     qcols = quotient_columns(free, quotient_polys)
     module = FreeModule(free.ring, free.gen_degs + tuple(col_degs)
                         + tuple(q.degree() for q in qcols))
+    order = ModuleOrder(module, split=free.rank)
     unit = (0,) * free.ring.nvars
     tracked = []
     for j, col in enumerate(list(columns) + qcols):
         terms = dict(col.terms)
         terms[(free.rank + j, unit)] = free.ring.field.one()
-        tracked.append(Element(module, terms))
-    return tracked_buchberger(tracked, ModuleOrder(module, split=free.rank))
+        tracked.append(order.encode_element(Element(module, terms)))
+    active, collected = tracked_buchberger(tracked, order)
+    return ([order.decode_element(g) for g in active],
+            [order.decode_element(g) for g in collected])
 
 
 def test_engine_outputs_match_the_three_loops(ring_quadric, ring_two_nodes, ring_node):
@@ -355,7 +469,8 @@ def test_engine_outputs_match_the_three_loops(ring_quadric, ring_two_nodes, ring
         assert ts.tracked_module.rank == cut
         for new, old in zip((ts.active, ts.collected), before):
             kept_terms = ([(t, c) for t, c in e.terms.items() if t[0] < cut] for e in old)
-            assert [list(e.terms.items()) for e in new] == [terms for terms in kept_terms if terms]
+            assert ([list(ts.order.decode_element(e).terms.items()) for e in new]
+                    == [terms for terms in kept_terms if terms])
         plain.append(groebner_basis(cols, free, quot).generators)
         kept.append(minimal_generator_indices(cols, degs, free, quot))
     assert _terms_digest(tracked) == (
@@ -371,8 +486,10 @@ def test_ideal_mode_matches_module_mode():
     pr = ring4()
     for _ in range(8):
         free, cols = _random_ideal(pr, rng, n_gens=rng.randint(1, 4))
-        assert (buchberger(cols, ModuleOrder(free), ideal_mode=True)
-                == buchberger(cols, ModuleOrder(free), ideal_mode=False))
+        order = ModuleOrder(free)
+        cols = [order.encode_element(c) for c in cols]
+        assert (buchberger(cols, order, ideal_mode=True)
+                == buchberger(cols, order, ideal_mode=False))
 
 
 def test_inhomogeneous_input_rejected_on_the_tracked_path():
@@ -385,9 +502,11 @@ def test_inhomogeneous_input_rejected_on_the_tracked_path():
     tracked_free = FreeModule(pr, (0, 1))
     order = ModuleOrder(tracked_free, split=1)
     with pytest.raises(GradedViolationError):
-        tracked_buchberger([tracked_free.from_polys([x + x * x, pr.one()])], order)
+        tracked_buchberger([order.encode_element(tracked_free.from_polys([x + x * x, pr.one()]))],
+                           order)
+    order = ModuleOrder(free)
     with pytest.raises(GradedViolationError):
-        IncrementalModuleGB(ModuleOrder(free)).extend([free.zero(), bad])
+        IncrementalModuleGB(order).extend([free.zero(), order.encode_element(bad)])
 
 
 # -- membership drains only up to the degree it asks about ----------------------------
@@ -395,11 +514,12 @@ def test_inhomogeneous_input_rejected_on_the_tracked_path():
 def _minimal_generator_indices_full_drain(columns, col_degs, free, quotient_polys=()):
     """minimal_generator_indices with every queued pair drained before each
     membership question, as before the degree-truncated drain."""
-    gb = IncrementalModuleGB(ModuleOrder(free))
-    gb.extend(quotient_columns(free, quotient_polys))
+    order = ModuleOrder(free)
+    gb = IncrementalModuleGB(order)
+    gb.extend(order.encode_element(q) for q in quotient_columns(free, quotient_polys))
     kept = []
     for i in sorted(range(len(columns)), key=lambda k: (col_degs[k], k)):
-        col = columns[i]
+        col = order.encode_element(columns[i])
         if col and not gb.contains(col):
             kept.append(i)
             gb.extend([col])
@@ -426,15 +546,15 @@ def test_truncated_drain_matches_the_full_drain(ring_quadric, ring_two_nodes, ri
 
 
 def test_membership_drains_only_up_to_the_asked_degree(monkeypatch, ring_two_nodes):
-    import cihom.groebner as groebner
     pr, quot = ring_two_nodes.poly_ring, ring_two_nodes.quotient_gens
     x, y, z, u = (pr.variable(v) for v in "xyzu")
     free = FreeModule(pr, (0,))
-    gb = IncrementalModuleGB(ModuleOrder(free))
+    order = ModuleOrder(free)
+    gb = IncrementalModuleGB(order)
     for q in quotient_columns(free, quot):
-        gb.add(q)
-    assert not gb.contains(free.from_polys([x * z]))
-    assert gb.contains(free.from_polys([x * y]))
+        gb.add(order.encode_element(q))
+    assert not gb.contains(order.encode_element(free.from_polys([x * z])))
+    assert gb.contains(order.encode_element(free.from_polys([x * y])))
     # The pair of the quotient leads xy and zu has degree 4: still queued.
     assert [pair[0] for pair in gb._heap] == [4]
     cols = [free.from_polys([p]) for p in (x + z, x * x + y * y, x * z, x * x * z + z * z * z)]
@@ -549,3 +669,45 @@ def test_relation_columns_match_the_restricted_syzygies(ring_quadric, ring_two_n
             first.append((list(r.terms.items()), d))
     assert [(list(s.terms.items()), d) for s, d in zip(syz, syz_degs)] == first
     assert all(s.module == FreeModule(ring.poly_ring, tuple(degs)) for s in syz)
+
+
+# -- the engine's work on two fixed computations, pinned ------------------------------
+
+def _quadric():
+    """A fresh k[x,y,w,z]/(xw - yz), so no cache of another test is reused."""
+    pr = PolyRing(F, ["x", "y", "w", "z"])
+    x, y, w, z = (pr.variable(v) for v in "xywz")
+    f = x * w - y * z
+    return RingPresentation(pr, [f], label="R_quadric", minimal_primes=[[f]])
+
+
+def _resolve_residue_field():
+    ring = _quadric()
+    k = ModulePresentation.quotient_by_ideal(
+        ring, [ring.poly_ring.variable(v) for v in "xywz"], label="k")
+    assert resolve(k, steps=6).betti_numbers() == [1, 4, 7, 8, 8, 8, 8]
+
+
+def _search_seed_24():
+    # the heaviest item of the benchmark's search36 set at f32003
+    counterexample_search(SearchConfig(_quadric(), "3.6", samples=1, seed=24,
+                                       max_gens=2, max_deg=1))
+
+
+@pytest.mark.parametrize("run, expected", [
+    (_resolve_residue_field, {"s_pair": 39, "normal_form": 161, "add": 183}),
+    (_search_seed_24, {"s_pair": 201, "normal_form": 414, "add": 381}),
+], ids=["resolve_k_6_steps", "search_3_6_seed_24"])
+def test_engine_work_is_pinned(monkeypatch, run, expected):
+    # Recorded with (position, monomial) tuple terms, before terms became int
+    # codes: the same pairs and reductions, each one cheaper.
+    counts = dict.fromkeys(expected, 0)
+    for owner, name in ((groebner, "s_pair"), (groebner, "normal_form"),
+                        (groebner.IncrementalModuleGB, "add")):
+        def counting(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    run()
+    assert counts == expected

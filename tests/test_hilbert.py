@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from cihom.fields import PrimeField
 from cihom.fmodules import ModulePresentation
-from cihom.groebner import groebner_basis, initial_terms, lead_term
+from cihom.groebner import groebner_basis, initial_terms
 from cihom.homology import ext_ambient_dimensions, ext_modules
 from cihom.polynomials import PolyRing, mono_divides, monomials_of_degree
 from cihom.rings import (
@@ -52,8 +52,7 @@ def _dimension_from_leads_reference(nvars, lead_monos):
 def _leads_by_position(M):
     gb = groebner_basis(M.relation_elements(), M.free_module(), M.ring.quotient_gens)
     leads = {i: [] for i in range(M.n_gens)}
-    for g in gb.generators:
-        p, m = lead_term(g, gb.order)
+    for p, m in gb.lead_terms:
         leads[p].append(m)
     return leads
 
@@ -111,7 +110,7 @@ def _length_reference(M):
 def _ideal_dimension_reference(poly_ring, polys):
     gb = ideal_groebner(poly_ring, polys)
     return _dimension_from_leads_reference(
-        poly_ring.nvars, [lead_term(g, gb.order)[1] for g in gb.generators])
+        poly_ring.nvars, [m for _, m in gb.lead_terms])
 
 
 def _ext_ambient_dimensions_reference(M):

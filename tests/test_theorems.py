@@ -254,6 +254,29 @@ def test_harness_reports_digest(mod_M_two_nodes, mod_N_two_nodes, mod_quadric, n
     assert h.hexdigest() == "78531bebe48d5587fea21590d19271dd580aedaaeb59e470695bb8c6e949d70c"
 
 
+class _RecordingParams(dict):
+    """Statement parameters that note every key a checker reads."""
+
+    def __init__(self, **params):
+        super().__init__(**params)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def test_parameter_readers_match_the_checkers(node_pair):
+    # The script parser rejects n= and w= by PARAMETER_READERS; each
+    # checker must read exactly the parameters listed for it.
+    M, N = node_pair
+    for sid in known_statements():
+        params = _RecordingParams(n=1)
+        theorems._CHECKERS[sid](theorems._Instance(M, N, 4, 6, 8), params)
+        assert params.read == {key for key, readers in theorems.PARAMETER_READERS.items()
+                               if sid in readers}, sid
+
+
 # statements whose hypotheses include "k consecutive Tor vanish from some n"
 _RUN_STATEMENTS = ("2.1", "2.2", "2.3", "2.4", "3.7", "4.8", "4.11", "4.21")
 
