@@ -22,8 +22,8 @@ from .homology import ext_profile, tor_profile
 from .oracle import OracleTooLargeError
 from .polynomials import GradedViolationError, IncompatibleOperandsError, InvariantError
 from .reports import emit_json, emit_text, make_document
-from .resolutions import (InsufficientWindowError, betti_table, detect_periodicity,
-                          module_complexity, resolve)
+from .resolutions import (InsufficientWindowError, betti_table, default_betti_window,
+                          detect_periodicity, module_complexity, resolve)
 from .rings import HypothesisMissingError, UnitIdealError
 from .search import SearchConfig, counterexample_search
 from .theorems import UnknownTheoremError, check_theorem
@@ -76,7 +76,7 @@ def _steps(cmd: dict, defaults: dict, M) -> int:
     if steps is None:
         steps = defaults.get("steps")
     if steps is None:
-        steps = 2 * int(M.ring.dimension()) + 2 * M.ring.codim + 4
+        steps = default_betti_window(M.ring)
     return steps
 
 

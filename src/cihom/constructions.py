@@ -96,9 +96,8 @@ def pushforward(M: ModulePresentation) -> PushforwardResult:
     ker = kernel_of_map(u, Mmin, free_pres).minimalize()
     # middle homology of M -> R^(m) -> M1 at the free spot
     ident = PolyMatrix.identity(pr, free_degs)
-    middle = subquotient_presentation(M.ring, free_degs, ident,
-                                      ModulePresentation(M.ring, free_degs, u).relations,
-                                      u, None, label="middle").minimalize()
+    middle = subquotient_presentation(M.ring, free_degs, ident, u, u, None,
+                                      label="middle").minimalize()
     cert = {"kernel_zero": ker.n_gens == 0,
             "middle_exact": middle.n_gens == 0,
             "cokernel_by_construction": True}
@@ -221,10 +220,9 @@ def quasi_lifting(M: ModulePresentation, split) -> QuasiLiftingResult:
 
     # (QL) exactness: inclusion composed with projection vanishes, and the
     # middle homology of E -> S'^(m) -> M1 is zero over S'
-    M1_over_int = ModulePresentation(intermediate, free_degs, incl, label="M1|S'")
     middle_ql = subquotient_presentation(
         intermediate, free_degs, PolyMatrix.identity(pr, free_degs),
-        M1_over_int.relations, incl, None, label="QLmiddle").minimalize()
+        incl, incl, None, label="QLmiddle").minimalize()
     incl_kernel = kernel_of_map(incl, E, ModulePresentation.free(intermediate, free_degs)
                                 ).minimalize()
 

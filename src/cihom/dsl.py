@@ -25,7 +25,8 @@ with`` are comma-separated, with no comma before the closing bracket
 (``_parse_list``).  An option is read by ``_parse_option``: an unread or
 repeated key, or a value of the wrong kind (an integer below its
 ``_OPTION_MINIMUM``, which the CLI's bound flags share, a word outside its
-``_OPTION_CHOICES``, an undeclared ring), is a parse error at the key.
+``_OPTION_CHOICES``, an undeclared ring), is a parse error at the key, and
+so is a repeated key in ``quotient(...)`` or ``coker(...)``.
 ``degrees=`` accepts only ``[1,...,1]``.
 """
 
@@ -350,6 +351,15 @@ def _parse_options(cur, session, allowed, poly_ring=None):
     return opts
 
 
+def _declaration_key(cur, given):
+    """The key token of a ``quotient(...)`` or ``coker(...)`` argument, read once."""
+    key_tok = cur.expect("name")
+    if key_tok.text in given:
+        raise ParseError(f"option {key_tok.text!r} given twice", key_tok.line, key_tok.col)
+    given.add(key_tok.text)
+    return key_tok
+
+
 def _parse_ring_decl(cur, session):
     cur.expect("name", "ring")
     name = cur.expect("name").text
@@ -362,10 +372,11 @@ def _parse_ring_decl(cur, session):
     poly_ring = None
     ideal = []
     primes = None
+    given = set()
 
     def argument(cur):
         nonlocal field_tag, variables, poly_ring, ideal, primes
-        key_tok = cur.expect("name")
+        key_tok = _declaration_key(cur, given)
         key = key_tok.text
         cur.expect("=")
         if key == "field":
@@ -426,13 +437,14 @@ def _parse_module_decl(cur, session):
         raise ParseError(f"undeclared ring {ring_tok.text!r}", ring_tok.line, ring_tok.col)
     shifts = [0]
     rows = None
+    given = set()
 
     def poly(cur):
         return parse_polynomial(cur, ring.poly_ring)
 
     while cur.at(","):
         cur.next()
-        key = cur.expect("name").text
+        key = _declaration_key(cur, given).text
         cur.expect("=")
         if key == "shifts":
             shifts = _parse_list(cur, _parse_int)

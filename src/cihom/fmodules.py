@@ -41,12 +41,13 @@ class PolyMatrix:
 
     ``row_degs`` are the generator degrees of the target, ``col_degs`` of the
     source; entry (i, j) is zero or homogeneous of degree
-    col_degs[j] - row_degs[i].
+    col_degs[j] - row_degs[i].  The constructors do not check this;
+    ``check_graded`` does, once for each ``ModulePresentation``.
     """
 
     __slots__ = ("poly_ring", "row_degs", "col_degs", "entries")
 
-    def __init__(self, poly_ring: PolyRing, row_degs, col_degs, entries, check=True):
+    def __init__(self, poly_ring: PolyRing, row_degs, col_degs, entries):
         self.poly_ring = poly_ring
         self.row_degs = tuple(row_degs)
         self.col_degs = tuple(col_degs)
@@ -56,19 +57,16 @@ class PolyMatrix:
         for row in self.entries:
             if len(row) != len(self.col_degs):
                 raise ValueError("column count does not match col_degs")
-        if check:
-            self.check_graded()
 
     def check_graded(self):
+        """Raise GradedViolationError unless every entry (i, j) is zero or
+        homogeneous of degree col_degs[j] - row_degs[i]."""
         for i, row in enumerate(self.entries):
             for j, p in enumerate(row):
-                if p.is_zero():
-                    continue
-                rep = p.degree_report()
                 want = self.col_degs[j] - self.row_degs[i]
-                if not rep.homogeneous or rep.degree != want:
+                if p and p.degree() != want:
                     raise GradedViolationError(
-                        f"entry ({i},{j}) = {p} must be homogeneous of degree {want}")
+                        f"entry ({i},{j}) = {p} has degree {p.degree()}, not {want}")
 
     @property
     def nrows(self) -> int:
@@ -81,8 +79,7 @@ class PolyMatrix:
     @classmethod
     def zero(cls, poly_ring, row_degs, col_degs):
         z = poly_ring.zero()
-        return cls(poly_ring, row_degs, col_degs,
-                   [[z] * len(col_degs) for _ in row_degs], check=False)
+        return cls(poly_ring, row_degs, col_degs, [[z] * len(col_degs) for _ in row_degs])
 
     @classmethod
     def identity(cls, poly_ring, degs):
@@ -90,7 +87,7 @@ class PolyMatrix:
         z = poly_ring.zero()
         n = len(degs)
         return cls(poly_ring, degs, degs,
-                   [[one if i == j else z for j in range(n)] for i in range(n)], check=False)
+                   [[one if i == j else z for j in range(n)] for i in range(n)])
 
     @classmethod
     def from_columns(cls, poly_ring, row_degs, columns, col_degs):
@@ -113,10 +110,8 @@ class PolyMatrix:
 
     def transpose(self) -> "PolyMatrix":
         ents = [[self.entries[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        return PolyMatrix(self.poly_ring,
-                          tuple(-d for d in self.col_degs),
-                          tuple(-d for d in self.row_degs),
-                          ents, check=False)
+        return PolyMatrix(self.poly_ring, tuple(-d for d in self.col_degs),
+                          tuple(-d for d in self.row_degs), ents)
 
     def compose(self, other: "PolyMatrix") -> "PolyMatrix":
         """self @ other, valid when other's rows match self's columns."""
@@ -135,7 +130,7 @@ class PolyMatrix:
                         acc = acc + a * b
                 row.append(acc)
             ents.append(row)
-        return PolyMatrix(self.poly_ring, self.row_degs, other.col_degs, ents, check=False)
+        return PolyMatrix(self.poly_ring, self.row_degs, other.col_degs, ents)
 
     def kron_identity(self, degs) -> "PolyMatrix":
         """self tensor the identity on R^degs: entry (i, j) sits at rows
@@ -150,7 +145,7 @@ class PolyMatrix:
                 if p:
                     for k in range(n):
                         ents[i * n + k][j * n + k] = p
-        return PolyMatrix(self.poly_ring, rows, cols, ents, check=False)
+        return PolyMatrix(self.poly_ring, rows, cols, ents)
 
     def identity_kron(self, degs) -> "PolyMatrix":
         """The identity on R^degs tensor self: one copy of self per degree,
@@ -165,14 +160,13 @@ class PolyMatrix:
                 for j, p in enumerate(row):
                     if p:
                         ents[t * nr + i][t * nc + j] = p
-        return PolyMatrix(self.poly_ring, rows, cols, ents, check=False)
+        return PolyMatrix(self.poly_ring, rows, cols, ents)
 
     def hstack(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.row_degs != other.row_degs:
             raise IncompatibleOperandsError("hstack row degree mismatch")
         ents = [self.entries[i] + other.entries[i] for i in range(self.nrows)]
-        return PolyMatrix(self.poly_ring, self.row_degs,
-                          self.col_degs + other.col_degs, ents, check=False)
+        return PolyMatrix(self.poly_ring, self.row_degs, self.col_degs + other.col_degs, ents)
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self.entries for p in row)
@@ -255,6 +249,7 @@ class ModulePresentation:
     gen_degs are the degrees of the generators; ``relations`` is the
     homogeneous relation matrix (rows = generator components, columns =
     relations).  The zero module is the empty-generator presentation.
+    Building one checks the grading of ``relations``.
     """
 
     __slots__ = ("ring", "gen_degs", "relations", "label",
@@ -282,24 +277,13 @@ class ModulePresentation:
 
     @classmethod
     def from_relations(cls, ring: RingPresentation, gen_degs, columns, label="M"):
-        """columns: lists of polynomials (one entry per generator)."""
-        pr = ring.poly_ring
-        cols = []
-        col_degs = []
-        for col in columns:
-            degs = set()
-            for i, p in enumerate(col):
-                if p and not p.is_zero():
-                    rep = p.degree_report()
-                    if not rep.homogeneous:
-                        raise GradedViolationError(f"relation entry {p} is inhomogeneous")
-                    degs.add(rep.degree + gen_degs[i])
-            if len(degs) > 1:
-                raise GradedViolationError(f"relation column has mixed degrees {sorted(degs)}")
-            col_degs.append(next(iter(degs)) if degs else min(gen_degs, default=0))
-            cols.append(list(col))
-        ents = [[cols[j][i] for j in range(len(cols))] for i in range(len(gen_degs))]
-        mat = PolyMatrix(pr, gen_degs, col_degs, ents)
+        """columns: lists of polynomials (one entry per generator).  A
+        column's degree is read from its first nonzero entry; the
+        presentation checks the others."""
+        col_degs = [next((p.degree() + d for p, d in zip(col, gen_degs) if p),
+                         min(gen_degs, default=0)) for col in columns]
+        ents = [[col[i] for col in columns] for i in range(len(gen_degs))]
+        mat = PolyMatrix(ring.poly_ring, gen_degs, col_degs, ents)
         return cls(ring, gen_degs, mat, label=label)
 
     @classmethod
@@ -764,12 +748,10 @@ class ModulePresentation:
 
     def twist(self, t: int) -> "ModulePresentation":
         """Shift all degrees by t (M(-t) with generator degrees raised by t)."""
-        mat = PolyMatrix(self.ring.poly_ring,
-                         tuple(d + t for d in self.gen_degs),
-                         tuple(d + t for d in self.relations.col_degs),
-                         self.relations.entries, check=False)
-        return ModulePresentation(self.ring, tuple(d + t for d in self.gen_degs),
-                                  mat, label=self.label)
+        gen_degs = tuple(d + t for d in self.gen_degs)
+        mat = PolyMatrix(self.ring.poly_ring, gen_degs,
+                         tuple(d + t for d in self.relations.col_degs), self.relations.entries)
+        return ModulePresentation(self.ring, gen_degs, mat, label=self.label)
 
     def describe(self) -> dict:
         M = self.minimalize()

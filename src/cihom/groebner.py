@@ -717,10 +717,6 @@ class TrackedSubmodule:
         col_degs = tuple(col_degs)
         if len(columns) != len(col_degs):
             raise ValueError("columns/col_degs length mismatch")
-        for c, d in zip(columns, col_degs):
-            cd = c.degree()
-            if cd is not None and cd != d:
-                raise GradedViolationError(f"column of degree {cd} declared as degree {d}")
         ring = free.ring
         self.syzygy_module = FreeModule(ring, col_degs)
         self.tracked_module = FreeModule(ring, free.gen_degs + col_degs)

@@ -358,8 +358,10 @@ def map_kernel_cokernel_oracle(psi: PolyMatrix, source: ModulePresentation,
     """Graded kernel and cokernel dimensions of a module map.
 
     psi maps source generators to the target generator space; the induced
-    map on graded pieces gives both dimensions by rank-nullity.
+    map on graded pieces gives both dimensions by rank-nullity.  psi enters
+    no presentation, so its grading is checked here.
     """
+    psi.check_graded()
     ctx = OracleContext(source.ring, degree_bound)
     lo = min(0, min(list(source.gen_degs) + list(target.gen_degs), default=0))
     ker, coker = {}, {}

@@ -104,39 +104,6 @@ class TermOrder:
 # ---------------------------------------------------------------------------
 # polynomials
 
-class ZeroDegree:
-    """Sentinel degree of the zero polynomial: compatible with any degree."""
-
-    def __repr__(self):
-        return "any"
-
-    def __eq__(self, other):
-        return isinstance(other, ZeroDegree)
-
-    def __hash__(self):
-        return hash("ZeroDegree")
-
-
-ANY_DEGREE = ZeroDegree()
-
-
-class DegreeReport:
-    """Outcome of a homogeneity check: a degree, the zero sentinel, or the
-    set of term degrees when the polynomial is inhomogeneous."""
-
-    __slots__ = ("homogeneous", "degree", "degrees")
-
-    def __init__(self, homogeneous, degree, degrees):
-        self.homogeneous = homogeneous
-        self.degree = degree
-        self.degrees = degrees
-
-    def __repr__(self):
-        if self.homogeneous:
-            return f"DegreeReport(degree={self.degree!r})"
-        return f"DegreeReport(inhomogeneous, degrees={sorted(self.degrees)})"
-
-
 class PolyRing:
     """A standard-graded polynomial ring over an exact field.
 
@@ -248,23 +215,15 @@ class Polynomial:
     def lead_coeff(self):
         return self.terms[self.lead_monomial()]
 
-    def degree_report(self) -> DegreeReport:
-        if not self.terms:
-            return DegreeReport(True, ANY_DEGREE, frozenset())
-        degs = frozenset(sum(m) for m in self.terms)
-        if len(degs) == 1:
-            return DegreeReport(True, next(iter(degs)), degs)
-        return DegreeReport(False, None, degs)
-
-    def is_homogeneous(self) -> bool:
-        return self.degree_report().homogeneous
-
     def degree(self):
-        """Degree of a homogeneous polynomial (ANY_DEGREE for zero)."""
-        rep = self.degree_report()
-        if not rep.homogeneous:
-            raise GradedViolationError(f"inhomogeneous polynomial {self}")
-        return rep.degree
+        """Degree of a homogeneous polynomial, None for zero.  This is the one
+        homogeneity rule: an inhomogeneous polynomial raises
+        GradedViolationError naming its term degrees."""
+        degs = {sum(m) for m in self.terms}
+        if len(degs) > 1:
+            raise GradedViolationError(
+                f"inhomogeneous polynomial {self}: degrees {sorted(degs)}")
+        return next(iter(degs), None)
 
     def is_constant(self) -> bool:
         unit = (0,) * self.ring.nvars

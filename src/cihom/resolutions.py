@@ -291,10 +291,15 @@ def complexity_estimate(betti, codim: int, window: int | None = None) -> Complex
     return ComplexityEstimate(value, window, evidence, conflict=conflict)
 
 
+def default_betti_window(ring) -> int:
+    """The default resolution length over ``ring``: 2 dim R + 2 codim + 4."""
+    return 2 * int(ring.dimension()) + 2 * ring.codim + 4
+
+
 def module_complexity(M: ModulePresentation, window: int | None = None) -> ComplexityEstimate:
     """Complexity estimate from a freshly resolved Betti window."""
     if window is None:
-        window = 2 * int(M.ring.dimension()) + 2 * M.ring.codim + 4
+        window = default_betti_window(M.ring)
     res = resolve(M, steps=window)
     return complexity_estimate(res.betti_numbers()[:window + 1], M.ring.codim, window)
 

@@ -14,7 +14,7 @@ import itertools
 import random
 
 from .fields import field_by_tag
-from .polynomials import GradedViolationError, PolyRing, Polynomial, mono_divides
+from .polynomials import PolyRing, Polynomial, mono_divides
 from .groebner import FreeModule, groebner_basis
 
 NEG_INF = float("-inf")
@@ -231,24 +231,20 @@ class RingPresentation:
         self.label = label
         self.poly_ring = poly_ring
         gens = []
+        self.warnings = []
         for f in quotient_gens:
             if f.is_zero():
                 continue
             if f.is_constant():
                 raise UnitIdealError(f"quotient generator {f} is a nonzero constant: "
                                      "the ideal is the unit ideal")
-            rep = f.degree_report()
-            if not rep.homogeneous:
-                raise GradedViolationError(
-                    f"quotient generator {f} is inhomogeneous: degrees {sorted(rep.degrees)}")
+            d = f.degree()   # raises GradedViolationError if inhomogeneous
+            if d < 2:
+                self.warnings.append(
+                    f"quotient generator {f} has degree {d} < 2; "
+                    "shorten the presentation to keep codimension = number of generators")
             gens.append(f)
         self.quotient_gens = tuple(gens)
-        self.warnings = []
-        for f in self.quotient_gens:
-            if f.degree() < 2:
-                self.warnings.append(
-                    f"quotient generator {f} has degree {f.degree()} < 2; "
-                    "shorten the presentation to keep codimension = number of generators")
         self.ideal_gb = ideal_groebner(poly_ring, self.quotient_gens)
         self._minimal_primes = None
         self._certificate = None

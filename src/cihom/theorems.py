@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from .fmodules import ModulePresentation
 from .homology import depth_formula_check, tor_profile
-from .resolutions import module_complexity, resolve
+from .resolutions import default_betti_window, module_complexity, resolve
 from .rings import INF, NEG_INF, encode_infinite
 
 
@@ -98,8 +98,7 @@ class _Instance:
         self.ring = M.ring
         self.tor_bound = tor_bound
         self.degree_bound = degree_bound
-        self.window = window or max(2 * int(self.ring.dimension()) + 2 * self.ring.codim + 4,
-                                    tor_bound + 1)
+        self.window = window or max(default_betti_window(self.ring), tor_bound + 1)
         self._cache: dict = {}
 
     def describe(self):

@@ -228,6 +228,10 @@ _SHORT_WINDOW = "cihom: input error: betti window of length 3 is too short (need
      "unknown question id '9.9'; known: 3.17, 4.16, 4.18, 4.10, 3.6"),
     ("check 2.2 on (M, n=1, @w=1)", [], "statement 2.2 does not read option 'w'"),
     ("check 3.9 on (M, @n=1)", [], "statement 3.9 does not read option 'n'"),
+    ("ring P = quotient(field=f32003, vars=[x,y], ideal=[x*y], @ideal=[x^2])", [],
+     "option 'ideal' given twice"),
+    ("module Z = coker(R, shifts=[0], @shifts=[1], matrix=[[x]])", [],
+     "option 'shifts' given twice"),
 ])
 def test_cli_bad_input_exits_2(tmp_path, capsys, line, flags, message):
     script = tmp_path / "bad.ci"
@@ -442,6 +446,19 @@ def test_cli_inhomogeneous_entry_is_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("cihom: input error:") and "inhomogeneous" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, message", [
+    ("mixed_degree_column.ci", "cihom: input error: entry (1,0) = y^2 has degree 2, not 1"),
+    ("repeated_declaration_key.ci",
+     "cihom: parse error: line 3, column 58: option 'ideal' given twice"),
+])
+def test_cli_bad_data_scripts_exit_2(name, message, capsys):
+    # the two scripts CI also runs under python -O
+    script = Path(__file__).parent / "data" / name
+    assert main(["--script", str(script)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message + "\n"
 
 
 @pytest.mark.parametrize("command", ["resolve M", "check 2.1 on (M)"])

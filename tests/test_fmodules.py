@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cihom.fields import PrimeField
 from cihom.fmodules import ModulePresentation, PolyMatrix, equal_hilbert_functions
-from cihom.polynomials import PolyRing, monomials_of_degree
+from cihom.polynomials import GradedViolationError, PolyRing, monomials_of_degree
 from cihom.rings import INF, NEG_INF, HypothesisMissingError, RingPresentation
 from cihom.search import random_homogeneous_module
 
@@ -46,6 +46,32 @@ def test_minimalize_preserves_hilbert(mod_N_two_nodes):
     raw = mod_N_two_nodes
     m = raw.minimalize()
     assert equal_hilbert_functions(raw, m, 8)
+
+
+# -- grading is checked where a presentation is built -------------------------
+
+def test_presentation_rejects_entry_of_wrong_degree(ring_two_nodes):
+    pr = ring_two_nodes.poly_ring
+    y = pr.variable("y")
+    mat = PolyMatrix(pr, (0,), (2,), [[y]])
+    with pytest.raises(GradedViolationError, match=r"entry \(0,0\) = y has degree 1, not 2"):
+        ModulePresentation(ring_two_nodes, (0,), mat)
+
+
+def test_presentation_rejects_inhomogeneous_entry(ring_two_nodes):
+    pr = ring_two_nodes.poly_ring
+    y = pr.variable("y")
+    mat = PolyMatrix(pr, (0,), (1,), [[y + y * y]])
+    with pytest.raises(GradedViolationError, match=r"degrees \[1, 2\]"):
+        ModulePresentation(ring_two_nodes, (0,), mat)
+
+
+def test_from_relations_rejects_mixed_degree_column(ring_two_nodes):
+    # each entry is homogeneous, but y sits in degree 1 and z*u in degree 2
+    pr = ring_two_nodes.poly_ring
+    y, z, u = (pr.variable(v) for v in "yzu")
+    with pytest.raises(GradedViolationError, match=r"entry \(1,0\) = z\*u has degree 2, not 1"):
+        ModulePresentation.from_relations(ring_two_nodes, (0, 0), [[y, z * u]])
 
 
 # -- dual and biduality -------------------------------------------------------
@@ -492,7 +518,7 @@ def _kron_map_reference(d, coeff_degs, pr):
             if p:
                 for k in range(nc):
                     ents[i * nc + k][j * nc + k] = p
-    return PolyMatrix(pr, rows, cols, ents, check=False)
+    return PolyMatrix(pr, rows, cols, ents)
 
 
 def _block_relations_reference(position_degs, B, pr):
@@ -509,7 +535,7 @@ def _block_relations_reference(position_degs, B, pr):
                 p = B.entries[k][c]
                 if p:
                     ents[t * nk + k][t * B.ncols + c] = p
-    return PolyMatrix(pr, rows, cols, ents, check=False)
+    return PolyMatrix(pr, rows, cols, ents)
 
 
 def _assert_same_matrix(got, want):

@@ -509,6 +509,16 @@ def test_inhomogeneous_input_rejected_on_the_tracked_path():
         IncrementalModuleGB(order).extend([free.zero(), order.encode_element(bad)])
 
 
+def test_tracked_column_declared_at_the_wrong_degree_is_rejected():
+    # x*x has degree 2; declared at degree 1, its tracked input (x*x, e_1)
+    # mixes degrees 2 and 1, which the pair engine rejects
+    pr = ring4()
+    x = pr.variable("x")
+    free = FreeModule(pr, (0,))
+    with pytest.raises(GradedViolationError, match=r"degrees \[1, 2\]"):
+        TrackedSubmodule([free.from_polys([x * x])], [1], free)
+
+
 # -- membership drains only up to the degree it asks about ----------------------------
 
 def _minimal_generator_indices_full_drain(columns, col_degs, free, quotient_polys=()):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cihom.fields import PrimeField
 from cihom.polynomials import (
-    ANY_DEGREE,
+    GradedViolationError,
     IncompatibleOperandsError,
     PolyRing,
     TermOrder,
@@ -64,21 +64,19 @@ def test_monomial_cmp_dimension_mismatch():
 def test_homogeneous_degree_quadric():
     pr = PolyRing(F, ["x", "y", "w", "z"])
     x, y, w, z = (pr.variable(v) for v in "xywz")
-    rep = (x * w - y * z).degree_report()
-    assert rep.homogeneous and rep.degree == 2
+    assert (x * w - y * z).degree() == 2
 
 
 def test_homogeneous_degree_zero_sentinel():
     pr = ring4()
-    rep = pr.zero().degree_report()
-    assert rep.homogeneous and rep.degree == ANY_DEGREE
+    assert pr.zero().degree() is None
 
 
 def test_homogeneous_degree_inhomogeneous():
     pr = ring4()
     x = pr.variable("x")
-    rep = (x + x * x).degree_report()
-    assert not rep.homogeneous and rep.degrees == frozenset({1, 2})
+    with pytest.raises(GradedViolationError, match=r"degrees \[1, 2\]"):
+        (x + x * x).degree()
 
 
 def _random_homogeneous(pr, rng, deg):
