@@ -232,7 +232,9 @@ def quasi_lifting(M: ModulePresentation, split) -> QuasiLiftingResult:
     alpha = PolyMatrix.zero(pr, col_degs, tuple(d + fd for d in free_degs))
     for k in range(m):
         alpha.entries[p + k][k] = pr.one()
-    M1_twist = pf.M1.twist(fd)
+    # alpha has a column per generator of S'^(m), so its source is M1 on those
+    # generators, not the minimalized M1 (which can have fewer)
+    M1_twist = ModulePresentation(ring, free_degs, pf.u).twist(fd)
     beta = PolyMatrix.zero(pr, Mmin.gen_degs, col_degs)
     for j in range(p):
         beta.entries[j][j] = pr.one()

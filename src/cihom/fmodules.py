@@ -36,6 +36,17 @@ from .rings import (INF, RingPresentation, add_numerator, dimension_and_multipli
                     encode_infinite, hilbert_numerator)
 
 
+def _entry_degree(p: Polynomial, i: int, j: int):
+    """Degree of the nonzero matrix entry p at (i, j); an inhomogeneous entry
+    raises GradedViolationError naming its place and its term degrees."""
+    try:
+        return p.degree()
+    except GradedViolationError:
+        raise GradedViolationError(
+            f"entry ({i},{j}) = {p} is inhomogeneous: "
+            f"degrees {sorted({sum(m) for m in p.terms})}") from None
+
+
 class PolyMatrix:
     """Homogeneous matrix between graded free modules.
 
@@ -60,13 +71,17 @@ class PolyMatrix:
 
     def check_graded(self):
         """Raise GradedViolationError unless every entry (i, j) is zero or
-        homogeneous of degree col_degs[j] - row_degs[i]."""
+        homogeneous of degree col_degs[j] - row_degs[i]; the message names
+        the first entry that is not."""
         for i, row in enumerate(self.entries):
             for j, p in enumerate(row):
+                if not p:
+                    continue
                 want = self.col_degs[j] - self.row_degs[i]
-                if p and p.degree() != want:
+                deg = _entry_degree(p, i, j)
+                if deg != want:
                     raise GradedViolationError(
-                        f"entry ({i},{j}) = {p} has degree {p.degree()}, not {want}")
+                        f"entry ({i},{j}) = {p} has degree {deg}, not {want}")
 
     @property
     def nrows(self) -> int:
@@ -280,8 +295,9 @@ class ModulePresentation:
         """columns: lists of polynomials (one entry per generator).  A
         column's degree is read from its first nonzero entry; the
         presentation checks the others."""
-        col_degs = [next((p.degree() + d for p, d in zip(col, gen_degs) if p),
-                         min(gen_degs, default=0)) for col in columns]
+        col_degs = [next((_entry_degree(p, i, j) + d
+                          for i, (p, d) in enumerate(zip(col, gen_degs)) if p),
+                         min(gen_degs, default=0)) for j, col in enumerate(columns)]
         ents = [[col[i] for col in columns] for i in range(len(gen_degs))]
         mat = PolyMatrix(ring.poly_ring, gen_degs, col_degs, ents)
         return cls(ring, gen_degs, mat, label=label)

@@ -795,17 +795,25 @@ def syzygy_generators(columns, col_degs, free: FreeModule, quotient_ring=None, r
     return syz, [s.degree() for s in syz]
 
 
-def minimal_generator_indices(columns, col_degs, free: FreeModule, quotient_polys=()):
-    """Indices of a minimal generating subset of the given homogeneous columns.
+def minimal_generator_indices(columns, col_degs, free: FreeModule, quotient_polys=(),
+                              relations=()):
+    """Indices of a minimal generating subset of the given homogeneous columns,
+    modulo the span of the homogeneous ``relations`` (none: modulo zero).
 
     Greedy pass in weakly increasing degree against an incrementally grown
-    Groebner basis: a column already generated by the kept prefix is
-    redundant, and graded Nakayama makes the kept set genuinely minimal.
-    Each membership question drains the pairs only up to the column's degree.
+    Groebner basis, preloaded with the relations and the quotient columns: a
+    column already generated by them and the kept prefix is redundant, and
+    graded Nakayama makes the kept set a minimal generating set of the
+    quotient.  Each membership question drains the pairs only up to the
+    column's degree.
     """
     n = len(columns)
     order = ModuleOrder(free)
     gb = IncrementalModuleGB(order)
+    for r in relations:
+        r = order.encode_element(r)
+        order.element_degree(r)   # raises GradedViolationError if mixed
+        gb.add(r)
     for q in quotient_columns(free, quotient_polys):
         gb.add(order.encode_element(q))
     kept = []

@@ -1,9 +1,13 @@
 """Tor and Ext modules over the declared ring, with full profiles.
 
 Homology of a complex of finitely presented modules is presented as a
-subquotient: generators of the kernel are syzygies of the outgoing map modulo
-the target's relations, and relations are syzygies of those generators modulo
-the incoming map and the term's own relations.  Tor_i(M, N) is the homology
+subquotient on a minimal set of cycles: the kernel generators are syzygies of
+the outgoing map modulo the target's relations; a greedy membership pass in
+degree order drops those in the span of the image (the incoming map, the
+term's own relations and the quotient relations) and of the ones kept, which
+by graded Nakayama leaves a minimal generating set; the relations are the
+syzygies of the survivors modulo that image.  A vanishing module computes no
+relations, and no relation has a unit entry.  Tor_i(M, N) is the homology
 of (minimal resolution of M) tensor N, Ext^i the cohomology of
 Hom(resolution, N); one builder makes both complexes, from the two
 Kronecker shapes of ``PolyMatrix``: the maps are d_i (x) 1 (``kron_identity``)
@@ -31,7 +35,7 @@ pipeline by construction.
 from __future__ import annotations
 
 from .fmodules import ModulePresentation, PolyMatrix
-from .groebner import FreeModule, syzygy_generators
+from .groebner import FreeModule, minimal_generator_indices, syzygy_generators
 from .resolutions import FreeResolution, detect_periodicity, resolve
 from .rings import (INF, RingPresentation, add_numerator, dimension_and_multiplicity,
                     encode_infinite)
@@ -45,10 +49,22 @@ def subquotient_presentation(ring: RingPresentation, gen_degs, outgoing: PolyMat
     The ambient term T has generator coordinates R^{gen_degs}; ``outgoing``
     maps T's generator space into the next term's (whose relations are
     ``target_rels``), and ``incoming`` maps the previous term's generator
-    space in.  Any of the matrices may be None (no constraint / no image).
+    space in.  Any of the matrices may be None (no constraint / no image);
+    one whose degrees do not fit T raises ValueError.
+
+    The generators are a minimal set of kernel generators modulo the image
+    (graded Nakayama), so a vanishing subquotient computes no relations, and
+    no relation has a unit entry.
     """
+    gen_degs = tuple(gen_degs)
+    for name, mat, side in (("outgoing map", outgoing, "col_degs"),
+                            ("incoming map", incoming, "row_degs"),
+                            ("own relations", own_rels, "row_degs")):
+        if mat is not None and getattr(mat, side) != gen_degs:
+            raise ValueError(f"{label}: the {name} has {side} {list(getattr(mat, side))}, "
+                             f"not the term's generator degrees {list(gen_degs)}")
     pr = ring.poly_ring
-    own_free = FreeModule(pr, tuple(gen_degs))
+    own_free = FreeModule(pr, gen_degs)
     if outgoing is None:
         ker_cols = [own_free.basis_element(i) for i in range(len(gen_degs))]
         ker_degs = list(gen_degs)
@@ -57,13 +73,16 @@ def subquotient_presentation(ring: RingPresentation, gen_degs, outgoing: PolyMat
         ker_cols, ker_degs = syzygy_generators(
             outgoing.column_elements(tgt_free), outgoing.col_degs, tgt_free,
             ring, _columns(target_rels, tgt_free))
-    if not ker_cols:
+    image = _columns(incoming, own_free) + _columns(own_rels, own_free)
+    keep = minimal_generator_indices(ker_cols, ker_degs, own_free, ring.quotient_gens,
+                                     relations=image)
+    if not keep:
         return ModulePresentation.zero(ring, label=label)
-    rel_cols, rel_degs = syzygy_generators(
-        ker_cols, ker_degs, own_free, ring,
-        _columns(incoming, own_free) + _columns(own_rels, own_free))
-    mat = PolyMatrix.from_columns(pr, tuple(ker_degs), rel_cols, tuple(rel_degs))
-    return ModulePresentation(ring, tuple(ker_degs), mat, label=label)
+    ker_cols = [ker_cols[j] for j in keep]
+    ker_degs = tuple(ker_degs[j] for j in keep)
+    rel_cols, rel_degs = syzygy_generators(ker_cols, ker_degs, own_free, ring, image)
+    mat = PolyMatrix.from_columns(pr, ker_degs, rel_cols, tuple(rel_degs))
+    return ModulePresentation(ring, ker_degs, mat, label=label)
 
 
 def _columns(mat: PolyMatrix | None, free: FreeModule) -> list:

@@ -326,19 +326,25 @@ def _homology_dims(ctx: OracleContext, steps, N: ModulePresentation,
     min_res = min((g for st in steps for g in st.gen_degs), default=0)
     min_n = min(Nmin.gen_degs, default=0)
     lo = min(0, min_res + min_n)
+    ranks: dict = {}   # (step j, degree d) -> rank of (d_j tensor N)_d
+
+    def rank(j, d):
+        if (j, d) not in ranks:
+            ranks[j, d] = (_induced_rank(ctx, steps[j], steps[j - 1].gen_degs, Nmin, d)
+                           if steps[j].gen_degs else 0)
+        return ranks[j, d]
+
     out: dict = {}
     for i in range(1, index_bound + 1):
         dims_i = {}
-        Ti, Tnext = steps[i], steps[i + 1]
         for d in range(lo, degree_bound + 1):
-            dimQ_src = sum(ctx.value_space(Nmin, d - g).quotient_dim for g in Ti.gen_degs)
+            dimQ_src = sum(ctx.value_space(Nmin, d - g).quotient_dim for g in steps[i].gen_degs)
             if dimQ_src == 0:
                 dims_i[d] = 0
                 continue
-            # kernel of the outgoing map minus the image of the incoming one
-            ker_dim = dimQ_src - _induced_rank(ctx, Ti, steps[i - 1].gen_degs, Nmin, d)
-            rank_in = _induced_rank(ctx, Tnext, Ti.gen_degs, Nmin, d) if Tnext.gen_degs else 0
-            dims_i[d] = ker_dim - rank_in
+            # kernel of the outgoing map minus the image of the incoming one;
+            # the incoming rank at i is the outgoing one at i + 1
+            dims_i[d] = dimQ_src - rank(i, d) - rank(i + 1, d)
         out[i] = dims_i
     return out
 

@@ -66,6 +66,18 @@ def test_presentation_rejects_inhomogeneous_entry(ring_two_nodes):
         ModulePresentation(ring_two_nodes, (0,), mat)
 
 
+@pytest.mark.parametrize("first_is_x, where", [(True, "1,0"), (False, "0,0")])
+def test_inhomogeneous_entry_is_named(ring_two_nodes, first_is_x, where):
+    # The column's degree is read from its first nonzero entry and the others
+    # are checked against it; either way the error names the entry.
+    pr = ring_two_nodes.poly_ring
+    x, y = pr.variable("x"), pr.variable("y")
+    column = [x, y + y * y] if first_is_x else [y + y * y, x]
+    with pytest.raises(GradedViolationError,
+                       match=rf"^entry \({where}\) = y\^2 \+ y is inhomogeneous: degrees \[1, 2\]$"):
+        ModulePresentation.from_relations(ring_two_nodes, (0, 0), [column])
+
+
 def test_from_relations_rejects_mixed_degree_column(ring_two_nodes):
     # each entry is homogeneous, but y sits in degree 1 and z*u in degree 2
     pr = ring_two_nodes.poly_ring
@@ -414,7 +426,7 @@ def test_nonfree_locus_cyclic_cross_check(mod_M_two_nodes, ring_two_nodes):
 # -- the biduality report's syzygy work --------------------------------------------------
 
 @pytest.mark.parametrize("which, dual_calls, tracked_bases", [
-    ("quadric", 2, 8), ("two_nodes_N", 2, 8), ("torsion", 2, 6), ("finite_length", 1, 3)])
+    ("quadric", 2, 7), ("two_nodes_N", 2, 7), ("torsion", 2, 6), ("finite_length", 1, 3)])
 def test_biduality_report_call_counts(monkeypatch, ring_quadric, ring_two_nodes, which,
                                       dual_calls, tracked_bases):
     # M* and M** are each presented once, a module whose dual is zero never

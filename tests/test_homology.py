@@ -15,10 +15,12 @@ from cihom.homology import (
     ext_profile,
     kernel_of_map,
     ring_depth,
+    subquotient_presentation,
     tor_profile,
 )
+from cihom.oracle import tor_oracle
 from cihom.polynomials import PolyRing
-from cihom.resolutions import detect_periodicity
+from cihom.resolutions import detect_periodicity, resolve
 from cihom.rings import INF, RingPresentation, encode_infinite
 from cihom.search import SearchConfig, _search_3_6, random_homogeneous_module
 
@@ -350,6 +352,57 @@ def test_depth_formula_declined_without_vanishing(periodic_pair):
 def test_ring_depth(ring_two_nodes, ring_quadric):
     assert ring_depth(ring_two_nodes) == 2
     assert ring_depth(ring_quadric) == 3
+
+
+# -- each Tor_i presented on a minimal set of cycles ----------------------------------
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31), st.sampled_from(["quadric", "two_nodes"]))
+def test_tor_presentations_are_minimal_and_match_the_oracle(ring_quadric, ring_two_nodes,
+                                                            seed, which):
+    # The kernel generators left after dropping those in the image are a
+    # minimal generating set, so minimalize keeps every one of them, and the
+    # Hilbert data is the linear-algebra oracle's.
+    ring = ring_quadric if which == "quadric" else ring_two_nodes
+    M, N = _random_pair(ring, seed)
+    mods, _ = _resolution_homology(M, N, 1, 3, 1)
+    dims = tor_oracle(M, N, 3, 5)
+    for i in range(1, 4):
+        pres = mods[i]
+        assert pres.minimalize().gen_degs == pres.gen_degs, (seed, i)
+        hilbert = pres.hilbert_function(5, dmin=min(dims[i], default=0))
+        for d in sorted(set(dims[i]) | set(hilbert)):
+            assert hilbert.get(d, 0) == dims[i].get(d, 0), (seed, i, d)
+
+
+def test_a_vanishing_tor_computes_no_relations(mod_M_two_nodes, mod_N_two_nodes, monkeypatch):
+    # Tor_1 and Tor_2 vanish on this pair and Tor_3 does not.  A vanishing
+    # Tor_i takes one tracked basis, for the kernel; a nonzero one a second,
+    # for the relations among its minimal cycles.
+    from cihom import groebner
+    resolve(mod_M_two_nodes, steps=4)
+    mod_N_two_nodes.minimalize()
+    tracked = {"bases": 0}
+    real_init = groebner.TrackedSubmodule.__init__
+
+    def counting_init(self, *args, **kwargs):
+        tracked["bases"] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(groebner.TrackedSubmodule, "__init__", counting_init)
+    for i, bases in ((1, 1), (2, 1), (3, 2)):
+        tracked["bases"] = 0
+        tor = _resolution_homology(mod_M_two_nodes, mod_N_two_nodes, i, i, 1)[0][i]
+        assert (tor.n_gens == 0, tracked["bases"]) == (bases == 1, bases), i
+
+
+@pytest.mark.parametrize("slot", ["outgoing", "incoming", "own_rels"])
+def test_subquotient_rejects_a_map_that_does_not_fit(ring_node, slot):
+    # A map on generators of degree 1 does not fit a term generated in degree 0.
+    mats = dict.fromkeys(["outgoing", "target_rels", "incoming", "own_rels"])
+    mats[slot] = PolyMatrix.identity(ring_node.poly_ring, (1,))
+    with pytest.raises(ValueError, match=r"not the term's generator degrees \[0\]"):
+        subquotient_presentation(ring_node, (0,), **mats)
 
 
 # -- kernel of a map ------------------------------------------------------------------
