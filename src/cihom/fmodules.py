@@ -794,9 +794,8 @@ def _image_presentation(ring: RingPresentation, free: FreeModule, cols, degs,
         return ModulePresentation.zero(ring, label=label)
     if tracked is None:
         tracked = TrackedSubmodule(cols, degs, free, ring)
-    syz = tracked.syzygy_elements()
-    mat = PolyMatrix.from_columns(ring.poly_ring, tuple(degs), syz,
-                                  tuple(s.degree() for s in syz))
+    syz, syz_degs = tracked.syzygy_elements()
+    mat = PolyMatrix.from_columns(ring.poly_ring, tuple(degs), syz, tuple(syz_degs))
     return ModulePresentation(ring, tuple(degs), mat, label=label)
 
 

@@ -52,9 +52,21 @@ shifted degree of an input term or of a queued pair's lcm; so ``encode``
 and ``lcm`` (and with it ``IncrementalModuleGB.add``) raise
 ``TermCodeRangeError`` when such a degree does not fit, before any code
 could wrap into a neighbouring field.
-Encoding happens where columns enter the engine, decoding where results
-leave it (syzygies, lifts, ``GroebnerBasis`` generators and leads,
-``initial_terms``), so no caller outside this module sees a code.
+
+A code is ``_base[p]``, which holds the block flag, the generator degree and
+the position, plus the offset sum_i m_i * weight_i of its monomial, which
+depends only on the layout (variable count, ring order, position width).
+Each layout (``_code_layout``) keeps two tables, monomial -> (offset,
+degree) and offset -> monomial, shared by all its orders: ``encode`` is a
+lookup plus ``_base[p]``, with the range check on every call, hit or miss,
+and ``decode`` reads the position field and looks the monomial up.  Only
+monomials whose exponents fit their slots enter a table, and a table that
+reaches ``_TABLE_MAX`` entries starts over.  Encoding happens where columns
+enter the engine, decoding where results leave it (syzygies, lifts,
+``GroebnerBasis`` generators and leads, ``initial_terms``), so no caller
+outside this module sees a code.  The engine's callers take their orders
+from ``shared_order``, one per equal (module, split), at most
+``_SHARED_ORDERS`` kept.
 """
 
 from __future__ import annotations
@@ -78,6 +90,10 @@ _VALUE_BITS = 31
 _FIELD_MAX = (1 << _VALUE_BITS) - 1
 _SLOT_BITS = _VALUE_BITS + 1
 _SLOT_MASK = (1 << _SLOT_BITS) - 1
+# Entries of one layout's monomial table before it starts over.
+_TABLE_MAX = 1 << 14
+# Orders kept by shared_order.
+_SHARED_ORDERS = 256
 
 
 class TermCodeRangeError(RuntimeError):
@@ -196,10 +212,24 @@ class Element:
                                      for (p, m), c in self.terms.items()})
 
     def mul_poly(self, poly: Polynomial) -> "Element":
-        out = Element(self.module, {})
-        for m, c in poly.terms.items():
-            out = out.add(self.mul_term(m, c))
-        return out
+        field = self.module.ring.field
+        add, mul, is_zero = field.add, field.mul, field.is_zero
+        res: dict = {}
+        for mono, coeff in poly.terms.items():
+            if is_zero(coeff):
+                continue
+            for (p, m), c in self.terms.items():
+                t, d = (p, mono_mul(m, mono)), mul(c, coeff)
+                old = res.get(t)
+                if old is None:
+                    res[t] = d
+                else:
+                    s = add(old, d)
+                    if is_zero(s):
+                        del res[t]
+                    else:
+                        res[t] = s
+        return Element(self.module, res)
 
     def __eq__(self, other):
         return isinstance(other, Element) and self.module == other.module and self.terms == other.terms
@@ -217,7 +247,9 @@ class Element:
 def _code_layout(nvars: int, kind: str, pos_bits: int) -> tuple:
     """The parts of a term code's layout that depend only on the variable
     count, the ring order and the position field's width, in the order
-    ``ModuleOrder`` unpacks them; one run meets few such triples."""
+    ``ModuleOrder`` unpacks them; one run meets few such triples.  The last
+    two are the layout's monomial tables, monomial -> (offset, degree) and
+    offset -> monomial, which every order of the layout fills and reads."""
     # Exponent slots grow with the exponents except under grevlex (B - e).
     ascending = kind != "grevlex"
     slot_shifts = tuple(pos_bits + _SLOT_BITS * s
@@ -238,7 +270,7 @@ def _code_layout(nvars: int, kind: str, pos_bits: int) -> tuple:
             sum(1 << (_SLOT_BITS * k) for k in range(nvars)),
             pos_bits + _SLOT_BITS * max(nvars - 1, 0), degree_weight,
             tuple(sign * (1 << s) + degree_weight for s in slot_shifts),
-            sum(flip << s for s in slot_shifts))
+            sum(flip << s for s in slot_shifts), {}, {})
 
 
 class ModuleOrder:
@@ -251,12 +283,17 @@ class ModuleOrder:
     ``position_mask`` cuts a code's position field, ``block_flag`` is set in
     the codes of the main block, and ``guard_mask`` holds the exponent
     slots' guard bits.
+
+    A code is ``_base[p]`` plus the offset of its monomial, which depends on
+    the layout alone; ``encode`` and ``decode`` look offsets and monomials up
+    in the layout's tables and fill them on a miss.  ``shared_order`` hands
+    out one order per (module, split).
     """
 
     __slots__ = ("module", "split", "position_mask", "block_flag", "guard_mask",
                  "ascending", "_offset", "_raised_degs", "_degree_shift", "_slot_shifts",
                  "_slot_flip", "_slot_values", "_slot_ones", "_sum_shift", "_degree_weight",
-                 "_weights", "_base")
+                 "_weights", "_base", "_top", "_offsets", "_monomials")
 
     def __init__(self, module: FreeModule, split: int | None = None):
         self.module = module
@@ -267,10 +304,12 @@ class ModuleOrder:
         (self.ascending, self._slot_shifts, self._degree_shift, self.block_flag,
          self.guard_mask, self._slot_flip, self._slot_values, self._slot_ones,
          self._sum_shift, self._degree_weight, self._weights,
-         slot_floor) = _code_layout(module.ring.nvars, module.ring.order.kind, pos_bits)
+         slot_floor, self._offsets, self._monomials) = _code_layout(
+             module.ring.nvars, module.ring.order.kind, pos_bits)
         gen_degs = module.gen_degs
         self._offset = offset = -min(gen_degs + (0,))   # no shifted degree below 0
         self._raised_degs = tuple([d + offset for d in gen_degs])
+        self._top = rank - 1
         # code(p, m) = _base[p] + sum_i m_i * _weights[i]
         flag, shift = self.block_flag, self._degree_shift
         self._base = tuple([(flag if p < self.split else 0) + (d << shift) + slot_floor
@@ -281,22 +320,44 @@ class ModuleOrder:
             f"shifted degree {shifted_degree} does not fit a term code (generator degrees "
             f"from {-self._offset}; at most {_FIELD_MAX} above the lowest)")
 
+    def _learn(self, m: tuple, offset: int) -> tuple:
+        """(offset, degree) of the monomial m, entered in the layout's tables
+        when every exponent fits its slot (otherwise its offset could equal
+        that of a monomial that fits); a full table starts over."""
+        known = (offset, sum(m))
+        if min(m, default=0) >= 0 and known[1] <= _FIELD_MAX:
+            if len(self._offsets) >= _TABLE_MAX:
+                self._offsets.clear()
+                self._monomials.clear()
+            self._offsets[m] = known
+            self._monomials[offset] = m
+        return known
+
     def encode(self, term) -> int:
         """Code of the term (p, m); TermCodeRangeError when it does not fit."""
         p, m = term
-        if not 0 <= sum(m) + self._raised_degs[p] <= _FIELD_MAX:
-            raise self._out_of_range(sum(m) + self.module.gen_degs[p])
-        return self._base[p] + sum(map(operator.mul, m, self._weights))
+        known = self._offsets.get(m)
+        if known is None:
+            known = self._learn(m, sum(map(operator.mul, m, self._weights)))
+        offset, deg = known
+        if not 0 <= deg + self._raised_degs[p] <= _FIELD_MAX:
+            raise self._out_of_range(deg + self.module.gen_degs[p])
+        return self._base[p] + offset
 
     def position(self, code: int) -> int:
         """The position p of a code."""
-        return self.module.rank - 1 - (code & self.position_mask)
+        return self._top - (code & self.position_mask)
 
     def decode(self, code: int):
         """The term (p, m) of a code."""
-        flip = self._slot_flip
-        return (self.position(code),
-                tuple([flip ^ (code >> s & _FIELD_MAX) for s in self._slot_shifts]))
+        p = self._top - (code & self.position_mask)
+        offset = code - self._base[p]
+        m = self._monomials.get(offset)
+        if m is None:
+            flip = self._slot_flip
+            m = tuple([flip ^ (code >> s & _FIELD_MAX) for s in self._slot_shifts])
+            self._learn(m, offset)
+        return p, m
 
     def lcm(self, a: int, b: int) -> int:
         """Code of the lcm of two terms of one position; TermCodeRangeError
@@ -347,6 +408,13 @@ class ModuleOrder:
         if (a ^ b) & self.position_mask:
             return False
         return not ((b - a) if self.ascending else (a - b)) & self.guard_mask
+
+
+@functools.lru_cache(maxsize=_SHARED_ORDERS)
+def shared_order(module: FreeModule, split: int | None = None) -> ModuleOrder:
+    """The one ``ModuleOrder`` of an equal module and split, kept in a
+    bounded cache; an order holds no state of a computation."""
+    return ModuleOrder(module, split)
 
 
 def lead_term(e: Element, order: ModuleOrder) -> int:
@@ -637,11 +705,8 @@ class GroebnerBasis:
 
 def quotient_columns(free: FreeModule, quotient_polys) -> list:
     """The relations f_k * e_j presenting free/quotient over the ambient ring."""
-    cols = []
-    for f in quotient_polys:
-        for j in range(free.rank):
-            cols.append(free.basis_element(j).mul_poly(f))
-    return cols
+    return [Element(free, {(j, m): c for m, c in f.terms.items()})
+            for f in quotient_polys for j in range(free.rank)]
 
 
 def groebner_basis(columns, free: FreeModule, quotient_polys=()) -> GroebnerBasis:
@@ -650,7 +715,7 @@ def groebner_basis(columns, free: FreeModule, quotient_polys=()) -> GroebnerBasi
     Over a quotient ring the f_k * e_j relations are appended internally, so
     ``normal_form(e) == 0`` decides membership over the quotient.
     """
-    order = ModuleOrder(free)
+    order = shared_order(free)
     elems = [order.encode_element(c)
              for c in list(columns) + quotient_columns(free, quotient_polys)]
     ideal_mode = free.rank == 1 and not quotient_polys
@@ -662,7 +727,7 @@ def initial_terms(columns, free: FreeModule, quotient_polys=()) -> list:
     """Lead terms (position, monomial) of a Groebner basis of the columns,
     the quotient relations f_k * e_j appended: they generate the initial
     module.  The basis is not interreduced, so some terms may be redundant."""
-    order = ModuleOrder(free)
+    order = shared_order(free)
     gb = IncrementalModuleGB(order, coprime=free.rank == 1 and not quotient_polys)
     gb.extend(order.encode_element(c)
               for c in list(columns) + quotient_columns(free, quotient_polys))
@@ -697,9 +762,12 @@ class TrackedSubmodule:
     columns and relations (lifts reduce against it) while the collected
     elements' tracking parts generate the syzygies of the columns modulo the
     relations over the declared ring.  ``active`` and ``collected`` are coded
-    in ``order``.  Tracking vectors are elements of ``syzygy_module``, the
-    free module R^s on the column degrees, with every coefficient reduced
-    modulo the quotient ideal.
+    in ``order``, the shared order of the tracked module.  Tracking vectors
+    are elements of ``syzygy_module``, the free module R^s on the column
+    degrees, with every coefficient reduced modulo the quotient ideal: the
+    codes of a collected element are decoded straight into one {monomial:
+    coeff} dict per column, which ``reduce_poly`` reduces, and a syzygy's
+    degree is read off its lead code.
 
     ``quotient_ring`` is the ring presentation the columns live over (None:
     the polynomial ring itself); its quotient relations enter the
@@ -720,14 +788,14 @@ class TrackedSubmodule:
         ring = free.ring
         self.syzygy_module = FreeModule(ring, col_degs)
         self.tracked_module = FreeModule(ring, free.gen_degs + col_degs)
-        self.order = order = ModuleOrder(self.tracked_module, split=free.rank)
+        self.order = order = shared_order(self.tracked_module, free.rank)
         tracked = []
         unit = (0,) * ring.nvars
         one = ring.field.one()
         for j, col in enumerate(columns):
-            terms = dict(col.terms)
-            terms[(free.rank + j, unit)] = one
-            tracked.append(order.encode_element(Element(self.tracked_module, terms)))
+            coded = order.encode_element(col)   # F's positions come first in the tracked module
+            coded.terms[order.encode((free.rank + j, unit))] = one
+            tracked.append(coded)
         for rel in list(relations) + quotient_columns(free, quotient_polys):
             tracked.append(order.encode_element(rel))
         self.active, self.collected = tracked_buchberger(tracked, order)
@@ -737,28 +805,35 @@ class TrackedSubmodule:
     def _tracking_vector(self, e: Element) -> Element:
         """The coded e, which has tracking terms only, as an element of
         ``syzygy_module``, each coordinate's coefficient reduced once modulo
-        the quotient ideal."""
+        the quotient ideal.  Over the polynomial ring the terms keep the
+        code order; over a quotient each column's terms are gathered into
+        one dict and reduced, column by column."""
         split, decode = self.free.rank, self.order.decode
         terms = {}
-        for code, c in e.terms.items():
-            p, m = decode(code)
-            terms[(p - split, m)] = c
         if self._ideal_gb is None:
+            for code, c in e.terms.items():
+                p, m = decode(code)
+                terms[(p - split, m)] = c
             return Element(self.syzygy_module, terms)
         by_col: dict = {}
-        for (j, m), c in terms.items():
-            by_col.setdefault(j, {})[m] = c
+        for code, c in e.terms.items():
+            p, m = decode(code)
+            col = by_col.get(p)
+            if col is None:
+                col = by_col[p] = {}
+            col[m] = c
         ring, reduce_poly = self.free.ring, self._ideal_gb.reduce_poly
-        terms = {}
-        for j in sorted(by_col):
-            for m, c in reduce_poly(Polynomial(ring, by_col[j])).terms.items():
+        for p in sorted(by_col):
+            j = p - split
+            for m, c in reduce_poly(Polynomial(ring, by_col[p])).terms.items():
                 terms[(j, m)] = c
         return Element(self.syzygy_module, terms)
 
-    def syzygy_elements(self) -> list:
-        """Generators of the syzygies modulo the relations, each one once."""
-        out = []
-        seen = set()
+    def syzygy_elements(self):
+        """Generators of the syzygies modulo the relations, each one once, and
+        their degrees, read off the codes of the collected elements."""
+        order = self.order
+        out, degs, seen = [], [], set()
         for g in self.collected:
             vec = self._tracking_vector(g)
             if vec:
@@ -766,7 +841,8 @@ class TrackedSubmodule:
                 if key not in seen:
                     seen.add(key)
                     out.append(vec)
-        return out
+                    degs.append(order.degree(lead_term(g, order)))
+        return out, degs
 
     def lift(self, e: Element):
         """Coefficients x with e = sum x_j * c_j modulo the relations, or None."""
@@ -790,9 +866,7 @@ def syzygy_generators(columns, col_degs, free: FreeModule, quotient_ring=None, r
     modulo the quotient ideal, so callers use them as they come.  The
     relations and the f_k * e_j enter the computation untracked.
     """
-    tracked = TrackedSubmodule(columns, col_degs, free, quotient_ring, relations)
-    syz = tracked.syzygy_elements()
-    return syz, [s.degree() for s in syz]
+    return TrackedSubmodule(columns, col_degs, free, quotient_ring, relations).syzygy_elements()
 
 
 def minimal_generator_indices(columns, col_degs, free: FreeModule, quotient_polys=(),
@@ -808,7 +882,7 @@ def minimal_generator_indices(columns, col_degs, free: FreeModule, quotient_poly
     column's degree.
     """
     n = len(columns)
-    order = ModuleOrder(free)
+    order = shared_order(free)
     gb = IncrementalModuleGB(order)
     for r in relations:
         r = order.encode_element(r)

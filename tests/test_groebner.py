@@ -29,6 +29,7 @@ from cihom.polynomials import (
     GradedViolationError,
     IncompatibleOperandsError,
     PolyRing,
+    Polynomial,
     TermOrder,
     mono_div,
     mono_divides,
@@ -315,6 +316,125 @@ def test_term_code_range_guardrail():
     gb.add(order.encode_element(free.from_polys([pr.monomial((top, 0, 0, 0), F.one())])))
     with pytest.raises(TermCodeRangeError):   # two that fit, whose pair's lcm does not
         gb.add(order.encode_element(free.from_polys([pr.monomial((0, top, 0, 0), F.one())])))
+
+
+# -- monomial tables of the code layouts and shared orders --------------------------
+
+def test_range_check_runs_on_a_table_hit():
+    # Both orders have one layout (4 variables, grevlex, rank 1), so the
+    # second encode finds x in the table the first one filled; the range
+    # check must still refuse x at shifted degree _FIELD_MAX + 1.
+    top = groebner._FIELD_MAX
+    pr = ring4()
+    x = (0, (1, 0, 0, 0))
+    low, high = ModuleOrder(FreeModule(pr, (0,))), ModuleOrder(FreeModule(pr, (top,)))
+    assert low.decode(low.encode(x)) == x
+    assert x[1] in high._offsets
+    assert high.decode(high.encode((0, (0, 0, 0, 0)))) == (0, (0, 0, 0, 0))
+    with pytest.raises(TermCodeRangeError):
+        high.encode(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31), st.sampled_from(TermOrder.KINDS))
+def test_codes_round_trip_through_warm_tables(seed, kind):
+    # Two orders of one layout (same variables, term order and rank) with
+    # different generator degrees and splits: each fills the tables the
+    # other reads, and every code still decodes to its own term and sorts
+    # by the tuple key of its own order.
+    rng = random.Random(seed)
+    nvars, rank = rng.randint(1, 4), rng.randint(1, 4)
+    pr = PolyRing(F, [f"x{i}" for i in range(nvars)], TermOrder(kind))
+    orders = [ModuleOrder(FreeModule(pr, tuple(rng.randint(-3, 3) for _ in range(rank))),
+                          split=rng.randint(0, rank)) for _ in range(2)]
+    assert orders[0]._offsets is orders[1]._offsets
+    terms = [_random_term(orders[0], rng) for _ in range(20)]
+    for order in orders + orders[::-1]:
+        codes = [order.encode(t) for t in terms]
+        assert [order.decode(c) for c in codes] == terms
+        assert (sorted(range(len(terms)), key=codes.__getitem__)
+                == sorted(range(len(terms)), key=lambda i: _reference_key(order, terms[i])))
+        # an lcm code is never encoded, so its monomial may miss the table
+        a, b = codes[0], order.encode((terms[0][0], terms[1][1]))
+        assert order.decode(order.lcm(a, b)) == (terms[0][0], mono_lcm(terms[0][1], terms[1][1]))
+
+
+def test_a_term_that_cannot_be_coded_stays_out_of_the_tables():
+    # Under grevlex (2^32, -(2^32 + 1), 1) has degree 0 and, its slots
+    # carrying and borrowing, the offset of the unit monomial; in the tables
+    # it would decode the unit.
+    pr = PolyRing(F, ["a", "b", "c"])
+    order = ModuleOrder(FreeModule(pr, (0,)))
+    bad = (2 ** 32, -(2 ** 32 + 1), 1)
+    assert order.encode((0, bad)) == order.encode((0, (0, 0, 0)))
+    assert bad not in order._offsets
+    assert order.decode(order.encode((0, (0, 0, 0)))) == (0, (0, 0, 0))
+
+
+def test_a_full_table_starts_over(monkeypatch):
+    monkeypatch.setattr(groebner, "_TABLE_MAX", 8)
+    pr = PolyRing(F, ["a", "b", "c"], TermOrder("lex"))
+    order = ModuleOrder(FreeModule(pr, (0, 2)), split=1)
+    terms = [(p, m) for d in range(4) for m in monomials_of_degree(3, d) for p in (0, 1)]
+    codes = [order.encode(t) for t in terms]
+    assert len(order._offsets) <= 8 and len(order._monomials) <= 8
+    assert [order.decode(c) for c in codes] == terms
+    assert [order.encode(t) for t in terms] == codes
+
+
+def test_equal_free_modules_share_one_order():
+    def free(field=F, kind="grevlex", degs=(0, 1)):
+        return FreeModule(PolyRing(field, ["x", "y", "z"], TermOrder(kind)), degs)
+
+    order = groebner.shared_order(free(), 1)
+    assert groebner.shared_order(free(), 1) is order      # equal, not identical, modules
+    for other in (groebner.shared_order(free(PrimeField(31991)), 1),
+                  groebner.shared_order(free(kind="lex"), 1),
+                  groebner.shared_order(free(degs=(0, 2)), 1),
+                  groebner.shared_order(free(), 2)):
+        assert other is not order
+    assert groebner.shared_order(free(PrimeField(31991)), 1).module.ring.field == PrimeField(31991)
+    assert groebner.shared_order.cache_info().maxsize is not None
+    x = free().ring.variable("x")
+    first = groebner_basis([free(degs=(0,)).from_polys([x])], free(degs=(0,)))
+    assert groebner_basis([free(degs=(0,)).from_polys([x * x])], free(degs=(0,))).order is first.order
+
+
+def _mul_poly_through_add(e, poly):
+    """Element.mul_poly as it was: the running sum copied through add once
+    per term of poly."""
+    out = Element(e.module, {})
+    for m, c in poly.terms.items():
+        out = out.add(e.mul_term(m, c))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31), st.sampled_from(["f32003", "f3", "rational"]))
+def test_mul_poly_matches_the_sum_through_add(seed, field_tag):
+    # f3 makes cancellations common, so terms leave and re-enter the sum;
+    # the term order of the dict must not change either.
+    rng = random.Random(seed)
+    pr = PolyRing(field_by_tag(field_tag), ["x", "y", "z"])
+    free = FreeModule(pr, (0, 1))
+    e = _random_element(free, rng, rng.randint(1, 2), rng.randint(0, 5))
+    poly = pr.zero()
+    for _ in range(rng.randint(0, 6)):
+        poly = poly + pr.monomial(rng.choice(list(monomials_of_degree(3, rng.randint(0, 2)))),
+                                  pr.field.from_int(rng.randint(1, 5)))
+    assert (list(e.mul_poly(poly).terms.items())
+            == list(_mul_poly_through_add(e, poly).terms.items()))
+    # (x + y + 1) e_0 times (y - x + xy): x*y cancels, then comes back last
+    x, y = pr.variable("x"), pr.variable("y")
+    e1 = free.from_polys([x + y + pr.one()])
+    p1 = y - x + x * y
+    assert (list(e1.mul_poly(p1).terms.items())
+            == list(_mul_poly_through_add(e1, p1).terms.items()))
+    assert list(e1.mul_poly(p1).terms)[-1] == (0, (1, 1, 0))
+    quot = [f for f in (poly, p1) if f]
+    assert ([list(q.terms.items()) for q in quotient_columns(free, quot)]
+            == [list(free.basis_element(j).mul_poly(f).terms.items())
+                for f in quot for j in range(free.rank)])
 
 
 # -- the heap-ordered coded normal form against the max-rescan reducer ------------
@@ -637,6 +757,54 @@ def test_syzygies_match_the_per_column_projection(ring_quadric, ring_two_nodes, 
     assert all(s.module == FreeModule(ring.poly_ring, tuple(degs)) for s in syz)
     if quot:  # the coefficients are already reduced: reducing again changes nothing
         assert all(ring.reduce(p) is p for s in syz for p in s.components())
+
+
+def _syzygies_decoded_then_regrouped(tracked):
+    """TrackedSubmodule.syzygy_elements as it was: decode each collected
+    element to (column, monomial) terms, regroup them by column into
+    polynomials, reduce each modulo the quotient ideal and take the degree
+    of the rebuilt vector with Element.degree()."""
+    split, decode = tracked.free.rank, tracked.order.decode
+    ideal_gb = tracked._ideal_gb
+    out, seen = [], set()
+    for g in tracked.collected:
+        terms = {}
+        for code, c in g.terms.items():
+            p, m = decode(code)
+            terms[(p - split, m)] = c
+        if ideal_gb is not None:
+            by_col = {}
+            for (j, m), c in terms.items():
+                by_col.setdefault(j, {})[m] = c
+            terms = {(j, m): c for j in sorted(by_col)
+                     for m, c in ideal_gb.reduce_poly(Polynomial(tracked.free.ring,
+                                                                 by_col[j])).terms.items()}
+        key = tuple(sorted(terms.items()))
+        if terms and key not in seen:
+            seen.add(key)
+            out.append(Element(tracked.syzygy_module, terms))
+    return out, [s.degree() for s in out]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31),
+       st.sampled_from(["quadric", "two_nodes", "polynomial"]))
+def test_syzygy_elements_match_decode_then_regroup(ring_quadric, ring_two_nodes, seed, which):
+    rng = random.Random(seed)
+    ring = {"quadric": ring_quadric, "two_nodes": ring_two_nodes,
+            "polynomial": None}[which]
+    pr = ring.poly_ring if ring is not None else ring4()
+    free = FreeModule(pr, tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 3))))
+    degs = [rng.randint(1, 3) for _ in range(rng.randint(1, 5))]
+    cols = [_random_element(free, rng, d, rng.randint(1, 4)) for d in degs]
+    rel_degs = [rng.randint(1, 3) for _ in range(rng.randint(0, 2))]
+    rels = [_random_element(free, rng, d, rng.randint(1, 3)) for d in rel_degs]
+    tracked = TrackedSubmodule(cols, degs, free, ring, rels)
+    syz, syz_degs = tracked.syzygy_elements()
+    ref, ref_degs = _syzygies_decoded_then_regrouped(tracked)
+    assert [list(s.terms.items()) for s in syz] == [list(r.terms.items()) for r in ref]
+    assert syz_degs == ref_degs
+    assert syzygy_generators(cols, degs, free, ring, rels)[1] == ref_degs
 
 
 # -- relation columns enter the syzygy engine untracked -------------------------------
