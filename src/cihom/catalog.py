@@ -104,11 +104,8 @@ def _run_3_13(field, bounds):
     pr = ring.poly_ring
     zero = pr.zero()
     free2 = FreeModule(pr, (1, 1))
-    displayed = [free2.from_polys([zero, z]), free2.from_polys([-u, y]),
-                 free2.from_polys([x, zero])]
-    free1 = FreeModule(pr, (0,))
-    cols = [free1.from_polys([y]), free1.from_polys([u])]
-    syz, degs = syzygy_generators(cols, [1, 1], free1, ring)
+    displayed = [(zero, z), (-u, y), (x, zero)]
+    syz, degs = syzygy_generators([(y,), (u,)], [1, 1], FreeModule(pr, (0,)), ring)
     gb_syz = groebner_basis(syz, free2, ring.quotient_gens)
     gb_disp = groebner_basis(displayed, free2, ring.quotient_gens)
     mutual = (all(gb_syz.contains(e) for e in displayed)
@@ -117,10 +114,7 @@ def _run_3_13(field, bounds):
                          True, mutual, "reference"))
     # displayed third differential: columns (u,0,0), (-y,z,0), (0,x,u), (0,0,y)
     free3 = FreeModule(pr, (2, 2, 2))
-    displayed3 = [free3.from_polys([u, zero, zero]),
-                  free3.from_polys([-y, z, zero]),
-                  free3.from_polys([zero, x, u]),
-                  free3.from_polys([zero, zero, y])]
+    displayed3 = [(u, zero, zero), (-y, z, zero), (zero, x, u), (zero, zero, y)]
     syz2, degs2 = syzygy_generators(displayed, [2, 2, 2], free2, ring)
     gb_syz2 = groebner_basis(syz2, free3, ring.quotient_gens)
     gb_disp3 = groebner_basis(displayed3, free3, ring.quotient_gens)

@@ -86,11 +86,11 @@ def pushforward(M: ModulePresentation) -> PushforwardResult:
                                  0, (), cert)
     _require_torsion_free(Mmin)
     pr = M.ring.poly_ring
-    dual_free, dcols, ddegs = Mmin.dual_generators()
-    m = len(dcols)
-    free_degs = tuple(-g for g in ddegs)
+    dual_gens = Mmin.dual_generators()
+    m = dual_gens.ncols
+    free_degs = tuple(-g for g in dual_gens.col_degs)
     # embedding on generators: column i lists the dual generators' values at e_i
-    u = PolyMatrix.from_columns(pr, dual_free.gen_degs, dcols, ddegs).transpose()
+    u = dual_gens.transpose()
     M1 = ModulePresentation(M.ring, free_degs, u, label=f"{M.label}1").minimalize()
     free_pres = ModulePresentation.free(M.ring, free_degs, label="freecover")
     ker = kernel_of_map(u, Mmin, free_pres).minimalize()
@@ -212,7 +212,7 @@ def quasi_lifting(M: ModulePresentation, split) -> QuasiLiftingResult:
     incl = pf.u.hstack(PolyMatrix(pr, (0,), (fd,), [[f]]).kron_identity(free_degs))
     col_degs = incl.col_degs
     free_m = FreeModule(pr, free_degs)
-    syz, sdegs = syzygy_generators(incl.column_elements(free_m), col_degs, free_m,
+    syz, sdegs = syzygy_generators(incl.columns(), col_degs, free_m,
                                    intermediate)
     rels = PolyMatrix.from_columns(pr, col_degs, syz, tuple(sdegs))
     E = ModulePresentation(intermediate, col_degs, rels, label=f"lift({M.label})")

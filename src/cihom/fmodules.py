@@ -25,7 +25,6 @@ from .polynomials import (
     Polynomial,
 )
 from .groebner import (
-    Element,
     FreeModule,
     TrackedSubmodule,
     initial_terms,
@@ -53,7 +52,10 @@ class PolyMatrix:
     ``row_degs`` are the generator degrees of the target, ``col_degs`` of the
     source; entry (i, j) is zero or homogeneous of degree
     col_degs[j] - row_degs[i].  The constructors do not check this;
-    ``check_graded`` does, once for each ``ModulePresentation``.
+    ``check_graded`` does, once for each ``ModulePresentation``.  A column
+    is a tuple of polynomials, one per row: ``columns`` hands them out, as
+    the Groebner engine takes them, and ``from_columns`` takes the engine's
+    columns back.
     """
 
     __slots__ = ("poly_ring", "row_degs", "col_degs", "entries")
@@ -106,22 +108,13 @@ class PolyMatrix:
 
     @classmethod
     def from_columns(cls, poly_ring, row_degs, columns, col_degs):
-        """columns: list of Element over a FreeModule with the row degrees.
-        Each column's terms are read once, sorted into its rows."""
-        ents = [[None] * len(columns) for _ in row_degs]
-        for j, col in enumerate(columns):
-            by_row = [{} for _ in row_degs]
-            for (p, m), c in col.terms.items():
-                by_row[p][m] = c
-            for i, terms in enumerate(by_row):
-                ents[i][j] = Polynomial(poly_ring, terms)
-        return cls(poly_ring, row_degs, col_degs, ents)
+        """The matrix with the given columns, one polynomial per row each."""
+        return cls(poly_ring, row_degs, col_degs,
+                   [[col[i] for col in columns] for i in range(len(row_degs))])
 
-    def column_elements(self, free: FreeModule | None = None):
-        if free is None:
-            free = FreeModule(self.poly_ring, self.row_degs)
-        return [free.from_polys([self.entries[i][j] for i in range(self.nrows)])
-                for j in range(self.ncols)]
+    def columns(self) -> list:
+        """The columns, each a tuple of polynomials, one per row."""
+        return list(zip(*self.entries)) if self.entries else [()] * self.ncols
 
     def transpose(self) -> "PolyMatrix":
         ents = [[self.entries[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
@@ -331,9 +324,6 @@ class ModulePresentation:
             self._free_module = FreeModule(self.ring.poly_ring, self.gen_degs)
         return self._free_module
 
-    def relation_elements(self):
-        return self.relations.column_elements(self.free_module())
-
     def is_zero_module(self) -> bool:
         return self.minimalize().n_gens == 0
 
@@ -404,10 +394,8 @@ class ModulePresentation:
         # drop redundant relation columns
         if col_degs:
             pr = ring.poly_ring
-            free = FreeModule(pr, tuple(row_degs))
-            cols = [free.from_polys([ents[i][j] for i in range(len(row_degs))])
-                    for j in range(len(col_degs))]
-            alive = minimal_generator_indices(cols, col_degs, free, ring.quotient_gens)
+            alive = minimal_generator_indices(list(zip(*ents)), col_degs,
+                                              FreeModule(pr, tuple(row_degs)), ring.quotient_gens)
             col_degs = [col_degs[j] for j in alive]
             ents = [[row[j] for j in alive] for row in ents]
 
@@ -446,7 +434,7 @@ class ModulePresentation:
         """
         if self._hf_num is None:
             leads = [[] for _ in self.gen_degs]
-            for p, m in initial_terms(self.relation_elements(), self.free_module(),
+            for p, m in initial_terms(self.relations.columns(), self.free_module(),
                                       self.ring.quotient_gens):
                 leads[p].append(m)
             num: dict = {}
@@ -487,33 +475,31 @@ class ModulePresentation:
 
     # -- dual and biduality ---------------------------------------------------------
 
-    def dual_generators(self):
+    def dual_generators(self) -> PolyMatrix:
         """Generators of Hom(M, R) inside the dual coordinates of the
-        generator space: (FreeModule of degs -gen_degs, minimal columns,
-        their degrees), the last two as tuples.  Computed once per
-        presentation: biduality and ``pushforward`` both read them from the
+        generator space: the matrix whose rows have degrees -gen_degs and
+        whose columns are a minimal set of dual generators.  Computed once
+        per presentation: biduality and ``pushforward`` both read it from the
         minimal presentation."""
         if self._dual_gens is None:
             pr = self.ring.poly_ring
-            dual_free = FreeModule(pr, tuple(-d for d in self.gen_degs))
+            dual_degs = tuple(-d for d in self.gen_degs)
             if self.n_rels == 0:
-                cols = [dual_free.basis_element(i) for i in range(self.n_gens)]
-                degs = dual_free.gen_degs
+                self._dual_gens = PolyMatrix.identity(pr, dual_degs)
             else:
                 At = self.relations.transpose()
-                target = FreeModule(pr, At.row_degs)
-                # syzygies of the transposed relations: elements of dual_free
-                syz, sdegs = syzygy_generators(At.column_elements(target), list(At.col_degs),
-                                               target, self.ring)
-                alive = minimal_generator_indices(syz, sdegs, dual_free,
+                # syzygies of the transposed relations: columns of the dual coordinates
+                syz, sdegs = syzygy_generators(At.columns(), At.col_degs,
+                                               FreeModule(pr, At.row_degs), self.ring)
+                alive = minimal_generator_indices(syz, sdegs, FreeModule(pr, dual_degs),
                                                   self.ring.quotient_gens) if syz else []
-                cols, degs = [syz[i] for i in alive], [sdegs[i] for i in alive]
-            self._dual_gens = (dual_free, tuple(cols), tuple(degs))
+                self._dual_gens = PolyMatrix.from_columns(
+                    pr, dual_degs, [syz[i] for i in alive], [sdegs[i] for i in alive])
         return self._dual_gens
 
     def dual(self) -> "ModulePresentation":
         """Hom(M, R) presented as a cokernel; shifts are negated."""
-        return _image_presentation(self.ring, *self.dual_generators(), label=f"{self.label}*")
+        return _image_presentation(self.ring, self.dual_generators(), label=f"{self.label}*")
 
     def biduality_report(self) -> BidualityReport:
         """Kernel and cokernel of M -> M**; torsion-freeness and reflexivity.
@@ -542,31 +528,24 @@ class ModulePresentation:
         the double dual gives the i-th column of the map.
         """
         M = self.minimalize()
-        dual_free, dcols, ddegs = M.dual_generators()
-        d2cols = []
-        if dcols:
-            dual = _image_presentation(self.ring, dual_free, dcols, ddegs, f"{M.label}*")
-            ddual_free, d2cols, d2degs = dual.dual_generators()
-        if not d2cols:
-            return (PolyMatrix.zero(self.ring.poly_ring, (), M.gen_degs),
+        pr = self.ring.poly_ring
+        D = M.dual_generators()
+        D2 = _image_presentation(self.ring, D, f"{M.label}*").dual_generators() if D.ncols else D
+        if not D2.ncols:
+            return (PolyMatrix.zero(pr, (), M.gen_degs),
                     ModulePresentation.zero(self.ring, label=f"{M.label}**"))
         # one tracked basis of the double dual's generators gives both its
         # syzygies (the presentation) and the lifts below
-        tracked = TrackedSubmodule(d2cols, d2degs, ddual_free, self.ring)
-        bidual = _image_presentation(self.ring, ddual_free, d2cols, d2degs, f"{M.label}**",
-                                     tracked)
-        # evaluation vectors: row i of the dual generator matrix, as an
-        # element of the dual of M*'s generator space (= ddual_free coords)
+        tracked = TrackedSubmodule(D2.columns(), D2.col_degs, FreeModule(pr, D2.row_degs),
+                                   self.ring)
+        bidual = _image_presentation(self.ring, D2, f"{M.label}**", tracked)
         psi_cols = []
-        for i in range(M.n_gens):
-            ev = Element(ddual_free, {(k, mono): c for k, col in enumerate(dcols)
-                                      for (p, mono), c in col.terms.items() if p == i})
-            lifted = tracked.lift(ev)
+        for row in D.entries:
+            lifted = tracked.lift(tuple(row))
             if lifted is None:
                 raise InvariantError("biduality evaluation must lie in the double dual")
             psi_cols.append(lifted)
-        ents = [[psi_cols[j][l] for j in range(M.n_gens)] for l in range(len(d2degs))]
-        return PolyMatrix(self.ring.poly_ring, tuple(d2degs), M.gen_degs, ents), bidual
+        return PolyMatrix.from_columns(pr, D2.col_degs, psi_cols, M.gen_degs), bidual
 
     # -- numerical profile -------------------------------------------------------------
 
@@ -754,8 +733,8 @@ class ModulePresentation:
             gq = self.ring.reduce(g)
             if gq.is_zero():
                 continue
-            syz, _ = syzygy_generators([free.from_polys([gq])], [gq.degree()], free, self.ring)
-            ann = [s.component(0) for s in syz]
+            syz, _ = syzygy_generators([(gq,)], [gq.degree()], free, self.ring)
+            ann = [s[0] for s in syz]
             if not any(not q.contains(a) for a in ann):
                 return False
         return True
@@ -784,19 +763,19 @@ class ModulePresentation:
                 f"{self.n_rels} relations over {self.ring.label})")
 
 
-def _image_presentation(ring: RingPresentation, free: FreeModule, cols, degs,
-                        label, tracked=None) -> ModulePresentation:
-    """The submodule of ``free`` generated by the columns (of degrees
-    ``degs``), presented on them by their syzygies; zero without columns.
-    ``tracked`` is the columns' ``TrackedSubmodule`` when the caller has
-    already built it."""
-    if not cols:
+def _image_presentation(ring: RingPresentation, gens: PolyMatrix, label,
+                        tracked=None) -> ModulePresentation:
+    """The submodule generated by the columns of ``gens``, presented on them
+    by their syzygies; zero without columns.  ``tracked`` is the columns'
+    ``TrackedSubmodule`` when the caller has already built it."""
+    if not gens.ncols:
         return ModulePresentation.zero(ring, label=label)
     if tracked is None:
-        tracked = TrackedSubmodule(cols, degs, free, ring)
+        tracked = TrackedSubmodule(gens.columns(), gens.col_degs,
+                                   FreeModule(ring.poly_ring, gens.row_degs), ring)
     syz, syz_degs = tracked.syzygy_elements()
-    mat = PolyMatrix.from_columns(ring.poly_ring, tuple(degs), syz, tuple(syz_degs))
-    return ModulePresentation(ring, tuple(degs), mat, label=label)
+    mat = PolyMatrix.from_columns(ring.poly_ring, gens.col_degs, syz, tuple(syz_degs))
+    return ModulePresentation(ring, gens.col_degs, mat, label=label)
 
 
 def equal_hilbert_functions(a: ModulePresentation, b: ModulePresentation,

@@ -5,6 +5,11 @@ One pair engine, ``IncrementalModuleGB``, serves every basis here: plain
 which also collects syzygies) and incremental (``minimal_generator_indices``
 grows it one column at a time).
 
+Columns in, columns out.  Outside the pair engine an element of a free
+module F is a column: a tuple of ``Polynomial``s, one per row of F, as
+``PolyMatrix.columns`` hands them out and ``PolyMatrix.from_columns`` takes
+them back.  Every public function here takes and returns columns.
+
 Works over the ambient polynomial ring S and over quotients R = S/(f1..fc):
 quotient-ring computations augment the generator set with f_k*e_j columns, so
 one engine serves both rings.
@@ -48,8 +53,8 @@ two leads (``ModuleOrder.lcm``), so pairs are formed on codes too.
 
 Codes stay exact only while every field fits.  Homogeneity bounds every
 exponent of a term by its degree, and every term the engine makes has the
-shifted degree of an input term or of a queued pair's lcm; so ``encode``
-and ``lcm`` (and with it ``IncrementalModuleGB.add``) raise
+shifted degree of an input term or of a queued pair's lcm; so ``encode``,
+``encode_column`` and ``lcm`` (and with it ``IncrementalModuleGB.add``) raise
 ``TermCodeRangeError`` when such a degree does not fit, before any code
 could wrap into a neighbouring field.
 
@@ -61,11 +66,17 @@ degree) and offset -> monomial, shared by all its orders: ``encode`` is a
 lookup plus ``_base[p]``, with the range check on every call, hit or miss,
 and ``decode`` reads the position field and looks the monomial up.  Only
 monomials whose exponents fit their slots enter a table, and a table that
-reaches ``_TABLE_MAX`` entries starts over.  Encoding happens where columns
-enter the engine, decoding where results leave it (syzygies, lifts,
-``GroebnerBasis`` generators and leads, ``initial_terms``), so no caller
-outside this module sees a code.  The engine's callers take their orders
-from ``shared_order``, one per equal (module, split), at most
+reaches ``_TABLE_MAX`` entries starts over.  A column enters the engine
+through one encoder, ``ModuleOrder.encode_column``, which codes each row's
+terms as ``_base[p]`` plus the table offset of each monomial and refuses a
+column whose length is not the rank or whose entry lies over another
+polynomial ring (``IncompatibleOperandsError``).  Results leave through one
+decoder, ``ModuleOrder.decode_rows``, which turns a coded element into one
+{monomial: coeff} dict per row in the order of its terms (syzygies, lifts,
+``GroebnerBasis`` generators and normal forms); leads leave as (position,
+monomial) pairs (``GroebnerBasis.lead_terms``, ``initial_terms``).  So no
+caller outside this module sees a code.  The engine's callers take their
+orders from ``shared_order``, one per equal (module, split), at most
 ``_SHARED_ORDERS`` kept.
 """
 
@@ -80,7 +91,6 @@ from .polynomials import (
     IncompatibleOperandsError,
     PolyRing,
     Polynomial,
-    mono_degree,
     mono_divides,
     mono_mul,
 )
@@ -113,25 +123,6 @@ class FreeModule:
     def rank(self) -> int:
         return len(self.gen_degs)
 
-    def zero(self) -> "Element":
-        return Element(self, {})
-
-    def basis_element(self, i: int) -> "Element":
-        unit = (0,) * self.ring.nvars
-        return Element(self, {(i, unit): self.ring.field.one()})
-
-    def from_polys(self, polys) -> "Element":
-        """Element with the given polynomial in each component."""
-        terms = {}
-        field = self.ring.field
-        for i, p in enumerate(polys):
-            if p is None:
-                continue
-            for m, c in p.terms.items():
-                if not field.is_zero(c):
-                    terms[(i, m)] = c
-        return Element(self, terms)
-
     def __eq__(self, other):
         return (isinstance(other, FreeModule) and self.ring == other.ring
                 and self.gen_degs == other.gen_degs)
@@ -144,11 +135,12 @@ class FreeModule:
 
 
 class Element:
-    """Element of a graded free module: dict of (position, monomial) -> coeff.
+    """A coded element of a graded free module: dict of int term code -> coeff,
+    the codes of a ``ModuleOrder`` of ``module`` (see the module docstring).
 
-    Inside the pair engine the keys are instead the int term codes of a
-    ``ModuleOrder``; the arithmetic methods below read (position, monomial)
-    keys only.
+    ``add``, ``mul_term``, ``mul_poly`` and ``component`` read (position,
+    monomial) keys instead: the tests' reference implementations, against
+    which the coded engine is checked, are written in them.
     """
 
     __slots__ = ("module", "terms", "_lead")
@@ -158,27 +150,12 @@ class Element:
         self.terms = terms
         self._lead = None
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
-
-    def degree(self):
-        """Common degree of all terms (None for zero); raises if mixed."""
-        degs = {mono_degree(m) + self.module.gen_degs[p] for (p, m) in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise GradedViolationError(f"inhomogeneous module element: degrees {sorted(degs)}")
-        return next(iter(degs))
 
     def component(self, i: int) -> Polynomial:
         ring = self.module.ring
         return Polynomial(ring, {m: c for (p, m), c in self.terms.items() if p == i})
-
-    def components(self):
-        return [self.component(i) for i in range(self.module.rank)]
 
     def add(self, other: "Element") -> "Element":
         field = self.module.ring.field
@@ -199,10 +176,6 @@ class Element:
         if field.is_zero(coeff):
             return Element(self.module, {})
         return Element(self.module, {t: field.mul(c, coeff) for t, c in self.terms.items()})
-
-    def neg(self) -> "Element":
-        field = self.module.ring.field
-        return Element(self.module, {t: field.neg(c) for t, c in self.terms.items()})
 
     def mul_term(self, mono: tuple, coeff) -> "Element":
         field = self.module.ring.field
@@ -233,14 +206,6 @@ class Element:
 
     def __eq__(self, other):
         return isinstance(other, Element) and self.module == other.module and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.module, tuple(sorted(self.terms.items()))))
-
-    def __repr__(self):
-        if not self.terms:
-            return "(0)"
-        return "(" + ", ".join(p.text() for p in self.components()) + ")"
 
 
 @functools.lru_cache(maxsize=None)
@@ -381,15 +346,47 @@ class ModuleOrder:
             raise self._out_of_range(raised - self._offset)
         return a + (s if self.ascending else -s) + deg * self._degree_weight
 
-    def encode_element(self, e: Element) -> Element:
-        """e with its terms coded, as an element of this order's module."""
-        encode = self.encode
-        return Element(self.module, {encode(t): c for t, c in e.terms.items()})
+    def encode_column(self, column, free: FreeModule) -> Element:
+        """The coded element of a column of ``free`` (one polynomial per row),
+        whose positions are this order's first ones.  Raises
+        IncompatibleOperandsError for a column whose length is not the rank
+        of ``free`` or an entry over another polynomial ring, and
+        TermCodeRangeError for a term that does not fit."""
+        if len(column) != free.rank:
+            raise IncompatibleOperandsError(
+                f"column with {len(column)} entries for a free module of rank {free.rank}")
+        ring, base, raised_degs = free.ring, self._base, self._raised_degs
+        offsets, weights = self._offsets, self._weights
+        terms = {}
+        for p, poly in enumerate(column):
+            if poly.ring is not ring:
+                ring.check_compatible(poly.ring)
+            if not poly.terms:
+                continue
+            b, raised = base[p], raised_degs[p]
+            for m, c in poly.terms.items():
+                known = offsets.get(m)
+                if known is None:
+                    known = self._learn(m, sum(map(operator.mul, m, weights)))
+                offset, deg = known
+                if not 0 <= deg + raised <= _FIELD_MAX:
+                    raise self._out_of_range(deg + self.module.gen_degs[p])
+                terms[b + offset] = c
+        return Element(self.module, terms)
 
-    def decode_element(self, e: Element) -> Element:
-        """The coded e with (position, monomial) keys, in the same term order."""
-        decode = self.decode
-        return Element(self.module, {decode(t): c for t, c in e.terms.items()})
+    def decode_rows(self, e: Element, first: int, count: int) -> list:
+        """The coded e as one {monomial: coeff} dict per position first, ...,
+        first + count - 1, each in the order of e's terms; e has no term at
+        another position."""
+        rows = [{} for _ in range(count)]
+        top, pmask, base, monomials = self._top, self.position_mask, self._base, self._monomials
+        for code, c in e.terms.items():
+            p = top - (code & pmask)
+            m = monomials.get(code - base[p])
+            if m is None:
+                m = self.decode(code)[1]
+            rows[p - first][m] = c
+        return rows
 
     def degree(self, code: int) -> int:
         """Shifted degree of a coded term."""
@@ -417,13 +414,17 @@ def shared_order(module: FreeModule, split: int | None = None) -> ModuleOrder:
     return ModuleOrder(module, split)
 
 
+def _as_column(ring: PolyRing, rows) -> tuple:
+    """The term dicts of ``ModuleOrder.decode_rows`` as a column of
+    polynomials over ``ring``; empty rows share the ring's zero."""
+    zero = ring.zero()
+    return tuple(Polynomial(ring, terms) if terms else zero for terms in rows)
+
+
 def lead_term(e: Element, order: ModuleOrder) -> int:
     """Code of the leading term of a coded element."""
     if e._lead is None:
-        lead = max(e.terms)
-        if not isinstance(lead, int):   # the largest (p, m) tuple is no lead term
-            raise TypeError("lead_term needs a coded element (ModuleOrder.encode_element)")
-        e._lead = lead
+        e._lead = max(e.terms)
     return e._lead
 
 
@@ -642,10 +643,11 @@ def interreduce(basis: list, order: ModuleOrder) -> list:
 class GroebnerBasis:
     """A reduced Groebner basis of a submodule of a graded free module.
 
-    ``generators`` and ``lead_terms`` are decoded, (position, monomial)
-    keyed; the coded basis stays inside.  ``quotient_polys`` records the
-    quotient relations that were appended, so normal forms decide membership
-    over R = S/(quotient) as well as over S.
+    ``generators`` are columns, one polynomial per row of ``module``, and
+    ``lead_terms`` their (position, monomial) leads; the coded basis stays
+    inside.  ``normal_form`` and ``contains`` take columns of ``module``.
+    ``quotient_polys`` records the quotient relations that were appended, so
+    normal forms decide membership over R = S/(quotient) as well as over S.
     """
 
     __slots__ = ("module", "order", "generators", "lead_terms", "quotient_polys", "_basis",
@@ -655,20 +657,21 @@ class GroebnerBasis:
         self.module = module
         self.order = order
         self._basis = basis
-        self.generators = [order.decode_element(g) for g in basis]
+        self.generators = [self._column(g) for g in basis]
         self.lead_terms = [order.decode(lead_term(g, order)) for g in basis]
         self.quotient_polys = tuple(quotient_polys)
         self._by_position = _index_leads(basis, order)
         self._lead_monos = None
 
-    def _reduce(self, e: Element) -> Element:
-        if e.module != self.module:
-            raise IncompatibleOperandsError("element from a different free module")
-        return normal_form(self.order.encode_element(e), self._basis, self.order,
-                           self._by_position)
+    def _column(self, e: Element) -> tuple:
+        return _as_column(self.module.ring, self.order.decode_rows(e, 0, self.module.rank))
 
-    def normal_form(self, e: Element) -> Element:
-        return self.order.decode_element(self._reduce(e))
+    def _reduce(self, column) -> Element:
+        return normal_form(self.order.encode_column(column, self.module), self._basis,
+                           self.order, self._by_position)
+
+    def normal_form(self, column) -> tuple:
+        return self._column(self._reduce(column))
 
     def reduce_poly(self, poly: Polynomial) -> Polynomial:
         """Normal form of a polynomial modulo a rank-one basis (an ideal).
@@ -687,11 +690,11 @@ class GroebnerBasis:
         for mono in poly.terms:
             for lead in leads:
                 if mono_divides(lead, mono):
-                    return self.normal_form(self.module.from_polys([poly])).component(0)
+                    return self.normal_form((poly,))[0]
         return poly
 
-    def contains(self, e: Element) -> bool:
-        return not self._reduce(e)
+    def contains(self, column) -> bool:
+        return not self._reduce(column)
 
     def __len__(self):
         return len(self.generators)
@@ -704,19 +707,20 @@ class GroebnerBasis:
 
 
 def quotient_columns(free: FreeModule, quotient_polys) -> list:
-    """The relations f_k * e_j presenting free/quotient over the ambient ring."""
-    return [Element(free, {(j, m): c for m, c in f.terms.items()})
-            for f in quotient_polys for j in range(free.rank)]
+    """The relation columns f_k * e_j presenting free/quotient over the ambient ring."""
+    zero, rank = (free.ring.zero(),), free.rank
+    return [zero * j + (f,) + zero * (rank - 1 - j) for f in quotient_polys for j in range(rank)]
 
 
 def groebner_basis(columns, free: FreeModule, quotient_polys=()) -> GroebnerBasis:
-    """Reduced Groebner basis of the submodule generated by the columns.
+    """Reduced Groebner basis of the submodule generated by the columns of
+    ``free``.
 
     Over a quotient ring the f_k * e_j relations are appended internally, so
-    ``normal_form(e) == 0`` decides membership over the quotient.
+    ``contains(column)`` decides membership over the quotient.
     """
     order = shared_order(free)
-    elems = [order.encode_element(c)
+    elems = [order.encode_column(c, free)
              for c in list(columns) + quotient_columns(free, quotient_polys)]
     ideal_mode = free.rank == 1 and not quotient_polys
     gens = buchberger(elems, order, ideal_mode=ideal_mode)
@@ -729,7 +733,7 @@ def initial_terms(columns, free: FreeModule, quotient_polys=()) -> list:
     module.  The basis is not interreduced, so some terms may be redundant."""
     order = shared_order(free)
     gb = IncrementalModuleGB(order, coprime=free.rank == 1 and not quotient_polys)
-    gb.extend(order.encode_element(c)
+    gb.extend(order.encode_column(c, free)
               for c in list(columns) + quotient_columns(free, quotient_polys))
     return [order.decode(lead_term(g, order)) for g in gb.basis]
 
@@ -763,11 +767,10 @@ class TrackedSubmodule:
     elements' tracking parts generate the syzygies of the columns modulo the
     relations over the declared ring.  ``active`` and ``collected`` are coded
     in ``order``, the shared order of the tracked module.  Tracking vectors
-    are elements of ``syzygy_module``, the free module R^s on the column
-    degrees, with every coefficient reduced modulo the quotient ideal: the
-    codes of a collected element are decoded straight into one {monomial:
-    coeff} dict per column, which ``reduce_poly`` reduces, and a syzygy's
-    degree is read off its lead code.
+    are columns of ``syzygy_module``, the free module R^s on the column
+    degrees: the codes of a collected element are decoded straight into one
+    polynomial per column, which over a quotient ``reduce_poly`` reduces, and
+    a syzygy's degree is read off its lead code.
 
     ``quotient_ring`` is the ring presentation the columns live over (None:
     the polynomial ring itself); its quotient relations enter the
@@ -793,77 +796,59 @@ class TrackedSubmodule:
         unit = (0,) * ring.nvars
         one = ring.field.one()
         for j, col in enumerate(columns):
-            coded = order.encode_element(col)   # F's positions come first in the tracked module
+            coded = order.encode_column(col, free)   # F's positions come first
             coded.terms[order.encode((free.rank + j, unit))] = one
             tracked.append(coded)
         for rel in list(relations) + quotient_columns(free, quotient_polys):
-            tracked.append(order.encode_element(rel))
+            tracked.append(order.encode_column(rel, free))
         self.active, self.collected = tracked_buchberger(tracked, order)
         self._by_position = _index_leads(self.active, order)
         self._ideal_gb = quotient_ring.ideal_gb if quotient_polys else None
 
-    def _tracking_vector(self, e: Element) -> Element:
-        """The coded e, which has tracking terms only, as an element of
-        ``syzygy_module``, each coordinate's coefficient reduced once modulo
-        the quotient ideal.  Over the polynomial ring the terms keep the
-        code order; over a quotient each column's terms are gathered into
-        one dict and reduced, column by column."""
-        split, decode = self.free.rank, self.order.decode
-        terms = {}
-        if self._ideal_gb is None:
-            for code, c in e.terms.items():
-                p, m = decode(code)
-                terms[(p - split, m)] = c
-            return Element(self.syzygy_module, terms)
-        by_col: dict = {}
-        for code, c in e.terms.items():
-            p, m = decode(code)
-            col = by_col.get(p)
-            if col is None:
-                col = by_col[p] = {}
-            col[m] = c
-        ring, reduce_poly = self.free.ring, self._ideal_gb.reduce_poly
-        for p in sorted(by_col):
-            j = p - split
-            for m, c in reduce_poly(Polynomial(ring, by_col[p])).terms.items():
-                terms[(j, m)] = c
-        return Element(self.syzygy_module, terms)
+    def _tracking_vector(self, e: Element) -> tuple:
+        """The coded e, which has tracking terms only, as a column of
+        ``syzygy_module``, each entry in the order of e's terms and, over a
+        quotient, reduced once modulo the quotient ideal."""
+        vec = _as_column(self.free.ring, self.order.decode_rows(e, self.free.rank,
+                                                                self.syzygy_module.rank))
+        if self._ideal_gb is not None:
+            vec = tuple(self._ideal_gb.reduce_poly(p) if p.terms else p for p in vec)
+        return vec
 
     def syzygy_elements(self):
-        """Generators of the syzygies modulo the relations, each one once, and
-        their degrees, read off the codes of the collected elements."""
+        """Generators of the syzygies modulo the relations, each one once, as
+        columns of ``syzygy_module``, and their degrees, read off the codes
+        of the collected elements."""
         order = self.order
         out, degs, seen = [], [], set()
         for g in self.collected:
             vec = self._tracking_vector(g)
-            if vec:
-                key = tuple(sorted(vec.terms.items()))
-                if key not in seen:
-                    seen.add(key)
-                    out.append(vec)
-                    degs.append(order.degree(lead_term(g, order)))
+            key = frozenset((j, m, c) for j, p in enumerate(vec) for m, c in p.terms.items())
+            if key and key not in seen:
+                seen.add(key)
+                out.append(vec)
+                degs.append(order.degree(lead_term(g, order)))
         return out, degs
 
-    def lift(self, e: Element):
-        """Coefficients x with e = sum x_j * c_j modulo the relations, or None."""
+    def lift(self, column):
+        """Coefficients x with column = sum x_j * c_j modulo the relations, or None."""
         order = self.order
-        nf = normal_form(order.encode_element(e), self.active, order, self._by_position)
+        nf = normal_form(order.encode_column(column, self.free), self.active, order,
+                         self._by_position)
         if any(t & order.block_flag for t in nf.terms):
             return None
-        vec = self._tracking_vector(nf)
         minus_one = self.free.ring.field.neg(self.free.ring.field.one())
-        return [vec.component(j).scale(minus_one) for j in range(self.syzygy_module.rank)]
+        return [p.scale(minus_one) for p in self._tracking_vector(nf)]
 
 
 def syzygy_generators(columns, col_degs, free: FreeModule, quotient_ring=None, relations=()):
     """Columns generating the x in R^s, s = len(columns), with sum x_j c_j in
     the span of ``relations`` over the ring (zero when there are none); the
     ring is ``quotient_ring``, a ring presentation, or the polynomial ring
-    when it is None.
+    when it is None.  The columns and relations are columns of ``free``.
 
-    Returns (elements, their degrees).  The elements live in
-    ``FreeModule(free.ring, col_degs)`` with every coefficient already reduced
-    modulo the quotient ideal, so callers use them as they come.  The
+    Returns (columns of length s, their degrees), every entry already
+    reduced modulo the quotient ideal, so callers use them as they come.  The
     relations and the f_k * e_j enter the computation untracked.
     """
     return TrackedSubmodule(columns, col_degs, free, quotient_ring, relations).syzygy_elements()
@@ -871,8 +856,9 @@ def syzygy_generators(columns, col_degs, free: FreeModule, quotient_ring=None, r
 
 def minimal_generator_indices(columns, col_degs, free: FreeModule, quotient_polys=(),
                               relations=()):
-    """Indices of a minimal generating subset of the given homogeneous columns,
-    modulo the span of the homogeneous ``relations`` (none: modulo zero).
+    """Indices of a minimal generating subset of the given homogeneous columns
+    of ``free``, modulo the span of the homogeneous ``relations`` (none:
+    modulo zero).
 
     Greedy pass in weakly increasing degree against an incrementally grown
     Groebner basis, preloaded with the relations and the quotient columns: a
@@ -885,18 +871,15 @@ def minimal_generator_indices(columns, col_degs, free: FreeModule, quotient_poly
     order = shared_order(free)
     gb = IncrementalModuleGB(order)
     for r in relations:
-        r = order.encode_element(r)
+        r = order.encode_column(r, free)
         order.element_degree(r)   # raises GradedViolationError if mixed
         gb.add(r)
     for q in quotient_columns(free, quotient_polys):
-        gb.add(order.encode_element(q))
+        gb.add(order.encode_column(q, free))
     kept = []
     for i in sorted(range(n), key=lambda k: (col_degs[k], k)):
-        col = columns[i]
-        if not col:
-            continue
-        col = order.encode_element(col)
-        if gb.contains(col):
+        col = order.encode_column(columns[i], free)
+        if not col or gb.contains(col):
             continue
         kept.append(i)
         gb.add(col)

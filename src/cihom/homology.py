@@ -66,14 +66,13 @@ def subquotient_presentation(ring: RingPresentation, gen_degs, outgoing: PolyMat
     pr = ring.poly_ring
     own_free = FreeModule(pr, gen_degs)
     if outgoing is None:
-        ker_cols = [own_free.basis_element(i) for i in range(len(gen_degs))]
+        ker_cols = PolyMatrix.identity(pr, gen_degs).columns()
         ker_degs = list(gen_degs)
     else:
-        tgt_free = FreeModule(pr, outgoing.row_degs)
         ker_cols, ker_degs = syzygy_generators(
-            outgoing.column_elements(tgt_free), outgoing.col_degs, tgt_free,
-            ring, _columns(target_rels, tgt_free))
-    image = _columns(incoming, own_free) + _columns(own_rels, own_free)
+            outgoing.columns(), outgoing.col_degs, FreeModule(pr, outgoing.row_degs),
+            ring, target_rels.columns() if target_rels is not None else ())
+    image = [c for mat in (incoming, own_rels) if mat is not None for c in mat.columns()]
     keep = minimal_generator_indices(ker_cols, ker_degs, own_free, ring.quotient_gens,
                                      relations=image)
     if not keep:
@@ -83,11 +82,6 @@ def subquotient_presentation(ring: RingPresentation, gen_degs, outgoing: PolyMat
     rel_cols, rel_degs = syzygy_generators(ker_cols, ker_degs, own_free, ring, image)
     mat = PolyMatrix.from_columns(pr, ker_degs, rel_cols, tuple(rel_degs))
     return ModulePresentation(ring, ker_degs, mat, label=label)
-
-
-def _columns(mat: PolyMatrix | None, free: FreeModule) -> list:
-    """The columns of ``mat`` as elements of ``free`` (none for None)."""
-    return [] if mat is None else mat.column_elements(free)
 
 
 def kernel_of_map(psi: PolyMatrix, source: ModulePresentation,

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 
 from .fmodules import ModulePresentation, PolyMatrix
-from .groebner import Element, FreeModule, minimal_generator_indices, syzygy_generators
+from .groebner import FreeModule, minimal_generator_indices, syzygy_generators
 from .polynomials import InvariantError
 
 
@@ -160,9 +160,8 @@ def resolve(M: ModulePresentation, steps: int, over: str = "quotient") -> FreeRe
             cache["terminated"] = True
             break
         prev = diffs[-1]
-        src_free = FreeModule(pr, prev.row_degs)
-        col_elems = prev.column_elements(src_free)
-        syz, degs = syzygy_generators(col_elems, list(prev.col_degs), src_free, ring)
+        syz, degs = syzygy_generators(prev.columns(), list(prev.col_degs),
+                                      FreeModule(pr, prev.row_degs), ring)
         alive = minimal_generator_indices(syz, degs, FreeModule(pr, prev.col_degs),
                                           ring.quotient_gens)
         if not alive:
@@ -315,7 +314,7 @@ _COMBINATIONS = 4  # seeded combinations of the solution space tried for an inve
 def _invertible(mat: PolyMatrix) -> bool:
     """A square constant matrix keeps every column as a minimal generator."""
     free = FreeModule(mat.poly_ring, (0,) * mat.nrows)
-    kept = minimal_generator_indices(mat.column_elements(free), [0] * mat.ncols, free)
+    kept = minimal_generator_indices(mat.columns(), [0] * mat.ncols, free)
     return len(kept) == mat.ncols
 
 
@@ -341,24 +340,30 @@ def _equivalence(D: PolyMatrix, E: PolyMatrix):
     pr, field = D.poly_ring, D.poly_ring.field
     a_vars = [(i, k) for i in range(r) for k in range(r) if E.row_degs[k] == D.row_degs[i] + t]
     b_vars = [(s, j) for s in range(c) for j in range(c) if E.col_degs[j] == D.col_degs[s] + t]
-    unit = (0,) * pr.nvars
     equations: dict = {}  # (row i, column j, monomial) of A.E - D.B -> position
-    columns = [{(equations.setdefault((i, j, m), len(equations)), unit): v
+    columns = [{equations.setdefault((i, j, m), len(equations)): v
                 for j in range(c) for m, v in E.entries[k][j].terms.items()} for i, k in a_vars]
-    columns += [{(equations.setdefault((i, j, m), len(equations)), unit): field.neg(v)
+    columns += [{equations.setdefault((i, j, m), len(equations)): field.neg(v)
                  for i in range(r) for m, v in D.entries[i][s].terms.items()} for s, j in b_vars]
-    free = FreeModule(pr, (0,) * len(equations))
-    kernel, _ = syzygy_generators([Element(free, terms) for terms in columns],
-                                  [0] * len(columns), free)
+    zero = pr.zero()
+    dense = []
+    for col in columns:
+        entries = [zero] * len(equations)
+        for e, v in col.items():
+            entries[e] = pr.constant(v)
+        dense.append(tuple(entries))
+    kernel, _ = syzygy_generators(dense, [0] * len(columns),
+                                  FreeModule(pr, (0,) * len(equations)))
     rng = random.Random(0)
     for _ in range(_COMBINATIONS):
-        x = FreeModule(pr, (0,) * len(columns)).zero()
+        x = [zero] * len(columns)
         for vec in kernel:
-            x = x.add(vec.scale(field.from_int(rng.randrange(1, 1 << 15))))
-        a, b = [[pr.zero()] * r for _ in range(r)], [[pr.zero()] * c for _ in range(c)]
-        for (u, _m), v in x.terms.items():
+            coeff = field.from_int(rng.randrange(1, 1 << 15))
+            x = [xu + vu.scale(coeff) if vu else xu for xu, vu in zip(x, vec)]
+        a, b = [[zero] * r for _ in range(r)], [[zero] * c for _ in range(c)]
+        for u, v in enumerate(x):
             mat, (i, k) = (a, a_vars[u]) if u < len(a_vars) else (b, b_vars[u - len(a_vars)])
-            mat[i][k] = pr.constant(v)
+            mat[i][k] = v
         A = PolyMatrix(pr, tuple(d + t for d in D.row_degs), E.row_degs, a)
         B = PolyMatrix(pr, D.col_degs, tuple(e - t for e in E.col_degs), b)
         if _invertible(A) and _invertible(B):

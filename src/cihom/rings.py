@@ -34,20 +34,13 @@ class UnitIdealError(ValueError):
     """A quotient generator is a nonzero constant: S/(f) is the zero ring."""
 
 
-def _as_ideal_elements(poly_ring: PolyRing, polys):
-    free = FreeModule(poly_ring, (0,))
-    return free, [free.from_polys([p]) for p in polys if p]
-
-
 def ideal_groebner(poly_ring: PolyRing, polys):
     """Reduced Groebner basis of an ideal, as a rank-one module basis."""
-    free, elems = _as_ideal_elements(poly_ring, polys)
-    return groebner_basis(elems, free)
+    return groebner_basis([(p,) for p in polys if p], FreeModule(poly_ring, (0,)))
 
 
 def ideal_contains(gb, poly: Polynomial) -> bool:
-    free = gb.module
-    return gb.contains(free.from_polys([poly]))
+    return gb.contains((poly,))
 
 
 def hilbert_numerator(lead_monos) -> dict:

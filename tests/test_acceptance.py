@@ -199,11 +199,11 @@ def test_criterion_9_property_suites(ring_two_nodes, ring_quadric, ring_node,
                     p = p + pr.monomial(rng.choice(monos),
                                         F.from_int(rng.randint(1, 100)))
                 if p:
-                    cols.append(free.from_polys([p]))
+                    cols.append((p,))
             if not cols:
                 continue
             gb = groebner_basis(cols, free)
-            gens = [gb.order.encode_element(g) for g in gb.generators]
+            gens = [gb.order.encode_column(g, free) for g in gb.generators]
             for i in range(len(gens)):
                 for j in range(i):
                     if gb.lead_terms[i][0] != gb.lead_terms[j][0]:

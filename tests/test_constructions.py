@@ -71,7 +71,7 @@ def test_dual_generators_are_computed_once(mod_quadric, monkeypatch):
     assert Mq.dual_generators() is first
     assert calls == []
     pf = pushforward(Mq)
-    assert pf.exact and pf.m == len(first[1])
+    assert pf.exact and pf.m == first.ncols
     # Biduality presents M*, finds its dual generators and presents M** from
     # the tracked basis that also lifts the biduality map; the dual
     # generators of Mq are not recomputed, by biduality or the embedding.

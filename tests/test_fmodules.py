@@ -383,13 +383,12 @@ def test_nonfree_locus_cyclic_cross_check(mod_M_two_nodes, ring_two_nodes):
 
     def colon_into_quotient(g):
         """Generators of ann_R(g) = (I : g)/I, reduced modulo I."""
-        cols = [free.from_polys([g])] + [free.from_polys([f])
-                                         for f in ring.quotient_gens]
+        cols = [(g,)] + [(f,) for f in ring.quotient_gens]
         degs = [g.degree()] + [f.degree() for f in ring.quotient_gens]
         syz, _ = syzygy_generators(cols, degs, free)
         out = []
         for s in syz:
-            a = ring.reduce(s.component(0))
+            a = ring.reduce(s[0])
             if a:
                 out.append(a)
         return out
@@ -397,9 +396,7 @@ def test_nonfree_locus_cyclic_cross_check(mod_M_two_nodes, ring_two_nodes):
     def intersect(gens_a, gens_b):
         """Generators of (gens_a) intersect (gens_b) in R: the a-part times
         its generator, over syzygies of the combined row."""
-        cols = ([free.from_polys([a]) for a in gens_a]
-                + [free.from_polys([b]) for b in gens_b]
-                + [free.from_polys([f]) for f in ring.quotient_gens])
+        cols = [(a,) for a in list(gens_a) + list(gens_b) + list(ring.quotient_gens)]
         degs = ([a.degree() for a in gens_a] + [b.degree() for b in gens_b]
                 + [f.degree() for f in ring.quotient_gens])
         syz, _ = syzygy_generators(cols, degs, free)
@@ -407,7 +404,7 @@ def test_nonfree_locus_cyclic_cross_check(mod_M_two_nodes, ring_two_nodes):
         for s in syz:
             elem = pr.zero()
             for j, a in enumerate(gens_a):
-                coeff = s.component(j)
+                coeff = s[j]
                 if coeff:
                     elem = elem + coeff * a
             elem = ring.reduce(elem)

@@ -64,11 +64,11 @@ def test_reduced_bases_match_sympy():
         gens = _random_ideal(pr, rng, rng.randint(2, 3), 2)
         if not gens:
             continue
-        ours = groebner_basis([free.from_polys([g]) for g in gens], free)
+        ours = groebner_basis([(g,) for g in gens], free)
         theirs = sympy.groebner([_to_sympy(g, syms) for g in gens],
                                 *syms, order="grevlex")
         ours_terms = sorted(
-            (sorted(g.component(0).terms.items()) for g in ours.generators))
+            (sorted(g[0].terms.items()) for g in ours.generators))
         theirs_terms = sorted(
             (sorted(_from_sympy_dict(e, syms).items()) for e in theirs.exprs))
         assert ours_terms == theirs_terms, (gens, list(theirs.exprs))
@@ -83,11 +83,11 @@ def test_homogeneous_fixture_matches_sympy():
     x, y, z, u = (pr.variable(v) for v in names)
     free = FreeModule(pr, (0,))
     gens = [x * y - z * u, x * x - y * z, y * y - x * u]
-    ours = groebner_basis([free.from_polys([g]) for g in gens], free)
+    ours = groebner_basis([(g,) for g in gens], free)
     theirs = sympy.groebner([_to_sympy(g, syms) for g in gens], *syms,
                             order="grevlex")
     ours_terms = sorted(
-        (sorted(g.component(0).terms.items()) for g in ours.generators))
+        (sorted(g[0].terms.items()) for g in ours.generators))
     theirs_terms = sorted(
         (sorted(_from_sympy_dict(e, syms).items()) for e in theirs.exprs))
     assert ours_terms == theirs_terms

@@ -50,7 +50,7 @@ def _dimension_from_leads_reference(nvars, lead_monos):
 
 
 def _leads_by_position(M):
-    gb = groebner_basis(M.relation_elements(), M.free_module(), M.ring.quotient_gens)
+    gb = groebner_basis(M.relations.columns(), M.free_module(), M.ring.quotient_gens)
     leads = {i: [] for i in range(M.n_gens)}
     for p, m in gb.lead_terms:
         leads[p].append(m)
@@ -191,7 +191,7 @@ def test_lead_only_numerator_matches_the_interreduced_basis(ring_quadric, ring_t
         for pres in (M, M.minimalize()):
             reduced = _leads_by_position(pres)
             raw = {i: [] for i in range(pres.n_gens)}
-            for p, m in initial_terms(pres.relation_elements(), pres.free_module(),
+            for p, m in initial_terms(pres.relations.columns(), pres.free_module(),
                                       ring.quotient_gens):
                 raw[p].append(m)
             num: dict = {}

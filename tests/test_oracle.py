@@ -121,7 +121,7 @@ def test_syzygy_hilbert_matches_oracle(ring_two_nodes):
     # presentation's Hilbert values equal the oracle's kernel dimensions
     import random as _random
     from cihom.fmodules import PolyMatrix
-    from cihom.groebner import Element, syzygy_generators
+    from cihom.groebner import syzygy_generators
     from cihom.oracle import map_kernel_cokernel_oracle
     rng = _random.Random(77)
     pr = ring_two_nodes.poly_ring
@@ -144,18 +144,13 @@ def test_syzygy_hilbert_matches_oracle(ring_two_nodes):
                                         PrimeField(32003).from_int(rng.randint(1, 50)))
                 col.append(p)
             ents.append(col)
-        elems = [free.from_polys(c) for c in ents]
-        if not any(elems):
+        if not any(p for c in ents for p in c):
             continue
         degs = [col_deg] * ncols
-        syz, sdegs = syzygy_generators(elems, degs, free, ring_two_nodes)
+        syz, sdegs = syzygy_generators([tuple(c) for c in ents], degs, free, ring_two_nodes)
         src_free = FreeModule(pr, tuple(degs))
-        syz_local = [Element(src_free, dict(s.terms)) for s in syz]
-        rel, rdegs = syzygy_generators(syz_local, sdegs, src_free, ring_two_nodes)
-        gen_free = FreeModule(pr, tuple(sdegs))
-        rels = PolyMatrix.from_columns(pr, tuple(sdegs),
-                                       [Element(gen_free, dict(r.terms)) for r in rel],
-                                       tuple(rdegs))
+        rel, rdegs = syzygy_generators(syz, sdegs, src_free, ring_two_nodes)
+        rels = PolyMatrix.from_columns(pr, tuple(sdegs), rel, tuple(rdegs))
         ker_pres = ModulePresentation(ring_two_nodes, tuple(sdegs), rels)
         psi = PolyMatrix(pr, (0,) * nrows, tuple(degs),
                          [[ents[j][i] for j in range(ncols)] for i in range(nrows)])

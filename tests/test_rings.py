@@ -18,7 +18,9 @@ from cihom.rings import (
     HypothesisMissingError,
     RingPresentation,
     UnitIdealError,
+    ideal_contains,
     ideal_dimension,
+    ideal_groebner,
     make_quotient_ring,
 )
 
@@ -139,8 +141,7 @@ def test_reduce_canonical(ring_two_nodes):
 
 def wrapped_reduce(ring, poly):
     """Reduction as a rank-one module element: wrap, normal form, unwrap."""
-    free = ring.ideal_gb.module
-    return ring.ideal_gb.normal_form(free.from_polys([poly])).component(0)
+    return ring.ideal_gb.normal_form((poly,))[0]
 
 
 def _random_homogeneous(pr, rng, degree, n_terms):
@@ -193,6 +194,16 @@ def test_reduce_returns_its_input_when_nothing_reduces(ring_two_nodes, ring_quad
 def test_reduce_poly_needs_a_rank_one_basis(ring_node):
     pr = ring_node.poly_ring
     free = FreeModule(pr, (0, 0))
-    gb = groebner_basis([free.from_polys([pr.variable("x"), pr.zero()])], free)
+    gb = groebner_basis([(pr.variable("x"), pr.zero())], free)
     with pytest.raises(IncompatibleOperandsError):
         gb.reduce_poly(pr.variable("y"))
+
+
+def test_ideal_contains_refuses_a_polynomial_of_another_ring():
+    # x*z of k[x,y,z] had its exponents zipped down to x of k[x,y], so it
+    # was found in the ideal (x).
+    small, big = PolyRing(F, ["x", "y"]), PolyRing(F, ["x", "y", "z"])
+    gb = ideal_groebner(small, [small.variable("x")])
+    with pytest.raises(IncompatibleOperandsError):
+        ideal_contains(gb, big.variable("x") * big.variable("z"))
+    assert ideal_contains(gb, small.variable("x") * small.variable("y"))
