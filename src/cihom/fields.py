@@ -1,8 +1,11 @@
 """Exact coefficient fields: odd prime fields GF(p) and the rationals.
 
 Field elements are plain Python values (ints in [0, p) for GF(p), Fraction
-for the rationals); the field object supplies the operations.  Everything is
-immutable, so fields and elements can be shared freely between tasks.
+for the rationals); the field object supplies the operations.  ``*``, ``+``
+and unary ``-`` act on both kinds of value, so a hot loop may run on them
+directly and make each finished value an element with ``canonical``.
+Everything is immutable, so fields and elements can be shared freely between
+tasks.
 """
 
 from fractions import Fraction
@@ -73,6 +76,12 @@ class PrimeField:
     def from_int(self, n: int):
         return n % self.p
 
+    def canonical(self, a):
+        """The element of an unreduced int: its residue in [0, p).  Loops
+        that add and multiply with Python's operators call it once per
+        finished value."""
+        return a % self.p
+
     def add(self, a, b):
         s = a + b
         return s - self.p if s >= self.p else s
@@ -131,6 +140,10 @@ class RationalField:
 
     def from_int(self, n: int):
         return Fraction(n)
+
+    def canonical(self, a):
+        """A Fraction is already canonical: the value itself."""
+        return a
 
     def add(self, a, b):
         return a + b

@@ -108,7 +108,12 @@ class PolyMatrix:
 
     @classmethod
     def from_columns(cls, poly_ring, row_degs, columns, col_degs):
-        """The matrix with the given columns, one polynomial per row each."""
+        """The matrix with the given columns, one polynomial per row each;
+        IncompatibleOperandsError for a column of another length."""
+        for col in columns:
+            if len(col) != len(row_degs):
+                raise IncompatibleOperandsError(
+                    f"column with {len(col)} entries for a matrix with {len(row_degs)} rows")
         return cls(poly_ring, row_degs, col_degs,
                    [[col[i] for col in columns] for i in range(len(row_degs))])
 

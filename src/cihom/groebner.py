@@ -78,6 +78,19 @@ monomial) pairs (``GroebnerBasis.lead_terms``, ``initial_terms``).  So no
 caller outside this module sees a code.  The engine's callers take their
 orders from ``shared_order``, one per equal (module, split), at most
 ``_SHARED_ORDERS`` kept.
+
+Coefficients.  Every ``Element`` that leaves a loop of the engine holds
+field elements: ints in [1, p) over GF(p), nonzero Fractions over the
+rationals.  Inside ``normal_form`` and ``s_pair`` coefficients are combined
+with Python's ``*``, ``+`` and unary ``-``, which act on both kinds, so one
+loop serves every field.  A coefficient stays unreduced (negative, or p or
+more) until its term is final, and is then made canonical once
+(``field.canonical``): in ``normal_form`` when its term pops, a term that
+has come to zero being skipped; in ``s_pair`` when it is entered, since a
+term of an S-pair meets at most one sum.  The pair engine's basis elements
+are monic, and a lead coefficient of 1 skips the division in a reduction
+step and the inverse in ``s_pair``, ``IncrementalModuleGB.add`` and
+``interreduce``.
 """
 
 from __future__ import annotations
@@ -172,10 +185,10 @@ class Element:
         return Element(self.module, res)
 
     def scale(self, coeff) -> "Element":
-        field = self.module.ring.field
-        if field.is_zero(coeff):
+        if not coeff:
             return Element(self.module, {})
-        return Element(self.module, {t: field.mul(c, coeff) for t, c in self.terms.items()})
+        canonical = self.module.ring.field.canonical
+        return Element(self.module, {t: canonical(c * coeff) for t, c in self.terms.items()})
 
     def mul_term(self, mono: tuple, coeff) -> "Element":
         field = self.module.ring.field
@@ -447,14 +460,16 @@ def normal_form(e: Element, basis: list, order: ModuleOrder,
     (lead code, basis index) pairs in basis order, and is rebuilt when absent.
 
     The work terms live in a dict changed in place, beside a heap of negated
-    codes, so the largest term pops first.  A popped term missing from the
-    dict was cancelled and is skipped; a processed term never comes back,
-    because a reduction step only introduces terms below the current lead.
+    codes, so the largest term pops first.  Each term is in the heap once:
+    it stays in the dict, its coefficient unreduced, until it pops, and a
+    reduction step only introduces terms below the current lead, so a popped
+    term never comes back.  Its coefficient is made canonical when it pops,
+    and a term that has come to zero is skipped.
     """
     if by_position is None:
         by_position = _index_leads(basis, order)
     field = e.module.ring.field
-    add, mul, neg, div, is_zero = field.add, field.mul, field.neg, field.div, field.is_zero
+    canonical = field.canonical
     pmask, guard, ascending = order.position_mask, order.guard_mask, order.ascending
     heappush, heappop = heapq.heappush, heapq.heappop
     work = dict(e.terms)
@@ -463,8 +478,8 @@ def normal_form(e: Element, basis: list, order: ModuleOrder,
     remainder: dict = {}
     while heap:
         t = -heappop(heap)
-        c = work.pop(t, None)
-        if c is None:
+        c = canonical(work.pop(t))
+        if not c:
             continue
         for lead, i in by_position.get(t & pmask, ()):
             if not ((t - lead) if ascending else (lead - t)) & guard:
@@ -475,22 +490,18 @@ def normal_form(e: Element, basis: list, order: ModuleOrder,
         # work -= (c / lc) * (t / lead) * reducer; its lead cancels t exactly.
         reducer = basis[i]
         shift = t - lead
-        ncoeff = neg(div(c, reducer.terms[lead]))
+        lc = reducer.terms[lead]
+        ncoeff = -c if lc == 1 else -field.div(c, lc)
         for rt, rc in reducer.terms.items():
             if rt == lead:
                 continue
             u = rt + shift
-            d = mul(rc, ncoeff)
             old = work.get(u)
             if old is None:
-                work[u] = d
+                work[u] = rc * ncoeff
                 heappush(heap, -u)
             else:
-                s = add(old, d)
-                if is_zero(s):
-                    del work[u]
-                else:
-                    work[u] = s
+                work[u] = old + rc * ncoeff
     return Element(e.module, remainder)
 
 
@@ -502,19 +513,24 @@ def s_pair(f: Element, g: Element, order: ModuleOrder) -> Element:
         raise IncompatibleOperandsError(f"S-pair of elements with leads in positions "
                                         f"{order.position(lf)} and {order.position(lg)}")
     lcm = order.lcm(lf, lg)
-    mul, sub, is_zero = field.mul, field.sub, field.is_zero
-    shift, coeff = lcm - lf, field.inv(f.terms[lf])
-    res = {t + shift: mul(c, coeff) for t, c in f.terms.items()}
-    shift, coeff = lcm - lg, field.inv(g.terms[lg])
+    canonical = field.canonical
+    shift, a = lcm - lf, f.terms[lf]
+    if a == 1:
+        res = {t + shift: c for t, c in f.terms.items()}
+    else:
+        a = field.inv(a)
+        res = {t + shift: canonical(c * a) for t, c in f.terms.items()}
+    # a term meets at most one sum below, so its value is final once entered
+    shift, b = lcm - lg, g.terms[lg]
+    b = -1 if b == 1 else -field.inv(b)
     for t, c in g.terms.items():
         u = t + shift
-        d = mul(c, coeff)
         old = res.get(u)
         if old is None:
-            res[u] = field.neg(d)
+            res[u] = canonical(c * b)
         else:
-            s = sub(old, d)
-            if is_zero(s):
+            s = canonical(old + c * b)
+            if not s:
                 del res[u]
             else:
                 res[u] = s
@@ -557,7 +573,8 @@ class IncrementalModuleGB:
         if not lead & order.block_flag:
             self.collected.append(e)
             return
-        g = e.scale(e.module.ring.field.inv(e.terms[lead]))
+        lc = e.terms[lead]
+        g = e if lc == 1 else e.scale(e.module.ring.field.inv(lc))
         g._lead = lead
         idx = len(self.basis)
         self.basis.append(g)
@@ -635,7 +652,8 @@ def interreduce(basis: list, order: ModuleOrder) -> list:
         others = keep[:i] + keep[i + 1:]
         r = normal_form(g, others, order)
         if r:
-            reduced.append(r.scale(r.module.ring.field.inv(r.terms[lead_term(r, order)])))
+            lc = r.terms[lead_term(r, order)]
+            reduced.append(r if lc == 1 else r.scale(r.module.ring.field.inv(lc)))
     reduced.sort(key=lambda e: lead_term(e, order))
     return reduced
 
@@ -651,7 +669,7 @@ class GroebnerBasis:
     """
 
     __slots__ = ("module", "order", "generators", "lead_terms", "quotient_polys", "_basis",
-                 "_by_position", "_lead_monos")
+                 "_by_position", "_divisible")
 
     def __init__(self, module, order, basis, quotient_polys):
         self.module = module
@@ -661,7 +679,7 @@ class GroebnerBasis:
         self.lead_terms = [order.decode(lead_term(g, order)) for g in basis]
         self.quotient_polys = tuple(quotient_polys)
         self._by_position = _index_leads(basis, order)
-        self._lead_monos = None
+        self._divisible = None
 
     def _column(self, e: Element) -> tuple:
         return _as_column(self.module.ring, self.order.decode_rows(e, 0, self.module.rank))
@@ -679,18 +697,28 @@ class GroebnerBasis:
         Fast path: when no term of ``poly`` is divisible by a lead monomial
         of the basis (the zero polynomial and the empty basis included), the
         normal form is ``poly`` itself and that same object is returned.
-        The lead monomials are collected once per basis.
+        Whether a monomial is divisible by some lead is kept per basis, so a
+        term costs one lookup once its monomial has been met; the dict starts
+        over at ``_TABLE_MAX`` entries.  Raises IncompatibleOperandsError
+        for a polynomial over another ring.
         """
-        leads = self._lead_monos
-        if leads is None:
+        ring = self.module.ring
+        if poly.ring is not ring:
+            ring.check_compatible(poly.ring)
+        divisible = self._divisible
+        if divisible is None:
             if self.module.rank != 1:
                 raise IncompatibleOperandsError(
                     f"polynomial reduction needs a rank-one basis, not rank {self.module.rank}")
-            leads = self._lead_monos = tuple(m for _, m in self.lead_terms)
+            divisible = self._divisible = {}
         for mono in poly.terms:
-            for lead in leads:
-                if mono_divides(lead, mono):
-                    return self.normal_form((poly,))[0]
+            hit = divisible.get(mono)
+            if hit is None:
+                if len(divisible) >= _TABLE_MAX:
+                    divisible.clear()
+                hit = divisible[mono] = any(mono_divides(lead, mono) for _, lead in self.lead_terms)
+            if hit:
+                return self.normal_form((poly,))[0]
         return poly
 
     def contains(self, column) -> bool:

@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 
 from cihom.fields import PrimeField
 from cihom.fmodules import ModulePresentation, PolyMatrix, equal_hilbert_functions
-from cihom.polynomials import GradedViolationError, PolyRing, monomials_of_degree
+from cihom.polynomials import (
+    GradedViolationError,
+    IncompatibleOperandsError,
+    PolyRing,
+    monomials_of_degree,
+)
 from cihom.rings import INF, NEG_INF, HypothesisMissingError, RingPresentation
 from cihom.search import random_homogeneous_module
 
@@ -56,6 +61,17 @@ def test_presentation_rejects_entry_of_wrong_degree(ring_two_nodes):
     mat = PolyMatrix(pr, (0,), (2,), [[y]])
     with pytest.raises(GradedViolationError, match=r"entry \(0,0\) = y has degree 1, not 2"):
         ModulePresentation(ring_two_nodes, (0,), mat)
+
+
+def test_from_columns_refuses_a_column_of_another_length():
+    # A column longer than the row count had its extra entries dropped, and a
+    # shorter one raised IndexError.
+    pr = PolyRing(F, ["x", "y"])
+    x, y = pr.variable("x"), pr.variable("y")
+    for row_degs, column in (((0,), (x, y)), ((0, 0), (x,)), ((0,), ())):
+        with pytest.raises(IncompatibleOperandsError, match="column with"):
+            PolyMatrix.from_columns(pr, row_degs, [(y,) * len(row_degs), column], (1, 1))
+    assert PolyMatrix.from_columns(pr, (0, 0), [(x, y)], (1,)).entries == [[x], [y]]
 
 
 def test_presentation_rejects_inhomogeneous_entry(ring_two_nodes):

@@ -1,5 +1,7 @@
 import hashlib
+import heapq
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -624,6 +626,226 @@ def test_normal_form_matches_reference(seed, which, kind, field_tag):
     for _ in range(4):
         e = _random_element(tracked.tracked_module, rng, rng.randint(1, 3), rng.randint(1, 8))
         assert_matches_reference(e, active, tracked.order)
+
+
+# -- native coefficient arithmetic against the field's methods -----------------------
+
+def _normal_form_reference(e, basis, order):
+    """normal_form on the field's methods, as it was before its loop ran on
+    Python's operators: each sum reduced as it is made, a term that cancels
+    deleted from the work dict and pushed again if it comes back."""
+    by_position = groebner._index_leads(basis, order)
+    field = e.module.ring.field
+    add, mul, neg, div, is_zero = field.add, field.mul, field.neg, field.div, field.is_zero
+    pmask = order.position_mask
+    work = dict(e.terms)
+    heap = [-t for t in work]
+    heapq.heapify(heap)
+    remainder = {}
+    while heap:
+        t = -heapq.heappop(heap)
+        c = work.pop(t, None)
+        if c is None:
+            continue
+        for lead, i in by_position.get(t & pmask, ()):
+            if order.divides(lead, t):
+                break
+        else:
+            remainder[t] = c
+            continue
+        reducer = basis[i]
+        shift = t - lead
+        ncoeff = neg(div(c, reducer.terms[lead]))
+        for rt, rc in reducer.terms.items():
+            if rt == lead:
+                continue
+            u = rt + shift
+            d = mul(rc, ncoeff)
+            old = work.get(u)
+            if old is None:
+                work[u] = d
+                heapq.heappush(heap, -u)
+            else:
+                s = add(old, d)
+                if is_zero(s):
+                    del work[u]
+                else:
+                    work[u] = s
+    return Element(e.module, remainder)
+
+
+def _s_pair_reference(f, g, order):
+    """s_pair on the field's methods, as it was."""
+    field = f.module.ring.field
+    lf, lg = groebner.lead_term(f, order), groebner.lead_term(g, order)
+    lcm = order.lcm(lf, lg)
+    shift, coeff = lcm - lf, field.inv(f.terms[lf])
+    res = {t + shift: field.mul(c, coeff) for t, c in f.terms.items()}
+    shift, coeff = lcm - lg, field.inv(g.terms[lg])
+    for t, c in g.terms.items():
+        u, d = t + shift, field.mul(c, coeff)
+        old = res.get(u)
+        if old is None:
+            res[u] = field.neg(d)
+        else:
+            s = field.sub(old, d)
+            if field.is_zero(s):
+                del res[u]
+            else:
+                res[u] = s
+    return Element(f.module, res)
+
+
+def _interreduce_reference(basis, order):
+    """interreduce on _normal_form_reference and the field's methods."""
+    leads = [groebner.lead_term(g, order) for g in basis]
+    keep = [g for i, g in enumerate(basis)
+            if not any(j != i and order.divides(lj, leads[i]) and (lj != leads[i] or j < i)
+                       for j, lj in enumerate(leads))]
+    reduced = []
+    for i, g in enumerate(keep):
+        r = _normal_form_reference(g, keep[:i] + keep[i + 1:], order)
+        if r:
+            field = r.module.ring.field
+            inv = field.inv(r.terms[groebner.lead_term(r, order)])
+            reduced.append(Element(r.module, {t: field.mul(c, inv) for t, c in r.terms.items()}))
+    reduced.sort(key=lambda e: groebner.lead_term(e, order))
+    return reduced
+
+
+def _assert_canonical(e):
+    """Every coefficient of e is a field element: an int in [1, p) over
+    GF(p), a nonzero Fraction over the rationals."""
+    field = e.module.ring.field
+    for c in e.terms.values():
+        if isinstance(field, PrimeField):
+            assert type(c) is int and 0 < c < field.p, c
+        else:
+            assert type(c) is Fraction and c, c
+
+
+def _cancelling_element(free, rng, degree, n_terms):
+    """Homogeneous element with coefficients 1, -1, 2, -2 and 1/2 (mod p), so
+    that sums in a reduction often cancel and come back; the lead
+    coefficient is 1 only one time in five."""
+    field, nvars = free.ring.field, free.ring.nvars
+    coeffs = [field.from_int(k) for k in (1, -1, 2, -2)] + [field.inv(field.from_int(2))]
+    positions = [p for p, d in enumerate(free.gen_degs) if d <= degree]
+    terms = {}
+    for _ in range(n_terms):
+        p = rng.choice(positions)
+        mono = rng.choice(list(monomials_of_degree(nvars, degree - free.gen_degs[p])))
+        terms[(p, mono)] = rng.choice(coeffs)
+    return Element(free, terms)
+
+
+_FIELD_TAGS = ["f3", "f32003", "f4294967311", "rational"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31), st.sampled_from(_FIELD_TAGS),
+       st.sampled_from(TermOrder.KINDS))
+def test_native_arithmetic_matches_the_field_methods(seed, field_tag, kind):
+    # Unreduced work coefficients, made canonical once per popped term, give
+    # the same terms in the same order as reducing every sum as it is made.
+    # The reducers go in as drawn: not monic, not a Groebner basis.
+    rng = random.Random(seed)
+    pr = PolyRing(field_by_tag(field_tag), ["x", "y", "z"], TermOrder(kind))
+    free = FreeModule(pr, tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 2))))
+    order = ModuleOrder(free)
+
+    def draw():
+        return _coded(order, _cancelling_element(free, rng, rng.randint(1, 3),
+                                                 rng.randint(1, 7)))
+
+    basis = [draw() for _ in range(rng.randint(1, 5))]
+    for _ in range(4):
+        e = draw()
+        before = list(e.terms.items())
+        nf = normal_form(e, basis, order)
+        assert list(nf.terms.items()) == list(_normal_form_reference(e, basis, order).terms.items())
+        assert list(e.terms.items()) == before
+        _assert_canonical(nf)
+    for f in basis:
+        for g in basis:
+            if order.position(groebner.lead_term(f, order)) == order.position(
+                    groebner.lead_term(g, order)):
+                s = s_pair(f, g, order)
+                assert list(s.terms.items()) == list(_s_pair_reference(f, g, order).terms.items())
+                _assert_canonical(s)
+    reduced = groebner.interreduce(basis, order)
+    assert ([list(g.terms.items()) for g in reduced]
+            == [list(g.terms.items()) for g in _interreduce_reference(basis, order)])
+    # every element the engine hands back holds field elements, and the
+    # pair engine's basis elements are monic
+    gb = IncrementalModuleGB(order)
+    gb.extend(draw() for _ in range(3))
+    assert all(g.terms[groebner.lead_term(g, order)] == 1 for g in gb.basis + reduced)
+    tracked = TrackedSubmodule([_column(_decoded(order, g)) for g in basis],
+                               [order.element_degree(g) for g in basis], free)
+    for e in reduced + gb.basis + buchberger(basis, order) + tracked.active + tracked.collected:
+        _assert_canonical(e)
+
+
+@pytest.mark.parametrize("field_tag", _FIELD_TAGS)
+def test_a_coefficient_that_cancels_mod_p_and_comes_back(field_tag):
+    # Reducing 2x^3 by g1 = x^3 + (1/2) x y^2 leaves 1 - 2 * (p + 1)/2 = -p at
+    # x y^2: zero mod p, but not as an int.  Reducing x^2 y by g2 = x^2 y +
+    # x y^2 then makes it -p - 1, which must come out as -1.  Without x^2 y
+    # the term comes to zero and is skipped.  Scaling the reducers changes
+    # neither remainder.
+    field = field_by_tag(field_tag)
+    pr = PolyRing(field, ["x", "y", "z"])
+    free = FreeModule(pr, (0,))
+    order = ModuleOrder(free)
+    x, y = pr.variable("x"), pr.variable("y")
+    half, two = field.inv(field.from_int(2)), field.from_int(2)
+
+    def coded(poly):
+        return order.encode_column((poly,), free)
+
+    x3, xy2 = x * x * x, x * y * y
+    g1, g2 = x3 + xy2.scale(half), x * x * y + xy2
+    for scale in (field.one(), two):
+        basis = [coded(g1.scale(scale)), coded(g2.scale(scale))]
+        for e, want in ((x3.scale(two) + x * x * y + xy2, {(1, 2, 0): field.from_int(-1)}),
+                        (x3.scale(two) + xy2, {})):
+            nf = normal_form(coded(e), basis, order)
+            assert list(nf.terms.items()) == list(
+                _normal_form_reference(coded(e), basis, order).terms.items())
+            assert order.decode_rows(nf, 0, 1) == [want]
+            _assert_canonical(nf)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31), st.sampled_from(_FIELD_TAGS))
+def test_reduce_poly_matches_the_normal_form_cold_and_warm(seed, field_tag):
+    # Each polynomial is reduced on a basis that has met none of its
+    # monomials, then again once the basis has met all of them; the result
+    # is the polynomial itself exactly when no term is divisible by a lead.
+    rng = random.Random(seed)
+    field = field_by_tag(field_tag)
+    pr = PolyRing(field, ["x", "y", "z"])
+    free = FreeModule(pr, (0,))
+
+    def random_poly(degree):
+        out = pr.zero()
+        for _ in range(rng.randint(0, 4)):
+            out = out + pr.monomial(rng.choice(list(monomials_of_degree(3, degree))),
+                                    field.from_int(rng.randint(1, 50)))
+        return out
+
+    gb = groebner_basis([(random_poly(rng.randint(1, 2)),) for _ in range(rng.randint(0, 3))], free)
+    leads = [m for _, m in gb.lead_terms]
+    polys = [random_poly(rng.randint(0, 4)) for _ in range(6)]
+    warm = GroebnerBasis(free, gb.order, gb._basis, ())
+    for poly in polys + polys:
+        cold = GroebnerBasis(free, gb.order, gb._basis, ())
+        for basis in (cold, warm):
+            got = basis.reduce_poly(poly)
+            assert got.terms == basis.normal_form((poly,))[0].terms
+            reducible = any(mono_divides(lead, m) for lead in leads for m in poly.terms)
+            assert (got is poly) == (not reducible)
 
 
 # -- the one pair engine, pinned to the three loops it replaced -------------------

@@ -207,3 +207,18 @@ def test_ideal_contains_refuses_a_polynomial_of_another_ring():
     with pytest.raises(IncompatibleOperandsError):
         ideal_contains(gb, big.variable("x") * big.variable("z"))
     assert ideal_contains(gb, small.variable("x") * small.variable("y"))
+
+
+def test_reduce_refuses_a_polynomial_of_another_ring():
+    # Over k[x,y]/(xy), z of k[x,y,z] came back unchanged, since no lead
+    # divided it, while x*y*z raised; both are refused now, before any
+    # monomial of another ring is looked up.
+    small, big = PolyRing(F, ["x", "y"]), PolyRing(F, ["x", "y", "z"])
+    x, y = small.variable("x"), small.variable("y")
+    ring = RingPresentation(small, [x * y], label="xy")
+    bx, by, bz = (big.variable(v) for v in "xyz")
+    for poly in (bz, bx * by * bz, big.zero()):
+        with pytest.raises(IncompatibleOperandsError):
+            ring.reduce(poly)
+    assert ring.reduce(x * x) == x * x
+    assert ring.reduce(x * x * y).is_zero()
