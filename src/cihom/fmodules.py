@@ -356,7 +356,7 @@ class ModulePresentation:
         field = ring.field
         row_degs = list(self.gen_degs)
         col_degs = list(self.relations.col_degs)
-        ents = [[ring.reduce(p) for p in row] for row in self.relations.entries]
+        ents = [[ring.reduce(p) if p else p for p in row] for row in self.relations.entries]
 
         def find_unit():
             for i in range(len(row_degs)):
@@ -384,7 +384,8 @@ class ModulePresentation:
                     if ii == i:
                         continue
                     if ents[ii][j]:
-                        ents[ii][jj] = ring.reduce(ents[ii][jj] - ents[ii][j] * scale)
+                        p = ents[ii][jj] - ents[ii][j] * scale
+                        ents[ii][jj] = ring.reduce(p) if p else p
             del row_degs[i]
             del col_degs[j]
             ents.pop(i)

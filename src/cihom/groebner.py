@@ -24,7 +24,7 @@ target against it produces an explicit lift.  ``syzygy_generators``
 hands the syzygies out once, in their final free module and with coefficients
 reduced modulo the quotient ideal.  Membership needs no tracking: it is a
 normal form against an untracked basis (``GroebnerBasis.contains``,
-``IncrementalModuleGB.contains``).
+``IncrementalModuleGB.reduce``).
 
 Term codes.  Inside the pair engine (``normal_form``, ``s_pair``,
 ``IncrementalModuleGB``, ``interreduce`` and the bases of
@@ -544,9 +544,9 @@ class IncrementalModuleGB:
     homogeneous generators and drains the queued S-pairs by normal selection
     (smallest shifted lcm degree first, then the larger and the smaller
     basis index) with the chain criterion.  ``add`` inserts one generator
-    and leaves its pairs queued; ``contains`` drains only the pairs up to
-    the degree it asks about.  Basis elements are monic.  An element whose
-    lead lies in the tracking block (position >= ``order.split``) is
+    and leaves its pairs queued; ``reduce`` drains only the pairs up to the
+    degree of the element it reduces.  Basis elements are monic.  An element
+    whose lead lies in the tracking block (position >= ``order.split``) is
     collected unscaled in ``collected`` and never joins the basis.
     ``coprime`` also skips pairs with coprime leads, which is valid for
     rank-one input only.  Not interreduced (membership only needs the
@@ -617,12 +617,13 @@ class IncrementalModuleGB:
             self.add(e)
         self._drain()
 
-    def contains(self, e: Element) -> bool:
-        """Membership of the coded e, after draining the queued pairs up to its degree."""
+    def reduce(self, e: Element) -> Element:
+        """Normal form of the coded e, after draining the queued pairs up to
+        its degree: zero exactly when e lies in the submodule."""
         if not e:
-            return True
+            return e
         self._drain(self.order.element_degree(e))
-        return not normal_form(e, self.basis, self.order, self._by_position)
+        return normal_form(e, self.basis, self.order, self._by_position)
 
 
 def buchberger(elements: list, order: ModuleOrder, ideal_mode: bool = False) -> list:
@@ -893,7 +894,9 @@ def minimal_generator_indices(columns, col_degs, free: FreeModule, quotient_poly
     column already generated by them and the kept prefix is redundant, and
     graded Nakayama makes the kept set a minimal generating set of the
     quotient.  Each membership question drains the pairs only up to the
-    column's degree.
+    column's degree and reduces the column; a kept column enters the basis
+    as that nonzero normal form, which spans the same submodule with the
+    basis and forms no S-pair with the reducers of its own lead.
     """
     n = len(columns)
     order = shared_order(free)
@@ -906,9 +909,8 @@ def minimal_generator_indices(columns, col_degs, free: FreeModule, quotient_poly
         gb.add(order.encode_column(q, free))
     kept = []
     for i in sorted(range(n), key=lambda k: (col_degs[k], k)):
-        col = order.encode_column(columns[i], free)
-        if not col or gb.contains(col):
-            continue
-        kept.append(i)
-        gb.add(col)
+        r = gb.reduce(order.encode_column(columns[i], free))
+        if r:
+            kept.append(i)
+            gb.add(r)
     return sorted(kept)

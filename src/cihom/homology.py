@@ -1,14 +1,17 @@
 """Tor and Ext modules over the declared ring, with full profiles.
 
 Homology of a complex of finitely presented modules is presented as a
-subquotient on a minimal set of cycles: the kernel generators are syzygies of
-the outgoing map modulo the target's relations; a greedy membership pass in
-degree order drops those in the span of the image (the incoming map, the
-term's own relations and the quotient relations) and of the ones kept, which
-by graded Nakayama leaves a minimal generating set; the relations are the
-syzygies of the survivors modulo that image.  A vanishing module computes no
-relations, and no relation has a unit entry.  Tor_i(M, N) is the homology
-of (minimal resolution of M) tensor N, Ext^i the cohomology of
+subquotient on a minimal set of cycles, in two halves.  The generator half
+(``minimal_cycles``): the kernel generators are syzygies of the outgoing map
+modulo the target's relations; a greedy membership pass in degree order
+drops those in the span of the image (the incoming map, the term's own
+relations and the quotient relations) and of the ones kept, which by graded
+Nakayama leaves a minimal generating set.  The relation half
+(``MinimalCycles.presentation``): the syzygies of the survivors modulo that
+image.  A vanishing module computes no relations, and no relation has a
+unit entry, so the survivors' degrees are the minimal generator degrees of
+the module.  ``subquotient_presentation`` runs both.  Tor_i(M, N) is the
+homology of (minimal resolution of M) tensor N, Ext^i the cohomology of
 Hom(resolution, N); one builder makes both complexes, from the two
 Kronecker shapes of ``PolyMatrix``: the maps are d_i (x) 1 (``kron_identity``)
 and the relations of each term 1 (x) B (``identity_kron``), B those of N.
@@ -23,9 +26,13 @@ window covers, (c) window vanishing plus an applicable rigidity instance,
 A Tor profile fills itself on first read: each Tor_i, the tensor slot,
 the vanishing evidence and the resolution are built when a caller first
 asks for them, so a search that stops at the first nonzero Tor_i builds
-nothing past it.  Each entry (``HomologyEntry``) in turn fills its depth,
-dimension, finite length and Hilbert data on first read, so a verdict that
-reads only which Tor_i vanish builds no ambient resolution of them.  Built
+nothing past it.  Each entry (``HomologyEntry``) in turn takes whether it
+vanishes, its minimal generator count and its initial degree from the
+generator half, and computes the relation half, minimalizes and fills its
+depth, dimension, finite length and Hilbert data on first read; so a verdict
+that reads only which Tor_i vanish computes no relations among their cycles
+and no ambient resolution of them, and an error of the relation step
+surfaces on the first read that needs the presentation.  Built
 modules and the resolution cached on M's minimal presentation are reused by
 later reads; a profile is not safe to fill from two threads at once.  The
 linear-algebra verification path in ``oracle`` shares nothing with this
@@ -41,21 +48,43 @@ from .rings import (INF, RingPresentation, add_numerator, dimension_and_multipli
                     encode_infinite)
 
 
-def subquotient_presentation(ring: RingPresentation, gen_degs, outgoing: PolyMatrix | None,
-                             target_rels: PolyMatrix | None, incoming: PolyMatrix | None,
-                             own_rels: PolyMatrix | None, label="H") -> ModulePresentation:
-    """Presentation of ker(outgoing) / (im(incoming) + im(own_rels)).
+class MinimalCycles:
+    """The generator half of a subquotient ker(outgoing) / image: a minimal
+    set of kernel generators, ``columns`` of ``free`` in degrees
+    ``gen_degs``, and the image columns whose span they are taken modulo.
 
-    The ambient term T has generator coordinates R^{gen_degs}; ``outgoing``
-    maps T's generator space into the next term's (whose relations are
-    ``target_rels``), and ``incoming`` maps the previous term's generator
-    space in.  Any of the matrices may be None (no constraint / no image);
-    one whose degrees do not fit T raises ValueError.
-
-    The generators are a minimal set of kernel generators modulo the image
-    (graded Nakayama), so a vanishing subquotient computes no relations, and
-    no relation has a unit entry.
+    ``presentation()`` computes the relation half, the syzygies of the
+    columns modulo the image, and returns the built presentation; with no
+    columns it is the zero module and computes nothing.
     """
+
+    __slots__ = ("ring", "free", "columns", "gen_degs", "image", "label")
+
+    def __init__(self, ring: RingPresentation, free: FreeModule, columns, gen_degs, image,
+                 label="H"):
+        self.ring = ring
+        self.free = free
+        self.columns = columns
+        self.gen_degs = tuple(gen_degs)
+        self.image = image
+        self.label = label
+
+    def presentation(self) -> ModulePresentation:
+        if not self.gen_degs:
+            return ModulePresentation.zero(self.ring, label=self.label)
+        rel_cols, rel_degs = syzygy_generators(self.columns, self.gen_degs, self.free,
+                                               self.ring, self.image)
+        mat = PolyMatrix.from_columns(self.ring.poly_ring, self.gen_degs, rel_cols,
+                                      tuple(rel_degs))
+        return ModulePresentation(self.ring, self.gen_degs, mat, label=self.label)
+
+
+def minimal_cycles(ring: RingPresentation, gen_degs, outgoing: PolyMatrix | None,
+                   target_rels: PolyMatrix | None, incoming: PolyMatrix | None,
+                   own_rels: PolyMatrix | None, label="H") -> MinimalCycles:
+    """The generator half of ``subquotient_presentation`` (same arguments):
+    the kernel generators left by the greedy pass, which computes no
+    relation among them."""
     gen_degs = tuple(gen_degs)
     for name, mat, side in (("outgoing map", outgoing, "col_degs"),
                             ("incoming map", incoming, "row_degs"),
@@ -75,13 +104,28 @@ def subquotient_presentation(ring: RingPresentation, gen_degs, outgoing: PolyMat
     image = [c for mat in (incoming, own_rels) if mat is not None for c in mat.columns()]
     keep = minimal_generator_indices(ker_cols, ker_degs, own_free, ring.quotient_gens,
                                      relations=image)
-    if not keep:
-        return ModulePresentation.zero(ring, label=label)
-    ker_cols = [ker_cols[j] for j in keep]
-    ker_degs = tuple(ker_degs[j] for j in keep)
-    rel_cols, rel_degs = syzygy_generators(ker_cols, ker_degs, own_free, ring, image)
-    mat = PolyMatrix.from_columns(pr, ker_degs, rel_cols, tuple(rel_degs))
-    return ModulePresentation(ring, ker_degs, mat, label=label)
+    return MinimalCycles(ring, own_free, [ker_cols[j] for j in keep],
+                         [ker_degs[j] for j in keep], image, label=label)
+
+
+def subquotient_presentation(ring: RingPresentation, gen_degs, outgoing: PolyMatrix | None,
+                             target_rels: PolyMatrix | None, incoming: PolyMatrix | None,
+                             own_rels: PolyMatrix | None, label="H") -> ModulePresentation:
+    """Presentation of ker(outgoing) / (im(incoming) + im(own_rels)).
+
+    The ambient term T has generator coordinates R^{gen_degs}; ``outgoing``
+    maps T's generator space into the next term's (whose relations are
+    ``target_rels``), and ``incoming`` maps the previous term's generator
+    space in.  Any of the matrices may be None (no constraint / no image);
+    one whose degrees do not fit T raises ValueError.
+
+    The generators are a minimal set of kernel generators modulo the image
+    (graded Nakayama), so a vanishing subquotient computes no relations, and
+    no relation has a unit entry.  It is ``minimal_cycles(...)`` with its
+    relation half built.
+    """
+    return minimal_cycles(ring, gen_degs, outgoing, target_rels, incoming, own_rels,
+                          label=label).presentation()
 
 
 def kernel_of_map(psi: PolyMatrix, source: ModulePresentation,
@@ -103,25 +147,43 @@ def cokernel_of_map(psi: PolyMatrix, target: ModulePresentation,
 class HomologyEntry:
     """Minimal presentation and numeric profile of one Tor/Ext module.
 
-    The presentation, ``vanishes``, ``betti0`` and ``initial_degree`` are
-    set at construction.  ``depth`` (an ambient resolution), ``dim``,
-    ``finite_length`` and ``hilbert`` are filled on first read from the
+    ``module`` is the module's ``MinimalCycles`` or a presentation, which is
+    minimalized here.  ``vanishes``, ``betti0`` and ``initial_degree`` are
+    set at construction from the minimal generator degrees: the cycles' are
+    those of their minimalized presentation, since no relation among
+    minimal generators has a unit entry.  The presentation is built on
+    first read of ``presentation``, ``depth``, ``dim``, ``finite_length`` or
+    ``hilbert``: the relation half of the cycles, then ``minimalize``; the
+    entry then drops the cycles.  So a caller that reads only vanishing
+    computes no relations, and an error of the relation step surfaces on
+    that first read.  ``depth`` (an ambient resolution), ``dim``,
+    ``finite_length`` and ``hilbert`` are then filled from the
     presentation's own caches (its ambient resolution and its Hilbert
-    numerator), so a caller that reads only vanishing builds neither;
-    ``dim`` and ``finite_length`` never build the resolution.
+    numerator); ``dim`` and ``finite_length`` never build the resolution.
     """
 
-    __slots__ = ("index", "presentation", "vanishes", "betti0", "initial_degree",
+    __slots__ = ("index", "vanishes", "betti0", "initial_degree", "_cycles", "_presentation",
                  "_degree_bound", "_hilbert")
 
-    def __init__(self, index, presentation, degree_bound):
+    def __init__(self, index, module, degree_bound):
         self.index = index
-        self.presentation = presentation.minimalize()
-        self.vanishes = self.presentation.n_gens == 0
-        self.betti0 = self.presentation.n_gens
-        self.initial_degree = self.presentation.initial_degree()
+        if isinstance(module, MinimalCycles):
+            self._cycles, self._presentation = module, None
+        else:
+            self._cycles, self._presentation = None, module.minimalize()
+            module = self._presentation
+        self.betti0 = len(module.gen_degs)
+        self.vanishes = self.betti0 == 0
+        self.initial_degree = min(module.gen_degs, default=None)
         self._degree_bound = degree_bound
         self._hilbert = None
+
+    @property
+    def presentation(self) -> ModulePresentation:
+        if self._presentation is None:
+            self._presentation = self._cycles.presentation().minimalize()
+            self._cycles = None
+        return self._presentation
 
     @property
     def depth(self) -> float:
@@ -211,8 +273,8 @@ class TorProfile:
         left = self._left or self
         e = left._entries.get(i)
         if e is None:
-            mods, _ = _resolution_homology(left.M, left.N, i, i, 1)
-            e = left._entries[i] = HomologyEntry(i, mods[i], self.degree_bound)
+            cycles, _ = _resolution_homology(left.M, left.N, i, i, 1)
+            e = left._entries[i] = HomologyEntry(i, cycles[i], self.degree_bound)
         return e
 
     @property
@@ -308,7 +370,8 @@ def _vanishing_evidence(prof: TorProfile) -> dict:
 def _resolution_homology(M: ModulePresentation, N: ModulePresentation, lo: int, hi: int,
                          sign: int):
     """Homology at each index lo <= i <= hi of F tensor N (sign 1: Tor_i) or
-    of Hom(F, N) (sign -1: Ext^i), F a minimal resolution of M; also F.
+    of Hom(F, N) (sign -1: Ext^i), F a minimal resolution of M, as the
+    ``MinimalCycles`` of each; also F.
 
     Term i has generator degrees sign * a + b (a of F_i, b of N's minimal
     generators) and relations the twisted copies of N's relations.  Its maps
@@ -338,11 +401,12 @@ def _resolution_homology(M: ModulePresentation, N: ModulePresentation, lo: int, 
     for i in range(lo, hi + 1):
         label = f"{name}{i}({M.label},{N.label})"
         if not res.step_degrees(i) or not n_degs:
-            out[i] = ModulePresentation.zero(ring, label=label)
+            out[i] = MinimalCycles(ring, FreeModule(ring.poly_ring, ()), [], (), [],
+                                   label=label)
             continue
         lower, upper = kron(i), kron(i + 1)
         outgoing, incoming = (lower, upper) if sign > 0 else (upper, lower)
-        out[i] = subquotient_presentation(
+        out[i] = minimal_cycles(
             ring, tuple(sign * a + b for a in res.step_degrees(i) for b in n_degs),
             outgoing, rels(i - sign), incoming, rels(i), label=label)
     return out, res
@@ -367,14 +431,17 @@ def tor_profile(M: ModulePresentation, N: ModulePresentation, bound: int,
 def ext_modules(M: ModulePresentation, N: ModulePresentation, lo: int, hi: int) -> dict:
     """Ext^i(M, N) presentations for lo <= i <= hi, via Hom(resolution, N)."""
     M.check_same_ring(N)
-    return _resolution_homology(M, N, lo, hi, -1)[0]
+    cycles = _resolution_homology(M, N, lo, hi, -1)[0]
+    return {i: c.presentation() for i, c in cycles.items()}
 
 
 def ext_profile(M: ModulePresentation, N: ModulePresentation, bound: int,
                 degree_bound: int = 8) -> list:
-    """HomologyEntry list for Ext^i(M, N), i = 1..bound."""
-    mods = ext_modules(M, N, 1, bound)
-    return [HomologyEntry(i, mods[i], degree_bound) for i in range(1, bound + 1)]
+    """HomologyEntry list for Ext^i(M, N), i = 1..bound; each entry builds
+    its presentation on first read."""
+    M.check_same_ring(N)
+    cycles = _resolution_homology(M, N, 1, bound, -1)[0]
+    return [HomologyEntry(i, cycles[i], degree_bound) for i in range(1, bound + 1)]
 
 
 def ext_ambient_dimensions(M: ModulePresentation) -> dict:

@@ -496,16 +496,39 @@ def test_cli_bad_field_is_input_error(tag, tmp_path, capsys):
 def test_cli_invariant_error_in_a_tor_module_exits_4(monkeypatch, capsys):
     # Tor profiles are built when read; every read happens inside main's
     # error handling, so an invariant failure there never reaches emit_json.
+    # The failure is in the generator half of the Tor subquotients only.
     from cihom import homology
     from cihom.polynomials import InvariantError
+    real = homology.minimal_cycles
 
     def broken(*args, **kwargs):
-        raise InvariantError("subquotient broken")
+        if kwargs["label"].startswith("Tor"):
+            raise InvariantError("subquotient broken")
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(homology, "subquotient_presentation", broken)
+    monkeypatch.setattr(homology, "minimal_cycles", broken)
     assert main(["--example", "4.19", "--format", "json"]) == 4
     captured = capsys.readouterr()
     assert captured.err == "cihom: internal error: subquotient broken\n"
+    assert captured.out == ""
+
+
+def test_cli_invariant_error_in_the_relations_of_a_tor_module_exits_4(monkeypatch, capsys):
+    # A Tor entry builds the relations among its minimal cycles on the
+    # first read of its presentation, still inside main's error handling.
+    from cihom import homology
+    from cihom.polynomials import InvariantError
+    real = homology.MinimalCycles.presentation
+
+    def broken(self):
+        if self.label.startswith("Tor") and self.gen_degs:
+            raise InvariantError("relations broken")
+        return real(self)
+
+    monkeypatch.setattr(homology.MinimalCycles, "presentation", broken)
+    assert main(["--example", "3.11", "--format", "json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "cihom: internal error: relations broken\n"
     assert captured.out == ""
 
 

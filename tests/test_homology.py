@@ -100,8 +100,9 @@ def _eager_tor_profile_dict(M, N, bound, degree_bound, side="left"):
         doc = _eager_tor_profile_dict(N, M, bound, degree_bound)
         doc.update(module=M.label, argument=N.label, resolved_side="right")
         return doc
-    mods, res = _resolution_homology(M, N, 1, bound, 1)
-    entries = [HomologyEntry(i, mods[i], degree_bound) for i in range(1, bound + 1)]
+    cycles, res = _resolution_homology(M, N, 1, bound, 1)
+    entries = [HomologyEntry(i, cycles[i].presentation(), degree_bound)
+               for i in range(1, bound + 1)]
     tor0 = HomologyEntry(0, M.tensor(N), degree_bound)
     vanishing = _eager_vanishing_evidence(entries, res, M.ring, bound)
     periodicity = []
@@ -145,9 +146,10 @@ def test_on_demand_profile_matches_the_eager_builder(ring_quadric, ring_two_node
 
 
 def _count_builds(monkeypatch):
-    """Tor subquotients and HomologyEntry builds made from now on."""
+    """Tor subquotients (their generator half) and HomologyEntry builds made
+    from now on."""
     built = {"tor": 0, "entries": 0}
-    real_sub, real_init = homology.subquotient_presentation, HomologyEntry.__init__
+    real_sub, real_init = homology.minimal_cycles, HomologyEntry.__init__
 
     def sub(*args, **kwargs):
         built["tor"] += kwargs.get("label", "").startswith("Tor")
@@ -157,7 +159,7 @@ def _count_builds(monkeypatch):
         built["entries"] += 1
         real_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(homology, "subquotient_presentation", sub)
+    monkeypatch.setattr(homology, "minimal_cycles", sub)
     monkeypatch.setattr(HomologyEntry, "__init__", init)
     return built
 
@@ -361,27 +363,25 @@ def test_ring_depth(ring_two_nodes, ring_quadric):
 def test_tor_presentations_are_minimal_and_match_the_oracle(ring_quadric, ring_two_nodes,
                                                             seed, which):
     # The kernel generators left after dropping those in the image are a
-    # minimal generating set, so minimalize keeps every one of them, and the
-    # Hilbert data is the linear-algebra oracle's.
+    # minimal generating set, so the built presentation has exactly them and
+    # minimalize keeps every one, and the Hilbert data is the linear-algebra
+    # oracle's.
     ring = ring_quadric if which == "quadric" else ring_two_nodes
     M, N = _random_pair(ring, seed)
-    mods, _ = _resolution_homology(M, N, 1, 3, 1)
+    cycles, _ = _resolution_homology(M, N, 1, 3, 1)
     dims = tor_oracle(M, N, 3, 5)
     for i in range(1, 4):
-        pres = mods[i]
+        pres = cycles[i].presentation()
+        assert pres.gen_degs == cycles[i].gen_degs, (seed, i)
         assert pres.minimalize().gen_degs == pres.gen_degs, (seed, i)
         hilbert = pres.hilbert_function(5, dmin=min(dims[i], default=0))
         for d in sorted(set(dims[i]) | set(hilbert)):
             assert hilbert.get(d, 0) == dims[i].get(d, 0), (seed, i, d)
 
 
-def test_a_vanishing_tor_computes_no_relations(mod_M_two_nodes, mod_N_two_nodes, monkeypatch):
-    # Tor_1 and Tor_2 vanish on this pair and Tor_3 does not.  A vanishing
-    # Tor_i takes one tracked basis, for the kernel; a nonzero one a second,
-    # for the relations among its minimal cycles.
+def _count_tracked_bases(monkeypatch):
+    """TrackedSubmodule builds made from now on."""
     from cihom import groebner
-    resolve(mod_M_two_nodes, steps=4)
-    mod_N_two_nodes.minimalize()
     tracked = {"bases": 0}
     real_init = groebner.TrackedSubmodule.__init__
 
@@ -390,10 +390,95 @@ def test_a_vanishing_tor_computes_no_relations(mod_M_two_nodes, mod_N_two_nodes,
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(groebner.TrackedSubmodule, "__init__", counting_init)
+    return tracked
+
+
+def test_a_vanishing_tor_computes_no_relations(mod_M_two_nodes, mod_N_two_nodes, monkeypatch):
+    # Tor_1 and Tor_2 vanish on this pair and Tor_3 does not.  A vanishing
+    # Tor_i takes one tracked basis, for the kernel; a nonzero one a second,
+    # for the relations among its minimal cycles, and only when its
+    # presentation is built.
+    resolve(mod_M_two_nodes, steps=4)
+    mod_N_two_nodes.minimalize()
+    tracked = _count_tracked_bases(monkeypatch)
     for i, bases in ((1, 1), (2, 1), (3, 2)):
         tracked["bases"] = 0
-        tor = _resolution_homology(mod_M_two_nodes, mod_N_two_nodes, i, i, 1)[0][i]
+        cycles = _resolution_homology(mod_M_two_nodes, mod_N_two_nodes, i, i, 1)[0][i]
+        assert tracked["bases"] == 1, i
+        tor = cycles.presentation()
         assert (tor.n_gens == 0, tracked["bases"]) == (bases == 1, bases), i
+        assert tor.gen_degs == cycles.gen_degs, i
+
+
+def test_reading_only_vanishing_builds_no_relations(mod_M_two_nodes, mod_N_two_nodes,
+                                                    monkeypatch):
+    # Tor_3 of the two-node pair is nonzero.  Reading whether it vanishes
+    # takes the kernel's tracked basis alone; the first read of its
+    # presentation builds the second, for the relations, and drops the
+    # cycles; later reads of it build nothing (depth builds the ambient
+    # resolution, from the presentation already built).
+    resolve(mod_M_two_nodes, steps=4)
+    mod_N_two_nodes.minimalize()
+    tracked = _count_tracked_bases(monkeypatch)
+    entry = tor_profile(mod_M_two_nodes, mod_N_two_nodes, 3).entry(3)
+    assert not entry.vanishes and entry.betti0 > 0
+    assert tracked["bases"] == 1 and entry._presentation is None
+    pres = entry.presentation
+    assert tracked["bases"] == 2 and entry._cycles is None
+    assert pres.n_gens == entry.betti0 and min(pres.gen_degs) == entry.initial_degree
+    entry.depth, entry.dim, entry.hilbert
+    built = tracked["bases"]
+    assert entry.presentation is pres and tracked["bases"] == built
+
+
+def _entry_fields(e):
+    """Every field of a HomologyEntry, its presentation's relations as text."""
+    pres = e.presentation
+    return (e.index, e.vanishes, e.betti0, e.initial_degree, e.depth, e.dim,
+            e.finite_length, e.hilbert, e.normalized_hilbert(), e.as_dict(),
+            pres.gen_degs, pres.relations.col_degs, pres.relations.text_rows(), pres.label)
+
+
+def _eager_homology(M, N, i, sign):
+    """Tor_i (sign 1) or Ext^i (sign -1) of M and N, built eagerly by
+    subquotient_presentation on the complex written out here, minimalized."""
+    res = resolve(M, steps=i + 1)
+    Nmin = N.minimalize()
+    B, n_degs = Nmin.relations, Nmin.gen_degs
+    label = f"{'Tor' if sign > 0 else 'Ext'}{i}({M.label},{N.label})"
+    if not res.step_degrees(i) or not n_degs:
+        return ModulePresentation.zero(M.ring, label=label)
+
+    def rels(j):
+        degs = tuple(sign * a for a in res.step_degrees(j))
+        return B.identity_kron(degs) if degs else None
+
+    def kron(j):
+        d = res.differential(j)
+        return None if d is None else (d if sign > 0 else d.transpose()).kron_identity(n_degs)
+
+    outgoing, incoming = (kron(i), kron(i + 1)) if sign > 0 else (kron(i + 1), kron(i))
+    degs = tuple(sign * a + b for a in res.step_degrees(i) for b in n_degs)
+    return subquotient_presentation(M.ring, degs, outgoing, rels(i - sign), incoming, rels(i),
+                                    label=label).minimalize()
+
+
+@pytest.mark.parametrize("pair", ["two_nodes", "quadric", "periodic"])
+def test_lazy_entries_equal_the_eagerly_built_ones(mod_M_two_nodes, mod_N_two_nodes,
+                                                   mod_quadric, periodic_pair, pair):
+    # Tor_i and Ext^i entries built from their cycles against entries of
+    # subquotient_presentation(...).minimalize(), built eagerly: the same
+    # relations, generator degrees, depth, dimension and Hilbert data.
+    M, N = {"two_nodes": (mod_M_two_nodes, mod_N_two_nodes),
+            "quadric": (mod_quadric, mod_quadric), "periodic": periodic_pair}[pair]
+    bound, nonzero = 4, 0
+    for sign, lazy in ((1, tor_profile(M, N, bound, 6).entries),
+                       (-1, ext_profile(M, N, bound, 6))):
+        eager = [HomologyEntry(i, _eager_homology(M, N, i, sign), 6)
+                 for i in range(1, bound + 1)]
+        assert [_entry_fields(e) for e in lazy] == [_entry_fields(e) for e in eager], sign
+        nonzero += sum(not e.vanishes for e in lazy)
+    assert nonzero
 
 
 @pytest.mark.parametrize("slot", ["outgoing", "incoming", "own_rels"])
