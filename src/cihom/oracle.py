@@ -1,12 +1,20 @@
 """Degree-truncated sparse linear-algebra oracle for graded homology.
 
 An independent verification path: graded pieces of modules over R = S/(f)
-are represented by ambient monomial coordinates modulo explicit image
-subspaces, resolutions are rebuilt degree by degree from kernels of
-assembled coefficient matrices, and homology dimensions come from ranks.
-No Groebner machinery is used anywhere on this path.  Vectors are sparse
-dicts {coordinate index: value} and every rank, kernel and quotient comes
-from the one elimination in ``linalg``.
+are held in R's standard coordinates, resolutions are rebuilt degree by
+degree from kernels of assembled coefficient matrices, and homology
+dimensions come from ranks.  No Groebner machinery is used anywhere on
+this path.  Vectors are sparse dicts {coordinate index: value} and every
+rank, kernel and quotient comes from the one elimination in ``linalg``.
+
+The degree-e piece of R is the degree-e monomials of S modulo the
+multiples of the f's, reduced once per degree by the oracle's own
+elimination; the monomials that are not a pivot of it, the standard
+monomials, are a basis of R_e (Lazard's linear-algebra view of a graded
+quotient).  A slice of R^r, one block of degree-(d - g) monomials per
+generator of degree g, is taken modulo these reduced rows block by block,
+so every vector the oracle keeps lies on standard coordinates only, and the
+multiples of the f's never enter a kernel, a seed block or an induced map.
 
 The truncation is sound: a graded piece in degree d only involves
 generators and relations of degree <= d, so every reported value is exact.
@@ -20,7 +28,12 @@ from fractions import Fraction
 from .fields import PrimeField
 from .fmodules import ModulePresentation, PolyMatrix
 from .linalg import MAX_SLICE, EchelonAccumulator, SparseMatrix, _reduce, _rref
-from .polynomials import mono_mul, monomials_of_degree
+from .polynomials import (
+    IncompatibleOperandsError,
+    InvariantError,
+    mono_mul,
+    monomials_of_degree,
+)
 from .rings import RingPresentation
 
 
@@ -35,6 +48,11 @@ MAX_DEGREE = 8
 @functools.cache
 def monomial_basis(nvars: int, degree: int):
     return tuple(monomials_of_degree(nvars, degree))
+
+
+@functools.cache
+def _monomial_index(nvars: int, degree: int) -> dict:
+    return {m: i for i, m in enumerate(monomial_basis(nvars, degree))}
 
 
 def _kernel_basis(A: SparseMatrix, p):
@@ -53,17 +71,35 @@ def _kernel_basis(A: SparseMatrix, p):
 
 
 class QuotientSpace:
-    """A coordinate space modulo the span of some vectors, kept as their
-    reduced basis {pivot: row} from ``_rref``."""
+    """A coordinate space modulo a subspace, kept as a fully reduced basis
+    {pivot: row}: each row is one at its pivot and zero at every other one.
 
-    __slots__ = ("dim", "rank", "basis", "p")
+    The subspace is the span of ``vectors`` and, when ``basis`` is given,
+    of that fully reduced basis too; the vectors must then have zeros at its
+    pivots.  ``nonpivots`` lists the other coordinates in increasing order:
+    their unit vectors are a basis of the quotient."""
 
-    def __init__(self, dim: int, vectors: list, p):
+    __slots__ = ("dim", "basis", "nonpivots", "p")
+
+    def __init__(self, dim: int, vectors: list, p, basis: dict | None = None):
         self.dim = dim
         self.p = p
-        rows, pivots = _rref(SparseMatrix(vectors, dim), p)
-        self.basis = dict(zip(pivots, rows))
-        self.rank = len(pivots)
+        rows, pivots = _rref(SparseMatrix(vectors, dim), p) if vectors else ((), ())
+        own = dict(zip(pivots, rows))
+        if basis:
+            # The given rows have zeros at each other's pivots and the new
+            # rows have zeros at all of them, so clearing the new pivots from
+            # the given rows keeps the union fully reduced.
+            merged = {q: row if own.keys().isdisjoint(row) else _reduce(row, own, p)
+                      for q, row in basis.items()}
+            merged.update(own)
+            own = merged
+        self.basis = own
+        self.nonpivots = [i for i in range(dim) if i not in own]
+
+    @property
+    def rank(self) -> int:
+        return len(self.basis)
 
     @property
     def quotient_dim(self) -> int:
@@ -73,13 +109,14 @@ class QuotientSpace:
         """Residuals of the vectors V modulo the subspace: each has zeros at
         the pivots.  The subspaces are spanned by monomial shifts, so their
         rows are short and most entries of V meet no pivot."""
-        if not self.rank:
+        if not self.basis:
             return V
         return [_reduce(v, self.basis, self.p) if v else {} for v in V]
 
 
 class OracleContext:
-    """Shared grading data for one ring: slices, multiplication, subspaces."""
+    """Shared grading data for one ring: slices, standard coordinates,
+    subspaces."""
 
     def __init__(self, ring: RingPresentation, degree_bound: int):
         pr = ring.poly_ring
@@ -93,13 +130,15 @@ class OracleContext:
         field = pr.field
         self.p = field.p if isinstance(field, PrimeField) else None
         self._slices: dict = {}
+        self._pieces: dict = {}
+        self._free_spaces: dict = {}
         self._value_spaces: dict = {}
 
     # -- coordinates -------------------------------------------------------------
 
     def slice_coords(self, gen_degs: tuple, d: int):
-        """[(position, monomial)] basis of the degree-d piece of R^{gen_degs}
-        in ambient coordinates, plus the index map."""
+        """[(position, monomial)] basis of the degree-d piece of S^{gen_degs},
+        pos-major, plus the index map."""
         key = (gen_degs, d)
         if key not in self._slices:
             coords = []
@@ -115,67 +154,86 @@ class OracleContext:
         return self._slices[key]
 
     def vectors(self, gen_degs: tuple, d: int, sparse_vecs) -> list:
-        """{(pos, mono): coeff} vectors in the slice's coordinate indices;
-        terms outside the slice are dropped."""
+        """{(pos, mono): coeff} vectors in the slice's coordinate indices.
+        A term outside the slice means a vector of the wrong degree or rank,
+        and raises InvariantError."""
         _, index = self.slice_coords(gen_degs, d)
-        return [{index[cm]: c for cm, c in vec.items() if cm in index}
-                for vec in sparse_vecs]
+        try:
+            return [{index[cm]: c for cm, c in vec.items()} for vec in sparse_vecs]
+        except KeyError as err:
+            raise InvariantError(f"term {err.args[0]} lies outside the degree-{d} "
+                                 f"slice of generator degrees {gen_degs}") from None
 
     @staticmethod
     def shift(vec: dict, mono: tuple) -> dict:
         return {(pos, mono_mul(m, mono)): c for (pos, m), c in vec.items()}
 
-    def monomial_multiples(self, vec: dict, vec_deg: int, d: int):
-        """All monomial shifts of a sparse vector landing in degree d."""
-        e = d - vec_deg
+    def standard_monomials(self, e: int):
+        """The degree-e monomials that are no pivot of the ring's degree-e
+        piece: a basis of R_e."""
         if e < 0:
             return []
-        return [self.shift(vec, m) for m in monomial_basis(self.pr.nvars, e)]
+        basis = monomial_basis(self.pr.nvars, e)
+        return [basis[i] for i in self.ring_piece(e).nonpivots]
 
     # -- subspaces ----------------------------------------------------------------
 
-    def _quotient_multiples(self, gen_degs: tuple, d: int):
-        out = []
-        for f in self.ring.quotient_gens:
-            fd = f.degree()
-            for pos, g in enumerate(gen_degs):
-                e = d - g - fd
-                if e < 0:
+    def ring_piece(self, e: int) -> QuotientSpace:
+        """Degree-e piece of R: the degree-e monomials of S, indexed as in
+        ``monomial_basis``, modulo the multiples of the quotient generators."""
+        if e not in self._pieces:
+            nvars = self.pr.nvars
+            index = _monomial_index(nvars, e)
+            mults = []
+            for f in self.ring.quotient_gens:
+                for m in monomial_basis(nvars, e - f.degree()) if e >= f.degree() else ():
+                    mults.append({index[mono_mul(t, m)]: c for t, c in f.terms.items()})
+            self._pieces[e] = QuotientSpace(len(index), mults, self.p)
+        return self._pieces[e]
+
+    def free_space(self, gen_degs: tuple, d: int) -> QuotientSpace:
+        """Degree-d piece of R^{gen_degs}: the slice modulo the quotient
+        multiples, whose reduced rows are those of the ring's degree-(d - g)
+        piece at each generator's offset.  Its non-pivots are the slice's
+        standard coordinates."""
+        key = (gen_degs, d)
+        if key not in self._free_spaces:
+            coords, _ = self.slice_coords(gen_degs, d)
+            basis, off = {}, 0
+            for g in gen_degs:
+                if d < g:
                     continue
-                base = {(pos, m): c for m, c in f.terms.items()}
-                out.extend(self.monomial_multiples(base, g + fd, d))
-        return out
+                piece = self.ring_piece(d - g)
+                for q, row in piece.basis.items():
+                    basis[off + q] = {off + i: x for i, x in row.items()}
+                off += piece.dim
+            self._free_spaces[key] = QuotientSpace(len(coords), [], self.p, basis)
+        return self._free_spaces[key]
 
     def value_space(self, pres: ModulePresentation, d: int) -> QuotientSpace:
-        """Degree-d piece of a presented module: free coordinates of its
-        generator space modulo (relation images + quotient multiples).
+        """Degree-d piece of a presented module: the free space modulo the
+        standard multiples of the relation columns, reduced to standard
+        coordinates.  Its basis holds the free space's rows as well, so its
+        non-pivots index a basis of the module's degree-d piece.
 
         The cache key holds the presentation itself (hashed by identity), so
         it stays alive with the context and its id cannot pass to another."""
         key = (pres, d)
         if key not in self._value_spaces:
             gen_degs = pres.gen_degs
-            coords, _ = self.slice_coords(gen_degs, d)
-            cols = self._quotient_multiples(gen_degs, d)
-            for deg, vec in _presentation_columns(pres):
-                cols.extend(self.monomial_multiples(vec, deg, d))
-            self._value_spaces[key] = QuotientSpace(
-                len(coords), self.vectors(gen_degs, d, cols), self.p)
-        return self._value_spaces[key]
-
-    def free_space(self, gen_degs: tuple, d: int) -> QuotientSpace:
-        """Degree-d piece of R^{gen_degs} (quotient multiples only)."""
-        key = (("free",) + gen_degs, d)
-        if key not in self._value_spaces:
-            coords, _ = self.slice_coords(gen_degs, d)
-            cols = self._quotient_multiples(gen_degs, d)
-            self._value_spaces[key] = QuotientSpace(
-                len(coords), self.vectors(gen_degs, d, cols), self.p)
+            free = self.free_space(gen_degs, d)
+            # modulo the quotient multiples, the shifts of a relation column
+            # by the standard monomials span all its monomial shifts
+            cols = [self.shift(vec, m) for deg, vec in _presentation_columns(pres)
+                    for m in self.standard_monomials(d - deg)]
+            rels = free.reduce_columns(self.vectors(gen_degs, d, cols))
+            self._value_spaces[key] = QuotientSpace(free.dim, rels, self.p, free.basis)
         return self._value_spaces[key]
 
 
 class TruncatedStep:
-    """One free module of the degreewise-built resolution."""
+    """One free module of the degreewise-built resolution; each generator
+    vector lies on standard coordinates."""
 
     __slots__ = ("gen_degs", "gen_vecs")
 
@@ -199,31 +257,31 @@ def _presentation_columns(pres: ModulePresentation):
 
 
 def _kernel_piece(ctx: OracleContext, pres: ModulePresentation, steps, d: int):
-    """Vectors spanning the degree-d piece of the kernel of the last free
-    module's map, in that free module's coordinates, quotient multiples
-    included; None when it is zero.  For the first step the map is onto the
-    module, whose kernel is the span of the relation images and quotient
-    multiples (an echelon basis); later it is the induced map of the last
-    step, taken modulo the quotient multiples of its target."""
+    """A basis of the degree-d piece of the kernel of the last free module's
+    map, on that free module's standard coordinates; None when it is zero.
+    For the first step the map is onto the module, whose kernel is spanned
+    by the reduced standard multiples of the relations: the value space's
+    own rows.  Later it is the kernel of the induced map of the last step,
+    one column per standard coordinate of its source."""
     prev_degs = tuple(steps[-1].gen_degs)
+    free = ctx.free_space(prev_degs, d)
     if len(steps) == 1:
-        candidates = []
-        for cdeg, vec in _presentation_columns(pres):
-            candidates.extend(ctx.monomial_multiples(vec, cdeg, d))
-        candidates.extend(ctx._quotient_multiples(prev_degs, d))
-        A = SparseMatrix(ctx.vectors(prev_degs, d, candidates),
-                         len(ctx.slice_coords(prev_degs, d)[0]))
-        return _rref(A, ctx.p)[0] or None
+        vs = ctx.value_space(pres, d)
+        return [row for q, row in vs.basis.items() if q not in free.basis] or None
     prev = steps[-1]
     src_degs = tuple(steps[-2].gen_degs)
-    # columns of the induced map at degree d
+    coords, _ = ctx.slice_coords(prev_degs, d)
     cols = []
-    for g, vec in zip(prev.gen_degs, prev.gen_vecs):
-        for m in monomial_basis(ctx.pr.nvars, d - g) if d >= g else ():
-            cols.append(ctx.shift(vec, m))
+    for i in free.nonpivots:
+        pos, m = coords[i]
+        cols.append(ctx.shift(prev.gen_vecs[pos], m))
     target = ctx.free_space(src_degs, d)
     L = target.reduce_columns(ctx.vectors(src_degs, d, cols))
-    return _kernel_basis(SparseMatrix.from_columns(L, target.dim), ctx.p)
+    K = _kernel_basis(SparseMatrix.from_columns(L, target.dim), ctx.p)
+    if K is None:
+        return None
+    std = free.nonpivots
+    return [{std[j]: x for j, x in v.items()} for v in K]
 
 
 def truncated_resolution(ctx: OracleContext, pres: ModulePresentation, hsteps: int):
@@ -232,46 +290,39 @@ def truncated_resolution(ctx: OracleContext, pres: ModulePresentation, hsteps: i
     chosen minimally (complement of the lower-degree span)."""
     D = ctx.degree_bound
     nvars = ctx.pr.nvars
+    variables = [tuple(1 if w == v else 0 for w in range(nvars)) for v in range(nvars)]
     steps = [TruncatedStep(pres.gen_degs, [])]
     for step in range(1, hsteps + 1):
         prev_degs = tuple(steps[-1].gen_degs)
         gen_degs, gen_vecs = [], []
-        # columns that span the kernel piece one degree lower together with
-        # its quotient multiples
-        prev_base = None
+        prev_base = None   # a basis of the kernel piece one degree lower
         for d in range(min(prev_degs, default=0), D + 1):
             coords, index = ctx.slice_coords(prev_degs, d)
             P = _kernel_piece(ctx, pres, steps, d) if coords else None
             if P is None:
                 prev_base = None
                 continue
-            # The seeds (the reduced basis of the quotient multiples, then
-            # each variable times each column of prev_base) span the part of
-            # the kernel piece that lower-degree generators cover.  They fill
-            # one block and P follows them, so the greedy pick keeps exactly
-            # the columns of P outside the span of the seeds and of the
-            # columns of P left of them: a minimal set of new generators.
-            # The picks after the quotient multiples are the next prev_base:
-            # multiplying by a variable keeps quotient multiples inside the
-            # next ones.
-            block = list(ctx.free_space(prev_degs, d).basis.values())
-            nquotient = len(block)
+            # The seeds (each variable times each vector of prev_base, reduced
+            # to standard coordinates) span the part of the kernel piece that
+            # lower-degree generators cover.  They fill one block and P
+            # follows them, so the greedy pick keeps exactly the columns of P
+            # outside the span of the seeds and of the columns of P left of
+            # them: a minimal set of new generators.
+            seeds = []
             if prev_base is not None:
                 pcoords, _ = ctx.slice_coords(prev_degs, d - 1)
-                moves = []
-                for v in range(nvars):
-                    mono = tuple(1 if w == v else 0 for w in range(nvars))
-                    moves.append([index[(pos, mono_mul(m, mono))] for pos, m in pcoords])
-                block += [{move[i]: x for i, x in vec.items()}
-                          for vec in prev_base for move in moves]
-            nseeds = len(block)
-            block += P
-            picks = EchelonAccumulator(ctx.pr.field, len(coords)).add(block)
+                std = ctx.free_space(prev_degs, d - 1).nonpivots
+                moves = [{i: index[pcoords[i][0], mono_mul(pcoords[i][1], x)] for i in std}
+                         for x in variables]
+                seeds = ctx.free_space(prev_degs, d).reduce_columns(
+                    [{move[i]: c for i, c in vec.items()} for vec in prev_base for move in moves])
+            nseeds = len(seeds)
+            picks = EchelonAccumulator(ctx.pr.field, len(coords)).add(seeds + P)
             for j in picks:
                 if j >= nseeds:
                     gen_degs.append(d)
-                    gen_vecs.append({coords[i]: x for i, x in block[j].items()})
-            prev_base = [block[j] for j in picks if j >= nquotient]
+                    gen_vecs.append({coords[i]: x for i, x in P[j - nseeds].items()})
+            prev_base = P
         steps.append(TruncatedStep(gen_degs, gen_vecs))
         if not gen_degs:
             # kernel trivial through the degree bound: later steps stay empty
@@ -296,19 +347,22 @@ def tor_oracle(M: ModulePresentation, N: ModulePresentation, index_bound: int,
 
 def _induced_rank(ctx, src: TruncatedStep, tgt_degs, N, d) -> int:
     """Rank of (d_step tensor N)_d from the source step's free module into
-    that of tgt_degs.  Target generator pos contributes the block N_{d-g}
-    (g its degree), taken modulo its value space; the residual columns of
-    all blocks side by side span the image."""
+    that of tgt_degs.  Source generator g contributes one column per
+    non-pivot coordinate of N's value space at d - g, a basis element of
+    N_{d-g}; target generator pos receives the block N_{d-g} (g its
+    degree), taken modulo its value space; the residual columns of all
+    blocks side by side span the image."""
     spaces = [ctx.value_space(N, d - g) for g in tgt_degs]
     index = [ctx.slice_coords(N.gen_degs, d - g)[1] for g in tgt_degs]
     blocks = [[] for _ in tgt_degs]
     for g, vec in zip(src.gen_degs, src.gen_vecs):
-        for npos, nmono in ctx.slice_coords(N.gen_degs, d - g)[0]:
+        ncoords, _ = ctx.slice_coords(N.gen_degs, d - g)
+        for c in ctx.value_space(N, d - g).nonpivots:
+            npos, nmono = ncoords[c]
             parts = [{} for _ in tgt_degs]
-            for (pos, mono), c in vec.items():
-                i = index[pos].get((npos, mono_mul(nmono, mono)))
-                if i is not None:
-                    parts[pos][i] = parts[pos].get(i, 0) + c
+            # distinct terms of vec land on distinct coordinates
+            for (pos, mono), x in vec.items():
+                parts[pos][index[pos][npos, mono_mul(nmono, mono)]] = x
             for block, part in zip(blocks, parts):
                 block.append(part)
     cols = [{} for _ in blocks[0]] if blocks else []
@@ -359,34 +413,52 @@ def module_hilbert_oracle(M: ModulePresentation, degree_bound: int) -> dict:
     return out
 
 
+def _apply(psi: PolyMatrix, vec: dict, p) -> dict:
+    """psi times a {(source pos, mono): coeff} vector, as a {(target pos,
+    mono): coeff} vector without zero entries."""
+    out: dict = {}
+    for (j, mono), x in vec.items():
+        for i in range(psi.nrows):
+            poly = psi.entries[i][j]
+            if poly:
+                for m, y in poly.terms.items():
+                    key = (i, mono_mul(m, mono))
+                    out[key] = out.get(key, 0) + x * y
+    return {k: x for k, x in out.items() if (x % p if p is not None else x)}
+
+
 def map_kernel_cokernel_oracle(psi: PolyMatrix, source: ModulePresentation,
                                target: ModulePresentation, degree_bound: int):
     """Graded kernel and cokernel dimensions of a module map.
 
     psi maps source generators to the target generator space; the induced
     map on graded pieces gives both dimensions by rank-nullity.  psi enters
-    no presentation, so its grading is checked here.
+    no presentation, so it is checked here: it must be graded, its row
+    degrees must be the target's generator degrees and its column degrees
+    the source's, and through the degree bound it must carry each source
+    relation into the target's relations (IncompatibleOperandsError for the
+    last three).
     """
+    if psi.row_degs != target.gen_degs or psi.col_degs != source.gen_degs:
+        raise IncompatibleOperandsError(
+            f"map with row degrees {psi.row_degs} and column degrees {psi.col_degs} "
+            f"does not fit source generator degrees {source.gen_degs} and target "
+            f"generator degrees {target.gen_degs}")
     psi.check_graded()
     ctx = OracleContext(source.ring, degree_bound)
+    relations = _presentation_columns(source)
     lo = min(0, min(list(source.gen_degs) + list(target.gen_degs), default=0))
     ker, coker = {}, {}
     for d in range(lo, degree_bound + 1):
         src_q = ctx.value_space(source, d)
         tgt_q = ctx.value_space(target, d)
-        cols = []
+        images = [_apply(psi, vec, ctx.p) for deg, vec in relations if deg == d]
+        if any(tgt_q.reduce_columns(ctx.vectors(target.gen_degs, d, images))):
+            raise IncompatibleOperandsError(
+                f"map does not carry the degree-{d} source relations into the target's")
+        # one column per basis element of the source's degree-d piece
         coords_src, _ = ctx.slice_coords(source.gen_degs, d)
-        for (pos, mono) in coords_src:
-            vec = {}
-            for i in range(psi.nrows):
-                p = psi.entries[i][pos]
-                if p:
-                    for m, c in p.terms.items():
-                        key = (i, mono_mul(m, mono))
-                        vec[key] = c
-            cols.append(vec)
-        # psi descends, so source-subspace columns reduce to zero residuals
-        # and the residual column span is exactly the induced image
+        cols = [_apply(psi, {coords_src[c]: 1}, ctx.p) for c in src_q.nonpivots]
         A_red = tgt_q.reduce_columns(ctx.vectors(target.gen_degs, d, cols))
         rank_ind = len(EchelonAccumulator(ctx.pr.field, tgt_q.dim).add(A_red))
         ker[d] = src_q.quotient_dim - rank_ind

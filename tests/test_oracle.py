@@ -1,3 +1,4 @@
+import functools
 import os
 import random
 import subprocess
@@ -6,15 +7,18 @@ import sys
 import pytest
 
 from cihom.fields import PrimeField, field_by_tag
-from cihom.fmodules import ModulePresentation
+from cihom.fmodules import ModulePresentation, PolyMatrix
 from cihom.homology import tor_profile
 from cihom.oracle import (
     OracleContext,
     OracleTooLargeError,
+    map_kernel_cokernel_oracle,
     module_hilbert_oracle,
     tor_oracle,
+    truncated_resolution,
 )
-from cihom.polynomials import PolyRing
+from cihom.polynomials import IncompatibleOperandsError, InvariantError, PolyRing
+from cihom.resolutions import resolve
 from cihom.rings import RingPresentation
 from cihom.search import random_homogeneous_module
 
@@ -185,3 +189,106 @@ def test_importing_cihom_does_not_load_the_oracle():
                           timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "False"]
+
+
+def _three_rings(field):
+    """The node, the two-node ring and the quadric over one field."""
+    node = PolyRing(field, ["x", "y"])
+    x, y = node.variable("x"), node.variable("y")
+    two = PolyRing(field, ["x", "y", "z", "u"])
+    a, b, c, e = (two.variable(v) for v in "xyzu")
+    quad = PolyRing(field, ["x", "y", "w", "z"])
+    p, q, r, s = (quad.variable(v) for v in "xywz")
+    f = p * r - q * s
+    return (RingPresentation(node, [x * y], label="R_node"),
+            RingPresentation(two, [a * b, c * e], label="R_xyzu"),
+            RingPresentation(quad, [f], label="R_quadric", minimal_primes=[[f]]))
+
+
+@pytest.mark.parametrize("tag", ["f32003", "f3", "rational"])
+def test_truncated_resolution_matches_graded_betti_numbers(tag):
+    # Every step's generator degrees are the graded Betti numbers of the
+    # minimal resolution through the degree bound.
+    bound, hsteps = 7, 5
+    for ring in _three_rings(field_by_tag(tag)):
+        for seed in range(6):
+            M = random_homogeneous_module(ring, random.Random(seed), 2, 2, "A")
+            steps = truncated_resolution(OracleContext(ring, bound), M, hsteps)
+            res = resolve(M, hsteps)
+            for i in range(hsteps + 1):
+                want = sorted(g for g in res.step_degrees(i) if g <= bound)
+                assert sorted(steps[i].gen_degs) == want, (ring.label, seed, i)
+
+
+@pytest.mark.parametrize("gen_degs", [(0,), (0, 0), (1, 0, 1), (-1, 2), (-2, -2, 0), ()])
+def test_free_space_dimension_is_the_hilbert_function(ring_two_nodes, ring_quadric,
+                                                     ring_node, gen_degs):
+    # The free space is assembled from one reduced piece of R per degree,
+    # one block per generator; its quotient dimension is sum_g HF_R(d - g).
+    for ring in (ring_node, ring_two_nodes, ring_quadric):
+        ctx = OracleContext(ring, 8)
+        hf = ModulePresentation.free(ring, gen_degs).hilbert_function(8, dmin=-3)
+        for d in range(-3, 9):
+            free = ctx.free_space(gen_degs, d)
+            assert free.quotient_dim == hf[d], (ring.label, d)
+            assert free.dim == len(ctx.slice_coords(gen_degs, d)[0])
+
+
+def test_value_space_rows_are_zero_at_every_other_pivot(ring_two_nodes, ring_quadric):
+    # _reduce clears each pivot of a vector with one pass over the rows,
+    # which holds only when every row is zero at every other pivot.
+    rng = random.Random(11)
+    for ring in (ring_two_nodes, ring_quadric):
+        ctx = OracleContext(ring, 6)
+        for _ in range(4):
+            M = random_homogeneous_module(ring, rng, 2, 2, "A")
+            hf = M.hilbert_function(6, dmin=0)
+            for d in range(0, 7):
+                vs = ctx.value_space(M, d)
+                assert vs.quotient_dim == len(vs.nonpivots) == hf[d]
+                for q, row in vs.basis.items():
+                    assert row[q] == 1
+                    assert not any(i in vs.basis for i in row if i != q), (ring.label, d, q)
+
+
+def test_map_that_does_not_fit_its_modules_is_refused(ring_two_nodes):
+    # Unchecked, each gives a wrong answer: the whole source as kernel for
+    # a column declared in the wrong degree, a dropped row, an ignored
+    # column, a kernel read off a map that does not descend.
+    pr = ring_two_nodes.poly_ring
+    x, z = pr.variable("x"), pr.variable("z")
+    free = functools.partial(ModulePresentation.free, ring_two_nodes)
+    cases = [
+        (PolyMatrix(pr, (0, 0), (2,), [[x * x], [z * z]]), free((1,)), free((0, 0))),
+        (PolyMatrix(pr, (0, 0, 0), (1,), [[x], [z], [x]]), free((1,)), free((0, 0))),
+        (PolyMatrix(pr, (0,), (1, 1), [[x, z]]), free((1,)), free((0,))),
+    ]
+    # 1 on R/(x) -> R is no map: x goes to x, which is not zero in R
+    quotient = functools.partial(ModulePresentation.quotient_by_ideal, ring_two_nodes)
+    one = pr.monomial((0, 0, 0, 0), F.from_int(1))
+    cases.append((PolyMatrix(pr, (0,), (0,), [[one]]), quotient([x]), free((0,))))
+    for psi, source, target in cases:
+        with pytest.raises(IncompatibleOperandsError):
+            map_kernel_cokernel_oracle(psi, source, target, 4)
+    # 1 on R/(x) -> R/(x, y) is one, with kernel (x, y)/(x) = y R/(x)
+    y = pr.variable("y")
+    source, target = quotient([x]), quotient([x, y])
+    ker, coker = map_kernel_cokernel_oracle(PolyMatrix(pr, (0,), (0,), [[one]]),
+                                            source, target, 3)
+    hs, ht = source.hilbert_function(3, dmin=0), target.hilbert_function(3, dmin=0)
+    assert ker == {d: hs[d] - ht[d] for d in range(4)} and ker[1] == 1
+    assert coker == {0: 0, 1: 0, 2: 0, 3: 0}
+    # a fitting map still works: x and z on R(-1)^2 -> R
+    psi = PolyMatrix(pr, (0,), (1, 1), [[x, z]])
+    ker, coker = map_kernel_cokernel_oracle(psi, free((1, 1)), free((0,)), 3)
+    assert coker == {0: 1, 1: 2, 2: 3, 3: 4}
+    assert ker[1] == 0
+
+
+def test_term_outside_its_slice_is_an_invariant_error(ring_two_nodes):
+    ctx = OracleContext(ring_two_nodes, 4)
+    _, index = ctx.slice_coords((0,), 1)
+    assert ctx.vectors((0,), 1, [{(0, (1, 0, 0, 0)): 1}]) == [{index[0, (1, 0, 0, 0)]: 1}]
+    for vec in ({(0, (2, 0, 0, 0)): 1}, {(1, (1, 0, 0, 0)): 1}):
+        with pytest.raises(InvariantError):
+            ctx.vectors((0,), 1, [vec])
