@@ -5,7 +5,8 @@ whose columns are homogeneous relations (entries are stored as ambient-ring
 polynomials and read modulo the quotient ideal).  The derived data,
 minimal form, one Hilbert series per presentation (Hilbert function,
 dimension, length), depth via the finite ambient resolution, Serre conditions
-via Ext codimensions, torsion and reflexivity via the biduality map, free loci
+via Ext codimensions, torsion-freeness via the evaluation map on the dual's
+generators and reflexivity via the level-two depth condition, free loci
 and rank profiles, all live here.  Presentations are immutable; cached derived
 values are computed once.  The two Kronecker shapes of a relation matrix,
 ``kron_identity`` (A (x) 1) and ``identity_kron`` (1 (x) B), build the tensor
@@ -26,7 +27,6 @@ from .polynomials import (
 )
 from .groebner import (
     FreeModule,
-    TrackedSubmodule,
     initial_terms,
     minimal_generator_indices,
     syzygy_generators,
@@ -242,15 +242,63 @@ class ModuleProfile:
 
 
 class BidualityReport:
-    """Kernel/cokernel of the biduality map plus the derived predicates."""
+    """Torsion-freeness and reflexivity of a module M over a certified
+    complete intersection (a Gorenstein ring), each decided by its own exact
+    test on M's minimal presentation, and nothing is computed before a field
+    is read.
 
-    __slots__ = ("kernel", "cokernel", "torsion_free", "reflexive")
+    ``torsion_free``: the kernel of M -> M** is the kernel of the evaluation
+    map u: M -> R^m, x -> (phi_1(x), .., phi_m(x)), the phi_k a minimal
+    generating set of M* (``dual_generators``), because M** embeds in
+    (R^m)* = R^m.  So M is torsion-free when u has no minimal cycles modulo
+    M's relations (``homology.minimal_cycles``); no double dual and no
+    relation among the cycles is built.  M = 0 is torsion-free; M* = 0 with
+    M nonzero is not.
+    ``reflexive``: over a Gorenstein ring, reflexive is equivalent to the
+    depth condition (S_2) (Evans and Griffith, Syzygies, 1985, Thm 3.8;
+    Auslander and Bridger, 1969), read from ``satisfies_serre(2)``, which
+    shares its ambient resolution and Ext dimensions with every Serre level.
+    ``kernel``: the evaluation kernel, minimalized, the witness of torsion;
+    its relations are built only when it is read on a module with torsion.
+    The report keeps the cycles and the kernel; the dual generators, the
+    ambient resolution and the Ext dimensions are kept by the presentation.
+    """
 
-    def __init__(self, kernel, cokernel, torsion_free, reflexive):
-        self.kernel = kernel
-        self.cokernel = cokernel
-        self.torsion_free = torsion_free
-        self.reflexive = reflexive
+    __slots__ = ("module", "_cycles", "_kernel")
+
+    def __init__(self, module: "ModulePresentation"):
+        self.module = module
+        self._cycles = None
+        self._kernel = None
+
+    def _evaluation_cycles(self):
+        """Minimal cycles of the evaluation map modulo M's relations; only
+        asked for when M* is nonzero."""
+        if self._cycles is None:
+            from .homology import minimal_cycles
+            M = self.module
+            self._cycles = minimal_cycles(M.ring, M.gen_degs, M.dual_generators().transpose(),
+                                          None, None, M.relations, label="ker")
+        return self._cycles
+
+    @property
+    def torsion_free(self) -> bool:
+        M = self.module
+        return M.n_gens == 0 or (M.dual_generators().ncols > 0
+                                 and not self._evaluation_cycles().gen_degs)
+
+    @property
+    def reflexive(self) -> bool:
+        return self.module.satisfies_serre(2)
+
+    @property
+    def kernel(self) -> "ModulePresentation":
+        if self._kernel is None:
+            M = self.module
+            # with M* = 0 every element evaluates to zero (M = 0 included)
+            self._kernel = (self._evaluation_cycles().presentation().minimalize()
+                            if M.dual_generators().ncols else M)
+        return self._kernel
 
     def __repr__(self):
         return f"BidualityReport(torsion_free={self.torsion_free}, reflexive={self.reflexive})"
@@ -267,7 +315,7 @@ class ModulePresentation:
 
     __slots__ = ("ring", "gen_degs", "relations", "label",
                  "_minimal", "_hf_num", "_ambient_pres", "_free_module", "_res_cache",
-                 "_ext_dims", "_dual_gens")
+                 "_ext_dims", "_dual_gens", "_biduality")
 
     def __init__(self, ring: RingPresentation, gen_degs, relations: PolyMatrix,
                  label="M"):
@@ -285,6 +333,7 @@ class ModulePresentation:
         self._res_cache = None
         self._ext_dims = None
         self._dual_gens = None
+        self._biduality = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -485,8 +534,8 @@ class ModulePresentation:
         """Generators of Hom(M, R) inside the dual coordinates of the
         generator space: the matrix whose rows have degrees -gen_degs and
         whose columns are a minimal set of dual generators.  Computed once
-        per presentation: biduality and ``pushforward`` both read it from the
-        minimal presentation."""
+        per presentation: the torsion-free test of ``biduality_report`` and
+        ``pushforward`` both read it from the minimal presentation."""
         if self._dual_gens is None:
             pr = self.ring.poly_ring
             dual_degs = tuple(-d for d in self.gen_degs)
@@ -508,50 +557,17 @@ class ModulePresentation:
         return _image_presentation(self.ring, self.dual_generators(), label=f"{self.label}*")
 
     def biduality_report(self) -> BidualityReport:
-        """Kernel and cokernel of M -> M**; torsion-freeness and reflexivity.
-
-        Valid over a certified complete intersection (Gorenstein) ring, where
-        reflexive is equivalent to the depth condition at level two.
+        """Torsion-freeness and reflexivity of M (see ``BidualityReport``),
+        one report per minimal presentation, each field computed when it is
+        read.  Needs a certified complete intersection, which is Gorenstein:
+        there the evaluation kernel is the kernel of M -> M**, and reflexive
+        is equivalent to the depth condition at level two.
         """
         self.ring.require_certified()
-        from .homology import cokernel_of_map, kernel_of_map
         M = self.minimalize()
-        if M.n_gens == 0:
-            zero = ModulePresentation.zero(self.ring)
-            return BidualityReport(zero, zero, True, True)
-        psi, bidual = M.biduality_map()
-        ker = kernel_of_map(psi, M, bidual).minimalize()
-        coker = cokernel_of_map(psi, bidual).minimalize()
-        torsion_free = ker.n_gens == 0 and M.satisfies_serre(1)
-        reflexive = ker.n_gens == 0 and coker.n_gens == 0
-        return BidualityReport(ker, coker, torsion_free, reflexive)
-
-    def biduality_map(self):
-        """The natural map M -> M** as a matrix on generators, plus M**.
-
-        Row i of the minimal dual-generator matrix is the evaluation of the
-        i-th generator of M on Hom(M, R); its lift through the generators of
-        the double dual gives the i-th column of the map.
-        """
-        M = self.minimalize()
-        pr = self.ring.poly_ring
-        D = M.dual_generators()
-        D2 = _image_presentation(self.ring, D, f"{M.label}*").dual_generators() if D.ncols else D
-        if not D2.ncols:
-            return (PolyMatrix.zero(pr, (), M.gen_degs),
-                    ModulePresentation.zero(self.ring, label=f"{M.label}**"))
-        # one tracked basis of the double dual's generators gives both its
-        # syzygies (the presentation) and the lifts below
-        tracked = TrackedSubmodule(D2.columns(), D2.col_degs, FreeModule(pr, D2.row_degs),
-                                   self.ring)
-        bidual = _image_presentation(self.ring, D2, f"{M.label}**", tracked)
-        psi_cols = []
-        for row in D.entries:
-            lifted = tracked.lift(tuple(row))
-            if lifted is None:
-                raise InvariantError("biduality evaluation must lie in the double dual")
-            psi_cols.append(lifted)
-        return PolyMatrix.from_columns(pr, D2.col_degs, psi_cols, M.gen_degs), bidual
+        if M._biduality is None:
+            M._biduality = BidualityReport(M)
+        return M._biduality
 
     # -- numerical profile -------------------------------------------------------------
 
@@ -769,17 +785,13 @@ class ModulePresentation:
                 f"{self.n_rels} relations over {self.ring.label})")
 
 
-def _image_presentation(ring: RingPresentation, gens: PolyMatrix, label,
-                        tracked=None) -> ModulePresentation:
+def _image_presentation(ring: RingPresentation, gens: PolyMatrix, label) -> ModulePresentation:
     """The submodule generated by the columns of ``gens``, presented on them
-    by their syzygies; zero without columns.  ``tracked`` is the columns'
-    ``TrackedSubmodule`` when the caller has already built it."""
+    by their syzygies; zero without columns."""
     if not gens.ncols:
         return ModulePresentation.zero(ring, label=label)
-    if tracked is None:
-        tracked = TrackedSubmodule(gens.columns(), gens.col_degs,
-                                   FreeModule(ring.poly_ring, gens.row_degs), ring)
-    syz, syz_degs = tracked.syzygy_elements()
+    syz, syz_degs = syzygy_generators(gens.columns(), gens.col_degs,
+                                      FreeModule(ring.poly_ring, gens.row_degs), ring)
     mat = PolyMatrix.from_columns(ring.poly_ring, gens.col_degs, syz, tuple(syz_degs))
     return ModulePresentation(ring, gens.col_degs, mat, label=label)
 

@@ -376,15 +376,17 @@ def _induced_rank(ctx, src: TruncatedStep, tgt_degs, N, d) -> int:
 
 def _homology_dims(ctx: OracleContext, steps, N: ModulePresentation,
                    index_bound: int, degree_bound: int) -> dict:
-    Nmin = N.minimalize()
+    # N is read as given: its graded pieces do not depend on the presentation,
+    # and its initial degree is the first given generator degree where it is
+    # nonzero (a generator below that degree is zero in N)
     min_res = min((g for st in steps for g in st.gen_degs), default=0)
-    min_n = min(Nmin.gen_degs, default=0)
+    min_n = next((g for g in sorted(set(N.gen_degs)) if ctx.value_space(N, g).quotient_dim), 0)
     lo = min(0, min_res + min_n)
     ranks: dict = {}   # (step j, degree d) -> rank of (d_j tensor N)_d
 
     def rank(j, d):
         if (j, d) not in ranks:
-            ranks[j, d] = (_induced_rank(ctx, steps[j], steps[j - 1].gen_degs, Nmin, d)
+            ranks[j, d] = (_induced_rank(ctx, steps[j], steps[j - 1].gen_degs, N, d)
                            if steps[j].gen_degs else 0)
         return ranks[j, d]
 
@@ -392,7 +394,7 @@ def _homology_dims(ctx: OracleContext, steps, N: ModulePresentation,
     for i in range(1, index_bound + 1):
         dims_i = {}
         for d in range(lo, degree_bound + 1):
-            dimQ_src = sum(ctx.value_space(Nmin, d - g).quotient_dim for g in steps[i].gen_degs)
+            dimQ_src = sum(ctx.value_space(N, d - g).quotient_dim for g in steps[i].gen_degs)
             if dimQ_src == 0:
                 dims_i[d] = 0
                 continue

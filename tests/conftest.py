@@ -1,6 +1,8 @@
+import functools
+
 import pytest
 
-from cihom.fields import PrimeField
+from cihom.fields import PrimeField, field_by_tag
 from cihom.fmodules import ModulePresentation
 from cihom.polynomials import PolyRing
 from cihom.rings import RingPresentation
@@ -39,6 +41,27 @@ def ring_node3():
     pr = PolyRing(FIELD, ["x", "y", "z"])
     x, y, z = (pr.variable(v) for v in "xyz")
     return RingPresentation(pr, [x * y], label="R_node3")
+
+
+def _three_rings(field):
+    """The node, the two-node ring and the quadric over one field."""
+    node = PolyRing(field, ["x", "y"])
+    x, y = node.variable("x"), node.variable("y")
+    two = PolyRing(field, ["x", "y", "z", "u"])
+    a, b, c, e = (two.variable(v) for v in "xyzu")
+    quad = PolyRing(field, ["x", "y", "w", "z"])
+    p, q, r, s = (quad.variable(v) for v in "xywz")
+    f = p * r - q * s
+    return (RingPresentation(node, [x * y], label="R_node"),
+            RingPresentation(two, [a * b, c * e], label="R_xyzu"),
+            RingPresentation(quad, [f], label="R_quadric", minimal_primes=[[f]]))
+
+
+@pytest.fixture(scope="session")
+def rings_over():
+    """rings_over(tag): the node, the two-node ring and the quadric over the
+    field with that tag, built once per tag."""
+    return functools.cache(lambda tag: _three_rings(field_by_tag(tag)))
 
 
 def var(ring, name):

@@ -56,26 +56,29 @@ def test_pushforward_m_counts_dual_generators(mod_M_two_nodes):
 
 def test_dual_generators_are_computed_once(mod_quadric, monkeypatch):
     # pushforward reads the dual generators of the minimal presentation twice,
-    # through biduality and for the embedding; the second read does no
-    # syzygy work.  calls records each tracked Groebner basis fmodules
-    # builds: a syzygy_generators call or a TrackedSubmodule of its own.
+    # through the torsion-free test and for the embedding u, and computes
+    # them once; its kernel_zero certificate is the torsion-free test's
+    # kernel of the same u, so the kernel of u is taken once.  The other
+    # minimal-cycle pass is the middle homology of M -> R^(m) -> M1.
     from cihom import fmodules
     Mq = ModulePresentation(mod_quadric.ring, mod_quadric.gen_degs, mod_quadric.relations,
                             label="Mq").minimalize()
-    first = Mq.dual_generators()
-    calls = []
-    for name in ("syzygy_generators", "TrackedSubmodule"):
-        real = getattr(fmodules, name)
-        monkeypatch.setattr(fmodules, name, lambda *args, real=real, **kwargs:
-                            calls.append(args) or real(*args, **kwargs))
-    assert Mq.dual_generators() is first
-    assert calls == []
+    calls = {"dual": 0, "ker": 0, "middle": 0}
+    real_syz, real_cycles = fmodules.syzygy_generators, homology.minimal_cycles
+
+    def counting_syz(*args, **kwargs):
+        calls["dual"] += 1
+        return real_syz(*args, **kwargs)
+
+    def counting_cycles(*args, **kwargs):
+        calls[kwargs["label"]] += 1
+        return real_cycles(*args, **kwargs)
+
+    monkeypatch.setattr(fmodules, "syzygy_generators", counting_syz)
+    monkeypatch.setattr(homology, "minimal_cycles", counting_cycles)
     pf = pushforward(Mq)
-    assert pf.exact and pf.m == first.ncols
-    # Biduality presents M*, finds its dual generators and presents M** from
-    # the tracked basis that also lifts the biduality map; the dual
-    # generators of Mq are not recomputed, by biduality or the embedding.
-    assert len(calls) == 3
+    assert pf.exact and pf.m == Mq.dual_generators().ncols
+    assert calls == {"dual": 1, "ker": 1, "middle": 1}
 
 
 def test_pushforward_serre_drop(mod_M_two_nodes):

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from cihom.fields import PrimeField
 from cihom.fmodules import ModulePresentation, PolyMatrix, equal_hilbert_functions
+from cihom.groebner import FreeModule, TrackedSubmodule
+from cihom.homology import cokernel_of_map, kernel_of_map
 from cihom.polynomials import (
     GradedViolationError,
     IncompatibleOperandsError,
@@ -202,12 +204,17 @@ def test_serre_quadric_module(mod_quadric):
     assert not mod_quadric.satisfies_serre(3)
 
 
-def test_serre_matches_biduality_on_catalog(mod_M_two_nodes, mod_N_two_nodes,
-                                            mod_quadric):
-    for mod in (mod_M_two_nodes, mod_N_two_nodes, mod_quadric):
-        rep = mod.biduality_report()
-        assert rep.reflexive == mod.satisfies_serre(2)
-        assert rep.torsion_free == mod.satisfies_serre(1)
+def test_serre_matches_biduality_on_catalog(mod_M_two_nodes, mod_N_two_nodes, mod_quadric,
+                                            ring_quadric, ring_two_nodes):
+    # the catalog modules, and a module of each class for the double-dual
+    # cross-check below: torsion (with M* nonzero and with M* = 0),
+    # torsion-free but not reflexive, reflexive
+    mods = (mod_M_two_nodes, mod_N_two_nodes, mod_quadric,
+            _biduality_test_module("torsion", ring_quadric, ring_two_nodes),
+            _biduality_test_module("finite_length", ring_quadric, ring_two_nodes),
+            mod_quadric.tensor(mod_quadric.dual()), ModulePresentation.zero(ring_two_nodes))
+    assert [_assert_verdicts_match_the_double_dual(mod) for mod in mods] == [
+        "reflexive", "reflexive", "reflexive", "torsion", "torsion", "torsion-free", "reflexive"]
 
 
 def _quadric_column_module(ring):
@@ -436,47 +443,113 @@ def test_nonfree_locus_cyclic_cross_check(mod_M_two_nodes, ring_two_nodes):
     assert codim_independent == mod_M_two_nodes.nonfree_locus_codim() == 1
 
 
-# -- the biduality report's syzygy work --------------------------------------------------
+# -- the biduality report's work ------------------------------------------------------
 
-@pytest.mark.parametrize("which, dual_calls, tracked_bases", [
-    ("quadric", 2, 7), ("two_nodes_N", 2, 7), ("torsion", 2, 6), ("finite_length", 1, 3)])
-def test_biduality_report_call_counts(monkeypatch, ring_quadric, ring_two_nodes, which,
-                                      dual_calls, tracked_bases):
-    # M* and M** are each presented once, a module whose dual is zero never
-    # asks for the dual of its dual, and one tracked Groebner basis of M**'s
-    # generators gives both its presentation and the lifts of the biduality
-    # map.  Every syzygy computation and every lift builds one
-    # TrackedSubmodule, so counting them counts the tracked bases.
-    from cihom import groebner
-    calls = {"dual": 0, "tracked": 0}
-    real_dual, real_init = ModulePresentation.dual_generators, groebner.TrackedSubmodule.__init__
-
-    def counting_dual(self):
-        calls["dual"] += 1
-        return real_dual(self)
-
-    def counting_init(self, *args, **kwargs):
-        calls["tracked"] += 1
-        real_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(ModulePresentation, "dual_generators", counting_dual)
-    monkeypatch.setattr(groebner.TrackedSubmodule, "__init__", counting_init)
-    ring = ring_quadric if which == "quadric" else ring_two_nodes
-    pr = ring.poly_ring
-    zero = pr.zero()
+def _biduality_test_module(which, ring_quadric, ring_two_nodes):
     if which == "quadric":
-        x, y, w, z = (pr.variable(v) for v in "xywz")
-        M = ModulePresentation.from_relations(ring, (0, 0, 0, 0), [[w, y, x, z]])
-    else:
-        x, y, z, u = (pr.variable(v) for v in "xyzu")
-        M = {"two_nodes_N": ModulePresentation.from_relations(
-                 ring, (0, 0, 0), [[zero, -z, y], [u, x, zero]]),
-             "torsion": ModulePresentation.from_relations(
-                 ring, (0, 1), [[x, zero], [y * z, u], [zero, x]]),
-             "finite_length": ModulePresentation.quotient_by_ideal(ring, [x, y, z, u])}[which]
+        x, y, w, z = (ring_quadric.poly_ring.variable(v) for v in "xywz")
+        return ModulePresentation.from_relations(ring_quadric, (0, 0, 0, 0), [[w, y, x, z]])
+    pr = ring_two_nodes.poly_ring
+    zero = pr.zero()
+    x, y, z, u = (pr.variable(v) for v in "xyzu")
+    if which == "two_nodes_N":
+        return ModulePresentation.from_relations(ring_two_nodes, (0, 0, 0),
+                                                 [[zero, -z, y], [u, x, zero]])
+    if which == "torsion":
+        return ModulePresentation.from_relations(ring_two_nodes, (0, 1),
+                                                 [[x, zero], [y * z, u], [zero, x]])
+    return ModulePresentation.quotient_by_ideal(ring_two_nodes, [x, y, z, u])
+
+
+@pytest.mark.parametrize("which, cycle_passes, kernel_builds", [
+    ("quadric", 1, 0), ("two_nodes_N", 1, 0), ("torsion", 1, 1), ("finite_length", 0, 0)])
+def test_biduality_report_call_counts(monkeypatch, ring_quadric, ring_two_nodes, which,
+                                      cycle_passes, kernel_builds):
+    # reflexive reads the level-two depth condition and makes no dual;
+    # torsion_free makes one dual-generator matrix and, when the dual is
+    # nonzero, one pass for the evaluation map's minimal cycles; the kernel
+    # witness builds relations among those cycles only on a module with
+    # torsion (finite_length has M* = 0, so M is its own witness).
+    from cihom import fmodules, homology
+    calls = {"dual": 0, "cycles": 0, "kernel": 0}
+    real_syz = fmodules.syzygy_generators
+    real_cycles = homology.minimal_cycles
+    real_pres = homology.MinimalCycles.presentation
+
+    def counting_syz(*args, **kwargs):
+        calls["dual"] += 1
+        return real_syz(*args, **kwargs)
+
+    def counting_cycles(*args, **kwargs):
+        calls["cycles"] += 1
+        return real_cycles(*args, **kwargs)
+
+    def counting_pres(self):
+        calls["kernel"] += bool(self.gen_degs)   # relations among some cycles
+        return real_pres(self)
+
+    monkeypatch.setattr(fmodules, "syzygy_generators", counting_syz)
+    monkeypatch.setattr(homology, "minimal_cycles", counting_cycles)
+    monkeypatch.setattr(homology.MinimalCycles, "presentation", counting_pres)
+    M = _biduality_test_module(which, ring_quadric, ring_two_nodes)
     rep = M.biduality_report()
-    assert calls == {"dual": dual_calls, "tracked": tracked_bases}
+    assert rep.reflexive == (which in ("quadric", "two_nodes_N"))
+    assert calls == {"dual": 0, "cycles": 0, "kernel": 0}
     assert rep.torsion_free == (which in ("quadric", "two_nodes_N"))
+    assert calls == {"dual": 1, "cycles": cycle_passes, "kernel": 0}
+    assert (rep.kernel.n_gens == 0) == rep.torsion_free
+    assert calls == {"dual": 1, "cycles": cycle_passes, "kernel": kernel_builds}
+    # one report per minimal presentation: a second read computes nothing
+    assert M.biduality_report() is rep and M.minimalize().biduality_report() is rep
+
+
+def _biduality_map_reference(M):
+    """The natural map M -> M** on M's minimal generators, and M**: row i of
+    the dual-generator matrix evaluates the i-th generator of M on Hom(M, R),
+    and its lift through the generators of the double dual is the i-th
+    column of the map.  ``biduality_report`` decides both verdicts without
+    it."""
+    M = M.minimalize()
+    ring, pr = M.ring, M.ring.poly_ring
+    D = M.dual_generators()
+    D2 = M.dual().dual_generators() if D.ncols else D
+    if not D2.ncols:
+        return PolyMatrix.zero(pr, (), M.gen_degs), ModulePresentation.zero(ring)
+    tracked = TrackedSubmodule(D2.columns(), D2.col_degs, FreeModule(pr, D2.row_degs), ring)
+    syz, syz_degs = tracked.syzygy_elements()
+    bidual = ModulePresentation(ring, D2.col_degs,
+                                PolyMatrix.from_columns(pr, D2.col_degs, syz, tuple(syz_degs)))
+    psi_cols = [tracked.lift(tuple(row)) for row in D.entries]
+    assert all(col is not None for col in psi_cols)
+    return PolyMatrix.from_columns(pr, D2.col_degs, psi_cols, M.gen_degs), bidual
+
+
+def _assert_verdicts_match_the_double_dual(M):
+    psi, bidual = _biduality_map_reference(M)
+    ker = kernel_of_map(psi, M.minimalize(), bidual).minimalize()
+    coker = cokernel_of_map(psi, bidual).minimalize()
+    rep = M.biduality_report()
+    assert rep.torsion_free == (ker.n_gens == 0), M
+    assert rep.reflexive == (ker.n_gens == 0 and coker.n_gens == 0), M
+    assert rep.torsion_free == M.satisfies_serre(1), M
+    assert rep.kernel.gen_degs == ker.gen_degs, M
+    return "torsion" if ker.n_gens else "reflexive" if rep.reflexive else "torsion-free"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31),
+       st.sampled_from(["quadric", "two_nodes", "node"]),
+       st.sampled_from(["f32003", "f3", "rational"]), st.booleans())
+def test_biduality_verdicts_match_the_double_dual(rings_over, seed, which, tag, syzygy):
+    # torsion-free is "no minimal cycles of the evaluation map" and reflexive
+    # is the level-two depth condition; both must give the double dual's
+    # verdicts, on random modules and on first syzygies (torsion-free, and
+    # often not reflexive).
+    node, two_nodes, quadric = rings_over(tag)
+    ring = {"quadric": quadric, "two_nodes": two_nodes, "node": node}[which]
+    rng = random.Random(seed)
+    M = random_homogeneous_module(ring, rng, 2, rng.randint(1, 2), label="A")
+    _assert_verdicts_match_the_double_dual(M.first_syzygy() if syzygy else M)
 
 
 # -- the Kronecker builders against the block loops they replaced ------------------------

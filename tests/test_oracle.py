@@ -191,26 +191,12 @@ def test_importing_cihom_does_not_load_the_oracle():
     assert proc.stdout.split() == ["False", "False"]
 
 
-def _three_rings(field):
-    """The node, the two-node ring and the quadric over one field."""
-    node = PolyRing(field, ["x", "y"])
-    x, y = node.variable("x"), node.variable("y")
-    two = PolyRing(field, ["x", "y", "z", "u"])
-    a, b, c, e = (two.variable(v) for v in "xyzu")
-    quad = PolyRing(field, ["x", "y", "w", "z"])
-    p, q, r, s = (quad.variable(v) for v in "xywz")
-    f = p * r - q * s
-    return (RingPresentation(node, [x * y], label="R_node"),
-            RingPresentation(two, [a * b, c * e], label="R_xyzu"),
-            RingPresentation(quad, [f], label="R_quadric", minimal_primes=[[f]]))
-
-
 @pytest.mark.parametrize("tag", ["f32003", "f3", "rational"])
-def test_truncated_resolution_matches_graded_betti_numbers(tag):
+def test_truncated_resolution_matches_graded_betti_numbers(tag, rings_over):
     # Every step's generator degrees are the graded Betti numbers of the
     # minimal resolution through the degree bound.
     bound, hsteps = 7, 5
-    for ring in _three_rings(field_by_tag(tag)):
+    for ring in rings_over(tag):
         for seed in range(6):
             M = random_homogeneous_module(ring, random.Random(seed), 2, 2, "A")
             steps = truncated_resolution(OracleContext(ring, bound), M, hsteps)
@@ -292,3 +278,42 @@ def test_term_outside_its_slice_is_an_invariant_error(ring_two_nodes):
     for vec in ({(0, (2, 0, 0, 0)): 1}, {(1, (1, 0, 0, 0)): 1}):
         with pytest.raises(InvariantError):
             ctx.vectors((0,), 1, [vec])
+
+
+def _groebner_calls(fn):
+    """fn()'s result and the names of the cihom.groebner functions it called."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_globals.get("__name__") == "cihom.groebner":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        out = fn()
+    finally:
+        sys.setprofile(None)
+    return out, calls
+
+
+def test_tor_oracle_reads_n_as_given_without_groebner_code(ring_two_nodes):
+    # The oracle used to minimalize N through the Groebner engine.  N's
+    # graded pieces do not depend on its presentation, and its initial
+    # degree (which sets the lowest degree key) is the first given generator
+    # degree where it is nonzero.  The expected values were recorded while
+    # the oracle still minimalized N.
+    pr = ring_two_nodes.poly_ring
+    x, y = pr.variable("x"), pr.variable("y")
+    zero, one = pr.zero(), pr.one()
+    M = ModulePresentation.quotient_by_ideal(ring_two_nodes, [x], label="M")
+    N = ModulePresentation.from_relations(ring_two_nodes, (0, 1), [[x * x + x * y, x]])
+    out, calls = _groebner_calls(lambda: tor_oracle(M, N, 2, 4))
+    assert calls == []
+    assert out == {1: {0: 0, 1: 0, 2: 1, 3: 2, 4: 2}, 2: {0: 0, 1: 0, 2: 0, 3: 0, 4: 0}}
+    # a generator in degree -1 killed by a unit relation: N = R/(y) from
+    # degree 0, so with M in degree -2 the keys start at -2, not -3
+    N = ModulePresentation.from_relations(ring_two_nodes, (-1, 0), [[one, zero], [zero, y]])
+    out, calls = _groebner_calls(lambda: tor_oracle(M.twist(-2), N, 2, 3))
+    assert calls == []
+    assert out == {1: {-2: 0, -1: 0, 0: 0, 1: 0, 2: 0, 3: 0},
+                   2: {-2: 0, -1: 0, 0: 1, 1: 2, 2: 2, 3: 2}}
