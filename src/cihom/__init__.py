@@ -12,8 +12,8 @@ harness for a family of Tor-rigidity statements.
 __version__ = "0.1.0"
 
 from .fields import PrimeField, RationalField, field_by_tag
-from .polynomials import PolyRing, Polynomial, TermOrder
-from .rings import RingPresentation, make_quotient_ring
+from .polynomials import PolyRing, Polynomial
+from .rings import RingPresentation
 from .fmodules import ModulePresentation
 from .resolutions import betti_table, complexity_estimate, detect_periodicity, resolve
 from .homology import depth_formula_check, ext_profile, tor_profile
@@ -28,9 +28,7 @@ __all__ = [
     "field_by_tag",
     "PolyRing",
     "Polynomial",
-    "TermOrder",
     "RingPresentation",
-    "make_quotient_ring",
     "ModulePresentation",
     "resolve",
     "betti_table",

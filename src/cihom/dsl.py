@@ -554,7 +554,8 @@ def unparse_declarations(session: Session) -> str:
     """Canonical script text for the declared rings and modules.
 
     Parsing the result reproduces the declarations up to canonical form
-    (same rings and presentations), which is the round-trip contract.
+    (same rings and presentations), which is the round-trip contract.  A
+    test reference: ``test_declaration_round_trip`` checks the parser with it.
     """
     lines = []
     for name, ring in session.rings.items():

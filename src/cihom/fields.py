@@ -63,10 +63,6 @@ class PrimeField:
     def tag(self) -> str:
         return f"f{self.p}"
 
-    @property
-    def characteristic(self) -> int:
-        return self.p
-
     def zero(self):
         return 0
 
@@ -107,9 +103,6 @@ class PrimeField:
     def is_zero(self, a) -> bool:
         return a == 0
 
-    def eq(self, a, b) -> bool:
-        return a == b
-
     def to_str(self, a) -> str:
         # Balanced representative keeps small negatives readable.
         return str(a - self.p) if a > self.p // 2 else str(a)
@@ -130,7 +123,6 @@ class RationalField:
     __slots__ = ()
 
     tag = "rational"
-    characteristic = 0
 
     def zero(self):
         return Fraction(0)
@@ -169,9 +161,6 @@ class RationalField:
 
     def is_zero(self, a) -> bool:
         return a == 0
-
-    def eq(self, a, b) -> bool:
-        return a == b
 
     def to_str(self, a) -> str:
         return str(a)

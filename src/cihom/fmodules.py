@@ -181,9 +181,6 @@ class PolyMatrix:
         ents = [self.entries[i] + other.entries[i] for i in range(self.nrows)]
         return PolyMatrix(self.poly_ring, self.row_degs, self.col_degs + other.col_degs, ents)
 
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for row in self.entries for p in row)
-
     def minors(self, size: int):
         """All size x size minors (row and column subsets), as polynomials."""
         if size == 0:
@@ -509,13 +506,6 @@ class ModulePresentation:
         for _ in range(self.ring.poly_ring.nvars):
             values = list(itertools.accumulate(values))  # divide by (1 - t)
         return {d: values[d - lo] for d in range(dmin, dmax + 1)}
-
-    def initial_degree(self):
-        """Smallest degree with a nonzero piece (None for the zero module)."""
-        m = self.minimalize()
-        if not m.gen_degs:
-            return None
-        return min(m.gen_degs)
 
     # -- tensor ------------------------------------------------------------------
 

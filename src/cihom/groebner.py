@@ -34,22 +34,21 @@ code is mixed-radix; its fields, from most to least significant, are
 - the block flag (1 for positions below the split);
 - the shifted degree deg m + gen_degs[p], plus an offset that makes it
   non-negative;
-- the ring order's key of m, one field per slot: deg, B - e_n, ..., B - e_1
-  for grevlex; e_1, ..., e_n for lex; deg, e_1, ..., e_n for grlex
-  (B = _FIELD_MAX);
+- the grevlex key of m: deg m, then one slot per variable, B - e_n, ...,
+  B - e_1 (B = _FIELD_MAX);
 - rank - 1 - p.
 
 Each field holds a value below 2^_VALUE_BITS; an exponent slot has one guard
 bit above it.  Comparing two codes as ints then compares their fields in
-turn, which is the term order: block, shifted degree, ring order, earlier
+turn, which is the term order: block, shifted degree, grevlex, earlier
 position.  Every field is affine in the exponents with a slope that does not
 depend on p, so code(p, m*s) - code(p, m) depends on s alone, and a reducer's
-term moves under the shift t / lead by adding t - lead.  For two codes of
-one position, the monomial of one divides the other's exactly when their
-difference (taken in the direction in which the slots grow with the
-exponents) has no guard bit set: a slot that goes negative borrows through
-its guard bit.  The same guard bits pick each slot's maximum for the lcm of
-two leads (``ModuleOrder.lcm``), so pairs are formed on codes too.
+term moves under the shift t / lead by adding t - lead.  For two codes a, b
+of one position, the monomial of a divides that of b exactly when a - b has
+no guard bit set (the slots hold B - e, so they shrink as the exponents
+grow): a slot that goes negative borrows through its guard bit.  The same
+guard bits pick each slot's maximum for the lcm of two leads
+(``ModuleOrder.lcm``), so pairs are formed on codes too.
 
 Codes stay exact only while every field fits.  Homogeneity bounds every
 exponent of a term by its degree, and every term the engine makes has the
@@ -60,9 +59,9 @@ could wrap into a neighbouring field.
 
 A code is ``_base[p]``, which holds the block flag, the generator degree and
 the position, plus the offset sum_i m_i * weight_i of its monomial, which
-depends only on the layout (variable count, ring order, position width).
-Each layout (``_code_layout``) keeps two tables, monomial -> (offset,
-degree) and offset -> monomial, shared by all its orders: ``encode`` is a
+depends only on the layout (variable count, position width).  Each layout
+(``_code_layout``) keeps two tables, monomial -> (offset, degree) and
+offset -> monomial, shared by all its orders: ``encode`` is a
 lookup plus ``_base[p]``, with the range check on every call, hit or miss,
 and ``decode`` reads the position field and looks the monomial up.  Only
 monomials whose exponents fit their slots enter a table, and a table that
@@ -152,8 +151,11 @@ class Element:
     the codes of a ``ModuleOrder`` of ``module`` (see the module docstring).
 
     ``add``, ``mul_term``, ``mul_poly`` and ``component`` read (position,
-    monomial) keys instead: the tests' reference implementations, against
-    which the coded engine is checked, are written in them.
+    monomial) keys instead.  They are test references in
+    tests/test_groebner.py: ``reference_normal_form``, against which
+    ``test_normal_form_matches_reference`` checks the coded engine, is
+    written in ``add`` and ``mul_term``; ``_column`` reads ``component``;
+    and ``test_mul_poly_matches_the_sum_through_add`` checks ``mul_poly``.
     """
 
     __slots__ = ("module", "terms", "_lead")
@@ -222,33 +224,24 @@ class Element:
 
 
 @functools.lru_cache(maxsize=None)
-def _code_layout(nvars: int, kind: str, pos_bits: int) -> tuple:
+def _code_layout(nvars: int, pos_bits: int) -> tuple:
     """The parts of a term code's layout that depend only on the variable
-    count, the ring order and the position field's width, in the order
-    ``ModuleOrder`` unpacks them; one run meets few such triples.  The last
-    two are the layout's monomial tables, monomial -> (offset, degree) and
-    offset -> monomial, which every order of the layout fills and reads."""
-    # Exponent slots grow with the exponents except under grevlex (B - e).
-    ascending = kind != "grevlex"
-    slot_shifts = tuple(pos_bits + _SLOT_BITS * s
-                        for s in (range(nvars - 1, -1, -1) if ascending else range(nvars)))
-    top = pos_bits + _SLOT_BITS * nvars
-    degree_weight = 0
-    if kind != "lex":     # grevlex and grlex refine total degree
-        degree_weight = 1 << top
-        top += _SLOT_BITS
-    # each exponent moves its slot, the degree field and the shifted-degree field
-    degree_weight += 1 << top
-    sign = 1 if ascending else -1
-    flip = 0 if ascending else _FIELD_MAX     # a grevlex slot holds B - e = B ^ e
-    return (ascending, slot_shifts, top, 1 << (top + _SLOT_BITS),
-            sum(1 << (s + _VALUE_BITS) for s in slot_shifts), flip,
+    count and the position field's width, in the order ``ModuleOrder``
+    unpacks them; one run meets few such pairs.  The last two are the
+    layout's monomial tables, monomial -> (offset, degree) and offset ->
+    monomial, which every order of the layout fills and reads."""
+    # slot i holds B - e_i, so the last variable's slot is the most significant
+    slot_shifts = tuple(pos_bits + _SLOT_BITS * s for s in range(nvars))
+    top = pos_bits + _SLOT_BITS * nvars + _SLOT_BITS     # the shifted degree; deg m below it
+    # each exponent lowers its slot and raises the degree and shifted-degree fields
+    degree_weight = (1 << (top - _SLOT_BITS)) + (1 << top)
+    return (slot_shifts, top, 1 << (top + _SLOT_BITS),
+            sum(1 << (s + _VALUE_BITS) for s in slot_shifts),
             sum(_FIELD_MAX << s for s in slot_shifts),
             # one bit per slot: multiplying the slots by it sums them into the top one
             sum(1 << (_SLOT_BITS * k) for k in range(nvars)),
             pos_bits + _SLOT_BITS * max(nvars - 1, 0), degree_weight,
-            tuple(sign * (1 << s) + degree_weight for s in slot_shifts),
-            sum(flip << s for s in slot_shifts), {}, {})
+            tuple(degree_weight - (1 << s) for s in slot_shifts), {}, {})
 
 
 class ModuleOrder:
@@ -256,8 +249,8 @@ class ModuleOrder:
     and its int term codes (see the module docstring for their layout).
 
     Positions below ``split`` form the main block and dominate every tracking
-    position.  Within a block terms compare by shifted degree, then the ring
-    order on monomials, then by earlier position: larger code = larger term.
+    position.  Within a block terms compare by shifted degree, then grevlex
+    on monomials, then by earlier position: larger code = larger term.
     ``position_mask`` cuts a code's position field, ``block_flag`` is set in
     the codes of the main block, and ``guard_mask`` holds the exponent
     slots' guard bits.
@@ -269,8 +262,8 @@ class ModuleOrder:
     """
 
     __slots__ = ("module", "split", "position_mask", "block_flag", "guard_mask",
-                 "ascending", "_offset", "_raised_degs", "_degree_shift", "_slot_shifts",
-                 "_slot_flip", "_slot_values", "_slot_ones", "_sum_shift", "_degree_weight",
+                 "_offset", "_raised_degs", "_degree_shift", "_slot_shifts",
+                 "_slot_values", "_slot_ones", "_sum_shift", "_degree_weight",
                  "_weights", "_base", "_top", "_offsets", "_monomials")
 
     def __init__(self, module: FreeModule, split: int | None = None):
@@ -279,18 +272,17 @@ class ModuleOrder:
         rank = module.rank
         pos_bits = (rank - 1).bit_length() if rank else 0
         self.position_mask = (1 << pos_bits) - 1
-        (self.ascending, self._slot_shifts, self._degree_shift, self.block_flag,
-         self.guard_mask, self._slot_flip, self._slot_values, self._slot_ones,
-         self._sum_shift, self._degree_weight, self._weights,
-         slot_floor, self._offsets, self._monomials) = _code_layout(
-             module.ring.nvars, module.ring.order.kind, pos_bits)
+        (self._slot_shifts, self._degree_shift, self.block_flag, self.guard_mask,
+         self._slot_values, self._slot_ones, self._sum_shift, self._degree_weight,
+         self._weights, self._offsets, self._monomials) = _code_layout(
+             module.ring.nvars, pos_bits)
         gen_degs = module.gen_degs
         self._offset = offset = -min(gen_degs + (0,))   # no shifted degree below 0
         self._raised_degs = tuple([d + offset for d in gen_degs])
         self._top = rank - 1
         # code(p, m) = _base[p] + sum_i m_i * _weights[i]
-        flag, shift = self.block_flag, self._degree_shift
-        self._base = tuple([(flag if p < self.split else 0) + (d << shift) + slot_floor
+        flag, shift, slots = self.block_flag, self._degree_shift, self._slot_values
+        self._base = tuple([(flag if p < self.split else 0) + (d << shift) + slots
                             + (rank - 1 - p) for p, d in enumerate(self._raised_degs)])
 
     def _out_of_range(self, shifted_degree: int) -> TermCodeRangeError:
@@ -332,8 +324,7 @@ class ModuleOrder:
         offset = code - self._base[p]
         m = self._monomials.get(offset)
         if m is None:
-            flip = self._slot_flip
-            m = tuple([flip ^ (code >> s & _FIELD_MAX) for s in self._slot_shifts])
+            m = tuple([_FIELD_MAX ^ (code >> s & _FIELD_MAX) for s in self._slot_shifts])
             self._learn(m, offset)
         return p, m
 
@@ -341,15 +332,13 @@ class ModuleOrder:
         """Code of the lcm of two terms of one position; TermCodeRangeError
         when it does not fit.
 
-        The lcm is a times s, s_i = max(0, b_i - a_i).  Subtracting the slots
-        with every guard bit set leaves a slot's guard bit exactly where that
-        difference is non-negative, and the difference in its value bits.
+        The lcm is a times s, s_i = max(0, b_i - a_i).  The slots hold
+        B - e, so subtracting b's slots from a's with every guard bit set
+        leaves a slot's guard bit exactly where that difference is
+        non-negative, and the difference in its value bits.
         """
         values, guard = self._slot_values, self.guard_mask
-        if self.ascending:
-            diff = ((b & values) | guard) - (a & values)
-        else:                                   # slots hold B - e
-            diff = ((a & values) | guard) - (b & values)
+        diff = ((a & values) | guard) - (b & values)
         kept = diff & guard
         s = diff & (kept - (kept >> _VALUE_BITS))
         # deg s <= deg b fits one slot, so no partial sum carries
@@ -357,7 +346,7 @@ class ModuleOrder:
         raised = (a >> self._degree_shift & _SLOT_MASK) + deg    # its shifted degree + offset
         if raised > _FIELD_MAX:
             raise self._out_of_range(raised - self._offset)
-        return a + (s if self.ascending else -s) + deg * self._degree_weight
+        return a - s + deg * self._degree_weight
 
     def encode_column(self, column, free: FreeModule) -> Element:
         """The coded element of a column of ``free`` (one polynomial per row),
@@ -417,7 +406,7 @@ class ModuleOrder:
         """The term a divides the term b: one position, and its monomial divides."""
         if (a ^ b) & self.position_mask:
             return False
-        return not ((b - a) if self.ascending else (a - b)) & self.guard_mask
+        return not (a - b) & self.guard_mask
 
 
 @functools.lru_cache(maxsize=_SHARED_ORDERS)
@@ -470,7 +459,7 @@ def normal_form(e: Element, basis: list, order: ModuleOrder,
         by_position = _index_leads(basis, order)
     field = e.module.ring.field
     canonical = field.canonical
-    pmask, guard, ascending = order.position_mask, order.guard_mask, order.ascending
+    pmask, guard = order.position_mask, order.guard_mask
     heappush, heappop = heapq.heappush, heapq.heappop
     work = dict(e.terms)
     heap = [-t for t in work]
@@ -482,7 +471,7 @@ def normal_form(e: Element, basis: list, order: ModuleOrder,
         if not c:
             continue
         for lead, i in by_position.get(t & pmask, ()):
-            if not ((t - lead) if ascending else (lead - t)) & guard:
+            if not (lead - t) & guard:
                 break
         else:
             remainder[t] = c
@@ -725,12 +714,6 @@ class GroebnerBasis:
     def contains(self, column) -> bool:
         return not self._reduce(column)
 
-    def __len__(self):
-        return len(self.generators)
-
-    def __iter__(self):
-        return iter(self.generators)
-
     def __repr__(self):
         return f"GroebnerBasis({len(self.generators)} elements, rank {self.module.rank})"
 
@@ -860,7 +843,9 @@ class TrackedSubmodule:
         return out, degs
 
     def lift(self, column):
-        """Coefficients x with column = sum x_j * c_j modulo the relations, or None."""
+        """Coefficients x with column = sum x_j * c_j modulo the relations, or
+        None.  A test reference: ``test_lift_and_membership`` checks it, and
+        tests/test_fmodules.py builds the double-dual map with it."""
         order = self.order
         nf = normal_form(order.encode_column(column, self.free), self.active, order,
                          self._by_position)

@@ -406,7 +406,9 @@ def _homology_dims(ctx: OracleContext, steps, N: ModulePresentation,
 
 
 def module_hilbert_oracle(M: ModulePresentation, degree_bound: int) -> dict:
-    """Graded dimensions of the module itself, by plain rank computations."""
+    """Graded dimensions of the module itself, by plain rank computations.
+    A test reference: ``test_module_hilbert_oracle_matches_groebner`` and
+    ``test_pushforward_node`` check Hilbert functions against it."""
     ctx = OracleContext(M.ring, degree_bound)
     lo = min(0, min(M.gen_degs, default=0))
     out = {}

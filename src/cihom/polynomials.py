@@ -1,10 +1,10 @@
-"""Monomials, term orders and multivariate polynomials over an exact field.
+"""Monomials, the term order and multivariate polynomials over an exact field.
 
 Monomials are exponent tuples; the grading is standard (every variable has
-weight one).  Polynomials are immutable term dictionaries bound to a PolyRing
-that fixes the field, the variable names and the active term order, so all
-operations are pure and results are always in canonical form (no zero
-coefficients, no duplicate monomials).
+weight one), and the one monomial order is grevlex (``grevlex_key``).
+Polynomials are immutable term dictionaries bound to a PolyRing that fixes
+the field and the variable names, so all operations are pure and results are
+always in canonical form (no zero coefficients, no duplicate monomials).
 """
 
 from __future__ import annotations
@@ -35,13 +35,15 @@ def mono_divides(a: tuple, b: tuple) -> bool:
     return all(map(operator.le, a, b))
 
 def mono_div(a: tuple, b: tuple) -> tuple:
+    """a / b for b dividing a.  A test reference: tests/test_groebner.py's
+    ``reference_normal_form`` shifts its reducers with it."""
     return tuple(map(operator.sub, a, b))
 
 def mono_lcm(a: tuple, b: tuple) -> tuple:
+    """lcm(a, b).  A test reference: ``test_term_codes_match_the_tuple_key``
+    and ``test_codes_round_trip_through_warm_tables`` check
+    ``ModuleOrder.lcm`` against it."""
     return tuple(map(max, a, b))
-
-def mono_degree(a: tuple) -> int:
-    return sum(a)
 
 def monomials_of_degree(nvars: int, degree: int):
     """All exponent tuples in nvars variables of the given total degree."""
@@ -61,65 +63,31 @@ def monomials_of_degree(nvars: int, degree: int):
         yield tuple(exps)
 
 
-class TermOrder:
-    """A monomial order on ring monomials: grevlex (default), lex or grlex.
-
-    ``key(mono)`` returns a tuple; larger keys mean larger monomials.  All
-    three orders are total and multiplicative; grevlex and grlex refine total
-    degree.
-    """
-
-    KINDS = ("grevlex", "lex", "grlex")
-
-    __slots__ = ("kind",)
-
-    def __init__(self, kind: str = "grevlex"):
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown term order {kind!r}")
-        self.kind = kind
-
-    def key(self, mono: tuple):
-        if self.kind == "grevlex":
-            return (sum(mono), tuple(-e for e in reversed(mono)))
-        if self.kind == "lex":
-            return mono
-        return (sum(mono), mono)  # grlex
-
-    def cmp(self, a: tuple, b: tuple) -> int:
-        if len(a) != len(b):
-            raise IncompatibleOperandsError("monomials with different variable counts")
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
-
-    def __eq__(self, other):
-        return isinstance(other, TermOrder) and other.kind == self.kind
-
-    def __hash__(self):
-        return hash(("TermOrder", self.kind))
-
-    def __repr__(self):
-        return f"TermOrder({self.kind!r})"
+def grevlex_key(mono: tuple) -> tuple:
+    """The graded reverse lexicographic order: larger keys mean larger
+    monomials.  Total degree first; on a tie, the monomial with the smaller
+    exponent in the last variable where the two differ is the larger."""
+    return (sum(mono), tuple(-e for e in reversed(mono)))
 
 
 # ---------------------------------------------------------------------------
 # polynomials
 
 class PolyRing:
-    """A standard-graded polynomial ring over an exact field.
+    """A standard-graded polynomial ring over an exact field, ordered by grevlex.
 
-    Holds the field, variable names (each of degree one) and the active
-    term order.  Acts as the factory for Polynomial values; rings compare
-    by content so equal rings interoperate.
+    Holds the field and the variable names (each of degree one).  Acts as
+    the factory for Polynomial values; rings compare by content (field and
+    variables) so equal rings interoperate.
     """
 
-    __slots__ = ("field", "variables", "order", "_zero", "_one")
+    __slots__ = ("field", "variables", "_zero", "_one")
 
-    def __init__(self, field, variables, order=None):
+    def __init__(self, field, variables):
         self.field = field
         self.variables = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable names")
-        self.order = order if order is not None else TermOrder("grevlex")
         self._zero = None
         self._one = None
 
@@ -178,24 +146,23 @@ class PolyRing:
         return "*".join(parts) if parts else "1"
 
     def __eq__(self, other):
-        return isinstance(other, PolyRing) and self.compatible(other) and self.order == other.order
+        return isinstance(other, PolyRing) and self.compatible(other)
 
     def __hash__(self):
-        return hash((self.field, self.variables, self.order))
+        return hash((self.field, self.variables))
 
     def __repr__(self):
-        return f"PolyRing({self.field.tag}, vars={list(self.variables)}, order={self.order.kind})"
+        return f"PolyRing({self.field.tag}, vars={list(self.variables)})"
 
 
 class Polynomial:
     """An element of a PolyRing: a dict of exponent tuple -> nonzero coeff."""
 
-    __slots__ = ("ring", "terms", "_lead")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
-        self._lead = None
 
     # -- queries ------------------------------------------------------------
 
@@ -204,16 +171,6 @@ class Polynomial:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def lead_monomial(self) -> tuple:
-        if self._lead is None:
-            if not self.terms:
-                raise ValueError("zero polynomial has no leading term")
-            self._lead = max(self.terms, key=self.ring.order.key)
-        return self._lead
-
-    def lead_coeff(self):
-        return self.terms[self.lead_monomial()]
 
     def degree(self):
         """Degree of a homogeneous polynomial, None for zero.  This is the one
@@ -292,17 +249,6 @@ class Polynomial:
             return self.ring.zero()
         return Polynomial(self.ring, {m: field.mul(v, c) for m, v in self.terms.items()})
 
-    def mul_term(self, mono: tuple, c) -> "Polynomial":
-        field = self.ring.field
-        if field.is_zero(c):
-            return self.ring.zero()
-        return Polynomial(self.ring, {mono_mul(m, mono): field.mul(v, c) for m, v in self.terms.items()})
-
-    def monic(self) -> "Polynomial":
-        if not self.terms:
-            return self
-        return self.scale(self.ring.field.inv(self.lead_coeff()))
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -319,7 +265,7 @@ class Polynomial:
             return "0"
         field = self.ring.field
         parts = []
-        for m in sorted(self.terms, key=self.ring.order.key, reverse=True):
+        for m in sorted(self.terms, key=grevlex_key, reverse=True):
             c = self.terms[m]
             cs = field.to_str(c)
             ms = self.ring.mono_str(m)

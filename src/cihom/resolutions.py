@@ -115,7 +115,9 @@ class FreeResolution:
         return True
 
     def composition_is_zero(self) -> bool:
-        """d_i . d_{i+1} reduces to zero over the ring for every computed i."""
+        """d_i . d_{i+1} reduces to zero over the ring for every computed i.
+        A test reference: ``test_two_node_quotient_resolution`` and
+        ``test_criterion_9_property_suites`` check resolutions with it."""
         for i in range(len(self.differentials) - 1):
             prod = self.differentials[i].compose(self.differentials[i + 1])
             for row in prod.entries:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import random
 
-from .fields import field_by_tag
 from .polynomials import PolyRing, Polynomial, mono_divides
 from .groebner import FreeModule, groebner_basis
 
@@ -273,10 +272,6 @@ class RingPresentation:
         """Krull dimension of R: the last entry of the certificate's record."""
         return self.verify_regular_sequence().dims[-1]
 
-    def contains_in_ideal(self, poly: Polynomial) -> bool:
-        """Membership of a polynomial in the quotient ideal."""
-        return ideal_contains(self.ideal_gb, poly)
-
     def reduce(self, poly: Polynomial) -> Polynomial:
         """Normal form of a polynomial modulo the quotient ideal.
 
@@ -335,7 +330,7 @@ class RingPresentation:
         if len(self._minimal_primes) != 1:
             return {"domain": False, "status": "computed"}
         q = self._minimal_primes[0]
-        same = (all(self.contains_in_ideal(g) for g in q.gens)
+        same = (all(ideal_contains(self.ideal_gb, g) for g in q.gens)
                 and all(q.contains(f) for f in self.quotient_gens))
         return {"domain": same, "status": q.check_status}
 
@@ -361,25 +356,3 @@ class RingPresentation:
         quot = ", ".join(f.text() for f in self.quotient_gens)
         return (f"RingPresentation({self.field.tag}[{', '.join(self.poly_ring.variables)}]"
                 + (f"/({quot})" if quot else "") + ")")
-
-
-def make_quotient_ring(field_tag, variables, quotient_gens=(),
-                       label="R", minimal_primes=None, order=None) -> RingPresentation:
-    """Build S/(f1..fc) from a field tag, variable names and generators.
-
-    ``quotient_gens`` and ``minimal_primes`` may be Polynomial values over a
-    matching PolyRing or will be passed through unchanged; text parsing lives
-    in the CLI layer.
-    """
-    field = field_by_tag(field_tag) if isinstance(field_tag, str) else field_tag
-    poly_ring = PolyRing(field, variables, order=order)
-    gens = []
-    for f in quotient_gens:
-        if not isinstance(f, Polynomial):
-            raise TypeError("quotient generators must be Polynomial values")
-        poly_ring.check_compatible(f.ring)
-        gens.append(Polynomial(poly_ring, dict(f.terms)))
-    primes = None
-    if minimal_primes is not None:
-        primes = [[Polynomial(poly_ring, dict(g.terms)) for g in q] for q in minimal_primes]
-    return RingPresentation(poly_ring, gens, label=label, minimal_primes=primes)

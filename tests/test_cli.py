@@ -61,6 +61,22 @@ def test_run_example_unknown():
         run_example("nope")
 
 
+# sha256 of each catalog entry's `--example ID --format json` output over
+# f32003, as the benchmark records and checks them.
+RECORDED_DIGESTS = Path(__file__).resolve().parent.parent / "bench" / "digests.json"
+
+
+def test_every_catalog_entry_passes_with_its_recorded_bytes(capsys):
+    recorded = json.loads(RECORDED_DIGESTS.read_text())["catalog"]["f32003"]
+    assert set(recorded) == set(catalog_ids())
+    for entry_id in catalog_ids():
+        rc = main(["--example", entry_id, "--format", "json"])
+        out = capsys.readouterr().out
+        assert rc == 0, entry_id
+        assert json.loads(out)["results"][0]["data"]["pass"] is True, entry_id
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == recorded[entry_id], entry_id
+
+
 def test_run_example_4_4_passes():
     report = run_example("4.4")
     assert report["pass"]
@@ -304,6 +320,19 @@ def test_cli_text_format(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "example 4.4: PASS" in out
+
+
+def test_cli_text_format_over_the_rationals(capsys):
+    # The text report prints coefficients through the field's to_str; apart
+    # from its header line it reads the same over the rationals as over f32003.
+    for entry_id in ("4.4", "4.19"):
+        assert main(["--example", entry_id]) == 0
+        prime = capsys.readouterr().out.splitlines()
+        assert main(["--example", entry_id, "--field", "rational"]) == 0
+        rational = capsys.readouterr().out.splitlines()
+        assert prime[0].endswith("field=f32003") and rational[0].endswith("field=rational")
+        assert rational[1:] == prime[1:]
+        assert f"example {entry_id}: PASS" in rational
 
 
 def test_cli_env_default_format(monkeypatch, capsys):

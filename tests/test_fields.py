@@ -16,13 +16,12 @@ def test_field_axioms_on_random_triples(field, sampler):
     rng = random.Random(20090928)
     for _ in range(1000):
         a, b, c = sampler(rng), sampler(rng), sampler(rng)
-        assert field.eq(field.add(field.add(a, b), c), field.add(a, field.add(b, c)))
-        assert field.eq(field.mul(field.mul(a, b), c), field.mul(a, field.mul(b, c)))
-        assert field.eq(field.mul(a, field.add(b, c)),
-                        field.add(field.mul(a, b), field.mul(a, c)))
-        assert field.eq(field.add(a, field.neg(a)), field.zero())
+        assert field.add(field.add(a, b), c) == field.add(a, field.add(b, c))
+        assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
+        assert field.mul(a, field.add(b, c)) == field.add(field.mul(a, b), field.mul(a, c))
+        assert field.add(a, field.neg(a)) == field.zero()
         if not field.is_zero(a):
-            assert field.eq(field.mul(a, field.inv(a)), field.one())
+            assert field.mul(a, field.inv(a)) == field.one()
 
 
 def test_prime_field_canonical_range():

@@ -11,7 +11,7 @@ import sympy
 
 from cihom.fields import RationalField
 from cihom.groebner import FreeModule, groebner_basis
-from cihom.polynomials import PolyRing, monomials_of_degree
+from cihom.polynomials import PolyRing, grevlex_key, monomials_of_degree
 
 FQ = RationalField()
 
@@ -29,11 +29,10 @@ def _to_sympy(poly, syms):
 def _from_sympy_dict(expr, syms):
     """Term dict of a sympy expression, normalized monic under grevlex
     (sympy emits primitive integer polynomials, ours are monic)."""
-    from cihom.polynomials import TermOrder
     poly = sympy.Poly(expr, *syms)
     terms = {tuple(m): Fraction(int(c.p), int(c.q))
              for m, c in zip(poly.monoms(), poly.coeffs())}
-    lead = max(terms, key=TermOrder("grevlex").key)
+    lead = max(terms, key=grevlex_key)
     lc = terms[lead]
     return {m: c / lc for m, c in terms.items()}
 

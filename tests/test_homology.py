@@ -224,7 +224,7 @@ def _eager_entry_dict(index, pres, degree_bound):
     was filled at construction: ``module_profile`` and ``hilbert_function``
     on the entry's own (minimal) presentation."""
     profile = pres.module_profile()
-    initial = pres.initial_degree()
+    initial = min(pres.minimalize().gen_degs, default=None)
     lo = min(0, initial) if initial is not None else 0
     hilbert = pres.hilbert_function(degree_bound, dmin=lo)
     normalized = [] if initial is None else [hilbert[d] for d in range(initial, max(hilbert) + 1)]

@@ -240,7 +240,7 @@ def _unit_match(A, B, row_perm, field):
                     r = field.div(cb, a.terms[mono])
                     if scale is None:
                         scale = r
-                    elif not field.eq(scale, r):
+                    elif scale != r:
                         ok = False
                         break
                 if not ok:

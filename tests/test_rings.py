@@ -21,7 +21,6 @@ from cihom.rings import (
     ideal_contains,
     ideal_dimension,
     ideal_groebner,
-    make_quotient_ring,
 )
 
 F = PrimeField(32003)
@@ -40,7 +39,7 @@ def test_make_quotient_ring_quadric(ring_quadric):
 
 
 def test_empty_quotient_is_regular():
-    ring = make_quotient_ring("f32003", ["x", "y"])
+    ring = RingPresentation(PolyRing(F, ["x", "y"]), [])
     assert ring.codim == 0 and ring.dimension() == 2 and ring.certified
 
 
@@ -88,7 +87,7 @@ def test_inhomogeneous_generator_rejected():
 def test_ring_dimension_examples(ring_two_nodes, ring_node):
     assert ring_two_nodes.dimension() == 2
     assert ring_node.dimension() == 1
-    S = make_quotient_ring("f32003", ["x", "y", "w", "z"])
+    S = RingPresentation(PolyRing(F, ["x", "y", "w", "z"]), [])
     assert S.dimension() == 4
 
 
@@ -103,6 +102,17 @@ def test_regular_sequence_order_insensitive(ring_two_nodes):
     for perm in itertools.permutations(gens):
         ring = RingPresentation(pr, list(perm), label="perm")
         assert ring.verify_regular_sequence().ok
+
+
+def test_is_domain_with_one_declared_prime(ring_quadric):
+    # One declared minimal prime: a domain exactly when the prime equals the
+    # quotient ideal, which is decided by membership both ways.  x is the
+    # one minimal prime of (x^2) but does not lie in it.
+    assert ring_quadric.is_domain() == {"domain": True, "status": "spot-checked"}
+    pr = ring_quadric.poly_ring
+    x = pr.variable("x")
+    fat = RingPresentation(pr, [x * x], label="fat", minimal_primes=[[x]])
+    assert fat.is_domain() == {"domain": False, "status": "spot-checked"}
 
 
 def test_monomial_minimal_primes(ring_two_nodes, ring_node):

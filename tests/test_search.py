@@ -151,24 +151,39 @@ def _search_4_18_own_tensor(cfg, mods):
     return rec
 
 
-def _search_4_18_config(ring):
+def _preset_search_config(ring, question):
     x, y = ring.poly_ring.variable("x"), ring.poly_ring.variable("y")
     preset = [(ModulePresentation.quotient_by_ideal(ring, [x], label="Mx"),),
               (ModulePresentation.free(ring, (0, 1), label="F"),),
               (ModulePresentation.quotient_by_ideal(ring, [x, y], label="k"),)]
-    return SearchConfig(ring, "4.18", samples=6, seed=2, preset=preset)
+    return SearchConfig(ring, question, samples=6, seed=2, preset=preset)
 
 
-# sha256 of the JSON log of _search_4_18_config (keys in insertion order),
-# recorded while the handler still built M (x) M* itself.
+# sha256 of the JSON log of _preset_search_config(ring_node, "4.18") (keys in
+# insertion order), recorded while the handler still built M (x) M* itself.
 SEARCH_4_18_LOG_SHA256 = "888ab4ebb8ff48ef5289cb12c367b7ce11630b3a9c720148b08fd14e47289d73"
 
 
 def test_4_18_findings_unchanged(monkeypatch, ring_node):
-    text = json.dumps(counterexample_search(_search_4_18_config(ring_node)))
+    text = json.dumps(counterexample_search(_preset_search_config(ring_node, "4.18")))
     assert hashlib.sha256(text.encode()).hexdigest() == SEARCH_4_18_LOG_SHA256
     monkeypatch.setattr(search, "_search_4_18", _search_4_18_own_tensor)
-    assert json.dumps(counterexample_search(_search_4_18_config(ring_node))) == text
+    assert json.dumps(counterexample_search(_preset_search_config(ring_node, "4.18"))) == text
+
+
+# sha256 of the JSON log of _preset_search_config(ring_node, "4.16") (keys in
+# insertion order), recorded while lex and grlex were still term orders.
+SEARCH_4_16_LOG_SHA256 = "1c38df043f3fffe991f629f3e550d6604d3abcfdd26101588df5131b17defd7e"
+
+
+def test_4_16_findings_unchanged(ring_node):
+    # The node is not a domain, so every sample is a miss and the log pins
+    # only the torsion verdicts on the way; a one-dimensional graded domain
+    # would reach the question's other classifications.
+    log = counterexample_search(_preset_search_config(ring_node, "4.16"))
+    assert hashlib.sha256(json.dumps(log).encode()).hexdigest() == SEARCH_4_16_LOG_SHA256
+    assert log["summary"]["miss"] == len(log["findings"]) == 9
+    assert all(rec["hypotheses"]["domain"] is False for rec in log["findings"])
 
 
 @pytest.mark.parametrize("kind", ["hypothesis", "torsion", "guardrail"])
