@@ -24,7 +24,7 @@ from .polynomials import GradedViolationError, IncompatibleOperandsError, Invari
 from .reports import emit_json, emit_text, make_document
 from .resolutions import (InsufficientWindowError, betti_table, default_betti_window,
                           detect_periodicity, module_complexity, resolve)
-from .rings import HypothesisMissingError, UnitIdealError
+from .rings import HypothesisMissingError, MinimalPrimesMismatchError, UnitIdealError
 from .search import SearchConfig, counterexample_search
 from .theorems import UnknownTheoremError, check_theorem
 
@@ -206,7 +206,7 @@ def main(argv=None) -> int:
         print(f"cihom: {err}", file=sys.stderr)
         return 2
     except (GradedViolationError, IncompatibleOperandsError, FieldError,
-            InsufficientWindowError, UnitIdealError) as err:
+            InsufficientWindowError, UnitIdealError, MinimalPrimesMismatchError) as err:
         print(f"cihom: input error: {err}", file=sys.stderr)
         return 2
     except (OracleTooLargeError, TermCodeRangeError) as err:

@@ -6,7 +6,9 @@ polynomials and read modulo the quotient ideal).  The derived data,
 minimal form, one Hilbert series per presentation (Hilbert function,
 dimension, length), depth via the finite ambient resolution, Serre conditions
 via Ext codimensions, torsion-freeness via the evaluation map on the dual's
-generators and reflexivity via the level-two depth condition, free loci
+generators and reflexivity via the level-two depth condition (these and the
+maximal Cohen-Macaulay test refuse a nonzero module of dimension below dim R
+from its Hilbert series first, with nothing built), free loci
 and rank profiles, all live here.  Presentations are immutable; cached derived
 values are computed once.  The two Kronecker shapes of a relation matrix,
 ``kron_identity`` (A (x) 1) and ``identity_kron`` (1 (x) B), build the tensor
@@ -250,7 +252,9 @@ class BidualityReport:
     (R^m)* = R^m.  So M is torsion-free when u has no minimal cycles modulo
     M's relations (``homology.minimal_cycles``); no double dual and no
     relation among the cycles is built.  M = 0 is torsion-free; M* = 0 with
-    M nonzero is not.
+    M nonzero is not.  A nonzero M with dim M < dim R has M* = 0 (see
+    ``ModulePresentation._below_ring_dimension``), so it is refused, and its
+    kernel witness is M itself, before any dual generator is computed.
     ``reflexive``: over a Gorenstein ring, reflexive is equivalent to the
     depth condition (S_2) (Evans and Griffith, Syzygies, 1985, Thm 3.8;
     Auslander and Bridger, 1969), read from ``satisfies_serre(2)``, which
@@ -281,7 +285,8 @@ class BidualityReport:
     @property
     def torsion_free(self) -> bool:
         M = self.module
-        return M.n_gens == 0 or (M.dual_generators().ncols > 0
+        return M.n_gens == 0 or (not M._below_ring_dimension()
+                                 and M.dual_generators().ncols > 0
                                  and not self._evaluation_cycles().gen_degs)
 
     @property
@@ -292,9 +297,10 @@ class BidualityReport:
     def kernel(self) -> "ModulePresentation":
         if self._kernel is None:
             M = self.module
-            # with M* = 0 every element evaluates to zero (M = 0 included)
-            self._kernel = (self._evaluation_cycles().presentation().minimalize()
-                            if M.dual_generators().ncols else M)
+            # with M* = 0 every element evaluates to zero (M = 0 included,
+            # and every M of dimension below dim R, see _below_ring_dimension)
+            self._kernel = (M if M._below_ring_dimension() or not M.dual_generators().ncols
+                            else self._evaluation_cycles().presentation().minimalize())
         return self._kernel
 
     def __repr__(self):
@@ -575,6 +581,28 @@ class ModulePresentation:
         return dimension_and_multiplicity(self.minimalize().hilbert_numerator(),
                                           self.ring.poly_ring.nvars)[0]
 
+    def _below_ring_dimension(self) -> bool:
+        """M != 0 and dim M < dim R, read from the cached Hilbert series.
+
+        The depth-type verdicts check this before they build an ambient
+        resolution, an Ext module or a dual, because every one of them
+        fails on such a module:
+        - depth M <= dim M < dim R, so M is not maximal Cohen-Macaulay.
+        - R = S/(f) is a graded complete intersection, so it is
+          Cohen-Macaulay and unmixed: every associated prime q of R has
+          dim R/q = dim R.  A minimal prime p of Supp M has dim R/p <= dim M
+          < dim R, so p is not associated to R: depth R_p = height p >= 1,
+          while depth M_p = 0.  So (S_n) fails for every n >= 1 (Evans and
+          Griffith, Syzygies, 1985).
+        - M* = Hom(M, R) = 0: the image of a nonzero map M -> R is a nonzero
+          ideal I of R, whose associated primes are associated to R, so
+          dim I = dim R, although I is a quotient of M.  So M, being nonzero,
+          is not torsion-free (``BidualityReport``).
+        The zero module fails none of them, so it is excluded.
+        """
+        M = self.minimalize()
+        return M.n_gens > 0 and M.dimension() < self.ring.dimension()
+
     def projective_dimension_ambient(self) -> int:
         """pd over the ambient regular ring (finite by the syzygy theorem)."""
         from .resolutions import resolve
@@ -585,10 +613,16 @@ class ModulePresentation:
         return res.length()
 
     def depth(self) -> float:
-        """dim S - pd_S(M), the Auslander-Buchsbaum value; inf for zero."""
+        """dim S - pd_S(M), the Auslander-Buchsbaum value; inf for zero.
+
+        A nonzero module of dimension 0 has depth 0 (depth M <= dim M), read
+        from its Hilbert series with no ambient resolution.
+        """
         M = self.minimalize()
         if M.n_gens == 0:
             return INF
+        if M.dimension() == 0:
+            return 0
         return self.ring.poly_ring.nvars - M.projective_dimension_ambient()
 
     def length(self) -> float:
@@ -608,8 +642,11 @@ class ModulePresentation:
         return M.depth() == M.dimension()
 
     def is_maximal_cohen_macaulay(self) -> bool:
+        """Nonzero with depth M = dim R; refused with no depth computed when
+        dim M < dim R, since depth M <= dim M."""
         M = self.minimalize()
-        return M.n_gens > 0 and M.depth() == self.ring.dimension()
+        return (M.n_gens > 0 and not M._below_ring_dimension()
+                and M.depth() == self.ring.dimension())
 
     # -- Serre conditions -----------------------------------------------------------
 
@@ -622,6 +659,17 @@ class ModulePresentation:
         depend on n: they are computed once per minimal presentation and
         kept in its ``_ext_dims`` slot, so every level after the first only
         compares numbers.
+
+        A nonzero M with dim M < dim R gets its witness with no Ext module
+        built.  S is regular, so Cohen-Macaulay, and M has grade
+        g = dim S - dim M over S: by Rees' theorem Ext^j_S(M, S) = 0 for
+        j < g and Ext^g_S(M, S) != 0.  Its dimension is dim M: at a prime q
+        of height < j, pd M_q <= height q kills Ext^j_S(M, S)_q, so
+        dim Ext^j_S(M, S) <= dim S - j; and at a minimal prime p of Supp M
+        with dim S/p = dim M, M_p has finite length over the regular ring S_p
+        of dimension g, so Ext^g_S(M, S)_p != 0.  Here g > dim S - dim R =
+        codim, and dim M > dim S - g - n for every n >= 1, so the loop below
+        stops first at j = g, with support_dim = dim M and bound dim M - n.
         """
         if n < 1:
             raise ValueError("serre level must be a positive integer")
@@ -629,11 +677,15 @@ class ModulePresentation:
         M = self.minimalize()
         if M.n_gens == 0:
             return {"holds": True, "level": n, "witness": None}
+        dS = self.ring.poly_ring.nvars
+        if M._below_ring_dimension():
+            dim = M.dimension()
+            return {"holds": False, "level": n,
+                    "witness": {"j": dS - dim, "support_dim": dim, "bound": dim - n}}
         if M._ext_dims is None:
             from .homology import ext_ambient_dimensions
             M._ext_dims = ext_ambient_dimensions(M)
         dims = M._ext_dims
-        dS = self.ring.poly_ring.nvars
         c = self.ring.codim
         for j, dj in dims.items():
             if j <= c:
@@ -645,21 +697,26 @@ class ModulePresentation:
         return {"holds": True, "level": n, "witness": None}
 
     def satisfies_serre(self, n: int) -> bool:
-        """``serre_condition(n)["holds"]``, rejecting first on depth alone.
+        """``serre_condition(n)["holds"]``, rejecting first on dimension,
+        then on depth alone.
 
-        A nonzero M with depth M < min(n, dim R) fails the condition, so no
-        Ext dimension is computed for it.  Proof: let p = pd_S M, so depth M
-        = dim S - p.  Ext^p_S(M, S) is nonzero (the last map of a minimal
-        resolution has entries in the maximal ideal), so its support has
-        dimension >= 0.  If p > codim, level j = p of the condition needs
-        0 <= dim S - p - n, that is depth M >= n.  If p <= codim, then depth
-        M >= dim S - codim = dim R.  The depth reads the same ambient
-        resolution that ``ext_ambient_dimensions`` builds.
+        A nonzero M with dim M < dim R fails the condition for every n >= 1
+        (``_below_ring_dimension``), so neither its depth nor an Ext
+        dimension is computed.  A nonzero M with depth M < min(n, dim R)
+        fails it too, so no Ext dimension is computed for it.  Proof: let
+        p = pd_S M, so depth M = dim S - p.  Ext^p_S(M, S) is nonzero (the
+        last map of a minimal resolution has entries in the maximal ideal),
+        so its support has dimension >= 0.  If p > codim, level j = p of the
+        condition needs 0 <= dim S - p - n, that is depth M >= n.  If
+        p <= codim, then depth M >= dim S - codim = dim R.  The depth reads
+        the same ambient resolution that ``ext_ambient_dimensions`` builds.
         """
         if n < 1:
             raise ValueError("serre level must be a positive integer")
         self.ring.require_certified()
         M = self.minimalize()
+        if M._below_ring_dimension():
+            return False
         if M.n_gens and M.depth() < min(n, self.ring.dimension()):
             return False
         return M.serre_condition(n)["holds"]

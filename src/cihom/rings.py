@@ -33,6 +33,11 @@ class UnitIdealError(ValueError):
     """A quotient generator is a nonzero constant: S/(f) is the zero ring."""
 
 
+class MinimalPrimesMismatchError(ValueError):
+    """Declared minimal primes of a monomial quotient ideal are not the
+    computed ones."""
+
+
 def ideal_groebner(poly_ring: PolyRing, polys):
     """Reduced Groebner basis of an ideal, as a rank-one module basis."""
     return groebner_basis([(p,) for p in polys if p], FreeModule(poly_ring, (0,)))
@@ -122,6 +127,11 @@ class PrimeIdeal:
 
     def contains(self, poly: Polynomial) -> bool:
         return ideal_contains(self.gb, poly)
+
+    def same_ideal(self, other: "PrimeIdeal") -> bool:
+        """Equality as ideals: each contains the other's generators."""
+        return (all(self.contains(g) for g in other.gens)
+                and all(other.contains(g) for g in self.gens))
 
     def label(self) -> str:
         if not self.gens:
@@ -241,12 +251,13 @@ class RingPresentation:
         self._minimal_primes = None
         self._certificate = None
         if minimal_primes is not None:
-            checked = []
-            for gens_q in minimal_primes:
-                prime = PrimeIdeal(poly_ring, gens_q, check_status="declared")
+            checked = [PrimeIdeal(poly_ring, gens_q, check_status="declared")
+                       for gens_q in minimal_primes]
+            if self._is_monomial_ideal():
+                self._require_monomial_primes(checked)
+            for prime in checked:
                 chk = spot_check_prime(poly_ring, prime, self.quotient_gens)
                 prime.check_status = "spot-checked" if chk["ok"] else "suspect"
-                checked.append(prime)
             self._minimal_primes = checked
         elif self._is_monomial_ideal():
             self._minimal_primes = monomial_minimal_primes(poly_ring, self.quotient_gens)
@@ -267,6 +278,18 @@ class RingPresentation:
 
     def _is_monomial_ideal(self) -> bool:
         return all(len(f.terms) == 1 for f in self.quotient_gens)
+
+    def _require_monomial_primes(self, declared):
+        """Refuse declared minimal primes of a monomial quotient ideal unless
+        they are, in some order and without repeats, the computed ones."""
+        computed = monomial_minimal_primes(self.poly_ring, self.quotient_gens)
+        matched = sorted(next((i for i, q in enumerate(computed) if p.same_ideal(q)), -1)
+                         for p in declared)
+        if matched != list(range(len(computed))):
+            raise MinimalPrimesMismatchError(
+                f"ring {self.label}: declared minimal primes "
+                f"[{', '.join(p.label() for p in declared)}] are not the minimal primes "
+                f"[{', '.join(q.label() for q in computed)}] of its monomial ideal")
 
     def dimension(self) -> float:
         """Krull dimension of R: the last entry of the certificate's record."""

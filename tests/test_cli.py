@@ -501,6 +501,15 @@ def test_cli_unit_ideal_is_input_error(command, tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_cli_wrong_minimal_primes_of_a_monomial_ideal_is_input_error(tmp_path, capsys):
+    script = tmp_path / "primes.ci"
+    script.write_text("ring R = quotient(vars=[x,y,w,z], ideal=[x*w], minimal_primes=[[x]])\n")
+    assert main(["--script", str(script)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cihom: input error:") and "minimal primes [(x)]" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_cli_modules_over_different_rings_is_input_error(tmp_path, capsys):
     script = tmp_path / "rings.ci"
     script.write_text(TWO_LINE_SCRIPT

@@ -288,11 +288,17 @@ def test_depth_precheck_on_zero_free_and_residue_field(which, ring_quadric, ring
 
 
 def test_depth_precheck_skips_the_ext_dimensions(monkeypatch, ring_quadric):
+    # R (+) k has dimension dim R = 3 and depth 0: the dimension gate lets it
+    # through, the depth precheck rejects every level without Ext dimensions
     calls = _record_ext_calls(monkeypatch)
-    k = _residue_field(ring_quadric)
-    assert not any(k.satisfies_serre(n) for n in (1, 2, 3, 4))
+    pr = ring_quadric.poly_ring
+    zero = pr.zero()
+    M = ModulePresentation.from_relations(
+        ring_quadric, (0, 0), [[zero, pr.variable(v)] for v in pr.variables])
+    assert M.dimension() == 3 and M.depth() == 0
+    assert not any(M.satisfies_serre(n) for n in (1, 2, 3, 4))
     assert calls == []
-    assert not k.serre_condition(1)["holds"] and len(calls) == 1
+    assert not M.serre_condition(1)["holds"] and len(calls) == 1
 
 
 def test_serre_level_must_be_positive(mod_quadric):
@@ -466,10 +472,11 @@ def _biduality_test_module(which, ring_quadric, ring_two_nodes):
 def test_biduality_report_call_counts(monkeypatch, ring_quadric, ring_two_nodes, which,
                                       cycle_passes, kernel_builds):
     # reflexive reads the level-two depth condition and makes no dual;
-    # torsion_free makes one dual-generator matrix and, when the dual is
-    # nonzero, one pass for the evaluation map's minimal cycles; the kernel
-    # witness builds relations among those cycles only on a module with
-    # torsion (finite_length has M* = 0, so M is its own witness).
+    # torsion_free makes one dual-generator matrix, unless M has dimension
+    # below dim R (finite_length), where M* = 0 and M is its own torsion
+    # witness, read off its Hilbert series; when the dual is nonzero it makes
+    # one pass for the evaluation map's minimal cycles; the kernel witness
+    # builds relations among those cycles only on a module with torsion.
     from cihom import fmodules, homology
     calls = {"dual": 0, "cycles": 0, "kernel": 0}
     real_syz = fmodules.syzygy_generators
@@ -492,13 +499,14 @@ def test_biduality_report_call_counts(monkeypatch, ring_quadric, ring_two_nodes,
     monkeypatch.setattr(homology, "minimal_cycles", counting_cycles)
     monkeypatch.setattr(homology.MinimalCycles, "presentation", counting_pres)
     M = _biduality_test_module(which, ring_quadric, ring_two_nodes)
+    dual_builds = int(M.dimension() == M.ring.dimension())
     rep = M.biduality_report()
     assert rep.reflexive == (which in ("quadric", "two_nodes_N"))
     assert calls == {"dual": 0, "cycles": 0, "kernel": 0}
     assert rep.torsion_free == (which in ("quadric", "two_nodes_N"))
-    assert calls == {"dual": 1, "cycles": cycle_passes, "kernel": 0}
+    assert calls == {"dual": dual_builds, "cycles": cycle_passes, "kernel": 0}
     assert (rep.kernel.n_gens == 0) == rep.torsion_free
-    assert calls == {"dual": 1, "cycles": cycle_passes, "kernel": kernel_builds}
+    assert calls == {"dual": dual_builds, "cycles": cycle_passes, "kernel": kernel_builds}
     # one report per minimal presentation: a second read computes nothing
     assert M.biduality_report() is rep and M.minimalize().biduality_report() is rep
 

@@ -193,12 +193,14 @@ def _record_depth_reads(monkeypatch):
     return read
 
 
-@pytest.mark.parametrize("seed", [1, 3])
+@pytest.mark.parametrize("seed", [1, 3, 25])
 def test_3_6_search_reads_no_depth_of_a_higher_tor(ring_quadric, monkeypatch, seed):
     # search36 benchmark items: with seed 1 Tor_1..Tor_5 all vanish, with
-    # seed 3 Tor_1 is nonzero.  The verdict reads only which Tor_i vanish,
+    # seed 3 Tor_1 is nonzero; seed 25 is the one item whose tensor has
+    # dimension dim R = 3.  The verdict reads only which Tor_i vanish,
     # so no Tor_i with i >= 1 has its depth computed; the tensor (Tor_0)
-    # does, in its Serre test.
+    # has it computed in its Serre test only when dim T = dim R, since a
+    # lower dimension rejects every level first.
     cfg = SearchConfig(ring_quadric, "3.6", samples=1, seed=seed, max_gens=2, max_deg=1)
     rng = random.Random(cfg.seed)
     M = random_homogeneous_module(ring_quadric, rng, 2, 1, label="S0a")
@@ -216,7 +218,7 @@ def test_3_6_search_reads_no_depth_of_a_higher_tor(ring_quadric, monkeypatch, se
     higher = [e.presentation for e in entries if e.index >= 1]
     tensor = next(e.presentation for e in entries if e.index == 0)
     assert higher and not any(p is q for p in higher for q in read)
-    assert any(q is tensor for q in read)
+    assert any(q is tensor for q in read) == (tensor.dimension() == ring_quadric.dimension())
 
 
 def _eager_entry_dict(index, pres, degree_bound):

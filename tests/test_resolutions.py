@@ -155,7 +155,8 @@ def test_hilbert_syzygy_bound_over_ambient():
 def test_ambient_resolution_stops_at_dim_s(monkeypatch):
     # k = S/(x, y, w, z) has pd 4 = dim S.  d_2, d_3 and d_4 come from
     # syzygies; by the syzygy theorem those of d_4 are zero, so they are
-    # not computed
+    # not computed.  Its depth 0 is read off its dimension, with no
+    # resolution at all.
     calls = []
     real = resolutions.syzygy_generators
 
@@ -167,7 +168,8 @@ def test_ambient_resolution_stops_at_dim_s(monkeypatch):
     pr = PolyRing(F, ["x", "y", "w", "z"])
     S = RingPresentation(pr, [], label="S")
     k = ModulePresentation.quotient_by_ideal(S, [pr.variable(v) for v in "xywz"], label="k")
-    assert k.depth() == 0
+    assert k.depth() == 0 and calls == []
+    assert k.projective_dimension_ambient() == 4
     assert len(calls) == 3
     res = resolve(k, steps=6)
     assert res.terminated and res.betti_numbers() == [1, 4, 6, 4, 1, 0, 0]

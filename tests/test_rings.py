@@ -16,6 +16,7 @@ from cihom.polynomials import (
 from cihom.rings import (
     NEG_INF,
     HypothesisMissingError,
+    MinimalPrimesMismatchError,
     RingPresentation,
     UnitIdealError,
     ideal_contains,
@@ -120,6 +121,20 @@ def test_monomial_minimal_primes(ring_two_nodes, ring_node):
     assert labels == ["(x, z)", "(x, u)", "(y, z)", "(y, u)"] or len(labels) == 4
     node_labels = sorted(p.label() for p in ring_node.minimal_primes())
     assert node_labels == ["(x)", "(y)"]
+
+
+def test_declared_primes_of_a_monomial_ideal_must_be_the_computed_ones():
+    # (x w) has minimal primes (x) and (w): declaring (x) alone, a repeat or
+    # a prime that is not minimal is refused; the true list, in any order
+    # and with other generators of the same ideals, is kept as declared.
+    pr = PolyRing(F, ["x", "y", "w", "z"])
+    x, y, w, z = (pr.variable(v) for v in "xywz")
+    for primes in ([[x]], [[x], [w], [x]], [[x], [w], [x, y]], [[x, y], [w]]):
+        with pytest.raises(MinimalPrimesMismatchError, match=r"minimal primes \[\(x\), \(w\)\]"):
+            RingPresentation(pr, [x * w], label="xw", minimal_primes=primes)
+    ring = RingPresentation(pr, [x * w], label="xw", minimal_primes=[[w], [x + x]])
+    assert [p.label() for p in ring.minimal_primes()] == ["(w)", "(2*x)"]
+    assert [p.check_status for p in ring.minimal_primes()] == ["spot-checked"] * 2
 
 
 def test_declared_primes_spot_checked(ring_quadric):
