@@ -33,8 +33,8 @@ from .groebner import (
     minimal_generator_indices,
     syzygy_generators,
 )
-from .rings import (INF, RingPresentation, add_numerator, dimension_and_multiplicity,
-                    encode_infinite, hilbert_numerator)
+from .rings import (INF, RingPresentation, dimension_and_multiplicity, encode_infinite,
+                    hilbert_values, module_numerator)
 
 
 def _entry_degree(p: Polynomial, i: int, j: int):
@@ -486,19 +486,14 @@ class ModulePresentation:
 
     def hilbert_numerator(self) -> dict:
         """Numerator K of the Hilbert series K(t) / (1 - t)^n (n ambient
-        variables), computed once: the initial module of the relations splits
-        by position into monomial ideals L_i, so K = sum_i t^(gen_degs[i]) K(L_i).
-        Only lead terms are read, so the Groebner basis is not interreduced.
+        variables), computed once from the lead terms of the relations
+        (``rings.module_numerator``), so the Groebner basis is not
+        interreduced.
         """
         if self._hf_num is None:
-            leads = [[] for _ in self.gen_degs]
-            for p, m in initial_terms(self.relations.columns(), self.free_module(),
-                                      self.ring.quotient_gens):
-                leads[p].append(m)
-            num: dict = {}
-            for gdeg, monos in zip(self.gen_degs, leads):
-                add_numerator(num, hilbert_numerator(monos), gdeg)
-            self._hf_num = num
+            self._hf_num = module_numerator(
+                self.gen_degs, initial_terms(self.relations.columns(), self.free_module(),
+                                             self.ring.quotient_gens))
         return self._hf_num
 
     def hilbert_function(self, dmax: int, dmin: int | None = None) -> dict:
@@ -506,12 +501,7 @@ class ModulePresentation:
         smallest generator degree; empty modules give all zeros)."""
         if dmin is None:
             dmin = min(self.gen_degs) if self.gen_degs else 0
-        num = self.hilbert_numerator()
-        lo = min([dmin, *num])
-        values = [num.get(d, 0) for d in range(lo, dmax + 1)]
-        for _ in range(self.ring.poly_ring.nvars):
-            values = list(itertools.accumulate(values))  # divide by (1 - t)
-        return {d: values[d - lo] for d in range(dmin, dmax + 1)}
+        return hilbert_values(self.hilbert_numerator(), self.ring.poly_ring.nvars, dmin, dmax)
 
     # -- tensor ------------------------------------------------------------------
 

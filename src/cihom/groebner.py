@@ -614,6 +614,12 @@ class IncrementalModuleGB:
         self._drain(self.order.element_degree(e))
         return normal_form(e, self.basis, self.order, self._by_position)
 
+    def initial_terms(self) -> list:
+        """Drain every queued pair, then the leads (position, monomial) of the
+        basis: they generate the initial module of the submodule."""
+        self._drain()
+        return [self.order.decode(lead_term(g, self.order)) for g in self.basis]
+
 
 def buchberger(elements: list, order: ModuleOrder, ideal_mode: bool = False) -> list:
     """Reduced Groebner basis of the submodule generated by the coded elements.
@@ -747,7 +753,7 @@ def initial_terms(columns, free: FreeModule, quotient_polys=()) -> list:
     gb = IncrementalModuleGB(order, coprime=free.rank == 1 and not quotient_polys)
     gb.extend(order.encode_column(c, free)
               for c in list(columns) + quotient_columns(free, quotient_polys))
-    return [order.decode(lead_term(g, order)) for g in gb.basis]
+    return gb.initial_terms()
 
 
 def tracked_buchberger(inputs: list, order: ModuleOrder):
@@ -868,8 +874,24 @@ def syzygy_generators(columns, col_degs, free: FreeModule, quotient_ring=None, r
     return TrackedSubmodule(columns, col_degs, free, quotient_ring, relations).syzygy_elements()
 
 
+def relation_basis(free: FreeModule, quotient_polys=(), relations=()) -> IncrementalModuleGB:
+    """The pair engine of ``free``'s shared order holding the homogeneous
+    ``relations`` and the quotient columns f_k * e_j, their pairs queued:
+    the span that ``minimal_generator_indices`` reduces modulo.  Its
+    ``initial_terms`` read the initial module of that span."""
+    order = shared_order(free)
+    gb = IncrementalModuleGB(order)
+    for r in relations:
+        r = order.encode_column(r, free)
+        order.element_degree(r)   # raises GradedViolationError if mixed
+        gb.add(r)
+    for q in quotient_columns(free, quotient_polys):
+        gb.add(order.encode_column(q, free))
+    return gb
+
+
 def minimal_generator_indices(columns, col_degs, free: FreeModule, quotient_polys=(),
-                              relations=()):
+                              relations=(), basis: IncrementalModuleGB | None = None):
     """Indices of a minimal generating subset of the given homogeneous columns
     of ``free``, modulo the span of the homogeneous ``relations`` (none:
     modulo zero).
@@ -881,19 +903,15 @@ def minimal_generator_indices(columns, col_degs, free: FreeModule, quotient_poly
     quotient.  Each membership question drains the pairs only up to the
     column's degree and reduces the column; a kept column enters the basis
     as that nonzero normal form, which spans the same submodule with the
-    basis and forms no S-pair with the reducers of its own lead.
+    basis and forms no S-pair with the reducers of its own lead.  ``basis``,
+    when given, is ``relation_basis(free, quotient_polys, relations)``,
+    drained or not, built by the caller; the pass grows it in place instead
+    of building its own.  Membership is the same, so the kept set is too.
     """
-    n = len(columns)
-    order = shared_order(free)
-    gb = IncrementalModuleGB(order)
-    for r in relations:
-        r = order.encode_column(r, free)
-        order.element_degree(r)   # raises GradedViolationError if mixed
-        gb.add(r)
-    for q in quotient_columns(free, quotient_polys):
-        gb.add(order.encode_column(q, free))
+    gb = relation_basis(free, quotient_polys, relations) if basis is None else basis
+    order = gb.order
     kept = []
-    for i in sorted(range(n), key=lambda k: (col_degs[k], k)):
+    for i in sorted(range(len(columns)), key=lambda k: (col_degs[k], k)):
         r = gb.reduce(order.encode_column(columns[i], free))
         if r:
             kept.append(i)

@@ -26,26 +26,39 @@ window covers, (c) window vanishing plus an applicable rigidity instance,
 A Tor profile fills itself on first read: each Tor_i, the tensor slot,
 the vanishing evidence and the resolution are built when a caller first
 asks for them, so a search that stops at the first nonzero Tor_i builds
-nothing past it.  Each entry (``HomologyEntry``) in turn takes whether it
-vanishes, its minimal generator count and its initial degree from the
-generator half, and computes the relation half, minimalizes and fills its
-depth, dimension, finite length and Hilbert data on first read; so a verdict
-that reads only which Tor_i vanish computes no relations among their cycles
-and no ambient resolution of them, and an error of the relation step
-surfaces on the first read that needs the presentation.  Built
-modules and the resolution cached on M's minimal presentation are reused by
-later reads; a profile is not safe to fill from two threads at once.  The
-linear-algebra verification path in ``oracle`` shares nothing with this
-pipeline by construction.
+nothing past it.  A Tor_i entry (``HomologyEntry``) reads its vanishing, its
+initial degree, its dimension, finite length and Hilbert data off one
+Hilbert-series identity.  Tensoring is right exact, so the cokernel of
+d_j tensor N on term j - 1 is Omega^(j-1) M tensor N (Omega^0 M = M), and
+counting ranks degree by degree in F tensor N gives
+
+    HS(Tor_i) = HS(Omega^i M (x) N) + HS(Omega^(i-1) M (x) N)
+                - sum_(a in deg F_(i-1)) t^a HS(N).
+
+Each cokernel's numerator needs one untracked Groebner basis, with no
+syzygies and no cycles, and serves two neighbouring Tor entries.  The
+identity holds for any free resolution, minimal or not.  Minimal cycles are
+built only on the first read of ``betti0`` of a nonzero entry, ``depth`` of
+an entry of positive dimension, or ``presentation``; the greedy pass then
+grows the basis that gave the cokernel on the entry's own term.  The
+relations among the cycles, ``minimalize`` and the ambient resolution come
+only with ``presentation`` and ``depth``, so a verdict that reads only which
+Tor_i vanish builds no cycles at all, and an error of a later step surfaces
+on the first read that needs it.  Hom is only left exact, so Ext entries
+take ``vanishes``, ``betti0`` and the initial degree from their minimal
+cycles, built with the entry.  Built modules and the resolution cached on
+M's minimal presentation are reused by later reads; a profile is not safe
+to fill from two threads at once.  The linear-algebra verification path in
+``oracle`` shares nothing with this pipeline by construction.
 """
 
 from __future__ import annotations
 
 from .fmodules import ModulePresentation, PolyMatrix
-from .groebner import FreeModule, minimal_generator_indices, syzygy_generators
+from .groebner import FreeModule, minimal_generator_indices, relation_basis, syzygy_generators
 from .resolutions import FreeResolution, detect_periodicity, resolve
 from .rings import (INF, RingPresentation, add_numerator, dimension_and_multiplicity,
-                    encode_infinite)
+                    encode_infinite, hilbert_values, module_numerator)
 
 
 class MinimalCycles:
@@ -69,6 +82,11 @@ class MinimalCycles:
         self.image = image
         self.label = label
 
+    @classmethod
+    def empty(cls, ring: RingPresentation, label="H") -> "MinimalCycles":
+        """No cycles: the zero subquotient, labelled."""
+        return cls(ring, FreeModule(ring.poly_ring, ()), [], (), [], label=label)
+
     def presentation(self) -> ModulePresentation:
         if not self.gen_degs:
             return ModulePresentation.zero(self.ring, label=self.label)
@@ -81,10 +99,12 @@ class MinimalCycles:
 
 def minimal_cycles(ring: RingPresentation, gen_degs, outgoing: PolyMatrix | None,
                    target_rels: PolyMatrix | None, incoming: PolyMatrix | None,
-                   own_rels: PolyMatrix | None, label="H") -> MinimalCycles:
+                   own_rels: PolyMatrix | None, label="H", basis=None) -> MinimalCycles:
     """The generator half of ``subquotient_presentation`` (same arguments):
     the kernel generators left by the greedy pass, which computes no
-    relation among them."""
+    relation among them.  ``basis``, when given, is the term's
+    ``relation_basis`` of the image, already built by the caller; the greedy
+    pass grows it instead of building its own."""
     gen_degs = tuple(gen_degs)
     for name, mat, side in (("outgoing map", outgoing, "col_degs"),
                             ("incoming map", incoming, "row_degs"),
@@ -103,7 +123,7 @@ def minimal_cycles(ring: RingPresentation, gen_degs, outgoing: PolyMatrix | None
             ring, target_rels.columns() if target_rels is not None else ())
     image = [c for mat in (incoming, own_rels) if mat is not None for c in mat.columns()]
     keep = minimal_generator_indices(ker_cols, ker_degs, own_free, ring.quotient_gens,
-                                     relations=image)
+                                     relations=image, basis=basis)
     return MinimalCycles(ring, own_free, [ker_cols[j] for j in keep],
                          [ker_degs[j] for j in keep], image, label=label)
 
@@ -147,62 +167,105 @@ def cokernel_of_map(psi: PolyMatrix, target: ModulePresentation,
 class HomologyEntry:
     """Minimal presentation and numeric profile of one Tor/Ext module.
 
-    ``module`` is the module's ``MinimalCycles`` or a presentation, which is
-    minimalized here.  ``vanishes``, ``betti0`` and ``initial_degree`` are
-    set at construction from the minimal generator degrees: the cycles' are
-    those of their minimalized presentation, since no relation among
-    minimal generators has a unit entry.  The presentation is built on
-    first read of ``presentation``, ``depth``, ``dim``, ``finite_length`` or
-    ``hilbert``: the relation half of the cycles, then ``minimalize``; the
-    entry then drops the cycles.  So a caller that reads only vanishing
-    computes no relations, and an error of the relation step surfaces on
-    that first read.  ``depth`` (an ambient resolution), ``dim``,
-    ``finite_length`` and ``hilbert`` are then filled from the
-    presentation's own caches (its ambient resolution and its Hilbert
-    numerator); ``dim`` and ``finite_length`` never build the resolution.
+    A Tor_i entry (i >= 1) is given its Hilbert numerator (see
+    ``TorProfile``) and, as ``module``, the complex F (x) N it lives in
+    (``_ResolutionComplex``), which labels the entry and builds its cycles.
+    ``vanishes`` (the numerator is zero), ``initial_degree`` (its lowest
+    exponent), ``dim``, ``finite_length`` and ``hilbert`` are read off the
+    numerator.  The complex builds the entry's minimal cycles
+    (``minimal_cycles``) only on the first read of ``betti0`` of a nonzero
+    entry, ``depth`` of an entry of positive dimension (a vanishing entry has
+    depth inf, one of dimension 0 depth 0), or ``presentation``; a vanishing
+    entry's presentation is the zero module.  An Ext entry is given its
+    ``MinimalCycles`` and Tor_0 a presentation, which is minimalized here;
+    both take ``vanishes``, ``betti0`` and ``initial_degree`` from their
+    minimal generator degrees (no relation among minimal generators has a
+    unit entry) and the numerator from their presentation.
+
+    The presentation is the relation half of the cycles, minimalized; the
+    entry then drops the cycles, and an error of the relation step surfaces
+    on that first read.  A Tor entry hands the presentation its numerator,
+    so ``depth`` (an ambient resolution of the presentation) computes no
+    second Hilbert series.
     """
 
-    __slots__ = ("index", "vanishes", "betti0", "initial_degree", "_cycles", "_presentation",
-                 "_degree_bound", "_hilbert")
+    __slots__ = ("index", "vanishes", "initial_degree", "_betti0", "_ring", "_cycles",
+                 "_presentation", "_numerator", "_degree_bound", "_hilbert")
 
-    def __init__(self, index, module, degree_bound):
+    def __init__(self, index, module, degree_bound, numerator=None):
         self.index = index
-        if isinstance(module, MinimalCycles):
-            self._cycles, self._presentation = module, None
+        self._ring = module.ring
+        self._numerator = numerator
+        self._presentation = None
+        if numerator is not None:
+            self.vanishes = not numerator
+            self.initial_degree = min(numerator, default=None)
+            self._betti0 = 0 if self.vanishes else None
+            self._cycles = (MinimalCycles.empty(module.ring, module.label(index))
+                            if self.vanishes else module)
         else:
-            self._cycles, self._presentation = None, module.minimalize()
-            module = self._presentation
-        self.betti0 = len(module.gen_degs)
-        self.vanishes = self.betti0 == 0
-        self.initial_degree = min(module.gen_degs, default=None)
+            if isinstance(module, MinimalCycles):
+                self._cycles = module
+            else:
+                self._cycles, self._presentation = None, module.minimalize()
+                module = self._presentation
+            self._betti0 = len(module.gen_degs)
+            self.vanishes = self._betti0 == 0
+            self.initial_degree = min(module.gen_degs, default=None)
         self._degree_bound = degree_bound
         self._hilbert = None
+
+    def _minimal_cycles(self) -> MinimalCycles:
+        if not isinstance(self._cycles, MinimalCycles):
+            self._cycles = self._cycles.cycles(self.index)
+        return self._cycles
+
+    @property
+    def betti0(self) -> int:
+        if self._betti0 is None:
+            self._betti0 = len(self._minimal_cycles().gen_degs)
+        return self._betti0
 
     @property
     def presentation(self) -> ModulePresentation:
         if self._presentation is None:
-            self._presentation = self._cycles.presentation().minimalize()
-            self._cycles = None
+            pres = self._minimal_cycles().presentation().minimalize()
+            if self._numerator is not None:
+                pres._hf_num = self._numerator   # the same series, computed once
+            self._presentation, self._cycles = pres, None
+            self._betti0 = len(pres.gen_degs)
         return self._presentation
 
     @property
+    def numerator(self) -> dict:
+        """Numerator of the Hilbert series over the ambient variables."""
+        if self._numerator is None:
+            self._numerator = self.presentation.hilbert_numerator()
+        return self._numerator
+
+    @property
     def depth(self) -> float:
+        if self.vanishes:
+            return INF
+        if self.dim == 0:
+            return 0
         return self.presentation.depth()
 
     @property
     def dim(self) -> float:
-        return self.presentation.dimension()
+        return dimension_and_multiplicity(self.numerator, self._ring.poly_ring.nvars)[0]
 
     @property
     def finite_length(self) -> bool:
-        return self.presentation.length() != INF
+        return self.dim <= 0
 
     @property
     def hilbert(self) -> dict:
         """Hilbert values from min(0, initial degree) through the degree bound."""
         if self._hilbert is None:
             lo = min(0, self.initial_degree) if self.initial_degree is not None else 0
-            self._hilbert = self.presentation.hilbert_function(self._degree_bound, dmin=lo)
+            self._hilbert = hilbert_values(self.numerator, self._ring.poly_ring.nvars, lo,
+                                           self._degree_bound)
         return self._hilbert
 
     def normalized_hilbert(self):
@@ -237,18 +300,27 @@ class TorProfile:
     """Tor_i(M, N) for 1 <= i <= bound, plus the Tor_0 = tensor slot.
 
     The profile fills itself on first read.  ``entry(i)`` builds Tor_i
-    alone, from the resolution of M that is cached on M's minimal
-    presentation and extended only through step i + 1; ``tor0``,
-    ``vanishing``, ``periodicity`` and ``resolution`` are built when first
-    read.  ``vanishing``, ``all_vanish_in_window`` and ``vanish_range`` stop
-    at the first nonzero Tor_i, and ``vanishing`` reads the resolution only
-    when every Tor_i in the window vanishes.  ``entries`` and ``as_dict``
-    build everything.  A right-side profile resolves N: it reads every field
-    from its left profile of (N, M) and builds nothing of its own.
+    alone, from the resolution F of M that is cached on M's minimal
+    presentation and extended only through step i + 1, and from two
+    cokernel numerators.  K_j is the Hilbert numerator of
+    coker(d_j (x) 1 | 1 (x) B) on term j - 1 of F (x) N, which is
+    Omega^(j-1) M (x) N since tensoring is right exact; K_1 is Tor_0's.
+    Counting ranks in F (x) N gives
+    HS(Tor_i) = HS(Omega^i M (x) N) + HS(Omega^(i-1) M (x) N) - HS(F_(i-1) (x) N),
+    so Tor_i's numerator is K_(i+1) + K_i - sum_(a in deg F_(i-1)) t^a K_N.
+    Each K_j is computed once, from an untracked basis, and shared by
+    Tor_(j-1) and Tor_j; the basis is kept for Tor_(j-1)'s greedy
+    generator pass.  ``tor0``, ``vanishing``, ``periodicity`` and
+    ``resolution`` are built when first read.  ``vanishing``,
+    ``all_vanish_in_window`` and ``vanish_range`` stop at the first nonzero
+    Tor_i, and ``vanishing`` reads the resolution only when every Tor_i in
+    the window vanishes.  ``entries`` and ``as_dict`` build everything.  A
+    right-side profile resolves N: it reads every field from its left
+    profile of (N, M) and builds nothing of its own.
     """
 
-    __slots__ = ("M", "N", "ring", "bound", "degree_bound", "side", "_left",
-                 "_entries", "_tor0", "_vanishing", "_periodicity", "_resolution")
+    __slots__ = ("M", "N", "ring", "bound", "degree_bound", "side", "_left", "_entries",
+                 "_tor0", "_vanishing", "_periodicity", "_resolution", "_complex", "_cokernels")
 
     def __init__(self, M, N, bound, degree_bound, side="left"):
         self.M = M
@@ -263,6 +335,8 @@ class TorProfile:
         self._vanishing = None
         self._periodicity = None
         self._resolution = None
+        self._complex = None
+        self._cokernels: dict = {}
 
     def entry(self, i: int) -> HomologyEntry:
         """Tor_i for 0 <= i <= bound, built on first read."""
@@ -273,9 +347,23 @@ class TorProfile:
         left = self._left or self
         e = left._entries.get(i)
         if e is None:
-            cycles, _ = _resolution_homology(left.M, left.N, i, i, 1)
-            e = left._entries[i] = HomologyEntry(i, cycles[i], self.degree_bound)
+            if left._complex is None:
+                left._complex = _ResolutionComplex(left.M, left.N, 1)
+            cx = left._complex.reach(i + 1)
+            num = add_numerator(dict(left._cokernel(i + 1)), left._cokernel(i))
+            add_numerator(num, cx.term_numerator(i - 1), sign=-1)
+            if not num:
+                cx._bases.pop(i, None)   # a vanishing Tor_i builds no cycles
+            e = left._entries[i] = HomologyEntry(i, cx, self.degree_bound, numerator=num)
         return e
+
+    def _cokernel(self, j: int) -> dict:
+        """K_j, computed once."""
+        num = self._cokernels.get(j)
+        if num is None:
+            num = self._cokernels[j] = (self.tor0.presentation.hilbert_numerator() if j == 1
+                                        else self._complex.cokernel_numerator(j))
+        return num
 
     @property
     def entries(self) -> list:
@@ -367,49 +455,95 @@ def _vanishing_evidence(prof: TorProfile) -> dict:
             "detail": "vanishing observed in the window only"}
 
 
+class _ResolutionComplex:
+    """F tensor N (sign 1: Tor) or Hom(F, N) (sign -1: Ext), F a minimal
+    resolution of M computed through the step ``reach`` last asked for (it
+    is cached on M's minimal presentation, so reaching further extends it).
+
+    Term i has generator degrees sign * a + b (a of F_i, b of N's minimal
+    generators) and relations the twisted copies of N's relations B,
+    1 (x) B.  Its maps are d_i and d_{i+1} tensor N (transposed for Hom):
+    the first goes out of term i for Tor and comes in for Ext, and the
+    outgoing map lands in term i - sign.
+    """
+
+    __slots__ = ("M", "N", "ring", "sign", "Nmin", "res", "_bases")
+
+    def __init__(self, M: ModulePresentation, N: ModulePresentation, sign: int):
+        self.M, self.N, self.ring, self.sign = M, N, M.ring, sign
+        self.Nmin = N.minimalize()
+        self.res = None
+        self._bases: dict = {}   # term i -> basis of its image, for one greedy pass
+
+    def reach(self, steps: int) -> "_ResolutionComplex":
+        if self.res is None or self.res.truncation < steps:
+            self.res = resolve(self.M, steps=steps)
+        return self
+
+    def label(self, i: int) -> str:
+        return f"{'Tor' if self.sign > 0 else 'Ext'}{i}({self.M.label},{self.N.label})"
+
+    def degs(self, i: int) -> tuple:
+        return tuple(self.sign * a + b for a in self.res.step_degrees(i)
+                     for b in self.Nmin.gen_degs)
+
+    def rels(self, i: int) -> PolyMatrix | None:
+        degs = tuple(self.sign * a for a in self.res.step_degrees(i))
+        return self.Nmin.relations.identity_kron(degs) if degs else None
+
+    def kron(self, i: int) -> PolyMatrix | None:
+        """d_i tensor N (d_i^T for Hom), or None past the resolution."""
+        d = self.res.differential(i)
+        if d is None:
+            return None
+        return (d if self.sign > 0 else d.transpose()).kron_identity(self.Nmin.gen_degs)
+
+    def cycles(self, i: int) -> MinimalCycles:
+        """The minimal cycles of term i; the greedy pass takes the term's
+        basis kept by ``cokernel_numerator``, once, instead of building it."""
+        label, degs = self.label(i), self.degs(i)
+        if not degs:
+            return MinimalCycles.empty(self.ring, label)
+        lower, upper = self.kron(i), self.kron(i + 1)
+        outgoing, incoming = (lower, upper) if self.sign > 0 else (upper, lower)
+        return minimal_cycles(self.ring, degs, outgoing, self.rels(i - self.sign), incoming,
+                              self.rels(i), label=label, basis=self._bases.pop(i, None))
+
+    def term_numerator(self, i: int) -> dict:
+        """Hilbert numerator of term i of F tensor N: sum over a in deg F_i
+        of t^a K_N."""
+        num: dict = {}
+        for a in self.res.step_degrees(i):
+            add_numerator(num, self.Nmin.hilbert_numerator(), a)
+        return num
+
+    def cokernel_numerator(self, j: int) -> dict:
+        """For F tensor N: the Hilbert numerator of coker(d_j (x) 1 | 1 (x) B)
+        on term j - 1, read off an untracked basis of that image, which
+        spans Tor_(j-1)'s image too; the basis is kept for its greedy pass."""
+        degs, d = self.degs(j - 1), self.kron(j)
+        if not degs or d is None:   # d_j = 0: the whole term
+            return self.term_numerator(j - 1)
+        gb = relation_basis(FreeModule(self.ring.poly_ring, degs), self.ring.quotient_gens,
+                            d.columns() + self.rels(j - 1).columns())
+        self._bases[j - 1] = gb
+        return module_numerator(degs, gb.initial_terms())
+
+
 def _resolution_homology(M: ModulePresentation, N: ModulePresentation, lo: int, hi: int,
                          sign: int):
     """Homology at each index lo <= i <= hi of F tensor N (sign 1: Tor_i) or
     of Hom(F, N) (sign -1: Ext^i), F a minimal resolution of M, as the
-    ``MinimalCycles`` of each; also F.
+    ``MinimalCycles`` of each; also F."""
+    cx = _ResolutionComplex(M, N, sign).reach(hi + 1)
+    return {i: cx.cycles(i) for i in range(lo, hi + 1)}, cx.res
 
-    Term i has generator degrees sign * a + b (a of F_i, b of N's minimal
-    generators) and relations the twisted copies of N's relations.  Its maps
-    are d_i and d_{i+1} tensor N (transposed for Hom): the first goes out of
-    term i for Tor and comes in for Ext, and the outgoing map lands in term
-    i - sign.
-    """
-    ring = M.ring
-    res = resolve(M, steps=hi + 1)
-    Nmin = N.minimalize()
-    B = Nmin.relations
-    n_degs = Nmin.gen_degs
-    name = "Tor" if sign > 0 else "Ext"
 
-    def rels(i):
-        degs = tuple(sign * a for a in res.step_degrees(i))
-        return B.identity_kron(degs) if degs else None
-
-    def kron(i):
-        """d_i tensor N (d_i^T for Hom), or None past the resolution."""
-        d = res.differential(i)
-        if d is None:
-            return None
-        return (d if sign > 0 else d.transpose()).kron_identity(n_degs)
-
-    out = {}
-    for i in range(lo, hi + 1):
-        label = f"{name}{i}({M.label},{N.label})"
-        if not res.step_degrees(i) or not n_degs:
-            out[i] = MinimalCycles(ring, FreeModule(ring.poly_ring, ()), [], (), [],
-                                   label=label)
-            continue
-        lower, upper = kron(i), kron(i + 1)
-        outgoing, incoming = (lower, upper) if sign > 0 else (upper, lower)
-        out[i] = minimal_cycles(
-            ring, tuple(sign * a + b for a in res.step_degrees(i) for b in n_degs),
-            outgoing, rels(i - sign), incoming, rels(i), label=label)
-    return out, res
+def _check_bounds(bound: int, degree_bound: int):
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    if degree_bound < 0:
+        raise ValueError(f"degree_bound must be >= 0, not {degree_bound}")
 
 
 def tor_profile(M: ModulePresentation, N: ModulePresentation, bound: int,
@@ -417,14 +551,14 @@ def tor_profile(M: ModulePresentation, N: ModulePresentation, bound: int,
     """Tor_i(M, N) for 1 <= i <= bound via a minimal resolution.
 
     side='left' resolves M, side='right' resolves N (the symmetric
-    recomputation used for cross-checks).  The arguments are checked here;
-    every Tor module is built on first read (see ``TorProfile``).
+    recomputation used for cross-checks).  The arguments are checked here
+    (``bound`` >= 1, ``degree_bound`` >= 0); every Tor module is built on
+    first read (see ``TorProfile``).
     """
     M.check_same_ring(N)
     if side not in ("left", "right"):
         raise ValueError(f"side must be left or right, not {side!r}")
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
+    _check_bounds(bound, degree_bound)
     return TorProfile(M, N, bound, degree_bound, side)
 
 
@@ -437,9 +571,12 @@ def ext_modules(M: ModulePresentation, N: ModulePresentation, lo: int, hi: int) 
 
 def ext_profile(M: ModulePresentation, N: ModulePresentation, bound: int,
                 degree_bound: int = 8) -> list:
-    """HomologyEntry list for Ext^i(M, N), i = 1..bound; each entry builds
-    its presentation on first read."""
+    """HomologyEntry list for Ext^i(M, N), i = 1..bound (``bound`` >= 1,
+    ``degree_bound`` >= 0); each entry builds its presentation on first
+    read.  Hom is only left exact, so Ext entries take every field from
+    their cycles, not from a Hilbert-series identity."""
     M.check_same_ring(N)
+    _check_bounds(bound, degree_bound)
     cycles = _resolution_homology(M, N, 1, bound, -1)[0]
     return [HomologyEntry(i, cycles[i], degree_bound) for i in range(1, bound + 1)]
 

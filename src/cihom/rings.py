@@ -80,6 +80,29 @@ def hilbert_numerator(lead_monos) -> dict:
     return num
 
 
+def module_numerator(gen_degs, leads) -> dict:
+    """Numerator K of HS(F / U) = K(t) / (1 - t)^n, F free on ``gen_degs`` and
+    U a submodule whose initial module the (position, monomial) ``leads``
+    generate: that module splits by position into monomial ideals L_i, so
+    K = sum_i t^(gen_degs[i]) K(L_i).  Redundant leads are harmless."""
+    by_position = [[] for _ in gen_degs]
+    for p, m in leads:
+        by_position[p].append(m)
+    num: dict = {}
+    for gdeg, monos in zip(gen_degs, by_position):
+        add_numerator(num, hilbert_numerator(monos), gdeg)
+    return num
+
+
+def hilbert_values(num: dict, nvars: int, dmin: int, dmax: int) -> dict:
+    """The coefficients of num(t) / (1 - t)^nvars in degrees dmin..dmax."""
+    lo = min([dmin, *num])
+    values = [num.get(d, 0) for d in range(lo, dmax + 1)]
+    for _ in range(nvars):
+        values = list(itertools.accumulate(values))  # divide by (1 - t)
+    return {d: values[d - lo] for d in range(dmin, dmax + 1)}
+
+
 def add_numerator(num: dict, other: dict, shift: int = 0, sign: int = 1) -> dict:
     """num += sign * t^shift * other in place, dropping zero coefficients."""
     for e, c in other.items():

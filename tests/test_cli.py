@@ -534,7 +534,8 @@ def test_cli_bad_field_is_input_error(tag, tmp_path, capsys):
 def test_cli_invariant_error_in_a_tor_module_exits_4(monkeypatch, capsys):
     # Tor profiles are built when read; every read happens inside main's
     # error handling, so an invariant failure there never reaches emit_json.
-    # The failure is in the generator half of the Tor subquotients only.
+    # The failure is in the generator half of the Tor subquotients only,
+    # which 3.11 builds for its nonzero Tor entries when it reads betti0.
     from cihom import homology
     from cihom.polynomials import InvariantError
     real = homology.minimal_cycles
@@ -545,15 +546,33 @@ def test_cli_invariant_error_in_a_tor_module_exits_4(monkeypatch, capsys):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(homology, "minimal_cycles", broken)
-    assert main(["--example", "4.19", "--format", "json"]) == 4
+    assert main(["--example", "3.11", "--format", "json"]) == 4
     captured = capsys.readouterr()
     assert captured.err == "cihom: internal error: subquotient broken\n"
     assert captured.out == ""
 
 
+def test_cli_invariant_error_in_a_tor_numerator_exits_4(monkeypatch, capsys):
+    # Each Tor entry reads whether it vanishes off the Hilbert numerators of
+    # two cokernels, from an untracked basis built on first read, still
+    # inside main's error handling.
+    from cihom import homology
+    from cihom.polynomials import InvariantError
+
+    def broken(*args, **kwargs):
+        raise InvariantError("numerator broken")
+
+    monkeypatch.setattr(homology, "relation_basis", broken)
+    assert main(["--example", "3.11", "--format", "json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "cihom: internal error: numerator broken\n"
+    assert captured.out == ""
+
+
 def test_cli_invariant_error_in_the_relations_of_a_tor_module_exits_4(monkeypatch, capsys):
     # A Tor entry builds the relations among its minimal cycles on the
-    # first read of its presentation, still inside main's error handling.
+    # first read of its presentation, still inside main's error handling;
+    # 3.14 reads the depth of nonzero Tor entries of positive dimension.
     from cihom import homology
     from cihom.polynomials import InvariantError
     real = homology.MinimalCycles.presentation
@@ -564,7 +583,7 @@ def test_cli_invariant_error_in_the_relations_of_a_tor_module_exits_4(monkeypatc
         return real(self)
 
     monkeypatch.setattr(homology.MinimalCycles, "presentation", broken)
-    assert main(["--example", "3.11", "--format", "json"]) == 4
+    assert main(["--example", "3.14", "--format", "json"]) == 4
     captured = capsys.readouterr()
     assert captured.err == "cihom: internal error: relations broken\n"
     assert captured.out == ""

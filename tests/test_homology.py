@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cihom import homology
-from cihom.fields import PrimeField
+from cihom.fields import PrimeField, field_by_tag
 from cihom.fmodules import ModulePresentation, PolyMatrix, equal_hilbert_functions
 from cihom.homology import (
     HomologyEntry,
@@ -167,6 +168,8 @@ def _count_builds(monkeypatch):
 def test_3_6_search_stops_at_the_first_nonzero_tor(ring_quadric, monkeypatch):
     # The search36 benchmark's item with seed 3: Tor_1 is nonzero, so the
     # 3.6 verdict is a miss after Tor_1 and Tor_0, with M resolved to step 2.
+    # Whether Tor_1 vanishes is read off Hilbert numerators, so no Tor
+    # module builds its minimal cycles.
     cfg = SearchConfig(ring_quadric, "3.6", samples=1, seed=3, max_gens=2, max_deg=1)
     rng = random.Random(cfg.seed)
     M = random_homogeneous_module(ring_quadric, rng, 2, 1, label="S0a")
@@ -175,7 +178,7 @@ def test_3_6_search_stops_at_the_first_nonzero_tor(ring_quadric, monkeypatch):
     rec = _search_3_6(cfg, (M, N))
     assert rec["classification"] == "miss"
     assert rec["hypotheses"]["all_tor_vanish_certified"] is False
-    assert built == {"tor": 1, "entries": 2}
+    assert built == {"tor": 0, "entries": 2}
     assert len(M.minimalize()._res_cache["diffs"]) == 2
     assert not tor_profile(M, N, cfg.tor_bound).vanishes(1)
 
@@ -256,12 +259,14 @@ def test_right_profile_builds_no_entries_of_its_own(mod_M_two_nodes, mod_N_two_n
     right = tor_profile(M, mod_N_two_nodes, 3, side="right")
     assert built == {"tor": 0, "entries": 0}
     doc = right.as_dict()
-    assert built == {"tor": 3, "entries": 4}
+    # Tor_1 and Tor_2 of (N, M) vanish; only Tor_3 builds minimal cycles
+    assert [e.vanishes for e in right.entries] == [True, True, False]
+    assert built == {"tor": 1, "entries": 4}
     assert right.entries == right._left.entries and right.tor0 is right._left.tor0
     assert (right._entries, right._tor0, right._vanishing, right._periodicity,
             right._resolution) == ({}, None, None, None, None)
     assert right.resolution.module is mod_N_two_nodes.minimalize()
-    assert doc["resolved_side"] == "right" and built == {"tor": 3, "entries": 4}
+    assert doc["resolved_side"] == "right" and built == {"tor": 1, "entries": 4}
 
 
 def test_profile_entry_outside_the_window(mod_M_two_nodes, mod_N_two_nodes):
@@ -414,16 +419,21 @@ def test_a_vanishing_tor_computes_no_relations(mod_M_two_nodes, mod_N_two_nodes,
 
 def test_reading_only_vanishing_builds_no_relations(mod_M_two_nodes, mod_N_two_nodes,
                                                     monkeypatch):
-    # Tor_3 of the two-node pair is nonzero.  Reading whether it vanishes
-    # takes the kernel's tracked basis alone; the first read of its
-    # presentation builds the second, for the relations, and drops the
-    # cycles; later reads of it build nothing (depth builds the ambient
-    # resolution, from the presentation already built).
+    # Tor_3 of the two-node pair is nonzero.  Whether it vanishes, its
+    # dimension and its Hilbert data are read off Hilbert numerators, with
+    # no tracked basis; its betti0 takes the kernel's tracked basis alone;
+    # the first read of its presentation builds the second, for the
+    # relations, and drops the cycles; later reads of it build nothing
+    # (depth builds the ambient resolution, from the presentation already
+    # built).
     resolve(mod_M_two_nodes, steps=4)
     mod_N_two_nodes.minimalize()
     tracked = _count_tracked_bases(monkeypatch)
     entry = tor_profile(mod_M_two_nodes, mod_N_two_nodes, 3).entry(3)
-    assert not entry.vanishes and entry.betti0 > 0
+    assert not entry.vanishes
+    entry.dim, entry.finite_length, entry.hilbert
+    assert tracked["bases"] == 0
+    assert entry.betti0 > 0
     assert tracked["bases"] == 1 and entry._presentation is None
     pres = entry.presentation
     assert tracked["bases"] == 2 and entry._cycles is None
@@ -481,6 +491,85 @@ def test_lazy_entries_equal_the_eagerly_built_ones(mod_M_two_nodes, mod_N_two_no
         assert [_entry_fields(e) for e in lazy] == [_entry_fields(e) for e in eager], sign
         nonzero += sum(not e.vanishes for e in lazy)
     assert nonzero
+
+
+# -- Tor read off HS(Tor_i) = HS(Om^i M (x) N) + HS(Om^(i-1) M (x) N) - HS(F_(i-1) (x) N) --
+# These tests rest on no assert inside src, so they run the same under
+# python -O:  PYTHONPATH=src python -O -m pytest -q tests/test_homology.py -k tor_identity
+
+@functools.cache
+def _ambient_ring(tag):
+    """k[x,y,z] over the field with that tag: no quotient relations."""
+    return RingPresentation(PolyRing(field_by_tag(tag), ["x", "y", "z"]), [], label="S_xyz")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31),
+       st.sampled_from(["node", "two_nodes", "quadric", "ambient"]),
+       st.sampled_from(["f32003", "f3", "rational"]))
+def test_tor_identity_matches_the_eager_path(rings_over, seed, which, tag):
+    # vanishes, the initial degree, dim, finite length and the Hilbert data
+    # come from the entry's numerator alone; betti0, depth and the
+    # presentation from its minimal cycles.  Each equals the field of
+    # subquotient_presentation(...).minimalize() built eagerly on a second
+    # copy of the pair, and the Hilbert data is tor_oracle's.
+    node, two_nodes, quadric = rings_over(tag)
+    ring = {"node": node, "two_nodes": two_nodes, "quadric": quadric,
+            "ambient": _ambient_ring(tag)}[which]
+    bound, degree_bound, oracle_degree = 4, 6, 4
+    M, N = _random_pair(ring, seed)
+    prof = tor_profile(M, N, bound, degree_bound)
+    dims = tor_oracle(M, N, bound, oracle_degree)
+    for i in range(1, bound + 1):
+        e = prof.entry(i)
+        numeric = (e.vanishes, e.initial_degree, e.dim, e.finite_length, e.hilbert)
+        assert (e._presentation, e._betti0 is None) == (None, not e.vanishes), (seed, i)
+        ref = _eager_homology(*_random_pair(ring, seed), i, 1)
+        want = _eager_entry_dict(i, ref, degree_bound)
+        assert numeric == (want["vanishes"], want["initial_degree"], ref.dimension(),
+                           ref.length() != INF, ref.hilbert_function(
+                               degree_bound, dmin=min(0, want["initial_degree"] or 0))), (seed, i)
+        assert e.as_dict() == want, (seed, i)
+        pres = e.presentation   # handed the entry's numerator as its own
+        assert (pres.gen_degs, pres.relations.col_degs, pres.relations.text_rows(),
+                pres.label, pres.hilbert_numerator()) == (
+            ref.gen_degs, ref.relations.col_degs, ref.relations.text_rows(), ref.label,
+            ref.hilbert_numerator()), (seed, i)
+        for d in sorted(set(dims[i]) | set(e.hilbert)):
+            if d <= oracle_degree:
+                assert e.hilbert.get(d, 0) == dims[i].get(d, 0), (seed, i, d)
+
+
+def test_tor_identity_reads_vanishing_without_cycles(ring_quadric, monkeypatch):
+    # The search36 benchmark's item with seed 1: Tor_1..Tor_5 all vanish,
+    # which the 3.6 verdict reads off Hilbert numerators alone, so no Tor
+    # module builds its minimal cycles.
+    cfg = SearchConfig(ring_quadric, "3.6", samples=1, seed=1, max_gens=2, max_deg=1)
+    rng = random.Random(cfg.seed)
+    M = random_homogeneous_module(ring_quadric, rng, 2, 1, label="S0a")
+    N = random_homogeneous_module(ring_quadric, rng, 2, 1, label="S0b")
+    built = _count_builds(monkeypatch)
+    rec = _search_3_6(cfg, (M, N))
+    assert built == {"tor": 0, "entries": 6}
+    prof = tor_profile(M, N, cfg.tor_bound, cfg.degree_bound)
+    assert cfg.tor_bound == 5 and prof.all_vanish_in_window()
+    assert rec["hypotheses"]["all_tor_vanish_certified"] == prof.vanishing_certified
+    assert built["tor"] == 0
+
+
+@pytest.mark.parametrize("build", [tor_profile, ext_profile])
+def test_a_negative_degree_bound_is_refused_up_front(mod_M_two_nodes, build):
+    # Refused when the profile is made, naming the argument, and not by
+    # max() of an empty Hilbert dict inside as_dict.
+    M = mod_M_two_nodes
+    with pytest.raises(ValueError, match="degree_bound must be >= 0, not -2"):
+        build(M, M, 3, -2)
+    with pytest.raises(ValueError, match="bound must be >= 1"):
+        build(M, M, 0, 8)
+    # 0, the least value the CLI accepts, still reads every entry
+    entries = build(M, M, 3, 0)
+    entries = entries.entries if build is tor_profile else entries
+    assert all(isinstance(e.as_dict()["hilbert"], list) for e in entries)
 
 
 @pytest.mark.parametrize("slot", ["outgoing", "incoming", "own_rels"])
