@@ -29,8 +29,8 @@ from .polynomials import (
 )
 from .groebner import (
     FreeModule,
-    initial_terms,
     minimal_generator_indices,
+    relation_basis,
     syzygy_generators,
 )
 from .rings import (INF, RingPresentation, dimension_and_multiplicity, encode_infinite,
@@ -486,14 +486,14 @@ class ModulePresentation:
 
     def hilbert_numerator(self) -> dict:
         """Numerator K of the Hilbert series K(t) / (1 - t)^n (n ambient
-        variables), computed once from the lead terms of the relations
-        (``rings.module_numerator``), so the Groebner basis is not
-        interreduced.
+        variables), computed once from the lead terms of a Groebner basis
+        of the relations (``relation_basis(...).initial_terms()``, read by
+        ``rings.module_numerator``), which is not interreduced.
         """
         if self._hf_num is None:
-            self._hf_num = module_numerator(
-                self.gen_degs, initial_terms(self.relations.columns(), self.free_module(),
-                                             self.ring.quotient_gens))
+            self._hf_num = module_numerator(self.gen_degs, relation_basis(
+                self.free_module(), self.ring.quotient_gens,
+                self.relations.columns()).initial_terms())
         return self._hf_num
 
     def hilbert_function(self, dmax: int, dmin: int | None = None) -> dict:

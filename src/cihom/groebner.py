@@ -73,9 +73,10 @@ polynomial ring (``IncompatibleOperandsError``).  Results leave through one
 decoder, ``ModuleOrder.decode_rows``, which turns a coded element into one
 {monomial: coeff} dict per row in the order of its terms (syzygies, lifts,
 ``GroebnerBasis`` generators and normal forms); leads leave as (position,
-monomial) pairs (``GroebnerBasis.lead_terms``, ``initial_terms``).  So no
-caller outside this module sees a code.  The engine's callers take their
-orders from ``shared_order``, one per equal (module, split), at most
+monomial) pairs (``GroebnerBasis.lead_terms``,
+``IncrementalModuleGB.initial_terms``).  So no caller outside this module
+sees a code.  The engine's callers take their orders from
+``shared_order``, one per equal (module, split), at most
 ``_SHARED_ORDERS`` kept.
 
 Coefficients.  Every ``Element`` that leaves a loop of the engine holds
@@ -745,17 +746,6 @@ def groebner_basis(columns, free: FreeModule, quotient_polys=()) -> GroebnerBasi
     return GroebnerBasis(free, order, gens, quotient_polys)
 
 
-def initial_terms(columns, free: FreeModule, quotient_polys=()) -> list:
-    """Lead terms (position, monomial) of a Groebner basis of the columns,
-    the quotient relations f_k * e_j appended: they generate the initial
-    module.  The basis is not interreduced, so some terms may be redundant."""
-    order = shared_order(free)
-    gb = IncrementalModuleGB(order, coprime=free.rank == 1 and not quotient_polys)
-    gb.extend(order.encode_column(c, free)
-              for c in list(columns) + quotient_columns(free, quotient_polys))
-    return gb.initial_terms()
-
-
 def tracked_buchberger(inputs: list, order: ModuleOrder):
     """Groebner basis of the main block plus collected syzygies, all coded.
 
@@ -878,7 +868,8 @@ def relation_basis(free: FreeModule, quotient_polys=(), relations=()) -> Increme
     """The pair engine of ``free``'s shared order holding the homogeneous
     ``relations`` and the quotient columns f_k * e_j, their pairs queued:
     the span that ``minimal_generator_indices`` reduces modulo.  Its
-    ``initial_terms`` read the initial module of that span."""
+    ``initial_terms`` read the initial module of that span, which every
+    Hilbert numerator is computed from."""
     order = shared_order(free)
     gb = IncrementalModuleGB(order)
     for r in relations:

@@ -26,30 +26,34 @@ window covers, (c) window vanishing plus an applicable rigidity instance,
 A Tor profile fills itself on first read: each Tor_i, the tensor slot,
 the vanishing evidence and the resolution are built when a caller first
 asks for them, so a search that stops at the first nonzero Tor_i builds
-nothing past it.  A Tor_i entry (``HomologyEntry``) reads its vanishing, its
-initial degree, its dimension, finite length and Hilbert data off one
-Hilbert-series identity.  Tensoring is right exact, so the cokernel of
-d_j tensor N on term j - 1 is Omega^(j-1) M tensor N (Omega^0 M = M), and
-counting ranks degree by degree in F tensor N gives
+nothing past it.  Every entry (``HomologyEntry``), Tor_0, Tor_i and Ext^i
+alike, reads its vanishing, its initial degree, its dimension, finite
+length and Hilbert data off one Hilbert-series identity.  In each degree a
+complex of graded modules with finite-dimensional pieces has
+dim H = dim T - rank(in) - rank(out) at a term T, so
 
-    HS(Tor_i) = HS(Omega^i M (x) N) + HS(Omega^(i-1) M (x) N)
-                - sum_(a in deg F_(i-1)) t^a HS(N).
+    HS(H_i) = HS(coker in) + HS(coker out) - HS(target of out),
 
+"in" the map into term i and "out" the map out of it; both cokernels are
+taken modulo the relations of the map's target term.  For F tensor N the
+cokernel of d_j tensor N is Omega^(j-1) M tensor N (Omega^0 M = M), but
+the identity needs no such name, so it holds for Hom(F, N) as well;
+``_ResolutionComplex.numerator`` writes it once, for both.
 Each cokernel's numerator needs one untracked Groebner basis, with no
-syzygies and no cycles, and serves two neighbouring Tor entries.  The
-identity holds for any free resolution, minimal or not.  Minimal cycles are
-built only on the first read of ``betti0`` of a nonzero entry, ``depth`` of
-an entry of positive dimension, or ``presentation``; the greedy pass then
-grows the basis that gave the cokernel on the entry's own term.  The
-relations among the cycles, ``minimalize`` and the ambient resolution come
-only with ``presentation`` and ``depth``, so a verdict that reads only which
-Tor_i vanish builds no cycles at all, and an error of a later step surfaces
-on the first read that needs it.  Hom is only left exact, so Ext entries
-take ``vanishes``, ``betti0`` and the initial degree from their minimal
-cycles, built with the entry.  Built modules and the resolution cached on
-M's minimal presentation are reused by later reads; a profile is not safe
-to fill from two threads at once.  The linear-algebra verification path in
-``oracle`` shares nothing with this pipeline by construction.
+syzygies and no cycles, and serves two neighbouring entries; the identity
+holds for any free resolution, minimal or not.  Minimal cycles are built
+only on the first read of ``betti0`` of a nonzero entry, ``depth`` of an
+entry of positive dimension, or ``presentation``; the greedy pass then
+grows the basis that gave the cokernel of the map into the entry's term.
+The relations among the cycles, ``minimalize`` and the ambient resolution
+come only with ``presentation`` and ``depth``, so a verdict that reads only
+which Tor_i vanish builds no cycles at all, and an error of a later step
+surfaces on the first read that needs it.  Tor_0 is M tensor N itself,
+presented by ``ModulePresentation.tensor`` and minimalized.  Built modules
+and the resolution cached on M's minimal presentation are reused by later
+reads; a profile is not safe to fill from two threads at once.  The
+linear-algebra verification path in ``oracle`` shares nothing with this
+pipeline by construction.
 """
 
 from __future__ import annotations
@@ -68,26 +72,36 @@ class MinimalCycles:
 
     ``presentation()`` computes the relation half, the syzygies of the
     columns modulo the image, and returns the built presentation; with no
-    columns it is the zero module and computes nothing.
+    columns it is the zero module and computes nothing.  Cycles made by
+    ``presented`` already have their presentation, which is returned.
     """
 
-    __slots__ = ("ring", "free", "columns", "gen_degs", "image", "label")
+    __slots__ = ("ring", "free", "columns", "gen_degs", "image", "label", "_built")
 
     def __init__(self, ring: RingPresentation, free: FreeModule, columns, gen_degs, image,
-                 label="H"):
+                 label="H", built: ModulePresentation | None = None):
         self.ring = ring
         self.free = free
         self.columns = columns
         self.gen_degs = tuple(gen_degs)
         self.image = image
         self.label = label
+        self._built = built
 
     @classmethod
     def empty(cls, ring: RingPresentation, label="H") -> "MinimalCycles":
         """No cycles: the zero subquotient, labelled."""
         return cls(ring, FreeModule(ring.poly_ring, ()), [], (), [], label=label)
 
+    @classmethod
+    def presented(cls, pres: ModulePresentation) -> "MinimalCycles":
+        """The minimal generators of ``pres``, a minimal presentation, as
+        cycles whose relation half is ``pres`` itself."""
+        return cls(pres.ring, None, None, pres.gen_degs, None, pres.label, built=pres)
+
     def presentation(self) -> ModulePresentation:
+        if self._built is not None:
+            return self._built
         if not self.gen_degs:
             return ModulePresentation.zero(self.ring, label=self.label)
         rel_cols, rel_degs = syzygy_generators(self.columns, self.gen_degs, self.free,
@@ -167,57 +181,46 @@ def cokernel_of_map(psi: PolyMatrix, target: ModulePresentation,
 class HomologyEntry:
     """Minimal presentation and numeric profile of one Tor/Ext module.
 
-    A Tor_i entry (i >= 1) is given its Hilbert numerator (see
-    ``TorProfile``) and, as ``module``, the complex F (x) N it lives in
-    (``_ResolutionComplex``), which labels the entry and builds its cycles.
-    ``vanishes`` (the numerator is zero), ``initial_degree`` (its lowest
-    exponent), ``dim``, ``finite_length`` and ``hilbert`` are read off the
-    numerator.  The complex builds the entry's minimal cycles
-    (``minimal_cycles``) only on the first read of ``betti0`` of a nonzero
-    entry, ``depth`` of an entry of positive dimension (a vanishing entry has
-    depth inf, one of dimension 0 depth 0), or ``presentation``; a vanishing
-    entry's presentation is the zero module.  An Ext entry is given its
-    ``MinimalCycles`` and Tor_0 a presentation, which is minimalized here;
-    both take ``vanishes``, ``betti0`` and ``initial_degree`` from their
-    minimal generator degrees (no relation among minimal generators has a
-    unit entry) and the numerator from their presentation.
+    Built as ``HomologyEntry(index, cx, degree_bound)``: the entry is
+    H_index of the complex ``cx`` (a ``_ResolutionComplex``, F (x) N for Tor
+    or Hom(F, N) for Ext), which hands it its Hilbert numerator,
+    ``numerator``, and labels it.  ``vanishes`` (the numerator is zero),
+    ``initial_degree`` (its lowest exponent), ``dim``, ``finite_length`` and
+    ``hilbert`` are read off the numerator.  The complex builds the entry's
+    minimal cycles (``minimal_cycles``; for Tor_0 the minimal M (x) N) only
+    on the first read of ``betti0`` of a nonzero entry, ``depth`` of an
+    entry of positive dimension (a vanishing entry has depth inf, one of
+    dimension 0 depth 0), or ``presentation``; a vanishing entry's
+    presentation is the zero module.
 
     The presentation is the relation half of the cycles, minimalized; the
     entry then drops the cycles, and an error of the relation step surfaces
-    on that first read.  A Tor entry hands the presentation its numerator,
-    so ``depth`` (an ambient resolution of the presentation) computes no
+    on that first read.  The entry hands the presentation its numerator, so
+    ``depth`` (an ambient resolution of the presentation) computes no
     second Hilbert series.
     """
 
-    __slots__ = ("index", "vanishes", "initial_degree", "_betti0", "_ring", "_cycles",
-                 "_presentation", "_numerator", "_degree_bound", "_hilbert")
+    __slots__ = ("index", "vanishes", "initial_degree", "numerator", "_betti0", "_ring",
+                 "_complex", "_cycles", "_presentation", "_degree_bound", "_hilbert")
 
-    def __init__(self, index, module, degree_bound, numerator=None):
+    def __init__(self, index, cx, degree_bound):
         self.index = index
-        self._ring = module.ring
-        self._numerator = numerator
+        self.numerator = cx.numerator(index)
+        self.vanishes = not self.numerator
+        self.initial_degree = min(self.numerator, default=None)
+        self._betti0 = 0 if self.vanishes else None
+        self._ring = cx.ring
+        self._complex = cx
+        self._cycles = None
         self._presentation = None
-        if numerator is not None:
-            self.vanishes = not numerator
-            self.initial_degree = min(numerator, default=None)
-            self._betti0 = 0 if self.vanishes else None
-            self._cycles = (MinimalCycles.empty(module.ring, module.label(index))
-                            if self.vanishes else module)
-        else:
-            if isinstance(module, MinimalCycles):
-                self._cycles = module
-            else:
-                self._cycles, self._presentation = None, module.minimalize()
-                module = self._presentation
-            self._betti0 = len(module.gen_degs)
-            self.vanishes = self._betti0 == 0
-            self.initial_degree = min(module.gen_degs, default=None)
         self._degree_bound = degree_bound
         self._hilbert = None
 
     def _minimal_cycles(self) -> MinimalCycles:
-        if not isinstance(self._cycles, MinimalCycles):
-            self._cycles = self._cycles.cycles(self.index)
+        if self._cycles is None:
+            cx = self._complex
+            self._cycles = (MinimalCycles.empty(self._ring, cx.label(self.index))
+                            if self.vanishes else cx.cycles(self.index))
         return self._cycles
 
     @property
@@ -228,20 +231,13 @@ class HomologyEntry:
 
     @property
     def presentation(self) -> ModulePresentation:
+        """The entry as a minimal presentation, built on first read."""
         if self._presentation is None:
             pres = self._minimal_cycles().presentation().minimalize()
-            if self._numerator is not None:
-                pres._hf_num = self._numerator   # the same series, computed once
+            pres._hf_num = self.numerator   # the same series, computed once
             self._presentation, self._cycles = pres, None
             self._betti0 = len(pres.gen_degs)
         return self._presentation
-
-    @property
-    def numerator(self) -> dict:
-        """Numerator of the Hilbert series over the ambient variables."""
-        if self._numerator is None:
-            self._numerator = self.presentation.hilbert_numerator()
-        return self._numerator
 
     @property
     def depth(self) -> float:
@@ -300,14 +296,11 @@ class TorProfile:
     """Tor_i(M, N) for 1 <= i <= bound, plus the Tor_0 = tensor slot.
 
     The profile fills itself on first read.  ``entry(i)`` builds Tor_i
-    alone, from the resolution F of M that is cached on M's minimal
-    presentation and extended only through step i + 1, and from two
-    cokernel numerators.  K_j is the Hilbert numerator of
-    coker(d_j (x) 1 | 1 (x) B) on term j - 1 of F (x) N, which is
-    Omega^(j-1) M (x) N since tensoring is right exact; K_1 is Tor_0's.
-    Counting ranks in F (x) N gives
-    HS(Tor_i) = HS(Omega^i M (x) N) + HS(Omega^(i-1) M (x) N) - HS(F_(i-1) (x) N),
-    so Tor_i's numerator is K_(i+1) + K_i - sum_(a in deg F_(i-1)) t^a K_N.
+    alone, as H_i of F (x) N (``_ResolutionComplex``), with F the resolution
+    of M that is cached on M's minimal presentation and extended only
+    through step i + 1.  Its numerator is K_(i+1) + K_i - HS(F_(i-1) (x) N),
+    K_j the Hilbert numerator of coker(d_j (x) 1 | 1 (x) B) on term j - 1,
+    which is Omega^(j-1) M (x) N; K_1 is Tor_0's, the minimal M (x) N's.
     Each K_j is computed once, from an untracked basis, and shared by
     Tor_(j-1) and Tor_j; the basis is kept for Tor_(j-1)'s greedy
     generator pass.  ``tor0``, ``vanishing``, ``periodicity`` and
@@ -320,7 +313,7 @@ class TorProfile:
     """
 
     __slots__ = ("M", "N", "ring", "bound", "degree_bound", "side", "_left", "_entries",
-                 "_tor0", "_vanishing", "_periodicity", "_resolution", "_complex", "_cokernels")
+                 "_tor0", "_vanishing", "_periodicity", "_resolution", "_complex")
 
     def __init__(self, M, N, bound, degree_bound, side="left"):
         self.M = M
@@ -335,8 +328,7 @@ class TorProfile:
         self._vanishing = None
         self._periodicity = None
         self._resolution = None
-        self._complex = None
-        self._cokernels: dict = {}
+        self._complex = _ResolutionComplex(M, N, 1)   # F (x) N, built as it is read
 
     def entry(self, i: int) -> HomologyEntry:
         """Tor_i for 0 <= i <= bound, built on first read."""
@@ -347,23 +339,9 @@ class TorProfile:
         left = self._left or self
         e = left._entries.get(i)
         if e is None:
-            if left._complex is None:
-                left._complex = _ResolutionComplex(left.M, left.N, 1)
-            cx = left._complex.reach(i + 1)
-            num = add_numerator(dict(left._cokernel(i + 1)), left._cokernel(i))
-            add_numerator(num, cx.term_numerator(i - 1), sign=-1)
-            if not num:
-                cx._bases.pop(i, None)   # a vanishing Tor_i builds no cycles
-            e = left._entries[i] = HomologyEntry(i, cx, self.degree_bound, numerator=num)
+            e = left._entries[i] = HomologyEntry(i, left._complex.reach(i + 1),
+                                                 self.degree_bound)
         return e
-
-    def _cokernel(self, j: int) -> dict:
-        """K_j, computed once."""
-        num = self._cokernels.get(j)
-        if num is None:
-            num = self._cokernels[j] = (self.tor0.presentation.hilbert_numerator() if j == 1
-                                        else self._complex.cokernel_numerator(j))
-        return num
 
     @property
     def entries(self) -> list:
@@ -373,7 +351,7 @@ class TorProfile:
     def tor0(self) -> HomologyEntry:
         left = self._left or self
         if left._tor0 is None:
-            left._tor0 = HomologyEntry(0, left.M.tensor(left.N), self.degree_bound)
+            left._tor0 = HomologyEntry(0, left._complex, self.degree_bound)
         return left._tor0
 
     @property
@@ -464,31 +442,36 @@ class _ResolutionComplex:
     generators) and relations the twisted copies of N's relations B,
     1 (x) B.  Its maps are d_i and d_{i+1} tensor N (transposed for Hom):
     the first goes out of term i for Tor and comes in for Ext, and the
-    outgoing map lands in term i - sign.
+    outgoing map lands in term i - sign.  ``numerator(i)`` is the Hilbert
+    numerator of H_i, ``cycles(i)`` its minimal cycles.
     """
 
-    __slots__ = ("M", "N", "ring", "sign", "Nmin", "res", "_bases")
+    __slots__ = ("M", "N", "ring", "sign", "Nmin", "res", "_tensor", "_cokernels", "_bases")
 
     def __init__(self, M: ModulePresentation, N: ModulePresentation, sign: int):
         self.M, self.N, self.ring, self.sign = M, N, M.ring, sign
-        self.Nmin = N.minimalize()
-        self.res = None
-        self._bases: dict = {}   # term i -> basis of its image, for one greedy pass
+        self.Nmin = self.res = self._tensor = None
+        self._cokernels: dict = {}   # term i -> C(i), see ``cokernel``
+        self._bases: dict = {}       # term i -> basis of its image, for one greedy pass
 
     def reach(self, steps: int) -> "_ResolutionComplex":
         if self.res is None or self.res.truncation < steps:
             self.res = resolve(self.M, steps=steps)
+            if self.Nmin is None:
+                self.Nmin = self.N.minimalize()
         return self
 
     def label(self, i: int) -> str:
         return f"{'Tor' if self.sign > 0 else 'Ext'}{i}({self.M.label},{self.N.label})"
 
+    def _step(self, i: int) -> tuple:
+        return self.res.step_degrees(i) if i >= 0 else ()
+
     def degs(self, i: int) -> tuple:
-        return tuple(self.sign * a + b for a in self.res.step_degrees(i)
-                     for b in self.Nmin.gen_degs)
+        return tuple(self.sign * a + b for a in self._step(i) for b in self.Nmin.gen_degs)
 
     def rels(self, i: int) -> PolyMatrix | None:
-        degs = tuple(self.sign * a for a in self.res.step_degrees(i))
+        degs = tuple(self.sign * a for a in self._step(i))
         return self.Nmin.relations.identity_kron(degs) if degs else None
 
     def kron(self, i: int) -> PolyMatrix | None:
@@ -498,9 +481,19 @@ class _ResolutionComplex:
             return None
         return (d if self.sign > 0 else d.transpose()).kron_identity(self.Nmin.gen_degs)
 
+    def tensor(self) -> ModulePresentation:
+        """M (x) N as ``ModulePresentation.tensor`` presents it, minimalized:
+        Tor_0, and the term-0 cokernel of F tensor N."""
+        if self._tensor is None:
+            self._tensor = self.M.tensor(self.N).minimalize()
+        return self._tensor
+
     def cycles(self, i: int) -> MinimalCycles:
         """The minimal cycles of term i; the greedy pass takes the term's
-        basis kept by ``cokernel_numerator``, once, instead of building it."""
+        basis kept by ``cokernel``, once, instead of building it.  Tor_0 is
+        ``tensor()``, already presented."""
+        if self.sign > 0 and i == 0:
+            return MinimalCycles.presented(self.tensor())
         label, degs = self.label(i), self.degs(i)
         if not degs:
             return MinimalCycles.empty(self.ring, label)
@@ -510,33 +503,44 @@ class _ResolutionComplex:
                               self.rels(i), label=label, basis=self._bases.pop(i, None))
 
     def term_numerator(self, i: int) -> dict:
-        """Hilbert numerator of term i of F tensor N: sum over a in deg F_i
-        of t^a K_N."""
+        """Hilbert numerator of term i: sum over a in deg F_i of
+        t^(sign * a) K_N."""
         num: dict = {}
-        for a in self.res.step_degrees(i):
-            add_numerator(num, self.Nmin.hilbert_numerator(), a)
+        for a in self._step(i):
+            add_numerator(num, self.Nmin.hilbert_numerator(), self.sign * a)
         return num
 
-    def cokernel_numerator(self, j: int) -> dict:
-        """For F tensor N: the Hilbert numerator of coker(d_j (x) 1 | 1 (x) B)
-        on term j - 1, read off an untracked basis of that image, which
-        spans Tor_(j-1)'s image too; the basis is kept for its greedy pass."""
-        degs, d = self.degs(j - 1), self.kron(j)
-        if not degs or d is None:   # d_j = 0: the whole term
-            return self.term_numerator(j - 1)
+    def cokernel(self, i: int) -> dict:
+        """C(i), the Hilbert numerator of term i modulo the image of the map
+        into it (d_(i+1) (x) 1 for Tor, d_i^T for Hom) and 1 (x) B, computed
+        once.  It is read off an untracked basis of that image, which is
+        also the image H_i is taken modulo, so the basis is kept for the
+        greedy pass of ``cycles(i)``.  Tor's C(0) is ``tensor()``'s."""
+        num = self._cokernels.get(i)
+        if num is None:
+            num = self._cokernels[i] = (self.tensor().hilbert_numerator()
+                                        if self.sign > 0 and i == 0 else self._cokernel(i))
+        return num
+
+    def _cokernel(self, i: int) -> dict:
+        degs = self.degs(i)
+        d = self.kron(i + 1 if self.sign > 0 else i) if degs else None
+        if d is None:   # no map in: the whole term
+            return self.term_numerator(i)
         gb = relation_basis(FreeModule(self.ring.poly_ring, degs), self.ring.quotient_gens,
-                            d.columns() + self.rels(j - 1).columns())
-        self._bases[j - 1] = gb
+                            d.columns() + self.rels(i).columns())
+        self._bases[i] = gb
         return module_numerator(degs, gb.initial_terms())
 
-
-def _resolution_homology(M: ModulePresentation, N: ModulePresentation, lo: int, hi: int,
-                         sign: int):
-    """Homology at each index lo <= i <= hi of F tensor N (sign 1: Tor_i) or
-    of Hom(F, N) (sign -1: Ext^i), F a minimal resolution of M, as the
-    ``MinimalCycles`` of each; also F."""
-    cx = _ResolutionComplex(M, N, sign).reach(hi + 1)
-    return {i: cx.cycles(i) for i in range(lo, hi + 1)}, cx.res
+    def numerator(self, i: int) -> dict:
+        """The Hilbert numerator of H_i, C(i) + C(i - sign) - HS(term
+        i - sign): the map out of term i is the map into term i - sign.  A
+        vanishing H_i drops the basis kept for its cycles."""
+        num = add_numerator(dict(self.cokernel(i)), self.cokernel(i - self.sign))
+        add_numerator(num, self.term_numerator(i - self.sign), sign=-1)
+        if not num:
+            self._bases.pop(i, None)
+        return num
 
 
 def _check_bounds(bound: int, degree_bound: int):
@@ -563,45 +567,38 @@ def tor_profile(M: ModulePresentation, N: ModulePresentation, bound: int,
 
 
 def ext_modules(M: ModulePresentation, N: ModulePresentation, lo: int, hi: int) -> dict:
-    """Ext^i(M, N) presentations for lo <= i <= hi, via Hom(resolution, N)."""
+    """Ext^i(M, N) presentations for lo <= i <= hi, via Hom(resolution, N),
+    each built from its minimal cycles."""
     M.check_same_ring(N)
-    cycles = _resolution_homology(M, N, lo, hi, -1)[0]
-    return {i: c.presentation() for i, c in cycles.items()}
+    cx = _ResolutionComplex(M, N, -1).reach(hi + 1)
+    return {i: cx.cycles(i).presentation() for i in range(lo, hi + 1)}
 
 
 def ext_profile(M: ModulePresentation, N: ModulePresentation, bound: int,
                 degree_bound: int = 8) -> list:
     """HomologyEntry list for Ext^i(M, N), i = 1..bound (``bound`` >= 1,
-    ``degree_bound`` >= 0); each entry builds its presentation on first
-    read.  Hom is only left exact, so Ext entries take every field from
-    their cycles, not from a Hilbert-series identity."""
+    ``degree_bound`` >= 0), as H_i of Hom(F, N): each entry reads its
+    numeric fields off its Hilbert numerator and builds its minimal cycles
+    and presentation only when a field needs them (see ``HomologyEntry``)."""
     M.check_same_ring(N)
     _check_bounds(bound, degree_bound)
-    cycles = _resolution_homology(M, N, 1, bound, -1)[0]
-    return [HomologyEntry(i, cycles[i], degree_bound) for i in range(1, bound + 1)]
+    cx = _ResolutionComplex(M, N, -1).reach(bound + 1)
+    return [HomologyEntry(i, cx, degree_bound) for i in range(1, bound + 1)]
 
 
 def ext_ambient_dimensions(M: ModulePresentation) -> dict:
     """Support dimensions of Ext^j_S(M, S) over the ambient ring, j >= 1.
 
     Feeds the depth-condition criterion: the resolution is finite, so this
-    is a complete list through the projective dimension.  With
-    phi_j = d_j^T on the minimal ambient resolution, Ext^j = ker phi_{j+1} /
-    im phi_j, so HS(Ext^j) = HS(coker phi_{j+1}) + HS(coker phi_j) - HS(F_{j+1}*).
+    is a complete list through the projective dimension.  Each is read off
+    the Hilbert numerator of H_j of Hom(F, S), F the minimal ambient
+    resolution: C(j) + C(j + 1) - HS(F_(j+1)*), C(j) the numerator of
+    coker d_j^T (``_ResolutionComplex.numerator``), with no Ext module built.
     """
+    amb = M.ambient_presentation()
     nv = M.ring.poly_ring.nvars
-    res = resolve(M.ambient_presentation(), steps=nv + 1)
-    cokers = [{}] * (nv + 2)
-    for j, d in enumerate(res.differentials, start=1):
-        dt = d.transpose()
-        cokers[j] = ModulePresentation(res.ring, dt.row_degs, dt).hilbert_numerator()
-    dims = {}
-    for j in range(1, nv + 1):
-        num = add_numerator(dict(cokers[j + 1]), cokers[j])
-        for a in res.step_degrees(j + 1):
-            add_numerator(num, {-a: -1})
-        dims[j] = dimension_and_multiplicity(num, nv)[0]
-    return dims
+    cx = _ResolutionComplex(amb, ModulePresentation.free(amb.ring, (0,)), -1).reach(nv + 1)
+    return {j: dimension_and_multiplicity(cx.numerator(j), nv)[0] for j in range(1, nv + 1)}
 
 
 class DepthFormulaReport:

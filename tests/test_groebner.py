@@ -20,10 +20,10 @@ from cihom.groebner import (
     TrackedSubmodule,
     buchberger,
     groebner_basis,
-    initial_terms,
     minimal_generator_indices,
     normal_form,
     quotient_columns,
+    relation_basis,
     s_pair,
     syzygy_generators,
     tracked_buchberger,
@@ -268,7 +268,8 @@ def _entry_points(free, column):
         "groebner_basis": lambda: groebner_basis([good, column], free),
         "GroebnerBasis.contains": lambda: groebner_basis([good], free).contains(column),
         "GroebnerBasis.normal_form": lambda: groebner_basis([good], free).normal_form(column),
-        "initial_terms": lambda: initial_terms([good, column], free),
+        "relation_basis.initial_terms": lambda: relation_basis(
+            free, relations=[good, column]).initial_terms(),
         "syzygy_generators": lambda: syzygy_generators([good, column], [1, 1], free),
         "syzygy_generators.relations": lambda: syzygy_generators([good], [1], free,
                                                                  relations=[column]),

@@ -10,7 +10,7 @@ from cihom.fields import PrimeField, field_by_tag
 from cihom.fmodules import ModulePresentation, PolyMatrix, equal_hilbert_functions
 from cihom.homology import (
     HomologyEntry,
-    _resolution_homology,
+    _ResolutionComplex,
     depth_formula_check,
     ext_modules,
     ext_profile,
@@ -73,7 +73,7 @@ def test_tor_rejects_an_unknown_side(mod_M_two_nodes):
 # -- the on-demand profile against the eager builder ---------------------------------
 
 def _eager_vanishing_evidence(entries, res, ring, bound):
-    if not all(e.vanishes for e in entries):
+    if not all(e["vanishes"] for e in entries):
         return {"all_vanish_in_window": False, "tier": None,
                 "detail": "nonzero homology in window"}
     if res.terminated:
@@ -93,29 +93,40 @@ def _eager_vanishing_evidence(entries, res, ring, bound):
             "detail": "vanishing observed in the window only"}
 
 
+def _eager_graded_data_equal(a, b):
+    """``HomologyEntry.graded_data_equal`` on two ``as_dict()`` records."""
+    if a["vanishes"] or b["vanishes"]:
+        return a["vanishes"] == b["vanishes"]
+    if (a["betti0"], a["depth"], a["dim"]) != (b["betti0"], b["depth"], b["dim"]):
+        return False
+    n = min(len(a["hilbert"]), len(b["hilbert"]))
+    return a["hilbert"][:n] == b["hilbert"][:n]
+
+
 def _eager_tor_profile_dict(M, N, bound, degree_bound, side="left"):
     """``tor_profile(...).as_dict()`` as tor_profile built it before the
     profile filled itself on first read: the resolution through step
-    bound + 1, every Tor_i, then Tor_0, the evidence and the periodicity."""
+    bound + 1, every Tor_i from its minimal cycles, then Tor_0 (the
+    minimalized tensor), the evidence and the periodicity."""
     if side == "right":
         doc = _eager_tor_profile_dict(N, M, bound, degree_bound)
         doc.update(module=M.label, argument=N.label, resolved_side="right")
         return doc
-    cycles, res = _resolution_homology(M, N, 1, bound, 1)
-    entries = [HomologyEntry(i, cycles[i].presentation(), degree_bound)
+    cx = _ResolutionComplex(M, N, 1).reach(bound + 1)
+    entries = [_eager_entry_dict(i, cx.cycles(i).presentation().minimalize(), degree_bound)
                for i in range(1, bound + 1)]
-    tor0 = HomologyEntry(0, M.tensor(N), degree_bound)
-    vanishing = _eager_vanishing_evidence(entries, res, M.ring, bound)
+    tor0 = _eager_entry_dict(0, M.tensor(N).minimalize(), degree_bound)
+    vanishing = _eager_vanishing_evidence(entries, cx.res, M.ring, bound)
     periodicity = []
     for i in range(1, bound - 1):
         a, b = entries[i - 1], entries[i + 1]
-        rec = {"i": i, "distance": 2, "equal": a.graded_data_equal(b)}
-        if a.initial_degree is not None and b.initial_degree is not None:
-            rec["twist"] = b.initial_degree - a.initial_degree
+        rec = {"i": i, "distance": 2, "equal": _eager_graded_data_equal(a, b)}
+        if a["initial_degree"] is not None and b["initial_degree"] is not None:
+            rec["twist"] = b["initial_degree"] - a["initial_degree"]
         periodicity.append(rec)
     return {"module": M.label, "argument": N.label, "ring": M.ring.label, "bound": bound,
             "degree_bound": degree_bound, "resolved_side": side,
-            "tor0": tor0.as_dict(), "entries": [e.as_dict() for e in entries],
+            "tor0": tor0, "entries": entries,
             "vanishing": vanishing, "periodicity": periodicity}
 
 
@@ -375,7 +386,8 @@ def test_tor_presentations_are_minimal_and_match_the_oracle(ring_quadric, ring_t
     # oracle's.
     ring = ring_quadric if which == "quadric" else ring_two_nodes
     M, N = _random_pair(ring, seed)
-    cycles, _ = _resolution_homology(M, N, 1, 3, 1)
+    cx = _ResolutionComplex(M, N, 1).reach(4)
+    cycles = {i: cx.cycles(i) for i in range(1, 4)}
     dims = tor_oracle(M, N, 3, 5)
     for i in range(1, 4):
         pres = cycles[i].presentation()
@@ -410,7 +422,7 @@ def test_a_vanishing_tor_computes_no_relations(mod_M_two_nodes, mod_N_two_nodes,
     tracked = _count_tracked_bases(monkeypatch)
     for i, bases in ((1, 1), (2, 1), (3, 2)):
         tracked["bases"] = 0
-        cycles = _resolution_homology(mod_M_two_nodes, mod_N_two_nodes, i, i, 1)[0][i]
+        cycles = _ResolutionComplex(mod_M_two_nodes, mod_N_two_nodes, 1).reach(i + 1).cycles(i)
         assert tracked["bases"] == 1, i
         tor = cycles.presentation()
         assert (tor.n_gens == 0, tracked["bases"]) == (bases == 1, bases), i
@@ -451,6 +463,16 @@ def _entry_fields(e):
             pres.gen_degs, pres.relations.col_degs, pres.relations.text_rows(), pres.label)
 
 
+def _eager_fields(i, ref, degree_bound):
+    """``_entry_fields`` of the entry whose minimal presentation is ``ref``,
+    each field read off ``ref`` itself (``_eager_entry_dict``)."""
+    want = _eager_entry_dict(i, ref, degree_bound)
+    hilbert = ref.hilbert_function(degree_bound, dmin=min(0, want["initial_degree"] or 0))
+    return (i, want["vanishes"], want["betti0"], want["initial_degree"], ref.depth(),
+            ref.dimension(), ref.length() != INF, hilbert, tuple(want["hilbert"]), want,
+            ref.gen_degs, ref.relations.col_degs, ref.relations.text_rows(), ref.label)
+
+
 def _eager_homology(M, N, i, sign):
     """Tor_i (sign 1) or Ext^i (sign -1) of M and N, built eagerly by
     subquotient_presentation on the complex written out here, minimalized."""
@@ -478,24 +500,25 @@ def _eager_homology(M, N, i, sign):
 @pytest.mark.parametrize("pair", ["two_nodes", "quadric", "periodic"])
 def test_lazy_entries_equal_the_eagerly_built_ones(mod_M_two_nodes, mod_N_two_nodes,
                                                    mod_quadric, periodic_pair, pair):
-    # Tor_i and Ext^i entries built from their cycles against entries of
-    # subquotient_presentation(...).minimalize(), built eagerly: the same
-    # relations, generator degrees, depth, dimension and Hilbert data.
+    # Tor_i and Ext^i entries, read off their numerators and built from
+    # their cycles, against subquotient_presentation(...).minimalize(),
+    # built eagerly: the same relations, generator degrees, depth,
+    # dimension and Hilbert data.
     M, N = {"two_nodes": (mod_M_two_nodes, mod_N_two_nodes),
             "quadric": (mod_quadric, mod_quadric), "periodic": periodic_pair}[pair]
     bound, nonzero = 4, 0
     for sign, lazy in ((1, tor_profile(M, N, bound, 6).entries),
                        (-1, ext_profile(M, N, bound, 6))):
-        eager = [HomologyEntry(i, _eager_homology(M, N, i, sign), 6)
+        eager = [_eager_fields(i, _eager_homology(M, N, i, sign), 6)
                  for i in range(1, bound + 1)]
-        assert [_entry_fields(e) for e in lazy] == [_entry_fields(e) for e in eager], sign
+        assert [_entry_fields(e) for e in lazy] == eager, sign
         nonzero += sum(not e.vanishes for e in lazy)
     assert nonzero
 
 
-# -- Tor read off HS(Tor_i) = HS(Om^i M (x) N) + HS(Om^(i-1) M (x) N) - HS(F_(i-1) (x) N) --
-# These tests rest on no assert inside src, so they run the same under
-# python -O:  PYTHONPATH=src python -O -m pytest -q tests/test_homology.py -k tor_identity
+# -- Tor and Ext read off HS(H_i) = HS(coker in) + HS(coker out) - HS(target of out) --
+# These tests rest on no assert inside src, so they run the same under python -O:
+#   PYTHONPATH=src python -O -m pytest -q tests/test_homology.py -k "tor_identity or ext_identity"
 
 @functools.cache
 def _ambient_ring(tag):
@@ -555,6 +578,58 @@ def test_tor_identity_reads_vanishing_without_cycles(ring_quadric, monkeypatch):
     assert cfg.tor_bound == 5 and prof.all_vanish_in_window()
     assert rec["hypotheses"]["all_tor_vanish_certified"] == prof.vanishing_certified
     assert built["tor"] == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31),
+       st.sampled_from(["node", "two_nodes", "quadric", "ambient"]),
+       st.sampled_from(["f32003", "f3", "rational"]))
+def test_ext_identity_matches_the_eager_path(rings_over, seed, which, tag):
+    # The same identity on Hom(F, N): vanishes, the initial degree, dim,
+    # finite length and the Hilbert data come from the entry's numerator
+    # before any cycle exists; betti0, depth and the presentation from its
+    # minimal cycles.  Each equals the field of
+    # subquotient_presentation(...).minimalize() built eagerly on a second
+    # copy of the pair.
+    node, two_nodes, quadric = rings_over(tag)
+    ring = {"node": node, "two_nodes": two_nodes, "quadric": quadric,
+            "ambient": _ambient_ring(tag)}[which]
+    bound, degree_bound = 4, 6
+    entries = ext_profile(*_random_pair(ring, seed), bound, degree_bound)
+    for i, e in enumerate(entries, start=1):
+        numeric = (e.vanishes, e.initial_degree, e.dim, e.finite_length, e.hilbert)
+        assert (e._cycles, e._presentation, e._betti0 is None) == (
+            None, None, not e.vanishes), (seed, i)
+        ref = _eager_homology(*_random_pair(ring, seed), i, -1)
+        want = _eager_entry_dict(i, ref, degree_bound)
+        assert numeric == (want["vanishes"], want["initial_degree"], ref.dimension(),
+                           ref.length() != INF, ref.hilbert_function(
+                               degree_bound, dmin=min(0, want["initial_degree"] or 0))), (seed, i)
+        assert e.as_dict() == want, (seed, i)
+        pres = e.presentation   # handed the entry's numerator as its own
+        assert (pres.gen_degs, pres.relations.col_degs, pres.relations.text_rows(),
+                pres.label, pres.hilbert_numerator()) == (
+            ref.gen_degs, ref.relations.col_degs, ref.relations.text_rows(), ref.label,
+            ref.hilbert_numerator()), (seed, i)
+
+
+def test_ext_identity_reads_vanishing_without_cycles(ring_node, monkeypatch):
+    # R/(x) over the node k[x,y]/(xy) is maximal Cohen-Macaulay and R is
+    # Gorenstein, so Ext^i(R/(x), R) = 0 for i >= 1, though every term of
+    # Hom(F, R) is R (F is x, y, x, ... periodic).  The entries read that off
+    # their numerators, so no Ext module builds its minimal cycles.
+    x = ring_node.poly_ring.variable("x")
+    M = ModulePresentation.quotient_by_ideal(ring_node, [x], label="R/(x)")
+    R = ModulePresentation.free(ring_node, (0,), label="R")
+    calls = []
+    real = homology.minimal_cycles
+    monkeypatch.setattr(homology, "minimal_cycles",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    entries = ext_profile(M, R, 4)
+    assert [e.vanishes for e in entries] == [True] * 4
+    assert [e.as_dict()["betti0"] for e in entries] == [0] * 4
+    assert [e.presentation.n_gens for e in entries] == [0] * 4
+    assert calls == []
 
 
 @pytest.mark.parametrize("build", [tor_profile, ext_profile])
