@@ -1,9 +1,12 @@
 """Exact coefficient fields: odd prime fields GF(p) and the rationals.
 
-Field elements are plain Python values (ints in [0, p) for GF(p), Fraction
-for the rationals); the field object supplies the operations.  ``*``, ``+``
-and unary ``-`` act on both kinds of value, so a hot loop may run on them
-directly and make each finished value an element with ``canonical``.
+Field elements are plain Python values: ints in [0, p) for GF(p), Fractions
+(or ints, which are exact rationals too) for the rationals.  Everything
+outside the oracle combines them with one rule: Python's ``+``, ``-`` and
+``*``, then ``canonical`` once per finished value, and division only
+through ``inv``.  So a field object supplies just ``zero``, ``one``,
+``from_int``, ``canonical``, ``inv`` and ``to_str``; the oracle's
+elimination loops (``linalg``, ``oracle``) reduce modulo p inline.
 Everything is immutable, so fields and elements can be shared freely between
 tasks.
 """
@@ -78,30 +81,10 @@ class PrimeField:
         finished value."""
         return a % self.p
 
-    def add(self, a, b):
-        s = a + b
-        return s - self.p if s >= self.p else s
-
-    def sub(self, a, b):
-        d = a - b
-        return d + self.p if d < 0 else d
-
-    def neg(self, a):
-        return self.p - a if a else 0
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
     def inv(self, a):
-        if a == 0:
+        if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero in GF(p)")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     def to_str(self, a) -> str:
         # Balanced representative keeps small negatives readable.
@@ -118,7 +101,8 @@ class PrimeField:
 
 
 class RationalField:
-    """The rationals with arbitrary-precision Fraction elements."""
+    """The rationals with arbitrary-precision Fraction elements; an int is
+    an exact rational too."""
 
     __slots__ = ()
 
@@ -134,33 +118,13 @@ class RationalField:
         return Fraction(n)
 
     def canonical(self, a):
-        """A Fraction is already canonical: the value itself."""
+        """A rational is its own canonical value: Fractions and ints are
+        exact, and ``inv`` makes every quotient a Fraction."""
         return a
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
     def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / a
-
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        return a / b
-
-    def is_zero(self, a) -> bool:
-        return a == 0
+        """1/a as a Fraction, also for an int a; ZeroDivisionError for 0."""
+        return 1 / Fraction(a)
 
     def to_str(self, a) -> str:
         return str(a)

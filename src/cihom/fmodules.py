@@ -317,7 +317,7 @@ class ModulePresentation:
     """
 
     __slots__ = ("ring", "gen_degs", "relations", "label",
-                 "_minimal", "_hf_num", "_ambient_pres", "_free_module", "_res_cache",
+                 "_minimal", "_hf_num", "_basis", "_ambient_pres", "_free_module", "_res_cache",
                  "_ext_dims", "_dual_gens", "_biduality")
 
     def __init__(self, ring: RingPresentation, gen_degs, relations: PolyMatrix,
@@ -331,6 +331,7 @@ class ModulePresentation:
         self.label = label
         self._minimal = None
         self._hf_num = None
+        self._basis = None
         self._ambient_pres = None
         self._free_module = None
         self._res_cache = None
@@ -449,16 +450,19 @@ class ModulePresentation:
         col_degs = [col_degs[j] for j in keep]
         ents = [[row[j] for j in keep] for row in ents]
 
-        # drop redundant relation columns
+        # drop redundant relation columns; the greedy pass's basis spans the
+        # kept relations, so the result's hilbert_numerator reads it
+        basis = None
         if col_degs:
-            pr = ring.poly_ring
-            alive = minimal_generator_indices(list(zip(*ents)), col_degs,
-                                              FreeModule(pr, tuple(row_degs)), ring.quotient_gens)
+            free = FreeModule(ring.poly_ring, tuple(row_degs))
+            basis = relation_basis(free, ring.quotient_gens)
+            alive = minimal_generator_indices(list(zip(*ents)), col_degs, free, basis=basis)
             col_degs = [col_degs[j] for j in alive]
             ents = [[row[j] for j in alive] for row in ents]
 
         mat = PolyMatrix(ring.poly_ring, tuple(row_degs), tuple(col_degs), ents)
         result = ModulePresentation(ring, tuple(row_degs), mat, label=self.label)
+        result._basis = basis
         result._minimal = result
         self._minimal = result
         return result
@@ -487,13 +491,17 @@ class ModulePresentation:
     def hilbert_numerator(self) -> dict:
         """Numerator K of the Hilbert series K(t) / (1 - t)^n (n ambient
         variables), computed once from the lead terms of a Groebner basis
-        of the relations (``relation_basis(...).initial_terms()``, read by
-        ``rings.module_numerator``), which is not interreduced.
+        of the relations (``initial_terms()``, read by
+        ``rings.module_numerator``), which is not interreduced.  A
+        presentation made by ``minimalize`` drains the basis its greedy pass
+        grew, which spans its relations and the quotient columns, and then
+        drops it; any other builds ``relation_basis`` of its relations.
         """
         if self._hf_num is None:
-            self._hf_num = module_numerator(self.gen_degs, relation_basis(
-                self.free_module(), self.ring.quotient_gens,
-                self.relations.columns()).initial_terms())
+            basis = self._basis or relation_basis(
+                self.free_module(), self.ring.quotient_gens, self.relations.columns())
+            self._hf_num = module_numerator(self.gen_degs, basis.initial_terms())
+            self._basis = None
         return self._hf_num
 
     def hilbert_function(self, dmax: int, dmin: int | None = None) -> dict:

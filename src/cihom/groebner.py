@@ -90,7 +90,10 @@ has come to zero being skipped; in ``s_pair`` when it is entered, since a
 term of an S-pair meets at most one sum.  The pair engine's basis elements
 are monic, and a lead coefficient of 1 skips the division in a reduction
 step and the inverse in ``s_pair``, ``IncrementalModuleGB.add`` and
-``interreduce``.
+``interreduce``; any other division multiplies by ``field.inv``.  This is
+the one coefficient rule of ``cihom.fields``: ``Element``'s (position,
+monomial) methods and ``Polynomial`` follow it too, canonical once per
+stored value, and no code here calls another field method.
 """
 
 from __future__ import annotations
@@ -174,17 +177,18 @@ class Element:
         return Polynomial(ring, {m: c for (p, m), c in self.terms.items() if p == i})
 
     def add(self, other: "Element") -> "Element":
-        field = self.module.ring.field
+        canonical = self.module.ring.field.canonical
         res = dict(self.terms)
         for t, c in other.terms.items():
-            if t in res:
-                s = field.add(res[t], c)
-                if field.is_zero(s):
-                    del res[t]
-                else:
-                    res[t] = s
-            else:
+            old = res.get(t)
+            if old is None:
                 res[t] = c
+            else:
+                s = canonical(old + c)
+                if s:
+                    res[t] = s
+                else:
+                    del res[t]
         return Element(self.module, res)
 
     def scale(self, coeff) -> "Element":
@@ -194,30 +198,27 @@ class Element:
         return Element(self.module, {t: canonical(c * coeff) for t, c in self.terms.items()})
 
     def mul_term(self, mono: tuple, coeff) -> "Element":
-        field = self.module.ring.field
-        if field.is_zero(coeff):
+        canonical = self.module.ring.field.canonical
+        if not canonical(coeff):
             return Element(self.module, {})
-        return Element(self.module, {(p, mono_mul(m, mono)): field.mul(c, coeff)
+        return Element(self.module, {(p, mono_mul(m, mono)): canonical(c * coeff)
                                      for (p, m), c in self.terms.items()})
 
     def mul_poly(self, poly: Polynomial) -> "Element":
-        field = self.module.ring.field
-        add, mul, is_zero = field.add, field.mul, field.is_zero
+        canonical = self.module.ring.field.canonical
         res: dict = {}
         for mono, coeff in poly.terms.items():
-            if is_zero(coeff):
-                continue
             for (p, m), c in self.terms.items():
-                t, d = (p, mono_mul(m, mono)), mul(c, coeff)
+                t = (p, mono_mul(m, mono))
                 old = res.get(t)
                 if old is None:
-                    res[t] = d
+                    res[t] = canonical(c * coeff)
                 else:
-                    s = add(old, d)
-                    if is_zero(s):
-                        del res[t]
-                    else:
+                    s = canonical(old + c * coeff)
+                    if s:
                         res[t] = s
+                    else:
+                        del res[t]
         return Element(self.module, res)
 
     def __eq__(self, other):
@@ -481,7 +482,7 @@ def normal_form(e: Element, basis: list, order: ModuleOrder,
         reducer = basis[i]
         shift = t - lead
         lc = reducer.terms[lead]
-        ncoeff = -c if lc == 1 else -field.div(c, lc)
+        ncoeff = -c if lc == 1 else -canonical(c * field.inv(lc))
         for rt, rc in reducer.terms.items():
             if rt == lead:
                 continue
@@ -847,8 +848,7 @@ class TrackedSubmodule:
                          self._by_position)
         if any(t & order.block_flag for t in nf.terms):
             return None
-        minus_one = self.free.ring.field.neg(self.free.ring.field.one())
-        return [p.scale(minus_one) for p in self._tracking_vector(nf)]
+        return [-p for p in self._tracking_vector(nf)]
 
 
 def syzygy_generators(columns, col_degs, free: FreeModule, quotient_ring=None, relations=()):

@@ -234,7 +234,8 @@ class HomologyEntry:
         """The entry as a minimal presentation, built on first read."""
         if self._presentation is None:
             pres = self._minimal_cycles().presentation().minimalize()
-            pres._hf_num = self.numerator   # the same series, computed once
+            # the same series, computed once: no basis to keep for it
+            pres._hf_num, pres._basis = self.numerator, None
             self._presentation, self._cycles = pres, None
             self._betti0 = len(pres.gen_degs)
         return self._presentation

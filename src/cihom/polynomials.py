@@ -5,6 +5,11 @@ weight one), and the one monomial order is grevlex (``grevlex_key``).
 Polynomials are immutable term dictionaries bound to a PolyRing that fixes
 the field and the variable names, so all operations are pure and results are
 always in canonical form (no zero coefficients, no duplicate monomials).
+
+Coefficients follow the one rule of ``cihom.fields``: ``+ - *`` combine
+them and ``field.canonical`` makes each stored value a field element, so
+``constant``, ``monomial`` and ``scale`` accept any int (-1 or p + 2 over
+GF(p)) and every coefficient they and the operators make is canonical.
 """
 
 from __future__ import annotations
@@ -114,10 +119,7 @@ class PolyRing:
         return self._one
 
     def constant(self, c) -> "Polynomial":
-        unit = (0,) * self.nvars
-        if self.field.is_zero(c):
-            return self.zero()
-        return Polynomial(self, {unit: c})
+        return self.monomial((0,) * self.nvars, c)
 
     def from_int(self, n: int) -> "Polynomial":
         return self.constant(self.field.from_int(n))
@@ -131,10 +133,8 @@ class PolyRing:
         exps = tuple(exps)
         if len(exps) != self.nvars or any(e < 0 for e in exps):
             raise ValueError(f"bad exponent tuple {exps}")
-        c = self.field.one() if coeff is None else coeff
-        if self.field.is_zero(c):
-            return self.zero()
-        return Polynomial(self, {exps: c})
+        c = self.field.one() if coeff is None else self.field.canonical(coeff)
+        return Polynomial(self, {exps: c}) if c else self.zero()
 
     def mono_str(self, mono: tuple) -> str:
         parts = []
@@ -199,55 +199,51 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        field = self.ring.field
+        canonical = self.ring.field.canonical
         res = dict(self.terms)
         for m, c in other.terms.items():
-            s = field.add(res.get(m, 0), c) if m in res else c
-            if m in res and field.is_zero(s):
-                del res[m]
+            old = res.get(m)
+            if old is None:
+                res[m] = c
             else:
-                res[m] = s
+                s = canonical(old + c)
+                if s:
+                    res[m] = s
+                else:
+                    del res[m]
         return Polynomial(self.ring, res)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        field = self.ring.field
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = field.sub(res.get(m, field.zero()), c)
-            if field.is_zero(s):
-                res.pop(m, None)
-            else:
-                res[m] = s
-        return Polynomial(self.ring, res)
+        return self + -other
 
     def __neg__(self) -> "Polynomial":
-        field = self.ring.field
-        return Polynomial(self.ring, {m: field.neg(c) for m, c in self.terms.items()})
+        canonical = self.ring.field.canonical
+        return Polynomial(self.ring, {m: canonical(-c) for m, c in self.terms.items()})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        field = self.ring.field
+        canonical = self.ring.field.canonical
         res = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                c = field.mul(c1, c2)
-                if m in res:
-                    s = field.add(res[m], c)
-                    if field.is_zero(s):
-                        del res[m]
-                    else:
+                old = res.get(m)
+                if old is None:
+                    res[m] = canonical(c1 * c2)
+                else:
+                    s = canonical(old + c1 * c2)
+                    if s:
                         res[m] = s
-                elif not field.is_zero(c):
-                    res[m] = c
+                    else:
+                        del res[m]
         return Polynomial(self.ring, res)
 
     def scale(self, c) -> "Polynomial":
-        field = self.ring.field
-        if field.is_zero(c):
+        canonical = self.ring.field.canonical
+        if not canonical(c):
             return self.ring.zero()
-        return Polynomial(self.ring, {m: field.mul(v, c) for m, v in self.terms.items()})
+        return Polynomial(self.ring, {m: canonical(v * c) for m, v in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):

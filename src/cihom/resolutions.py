@@ -107,12 +107,8 @@ class FreeResolution:
 
     def minimality_certificate(self) -> bool:
         """No differential entry has a nonzero constant term."""
-        for d in self.differentials:
-            for row in d.entries:
-                for p in row:
-                    if p and not p.ring.field.is_zero(p.constant_value()):
-                        return False
-        return True
+        return not any(p.constant_value() for d in self.differentials
+                       for row in d.entries for p in row)
 
     def composition_is_zero(self) -> bool:
         """d_i . d_{i+1} reduces to zero over the ring for every computed i.
@@ -345,7 +341,7 @@ def _equivalence(D: PolyMatrix, E: PolyMatrix):
     equations: dict = {}  # (row i, column j, monomial) of A.E - D.B -> position
     columns = [{equations.setdefault((i, j, m), len(equations)): v
                 for j in range(c) for m, v in E.entries[k][j].terms.items()} for i, k in a_vars]
-    columns += [{equations.setdefault((i, j, m), len(equations)): field.neg(v)
+    columns += [{equations.setdefault((i, j, m), len(equations)): -v
                  for i in range(r) for m, v in D.entries[i][s].terms.items()} for s, j in b_vars]
     zero = pr.zero()
     dense = []

@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cihom.fields import PrimeField
+from cihom.fields import PrimeField, RationalField
 from cihom.fmodules import ModulePresentation, PolyMatrix, equal_hilbert_functions
 from cihom.groebner import FreeModule, TrackedSubmodule
 from cihom.homology import cokernel_of_map, kernel_of_map
@@ -47,6 +48,18 @@ def test_minimalize_unit_row_elimination(ring_two_nodes):
     plain = ModulePresentation.from_relations(ring_two_nodes, (0, 0),
                                               [[zero, y], [zero, u]])
     assert equal_hilbert_functions(m, plain, 8)
+
+
+def test_minimalize_over_the_rationals_stays_exact():
+    # The unit 3 is eliminated through its inverse, which must be the exact
+    # Fraction 1/3 even though pq.constant(3) holds the int 3, not a float.
+    pq = PolyRing(RationalField(), ["x", "y"])
+    x, y = pq.variable("x"), pq.variable("y")
+    ring = RingPresentation(pq, [], label="k[x,y]")
+    m = ModulePresentation.from_relations(
+        ring, (0, 0), [[pq.constant(3), pq.constant(5)], [x, y]]).minimalize()
+    assert m.n_gens == 1 and m.relations.entries[0][0].text() == "-5/3*x + y"
+    assert [type(c) for c in m.relations.entries[0][0].terms.values()] == [Fraction, Fraction]
 
 
 def test_minimalize_preserves_hilbert(mod_N_two_nodes):

@@ -560,8 +560,8 @@ def reference_normal_form(e, basis, order):
         if i is None:
             remainder[t] = work.terms.pop(t)
             continue
-        coeff = field.div(work.terms[t], basis[i].terms[leads[i]])
-        work = work.add(basis[i].mul_term(mono_div(t[1], leads[i][1]), field.neg(coeff)))
+        coeff = work.terms[t] * field.inv(basis[i].terms[leads[i]])
+        work = work.add(basis[i].mul_term(mono_div(t[1], leads[i][1]), -coeff))
     return Element(e.module, remainder)
 
 
@@ -574,7 +574,7 @@ def _random_element(free, rng, degree, n_terms):
         p = rng.choice(positions)
         mono = rng.choice(list(monomials_of_degree(nvars, degree - free.gen_degs[p])))
         c = field.from_int(rng.randint(1, F.p - 1))
-        terms[(p, mono)] = field.one() if field.is_zero(c) else c
+        terms[(p, mono)] = c or field.one()
     return Element(free, terms)
 
 
@@ -630,15 +630,15 @@ def test_normal_form_matches_reference(seed, which, field_tag):
         assert_matches_reference(e, active, tracked.order)
 
 
-# -- native coefficient arithmetic against the field's methods -----------------------
+# -- coefficients made canonical once against canonical as made ----------------------
 
 def _normal_form_reference(e, basis, order):
-    """normal_form on the field's methods, as it was before its loop ran on
-    Python's operators: each sum reduced as it is made, a term that cancels
+    """normal_form as it was before its work coefficients stayed unreduced:
+    each product and sum made canonical as it is made, a term that cancels
     deleted from the work dict and pushed again if it comes back."""
     by_position = groebner._index_leads(basis, order)
     field = e.module.ring.field
-    add, mul, neg, div, is_zero = field.add, field.mul, field.neg, field.div, field.is_zero
+    canonical = field.canonical
     pmask = order.position_mask
     work = dict(e.terms)
     heap = [-t for t in work]
@@ -657,49 +657,50 @@ def _normal_form_reference(e, basis, order):
             continue
         reducer = basis[i]
         shift = t - lead
-        ncoeff = neg(div(c, reducer.terms[lead]))
+        ncoeff = canonical(-c * field.inv(reducer.terms[lead]))
         for rt, rc in reducer.terms.items():
             if rt == lead:
                 continue
             u = rt + shift
-            d = mul(rc, ncoeff)
+            d = canonical(rc * ncoeff)
             old = work.get(u)
             if old is None:
                 work[u] = d
                 heapq.heappush(heap, -u)
             else:
-                s = add(old, d)
-                if is_zero(s):
-                    del work[u]
-                else:
+                s = canonical(old + d)
+                if s:
                     work[u] = s
+                else:
+                    del work[u]
     return Element(e.module, remainder)
 
 
 def _s_pair_reference(f, g, order):
-    """s_pair on the field's methods, as it was."""
+    """s_pair with each product and sum made canonical as it is made."""
     field = f.module.ring.field
+    canonical = field.canonical
     lf, lg = groebner.lead_term(f, order), groebner.lead_term(g, order)
     lcm = order.lcm(lf, lg)
     shift, coeff = lcm - lf, field.inv(f.terms[lf])
-    res = {t + shift: field.mul(c, coeff) for t, c in f.terms.items()}
+    res = {t + shift: canonical(c * coeff) for t, c in f.terms.items()}
     shift, coeff = lcm - lg, field.inv(g.terms[lg])
     for t, c in g.terms.items():
-        u, d = t + shift, field.mul(c, coeff)
+        u, d = t + shift, canonical(c * coeff)
         old = res.get(u)
         if old is None:
-            res[u] = field.neg(d)
+            res[u] = canonical(-d)
         else:
-            s = field.sub(old, d)
-            if field.is_zero(s):
-                del res[u]
-            else:
+            s = canonical(old - d)
+            if s:
                 res[u] = s
+            else:
+                del res[u]
     return Element(f.module, res)
 
 
 def _interreduce_reference(basis, order):
-    """interreduce on _normal_form_reference and the field's methods."""
+    """interreduce on _normal_form_reference, each coefficient canonical as made."""
     leads = [groebner.lead_term(g, order) for g in basis]
     keep = [g for i, g in enumerate(basis)
             if not any(j != i and order.divides(lj, leads[i]) and (lj != leads[i] or j < i)
@@ -710,7 +711,8 @@ def _interreduce_reference(basis, order):
         if r:
             field = r.module.ring.field
             inv = field.inv(r.terms[groebner.lead_term(r, order)])
-            reduced.append(Element(r.module, {t: field.mul(c, inv) for t, c in r.terms.items()}))
+            reduced.append(Element(r.module, {t: field.canonical(c * inv)
+                                              for t, c in r.terms.items()}))
     reduced.sort(key=lambda e: groebner.lead_term(e, order))
     return reduced
 
@@ -746,7 +748,7 @@ _FIELD_TAGS = ["f3", "f32003", "f4294967311", "rational"]
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 31), st.sampled_from(_FIELD_TAGS))
-def test_native_arithmetic_matches_the_field_methods(seed, field_tag):
+def test_canonical_once_matches_canonical_as_made(seed, field_tag):
     # Unreduced work coefficients, made canonical once per popped term, give
     # the same terms in the same order as reducing every sum as it is made.
     # The reducers go in as drawn: not monic, not a Groebner basis.
@@ -1281,7 +1283,7 @@ def _search_seed_24():
 
 @pytest.mark.parametrize("run, expected", [
     (_resolve_residue_field, {"s_pair": 39, "normal_form": 161, "add": 183}),
-    (_search_seed_24, {"s_pair": 45, "normal_form": 143, "add": 68}),
+    (_search_seed_24, {"s_pair": 41, "normal_form": 139, "add": 45}),
 ], ids=["resolve_k_6_steps", "search_3_6_seed_24"])
 def test_engine_work_is_pinned(monkeypatch, run, expected):
     # Recorded with (position, monomial) tuple terms, before terms became int
@@ -1295,7 +1297,10 @@ def test_engine_work_is_pinned(monkeypatch, run, expected):
     # dimension below dim R was refused its Serre levels from its Hilbert
     # series, with no ambient resolution (72, 209, 122 from then), and
     # again, lower, once Tor entries read whether they vanish off the
-    # Hilbert numerators of two cokernels, with no syzygies and no cycles.
+    # Hilbert numerators of two cokernels, with no syzygies and no cycles
+    # (45, 143, 68 from then), and again, lower, once a minimal
+    # presentation's Hilbert numerator drained the basis that minimalize's
+    # greedy pass grew instead of building a second one.
     counts = dict.fromkeys(expected, 0)
     for owner, name in ((groebner, "s_pair"), (groebner, "normal_form"),
                         (groebner.IncrementalModuleGB, "add")):

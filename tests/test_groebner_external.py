@@ -45,7 +45,7 @@ def _random_ideal(pr, rng, n_gens, max_deg):
         p = pr.zero()
         for _t in range(rng.randint(1, 3)):
             c = FQ.from_int(rng.randint(-9, 9))
-            if not FQ.is_zero(c):
+            if c:
                 p = p + pr.monomial(rng.choice(monos), c)
         if p:
             out.append(p)

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cihom.fields import PrimeField, field_by_tag
+from cihom import fmodules
 from cihom.fmodules import ModulePresentation
 from cihom.groebner import groebner_basis, relation_basis
-from cihom.homology import ext_ambient_dimensions, ext_modules
+from cihom.homology import ext_ambient_dimensions, ext_modules, tor_profile
 from cihom.polynomials import PolyRing, mono_divides, monomials_of_degree
 from cihom.rings import (
     INF,
@@ -231,6 +232,39 @@ def test_ext_ambient_dimensions_match_the_ext_modules(rings_over, seed, which, t
 
 
 # -- fixed cases ----------------------------------------------------------------------------
+
+def test_a_minimal_presentation_drains_the_basis_of_its_greedy_pass(
+        monkeypatch, ring_quadric, ring_two_nodes, ring_node, periodic_pair):
+    # minimalize keeps the basis its greedy pass grew, which spans the kept
+    # relations and the quotient columns; hilbert_numerator drains it, drops
+    # it and builds no second basis.  A presentation handed its numerator
+    # (a Tor entry's) keeps none.
+    built = []
+    real = fmodules.relation_basis
+    monkeypatch.setattr(fmodules, "relation_basis",
+                        lambda *args, **kwargs: built.append(args) or real(*args, **kwargs))
+    rng = random.Random(30)
+    checked = 0
+    for ring in (ring_quadric, ring_two_nodes, ring_node):
+        for _ in range(6):
+            m = _random_module(ring, rng).minimalize()
+            if not m.n_rels:
+                continue
+            assert m._basis is not None
+            built.clear()
+            num = m.hilbert_numerator()
+            assert built == [] and m._basis is None
+            assert ModulePresentation(ring, m.gen_degs, m.relations).hilbert_numerator() == num
+            assert len(built) == 1
+            checked += 1
+    assert checked >= 6
+    profile = tor_profile(*periodic_pair, 3)
+    entries = [profile.tor0] + profile.entries
+    assert [e.presentation.n_rels for e in entries] == [1, 3, 0, 3]
+    for e in entries:
+        assert e.presentation._basis is None
+        assert e.presentation.hilbert_numerator() is e.numerator
+
 
 def test_zero_module_and_unit_ideal(ring_two_nodes):
     zero = ModulePresentation.zero(ring_two_nodes)

@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cihom.fields import PrimeField
+from cihom.fields import PrimeField, field_by_tag
 from cihom.polynomials import (
     GradedViolationError,
     IncompatibleOperandsError,
@@ -140,3 +141,59 @@ def test_polynomial_text_round_trip_display():
     x, y, z, u = (pr.variable(v) for v in "xyzu")
     p = pr.from_int(3) * x * x * y - z * u
     assert p.text() == "3*x^2*y - z*u"
+
+
+# -- every coefficient a polynomial is made with is canonical -------------------------
+
+def test_constants_from_any_int_are_field_elements():
+    pr = PolyRing(F, ["x", "y"])
+    x = pr.variable("x")
+    assert pr.constant(-1) == -pr.one() == pr.from_int(-1)
+    assert pr.constant(-1).terms == {(0, 0): 32002}
+    assert pr.constant(32003) == pr.zero() == pr.monomial((1, 0), -32003)
+    assert pr.monomial((1, 0), 32004) == x == x.scale(32004)
+    assert x.scale(-32003) == pr.zero()
+
+
+_FIELD_TAGS = ["f3", "f32003", "f4294967311", "rational"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31), st.sampled_from(_FIELD_TAGS))
+def test_every_made_coefficient_is_canonical(seed, field_tag):
+    # Raw ints below 0 and at or above p go in; every coefficient that comes
+    # out of a constructor or an operator is nonzero and its own canonical
+    # value, and equals the one made from the canonical input.
+    rng = random.Random(seed)
+    field = field_by_tag(field_tag)
+    pr = PolyRing(field, ["x", "y", "z"])
+    p = getattr(field, "p", 7)
+
+    def raw():
+        if rng.random() < 0.2 and not isinstance(field, PrimeField):
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        return rng.choice([rng.randint(-3 * p, 3 * p), -1, -p, p, p + 1, 2 * p - 1, 0])
+
+    def mono():
+        return rng.choice(list(monomials_of_degree(3, rng.randint(0, 2))))
+
+    def poly():
+        out = pr.zero()
+        for _ in range(rng.randint(0, 5)):
+            out = out + pr.monomial(mono(), raw())
+        return out
+
+    made = []
+    for _ in range(4):
+        n, m, f, g = raw(), mono(), poly(), poly()
+        made += [pr.constant(n), pr.monomial(m, n), pr.from_int(n), f + g, f - g, -f,
+                 f * g, f.scale(n)]
+        k = field.canonical(n)
+        assert pr.constant(n) == pr.constant(k) == pr.from_int(n)
+        assert pr.monomial(m, n) == pr.monomial(m, k)
+        assert f.scale(n) == f.scale(k) == f * pr.constant(n)
+        assert f - g == f + -g and (f - f).is_zero() and -(-f) == f
+    for q in made:
+        for c in q.terms.values():
+            assert c and field.canonical(c) == c, c
+            assert type(c) is int if isinstance(field, PrimeField) else type(c) in (int, Fraction)

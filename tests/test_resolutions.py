@@ -239,7 +239,7 @@ def _unit_match(A, B, row_perm, field):
                     ok = False
                     break
                 for mono, cb in b.terms.items():
-                    r = field.div(cb, a.terms[mono])
+                    r = field.canonical(cb * field.inv(a.terms[mono]))
                     if scale is None:
                         scale = r
                     elif scale != r:
@@ -296,17 +296,18 @@ def _reference_periodicity(res, max_period=3):
 
 def _rank(rows, field):
     """Rank of a matrix of field elements, by Gaussian elimination."""
+    canonical = field.canonical
     rows = [list(r) for r in rows]
     rank = 0
     for col in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rank, len(rows)) if not field.is_zero(rows[i][col])), None)
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         inv = field.inv(rows[rank][col])
         for i in range(rank + 1, len(rows)):
-            f = field.mul(rows[i][col], inv)
-            rows[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(rows[i], rows[rank])]
+            f = canonical(rows[i][col] * inv)
+            rows[i] = [canonical(a - f * b) for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
 
