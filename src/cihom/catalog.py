@@ -6,7 +6,9 @@ Expectations carry a provenance tag: "reference" values come from the worked
 instance the entry reproduces, "trivial" ones are forced by definitions, and
 "derived" ones were computed here and cross-checked against the
 linear-algebra oracle.  The matrices are hard-coded exactly as displayed in
-the source instances; they are the ground-truth fixtures.
+the source instances; they are the ground-truth fixtures.  ``ring(name,
+field)`` builds the four fixture rings the entries stand on, and is the one
+place they are written out.
 """
 
 from __future__ import annotations
@@ -24,37 +26,35 @@ class UnknownExampleError(ValueError):
     pass
 
 
-def _ring_two_nodes(field):
-    """k[x,y,z,u]/(xy, zu): codimension two, dimension two."""
-    pr = PolyRing(field, ["x", "y", "z", "u"])
-    x, y, z, u = (pr.variable(v) for v in "xyzu")
-    ring = RingPresentation(pr, [x * y, z * u], label="R_xyzu")
-    return ring, (x, y, z, u)
+# The fixture rings by label: variable names in order, the ideal on those
+# variables, and whether that ideal is prime (then declared as the one
+# minimal prime).
+_RINGS = {
+    "R_node": ("xy", lambda x, y: [x * y], False),
+    "R_node3": ("xyz", lambda x, y, z: [x * y], False),
+    "R_xyzu": ("xyzu", lambda x, y, z, u: [x * y, z * u], False),
+    "R_quadric": ("xywz", lambda x, y, w, z: [x * w - y * z], True),
+}
 
 
-def _ring_quadric(field):
-    """k[x,y,w,z]/(xw - yz): three-dimensional hypersurface domain."""
-    pr = PolyRing(field, ["x", "y", "w", "z"])
-    x, y, w, z = (pr.variable(v) for v in "xywz")
-    f = x * w - y * z
-    ring = RingPresentation(pr, [f], label="R_quadric", minimal_primes=[[f]])
-    return ring, (x, y, w, z)
+def ring(name: str, field) -> RingPresentation:
+    """A fresh fixture ring over ``field``, built anew on every call:
+
+    - ``R_node``: k[x,y]/(xy), one-dimensional, codimension one;
+    - ``R_node3``: k[x,y,z]/(xy), a two-dimensional hypersurface;
+    - ``R_xyzu``: k[x,y,z,u]/(xy, zu), codimension two, dimension two;
+    - ``R_quadric``: k[x,y,w,z]/(xw - yz), a three-dimensional hypersurface
+      domain, declared with its minimal prime.
+    """
+    names, ideal, prime = _RINGS[name]
+    pr = PolyRing(field, list(names))
+    gens = ideal(*(pr.variable(v) for v in names))
+    return RingPresentation(pr, gens, label=name, minimal_primes=[gens] if prime else None)
 
 
-def _ring_node(field):
-    """k[x,y]/(xy): one-dimensional, codimension one."""
-    pr = PolyRing(field, ["x", "y"])
-    x, y = pr.variable("x"), pr.variable("y")
-    ring = RingPresentation(pr, [x * y], label="R_node")
-    return ring, (x, y)
-
-
-def _ring_node3(field):
-    """k[x,y,z]/(xy): two-dimensional hypersurface."""
-    pr = PolyRing(field, ["x", "y", "z"])
-    x, y, z = (pr.variable(v) for v in "xyz")
-    ring = RingPresentation(pr, [x * y], label="R_node3")
-    return ring, (x, y, z)
+def _ring_and_variables(name, field):
+    R = ring(name, field)
+    return R, tuple(R.poly_ring.variable(v) for v in R.poly_ring.variables)
 
 
 def _check(name, expected, actual, provenance):
@@ -63,7 +63,7 @@ def _check(name, expected, actual, provenance):
 
 
 def _run_3_11(field, bounds):
-    ring, (x, y, z, u) = _ring_two_nodes(field)
+    ring, (x, y, z, u) = _ring_and_variables("R_xyzu", field)
     M = ModulePresentation.quotient_by_ideal(ring, [y, u], label="M")
     zero = ring.poly_ring.zero()
     N = ModulePresentation.from_relations(ring, (0, 0, 0),
@@ -93,7 +93,7 @@ def _run_3_11(field, bounds):
 
 
 def _run_3_13(field, bounds):
-    ring, (x, y, z, u) = _ring_two_nodes(field)
+    ring, (x, y, z, u) = _ring_and_variables("R_xyzu", field)
     M = ModulePresentation.quotient_by_ideal(ring, [y, u], label="M")
     res = resolve(M, steps=6)
     checks = [
@@ -132,7 +132,7 @@ def _run_3_13(field, bounds):
 
 
 def _run_3_14(field, bounds):
-    ring, (x, y, z, u) = _ring_two_nodes(field)
+    ring, (x, y, z, u) = _ring_and_variables("R_xyzu", field)
     M = ModulePresentation.quotient_by_ideal(ring, [x], label="M")
     N = ModulePresentation.quotient_by_ideal(ring, [x * z], label="N")
     res = resolve(M, steps=10)
@@ -162,7 +162,7 @@ def _run_3_14(field, bounds):
 
 
 def _run_pre_3_4(field, bounds):
-    ring, (x, y) = _ring_node(field)
+    ring, (x, y) = _ring_and_variables("R_node", field)
     M = ModulePresentation.quotient_by_ideal(ring, [x], label="M")
     prof = tor_profile(M, M, 9, bounds["degree_bound"])
     expected = {i: (i % 2 == 1) for i in range(1, 10)}
@@ -182,7 +182,7 @@ def _run_pre_3_4(field, bounds):
 
 
 def _run_4_4(field, bounds):
-    ring, (x, y, z) = _ring_node3(field)
+    ring, (x, y, z) = _ring_and_variables("R_node3", field)
     M = ModulePresentation.quotient_by_ideal(ring, [z], label="M")
     res = resolve(M, steps=4)
     prof = tor_profile(M, M, 1, bounds["degree_bound"])
@@ -203,7 +203,7 @@ def _quadric_module(ring, syms):
 
 
 def _run_4_5(field, bounds):
-    ring, syms = _ring_quadric(field)
+    ring, syms = _ring_and_variables("R_quadric", field)
     M = _quadric_module(ring, syms)
     res = resolve(M, steps=5)
     prof = tor_profile(M, M, 10, bounds["degree_bound"])
@@ -228,7 +228,7 @@ def _run_4_5(field, bounds):
 
 
 def _run_4_19(field, bounds):
-    ring, syms = _ring_quadric(field)
+    ring, syms = _ring_and_variables("R_quadric", field)
     M = _quadric_module(ring, syms)
     dual = M.dual()
     dual.label = "M*"
@@ -247,7 +247,7 @@ def _run_4_19(field, bounds):
 
 
 def _run_cor_4_7(field, bounds):
-    ring, (x, y) = _ring_node(field)
+    ring, (x, y) = _ring_and_variables("R_node", field)
     M = ModulePresentation.quotient_by_ideal(ring, [x], label="M")
     N = ModulePresentation.quotient_by_ideal(ring, [y], label="N")
     prof = tor_profile(M, N, 10, bounds["degree_bound"])

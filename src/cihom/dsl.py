@@ -1,7 +1,7 @@
 """Text DSL for declaring rings and modules and queueing commands.
 
-Grammar (one statement per line continuation is not needed; whitespace is
-free-form):
+Grammar (statements are separated by whitespace, and a statement may span
+lines with no line continuation):
 
     ring R = quotient(field=f32003, vars=[x,y,z,u], ideal=[x*y, z*u],
                       minimal_primes=[[x,z],[y,u]])

@@ -149,30 +149,30 @@ def _search_3_17(cfg, mods):
 
 def _search_4_16(cfg, mods):
     """One-dimensional domain: M and M tensor M* torsion-free: is M free?"""
-    (M,) = mods
-    ring = cfg.ring
-    hyps = {"one_dimensional": ring.dimension() == 1,
-            "certified": ring.certified,
-            "domain": ring.is_domain()["domain"]}
-    if M.n_gens == 0:
-        return {"classification": "skipped", "reason": "zero module sampled"}
-    bd = M.biduality_report()
-    hyps["M_torsion_free"] = bd.torsion_free
-    dual = M.dual()
-    tensor = M.tensor(dual)
-    hyps["tensor_torsion_free"] = tensor.biduality_report().torsion_free
-    rec = {"hypotheses": hyps}
-    if not all(hyps.values()):
-        rec["classification"] = "miss"
-        return rec
-    rec["M_free"] = M.is_free()
-    rec["classification"] = "near-miss" if rec["M_free"] else "candidate"
-    return rec
+    def tensor_torsion_free(M, hyps):
+        hyps["tensor_torsion_free"] = M.tensor(M.dual()).biduality_report().torsion_free
+        return {}
+    return _freeness_search(cfg, mods, tensor_torsion_free)
 
 
 def _search_4_18(cfg, mods):
     """One-dimensional domain, M and M tensor M* torsion-free and some
     Tor_i(M, M*) = 0 in the window: is M free?"""
+    def tensor_torsion_free_and_some_tor_vanishes(M, hyps):
+        prof = tor_profile(M, M.dual(), cfg.tor_bound, cfg.degree_bound)
+        # Tor_0 is M (x) M*, already minimalized.
+        hyps["tensor_torsion_free"] = prof.tor0.presentation.biduality_report().torsion_free
+        first_zero = next((i for i in range(1, cfg.tor_bound + 1) if prof.vanishes(i)), None)
+        hyps["some_tor_vanishes"] = first_zero is not None
+        return {"first_vanishing_index": first_zero}
+    return _freeness_search(cfg, mods, tensor_torsion_free_and_some_tor_vanishes)
+
+
+def _freeness_search(cfg, mods, read_hypotheses):
+    """Is M free?  The hypotheses 4.16 and 4.18 share come first: a
+    one-dimensional certified domain and a torsion-free M.  Then
+    ``read_hypotheses(M, hyps)`` adds the question's own and returns the
+    record's other fields."""
     (M,) = mods
     ring = cfg.ring
     hyps = {"one_dimensional": ring.dimension() == 1,
@@ -180,14 +180,8 @@ def _search_4_18(cfg, mods):
             "domain": ring.is_domain()["domain"]}
     if M.n_gens == 0:
         return {"classification": "skipped", "reason": "zero module sampled"}
-    bd = M.biduality_report()
-    hyps["M_torsion_free"] = bd.torsion_free
-    prof = tor_profile(M, M.dual(), cfg.tor_bound, cfg.degree_bound)
-    # Tor_0 is M (x) M*, already minimalized.
-    hyps["tensor_torsion_free"] = prof.tor0.presentation.biduality_report().torsion_free
-    first_zero = next((i for i in range(1, cfg.tor_bound + 1) if prof.vanishes(i)), None)
-    hyps["some_tor_vanishes"] = first_zero is not None
-    rec = {"hypotheses": hyps, "first_vanishing_index": first_zero}
+    hyps["M_torsion_free"] = M.biduality_report().torsion_free
+    rec = {"hypotheses": hyps, **read_hypotheses(M, hyps)}
     if not all(hyps.values()):
         rec["classification"] = "miss"
         return rec

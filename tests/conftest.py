@@ -2,10 +2,9 @@ import functools
 
 import pytest
 
+from cihom import catalog
 from cihom.fields import PrimeField, field_by_tag
 from cihom.fmodules import ModulePresentation
-from cihom.polynomials import PolyRing
-from cihom.rings import RingPresentation
 
 FIELD = PrimeField(32003)
 
@@ -13,55 +12,33 @@ FIELD = PrimeField(32003)
 @pytest.fixture(scope="session")
 def ring_two_nodes():
     """k[x,y,z,u]/(xy, zu): dimension two, codimension two."""
-    pr = PolyRing(FIELD, ["x", "y", "z", "u"])
-    x, y, z, u = (pr.variable(v) for v in "xyzu")
-    return RingPresentation(pr, [x * y, z * u], label="R_xyzu")
+    return catalog.ring("R_xyzu", FIELD)
 
 
 @pytest.fixture(scope="session")
 def ring_quadric():
     """k[x,y,w,z]/(xw - yz): three-dimensional hypersurface domain."""
-    pr = PolyRing(FIELD, ["x", "y", "w", "z"])
-    x, y, w, z = (pr.variable(v) for v in "xywz")
-    f = x * w - y * z
-    return RingPresentation(pr, [f], label="R_quadric", minimal_primes=[[f]])
+    return catalog.ring("R_quadric", FIELD)
 
 
 @pytest.fixture(scope="session")
 def ring_node():
     """k[x,y]/(xy): the node."""
-    pr = PolyRing(FIELD, ["x", "y"])
-    x, y = pr.variable("x"), pr.variable("y")
-    return RingPresentation(pr, [x * y], label="R_node")
+    return catalog.ring("R_node", FIELD)
 
 
 @pytest.fixture(scope="session")
 def ring_node3():
     """k[x,y,z]/(xy)."""
-    pr = PolyRing(FIELD, ["x", "y", "z"])
-    x, y, z = (pr.variable(v) for v in "xyz")
-    return RingPresentation(pr, [x * y], label="R_node3")
-
-
-def _three_rings(field):
-    """The node, the two-node ring and the quadric over one field."""
-    node = PolyRing(field, ["x", "y"])
-    x, y = node.variable("x"), node.variable("y")
-    two = PolyRing(field, ["x", "y", "z", "u"])
-    a, b, c, e = (two.variable(v) for v in "xyzu")
-    quad = PolyRing(field, ["x", "y", "w", "z"])
-    p, q, r, s = (quad.variable(v) for v in "xywz")
-    f = p * r - q * s
-    return (RingPresentation(node, [x * y], label="R_node"),
-            RingPresentation(two, [a * b, c * e], label="R_xyzu"),
-            RingPresentation(quad, [f], label="R_quadric", minimal_primes=[[f]]))
+    return catalog.ring("R_node3", FIELD)
 
 
 @pytest.fixture(scope="session")
 def rings_over():
     """rings_over(tag): the node, the two-node ring and the quadric over the
     field with that tag, built once per tag."""
-    return functools.cache(lambda tag: _three_rings(field_by_tag(tag)))
+    return functools.cache(lambda tag: tuple(
+        catalog.ring(name, field_by_tag(tag)) for name in ("R_node", "R_xyzu", "R_quadric")))
 
 
 def var(ring, name):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cihom import groebner
+from cihom import catalog, groebner
 from cihom.fields import PrimeField, field_by_tag
 from cihom.fmodules import ModulePresentation, PolyMatrix
 from cihom.groebner import (
@@ -1262,10 +1262,7 @@ def test_relation_columns_match_the_restricted_syzygies(ring_quadric, ring_two_n
 
 def _quadric():
     """A fresh k[x,y,w,z]/(xw - yz), so no cache of another test is reused."""
-    pr = PolyRing(F, ["x", "y", "w", "z"])
-    x, y, w, z = (pr.variable(v) for v in "xywz")
-    f = x * w - y * z
-    return RingPresentation(pr, [f], label="R_quadric", minimal_primes=[[f]])
+    return catalog.ring("R_quadric", F)
 
 
 def _resolve_residue_field():

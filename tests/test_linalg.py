@@ -386,16 +386,14 @@ def test_block_add_full_rank_block():
 def test_tor_oracle_does_not_load_numpy():
     code = """
 import sys
+from cihom.catalog import ring
 from cihom.fields import PrimeField
 from cihom.fmodules import ModulePresentation
 from cihom.oracle import tor_oracle
-from cihom.polynomials import PolyRing
-from cihom.rings import RingPresentation
-pr = PolyRing(PrimeField(32003), ["x", "y"])
-x, y = pr.variable("x"), pr.variable("y")
-ring = RingPresentation(pr, [x * y], label="R_node")
-M = ModulePresentation.quotient_by_ideal(ring, [x], label="M")
-N = ModulePresentation.quotient_by_ideal(ring, [y], label="N")
+node = ring("R_node", PrimeField(32003))
+x, y = node.poly_ring.variable("x"), node.poly_ring.variable("y")
+M = ModulePresentation.quotient_by_ideal(node, [x], label="M")
+N = ModulePresentation.quotient_by_ideal(node, [y], label="N")
 print(tor_oracle(M, N, 2, 4)[2][2], "numpy" in sys.modules)
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from cihom import catalog
 from cihom.fields import PrimeField, field_by_tag
 from cihom.fmodules import ModulePresentation, PolyMatrix
 from cihom.homology import tor_profile
@@ -67,9 +68,7 @@ def test_oracle_matches_pipeline_on_random(ring_two_nodes, ring_node):
     ("f3", 6), ("f32003", 6), ("f2147483647", 6), ("f4294967311", 6), ("rational", 6)])
 def test_oracle_matches_pipeline_on_every_field(tag, degree_bound):
     # With int64 arithmetic the oracle disagreed on both samples over f4294967311
-    pr = PolyRing(field_by_tag(tag), ["x", "y", "z", "u"])
-    x, y, z, u = (pr.variable(v) for v in "xyzu")
-    ring = RingPresentation(pr, [x * y, z * u], label="R_xyzu")
+    ring = catalog.ring("R_xyzu", field_by_tag(tag))
     for seed in (0, 2):
         rng = random.Random(seed)
         M = random_homogeneous_module(ring, rng, 2, 2, "A")
@@ -105,8 +104,7 @@ def test_module_hilbert_oracle_matches_groebner(mod_N_two_nodes, mod_quadric):
 
 
 def test_guardrail_degree():
-    pr = PolyRing(F, ["x", "y"])
-    ring = RingPresentation(pr, [pr.variable("x") * pr.variable("y")])
+    ring = catalog.ring("R_node", F)
     M = ModulePresentation.free(ring, (0,))
     with pytest.raises(OracleTooLargeError):
         module_hilbert_oracle(M, 20)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cihom import resolutions
+from cihom import catalog, resolutions
 from cihom.fields import PrimeField, field_by_tag
 from cihom.fmodules import ModulePresentation, PolyMatrix
 from cihom.polynomials import PolyRing, monomials_of_degree
@@ -332,12 +332,9 @@ def _property_rings(tag):
     pr = PolyRing(F, ["x", "y", "w", "z"])
     x, y, w, z = (pr.variable(v) for v in "xywz")
     quadric = RingPresentation(pr, [x * w - y * z], label="R_quadric")
-    pr = PolyRing(F, ["x", "y", "z", "u"])
-    x, y, z, u = (pr.variable(v) for v in "xyzu")
-    two_nodes = RingPresentation(pr, [x * y, z * u], label="R_xyzu")
     pr = PolyRing(F, ["x", "y", "z"])
     x, y, z = (pr.variable(v) for v in "xyz")
-    return [quadric, two_nodes, RingPresentation(pr, [x * y], label="R_xy"),
+    return [quadric, catalog.ring("R_xyzu", F), RingPresentation(pr, [x * y], label="R_xy"),
             RingPresentation(pr, [x * x, y * y, z * z], label="R_squares")]
 
 
