@@ -33,8 +33,8 @@ from .groebner import (
     relation_basis,
     syzygy_generators,
 )
-from .rings import (INF, RingPresentation, dimension_and_multiplicity, encode_infinite,
-                    hilbert_values, module_numerator)
+from .rings import (INF, RingPresentation, add_numerator, dimension_and_multiplicity,
+                    encode_infinite, hilbert_values, module_numerator)
 
 
 def _entry_degree(p: Polynomial, i: int, j: int):
@@ -249,45 +249,46 @@ class BidualityReport:
     ``torsion_free``: the kernel of M -> M** is the kernel of the evaluation
     map u: M -> R^m, x -> (phi_1(x), .., phi_m(x)), the phi_k a minimal
     generating set of M* (``dual_generators``), because M** embeds in
-    (R^m)* = R^m.  So M is torsion-free when u has no minimal cycles modulo
-    M's relations (``homology.minimal_cycles``); no double dual and no
-    relation among the cycles is built.  M = 0 is torsion-free; M* = 0 with
-    M nonzero is not.  A nonzero M with dim M < dim R has M* = 0 (see
+    (R^m)* = R^m.  So M is torsion-free when u is injective, that is when
+    HS(ker u) = HS(M) + HS(coker u) - HS(R^m) is zero (rank counting in each
+    degree: ``homology._ResolutionComplex.numerator``'s identity with no
+    incoming map); no cycle, double dual or relation is built.  M = 0 is
+    torsion-free; M* = 0 with M nonzero is not.  A nonzero M with
+    dim M < dim R has M* = 0 (see
     ``ModulePresentation._below_ring_dimension``), so it is refused, and its
     kernel witness is M itself, before any dual generator is computed.
     ``reflexive``: over a Gorenstein ring, reflexive is equivalent to the
     depth condition (S_2) (Evans and Griffith, Syzygies, 1985, Thm 3.8;
     Auslander and Bridger, 1969), read from ``satisfies_serre(2)``, which
     shares its ambient resolution and Ext dimensions with every Serre level.
-    ``kernel``: the evaluation kernel, minimalized, the witness of torsion;
-    its relations are built only when it is read on a module with torsion.
-    The report keeps the cycles and the kernel; the dual generators, the
-    ambient resolution and the Ext dimensions are kept by the presentation.
+    ``kernel``: ker u, minimalized, the witness of torsion, built from the
+    minimal cycles of u modulo M's relations only when it is read, so it
+    checks the numerator verdict by a second route.  The report keeps the
+    verdict and the kernel; the dual generators, the ambient resolution and
+    the Ext dimensions are kept by the presentation.
     """
 
-    __slots__ = ("module", "_cycles", "_kernel")
+    __slots__ = ("module", "_torsion_free", "_kernel")
 
     def __init__(self, module: "ModulePresentation"):
         self.module = module
-        self._cycles = None
+        self._torsion_free = None
         self._kernel = None
-
-    def _evaluation_cycles(self):
-        """Minimal cycles of the evaluation map modulo M's relations; only
-        asked for when M* is nonzero."""
-        if self._cycles is None:
-            from .homology import minimal_cycles
-            M = self.module
-            self._cycles = minimal_cycles(M.ring, M.gen_degs, M.dual_generators().transpose(),
-                                          None, None, M.relations, label="ker")
-        return self._cycles
 
     @property
     def torsion_free(self) -> bool:
-        M = self.module
-        return M.n_gens == 0 or (not M._below_ring_dimension()
-                                 and M.dual_generators().ncols > 0
-                                 and not self._evaluation_cycles().gen_degs)
+        if self._torsion_free is None:
+            M = self.module
+            if M.n_gens == 0 or M._below_ring_dimension() or not M.dual_generators().ncols:
+                self._torsion_free = M.n_gens == 0
+            else:   # HS(ker u) = HS(M) + HS(coker u) - HS(R^m) is zero
+                u = M.dual_generators().transpose()
+                num = add_numerator(dict(M.hilbert_numerator()),
+                                    ModulePresentation(M.ring, u.row_degs, u).hilbert_numerator())
+                add_numerator(num, ModulePresentation.free(M.ring, u.row_degs).hilbert_numerator(),
+                              sign=-1)
+                self._torsion_free = not num
+        return self._torsion_free
 
     @property
     def reflexive(self) -> bool:
@@ -297,10 +298,13 @@ class BidualityReport:
     def kernel(self) -> "ModulePresentation":
         if self._kernel is None:
             M = self.module
-            # with M* = 0 every element evaluates to zero (M = 0 included,
-            # and every M of dimension below dim R, see _below_ring_dimension)
-            self._kernel = (M if M._below_ring_dimension() or not M.dual_generators().ncols
-                            else self._evaluation_cycles().presentation().minimalize())
+            if M._below_ring_dimension() or not M.dual_generators().ncols:   # M* = 0
+                self._kernel = M
+            else:
+                from .homology import subquotient_presentation
+                self._kernel = subquotient_presentation(
+                    M.ring, M.gen_degs, M.dual_generators().transpose(), None, None,
+                    M.relations, label="ker").minimalize()
         return self._kernel
 
     def __repr__(self):
@@ -727,24 +731,23 @@ class ModulePresentation:
         res = resolve(self.minimalize(), steps=2)
         return res.syzygy_module(1)
 
-    def nonfree_locus_module(self) -> "ModulePresentation":
-        """Ext^1(M, syz^1 M), minimalized; its support is the non-free locus.
-
-        Zero exactly when M is free (projective = free in the graded local
-        setting).
-        """
+    def _nonfree_locus_entry(self):
+        """Ext^1(M, syz^1 M) as a ``homology.HomologyEntry``: its support is
+        the non-free locus, so it vanishes exactly when M is free
+        (projective = free in the graded local setting)."""
+        from .homology import ext_profile
         M = self.minimalize()
-        if M.n_rels == 0:
-            return ModulePresentation.zero(self.ring)
-        from .homology import ext_modules
-        return ext_modules(M, M.first_syzygy(), 1, 1)[1].minimalize()
+        return ext_profile(M, M.first_syzygy(), 1, 0)[0]
+
+    def nonfree_locus_module(self) -> "ModulePresentation":
+        """The Ext^1 entry's minimal presentation."""
+        return self._nonfree_locus_entry().presentation
 
     def nonfree_locus_codim(self) -> float:
-        """Codimension in Spec R of the non-free locus; inf when M is free."""
-        ext1 = self.nonfree_locus_module()
-        if ext1.n_gens == 0:
-            return INF
-        return self.ring.dimension() - ext1.dimension()
+        """Codimension in Spec R of the non-free locus, read off the Ext^1
+        entry's Hilbert numerator with no module built; inf when M is free."""
+        entry = self._nonfree_locus_entry()
+        return INF if entry.vanishes else self.ring.dimension() - entry.dim
 
     def is_free(self) -> bool:
         return self.minimalize().n_rels == 0

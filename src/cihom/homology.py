@@ -15,6 +15,7 @@ homology of (minimal resolution of M) tensor N, Ext^i the cohomology of
 Hom(resolution, N); one builder makes both complexes, from the two
 Kronecker shapes of ``PolyMatrix``: the maps are d_i (x) 1 (``kron_identity``)
 and the relations of each term 1 (x) B (``identity_kron``), B those of N.
+A right-side Tor profile of (M, N) is the left profile of (N, M).
 
 "Vanishes for all i >= 1" is never asserted from a finite window alone: each
 profile carries an evidence tier: (a) finite projective dimension, (b)
@@ -38,7 +39,8 @@ dim H = dim T - rank(in) - rank(out) at a term T, so
 taken modulo the relations of the map's target term.  For F tensor N the
 cokernel of d_j tensor N is Omega^(j-1) M tensor N (Omega^0 M = M), but
 the identity needs no such name, so it holds for Hom(F, N) as well;
-``_ResolutionComplex.numerator`` writes it once, for both.
+``_ResolutionComplex.numerator`` writes it once, for both.  With no map in,
+the same counting is the torsion-free test (``fmodules.BidualityReport``).
 Each cokernel's numerator needs one untracked Groebner basis, with no
 syzygies and no cycles, and serves two neighbouring entries; the identity
 holds for any free resolution, minimal or not.  Minimal cycles are built
@@ -309,11 +311,12 @@ class TorProfile:
     ``all_vanish_in_window`` and ``vanish_range`` stop at the first nonzero
     Tor_i, and ``vanishing`` reads the resolution only when every Tor_i in
     the window vanishes.  ``entries`` and ``as_dict`` build everything.  A
-    right-side profile resolves N: it reads every field from its left
-    profile of (N, M) and builds nothing of its own.
+    right-side profile of (M, N) resolves N: it is the left profile of
+    (N, M), ``self.M`` being N, with ``side`` "right", and ``as_dict`` names
+    the module and the argument in the caller's order.
     """
 
-    __slots__ = ("M", "N", "ring", "bound", "degree_bound", "side", "_left", "_entries",
+    __slots__ = ("M", "N", "ring", "bound", "degree_bound", "side", "_entries",
                  "_tor0", "_vanishing", "_periodicity", "_resolution", "_complex")
 
     def __init__(self, M, N, bound, degree_bound, side="left"):
@@ -323,7 +326,6 @@ class TorProfile:
         self.bound = bound
         self.degree_bound = degree_bound
         self.side = side
-        self._left = tor_profile(N, M, bound, degree_bound) if side == "right" else None
         self._entries: dict = {}
         self._tor0 = None
         self._vanishing = None
@@ -337,10 +339,9 @@ class TorProfile:
             return self.tor0
         if not 1 <= i <= self.bound:
             raise IndexError(f"Tor index {i} outside the window 0..{self.bound}")
-        left = self._left or self
-        e = left._entries.get(i)
+        e = self._entries.get(i)
         if e is None:
-            e = left._entries[i] = HomologyEntry(i, left._complex.reach(i + 1),
+            e = self._entries[i] = HomologyEntry(i, self._complex.reach(i + 1),
                                                  self.degree_bound)
         return e
 
@@ -350,24 +351,21 @@ class TorProfile:
 
     @property
     def tor0(self) -> HomologyEntry:
-        left = self._left or self
-        if left._tor0 is None:
-            left._tor0 = HomologyEntry(0, left._complex, self.degree_bound)
-        return left._tor0
+        if self._tor0 is None:
+            self._tor0 = HomologyEntry(0, self._complex, self.degree_bound)
+        return self._tor0
 
     @property
     def resolution(self) -> FreeResolution:
-        left = self._left or self
-        if left._resolution is None:
-            left._resolution = resolve(left.M, steps=self.bound + 1)
-        return left._resolution
+        if self._resolution is None:
+            self._resolution = resolve(self.M, steps=self.bound + 1)
+        return self._resolution
 
     @property
     def vanishing(self) -> dict:
-        left = self._left or self
-        if left._vanishing is None:
-            left._vanishing = _vanishing_evidence(left)
-        return left._vanishing
+        if self._vanishing is None:
+            self._vanishing = _vanishing_evidence(self)
+        return self._vanishing
 
     @property
     def vanishing_certified(self) -> bool:
@@ -379,16 +377,15 @@ class TorProfile:
     @property
     def periodicity(self) -> list:
         """Tor_i against Tor_(i+2) for 1 <= i <= bound - 2."""
-        left = self._left or self
-        if left._periodicity is None:
-            entries = left.entries
-            left._periodicity = []
+        if self._periodicity is None:
+            entries = self.entries
+            self._periodicity = []
             for a, b in zip(entries, entries[2:]):
                 rec = {"i": a.index, "distance": 2, "equal": a.graded_data_equal(b)}
                 if a.initial_degree is not None and b.initial_degree is not None:
                     rec["twist"] = b.initial_degree - a.initial_degree
-                left._periodicity.append(rec)
-        return left._periodicity
+                self._periodicity.append(rec)
+        return self._periodicity
 
     def vanishes(self, i: int) -> bool:
         return self.entry(i).vanishes
@@ -403,7 +400,8 @@ class TorProfile:
         # Tor_1..Tor_bound, then Tor_0, the evidence and the periodicity:
         # the order in which the profile has always been built.
         entries = [e.as_dict() for e in self.entries]
-        return {"module": self.M.label, "argument": self.N.label,
+        module, argument = (self.N, self.M) if self.side == "right" else (self.M, self.N)
+        return {"module": module.label, "argument": argument.label,
                 "ring": self.ring.label, "bound": self.bound,
                 "degree_bound": self.degree_bound, "resolved_side": self.side,
                 "tor0": self.tor0.as_dict(),
@@ -556,23 +554,18 @@ def tor_profile(M: ModulePresentation, N: ModulePresentation, bound: int,
     """Tor_i(M, N) for 1 <= i <= bound via a minimal resolution.
 
     side='left' resolves M, side='right' resolves N (the symmetric
-    recomputation used for cross-checks).  The arguments are checked here
-    (``bound`` >= 1, ``degree_bound`` >= 0); every Tor module is built on
-    first read (see ``TorProfile``).
+    recomputation used for cross-checks): the left profile of (N, M),
+    marked right.  The arguments are checked here (``bound`` >= 1,
+    ``degree_bound`` >= 0); every Tor module is built on first read (see
+    ``TorProfile``).
     """
     M.check_same_ring(N)
     if side not in ("left", "right"):
         raise ValueError(f"side must be left or right, not {side!r}")
     _check_bounds(bound, degree_bound)
+    if side == "right":
+        M, N = N, M
     return TorProfile(M, N, bound, degree_bound, side)
-
-
-def ext_modules(M: ModulePresentation, N: ModulePresentation, lo: int, hi: int) -> dict:
-    """Ext^i(M, N) presentations for lo <= i <= hi, via Hom(resolution, N),
-    each built from its minimal cycles."""
-    M.check_same_ring(N)
-    cx = _ResolutionComplex(M, N, -1).reach(hi + 1)
-    return {i: cx.cycles(i).presentation() for i in range(lo, hi + 1)}
 
 
 def ext_profile(M: ModulePresentation, N: ModulePresentation, bound: int,

@@ -20,6 +20,7 @@ requested it; returned FreeResolution views are immutable and safe to share.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from .fmodules import ModulePresentation, PolyMatrix
@@ -324,7 +325,8 @@ def _equivalence(D: PolyMatrix, E: PolyMatrix):
     them, so A.E = D.B over the ring is one linear equation over k per entry
     and monomial.  Its solutions are the syzygies of the unknowns' constant
     coefficient columns, all of degree 0; a few seeded combinations of them
-    are tried for an invertible pair.
+    are tried for an invertible pair, and over a prime field of at most 7
+    elements a solution space of at most 729 elements is tried whole.
     """
     r, c = D.nrows, D.ncols
     twists = {e - d for d, e in zip(sorted(D.row_degs), sorted(E.row_degs))}
@@ -353,10 +355,14 @@ def _equivalence(D: PolyMatrix, E: PolyMatrix):
     kernel, _ = syzygy_generators(dense, [0] * len(columns),
                                   FreeModule(pr, (0,) * len(equations)))
     rng = random.Random(0)
-    for _ in range(_COMBINATIONS):
+    tries = [[rng.randrange(1, 1 << 15) for _ in kernel] for _ in range(_COMBINATIONS)]
+    p = next((n for n in range(2, 8) if not field.from_int(n)), 0)
+    if p and kernel and p ** len(kernel) <= 729:
+        tries += itertools.product(range(p), repeat=len(kernel))
+    for ints in tries:
         x = [zero] * len(columns)
-        for vec in kernel:
-            coeff = field.from_int(rng.randrange(1, 1 << 15))
+        for vec, n in zip(kernel, ints):
+            coeff = field.from_int(n)
             x = [xu + vu.scale(coeff) if vu else xu for xu, vu in zip(x, vec)]
         a, b = [[zero] * r for _ in range(r)], [[zero] * c for _ in range(c)]
         for u, v in enumerate(x):

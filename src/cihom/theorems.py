@@ -680,7 +680,7 @@ def _check_4_11(inst, params):
                     {i: prof.entry(i).finite_length or prof.entry(i).vanishes
                      for i in fl_idx}))
     tail_ok = prof.vanish_range(start, inst.tor_bound)
-    if 2 <= n <= inst.tor_bound + 1:
+    if 1 <= n <= inst.tor_bound + 1:
         prev = prof.entry(n - 1)
         depth_zero = (not prev.vanishes) and prev.depth == 0
     else:

@@ -381,13 +381,12 @@ def test_cli_check_accepts_the_parameters_a_statement_reads(tmp_path, capsys):
     script.write_text(NODE_SCRIPT + "check 2.2 on (M, N, n=1, bound=4)\n"
                       "check 4.11 on (M, N, w=1, bound=4)\n")
     # Tor_1 vanishes here, so 4.11's run starts at n = 1 and every hypothesis
-    # is met; its verdict is still `fails` (exit 1), because at n = 1 the
-    # checker never reads Tor_0 (ROADMAP item 14, fault 1).  The script
-    # itself parses and runs.
-    assert main(["--script", str(script), "--format", "json"]) == 1
+    # is met; the predecessor of the run is Tor_0 = M (x) N, of depth 0, so
+    # the verdict is `holds` and the script exits 0.
+    assert main(["--script", str(script), "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert [(r["title"], r["data"]["theorem_reports"][0]["conclusion"]["verdict"])
-            for r in doc["results"]] == [("2.2", "hypotheses-unmet"), ("4.11", "fails")]
+            for r in doc["results"]] == [("2.2", "hypotheses-unmet"), ("4.11", "holds")]
 
 
 def test_cli_term_code_range_is_a_guardrail(tmp_path, capsys):

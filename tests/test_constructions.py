@@ -145,20 +145,21 @@ def test_quasi_lifting_two_nodes(mod_M_two_nodes, ring_two_nodes):
 
 
 def test_quasi_lifting_builds_the_nonfree_locus_once(mod_N_two_nodes, monkeypatch):
-    # Ext^1(E, syz^1 E) gives both the free-locus test and its Fitting ideal
+    # one Ext^1(E, syz^1 E) entry gives both the free-locus test and its
+    # Fitting ideal
     calls = []
-    real = homology.ext_modules
+    real = homology.HomologyEntry.__init__
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(self, index, cx, degree_bound):
+        calls.append(cx.label(index)[:3])
+        real(self, index, cx, degree_bound)
 
-    monkeypatch.setattr(homology, "ext_modules", counting)
+    monkeypatch.setattr(homology.HomologyEntry, "__init__", counting)
     N = mod_N_two_nodes
     ql = quasi_lifting(ModulePresentation(N.ring, N.gen_degs, N.relations, label="N"), 0)
     assert not ql.E_min.is_free()
     assert ql.free_off_split["ok"]
-    assert len(calls) == 1
+    assert calls == ["Ext"]
 
 
 def test_quasi_lifting_change_of_rings(mod_M_two_nodes):

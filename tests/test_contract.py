@@ -5,10 +5,12 @@ The check is the sha256 of that text output (a hex string), a list of
 sha256s for a list of outputs, or a predicate.  A builder wrapped in
 ``_within`` must finish inside its time limit.  Every digest was recorded
 earlier and is kept byte for byte; a refactor that moves one of them changes
-what cihom prints.
+what cihom prints.  The names the benchmark's tracer wraps are checked here
+too.
 """
 
 import hashlib
+import importlib
 import io
 import json
 import runpy
@@ -205,3 +207,17 @@ def test_contract(build, check):
         assert [_sha256(out) for out in got] == check
     else:
         assert _sha256(got) == check
+
+
+def test_every_benchmark_boundary_exists():
+    # bench/spans.py wraps each (module, attribute path) of BOUNDARIES when a
+    # traced run starts; without this test a deleted or renamed name shows
+    # only in a traced bench/tests run.  The owner is walked as
+    # Tracer.install walks it, and the last name must be the owner's own.
+    spans = runpy.run_path(str(ROOT / "bench" / "spans.py"))
+    for metric, modname, path in spans["BOUNDARIES"]:
+        owner = importlib.import_module(f"cihom.{modname}")
+        *cls_path, attr = path.split(".")
+        for part in cls_path:
+            owner = getattr(owner, part)
+        assert attr in vars(owner), metric

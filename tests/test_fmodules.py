@@ -347,6 +347,29 @@ def test_nonfree_locus_quadric(mod_quadric):
     assert mod_quadric.free_on_height(2)
 
 
+@pytest.mark.parametrize("which, codim", [("two_nodes", 1), ("quadric", 3)])
+def test_nonfree_locus_codim_builds_no_module(monkeypatch, mod_M_two_nodes, mod_quadric,
+                                              which, codim):
+    # The codimension is read off the Hilbert numerator of the Ext^1 entry:
+    # no minimal cycles, so no relations and no minimalize of them.  Only
+    # the module's Fitting ideal, through nonfree_locus_module, builds them.
+    from cihom import homology
+    calls = []
+    real = homology.minimal_cycles
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("label"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(homology, "minimal_cycles", counting)
+    M = {"two_nodes": mod_M_two_nodes, "quadric": mod_quadric}[which]
+    M = ModulePresentation(M.ring, M.gen_degs, M.relations, label="M")
+    assert M.nonfree_locus_codim() == codim and calls == []
+    ext1 = M.nonfree_locus_module()
+    assert ext1.n_gens > 0 and M.ring.dimension() - ext1.dimension() == codim
+    assert calls == ["Ext1(M,syz^1(M))"]
+
+
 def test_free_detection_consistency(ring_two_nodes, mod_M_two_nodes):
     free = ModulePresentation.free(ring_two_nodes, (0,))
     assert free.nonfree_locus_codim() == INF and free.minimalize().n_rels == 0
@@ -412,15 +435,31 @@ def test_auslander_buchsbaum_on_random_modules(ring_two_nodes):
         assert m.depth() + m.projective_dimension_ambient() == 4
 
 
-def test_nonfree_locus_cyclic_cross_check(mod_M_two_nodes, ring_two_nodes):
-    # independent route for a cyclic module R/J: the non-free locus is
-    # V(J + ann J), since R/J localizes free exactly where J dies or explodes
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31),
+       st.sampled_from(["node", "two_nodes", "quadric"]),
+       st.sampled_from(["f32003", "f3", "rational"]))
+def test_nonfree_locus_cyclic_cross_check(rings_over, seed, which, tag):
+    # independent route for a cyclic module R/J, J one or two random forms
+    # of degree 1-2: the non-free locus is V(J + ann J), since R/J
+    # localizes free exactly where J dies or explodes.  It builds no Ext.
     from cihom.groebner import FreeModule, syzygy_generators
     from cihom.rings import ideal_dimension
-    ring = ring_two_nodes
+    node, two_nodes, quadric = rings_over(tag)
+    ring = {"node": node, "two_nodes": two_nodes, "quadric": quadric}[which]
     pr = ring.poly_ring
-    y, u = pr.variable("y"), pr.variable("u")
-    J = [y, u]
+    rng = random.Random(seed)
+    J = []
+    for _ in range(rng.randint(1, 2)):
+        monos = list(monomials_of_degree(pr.nvars, rng.randint(1, 2)))
+        form = ring.reduce(sum((pr.monomial(rng.choice(monos), rng.choice((1, 2, -1)))
+                                for _ in range(rng.randint(1, 3))), pr.zero()))
+        if form:
+            J.append(form)
+    codim = ModulePresentation.quotient_by_ideal(ring, J).nonfree_locus_codim()
+    if not J:   # J = 0 in R: R/J is R, free
+        assert codim == INF
+        return
     free = FreeModule(pr, (0,))
 
     def colon_into_quotient(g):
@@ -458,8 +497,7 @@ def test_nonfree_locus_cyclic_cross_check(mod_M_two_nodes, ring_two_nodes):
     for g in J[1:]:
         ann = intersect(ann, colon_into_quotient(g))
     locus_dim = ideal_dimension(pr, list(ring.quotient_gens) + J + ann)
-    codim_independent = ring.dimension() - locus_dim
-    assert codim_independent == mod_M_two_nodes.nonfree_locus_codim() == 1
+    assert codim == ring.dimension() - locus_dim
 
 
 # -- the biduality report's work ------------------------------------------------------
@@ -487,9 +525,10 @@ def test_biduality_report_call_counts(monkeypatch, ring_quadric, ring_two_nodes,
     # reflexive reads the level-two depth condition and makes no dual;
     # torsion_free makes one dual-generator matrix, unless M has dimension
     # below dim R (finite_length), where M* = 0 and M is its own torsion
-    # witness, read off its Hilbert series; when the dual is nonzero it makes
-    # one pass for the evaluation map's minimal cycles; the kernel witness
-    # builds relations among those cycles only on a module with torsion.
+    # witness, read off its Hilbert series; it reads the evaluation kernel's
+    # Hilbert numerator and makes no cycle pass.  When the dual is nonzero
+    # the kernel witness makes one pass for the evaluation map's minimal
+    # cycles, and builds relations among them only on a module with torsion.
     from cihom import fmodules, homology
     calls = {"dual": 0, "cycles": 0, "kernel": 0}
     real_syz = fmodules.syzygy_generators
@@ -517,7 +556,7 @@ def test_biduality_report_call_counts(monkeypatch, ring_quadric, ring_two_nodes,
     assert rep.reflexive == (which in ("quadric", "two_nodes_N"))
     assert calls == {"dual": 0, "cycles": 0, "kernel": 0}
     assert rep.torsion_free == (which in ("quadric", "two_nodes_N"))
-    assert calls == {"dual": dual_builds, "cycles": cycle_passes, "kernel": 0}
+    assert calls == {"dual": dual_builds, "cycles": 0, "kernel": 0}
     assert (rep.kernel.n_gens == 0) == rep.torsion_free
     assert calls == {"dual": dual_builds, "cycles": cycle_passes, "kernel": kernel_builds}
     # one report per minimal presentation: a second read computes nothing

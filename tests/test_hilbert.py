@@ -16,7 +16,7 @@ from cihom.fields import PrimeField, field_by_tag
 from cihom import fmodules
 from cihom.fmodules import ModulePresentation
 from cihom.groebner import groebner_basis, relation_basis
-from cihom.homology import ext_ambient_dimensions, ext_modules, tor_profile
+from cihom.homology import _ResolutionComplex, ext_ambient_dimensions, tor_profile
 from cihom.polynomials import PolyRing, mono_divides, monomials_of_degree
 from cihom.rings import (
     INF,
@@ -114,11 +114,18 @@ def _ideal_dimension_reference(poly_ring, polys):
         poly_ring.nvars, [m for _, m in gb.lead_terms])
 
 
+def _ext_modules(M, N, lo, hi):
+    """Ext^i(M, N) for lo <= i <= hi, each built from its minimal cycles,
+    vanishing ones included: no Hilbert numerator decides them."""
+    cx = _ResolutionComplex(M, N, -1).reach(hi + 1)
+    return {i: cx.cycles(i).presentation() for i in range(lo, hi + 1)}
+
+
 def _ext_ambient_dimensions_reference(M):
     """Support dimensions of the Ext^j_S(M, S) modules themselves."""
     amb = M.ambient_presentation()
     nv = M.ring.poly_ring.nvars
-    mods = ext_modules(amb, ModulePresentation.free(amb.ring, (0,)), 1, nv)
+    mods = _ext_modules(amb, ModulePresentation.free(amb.ring, (0,)), 1, nv)
     return {j: _dimension_reference(pres) for j, pres in mods.items()}
 
 

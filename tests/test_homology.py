@@ -12,7 +12,6 @@ from cihom.homology import (
     HomologyEntry,
     _ResolutionComplex,
     depth_formula_check,
-    ext_modules,
     ext_profile,
     kernel_of_map,
     ring_depth,
@@ -266,6 +265,9 @@ def test_right_profile_builds_no_entries_of_its_own(mod_M_two_nodes, mod_N_two_n
                                                     monkeypatch):
     M = ModulePresentation(mod_M_two_nodes.ring, mod_M_two_nodes.gen_degs,
                            mod_M_two_nodes.relations, label="M")
+    # The right profile of (M, N) is the left profile of (N, M): it builds
+    # that profile's entries and nothing besides, and its document names
+    # the module and the argument in the caller's order.
     built = _count_builds(monkeypatch)
     right = tor_profile(M, mod_N_two_nodes, 3, side="right")
     assert built == {"tor": 0, "entries": 0}
@@ -273,11 +275,10 @@ def test_right_profile_builds_no_entries_of_its_own(mod_M_two_nodes, mod_N_two_n
     # Tor_1 and Tor_2 of (N, M) vanish; only Tor_3 builds minimal cycles
     assert [e.vanishes for e in right.entries] == [True, True, False]
     assert built == {"tor": 1, "entries": 4}
-    assert right.entries == right._left.entries and right.tor0 is right._left.tor0
-    assert (right._entries, right._tor0, right._vanishing, right._periodicity,
-            right._resolution) == ({}, None, None, None, None)
+    assert right.M is mod_N_two_nodes and right.N is M and right.side == "right"
     assert right.resolution.module is mod_N_two_nodes.minimalize()
-    assert doc["resolved_side"] == "right" and built == {"tor": 1, "entries": 4}
+    assert (doc["module"], doc["argument"], doc["resolved_side"]) == ("M", "N", "right")
+    assert built == {"tor": 1, "entries": 4}
 
 
 def test_profile_entry_outside_the_window(mod_M_two_nodes, mod_N_two_nodes):
@@ -323,6 +324,13 @@ def test_period_two_evidence_3_14(periodic_pair):
 
 # -- Ext ------------------------------------------------------------------------
 
+def _ext_modules(M, N, lo, hi):
+    """Ext^i(M, N) for lo <= i <= hi, each built from its minimal cycles,
+    vanishing ones included: no Hilbert numerator decides them."""
+    cx = _ResolutionComplex(M, N, -1).reach(hi + 1)
+    return {i: cx.cycles(i).presentation() for i in range(lo, hi + 1)}
+
+
 def test_ext_of_free_module(ring_two_nodes, mod_N_two_nodes):
     free = ModulePresentation.free(ring_two_nodes, (0,))
     entries = ext_profile(free, mod_N_two_nodes, 3)
@@ -335,14 +343,14 @@ def test_ext_residue_field_over_ambient():
     gens = [pr.variable(v) for v in pr.variables]
     k = ModulePresentation.quotient_by_ideal(S, gens, label="k")
     free = ModulePresentation.free(S, (0,))
-    mods = ext_modules(k, free, 1, 3)
+    mods = _ext_modules(k, free, 1, 3)
     assert mods[1].minimalize().n_gens == 0
     assert mods[2].minimalize().n_gens == 0
     assert mods[3].minimalize().n_gens == 1  # top static spot = dim S
 
 
 def test_ext1_against_first_syzygy_two_nodes(mod_M_two_nodes, ring_two_nodes):
-    ext1 = ext_modules(mod_M_two_nodes, mod_M_two_nodes.first_syzygy(), 1, 1)[1]
+    ext1 = _ext_modules(mod_M_two_nodes, mod_M_two_nodes.first_syzygy(), 1, 1)[1]
     m = ext1.minimalize()
     assert m.n_gens > 0
     assert ring_two_nodes.dimension() - m.dimension() == 1

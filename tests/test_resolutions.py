@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cihom import catalog, resolutions
@@ -343,6 +343,9 @@ _PROPERTY_RINGS = {tag: _property_rings(tag) for tag in ("f3", "f32003", "ration
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(sorted(_PROPERTY_RINGS)), st.integers(0, 3), st.integers(0, 10**6))
+# d_3 = d_5 over f3, yet the four seeded combinations of the 5-dimensional
+# solution space of A.d_5 = d_3.B are all singular
+@example(tag="f3", ring_index=1, seed=656)
 def test_periodicity_certificate_covers_the_permutation_search(tag, ring_index, seed):
     ring = _PROPERTY_RINGS[tag][ring_index]
     res = resolve(random_homogeneous_module(ring, random.Random(seed)), steps=7)

@@ -16,11 +16,15 @@ F = PrimeField(32003)
 
 
 def _soundness(report):
-    """No report ever asserts a conclusion with a failed hypothesis line."""
+    """No report ever asserts a conclusion with a failed hypothesis line,
+    and none whose hypotheses are all met has the verdict `fails`: a
+    statement of the paper holds on every instance that meets it."""
     failed = any(h["status"] == "failed" for h in report.hypotheses)
     if failed:
         assert not report.asserted
         assert report.as_dict()["conclusion"]["verdict"] == "hypotheses-unmet"
+    if report.hypotheses_met:
+        assert report.conclusion["verdict"] != "fails", report
 
 
 def test_unknown_statement():
@@ -251,7 +255,7 @@ def test_harness_reports_digest(mod_M_two_nodes, mod_N_two_nodes, mod_quadric, n
             _soundness(rep)
             h.update(json.dumps(rep.as_dict(), sort_keys=True).encode())
     assert len(known_statements()) == 32
-    assert h.hexdigest() == "78531bebe48d5587fea21590d19271dd580aedaaeb59e470695bb8c6e949d70c"
+    assert h.hexdigest() == "e258c88b506ca5ef68be91c84a35c674d78d243762232c867591073cf66f10d4"
 
 
 class _RecordingParams(dict):
@@ -367,12 +371,13 @@ def test_depth_formula_reuses_the_left_profile(sid, monkeypatch, mod_M_two_nodes
 
 def test_3_8_builds_no_left_profile_of_the_pair(monkeypatch, mod_M_two_nodes,
                                                 mod_N_two_nodes):
-    # 3.8 reads only the right profile; its hypotheses on M and N alone
-    # must not build M (x) N through the left one.
+    # 3.8 reads only the right profile, which is the left profile of
+    # (N, M) and needs no second call; its hypotheses on M and N alone
+    # must not build M (x) N through a left profile of (M, N).
     calls = _count_tor_profiles(monkeypatch)
     check_theorem("3.8", mod_M_two_nodes, mod_N_two_nodes, tor_bound=4)
     assert ("M", "N", "left") not in calls
-    assert calls == [("M", "N", "right"), ("N", "M", "left")]
+    assert calls == [("M", "N", "right")]
 
 
 def test_example_4_5_builds_one_tor_profile(monkeypatch, capsys):
