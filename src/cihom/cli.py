@@ -10,6 +10,7 @@ invariant failed (an engine fault, not bad input).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -26,7 +27,7 @@ from .resolutions import (InsufficientWindowError, betti_table, default_betti_wi
                           detect_periodicity, module_complexity, resolve)
 from .rings import HypothesisMissingError, MinimalPrimesMismatchError, UnitIdealError
 from .search import SearchConfig, counterexample_search
-from .theorems import UnknownTheoremError, check_theorem
+from .theorems import InstanceShapeError, UnknownTheoremError, check_theorem
 
 
 def _at_least(key):
@@ -67,6 +68,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     help="default graded Hilbert degree bound")
     ap.add_argument("--seed", type=_at_least("seed"), default=1, help="default search seed")
     return ap
+
+
+@functools.cache
+def _arg_parser(format_env) -> argparse.ArgumentParser:
+    """The parser ``main`` reads, built once per process and again only for
+    another value of CIHOM_FORMAT (``format_env``), which ``build_arg_parser``
+    reads for the ``--format`` default."""
+    return build_arg_parser()
 
 
 def _steps(cmd: dict, defaults: dict, M) -> int:
@@ -176,7 +185,7 @@ def _failed(result: dict) -> bool:
 
 
 def main(argv=None) -> int:
-    ap = build_arg_parser()
+    ap = _arg_parser(os.environ.get("CIHOM_FORMAT"))
     args = ap.parse_args(argv)
     if not args.script and not args.example:
         ap.print_usage(sys.stderr)
@@ -202,7 +211,8 @@ def main(argv=None) -> int:
     except ParseError as err:
         print(f"cihom: parse error: {err}", file=sys.stderr)
         return 2
-    except (UnknownExampleError, UnknownTheoremError, InvalidSplitError) as err:
+    except (UnknownExampleError, UnknownTheoremError, InstanceShapeError,
+            InvalidSplitError) as err:
         print(f"cihom: {err}", file=sys.stderr)
         return 2
     except (GradedViolationError, IncompatibleOperandsError, FieldError,

@@ -35,7 +35,7 @@ from __future__ import annotations
 from .fmodules import ModulePresentation
 from .polynomials import Polynomial
 from .rings import RingPresentation
-from .theorems import ALIASES, PARAMETER_READERS, known_statements
+from .theorems import ALIASES, INSTANCE_SHAPES, PARAMETER_READERS, known_statements
 
 
 class ParseError(ValueError):
@@ -503,10 +503,11 @@ def _parse_check(cur, session):
     cur.expect("name", "check")
     sid = _parse_glued_id(cur)
     cur.expect("name", "on")
-    mods = []
+    mods = []   # the module name tokens
     opts = {}
-    # n= and w= only for a statement that reads them; an unknown id is
-    # reported when the check runs
+    # n= and w= only for a statement that reads them, and a second module
+    # only for an (M, N) statement; an unknown id is reported when the
+    # check runs
     statement = ALIASES.get(sid, sid)
     known = statement in known_statements()
 
@@ -521,12 +522,17 @@ def _parse_check(cur, session):
         elif len(mods) == 2:
             cur.error("check takes one or two modules")
         else:
-            mods.append(_require_module(cur, session, cur.expect("name")))
+            mods.append(cur.expect("name"))
+            _require_module(cur, session, mods[-1])
 
     _parse_list(cur, item, "()")
     if not mods:
         cur.error("check needs at least one module")
-    session.commands.append({"command": "check", "id": sid, "modules": mods, **opts})
+    if known and len(mods) == 2 and INSTANCE_SHAPES[statement] != "(M, N)":
+        raise ParseError(f"statement {sid} reads {INSTANCE_SHAPES[statement]} and takes "
+                         "one module", mods[1].line, mods[1].col)
+    session.commands.append({"command": "check", "id": sid,
+                             "modules": [tok.text for tok in mods], **opts})
 
 
 def _parse_search(cur, session):

@@ -252,7 +252,8 @@ class BidualityReport:
     (R^m)* = R^m.  So M is torsion-free when u is injective, that is when
     HS(ker u) = HS(M) + HS(coker u) - HS(R^m) is zero (rank counting in each
     degree: ``homology._ResolutionComplex.numerator``'s identity with no
-    incoming map); no cycle, double dual or relation is built.  M = 0 is
+    incoming map), HS(R^m) being the sum of t^a HS(R) over the generator
+    degrees a of R^m; no cycle, double dual or relation is built.  M = 0 is
     torsion-free; M* = 0 with M nonzero is not.  A nonzero M with
     dim M < dim R has M* = 0 (see
     ``ModulePresentation._below_ring_dimension``), so it is refused, and its
@@ -285,8 +286,9 @@ class BidualityReport:
                 u = M.dual_generators().transpose()
                 num = add_numerator(dict(M.hilbert_numerator()),
                                     ModulePresentation(M.ring, u.row_degs, u).hilbert_numerator())
-                add_numerator(num, ModulePresentation.free(M.ring, u.row_degs).hilbert_numerator(),
-                              sign=-1)
+                ring_num = module_numerator((0,), M.ring.ideal_gb.lead_terms)
+                for a in u.row_degs:
+                    add_numerator(num, ring_num, a, sign=-1)
                 self._torsion_free = not num
         return self._torsion_free
 
@@ -322,7 +324,7 @@ class ModulePresentation:
 
     __slots__ = ("ring", "gen_degs", "relations", "label",
                  "_minimal", "_hf_num", "_basis", "_ambient_pres", "_free_module", "_res_cache",
-                 "_ext_dims", "_dual_gens", "_biduality")
+                 "_ext_dims", "_dual_gens", "_biduality", "_nonfree_entry")
 
     def __init__(self, ring: RingPresentation, gen_degs, relations: PolyMatrix,
                  label="M"):
@@ -342,6 +344,7 @@ class ModulePresentation:
         self._ext_dims = None
         self._dual_gens = None
         self._biduality = None
+        self._nonfree_entry = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -734,10 +737,13 @@ class ModulePresentation:
     def _nonfree_locus_entry(self):
         """Ext^1(M, syz^1 M) as a ``homology.HomologyEntry``: its support is
         the non-free locus, so it vanishes exactly when M is free
-        (projective = free in the graded local setting)."""
-        from .homology import ext_profile
+        (projective = free in the graded local setting).  Built once and
+        kept on the minimal presentation."""
         M = self.minimalize()
-        return ext_profile(M, M.first_syzygy(), 1, 0)[0]
+        if M._nonfree_entry is None:
+            from .homology import ext_profile
+            M._nonfree_entry = ext_profile(M, M.first_syzygy(), 1, 0)[0]
+        return M._nonfree_entry
 
     def nonfree_locus_module(self) -> "ModulePresentation":
         """The Ext^1 entry's minimal presentation."""

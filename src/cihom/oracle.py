@@ -11,10 +11,12 @@ The degree-e piece of R is the degree-e monomials of S modulo the
 multiples of the f's, reduced once per degree by the oracle's own
 elimination; the monomials that are not a pivot of it, the standard
 monomials, are a basis of R_e (Lazard's linear-algebra view of a graded
-quotient).  A slice of R^r, one block of degree-(d - g) monomials per
-generator of degree g, is taken modulo these reduced rows block by block,
-so every vector the oracle keeps lies on standard coordinates only, and the
-multiples of the f's never enter a kernel, a seed block or an induced map.
+quotient), and the reduced rows give every degree-e monomial of S its
+normal form on them.  A slice of R^r is one block of standard monomials of
+degree d - g per generator of degree g, and a monomial times a vector is
+one normal-form lookup per term, so every vector the oracle builds lies on
+standard coordinates and the multiples of the f's never enter a kernel, a
+seed block or an induced map.
 
 The truncation is sound: a graded piece in degree d only involves
 generators and relations of degree <= d, so every reported value is exact.
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from typing import NamedTuple
 
 from .fields import PrimeField
 from .fmodules import ModulePresentation, PolyMatrix
@@ -70,32 +73,27 @@ def _kernel_basis(A: SparseMatrix, p):
     return list(K.values()) or None
 
 
-class QuotientSpace:
-    """A coordinate space modulo a subspace, kept as a fully reduced basis
-    {pivot: row}: each row is one at its pivot and zero at every other one.
+class RingPiece(NamedTuple):
+    """R_e: its standard monomials, a basis, and the normal form
+    {standard index: coeff} of every degree-e monomial of S."""
+    standard: tuple
+    normal_form: dict
 
-    The subspace is the span of ``vectors`` and, when ``basis`` is given,
-    of that fully reduced basis too; the vectors must then have zeros at its
-    pivots.  ``nonpivots`` lists the other coordinates in increasing order:
-    their unit vectors are a basis of the quotient."""
+
+class QuotientSpace:
+    """A coordinate space modulo the span of ``vectors``, kept as a fully
+    reduced basis {pivot: row}: each row is one at its pivot and zero at
+    every other one.  ``nonpivots`` lists the other coordinates in
+    increasing order: their unit vectors are a basis of the quotient."""
 
     __slots__ = ("dim", "basis", "nonpivots", "p")
 
-    def __init__(self, dim: int, vectors: list, p, basis: dict | None = None):
+    def __init__(self, dim: int, vectors: list, p):
         self.dim = dim
         self.p = p
         rows, pivots = _rref(SparseMatrix(vectors, dim), p) if vectors else ((), ())
-        own = dict(zip(pivots, rows))
-        if basis:
-            # The given rows have zeros at each other's pivots and the new
-            # rows have zeros at all of them, so clearing the new pivots from
-            # the given rows keeps the union fully reduced.
-            merged = {q: row if own.keys().isdisjoint(row) else _reduce(row, own, p)
-                      for q, row in basis.items()}
-            merged.update(own)
-            own = merged
-        self.basis = own
-        self.nonpivots = [i for i in range(dim) if i not in own]
+        self.basis = dict(zip(pivots, rows))
+        self.nonpivots = [i for i in range(dim) if i not in self.basis]
 
     @property
     def rank(self) -> int:
@@ -114,9 +112,50 @@ class QuotientSpace:
         return [_reduce(v, self.basis, self.p) if v else {} for v in V]
 
 
+class Slice:
+    """The degree-d piece of R^{gen_degs} on standard coordinates:
+    ``coords`` lists its basis as (position, standard monomial), pos-major,
+    and ``blocks`` maps each position of degree <= d to its (offset,
+    normal-form table)."""
+
+    __slots__ = ("gen_degs", "d", "coords", "blocks", "p")
+
+    def __init__(self, ctx: "OracleContext", gen_degs: tuple, d: int):
+        self.gen_degs, self.d, self.p = gen_degs, d, ctx.p
+        self.coords, self.blocks = [], {}
+        for pos, g in enumerate(gen_degs):
+            if d >= g:
+                standard, normal_form = ctx.piece(d - g)
+                self.blocks[pos] = (len(self.coords), normal_form)
+                self.coords.extend((pos, m) for m in standard)
+
+    def vector(self, terms, mono: tuple | None = None) -> dict:
+        """mono (one when None) times a sum of ((position, monomial of S),
+        coeff) terms, on standard coordinates: one normal-form lookup per
+        term.  A term outside the slice means a vector of the wrong degree
+        or rank, and raises InvariantError."""
+        blocks = self.blocks
+        out: dict = {}
+        for (pos, m), c in terms:
+            if mono is not None:
+                m = mono_mul(m, mono)
+            try:
+                off, normal_form = blocks[pos]
+                row = normal_form[m]
+            except KeyError:
+                raise InvariantError(f"term {(pos, m)} lies outside the degree-{self.d} "
+                                     f"slice of generator degrees {self.gen_degs}") from None
+            for j, y in row.items():
+                out[off + j] = out.get(off + j, 0) + c * y
+        p = self.p
+        if p is not None:
+            return {i: x % p for i, x in out.items() if x % p}
+        return {i: x for i, x in out.items() if x}
+
+
 class OracleContext:
-    """Shared grading data for one ring: slices, standard coordinates,
-    subspaces."""
+    """Shared grading data for one ring: pieces of R, slices of its free
+    modules, value spaces of presented modules."""
 
     def __init__(self, ring: RingPresentation, degree_bound: int):
         pr = ring.poly_ring
@@ -129,111 +168,67 @@ class OracleContext:
         self.degree_bound = degree_bound
         field = pr.field
         self.p = field.p if isinstance(field, PrimeField) else None
-        self._slices: dict = {}
+        self.one = 1 if self.p is not None else Fraction(1)
         self._pieces: dict = {}
-        self._free_spaces: dict = {}
+        self._slices: dict = {}
         self._value_spaces: dict = {}
 
     # -- coordinates -------------------------------------------------------------
 
-    def slice_coords(self, gen_degs: tuple, d: int):
-        """[(position, monomial)] basis of the degree-d piece of S^{gen_degs},
-        pos-major, plus the index map."""
-        key = (gen_degs, d)
-        if key not in self._slices:
-            coords = []
-            for pos, g in enumerate(gen_degs):
-                e = d - g
-                if e < 0:
-                    continue
-                for m in monomial_basis(self.pr.nvars, e):
-                    coords.append((pos, m))
-            if len(coords) > MAX_SLICE:
-                raise OracleTooLargeError(f"slice dimension {len(coords)} exceeds cap {MAX_SLICE}")
-            self._slices[key] = (coords, {cm: i for i, cm in enumerate(coords)})
-        return self._slices[key]
-
-    def vectors(self, gen_degs: tuple, d: int, sparse_vecs) -> list:
-        """{(pos, mono): coeff} vectors in the slice's coordinate indices.
-        A term outside the slice means a vector of the wrong degree or rank,
-        and raises InvariantError."""
-        _, index = self.slice_coords(gen_degs, d)
-        try:
-            return [{index[cm]: c for cm, c in vec.items()} for vec in sparse_vecs]
-        except KeyError as err:
-            raise InvariantError(f"term {err.args[0]} lies outside the degree-{d} "
-                                 f"slice of generator degrees {gen_degs}") from None
-
-    @staticmethod
-    def shift(vec: dict, mono: tuple) -> dict:
-        return {(pos, mono_mul(m, mono)): c for (pos, m), c in vec.items()}
-
-    def standard_monomials(self, e: int):
-        """The degree-e monomials that are no pivot of the ring's degree-e
-        piece: a basis of R_e."""
-        if e < 0:
-            return []
-        basis = monomial_basis(self.pr.nvars, e)
-        return [basis[i] for i in self.ring_piece(e).nonpivots]
-
-    # -- subspaces ----------------------------------------------------------------
-
-    def ring_piece(self, e: int) -> QuotientSpace:
-        """Degree-e piece of R: the degree-e monomials of S, indexed as in
-        ``monomial_basis``, modulo the multiples of the quotient generators."""
+    def piece(self, e: int) -> RingPiece:
+        """R_e, read off the ring's degree-e RREF once: its standard
+        monomials are the degree-e monomials of S that are no pivot of the
+        multiples of the quotient generators, and the reduced rows give the
+        other monomials their normal forms."""
         if e not in self._pieces:
-            nvars = self.pr.nvars
-            index = _monomial_index(nvars, e)
-            mults = []
-            for f in self.ring.quotient_gens:
-                for m in monomial_basis(nvars, e - f.degree()) if e >= f.degree() else ():
-                    mults.append({index[mono_mul(t, m)]: c for t, c in f.terms.items()})
-            self._pieces[e] = QuotientSpace(len(index), mults, self.p)
+            p, nvars = self.p, self.pr.nvars
+            basis, index = monomial_basis(nvars, e), _monomial_index(nvars, e)
+            mults = [{index[mono_mul(t, m)]: c for t, c in f.terms.items()}
+                     for f in self.ring.quotient_gens
+                     for m in monomial_basis(nvars, e - f.degree())]
+            rows, pivots = _rref(SparseMatrix(mults, len(basis)), p) if mults else ((), ())
+            pivot_set = set(pivots)
+            std = {i: k for k, i in enumerate(i for i in range(len(basis)) if i not in pivot_set)}
+            normal_form = {basis[i]: {k: self.one} for i, k in std.items()}
+            for c, row in zip(pivots, rows):
+                normal_form[basis[c]] = {std[j]: -x % p if p is not None else -x
+                                         for j, x in row.items() if j != c}
+            self._pieces[e] = RingPiece(tuple(basis[i] for i in std), normal_form)
         return self._pieces[e]
 
-    def free_space(self, gen_degs: tuple, d: int) -> QuotientSpace:
-        """Degree-d piece of R^{gen_degs}: the slice modulo the quotient
-        multiples, whose reduced rows are those of the ring's degree-(d - g)
-        piece at each generator's offset.  Its non-pivots are the slice's
-        standard coordinates."""
+    def slice(self, gen_degs: tuple, d: int) -> "Slice":
+        """The degree-d piece of R^{gen_degs}.  MAX_SLICE caps the size of
+        S's slice, the block of every degree-(d - g) monomial."""
         key = (gen_degs, d)
-        if key not in self._free_spaces:
-            coords, _ = self.slice_coords(gen_degs, d)
-            basis, off = {}, 0
-            for g in gen_degs:
-                if d < g:
-                    continue
-                piece = self.ring_piece(d - g)
-                for q, row in piece.basis.items():
-                    basis[off + q] = {off + i: x for i, x in row.items()}
-                off += piece.dim
-            self._free_spaces[key] = QuotientSpace(len(coords), [], self.p, basis)
-        return self._free_spaces[key]
+        if key not in self._slices:
+            nvars = self.pr.nvars
+            size = sum(len(monomial_basis(nvars, d - g)) for g in gen_degs)
+            if size > MAX_SLICE:
+                raise OracleTooLargeError(f"slice dimension {size} exceeds cap {MAX_SLICE}")
+            self._slices[key] = Slice(self, gen_degs, d)
+        return self._slices[key]
 
     def value_space(self, pres: ModulePresentation, d: int) -> QuotientSpace:
-        """Degree-d piece of a presented module: the free space modulo the
-        standard multiples of the relation columns, reduced to standard
-        coordinates.  Its basis holds the free space's rows as well, so its
-        non-pivots index a basis of the module's degree-d piece.
+        """Degree-d piece of a presented module: the slice modulo the
+        standard-monomial multiples of the relation columns, whose
+        non-pivots index a basis of the module's degree-d piece (modulo the
+        quotient multiples, the standard shifts of a column span all its
+        monomial shifts).
 
         The cache key holds the presentation itself (hashed by identity), so
         it stays alive with the context and its id cannot pass to another."""
         key = (pres, d)
         if key not in self._value_spaces:
-            gen_degs = pres.gen_degs
-            free = self.free_space(gen_degs, d)
-            # modulo the quotient multiples, the shifts of a relation column
-            # by the standard monomials span all its monomial shifts
-            cols = [self.shift(vec, m) for deg, vec in _presentation_columns(pres)
-                    for m in self.standard_monomials(d - deg)]
-            rels = free.reduce_columns(self.vectors(gen_degs, d, cols))
-            self._value_spaces[key] = QuotientSpace(free.dim, rels, self.p, free.basis)
+            sl = self.slice(pres.gen_degs, d)
+            rels = [sl.vector(vec.items(), m) for deg, vec in _presentation_columns(pres)
+                    for m in self.piece(d - deg).standard]
+            self._value_spaces[key] = QuotientSpace(len(sl.coords), rels, self.p)
         return self._value_spaces[key]
 
 
 class TruncatedStep:
     """One free module of the degreewise-built resolution; each generator
-    vector lies on standard coordinates."""
+    vector is {(position, standard monomial): coeff}."""
 
     __slots__ = ("gen_degs", "gen_vecs")
 
@@ -256,73 +251,61 @@ def _presentation_columns(pres: ModulePresentation):
     return cols
 
 
-def _kernel_piece(ctx: OracleContext, pres: ModulePresentation, steps, d: int):
-    """A basis of the degree-d piece of the kernel of the last free module's
-    map, on that free module's standard coordinates; None when it is zero.
-    For the first step the map is onto the module, whose kernel is spanned
-    by the reduced standard multiples of the relations: the value space's
-    own rows.  Later it is the kernel of the induced map of the last step,
-    one column per standard coordinate of its source."""
-    prev_degs = tuple(steps[-1].gen_degs)
-    free = ctx.free_space(prev_degs, d)
+def _kernel_piece(ctx: OracleContext, pres: ModulePresentation, steps, d: int, free: list):
+    """A basis of the degree-d vectors of the kernel of the last free
+    module's map that are supported on the coordinates ``free``, as vectors
+    indexed by position in ``free``; None when it is zero.  For the first
+    step the map is onto the module: a coordinate goes to its residual
+    modulo the value space.  Later it is the previous step's map: the
+    coordinate (pos, m) goes to m times generator pos's vector.  The
+    target's slice is built even when ``free`` is empty, so MAX_SLICE
+    checks the same slices whatever the seeds cover."""
     if len(steps) == 1:
+        if not free:
+            return None
         vs = ctx.value_space(pres, d)
-        return [row for q, row in vs.basis.items() if q not in free.basis] or None
-    prev = steps[-1]
-    src_degs = tuple(steps[-2].gen_degs)
-    coords, _ = ctx.slice_coords(prev_degs, d)
-    cols = []
-    for i in free.nonpivots:
-        pos, m = coords[i]
-        cols.append(ctx.shift(prev.gen_vecs[pos], m))
-    target = ctx.free_space(src_degs, d)
-    L = target.reduce_columns(ctx.vectors(src_degs, d, cols))
-    K = _kernel_basis(SparseMatrix.from_columns(L, target.dim), ctx.p)
-    if K is None:
-        return None
-    std = free.nonpivots
-    return [{std[j]: x for j, x in v.items()} for v in K]
+        cols = vs.reduce_columns([{i: ctx.one} for i in free])
+        dim = vs.dim
+    else:
+        target = ctx.slice(tuple(steps[-2].gen_degs), d)
+        if not free:
+            return None
+        coords = ctx.slice(tuple(steps[-1].gen_degs), d).coords
+        vecs = steps[-1].gen_vecs
+        cols = [target.vector(vecs[pos].items(), m) for pos, m in (coords[i] for i in free)]
+        dim = len(target.coords)
+    return _kernel_basis(SparseMatrix.from_columns(cols, dim), ctx.p)
 
 
 def truncated_resolution(ctx: OracleContext, pres: ModulePresentation, hsteps: int):
     """Free modules F_0..F_hsteps with generator vectors, exact through the
     degree bound: kernels are covered degree by degree and generators are
-    chosen minimally (complement of the lower-degree span)."""
+    chosen minimally (a complement of what lower-degree ones cover)."""
     D = ctx.degree_bound
-    nvars = ctx.pr.nvars
-    variables = [tuple(1 if w == v else 0 for w in range(nvars)) for v in range(nvars)]
     steps = [TruncatedStep(pres.gen_degs, [])]
     for step in range(1, hsteps + 1):
         prev_degs = tuple(steps[-1].gen_degs)
         gen_degs, gen_vecs = [], []
-        prev_base = None   # a basis of the kernel piece one degree lower
         for d in range(min(prev_degs, default=0), D + 1):
-            coords, index = ctx.slice_coords(prev_degs, d)
-            P = _kernel_piece(ctx, pres, steps, d) if coords else None
-            if P is None:
-                prev_base = None
+            sl = ctx.slice(prev_degs, d)
+            coords = sl.coords
+            if not coords:
                 continue
-            # The seeds (each variable times each vector of prev_base, reduced
-            # to standard coordinates) span the part of the kernel piece that
-            # lower-degree generators cover.  They fill one block and P
-            # follows them, so the greedy pick keeps exactly the columns of P
-            # outside the span of the seeds and of the columns of P left of
-            # them: a minimal set of new generators.
-            seeds = []
-            if prev_base is not None:
-                pcoords, _ = ctx.slice_coords(prev_degs, d - 1)
-                std = ctx.free_space(prev_degs, d - 1).nonpivots
-                moves = [{i: index[pcoords[i][0], mono_mul(pcoords[i][1], x)] for i in std}
-                         for x in variables]
-                seeds = ctx.free_space(prev_degs, d).reduce_columns(
-                    [{move[i]: c for i, c in vec.items()} for vec in prev_base for move in moves])
-            nseeds = len(seeds)
-            picks = EchelonAccumulator(ctx.pr.field, len(coords)).add(seeds + P)
-            for j in picks:
-                if j >= nseeds:
-                    gen_degs.append(d)
-                    gen_vecs.append({coords[i]: x for i, x in P[j - nseeds].items()})
-            prev_base = P
+            # The seeds, each generator already chosen times each standard
+            # monomial of the missing degree, span the part of the kernel
+            # piece that lower-degree generators cover.  Every kernel vector
+            # minus a combination of seeds is zero at their pivots, so the
+            # new generators are a basis of the kernel on the other
+            # coordinates: a minimal set.
+            seeds = [sl.vector(vec.items(), m)
+                     for g, vec in zip(gen_degs, gen_vecs) for m in ctx.piece(d - g).standard]
+            covered = EchelonAccumulator(ctx.pr.field, len(coords))
+            if seeds:
+                covered.add(seeds)
+            free = [i for i in range(len(coords)) if i not in covered.basis]
+            for v in _kernel_piece(ctx, pres, steps, d, free) or ():
+                gen_degs.append(d)
+                gen_vecs.append({coords[free[j]]: x for j, x in v.items()})
         steps.append(TruncatedStep(gen_degs, gen_vecs))
         if not gen_degs:
             # kernel trivial through the degree bound: later steps stay empty
@@ -353,18 +336,18 @@ def _induced_rank(ctx, src: TruncatedStep, tgt_degs, N, d) -> int:
     degree), taken modulo its value space; the residual columns of all
     blocks side by side span the image."""
     spaces = [ctx.value_space(N, d - g) for g in tgt_degs]
-    index = [ctx.slice_coords(N.gen_degs, d - g)[1] for g in tgt_degs]
+    slices = [ctx.slice(N.gen_degs, d - g) for g in tgt_degs]
     blocks = [[] for _ in tgt_degs]
     for g, vec in zip(src.gen_degs, src.gen_vecs):
-        ncoords, _ = ctx.slice_coords(N.gen_degs, d - g)
+        parts = [[] for _ in tgt_degs]   # vec's terms by target generator
+        for (pos, mono), x in vec.items():
+            parts[pos].append((mono, x))
+        ncoords = ctx.slice(N.gen_degs, d - g).coords
         for c in ctx.value_space(N, d - g).nonpivots:
             npos, nmono = ncoords[c]
-            parts = [{} for _ in tgt_degs]
-            # distinct terms of vec land on distinct coordinates
-            for (pos, mono), x in vec.items():
-                parts[pos][index[pos][npos, mono_mul(nmono, mono)]] = x
-            for block, part in zip(blocks, parts):
-                block.append(part)
+            for block, sl, part in zip(blocks, slices, parts):
+                block.append(sl.vector((((npos, mono), x) for mono, x in part), nmono)
+                             if part else {})
     cols = [{} for _ in blocks[0]] if blocks else []
     off = 0
     for qs, block in zip(spaces, blocks):
@@ -417,18 +400,15 @@ def module_hilbert_oracle(M: ModulePresentation, degree_bound: int) -> dict:
     return out
 
 
-def _apply(psi: PolyMatrix, vec: dict, p) -> dict:
-    """psi times a {(source pos, mono): coeff} vector, as a {(target pos,
-    mono): coeff} vector without zero entries."""
-    out: dict = {}
+def _apply(psi: PolyMatrix, vec: dict):
+    """psi times a {(source pos, mono): coeff} vector, as ((target pos,
+    mono), coeff) terms for ``OracleContext.vector`` to sum."""
     for (j, mono), x in vec.items():
         for i in range(psi.nrows):
             poly = psi.entries[i][j]
             if poly:
                 for m, y in poly.terms.items():
-                    key = (i, mono_mul(m, mono))
-                    out[key] = out.get(key, 0) + x * y
-    return {k: x for k, x in out.items() if (x % p if p is not None else x)}
+                    yield (i, mono_mul(m, mono)), x * y
 
 
 def map_kernel_cokernel_oracle(psi: PolyMatrix, source: ModulePresentation,
@@ -456,14 +436,15 @@ def map_kernel_cokernel_oracle(psi: PolyMatrix, source: ModulePresentation,
     for d in range(lo, degree_bound + 1):
         src_q = ctx.value_space(source, d)
         tgt_q = ctx.value_space(target, d)
-        images = [_apply(psi, vec, ctx.p) for deg, vec in relations if deg == d]
-        if any(tgt_q.reduce_columns(ctx.vectors(target.gen_degs, d, images))):
+        tgt = ctx.slice(target.gen_degs, d)
+        images = [tgt.vector(_apply(psi, vec)) for deg, vec in relations if deg == d]
+        if any(tgt_q.reduce_columns(images)):
             raise IncompatibleOperandsError(
                 f"map does not carry the degree-{d} source relations into the target's")
         # one column per basis element of the source's degree-d piece
-        coords_src, _ = ctx.slice_coords(source.gen_degs, d)
-        cols = [_apply(psi, {coords_src[c]: 1}, ctx.p) for c in src_q.nonpivots]
-        A_red = tgt_q.reduce_columns(ctx.vectors(target.gen_degs, d, cols))
+        coords_src = ctx.slice(source.gen_degs, d).coords
+        cols = [tgt.vector(_apply(psi, {coords_src[c]: ctx.one})) for c in src_q.nonpivots]
+        A_red = tgt_q.reduce_columns(cols)
         rank_ind = len(EchelonAccumulator(ctx.pr.field, tgt_q.dim).add(A_red))
         ker[d] = src_q.quotient_dim - rank_ind
         coker[d] = tgt_q.quotient_dim - rank_ind

@@ -37,6 +37,10 @@ class UnknownTheoremError(ValueError):
     pass
 
 
+class InstanceShapeError(ValueError):
+    """An N given to a statement whose instance is M with itself or with M*."""
+
+
 def _line(name, status, evidence=None, kind="computed"):
     return {"name": name, "status": status, "kind": kind,
             "evidence": evidence if evidence is not None else ""}
@@ -830,6 +834,11 @@ PARAMETER_READERS = {
     "w": frozenset({"4.11"}),
 }
 
+# The instance each statement reads: a pair (M, N), M with itself, or M
+# with its dual M* = Hom(M, R).  ``check_theorem`` refuses an N for the
+# last two, and a script's ``check`` does too.
+INSTANCE_SHAPES = {**dict.fromkeys(_CHECKERS, "(M, N)"), "4.3": "(M, M)", "4.17": "(M, M*)"}
+
 ALIASES = {"1.1": "3.12.2", "1.2": "4.15", "3.9": "3.9.1", "3.12": "3.12.1",
            "3.12(1)": "3.12.1", "3.12(2)": "3.12.2", "3.9(1)": "3.9.1",
            "3.9(2)": "3.9.2"}
@@ -845,14 +854,18 @@ def check_theorem(statement_id: str, M: ModulePresentation,
                   **params) -> TheoremReport:
     """Evaluate one statement's hypotheses and conclusion on an instance.
 
-    For self-paired statements N defaults to M; statement 4.17 pairs M with
-    its dual automatically.  Unknown ids raise UnknownTheoremError.
+    N defaults to M; statement 4.17 pairs M with its dual.  Unknown ids
+    raise UnknownTheoremError, and an N for a statement whose instance
+    shape is (M, M) or (M, M*) raises InstanceShapeError.
     """
     sid = ALIASES.get(statement_id, statement_id)
     if sid not in _CHECKERS:
         raise UnknownTheoremError(
             f"unknown statement id {statement_id!r}; known: {', '.join(known_statements())}")
-    if sid == "4.17" and N is None:
+    shape = INSTANCE_SHAPES[sid]
+    if N is not None and shape != "(M, N)":
+        raise InstanceShapeError(f"statement {statement_id} reads {shape} and takes no N")
+    if shape == "(M, M*)":
         N = M.dual()
         N.label = f"{M.label}*"
     inst = _Instance(M, N, tor_bound, degree_bound, window)

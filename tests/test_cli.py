@@ -209,6 +209,8 @@ _SHORT_WINDOW = "cihom: input error: betti window of length 3 is too short (need
      "unknown question id '9.9'; known: 3.17, 4.16, 4.18, 4.10, 3.6"),
     ("check 2.2 on (M, n=1, @w=1)", [], "statement 2.2 does not read option 'w'"),
     ("check 3.9 on (M, @n=1)", [], "statement 3.9 does not read option 'n'"),
+    ("check 4.3 on (M, @M)", [], "statement 4.3 reads (M, M) and takes one module"),
+    ("check 4.17 on (M, @M)", [], "statement 4.17 reads (M, M*) and takes one module"),
     ("ring P = quotient(field=f32003, vars=[x,y], ideal=[x*y], @ideal=[x^2])", [],
      "option 'ideal' given twice"),
     ("module Z = coker(R, shifts=[0], @shifts=[1], matrix=[[x]])", [],
@@ -305,6 +307,27 @@ def test_cli_env_default_format(monkeypatch, capsys):
     from cihom.cli import build_arg_parser
     args = build_arg_parser().parse_args([])
     assert args.format == "json"
+
+
+def test_cli_builds_its_parser_once_per_format_env(monkeypatch, capsys):
+    from cihom import cli
+    built = []
+    real = cli.build_arg_parser
+
+    def counting():
+        built.append(None)
+        return real()
+
+    monkeypatch.setattr(cli, "build_arg_parser", counting)
+    cli._arg_parser.cache_clear()
+    try:
+        for fmt in ("json", "json", "text", "json", "text"):
+            monkeypatch.setenv("CIHOM_FORMAT", fmt)
+            assert main(["--example", "4.4"]) == 0
+            assert capsys.readouterr().out.startswith("{") == (fmt == "json")
+        assert len(built) == 2
+    finally:
+        cli._arg_parser.cache_clear()
 
 
 def test_console_entry_point():

@@ -370,6 +370,60 @@ def test_nonfree_locus_codim_builds_no_module(monkeypatch, mod_M_two_nodes, mod_
     assert calls == ["Ext1(M,syz^1(M))"]
 
 
+def test_nonfree_locus_entry_is_built_once(monkeypatch, mod_M_two_nodes, mod_quadric):
+    # The Ext^1 entry is kept on the minimal presentation: every read of the
+    # codimension, of free_on_height and of the module shares one entry.
+    from cihom import homology
+    built = []
+    real = homology.HomologyEntry.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(None)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(homology.HomologyEntry, "__init__", counting)
+    for M in (mod_M_two_nodes, mod_quadric):
+        M = ModulePresentation(M.ring, M.gen_degs, M.relations, label="M")
+        built.clear()
+        codim, = {M.nonfree_locus_codim() for _ in range(3)}
+        assert [M.free_on_height(n) for n in range(4)] == [n + 1 <= codim for n in range(4)]
+        assert M.nonfree_locus_module() is M.minimalize().nonfree_locus_module()
+        assert len(built) == 1
+
+
+def test_torsion_free_builds_no_basis_of_the_free_module(monkeypatch, ring_two_nodes, ring_node,
+                                                         mod_M_two_nodes, mod_quadric,
+                                                         periodic_pair):
+    # HS(R^m) is read as m shifted copies of HS(R), so once M's own
+    # numerator and dual generators exist, the verdict builds one relation
+    # basis, of coker u, and none of the quotient columns alone; the kernel
+    # witness agrees with every verdict.
+    from cihom import fmodules
+    calls = []
+    real = fmodules.relation_basis
+
+    def recording(free, quotient_polys=(), relations=()):
+        relations = list(relations)
+        calls.append((free.rank, len(relations)))
+        return real(free, quotient_polys, relations)
+
+    monkeypatch.setattr(fmodules, "relation_basis", recording)
+    x = ring_node.poly_ring.variable("x")
+    verdicts = []
+    for M in (ModulePresentation.free(ring_two_nodes, (0, 2)), mod_M_two_nodes, mod_quadric,
+              *periodic_pair, mod_quadric.tensor(mod_quadric.dual()),
+              # x is killed by the nonzerodivisor x + y of k[x, y]/(xy)
+              ModulePresentation.quotient_by_ideal(ring_node, [x * x])):
+        rep = ModulePresentation(M.ring, M.gen_degs, M.relations, label="M").biduality_report()
+        rep.module.hilbert_numerator()
+        m = rep.module.dual_generators().ncols
+        calls.clear()
+        verdicts.append(rep.torsion_free)
+        assert calls in ([], [(m, rep.module.n_gens)]), calls
+        assert rep.torsion_free == (rep.kernel.n_gens == 0)
+    assert True in verdicts and False in verdicts
+
+
 def test_free_detection_consistency(ring_two_nodes, mod_M_two_nodes):
     free = ModulePresentation.free(ring_two_nodes, (0,))
     assert free.nonfree_locus_codim() == INF and free.minimalize().n_rels == 0

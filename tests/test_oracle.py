@@ -64,11 +64,18 @@ def test_oracle_matches_pipeline_on_random(ring_two_nodes, ring_node):
                     assert prof.entry(i).hilbert.get(d, 0) == dims[i].get(d, 0)
 
 
-@pytest.mark.parametrize("tag, degree_bound", [
-    ("f3", 6), ("f32003", 6), ("f2147483647", 6), ("f4294967311", 6), ("rational", 6)])
-def test_oracle_matches_pipeline_on_every_field(tag, degree_bound):
-    # With int64 arithmetic the oracle disagreed on both samples over f4294967311
-    ring = catalog.ring("R_xyzu", field_by_tag(tag))
+_FIELD_TAGS = ("f3", "f32003", "f2147483647", "f4294967311", "rational")
+
+
+# The two-node cases keep the ids they had before the other fixture rings
+# joined them.
+@pytest.mark.parametrize("tag, degree_bound, ring_name", [
+    pytest.param(tag, 6, name, id=f"{tag}-6" if name == "R_xyzu" else f"{tag}-6-{name}")
+    for name in ("R_xyzu", "R_node", "R_node3", "R_quadric") for tag in _FIELD_TAGS])
+def test_oracle_matches_pipeline_on_every_field(tag, degree_bound, ring_name):
+    # With int64 arithmetic the oracle disagreed on both samples over
+    # f4294967311 on the two-node ring
+    ring = catalog.ring(ring_name, field_by_tag(tag))
     for seed in (0, 2):
         rng = random.Random(seed)
         M = random_homogeneous_module(ring, rng, 2, 2, "A")
@@ -207,15 +214,20 @@ def test_truncated_resolution_matches_graded_betti_numbers(tag, rings_over):
 @pytest.mark.parametrize("gen_degs", [(0,), (0, 0), (1, 0, 1), (-1, 2), (-2, -2, 0), ()])
 def test_free_space_dimension_is_the_hilbert_function(ring_two_nodes, ring_quadric,
                                                      ring_node, gen_degs):
-    # The free space is assembled from one reduced piece of R per degree,
-    # one block per generator; its quotient dimension is sum_g HF_R(d - g).
+    # A slice of R^r is one block of R's standard monomials per generator,
+    # so its length is sum_g HF_R(d - g), and each block is the normal-form
+    # table's image: every monomial of S lands on its block.
     for ring in (ring_node, ring_two_nodes, ring_quadric):
         ctx = OracleContext(ring, 8)
+        hf_r = ModulePresentation.free(ring, (0,)).hilbert_function(11, dmin=0)
         hf = ModulePresentation.free(ring, gen_degs).hilbert_function(8, dmin=-3)
         for d in range(-3, 9):
-            free = ctx.free_space(gen_degs, d)
-            assert free.quotient_dim == hf[d], (ring.label, d)
-            assert free.dim == len(ctx.slice_coords(gen_degs, d)[0])
+            sl = ctx.slice(gen_degs, d)
+            assert len(sl.coords) == sum(hf_r[d - g] for g in gen_degs if d >= g) == hf[d]
+            for pos, (off, normal_form) in sl.blocks.items():
+                width = hf_r[d - gen_degs[pos]]
+                assert all(off <= off + j < off + width for row in normal_form.values()
+                           for j in row), (ring.label, d, pos)
 
 
 def test_value_space_rows_are_zero_at_every_other_pivot(ring_two_nodes, ring_quadric):
@@ -270,12 +282,19 @@ def test_map_that_does_not_fit_its_modules_is_refused(ring_two_nodes):
 
 
 def test_term_outside_its_slice_is_an_invariant_error(ring_two_nodes):
+    # R = k[x, y, z, u]/(xy, zu): x is a standard monomial of degree 1 and xy
+    # a multiple of a quotient generator, whose normal form is zero
     ctx = OracleContext(ring_two_nodes, 4)
-    _, index = ctx.slice_coords((0,), 1)
-    assert ctx.vectors((0,), 1, [{(0, (1, 0, 0, 0)): 1}]) == [{index[0, (1, 0, 0, 0)]: 1}]
-    for vec in ({(0, (2, 0, 0, 0)): 1}, {(1, (1, 0, 0, 0)): 1}):
+    sl = ctx.slice((0,), 1)
+    x = (1, 0, 0, 0)
+    assert sl.vector([((0, x), 1)]) == {sl.coords.index((0, x)): 1}
+    assert ctx.slice((0,), 2).vector([((0, (1, 1, 0, 0)), 1)]) == {}
+    # a term of the wrong degree, or at a position the slice does not have
+    for term in ((0, (2, 0, 0, 0)), (1, x), (-1, x)):
         with pytest.raises(InvariantError):
-            ctx.vectors((0,), 1, [vec])
+            sl.vector([(term, 1)])
+    with pytest.raises(InvariantError):
+        ctx.slice((2,), 1).vector([((0, ()), 1)])
 
 
 def _groebner_calls(fn):

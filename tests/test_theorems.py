@@ -10,7 +10,8 @@ from cihom.fields import PrimeField
 from cihom.fmodules import ModulePresentation
 from cihom.polynomials import PolyRing
 from cihom.rings import RingPresentation
-from cihom.theorems import UnknownTheoremError, check_theorem, known_statements
+from cihom.theorems import (InstanceShapeError, UnknownTheoremError, check_theorem,
+                            known_statements)
 
 F = PrimeField(32003)
 
@@ -243,19 +244,38 @@ def test_check_builds_the_tensor_once(tmp_path, capsys, monkeypatch):
 
 def test_harness_reports_digest(mod_M_two_nodes, mod_N_two_nodes, mod_quadric, node_pair,
                                 periodic_pair):
-    # One sha256 over every statement's report on the four fixture pairs,
-    # recorded before the syzygy callers stopped copying and re-reducing
-    # what syzygy_generators returns.
+    # One sha256 over every statement's report on the four fixture pairs;
+    # N goes only to the (M, N) statements, and 4.3 and 4.17 read M with
+    # itself and with M*.
     h = hashlib.sha256()
     for M, N in [(mod_M_two_nodes, mod_N_two_nodes), (mod_quadric, mod_quadric),
                  node_pair, periodic_pair]:
         for sid in known_statements():
             params = {"n": 1} if sid == "3.15" else {}
-            rep = check_theorem(sid, M, N, tor_bound=4, degree_bound=6, window=8, **params)
+            arg = N if theorems.INSTANCE_SHAPES[sid] == "(M, N)" else None
+            rep = check_theorem(sid, M, arg, tor_bound=4, degree_bound=6, window=8, **params)
             _soundness(rep)
             h.update(json.dumps(rep.as_dict(), sort_keys=True).encode())
     assert len(known_statements()) == 32
-    assert h.hexdigest() == "e258c88b506ca5ef68be91c84a35c674d78d243762232c867591073cf66f10d4"
+    assert h.hexdigest() == "5381d7d3cd514a4762a23e4c7b126b219c2361f5b20c2158e1f3f81331668370"
+
+
+def test_self_paired_statements_take_no_n(ring_node):
+    # Over the node, 4.3 read Tor(M, N) and M (x) N of any N it was given:
+    # with N = coker [[x*y]] (which is R) every hypothesis held and "M is
+    # free" failed.  4.3 reads (M, M) and 4.17 reads (M, M*).
+    assert set(theorems.INSTANCE_SHAPES) == set(known_statements())
+    assert {sid: shape for sid, shape in theorems.INSTANCE_SHAPES.items()
+            if shape != "(M, N)"} == {"4.3": "(M, M)", "4.17": "(M, M*)"}
+    x, y = (ring_node.poly_ring.variable(v) for v in "xy")
+    M = ModulePresentation.quotient_by_ideal(ring_node, [x], label="M")
+    N = ModulePresentation.from_relations(ring_node, (0,), [[x * y]], label="N")
+    for sid in ("4.3", "4.17"):
+        with pytest.raises(InstanceShapeError, match=f"statement {sid} reads"):
+            check_theorem(sid, M, N, tor_bound=4)
+        rep = check_theorem(sid, M, tor_bound=4)
+        _soundness(rep)
+        assert rep.instance["argument"] == ("M" if sid == "4.3" else "M*")
 
 
 class _RecordingParams(dict):
