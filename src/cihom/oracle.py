@@ -18,6 +18,14 @@ one normal-form lookup per term, so every vector the oracle builds lies on
 standard coordinates and the multiples of the f's never enter a kernel, a
 seed block or an induced map.
 
+Each product is formed once.  A step's degree-d seeds, followed by its new
+degree-d generators, are the images of the next step's degree-d
+coordinates, so they are kept as that step's map columns.  A presented
+module's multiplication maps (each basis element of its degree-e piece
+times a monomial, reduced modulo its value space in the target degree) are
+built once per context, and every rank of an induced map on F tensor N,
+and of the relation map behind Hom(M, N), sums their columns.
+
 The truncation is sound: a graded piece in degree d only involves
 generators and relations of degree <= d, so every reported value is exact.
 """
@@ -25,6 +33,7 @@ generators and relations of degree <= d, so every reported value is exact.
 from __future__ import annotations
 
 import functools
+import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -172,6 +181,7 @@ class OracleContext:
         self._pieces: dict = {}
         self._slices: dict = {}
         self._value_spaces: dict = {}
+        self._maps: dict = {}
 
     # -- coordinates -------------------------------------------------------------
 
@@ -225,6 +235,22 @@ class OracleContext:
             self._value_spaces[key] = QuotientSpace(len(sl.coords), rels, self.p)
         return self._value_spaces[key]
 
+    def multiplication_map(self, pres: ModulePresentation, e: int, mono: tuple) -> list:
+        """Multiplication by the monomial mono of S from the degree-e piece
+        of a presented module to its degree-(e + deg mono) piece: for each
+        basis element of the former (a non-pivot of its value space, in
+        order), its image reduced modulo the latter's value space.  Built
+        once per context, and keyed on the presentation as value spaces
+        are."""
+        key = (pres, e, mono)
+        if key not in self._maps:
+            coords = self.slice(pres.gen_degs, e).coords
+            target = self.slice(pres.gen_degs, e + sum(mono))
+            images = [target.vector([(coords[c], self.one)], mono)
+                      for c in self.value_space(pres, e).nonpivots]
+            self._maps[key] = self.value_space(pres, e + sum(mono)).reduce_columns(images)
+        return self._maps[key]
+
 
 class TruncatedStep:
     """One free module of the degreewise-built resolution; each generator
@@ -251,14 +277,17 @@ def _presentation_columns(pres: ModulePresentation):
     return cols
 
 
-def _kernel_piece(ctx: OracleContext, pres: ModulePresentation, steps, d: int, free: list):
+def _kernel_piece(ctx: OracleContext, pres: ModulePresentation, steps, d: int, free: list,
+                  images):
     """A basis of the degree-d vectors of the kernel of the last free
     module's map that are supported on the coordinates ``free``, as vectors
     indexed by position in ``free``; None when it is zero.  For the first
     step the map is onto the module: a coordinate goes to its residual
-    modulo the value space.  Later it is the previous step's map: the
-    coordinate (pos, m) goes to m times generator pos's vector.  The
-    target's slice is built even when ``free`` is empty, so MAX_SLICE
+    modulo the value space.  Later it is the previous step's map, and
+    ``images`` lists the image of each coordinate of the degree-d slice, in
+    the slice's order, as ``truncated_resolution`` kept them: no product is
+    formed here (None when the target slice is zero, so every image is).
+    The target's slice is built even when ``free`` is empty, so MAX_SLICE
     checks the same slices whatever the seeds cover."""
     if len(steps) == 1:
         if not free:
@@ -270,9 +299,7 @@ def _kernel_piece(ctx: OracleContext, pres: ModulePresentation, steps, d: int, f
         target = ctx.slice(tuple(steps[-2].gen_degs), d)
         if not free:
             return None
-        coords = ctx.slice(tuple(steps[-1].gen_degs), d).coords
-        vecs = steps[-1].gen_vecs
-        cols = [target.vector(vecs[pos].items(), m) for pos, m in (coords[i] for i in free)]
+        cols = [images[i] for i in free] if images else [{} for _ in free]
         dim = len(target.coords)
     return _kernel_basis(SparseMatrix.from_columns(cols, dim), ctx.p)
 
@@ -280,12 +307,19 @@ def _kernel_piece(ctx: OracleContext, pres: ModulePresentation, steps, d: int, f
 def truncated_resolution(ctx: OracleContext, pres: ModulePresentation, hsteps: int):
     """Free modules F_0..F_hsteps with generator vectors, exact through the
     degree bound: kernels are covered degree by degree and generators are
-    chosen minimally (a complement of what lower-degree ones cover)."""
+    chosen minimally (a complement of what lower-degree ones cover).
+
+    Each step's degree-d seeds, followed by its new degree-d generators, are
+    exactly the images of the next step's degree-d slice coordinates, in
+    the slice's pos-major order (the generators are found in increasing
+    degree, and R_0 is spanned by 1).  They are kept, one step at a time,
+    as the next step's map columns."""
     D = ctx.degree_bound
     steps = [TruncatedStep(pres.gen_degs, [])]
+    prev_images: dict = {}   # d -> the last step's images of the next slice's coordinates
     for step in range(1, hsteps + 1):
         prev_degs = tuple(steps[-1].gen_degs)
-        gen_degs, gen_vecs = [], []
+        gen_degs, gen_vecs, images = [], [], {}
         for d in range(min(prev_degs, default=0), D + 1):
             sl = ctx.slice(prev_degs, d)
             coords = sl.coords
@@ -303,10 +337,14 @@ def truncated_resolution(ctx: OracleContext, pres: ModulePresentation, hsteps: i
             if seeds:
                 covered.add(seeds)
             free = [i for i in range(len(coords)) if i not in covered.basis]
-            for v in _kernel_piece(ctx, pres, steps, d, free) or ():
+            for v in _kernel_piece(ctx, pres, steps, d, free, prev_images.get(d)) or ():
+                v = {free[j]: x for j, x in v.items()}
                 gen_degs.append(d)
-                gen_vecs.append({coords[free[j]]: x for j, x in v.items()})
+                gen_vecs.append({coords[i]: x for i, x in v.items()})
+                seeds.append(v)
+            images[d] = seeds
         steps.append(TruncatedStep(gen_degs, gen_vecs))
+        prev_images = images
         if not gen_degs:
             # kernel trivial through the degree bound: later steps stay empty
             for _ in range(step + 1, hsteps + 1):
@@ -328,33 +366,34 @@ def tor_oracle(M: ModulePresentation, N: ModulePresentation, index_bound: int,
     return _homology_dims(ctx, steps, N, index_bound, degree_bound)
 
 
-def _induced_rank(ctx, src: TruncatedStep, tgt_degs, N, d) -> int:
-    """Rank of (d_step tensor N)_d from the source step's free module into
-    that of tgt_degs.  Source generator g contributes one column per
-    non-pivot coordinate of N's value space at d - g, a basis element of
-    N_{d-g}; target generator pos receives the block N_{d-g} (g its
-    degree), taken modulo its value space; the residual columns of all
-    blocks side by side span the image."""
-    spaces = [ctx.value_space(N, d - g) for g in tgt_degs]
-    slices = [ctx.slice(N.gen_degs, d - g) for g in tgt_degs]
-    blocks = [[] for _ in tgt_degs]
-    for g, vec in zip(src.gen_degs, src.gen_vecs):
-        parts = [[] for _ in tgt_degs]   # vec's terms by target generator
-        for (pos, mono), x in vec.items():
-            parts[pos].append((mono, x))
-        ncoords = ctx.slice(N.gen_degs, d - g).coords
-        for c in ctx.value_space(N, d - g).nonpivots:
-            npos, nmono = ncoords[c]
-            for block, sl, part in zip(blocks, slices, parts):
-                block.append(sl.vector((((npos, mono), x) for mono, x in part), nmono)
-                             if part else {})
-    cols = [{} for _ in blocks[0]] if blocks else []
-    off = 0
-    for qs, block in zip(spaces, blocks):
-        for col, v in zip(cols, qs.reduce_columns(block)):
-            col.update({off + i: x for i, x in v.items()})
-        off += qs.dim
-    return len(EchelonAccumulator(ctx.pr.field, off).add(cols))
+def _induced_rank(ctx: OracleContext, N: ModulePresentation, sources, tgt_degrees) -> int:
+    """Rank of a map from a sum of N's graded pieces into the sum of the
+    N_t, t in tgt_degrees, read off N's multiplication maps.  Each source
+    (e, terms) is a summand N_e with one column per basis element; a term
+    ((pos, mono), x) sends that element to x times its image under mono,
+    already reduced, in target summand pos.  The target summands lie side
+    by side in their value spaces' coordinates, and no product is formed
+    here.  For (d_j tensor N)_d the sources are the generators g of F_j,
+    as N_{d-g} with their vectors' terms, and the targets are N_{d-h} for
+    the generators h of F_{j-1}."""
+    offsets = list(itertools.accumulate((ctx.value_space(N, t).dim for t in tgt_degrees),
+                                        initial=0))
+    p, cols = ctx.p, []
+    for e, terms in sources:
+        n = ctx.value_space(N, e).quotient_dim
+        if not n:
+            continue
+        maps = [(offsets[pos], x, ctx.multiplication_map(N, e, mono)) for (pos, mono), x in terms]
+        for c in range(n):
+            col: dict = {}
+            for off, x, images in maps:
+                for i, y in images[c].items():
+                    col[off + i] = col.get(off + i, 0) + x * y
+            if p is not None:
+                cols.append({i: y % p for i, y in col.items() if y % p})
+            else:
+                cols.append({i: y for i, y in col.items() if y})
+    return len(EchelonAccumulator(ctx.pr.field, offsets[-1]).add(cols))
 
 
 def _homology_dims(ctx: OracleContext, steps, N: ModulePresentation,
@@ -369,8 +408,10 @@ def _homology_dims(ctx: OracleContext, steps, N: ModulePresentation,
 
     def rank(j, d):
         if (j, d) not in ranks:
-            ranks[j, d] = (_induced_rank(ctx, steps[j], steps[j - 1].gen_degs, N, d)
-                           if steps[j].gen_degs else 0)
+            src = steps[j]
+            ranks[j, d] = _induced_rank(
+                ctx, N, [(d - g, vec.items()) for g, vec in zip(src.gen_degs, src.gen_vecs)],
+                [d - h for h in steps[j - 1].gen_degs]) if src.gen_degs else 0
         return ranks[j, d]
 
     out: dict = {}
@@ -397,6 +438,30 @@ def module_hilbert_oracle(M: ModulePresentation, degree_bound: int) -> dict:
     out = {}
     for d in range(lo, degree_bound + 1):
         out[d] = ctx.value_space(M, d).quotient_dim
+    return out
+
+
+def hom_oracle(M: ModulePresentation, N: ModulePresentation, lo: int, hi: int) -> dict:
+    """dim Hom_R(M, N)_d for lo <= d <= hi, from M's given generators and
+    relations and N's multiplication maps.
+
+    A degree-d map sends generator i (degree a_i) into N_(a_i+d) and must
+    send relation column j (degree b_j) to zero in N_(b_j+d), so Hom_d is
+    the kernel of the sum of the N_(a_i+d) into the sum of the N_(b_j+d),
+    in which each relation entry acts through the maps of its monomials.
+    No resolution is built, so every degree is exact.  The context's degree
+    bound is the highest degree of N read, max(a_i, b_j) + hi.
+    """
+    M.check_same_ring(N)
+    rel = M.relations
+    ctx = OracleContext(M.ring, max(M.gen_degs + rel.col_degs, default=0) + hi)
+    rows = [[((j, m), x) for j, entry in enumerate(row) if entry for m, x in entry.terms.items()]
+            for row in rel.entries]
+    out = {}
+    for d in range(lo, hi + 1):
+        sources = [(a + d, terms) for a, terms in zip(M.gen_degs, rows)]
+        dim = sum(ctx.value_space(N, e).quotient_dim for e, _ in sources)
+        out[d] = dim - _induced_rank(ctx, N, sources, [b + d for b in rel.col_degs])
     return out
 
 

@@ -6,13 +6,14 @@ import sys
 
 import pytest
 
-from cihom import catalog
+from cihom import catalog, oracle
 from cihom.fields import PrimeField, field_by_tag
 from cihom.fmodules import ModulePresentation, PolyMatrix
 from cihom.homology import tor_profile
 from cihom.oracle import (
     OracleContext,
     OracleTooLargeError,
+    hom_oracle,
     map_kernel_cokernel_oracle,
     module_hilbert_oracle,
     tor_oracle,
@@ -101,6 +102,109 @@ def test_oracle_matches_pipeline_at_degree_8(ring_two_nodes):
         for d in sorted(set(dims[i]) | set(hilbert)):
             if d <= 8:
                 assert hilbert.get(d, 0) == dims[i].get(d, 0), (i, d)
+
+
+_FIXTURE_RINGS = ("R_node", "R_node3", "R_xyzu", "R_quadric")
+
+
+@pytest.mark.parametrize("tag", ["f32003", "f3", "rational"])
+def test_tor_oracle_is_balanced(tag):
+    # Tor(M, N) = Tor(N, M): the two calls resolve different modules and
+    # read different multiplication maps, so this checks the oracle with no
+    # Groebner pipeline.
+    for name in _FIXTURE_RINGS:
+        ring = catalog.ring(name, field_by_tag(tag))
+        rng = random.Random(31)
+        for _ in range(3):
+            M = random_homogeneous_module(ring, rng, 2, 2, "A")
+            N = random_homogeneous_module(ring, rng, 2, 2, "B")
+            assert tor_oracle(M, N, 3, 6) == tor_oracle(N, M, 3, 6), (name, M, N)
+
+
+@pytest.mark.parametrize("tag", ["f32003", "f3", "rational"])
+def test_hom_oracle_matches_the_dual(tag):
+    # M* = Hom(M, R) is built by the Groebner engine (syzygies of the
+    # transposed relations); hom_oracle reads only M's relations and R's
+    # multiplication maps.  Half the modules are first syzygies, which
+    # have generators and relations in several degrees.
+    for name in _FIXTURE_RINGS:
+        ring = catalog.ring(name, field_by_tag(tag))
+        R = ModulePresentation.free(ring, (0,))
+        rng = random.Random(3)
+        for k in range(5):
+            M = random_homogeneous_module(ring, rng, 2, 1, "A")
+            if k % 2:
+                M = M.first_syzygy()
+            hf = M.dual().hilbert_function(4, dmin=-3)
+            assert hom_oracle(M, R, -3, 4) == {d: hf.get(d, 0) for d in range(-3, 5)}, (name, k)
+
+
+def _count_calls(mp, owner, name, counter, key):
+    """Wrap owner.name so that each call adds one to counter[key(*args)]."""
+    fn = getattr(owner, name)
+
+    def counted(*args):
+        k = key(*args)
+        counter[k] = counter.get(k, 0) + 1
+        return fn(*args)
+
+    mp.setattr(owner, name, counted)
+
+
+def test_later_steps_read_the_kept_seeds(ring_two_nodes):
+    # A step's seeds and new generators are the next step's map columns, so
+    # a later step's kernel forms no product: no Slice.vector call inside
+    # it, while the resolution still has later-step kernels to find.
+    rng = random.Random(2009)
+    M = random_homogeneous_module(ring_two_nodes, rng, 2, 2, "A")
+    inside, later = [], {}
+    kernel_piece = oracle._kernel_piece
+
+    def watched(ctx, pres, steps, d, free, images):
+        inside.append(len(steps) > 1)
+        try:
+            return kernel_piece(ctx, pres, steps, d, free, images)
+        finally:
+            inside.pop()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_kernel_piece", watched)
+        _count_calls(mp, oracle.Slice, "vector", later,
+                     lambda *args: "later" if inside and inside[-1] else "other")
+        steps = truncated_resolution(OracleContext(ring_two_nodes, 8), M, 5)
+    assert "later" not in later and later["other"]
+    assert all(steps[i].gen_degs for i in range(1, 6))
+
+
+def test_each_multiplication_map_is_built_once(ring_two_nodes):
+    # Every rank of (d_j tensor N)_d reads N's multiplication maps: the
+    # images of N_e's basis under a monomial, reduced modulo N's value
+    # space (one reduce_columns call), built once per tor_oracle call and
+    # read again by every later rank that needs them.
+    rng = random.Random(2009)
+    M = random_homogeneous_module(ring_two_nodes, rng, 2, 2, "A")
+    N = random_homogeneous_module(ring_two_nodes, rng, 2, 2, "B")
+    inside, reads, builds = [], {}, {}
+    lookup = OracleContext.multiplication_map
+
+    def watched(ctx, pres, e, mono):
+        key = (id(ctx), id(pres), e, mono)
+        reads[key] = reads.get(key, 0) + 1
+        inside.append(key)
+        try:
+            return lookup(ctx, pres, e, mono)
+        finally:
+            inside.pop()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(OracleContext, "multiplication_map", watched)
+        _count_calls(mp, oracle.QuotientSpace, "reduce_columns", builds,
+                     lambda *args: inside[-1] if inside else None)
+        tor_oracle(M, N, 4, 8)
+    builds.pop(None, None)   # the first step's residuals
+    assert builds.keys() == reads.keys() and set(builds.values()) == {1}
+    assert len({key[:2] for key in reads}) == 1   # one context, one N
+    assert sum(reads.values()) > 2 * len(builds)
 
 
 def test_module_hilbert_oracle_matches_groebner(mod_N_two_nodes, mod_quadric):
@@ -209,6 +313,18 @@ def test_truncated_resolution_matches_graded_betti_numbers(tag, rings_over):
             for i in range(hsteps + 1):
                 want = sorted(g for g in res.step_degrees(i) if g <= bound)
                 assert sorted(steps[i].gen_degs) == want, (ring.label, seed, i)
+
+
+def test_truncated_resolution_of_k_over_k_x_mod_x_cubed():
+    # k over k[x]/(x^3) is resolved by x and x^2 in turn, so its generators
+    # sit in degrees 0, 1, 3, 4, 6, 7.  From step 2 on, a new generator's
+    # degree is one where the target two steps back is zero (R_3 = 0): the
+    # step before formed no map column there, and every image is zero.
+    pr = PolyRing(F, ["x"])
+    x = pr.variable("x")
+    k = ModulePresentation.quotient_by_ideal(RingPresentation(pr, [x * x * x]), [x])
+    steps = truncated_resolution(OracleContext(k.ring, 8), k, 6)
+    assert [st.gen_degs for st in steps] == [[0], [1], [3], [4], [6], [7], []]
 
 
 @pytest.mark.parametrize("gen_degs", [(0,), (0, 0), (1, 0, 1), (-1, 2), (-2, -2, 0), ()])
@@ -334,3 +450,9 @@ def test_tor_oracle_reads_n_as_given_without_groebner_code(ring_two_nodes):
     assert calls == []
     assert out == {1: {-2: 0, -1: 0, 0: 0, 1: 0, 2: 0, 3: 0},
                    2: {-2: 0, -1: 0, 0: 1, 1: 2, 2: 2, 3: 2}}
+    # hom_oracle reads M's relations and N's pieces the same way.  Hom(R/(x),
+    # X) is the part of X that x kills: nothing of R/(y) = k[x, z, u]/(zu),
+    # and all of R/(x) = k[y, z, u]/(zu)
+    out, calls = _groebner_calls(lambda: (hom_oracle(M, N, -1, 3), hom_oracle(M, M, -1, 3)))
+    assert calls == []
+    assert out == ({-1: 0, 0: 0, 1: 0, 2: 0, 3: 0}, {-1: 0, 0: 1, 1: 3, 2: 5, 3: 7})

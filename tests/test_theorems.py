@@ -1,17 +1,19 @@
 import hashlib
 import inspect
 import json
+import random
 
 import pytest
 
 from cihom import catalog, homology, theorems
 from cihom.cli import main
-from cihom.fields import PrimeField
+from cihom.fields import PrimeField, field_by_tag
 from cihom.fmodules import ModulePresentation
 from cihom.polynomials import PolyRing
 from cihom.rings import RingPresentation
-from cihom.theorems import (InstanceShapeError, UnknownTheoremError, check_theorem,
-                            known_statements)
+from cihom.search import random_homogeneous_module
+from cihom.theorems import (INSTANCE_SHAPES, InstanceShapeError, UnknownTheoremError,
+                            check_theorem, known_statements)
 
 F = PrimeField(32003)
 
@@ -147,6 +149,29 @@ def test_soundness_across_statements(node_pair):
         d = rep.as_dict()
         assert d["id"] == sid
         assert isinstance(d["hypotheses"], list) and d["hypotheses"]
+
+
+@pytest.mark.parametrize("tag", ["f32003", "f3", "rational"])
+def test_seeded_sweep_is_sound(tag):
+    # Every statement on two seeded pairs per fixture ring, each module
+    # replaced by its first syzygy half the time: 256 reports per field,
+    # 137 of the 768 with their hypotheses met when this test was written,
+    # none of them `fails`.  A `fails` found here is a bug or a window
+    # artifact to record with its instance, not to skip.
+    met = 0
+    for name in ("R_node", "R_node3", "R_xyzu", "R_quadric"):
+        ring = catalog.ring(name, field_by_tag(tag))
+        rng = random.Random(7)
+        for _ in range(2):
+            M, N = (random_homogeneous_module(ring, rng, 2, 1, label) for label in "MN")
+            M, N = (X.first_syzygy() if rng.random() < 0.5 else X for X in (M, N))
+            for sid in known_statements():
+                rep = check_theorem(sid, M, N if INSTANCE_SHAPES[sid] == "(M, N)" else None,
+                                    tor_bound=4, degree_bound=6, window=8,
+                                    **({"n": 1} if sid == "3.15" else {}))
+                _soundness(rep)
+                met += rep.hypotheses_met
+    assert met, "no report met its hypotheses"
 
 
 def test_3_12_2_positive_on_node_self_pair(node_pair):
