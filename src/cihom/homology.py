@@ -22,7 +22,11 @@ profile carries an evidence tier: (a) finite projective dimension, (b)
 window vanishing plus a certified periodic resolution (a constant base
 change d_o ~ d_(o+p), which makes the whole tail periodic) whose period the
 window covers, (c) window vanishing plus an applicable rigidity instance,
-(d) window only.  ``TorProfile.vanishing_certified`` is (a), (b) or (c).
+(d) window only.  ``TorProfile.vanishing_certified`` is (a), (b) or (c);
+over a certified ring of codimension c whose window reaches c + 1, it
+reads Tor_1..Tor_(c+1) and stops there, since by Murthy's rigidity theorem
+their vanishing already certifies the whole tail (tier (c)).  The tier itself, and every window read, stays an
+observation of each Tor_i, so the harness can check that theorem.
 
 A Tor profile fills itself on first read: each Tor_i, the tensor slot,
 the vanishing evidence and the resolution are built when a caller first
@@ -310,7 +314,11 @@ class TorProfile:
     ``resolution`` are built when first read.  ``vanishing``,
     ``all_vanish_in_window`` and ``vanish_range`` stop at the first nonzero
     Tor_i, and ``vanishing`` reads the resolution only when every Tor_i in
-    the window vanishes.  ``entries`` and ``as_dict`` build everything.  A
+    the window vanishes.  ``vanishing_certified`` over a certified
+    complete intersection of codimension c whose window reaches c + 1
+    stops after Tor_(c+1) (Murthy's rigidity; see there), whatever was
+    read before it, while the reads above never infer past what they
+    build, so that statement 2.2 is checked on observations.  ``entries`` and ``as_dict`` build everything.  A
     right-side profile of (M, N) resolves N: it is the left profile of
     (N, M), ``self.M`` being N, with ``side`` "right", and ``as_dict`` names
     the module and the argument in the caller's order.
@@ -370,7 +378,21 @@ class TorProfile:
     @property
     def vanishing_certified(self) -> bool:
         """Every Tor_i in the window vanishes and the evidence tier certifies
-        the tail: finite projective dimension, periodicity or rigidity."""
+        the tail: finite projective dimension, periodicity or rigidity.
+
+        Over a certified ring of codimension c with ``bound`` >= c + 1, this
+        is Tor_1 = ... = Tor_(c+1) = 0 and nothing past it is built: by
+        Murthy's rigidity theorem (1963, Thm 1.6; graded modules localized
+        at the homogeneous maximal ideal) c + 1 consecutive vanishing Tor_i
+        force every later one to vanish, so the window vanishes and the
+        rigidity tier applies, and the boolean is the one the evidence
+        would give.  ``vanishing``, ``all_vanish_in_window``,
+        ``vanish_range`` and ``entries`` never infer: they stay
+        observations, which the harness checks statement 2.2 (Murthy's
+        theorem itself) against."""
+        ring = self.ring
+        if ring.certified and self.bound >= ring.codim + 1:
+            return self.vanish_range(1, ring.codim + 1)
         v = self.vanishing
         return v["all_vanish_in_window"] and v["tier"] in ("pd-finite", "periodicity", "rigidity")
 

@@ -194,7 +194,11 @@ def _search_3_6(cfg, mods):
     """Certified total Tor vanishing plus a depth condition on the tensor
     product: must M inherit the condition?  Run as an experiment only; the
     affirmative claim in the literature has a flawed proof, so nothing here
-    is ever asserted."""
+    is ever asserted.  The certified vanishing is
+    ``TorProfile.vanishing_certified``: over a certified ring of
+    codimension c, with a window of at least c + 1, it builds Tor_0 and
+    Tor_1..Tor_(c+1) at most, and no resolution step past c + 2 and no
+    periodicity test."""
     M, N = mods
     if M.n_gens == 0 or N.n_gens == 0:
         return {"classification": "skipped", "reason": "zero module sampled"}

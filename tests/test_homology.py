@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cihom import homology
+from cihom import catalog, homology
 from cihom.fields import PrimeField, field_by_tag
 from cihom.fmodules import ModulePresentation, PolyMatrix, equal_hilbert_functions
 from cihom.homology import (
@@ -23,6 +23,7 @@ from cihom.polynomials import PolyRing
 from cihom.resolutions import detect_periodicity, resolve
 from cihom.rings import INF, RingPresentation, encode_infinite
 from cihom.search import SearchConfig, _search_3_6, random_homogeneous_module
+from cihom.theorems import check_theorem
 
 F = PrimeField(32003)
 
@@ -146,14 +147,18 @@ def test_on_demand_profile_matches_the_eager_builder(ring_quadric, ring_two_node
     # Two copies of the pair, so the two builders share no cached work.
     M, N = _random_pair(ring, seed)
     prof = tor_profile(M, N, bound, 6, side=side)
-    reads = list(range(bound + 1)) + ["vanishing", "resolution"]
+    reads = list(range(bound + 1)) + ["vanishing", "vanishing_certified", "resolution"]
     order.shuffle(reads)
     for r in reads[:order.randint(0, len(reads))]:
         if isinstance(r, int):
             prof.entry(r)
         else:
             getattr(prof, r)
-    assert prof.as_dict() == _eager_tor_profile_dict(*_random_pair(ring, seed), bound, 6, side)
+    eager = _eager_tor_profile_dict(*_random_pair(ring, seed), bound, 6, side)
+    assert prof.as_dict() == eager
+    assert prof.vanishing_certified == (eager["vanishing"]["all_vanish_in_window"] and
+                                        eager["vanishing"]["tier"] in ("pd-finite", "periodicity",
+                                                                       "rigidity"))
 
 
 def _count_builds(monkeypatch):
@@ -320,6 +325,106 @@ def test_period_two_evidence_3_14(periodic_pair):
     prof = tor_profile(M, N, 8)
     for rec in prof.periodicity:
         assert rec["equal"], rec
+
+
+# -- certified vanishing ---------------------------------------------------------
+
+def _x_z_pair(ring):
+    """R/(x), R/(z) over the two-node ring."""
+    x, z = ring.poly_ring.variable("x"), ring.poly_ring.variable("z")
+    return (ModulePresentation.quotient_by_ideal(ring, [x], label="Mx"),
+            ModulePresentation.quotient_by_ideal(ring, [z], label="Nz"))
+
+
+def _certified_both_ways(M, N, bound, degree_bound=6):
+    """``vanishing_certified`` read first on a fresh profile, and the
+    evidence's boolean (every Tor_i in the window vanishes, with a
+    certifying tier) on a second fresh profile, whose
+    ``vanishing_certified`` read after the evidence must give it too."""
+    first = tor_profile(M, N, bound, degree_bound).vanishing_certified
+    full = tor_profile(M, N, bound, degree_bound)
+    tier = full.vanishing["tier"]
+    evidence = full.all_vanish_in_window() and tier in ("pd-finite", "periodicity", "rigidity")
+    assert full.vanishing_certified == evidence
+    return first, evidence, tier
+
+
+@pytest.mark.parametrize("tag", ["f32003", "f3", "rational"])
+def test_certified_vanishing_reads_agree(tag):
+    # Read first over a certified ring, vanishing_certified stops after
+    # Tor_(c+1) (Murthy's rigidity); the evidence reads the whole window and
+    # the periodicity test.  Half the modules M are first syzygies.
+    tiers = set()
+    for name in ("R_node", "R_node3", "R_xyzu", "R_quadric"):
+        ring = catalog.ring(name, field_by_tag(tag))
+        rng = random.Random(5)
+        for k in range(6):
+            M = random_homogeneous_module(ring, rng, 2, 1, "A")
+            N = random_homogeneous_module(ring, rng, 2, 1, "B")
+            if k % 2:
+                M = M.first_syzygy()
+            first, full, tier = _certified_both_ways(M, N, 5)
+            assert first == full, (name, k, tier)
+            tiers.add((full, tier))
+    assert {(False, None), (True, "pd-finite"), (True, "periodicity")} <= tiers
+
+
+def test_certified_vanishing_stops_after_codim_plus_one(ring_two_nodes, monkeypatch):
+    # R/(x), R/(z) over k[x,y,z,u]/(xy, zu): every Tor_i vanishes and the
+    # resolution of R/(x) is periodic, yet the first read needs Tor_1..Tor_3.
+    M, N = _x_z_pair(ring_two_nodes)
+    assert _certified_both_ways(M, N, 5) == (True, True, "periodicity")
+    built = _count_builds(monkeypatch)
+    prof = tor_profile(M, N, 5, 6)
+    assert prof.vanishing_certified
+    assert built == {"tor": 0, "entries": 3} and sorted(prof._entries) == [1, 2, 3]
+    assert prof._vanishing is None
+
+
+def test_certified_vanishing_gap_of_length_codim(mod_M_two_nodes, mod_N_two_nodes):
+    # The 3.11 pair: Tor_1 = Tor_2 = 0 but Tor_3 != 0, a run of length c = 2
+    # that certifies nothing.
+    prof = tor_profile(mod_M_two_nodes, mod_N_two_nodes, 5, 6)
+    assert prof.vanishing_certified is False
+    assert [prof.vanishes(i) for i in (1, 2, 3)] == [True, True, False]
+    assert _certified_both_ways(mod_M_two_nodes, mod_N_two_nodes, 5) == (False, False, None)
+
+
+def test_certified_vanishing_full_path_below_codim_plus_one(ring_two_nodes):
+    # A window of 2 < c + 1 over the two-node ring: Tor_1 and Tor_2 vanish,
+    # but nothing certifies the tail, and the evidence is built.
+    M, N = _x_z_pair(ring_two_nodes)
+    prof = tor_profile(M, N, 2, 6)
+    assert prof.vanishing_certified is False
+    assert prof._vanishing["tier"] == "window-only"
+
+
+def test_certified_vanishing_full_path_over_an_uncertified_ring():
+    # k[x,y]/(x^2, xy) is no complete intersection: no rigidity applies, and
+    # the evidence is built on the first read.
+    pr = PolyRing(F, ["x", "y"])
+    x, y = pr.variable("x"), pr.variable("y")
+    ring = RingPresentation(pr, [x * x, x * y], label="R_bad")
+    assert not ring.certified
+    M = ModulePresentation.quotient_by_ideal(ring, [y], label="My")
+    N = ModulePresentation.quotient_by_ideal(ring, [x], label="Nx")
+    prof = tor_profile(M, N, 4, 6)
+    prof.vanishing_certified
+    assert prof._vanishing is not None
+    first, full, _ = _certified_both_ways(M, N, 4)
+    assert first == full
+
+
+def test_statement_2_2_reads_the_whole_window(ring_two_nodes, monkeypatch):
+    # Statement 2.2 is the rigidity theorem itself: its conclusion must
+    # observe every Tor_i in the window, even where Tor_1..Tor_(c+1) vanish.
+    M, N = _x_z_pair(ring_two_nodes)
+    built = _count_builds(monkeypatch)
+    rep = check_theorem("2.2", M, N, tor_bound=5).as_dict()
+    assert built == {"tor": 0, "entries": 5}
+    concl = rep["conclusion"]
+    assert concl["verdict"] == "holds"
+    assert concl["detail"] == {"from": 1, "vanishing": [True] * 5}
 
 
 # -- Ext ------------------------------------------------------------------------
@@ -572,20 +677,34 @@ def test_tor_identity_matches_the_eager_path(rings_over, seed, which, tag):
 
 
 def test_tor_identity_reads_vanishing_without_cycles(ring_quadric, monkeypatch):
-    # The search36 benchmark's item with seed 1: Tor_1..Tor_5 all vanish,
-    # which the 3.6 verdict reads off Hilbert numerators alone, so no Tor
-    # module builds its minimal cycles.
-    cfg = SearchConfig(ring_quadric, "3.6", samples=1, seed=1, max_gens=2, max_deg=1)
-    rng = random.Random(cfg.seed)
-    M = random_homogeneous_module(ring_quadric, rng, 2, 1, label="S0a")
-    N = random_homogeneous_module(ring_quadric, rng, 2, 1, label="S0b")
+    # The search36 benchmark's items with seeds 1 and 14: Tor_1..Tor_5 all
+    # vanish, which the 3.6 verdict reads off Hilbert numerators alone, so
+    # no Tor module builds its minimal cycles.  Over the quadric (c = 1) the
+    # certified read stops after Tor_2: Tor_0..Tor_2 are built, M is
+    # resolved through step 3 at most and no periodicity test runs.  With
+    # seed 1, M = R/(x) has projective dimension 1; with seed 14 its
+    # resolution is periodic, and the evidence would resolve through step 6.
     built = _count_builds(monkeypatch)
-    rec = _search_3_6(cfg, (M, N))
-    assert built == {"tor": 0, "entries": 6}
-    prof = tor_profile(M, N, cfg.tor_bound, cfg.degree_bound)
-    assert cfg.tor_bound == 5 and prof.all_vanish_in_window()
-    assert rec["hypotheses"]["all_tor_vanish_certified"] == prof.vanishing_certified
-    assert built["tor"] == 0
+    periodicity_tests = []
+    monkeypatch.setattr(homology, "detect_periodicity",
+                        lambda res: periodicity_tests.append(res) or detect_periodicity(res))
+    for seed, diffs, tier in ((1, 1, "pd-finite"), (14, 3, "periodicity")):
+        cfg = SearchConfig(ring_quadric, "3.6", samples=1, seed=seed, max_gens=2, max_deg=1)
+        rng = random.Random(cfg.seed)
+        M = random_homogeneous_module(ring_quadric, rng, 2, 1, label="S0a")
+        N = random_homogeneous_module(ring_quadric, rng, 2, 1, label="S0b")
+        built.update(tor=0, entries=0)
+        periodicity_tests.clear()
+        rec = _search_3_6(cfg, (M, N))
+        assert built == {"tor": 0, "entries": 3}, seed
+        assert len(M.minimalize()._res_cache["diffs"]) == diffs, seed
+        assert periodicity_tests == [], seed
+        prof = tor_profile(M, N, cfg.tor_bound, cfg.degree_bound)
+        assert cfg.tor_bound == 5 and prof.all_vanish_in_window()
+        assert rec["hypotheses"]["all_tor_vanish_certified"] is True
+        assert prof.vanishing["tier"] == tier
+        assert built["tor"] == 0
+    assert periodicity_tests   # seed 14's evidence ran the counted test
 
 
 @settings(max_examples=60, deadline=None)
