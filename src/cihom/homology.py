@@ -60,6 +60,17 @@ and the resolution cached on M's minimal presentation are reused by later
 reads; a profile is not safe to fill from two threads at once.  The
 linear-algebra verification path in ``oracle`` shares nothing with this
 pipeline by construction.
+
+A resolution that repeats itself literally (``FreeResolution.period``:
+d_m is d_(m-p) with its degrees raised by t for m >= o + p) repeats its
+complex too.  A cokernel whose map in is such a copy is the cokernel one
+period back twisted by sign * t, so its numerator is copied, not computed:
+for Tor when i + 1 - p >= o, for Ext when i - p >= o.  An entry H_i with
+i - p >= o reads both maps as copies, so H_i is H_(i-p) twisted by
+sign * t; it reads ``betti0`` and ``depth``, invariants of the module, off
+entry i - p.  Its numerator, ``dim`` and ``hilbert`` are read as always,
+and its ``presentation``, if read, is still built directly.  The copies
+are exact, so every output is the one the computation would give.
 """
 
 from __future__ import annotations
@@ -203,7 +214,10 @@ class HomologyEntry:
     entry then drops the cycles, and an error of the relation step surfaces
     on that first read.  The entry hands the presentation its numerator, so
     ``depth`` (an ambient resolution of the presentation) computes no
-    second Hilbert series.
+    second Hilbert series.  An entry one period past a literal repeat of
+    the resolution (``_ResolutionComplex.earlier``) is the entry one period
+    back, twisted: it reads ``betti0`` and ``depth`` off that entry, which
+    the complex builds if it is not built yet.
     """
 
     __slots__ = ("index", "vanishes", "initial_degree", "numerator", "_betti0", "_ring",
@@ -229,10 +243,17 @@ class HomologyEntry:
                             if self.vanishes else cx.cycles(self.index))
         return self._cycles
 
+    def _earlier(self) -> "HomologyEntry | None":
+        """The entry one period back, when this one is a twisted copy of it."""
+        j = self._complex.earlier(self.index)
+        return None if j is None else self._complex.entry(j, self._degree_bound)
+
     @property
     def betti0(self) -> int:
         if self._betti0 is None:
-            self._betti0 = len(self._minimal_cycles().gen_degs)
+            earlier = self._earlier()
+            self._betti0 = (earlier.betti0 if earlier is not None
+                            else len(self._minimal_cycles().gen_degs))
         return self._betti0
 
     @property
@@ -252,7 +273,8 @@ class HomologyEntry:
             return INF
         if self.dim == 0:
             return 0
-        return self.presentation.depth()
+        earlier = self._earlier()
+        return earlier.depth if earlier is not None else self.presentation.depth()
 
     @property
     def dim(self) -> float:
@@ -322,9 +344,18 @@ class TorProfile:
     right-side profile of (M, N) resolves N: it is the left profile of
     (N, M), ``self.M`` being N, with ``side`` "right", and ``as_dict`` names
     the module and the argument in the caller's order.
+
+    Once M's resolution repeats itself literally, d_m = d_(m-p) raised by
+    t for m >= o + p (``FreeResolution.period``), K_j for j - p >= o is
+    K_(j-p) twisted by t, and Tor_i for i - p >= o is Tor_(i-p)(-t): its
+    numerator is copied, and its ``betti0`` and ``depth`` are read off
+    Tor_(i-p), so no Groebner basis is built for it unless its
+    ``presentation`` is read.  The copy is exact,
+    because the resolution's later steps are exact copies; ``vanishing``
+    and ``periodicity`` still report what they always did.
     """
 
-    __slots__ = ("M", "N", "ring", "bound", "degree_bound", "side", "_entries",
+    __slots__ = ("M", "N", "ring", "bound", "degree_bound", "side",
                  "_tor0", "_vanishing", "_periodicity", "_resolution", "_complex")
 
     def __init__(self, M, N, bound, degree_bound, side="left"):
@@ -334,7 +365,6 @@ class TorProfile:
         self.bound = bound
         self.degree_bound = degree_bound
         self.side = side
-        self._entries: dict = {}
         self._tor0 = None
         self._vanishing = None
         self._periodicity = None
@@ -347,11 +377,7 @@ class TorProfile:
             return self.tor0
         if not 1 <= i <= self.bound:
             raise IndexError(f"Tor index {i} outside the window 0..{self.bound}")
-        e = self._entries.get(i)
-        if e is None:
-            e = self._entries[i] = HomologyEntry(i, self._complex.reach(i + 1),
-                                                 self.degree_bound)
-        return e
+        return self._complex.entry(i, self.degree_bound)
 
     @property
     def entries(self) -> list:
@@ -464,14 +490,18 @@ class _ResolutionComplex:
     1 (x) B.  Its maps are d_i and d_{i+1} tensor N (transposed for Hom):
     the first goes out of term i for Tor and comes in for Ext, and the
     outgoing map lands in term i - sign.  ``numerator(i)`` is the Hilbert
-    numerator of H_i, ``cycles(i)`` its minimal cycles.
+    numerator of H_i, ``cycles(i)`` its minimal cycles, ``entry(i, ...)``
+    the one ``HomologyEntry`` of H_i, i >= 1.  The period of F, once F has
+    one, is read off the resolution view (``FreeResolution.period``).
     """
 
-    __slots__ = ("M", "N", "ring", "sign", "Nmin", "res", "_tensor", "_cokernels", "_bases")
+    __slots__ = ("M", "N", "ring", "sign", "Nmin", "res", "entries", "_tensor", "_cokernels",
+                 "_bases")
 
     def __init__(self, M: ModulePresentation, N: ModulePresentation, sign: int):
         self.M, self.N, self.ring, self.sign = M, N, M.ring, sign
         self.Nmin = self.res = self._tensor = None
+        self.entries: dict = {}      # i >= 1 -> H_i, see ``entry``
         self._cokernels: dict = {}   # term i -> C(i), see ``cokernel``
         self._bases: dict = {}       # term i -> basis of its image, for one greedy pass
 
@@ -481,6 +511,27 @@ class _ResolutionComplex:
             if self.Nmin is None:
                 self.Nmin = self.N.minimalize()
         return self
+
+    def entry(self, i: int, degree_bound: int) -> HomologyEntry:
+        """H_i for i >= 1, built on first read, with F reaching step i + 1."""
+        e = self.entries.get(i)
+        if e is None:
+            e = self.entries[i] = HomologyEntry(i, self.reach(i + 1), degree_bound)
+        return e
+
+    def _back(self, j: int):
+        """(p, t) when d_j is a copy of d_(j-p) raised by t (``FreeResolution.period``:
+        j - p >= o), else None."""
+        period = self.res.period if self.res is not None else None
+        if period is None or j - period[1] < period[0]:
+            return None
+        return period[1:]
+
+    def earlier(self, i: int) -> int | None:
+        """i - p when d_i and d_(i+1), the maps H_i reads, are copies of
+        d_(i-p) and d_(i+1-p), so that H_i is H_(i-p) twisted; else None."""
+        back = self._back(i)
+        return None if back is None else i - back[0]
 
     def label(self, i: int) -> str:
         return f"{'Tor' if self.sign > 0 else 'Ext'}{i}({self.M.label},{self.N.label})"
@@ -536,11 +587,19 @@ class _ResolutionComplex:
         into it (d_(i+1) (x) 1 for Tor, d_i^T for Hom) and 1 (x) B, computed
         once.  It is read off an untracked basis of that image, which is
         also the image H_i is taken modulo, so the basis is kept for the
-        greedy pass of ``cycles(i)``.  Tor's C(0) is ``tensor()``'s."""
+        greedy pass of ``cycles(i)``.  Tor's C(0) is ``tensor()``'s.  When
+        the map in is a copy of the one a period p back raised by t, the
+        cokernel is C(i - p) twisted by sign * t, and no basis is built."""
         num = self._cokernels.get(i)
         if num is None:
-            num = self._cokernels[i] = (self.tensor().hilbert_numerator()
-                                        if self.sign > 0 and i == 0 else self._cokernel(i))
+            back = self._back(i + 1 if self.sign > 0 else i)
+            if back is not None:
+                num = add_numerator({}, self.cokernel(i - back[0]), self.sign * back[1])
+            elif self.sign > 0 and i == 0:
+                num = self.tensor().hilbert_numerator()
+            else:
+                num = self._cokernel(i)
+            self._cokernels[i] = num
         return num
 
     def _cokernel(self, i: int) -> dict:
@@ -599,7 +658,7 @@ def ext_profile(M: ModulePresentation, N: ModulePresentation, bound: int,
     M.check_same_ring(N)
     _check_bounds(bound, degree_bound)
     cx = _ResolutionComplex(M, N, -1).reach(bound + 1)
-    return [HomologyEntry(i, cx, degree_bound) for i in range(1, bound + 1)]
+    return [cx.entry(i, degree_bound) for i in range(1, bound + 1)]
 
 
 def ext_ambient_dimensions(M: ModulePresentation) -> dict:

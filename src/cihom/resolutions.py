@@ -8,11 +8,27 @@ ambient ring S resolutions terminate by the syzygy theorem: they stop after
 d_(dim S), whose syzygies are zero and are not computed.  Over quotients
 they are truncated at a requested bound.
 
+A resolution that repeats itself literally is copied, not recomputed.  When
+a computed d_n equals d_(n-p) entry for entry, p <= 3, with every row and
+column degree raised by one twist t, the cache records (onset o = n - p,
+period p, twist t), and every later d_m is d_(m-p) with its degrees raised
+by t, with no syzygy computation.  The copy is exact, byte for byte what the
+engine would compute: a step reads only the previous differential, and a
+uniform twist moves every term code of the step's module order by one
+constant, so every comparison, lcm, divisibility test and heap pop is the
+same, while tracking, reduction and the dedupe of syzygies never read
+degrees.  Over a hypersurface every minimal resolution becomes 2-periodic
+(Eisenbud 1980), and the engine reproduces the period literally: for k
+over a quadric, d_6 is d_4 with its degrees raised by 2.  A literal period certifies no complexity by
+itself; ``FreeResolution.period`` only says which steps are copies.
+
 Periodicity is certified: constant invertible A and B, degree-preserving up
 to one twist t, with A.d_(o+p) = d_o.B are an isomorphism syz^(o+p-1) M =
 syz^(o-1) M(-t), so by uniqueness of minimal resolutions the whole tail is
 p-periodic from o on, in every codimension.  The pairs (A, B) solve a linear
-system over k, which the syzygy engine solves.
+system over k, which the syzygy engine solves.  This equivalence can come
+before the literal period: for k over the quadric it is period 1 at onset 4
+through a constant base change, while the literal period is 2.
 
 A resolution cache is append-only and extended by the single task that
 requested it; returned FreeResolution views are immutable and safe to share.
@@ -42,16 +58,21 @@ class FreeResolution:
     ``differentials[i]`` is d_{i+1}: F_{i+1} -> F_i; generator degrees of F_i
     are the column degrees of d_i (row degrees of d_1 for F_0).  ``terminated``
     records that the next syzygy module is zero, certifying finite projective
-    dimension.  Immutable once returned.
+    dimension.  ``period`` is (onset o, period p, twist t) when d_(o+p) is
+    among the differentials and equals d_o with every degree raised by t, so
+    that d_m is d_(m-p) raised by t for every m >= o + p; else None.
+    Immutable once returned.
     """
 
-    __slots__ = ("module", "differentials", "truncation", "terminated")
+    __slots__ = ("module", "differentials", "truncation", "terminated", "period")
 
-    def __init__(self, module: ModulePresentation, differentials, truncation, terminated):
+    def __init__(self, module: ModulePresentation, differentials, truncation, terminated,
+                 period=None):
         self.module = module
         self.differentials = list(differentials)
         self.truncation = truncation
         self.terminated = terminated
+        self.period = period
 
     @property
     def ring(self):
@@ -134,6 +155,12 @@ def resolve(M: ModulePresentation, steps: int, over: str = "quotient") -> FreeRe
     over='ambient' resolves the underlying S-module (quotient relations
     appended); such resolutions always terminate within dim S steps.  Results
     are cached on the minimal presentation and extended on demand.
+
+    Each computed d_n is compared with d_(n-1), d_(n-2) and d_(n-3) (shape
+    and twist first, then the entries); on the first literal repeat
+    (``_literal_period``) the cache records (o, p, t), and from then on each
+    step is d_(m-p) with its degrees raised by t, exactly what the syzygy
+    computation would return (see the module docstring).
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -143,7 +170,7 @@ def resolve(M: ModulePresentation, steps: int, over: str = "quotient") -> FreeRe
         raise ValueError(f"unknown resolution target {over!r}")
     Mmin = M.minimalize()
     if Mmin._res_cache is None:
-        Mmin._res_cache = {"diffs": [], "terminated": False}
+        Mmin._res_cache = {"diffs": [], "terminated": False, "period": None}
     cache = Mmin._res_cache
     diffs = cache["diffs"]
     ring = Mmin.ring
@@ -153,6 +180,12 @@ def resolve(M: ModulePresentation, steps: int, over: str = "quotient") -> FreeRe
             diffs.append(Mmin.relations)
             if Mmin.n_rels == 0:
                 cache["terminated"] = True
+            continue
+        if cache["period"] is not None:
+            _, p, t = cache["period"]
+            e = diffs[-p]
+            diffs.append(PolyMatrix(pr, tuple(r + t for r in e.row_degs),
+                                    tuple(c + t for c in e.col_degs), e.entries))
             continue
         if not ring.quotient_gens and len(diffs) >= pr.nvars:
             # syzygy theorem: d_(dim S) of a minimal S-resolution is injective
@@ -174,8 +207,30 @@ def resolve(M: ModulePresentation, steps: int, over: str = "quotient") -> FreeRe
                 if p and p.is_constant():
                     raise InvariantError("minimality violated in resolution step")
         diffs.append(d)
+        cache["period"] = _literal_period(diffs)
+    period = cache["period"]
+    if period is not None and period[0] + period[1] > steps:
+        period = None
     return FreeResolution(Mmin, diffs[:steps], steps,
-                          cache["terminated"] and len(diffs) <= steps)
+                          cache["terminated"] and len(diffs) <= steps, period)
+
+
+def _literal_period(diffs):
+    """(o, p, t) for the first p <= _MAX_PERIOD with d_n = d_(n-p) raised by
+    one twist t, n = len(diffs) and o = n - p >= 1, or None.  A pair of
+    another shape or without one twist is rejected before any entry is
+    compared."""
+    n, d = len(diffs), diffs[-1]
+    for p in range(1, min(_MAX_PERIOD, n - 1) + 1):
+        e = diffs[n - 1 - p]
+        if (e.nrows, e.ncols) != (d.nrows, d.ncols):
+            continue
+        t = d.row_degs[0] - e.row_degs[0]
+        if (d.row_degs == tuple(r + t for r in e.row_degs)
+                and d.col_degs == tuple(c + t for c in e.col_degs)
+                and d.entries == e.entries):
+            return n - p, p, t
+    return None
 
 
 class BettiTable:

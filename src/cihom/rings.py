@@ -44,7 +44,9 @@ def ideal_groebner(poly_ring: PolyRing, polys):
 
 
 def ideal_contains(gb, poly: Polynomial) -> bool:
-    return gb.contains((poly,))
+    """Whether ``poly`` lies in the ideal of the rank-one basis ``gb``: its
+    normal form (``GroebnerBasis.reduce_poly``) is zero."""
+    return not gb.reduce_poly(poly)
 
 
 def hilbert_numerator(lead_monos) -> dict:

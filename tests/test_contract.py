@@ -24,6 +24,8 @@ from cihom import catalog, linalg, oracle
 from cihom.catalog import catalog_ids
 from cihom.cli import main
 from cihom.fields import PrimeField, field_by_tag
+from cihom.fmodules import ModulePresentation
+from cihom.resolutions import resolve
 from cihom.search import SearchConfig, counterexample_search
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -155,6 +157,22 @@ def _oracle_against_tor_profile():
     return found
 
 
+def _quadric_residue_field_betti():
+    # k over k[x,y,w,z]/(xw - yz), resolved to 20 steps on a fresh ring:
+    # d_6 is d_4 with its degrees raised by 2, so steps 7..20 are copies.
+    ring = catalog.ring("R_quadric", F)
+    k = ModulePresentation.quotient_by_ideal(
+        ring, [ring.poly_ring.variable(v) for v in "xywz"], label="k")
+    return resolve(k, steps=20).betti_numbers()
+
+
+def _tate_betti(n):
+    """Coefficients of (1 + t)^4 / (1 - t^2) through t^n: Tate's Betti
+    numbers of k over a quadric hypersurface in four variables."""
+    top = [1, 4, 6, 4, 1]
+    return [sum(top[j] for j in range(i % 2, min(i, 4) + 1, 2)) for i in range(n + 1)]
+
+
 def _script_data(name):
     out = _cli("--script", str(DATA / name), "--format", "json")
     return json.loads(out)["results"][0]["data"]
@@ -199,6 +217,10 @@ ROWS = [
     ("quadric_residue_field_periodicity",
      lambda: _script_data("quadric_residue_field.ci")["periodicity"],
      lambda got: got == {"onset": 4, "period": 1, "periodic": True}),
+    # Over a hypersurface the resolution turns periodic and is copied from
+    # then on; 20 steps of it take milliseconds.
+    ("quadric_residue_field_betti_20", _within(10, _quadric_residue_field_betti),
+     lambda got: got == _tate_betti(20)),
     # The quasi-lift of a free module: its pushforward is zero while the
     # connecting map alpha has one column.
     ("quasilift_free_certificate", lambda: _script_data("quasilift_free.ci")["certificate"],

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cihom import catalog, homology
+from cihom import catalog, homology, resolutions
 from cihom.fields import PrimeField, field_by_tag
 from cihom.fmodules import ModulePresentation, PolyMatrix, equal_hilbert_functions
 from cihom.homology import (
@@ -377,7 +377,7 @@ def test_certified_vanishing_stops_after_codim_plus_one(ring_two_nodes, monkeypa
     built = _count_builds(monkeypatch)
     prof = tor_profile(M, N, 5, 6)
     assert prof.vanishing_certified
-    assert built == {"tor": 0, "entries": 3} and sorted(prof._entries) == [1, 2, 3]
+    assert built == {"tor": 0, "entries": 3} and sorted(prof._complex.entries) == [1, 2, 3]
     assert prof._vanishing is None
 
 
@@ -781,6 +781,89 @@ def test_subquotient_rejects_a_map_that_does_not_fit(ring_node, slot):
     mats[slot] = PolyMatrix.identity(ring_node.poly_ring, (1,))
     with pytest.raises(ValueError, match=r"not the term's generator degrees \[0\]"):
         subquotient_presentation(ring_node, (0,), **mats)
+
+
+# -- a literal period copies later steps and the Tor/Ext entries past it -----------------
+
+def _resolved_outputs(M, N):
+    """Twelve differentials with their degrees, the periodicity certificate,
+    the Tor profile and the Ext entries of (M, N), windows 8 and 8."""
+    res = resolve(M, steps=12)
+    diffs = [(d.row_degs, d.col_degs, d.entries) for d in res.differentials]
+    return (diffs, res.terminated, detect_periodicity(res),
+            tor_profile(M, N, 8, 8).as_dict(),
+            [e.as_dict() for e in ext_profile(M, N, 8, 8)]), res.period
+
+
+def _period_cases(ring, seed):
+    """(M, N) pairs built afresh on each call: a random module and its first
+    syzygy against a random module, and over a hypersurface k as well."""
+    rng = random.Random(seed)
+    M = random_homogeneous_module(ring, rng, label="M")
+    N = random_homogeneous_module(ring, rng, label="N")
+    pairs = [(M, N), (M.first_syzygy(), N)]
+    if ring.codim == 1:
+        pr = ring.poly_ring
+        pairs.append((ModulePresentation.quotient_by_ideal(
+            ring, [pr.variable(v) for v in pr.variables], label="k"), N))
+    return pairs
+
+
+@pytest.mark.parametrize("tag", ["f32003", "f3", "rational"])
+@pytest.mark.parametrize("name", ["R_node", "R_node3", "R_quadric", "R_xyzu"])
+def test_copying_a_literal_period_changes_nothing(name, tag):
+    # The same outputs with every step computed: matching is switched off.
+    ring = catalog.ring(name, field_by_tag(tag))
+    periods = []
+    for seed in range(3):
+        copied = [_resolved_outputs(M, N) for M, N in _period_cases(ring, seed)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(resolutions, "_literal_period", lambda diffs: None)
+            computed = [_resolved_outputs(M, N) for M, N in _period_cases(ring, seed)]
+        for (out, period), (ref, no_period) in zip(copied, computed):
+            assert no_period is None
+            assert out == ref, (seed, period)
+            periods.append(period)
+    assert any(periods)
+
+
+def _counting(monkeypatch, *names):
+    """Calls of the named homology functions made from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(homology, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(homology, name, counted)
+    return calls
+
+
+def test_entries_past_a_literal_period_build_no_basis(ring_node3, monkeypatch):
+    # R/(x) over k[x,y,z]/(xy): d_3 = [x] is d_1 raised by 2, so Tor_i and
+    # Ext^i for i >= 3 are the entries two back, twisted.  Tor_i(R/(x),
+    # R/(x)) is k[z] for odd i, of depth 1: Tor_1 builds its presentation
+    # for that depth, and Tor_3..Tor_8 read it, with no basis or cycles.
+    x = ring_node3.poly_ring.variable("x")
+    M = ModulePresentation.quotient_by_ideal(ring_node3, [x], label="Mx")
+    prof = tor_profile(M, M, 8, 8)
+    first = [prof.entry(i) for i in (1, 2)]
+    assert [(e.betti0, e.depth, e.dim) for e in first] == [(1, 1, 1), (0, INF, -INF)]
+    assert prof.resolution.period == (1, 2, 2)
+    calls = _counting(monkeypatch, "relation_basis", "minimal_cycles")
+    rest = [prof.entry(i) for i in range(3, 9)]
+    [e.as_dict() for e in rest]
+    assert calls == {"relation_basis": 0, "minimal_cycles": 0}
+    for e in rest:
+        back = first[(e.index - 1) % 2]
+        assert (e.betti0, e.depth, e.dim) == (back.betti0, back.depth, back.dim), e.index
+    # Ext^1 and Ext^2 compute the cokernels of d_1^T and d_2^T; every later
+    # one is copied.
+    N = ModulePresentation.quotient_by_ideal(ring_node3, [x], label="Nx")
+    ext_profile(M, N, 8, 8)
+    assert calls == {"relation_basis": 2, "minimal_cycles": 0}
 
 
 # -- kernel of a map ------------------------------------------------------------------

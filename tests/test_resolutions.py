@@ -215,6 +215,62 @@ def test_codim_three_generality():
     assert M.is_maximal_cohen_macaulay()
 
 
+# -- literal periods: later steps are copies, not syzygy computations ---------------
+
+def _residue_field(ring):
+    pr = ring.poly_ring
+    return ModulePresentation.quotient_by_ideal(ring, [pr.variable(v) for v in pr.variables],
+                                                label="k")
+
+
+def _counting_syzygies(monkeypatch):
+    calls = []
+    real = resolutions.syzygy_generators
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(resolutions, "syzygy_generators", counting)
+    return calls
+
+
+def test_quadric_residue_field_copies_its_literal_period(monkeypatch):
+    # k over k[x,y,w,z]/(xw - yz): d_6 is d_4 with every degree raised by 2,
+    # so only d_2..d_6 are syzygy computations and d_7..d_20 are copies.
+    # detect_periodicity still finds its constant base change d_4 ~ d_5
+    # first: period 1 at onset 4, while the literal period is 2.
+    calls = _counting_syzygies(monkeypatch)
+    k = _residue_field(catalog.ring("R_quadric", F))
+    res = resolve(k, steps=20)
+    assert len(calls) == 5
+    assert res.period == (4, 2, 2)
+    assert res.betti_numbers() == [1, 4, 7] + [8] * 18
+    for m in range(6, 21):
+        d, e = res.differential(m), res.differential(m - 2)
+        assert d.entries == e.entries, m
+        assert (d.row_degs, d.col_degs) == (tuple(r + 2 for r in e.row_degs),
+                                            tuple(c + 2 for c in e.col_degs)), m
+    # A view that ends before d_6 shows no period; its steps are the same.
+    short = resolve(k, steps=5)
+    assert short.period is None and short.differentials == res.differentials[:5]
+    assert detect_periodicity(res) == {"periodic": True, "period": 1, "onset": 4}
+
+
+def test_the_3_11_resolution_records_no_period(monkeypatch):
+    # R/(y, u) over k[x,y,z,u]/(xy, zu), the module of catalog entry 3.11,
+    # has Betti numbers i + 1: no two differentials have the same shape, so
+    # every step is computed.
+    calls = _counting_syzygies(monkeypatch)
+    ring = catalog.ring("R_xyzu", F)
+    M = ModulePresentation.quotient_by_ideal(
+        ring, [ring.poly_ring.variable(v) for v in "yu"], label="M")
+    res = resolve(M, steps=11)
+    assert res.period is None and M.minimalize()._res_cache["period"] is None
+    assert res.betti_numbers() == list(range(1, 13))
+    assert len(calls) == 10
+
+
 # -- periodicity certificates against the permutation search they replaced ----------
 
 def _unit_match(A, B, row_perm, field):

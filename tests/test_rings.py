@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cihom.fields import PrimeField
+from cihom import catalog
+from cihom.fields import PrimeField, field_by_tag
 from cihom.groebner import FreeModule, groebner_basis
 from cihom.polynomials import (
     GradedViolationError,
@@ -195,6 +197,36 @@ def test_reduce_matches_wrapped_normal_form(ring_quadric, ring_two_nodes, ring_n
         assert got.terms == wrapped_reduce(ring, poly).terms
         # A normal form has nothing left to reduce: the fast path returns it.
         assert ring.reduce(got) is got
+
+
+@functools.cache
+def _fixture_ideals(name, tag):
+    """The Groebner bases of a fixture ring's ideal and of its minimal primes."""
+    ring = catalog.ring(name, field_by_tag(tag))
+    return ring.poly_ring, [ring.ideal_gb] + [q.gb for q in ring.minimal_primes()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31),
+       st.sampled_from(["R_node", "R_node3", "R_xyzu", "R_quadric"]),
+       st.sampled_from(["f32003", "f3", "rational"]))
+def test_ideal_contains_matches_the_module_membership_test(seed, name, tag):
+    # ideal_contains reduces through the rank-one reducer; gb.contains
+    # encodes a one-row column for the module engine.  Each ideal gets a
+    # random polynomial and a combination of its generators, alone and plus
+    # the random one.
+    pr, ideals = _fixture_ideals(name, tag)
+    rng = random.Random(seed)
+    for gb in ideals:
+        degree = rng.randint(0, 4)
+        other = _random_homogeneous(pr, rng, degree, rng.randint(0, 4))
+        member = pr.zero()
+        for g in gb.generators:
+            if g[0].degree() <= degree:
+                member = member + g[0] * _random_homogeneous(pr, rng, degree - g[0].degree(), 2)
+        assert ideal_contains(gb, member)
+        for poly in (other, member, member + other):
+            assert ideal_contains(gb, poly) == gb.contains((poly,)), poly
 
 
 def test_reduce_returns_its_input_when_nothing_reduces(ring_two_nodes, ring_quadric):
