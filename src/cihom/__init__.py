@@ -17,7 +17,7 @@ from .rings import RingPresentation
 from .fmodules import ModulePresentation
 from .resolutions import betti_table, complexity_estimate, detect_periodicity, resolve
 from .homology import depth_formula_check, ext_profile, tor_profile
-from .constructions import pushforward, pushforward_chain, quasi_lifting
+from .constructions import pushforward, quasi_lifting
 from .theorems import check_theorem
 from .search import SearchConfig, counterexample_search
 from .catalog import run_example
@@ -38,7 +38,6 @@ __all__ = [
     "ext_profile",
     "depth_formula_check",
     "pushforward",
-    "pushforward_chain",
     "quasi_lifting",
     "check_theorem",
     "SearchConfig",

@@ -2,9 +2,10 @@
 
 Exit codes: 0 all checks pass, 1 some expectation failed, 2 usage, parse or
 input error (inhomogeneous data, operands over different rings, a field tag
-that names no field), 3 an internal guardrail fired (oracle size caps, a
-degree beyond the Groebner engine's term-code range), 4 an internal
-invariant failed (an engine fault, not bad input).
+that names no field), 3 an internal guardrail fired (a degree beyond the
+Groebner engine's term-code range) or a hypothesis is missing (an
+uncertified ring, a torsion input), 4 an internal invariant failed (an
+engine fault, not bad input).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .dsl import _OPTION_MINIMUM, ParseError, parse_session
 from .fields import FieldError
 from .groebner import TermCodeRangeError
 from .homology import ext_profile, tor_profile
-from .oracle import OracleTooLargeError
 from .polynomials import GradedViolationError, IncompatibleOperandsError, InvariantError
 from .reports import emit_json, emit_text, make_document
 from .resolutions import (InsufficientWindowError, betti_table, default_betti_window,
@@ -219,7 +219,7 @@ def main(argv=None) -> int:
             InsufficientWindowError, UnitIdealError, MinimalPrimesMismatchError) as err:
         print(f"cihom: input error: {err}", file=sys.stderr)
         return 2
-    except (OracleTooLargeError, TermCodeRangeError) as err:
+    except TermCodeRangeError as err:
         print(f"cihom: guardrail: {err}", file=sys.stderr)
         return 3
     except (TorsionInputError, HypothesisMissingError) as err:

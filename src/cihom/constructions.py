@@ -50,17 +50,14 @@ class PushforwardResult:
         self.free_degs = free_degs
         self.certificate = certificate
 
-    @property
-    def exact(self) -> bool:
-        return all(self.certificate.values())
-
     def as_dict(self):
         return {"module": self.M.label, "m": self.m,
                 "pushforward_gens": self.M1.minimalize().n_gens,
                 "certificate": dict(self.certificate)}
 
     def __repr__(self):
-        return f"PushforwardResult({self.M.label}: m={self.m}, exact={self.exact})"
+        return (f"PushforwardResult({self.M.label}: m={self.m}, "
+                f"exact={all(self.certificate.values())})")
 
 
 def pushforward(M: ModulePresentation) -> PushforwardResult:
@@ -98,28 +95,6 @@ def pushforward(M: ModulePresentation) -> PushforwardResult:
     return PushforwardResult(Mmin, M1, u, m, free_degs, cert)
 
 
-def pushforward_chain(M: ModulePresentation, k: int) -> dict:
-    """Iterated pushforwards M = M_0, M_1, ..., stopping early on torsion.
-
-    Returns the modules, the per-step certificates and an early-stop report
-    when some step fails the torsion-free precondition.
-    """
-    modules = [M.minimalize()]
-    results = []
-    stopped = None
-    for step in range(1, k + 1):
-        current = modules[-1]
-        try:
-            pf = pushforward(current)
-        except TorsionInputError as err:
-            stopped = {"step": step - 1, "module": current.label,
-                       "witness_gens": err.kernel.minimalize().n_gens}
-            break
-        results.append(pf)
-        modules.append(pf.M1.minimalize())
-    return {"modules": modules, "pushforwards": results, "stopped": stopped}
-
-
 class QuasiLiftingResult:
     """The lift E over the intermediate ring, with both exact sequences.
 
@@ -144,10 +119,6 @@ class QuasiLiftingResult:
         self.depth_check = depth_check
         self.free_off_split = free_off_split
 
-    @property
-    def exact(self) -> bool:
-        return all(self.certificate.values())
-
     def as_dict(self):
         return {"module": self.M.label, "intermediate": self.intermediate.label,
                 "split": self.split_poly.text(),
@@ -158,7 +129,7 @@ class QuasiLiftingResult:
 
     def __repr__(self):
         return (f"QuasiLiftingResult({self.M.label} over {self.intermediate.label}, "
-                f"exact={self.exact})")
+                f"exact={all(self.certificate.values())})")
 
 
 class InvalidSplitError(ValueError):

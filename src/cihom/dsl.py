@@ -554,34 +554,3 @@ def _parse_search(cur, session):
 def _parse_example(cur, session):
     cur.expect("name", "example")
     session.commands.append({"command": "example", "id": _parse_glued_id(cur)})
-
-
-def unparse_declarations(session: Session) -> str:
-    """Canonical script text for the declared rings and modules.
-
-    Parsing the result reproduces the declarations up to canonical form
-    (same rings and presentations), which is the round-trip contract.  A
-    test reference: ``test_declaration_round_trip`` checks the parser with it.
-    """
-    lines = []
-    for name, ring in session.rings.items():
-        pr = ring.poly_ring
-        parts = [f"field={pr.field.tag}",
-                 "vars=[" + ",".join(pr.variables) + "]",
-                 "ideal=[" + ", ".join(f.text() for f in ring.quotient_gens) + "]"]
-        if ring.has_minimal_primes:
-            primes = ring.minimal_primes()
-            if any(p.check_status != "computed" for p in primes):
-                body = ",".join("[" + ", ".join(g.text() for g in p.gens) + "]"
-                                for p in primes)
-                parts.append(f"minimal_primes=[{body}]")
-        lines.append(f"ring {name} = quotient(" + ", ".join(parts) + ")")
-    for name, mod in session.modules.items():
-        ring_name = next(rn for rn, r in session.rings.items()
-                         if r.same_ring(mod.ring))
-        shifts = "[" + ",".join(str(d) for d in mod.gen_degs) + "]"
-        rows = ",".join("[" + ", ".join(p.text() for p in row) + "]"
-                        for row in mod.relations.entries)
-        lines.append(f"module {name} = coker({ring_name}, shifts={shifts}, "
-                     f"matrix=[{rows}])")
-    return "\n".join(lines) + "\n"

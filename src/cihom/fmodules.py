@@ -128,25 +128,6 @@ class PolyMatrix:
         return PolyMatrix(self.poly_ring, tuple(-d for d in self.col_degs),
                           tuple(-d for d in self.row_degs), ents)
 
-    def compose(self, other: "PolyMatrix") -> "PolyMatrix":
-        """self @ other, valid when other's rows match self's columns."""
-        if self.col_degs != other.row_degs:
-            raise IncompatibleOperandsError("matrix composition degree mismatch")
-        z = self.poly_ring.zero()
-        ents = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = z
-                for k in range(self.ncols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a and b:
-                        acc = acc + a * b
-                row.append(acc)
-            ents.append(row)
-        return PolyMatrix(self.poly_ring, self.row_degs, other.col_degs, ents)
-
     def kron_identity(self, degs) -> "PolyMatrix":
         """self tensor the identity on R^degs: entry (i, j) sits at rows
         i * n + k and columns j * n + k, twisted by degs[k] (n = len(degs))."""
@@ -764,20 +745,16 @@ class ModulePresentation:
 
     # -- rank profile --------------------------------------------------------------------
 
-    def rank_profile(self, primes=None) -> dict:
+    def rank_profile(self) -> dict:
         """Ranks at the minimal primes and whether they are constant.
 
         rank at q = least r with Fitt_r not contained in q; the module is
         locally free there iff additionally Fitt_{r-1} localizes to zero,
         tested through annihilator colons.
         """
-        ring = self.ring
-        if primes is None:
-            primes = ring.minimal_primes()
+        primes = self.ring.minimal_primes()
         M = self.minimalize()
-        pr = ring.poly_ring
         results = []
-        constant = True
         ranks = []
         for q in primes:
             r = None

@@ -14,13 +14,12 @@ Works over the ambient polynomial ring S and over quotients R = S/(f1..fc):
 quotient-ring computations augment the generator set with f_k*e_j columns, so
 one engine serves both rings.
 
-Syzygies and lifts run through one construction, ``TrackedSubmodule``: each
+Syzygies run through one construction, ``TrackedSubmodule``: each
 input column j gets a tracking coordinate e_j in an extension of the free
 module, ordered so that every main-block term dominates every tracking term;
 relation columns, the f_k*e_j among them, enter untracked.  A Groebner basis
 of both then yields, in its zero-main-block elements, generators of the
-syzygy module of the inputs modulo the relations, and reducing a tracked
-target against it produces an explicit lift.  ``syzygy_generators``
+syzygy module of the inputs modulo the relations.  ``syzygy_generators``
 hands the syzygies out once, in their final free module and with coefficients
 reduced modulo the quotient ideal.  Membership needs no tracking: it is a
 normal form against an untracked basis (``GroebnerBasis.contains``,
@@ -71,7 +70,7 @@ terms as ``_base[p]`` plus the table offset of each monomial and refuses a
 column whose length is not the rank or whose entry lies over another
 polynomial ring (``IncompatibleOperandsError``).  Results leave through one
 decoder, ``ModuleOrder.decode_rows``, which turns a coded element into one
-{monomial: coeff} dict per row in the order of its terms (syzygies, lifts,
+{monomial: coeff} dict per row in the order of its terms (syzygies,
 ``GroebnerBasis`` generators and normal forms); leads leave as (position,
 monomial) pairs (``GroebnerBasis.lead_terms``,
 ``IncrementalModuleGB.initial_terms``).  So no caller outside this module
@@ -108,7 +107,6 @@ from .polynomials import (
     PolyRing,
     Polynomial,
     mono_divides,
-    mono_mul,
 )
 
 # Value bits of one term-code field; exponent slots add a guard bit above.
@@ -152,15 +150,7 @@ class FreeModule:
 
 class Element:
     """A coded element of a graded free module: dict of int term code -> coeff,
-    the codes of a ``ModuleOrder`` of ``module`` (see the module docstring).
-
-    ``add``, ``mul_term``, ``mul_poly`` and ``component`` read (position,
-    monomial) keys instead.  They are test references in
-    tests/test_groebner.py: ``reference_normal_form``, against which
-    ``test_normal_form_matches_reference`` checks the coded engine, is
-    written in ``add`` and ``mul_term``; ``_column`` reads ``component``;
-    and ``test_mul_poly_matches_the_sum_through_add`` checks ``mul_poly``.
-    """
+    the codes of a ``ModuleOrder`` of ``module`` (see the module docstring)."""
 
     __slots__ = ("module", "terms", "_lead")
 
@@ -172,57 +162,11 @@ class Element:
     def __bool__(self):
         return bool(self.terms)
 
-    def component(self, i: int) -> Polynomial:
-        ring = self.module.ring
-        return Polynomial(ring, {m: c for (p, m), c in self.terms.items() if p == i})
-
-    def add(self, other: "Element") -> "Element":
-        canonical = self.module.ring.field.canonical
-        res = dict(self.terms)
-        for t, c in other.terms.items():
-            old = res.get(t)
-            if old is None:
-                res[t] = c
-            else:
-                s = canonical(old + c)
-                if s:
-                    res[t] = s
-                else:
-                    del res[t]
-        return Element(self.module, res)
-
     def scale(self, coeff) -> "Element":
         if not coeff:
             return Element(self.module, {})
         canonical = self.module.ring.field.canonical
         return Element(self.module, {t: canonical(c * coeff) for t, c in self.terms.items()})
-
-    def mul_term(self, mono: tuple, coeff) -> "Element":
-        canonical = self.module.ring.field.canonical
-        if not canonical(coeff):
-            return Element(self.module, {})
-        return Element(self.module, {(p, mono_mul(m, mono)): canonical(c * coeff)
-                                     for (p, m), c in self.terms.items()})
-
-    def mul_poly(self, poly: Polynomial) -> "Element":
-        canonical = self.module.ring.field.canonical
-        res: dict = {}
-        for mono, coeff in poly.terms.items():
-            for (p, m), c in self.terms.items():
-                t = (p, mono_mul(m, mono))
-                old = res.get(t)
-                if old is None:
-                    res[t] = canonical(c * coeff)
-                else:
-                    s = canonical(old + c * coeff)
-                    if s:
-                        res[t] = s
-                    else:
-                        del res[t]
-        return Element(self.module, res)
-
-    def __eq__(self, other):
-        return isinstance(other, Element) and self.module == other.module and self.terms == other.terms
 
 
 @functools.lru_cache(maxsize=None)
@@ -766,13 +710,13 @@ def tracked_buchberger(inputs: list, order: ModuleOrder):
 
 
 class TrackedSubmodule:
-    """Column set with tracking coordinates: syzygies and lifts.
+    """Column set with tracking coordinates: the syzygies of the columns.
 
     Input columns c_1..c_s of a free module F are extended to (c_j, e_j) in
     F + R^s; relation columns, the quotient relations f_k e_j among them,
     enter untracked.  The elimination order puts every F-term above every
     tracking term, so the active basis is a Groebner basis of the module of
-    columns and relations (lifts reduce against it) while the collected
+    columns and relations while the collected
     elements' tracking parts generate the syzygies of the columns modulo the
     relations over the declared ring.  ``active`` and ``collected`` are coded
     in ``order``, the shared order of the tracked module.  Tracking vectors
@@ -788,7 +732,7 @@ class TrackedSubmodule:
     """
 
     __slots__ = ("free", "syzygy_module", "tracked_module", "order",
-                 "active", "collected", "_by_position", "_ideal_gb")
+                 "active", "collected", "_ideal_gb")
 
     def __init__(self, columns, col_degs, free: FreeModule, quotient_ring=None, relations=()):
         self.free = free
@@ -811,7 +755,6 @@ class TrackedSubmodule:
         for rel in list(relations) + quotient_columns(free, quotient_polys):
             tracked.append(order.encode_column(rel, free))
         self.active, self.collected = tracked_buchberger(tracked, order)
-        self._by_position = _index_leads(self.active, order)
         self._ideal_gb = quotient_ring.ideal_gb if quotient_polys else None
 
     def _tracking_vector(self, e: Element) -> tuple:
@@ -838,17 +781,6 @@ class TrackedSubmodule:
                 out.append(vec)
                 degs.append(order.degree(lead_term(g, order)))
         return out, degs
-
-    def lift(self, column):
-        """Coefficients x with column = sum x_j * c_j modulo the relations, or
-        None.  A test reference: ``test_lift_and_membership`` checks it, and
-        tests/test_fmodules.py builds the double-dual map with it."""
-        order = self.order
-        nf = normal_form(order.encode_column(column, self.free), self.active, order,
-                         self._by_position)
-        if any(t & order.block_flag for t in nf.terms):
-            return None
-        return [-p for p in self._tracking_vector(nf)]
 
 
 def syzygy_generators(columns, col_degs, free: FreeModule, quotient_ring=None, relations=()):

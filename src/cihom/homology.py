@@ -25,8 +25,9 @@ window covers, (c) window vanishing plus an applicable rigidity instance,
 (d) window only.  ``TorProfile.vanishing_certified`` is (a), (b) or (c);
 over a certified ring of codimension c whose window reaches c + 1, it
 reads Tor_1..Tor_(c+1) and stops there, since by Murthy's rigidity theorem
-their vanishing already certifies the whole tail (tier (c)).  The tier itself, and every window read, stays an
-observation of each Tor_i, so the harness can check that theorem.
+their vanishing already certifies the whole tail (tier (c)).  The tier
+itself, and every window read, stays an observation of each Tor_i, so the
+harness can check that theorem.
 
 A Tor profile fills itself on first read: each Tor_i, the tensor slot,
 the vanishing evidence and the resolution are built when a caller first
@@ -340,10 +341,11 @@ class TorProfile:
     complete intersection of codimension c whose window reaches c + 1
     stops after Tor_(c+1) (Murthy's rigidity; see there), whatever was
     read before it, while the reads above never infer past what they
-    build, so that statement 2.2 is checked on observations.  ``entries`` and ``as_dict`` build everything.  A
-    right-side profile of (M, N) resolves N: it is the left profile of
-    (N, M), ``self.M`` being N, with ``side`` "right", and ``as_dict`` names
-    the module and the argument in the caller's order.
+    build, so that statement 2.2 is checked on observations.  ``entries``
+    and ``as_dict`` build everything.  A right-side profile of (M, N)
+    resolves N: it is the left profile of (N, M), ``self.M`` being N, with
+    ``side`` "right", and ``as_dict`` names the module and the argument in
+    the caller's order.
 
     Once M's resolution repeats itself literally, d_m = d_(m-p) raised by
     t for m >= o + p (``FreeResolution.period``), K_j for j - p >= o is

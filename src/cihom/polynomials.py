@@ -39,17 +39,6 @@ def mono_mul(a: tuple, b: tuple) -> tuple:
 def mono_divides(a: tuple, b: tuple) -> bool:
     return all(map(operator.le, a, b))
 
-def mono_div(a: tuple, b: tuple) -> tuple:
-    """a / b for b dividing a.  A test reference: tests/test_groebner.py's
-    ``reference_normal_form`` shifts its reducers with it."""
-    return tuple(map(operator.sub, a, b))
-
-def mono_lcm(a: tuple, b: tuple) -> tuple:
-    """lcm(a, b).  A test reference: ``test_term_codes_match_the_tuple_key``
-    and ``test_codes_round_trip_through_warm_tables`` check
-    ``ModuleOrder.lcm`` against it."""
-    return tuple(map(max, a, b))
-
 def monomials_of_degree(nvars: int, degree: int):
     """All exponent tuples in nvars variables of the given total degree."""
     if degree < 0:

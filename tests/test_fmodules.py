@@ -17,6 +17,7 @@ from cihom.polynomials import (
 )
 from cihom.rings import INF, NEG_INF, HypothesisMissingError, RingPresentation
 from cihom.search import random_homogeneous_module
+from reference import lift
 
 F = PrimeField(32003)
 
@@ -633,7 +634,7 @@ def _biduality_map_reference(M):
     syz, syz_degs = tracked.syzygy_elements()
     bidual = ModulePresentation(ring, D2.col_degs,
                                 PolyMatrix.from_columns(pr, D2.col_degs, syz, tuple(syz_degs)))
-    psi_cols = [tracked.lift(tuple(row)) for row in D.entries]
+    psi_cols = [lift(tracked, tuple(row)) for row in D.entries]
     assert all(col is not None for col in psi_cols)
     return PolyMatrix.from_columns(pr, D2.col_degs, psi_cols, M.gen_degs), bidual
 

@@ -292,12 +292,16 @@ def test_value_space_cache_keyed_on_the_presentation(ring_two_nodes):
 
 
 def test_importing_cihom_does_not_load_the_oracle():
-    # The Groebner pipeline does not load the oracle, and nothing loads numpy.
-    code = "import sys, cihom; print('cihom.oracle' in sys.modules, 'numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False"]
+    # The Groebner pipeline and the command line do not load the oracle, and
+    # nothing loads numpy.
+    for module in ("cihom", "cihom.cli"):
+        code = (f"import sys, {module}; "
+                "print('cihom.oracle' in sys.modules, 'numpy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False"], module
 
 
 @pytest.mark.parametrize("tag", ["f32003", "f3", "rational"])

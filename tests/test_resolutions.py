@@ -22,6 +22,7 @@ from cihom.resolutions import (
 )
 from cihom.rings import RingPresentation
 from cihom.search import random_homogeneous_module
+from reference import compose, composition_is_zero
 
 F = PrimeField(32003)
 
@@ -30,7 +31,7 @@ def test_two_node_quotient_resolution(mod_M_two_nodes):
     res = resolve(mod_M_two_nodes, steps=6)
     assert res.betti_numbers() == [1, 2, 3, 4, 5, 6, 7]
     assert res.minimality_certificate()
-    assert res.composition_is_zero()
+    assert composition_is_zero(res)
 
 
 def test_alternating_periodic_resolution(ring_two_nodes):
@@ -372,7 +373,7 @@ def _check_equivalence(ring, D, E, pair):
     """A.E - D.B reduces to zero over the ring, and A and B have full rank."""
     A, B = pair
     field = ring.field
-    left, right = A.compose(E), D.compose(B)
+    left, right = compose(A, E), compose(D, B)
     for i in range(D.nrows):
         for j in range(D.ncols):
             assert ring.reduce(left.entries[i][j] - right.entries[i][j]).is_zero()

@@ -7,7 +7,6 @@ import cihom.search as search
 from cihom.constructions import TorsionInputError
 from cihom.fmodules import ModulePresentation
 from cihom.homology import tor_profile
-from cihom.oracle import OracleTooLargeError
 from cihom.polynomials import InvariantError
 from cihom.rings import HypothesisMissingError
 from cihom.search import SearchConfig, counterexample_search, random_homogeneous_module
@@ -186,12 +185,11 @@ def test_4_16_findings_unchanged(ring_node):
     assert all(rec["hypotheses"]["domain"] is False for rec in log["findings"])
 
 
-@pytest.mark.parametrize("kind", ["hypothesis", "torsion", "guardrail"])
+@pytest.mark.parametrize("kind", ["hypothesis", "torsion"])
 def test_search_skips_hypothesis_and_guardrail_errors(monkeypatch, ring_node, kind):
     zero = ModulePresentation.zero(ring_node, label="Z")
     err = {"hypothesis": HypothesisMissingError("no certificate"),
-           "torsion": TorsionInputError(zero, zero),
-           "guardrail": OracleTooLargeError("too large")}[kind]
+           "torsion": TorsionInputError(zero, zero)}[kind]
 
     def failing(cfg, mods):
         raise err
