@@ -155,7 +155,7 @@ def _run_3_14(field, bounds):
                          [True] * 4,
                          [rec["equal"] for rec in prof.periodicity], "reference"))
     checks.append(_check("M tensor N is the expected cyclic module", True,
-                         equal_hilbert_functions(prof.tor0.presentation, M, 8),
+                         equal_hilbert_functions(prof.tor0.presentation, M),
                          "trivial"))
     return {"ring": ring.describe(), "modules": [M.describe(), N.describe()],
             "tor_profile": prof.as_dict(), "checks": checks}
@@ -207,7 +207,7 @@ def _run_4_5(field, bounds):
     M = _quadric_module(ring, syms)
     res = resolve(M, steps=5)
     prof = tor_profile(M, M, 10, bounds["degree_bound"])
-    rep = depth_formula_check(M, M, 10, bounds["degree_bound"], profile=prof)
+    rep = depth_formula_check(prof)
     checks = [
         _check("M has projective dimension one", {"finite": True, "pd": 1},
                {"finite": res.terminated, "pd": res.length()}, "reference"),

@@ -56,8 +56,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("--example", metavar="ID",
                     help=f"run a catalog example ({', '.join(catalog_ids())})")
     ap.add_argument("--format", choices=["text", "json"],
-                    default=os.environ.get("CIHOM_FORMAT", "text"),
-                    help="output format (env CIHOM_FORMAT sets the default)")
+                    help="output format (default: env CIHOM_FORMAT, else text)")
     ap.add_argument("--field", default="f32003",
                     help="coefficient field tag: f32003 (default), fP, rational")
     ap.add_argument("--steps", type=_at_least("steps"), default=None,
@@ -71,10 +70,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _arg_parser(format_env) -> argparse.ArgumentParser:
-    """The parser ``main`` reads, built once per process and again only for
-    another value of CIHOM_FORMAT (``format_env``), which ``build_arg_parser``
-    reads for the ``--format`` default."""
+def _arg_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads, built once per process."""
     return build_arg_parser()
 
 
@@ -185,8 +182,11 @@ def _failed(result: dict) -> bool:
 
 
 def main(argv=None) -> int:
-    ap = _arg_parser(os.environ.get("CIHOM_FORMAT"))
+    ap = _arg_parser()
     args = ap.parse_args(argv)
+    fmt = args.format or os.environ.get("CIHOM_FORMAT", "text")
+    if fmt not in ("text", "json"):   # the variable is checked like the flag
+        ap.error(f"CIHOM_FORMAT: invalid choice: {fmt!r} (choose from 'text', 'json')")
     if not args.script and not args.example:
         ap.print_usage(sys.stderr)
         print("cihom: provide --script FILE or --example ID", file=sys.stderr)
@@ -230,7 +230,7 @@ def main(argv=None) -> int:
         return 4
 
     document = make_document(results, args.field, bounds)
-    if args.format == "json":
+    if fmt == "json":
         sys.stdout.write(emit_json(document))
     else:
         sys.stdout.write(emit_text(document))

@@ -233,11 +233,10 @@ def quasi_lifting(M: ModulePresentation, split) -> QuasiLiftingResult:
                               certificate, depth_check, free_off_split)
 
 
-def _free_off_hypersurface(E: ModulePresentation, intermediate: RingPresentation,
-                           f, power_bound: int = 8) -> dict:
+def _free_off_hypersurface(E: ModulePresentation, intermediate: RingPresentation, f) -> dict:
     """Spot check that E localizes free away from V(f): the non-free locus
-    must be contained in V(f), tested by radical membership of f through a
-    bounded power ladder (recorded as spot-checked, not proven)."""
+    must be contained in V(f), tested by radical membership of f through the
+    powers f..f^8 (recorded as spot-checked, not proven)."""
     ext1 = E.nonfree_locus_module()
     if ext1.n_gens == 0:
         return {"status": "free-everywhere", "ok": True}
@@ -245,7 +244,7 @@ def _free_off_hypersurface(E: ModulePresentation, intermediate: RingPresentation
     gb = ideal_groebner(intermediate.poly_ring,
                         list(intermediate.quotient_gens) + ext1.fitting_ideal(0))
     power = intermediate.poly_ring.one()
-    for k in range(1, power_bound + 1):
+    for k in range(1, 9):
         power = power * f
         if ideal_contains(gb, power):
             return {"status": f"nonfree-locus inside V(split): f^{k} in the locus ideal",

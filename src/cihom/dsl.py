@@ -308,7 +308,8 @@ def _parse_option(cur, session, allowed, opts, poly_ring=None):
     when the command does not read that key, the key is already given, or
     the value is not of the key's kind: an integer at least its
     ``_OPTION_MINIMUM``, a word from its ``_OPTION_CHOICES``, a polynomial
-    over ``poly_ring`` (``f=``) or a declared ring (``ring=``)."""
+    over ``poly_ring`` (``f=``) or a declared ring with variables (``ring=``,
+    which only ``search`` reads)."""
     key_tok = cur.expect("name")
     key = key_tok.text
 
@@ -337,6 +338,8 @@ def _parse_option(cur, session, allowed, opts, poly_ring=None):
         value = cur.next().text
         if key == "ring" and value not in session.rings:
             fail(f"undeclared ring {value!r}")
+        if key == "ring" and not session.rings[value].poly_ring.nvars:
+            fail(f"ring {value!r} has no variables to draw random modules from")
         choices = _OPTION_CHOICES.get(key)
         if choices is not None and value not in choices:
             fail(f"{key} must be {' or '.join(choices)}")

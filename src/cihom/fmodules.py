@@ -535,8 +535,12 @@ class ModulePresentation:
         return self._dual_gens
 
     def dual(self) -> "ModulePresentation":
-        """Hom(M, R) presented as a cokernel; shifts are negated."""
-        return _image_presentation(self.ring, self.dual_generators(), label=f"{self.label}*")
+        """Hom(M, R) presented as a cokernel on the dual generators, by their
+        syzygies; shifts are negated."""
+        from .homology import MinimalCycles
+        gens = self.dual_generators()
+        return MinimalCycles(self.ring, FreeModule(self.ring.poly_ring, gens.row_degs),
+                             gens.columns(), gens.col_degs, (), f"{self.label}*").presentation()
 
     def biduality_report(self) -> BidualityReport:
         """Torsion-freeness and reflexivity of M (see ``BidualityReport``),
@@ -816,20 +820,7 @@ class ModulePresentation:
                 f"{self.n_rels} relations over {self.ring.label})")
 
 
-def _image_presentation(ring: RingPresentation, gens: PolyMatrix, label) -> ModulePresentation:
-    """The submodule generated by the columns of ``gens``, presented on them
-    by their syzygies; zero without columns."""
-    if not gens.ncols:
-        return ModulePresentation.zero(ring, label=label)
-    syz, syz_degs = syzygy_generators(gens.columns(), gens.col_degs,
-                                      FreeModule(ring.poly_ring, gens.row_degs), ring)
-    mat = PolyMatrix.from_columns(ring.poly_ring, gens.col_degs, syz, tuple(syz_degs))
-    return ModulePresentation(ring, gens.col_degs, mat, label=label)
-
-
-def equal_hilbert_functions(a: ModulePresentation, b: ModulePresentation,
-                            dmax: int = 8) -> bool:
-    """Equality of graded Hilbert functions through dmax (iso fingerprint)."""
-    degs = [d for d in list(a.gen_degs) + list(b.gen_degs)]
-    dmin = min(degs) if degs else 0
-    return a.hilbert_function(dmax, dmin) == b.hilbert_function(dmax, dmin)
+def equal_hilbert_functions(a: ModulePresentation, b: ModulePresentation) -> bool:
+    """Equality of graded Hilbert functions through degree 8 (iso fingerprint)."""
+    dmin = min(a.gen_degs + b.gen_degs, default=0)
+    return a.hilbert_function(8, dmin) == b.hilbert_function(8, dmin)

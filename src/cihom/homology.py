@@ -29,14 +29,16 @@ their vanishing already certifies the whole tail (tier (c)).  The tier
 itself, and every window read, stays an observation of each Tor_i, so the
 harness can check that theorem.
 
-A Tor profile fills itself on first read: each Tor_i, the tensor slot,
-the vanishing evidence and the resolution are built when a caller first
-asks for them, so a search that stops at the first nonzero Tor_i builds
-nothing past it.  Every entry (``HomologyEntry``), Tor_0, Tor_i and Ext^i
-alike, reads its vanishing, its initial degree, its dimension, finite
-length and Hilbert data off one Hilbert-series identity.  In each degree a
-complex of graded modules with finite-dimensional pieces has
-dim H = dim T - rank(in) - rank(out) at a term T, so
+A Tor profile fills itself on first read: each Tor_i, Tor_0 included, and
+the vanishing evidence are built when a caller first asks for them, so a
+search that stops at the first nonzero Tor_i builds nothing past it.  The
+complex (``_ResolutionComplex``) owns every entry, the degree bound and the
+one view of the resolution its entries have reached.  Every entry
+(``HomologyEntry``), Tor_0, Tor_i and Ext^i alike, reads its vanishing, its
+initial degree, its dimension, finite length and Hilbert data off one
+Hilbert-series identity.  In each degree a complex of graded modules with
+finite-dimensional pieces has dim H = dim T - rank(in) - rank(out) at a
+term T, so
 
     HS(H_i) = HS(coker in) + HS(coker out) - HS(target of out),
 
@@ -55,12 +57,14 @@ grows the basis that gave the cokernel of the map into the entry's term.
 The relations among the cycles, ``minimalize`` and the ambient resolution
 come only with ``presentation`` and ``depth``, so a verdict that reads only
 which Tor_i vanish builds no cycles at all, and an error of a later step
-surfaces on the first read that needs it.  Tor_0 is M tensor N itself,
-presented by ``ModulePresentation.tensor`` and minimalized.  Built modules
-and the resolution cached on M's minimal presentation are reused by later
-reads; a profile is not safe to fill from two threads at once.  The
-linear-algebra verification path in ``oracle`` shares nothing with this
-pipeline by construction.
+surfaces on the first read that needs it.  Tor_0 is entry 0 of F tensor N:
+its numerator and its presentation are those of M tensor N itself,
+presented by ``ModulePresentation.tensor`` and minimalized, so it reaches
+no resolution step and builds no cycles; nor does a vanishing entry, whose
+presentation is the zero module.  Built modules and the resolution cached
+on M's minimal presentation are reused by later reads; a profile is not
+safe to fill from two threads at once.  The linear-algebra verification
+path in ``oracle`` shares nothing with this pipeline by construction.
 
 A resolution that repeats itself literally (``FreeResolution.period``:
 d_m is d_(m-p) with its degrees raised by t for m >= o + p) repeats its
@@ -90,36 +94,21 @@ class MinimalCycles:
 
     ``presentation()`` computes the relation half, the syzygies of the
     columns modulo the image, and returns the built presentation; with no
-    columns it is the zero module and computes nothing.  Cycles made by
-    ``presented`` already have their presentation, which is returned.
+    columns it is the zero module and computes nothing.
     """
 
-    __slots__ = ("ring", "free", "columns", "gen_degs", "image", "label", "_built")
+    __slots__ = ("ring", "free", "columns", "gen_degs", "image", "label")
 
     def __init__(self, ring: RingPresentation, free: FreeModule, columns, gen_degs, image,
-                 label="H", built: ModulePresentation | None = None):
+                 label="H"):
         self.ring = ring
         self.free = free
         self.columns = columns
         self.gen_degs = tuple(gen_degs)
         self.image = image
         self.label = label
-        self._built = built
-
-    @classmethod
-    def empty(cls, ring: RingPresentation, label="H") -> "MinimalCycles":
-        """No cycles: the zero subquotient, labelled."""
-        return cls(ring, FreeModule(ring.poly_ring, ()), [], (), [], label=label)
-
-    @classmethod
-    def presented(cls, pres: ModulePresentation) -> "MinimalCycles":
-        """The minimal generators of ``pres``, a minimal presentation, as
-        cycles whose relation half is ``pres`` itself."""
-        return cls(pres.ring, None, None, pres.gen_degs, None, pres.label, built=pres)
 
     def presentation(self) -> ModulePresentation:
-        if self._built is not None:
-            return self._built
         if not self.gen_degs:
             return ModulePresentation.zero(self.ring, label=self.label)
         rel_cols, rel_degs = syzygy_generators(self.columns, self.gen_degs, self.free,
@@ -199,17 +188,18 @@ def cokernel_of_map(psi: PolyMatrix, target: ModulePresentation,
 class HomologyEntry:
     """Minimal presentation and numeric profile of one Tor/Ext module.
 
-    Built as ``HomologyEntry(index, cx, degree_bound)``: the entry is
-    H_index of the complex ``cx`` (a ``_ResolutionComplex``, F (x) N for Tor
-    or Hom(F, N) for Ext), which hands it its Hilbert numerator,
-    ``numerator``, and labels it.  ``vanishes`` (the numerator is zero),
-    ``initial_degree`` (its lowest exponent), ``dim``, ``finite_length`` and
-    ``hilbert`` are read off the numerator.  The complex builds the entry's
-    minimal cycles (``minimal_cycles``; for Tor_0 the minimal M (x) N) only
-    on the first read of ``betti0`` of a nonzero entry, ``depth`` of an
-    entry of positive dimension (a vanishing entry has depth inf, one of
-    dimension 0 depth 0), or ``presentation``; a vanishing entry's
-    presentation is the zero module.
+    Built as ``HomologyEntry(index, cx)``: the entry is H_index of the
+    complex ``cx`` (a ``_ResolutionComplex``, F (x) N for Tor or Hom(F, N)
+    for Ext), which hands it its Hilbert numerator, ``numerator``, its
+    label and the degree bound of ``hilbert``.  ``vanishes`` (the numerator
+    is zero), ``initial_degree`` (its lowest exponent), ``dim``,
+    ``finite_length`` and ``hilbert`` are read off the numerator.  A
+    vanishing entry's presentation is the zero module, and Tor_0's is the
+    complex's minimal M (x) N (``_ResolutionComplex.tensor``); neither
+    builds cycles.  The complex builds any other entry's minimal cycles
+    (``minimal_cycles``) only on the first read of ``betti0`` of a nonzero
+    entry, ``depth`` of an entry of positive dimension (a vanishing entry
+    has depth inf, one of dimension 0 depth 0), or ``presentation``.
 
     The presentation is the relation half of the cycles, minimalized; the
     entry then drops the cycles, and an error of the relation step surfaces
@@ -221,39 +211,36 @@ class HomologyEntry:
     the complex builds if it is not built yet.
     """
 
-    __slots__ = ("index", "vanishes", "initial_degree", "numerator", "_betti0", "_ring",
-                 "_complex", "_cycles", "_presentation", "_degree_bound", "_hilbert")
+    __slots__ = ("index", "vanishes", "initial_degree", "numerator", "_betti0", "_complex",
+                 "_cycles", "_presentation", "_hilbert")
 
-    def __init__(self, index, cx, degree_bound):
+    def __init__(self, index, cx):
         self.index = index
         self.numerator = cx.numerator(index)
         self.vanishes = not self.numerator
         self.initial_degree = min(self.numerator, default=None)
         self._betti0 = 0 if self.vanishes else None
-        self._ring = cx.ring
         self._complex = cx
         self._cycles = None
         self._presentation = None
-        self._degree_bound = degree_bound
         self._hilbert = None
 
     def _minimal_cycles(self) -> MinimalCycles:
         if self._cycles is None:
-            cx = self._complex
-            self._cycles = (MinimalCycles.empty(self._ring, cx.label(self.index))
-                            if self.vanishes else cx.cycles(self.index))
+            self._cycles = self._complex.cycles(self.index)
         return self._cycles
 
     def _earlier(self) -> "HomologyEntry | None":
         """The entry one period back, when this one is a twisted copy of it."""
         j = self._complex.earlier(self.index)
-        return None if j is None else self._complex.entry(j, self._degree_bound)
+        return None if j is None else self._complex.entry(j)
 
     @property
     def betti0(self) -> int:
         if self._betti0 is None:
             earlier = self._earlier()
             self._betti0 = (earlier.betti0 if earlier is not None
+                            else self.presentation.n_gens if self._complex.is_tensor(self.index)
                             else len(self._minimal_cycles().gen_degs))
         return self._betti0
 
@@ -261,7 +248,13 @@ class HomologyEntry:
     def presentation(self) -> ModulePresentation:
         """The entry as a minimal presentation, built on first read."""
         if self._presentation is None:
-            pres = self._minimal_cycles().presentation().minimalize()
+            cx = self._complex
+            if self.vanishes:
+                pres = ModulePresentation.zero(cx.ring, cx.label(self.index))
+            elif cx.is_tensor(self.index):
+                pres = cx.tensor()
+            else:
+                pres = self._minimal_cycles().presentation().minimalize()
             # the same series, computed once: no basis to keep for it
             pres._hf_num, pres._basis = self.numerator, None
             self._presentation, self._cycles = pres, None
@@ -279,7 +272,7 @@ class HomologyEntry:
 
     @property
     def dim(self) -> float:
-        return dimension_and_multiplicity(self.numerator, self._ring.poly_ring.nvars)[0]
+        return dimension_and_multiplicity(self.numerator, self._complex.ring.poly_ring.nvars)[0]
 
     @property
     def finite_length(self) -> bool:
@@ -290,8 +283,8 @@ class HomologyEntry:
         """Hilbert values from min(0, initial degree) through the degree bound."""
         if self._hilbert is None:
             lo = min(0, self.initial_degree) if self.initial_degree is not None else 0
-            self._hilbert = hilbert_values(self.numerator, self._ring.poly_ring.nvars, lo,
-                                           self._degree_bound)
+            self._hilbert = hilbert_values(self.numerator, self._complex.ring.poly_ring.nvars, lo,
+                                           self._complex.degree_bound)
         return self._hilbert
 
     def normalized_hilbert(self):
@@ -323,29 +316,31 @@ class HomologyEntry:
 
 
 class TorProfile:
-    """Tor_i(M, N) for 1 <= i <= bound, plus the Tor_0 = tensor slot.
+    """Tor_i(M, N) for 0 <= i <= bound, each read off one complex F (x) N.
 
-    The profile fills itself on first read.  ``entry(i)`` builds Tor_i
-    alone, as H_i of F (x) N (``_ResolutionComplex``), with F the resolution
-    of M that is cached on M's minimal presentation and extended only
-    through step i + 1.  Its numerator is K_(i+1) + K_i - HS(F_(i-1) (x) N),
-    K_j the Hilbert numerator of coker(d_j (x) 1 | 1 (x) B) on term j - 1,
+    The profile fills itself on first read and keeps no entry of its own:
+    ``entry(i)`` is the complex's H_i (``_ResolutionComplex.entry``), built
+    alone, with F the resolution of M that is cached on M's minimal
+    presentation and extended only through step i + 1; ``tor0`` is
+    ``entry(0)``, the minimal M (x) N, which reaches no step; and
+    ``resolution`` is the complex's view of F, reached through step
+    bound + 1.  Tor_i's numerator is K_(i+1) + K_i - HS(F_(i-1) (x) N), K_j
+    the Hilbert numerator of coker(d_j (x) 1 | 1 (x) B) on term j - 1,
     which is Omega^(j-1) M (x) N; K_1 is Tor_0's, the minimal M (x) N's.
     Each K_j is computed once, from an untracked basis, and shared by
     Tor_(j-1) and Tor_j; the basis is kept for Tor_(j-1)'s greedy
-    generator pass.  ``tor0``, ``vanishing``, ``periodicity`` and
-    ``resolution`` are built when first read.  ``vanishing``,
-    ``all_vanish_in_window`` and ``vanish_range`` stop at the first nonzero
-    Tor_i, and ``vanishing`` reads the resolution only when every Tor_i in
-    the window vanishes.  ``vanishing_certified`` over a certified
-    complete intersection of codimension c whose window reaches c + 1
-    stops after Tor_(c+1) (Murthy's rigidity; see there), whatever was
-    read before it, while the reads above never infer past what they
-    build, so that statement 2.2 is checked on observations.  ``entries``
-    and ``as_dict`` build everything.  A right-side profile of (M, N)
-    resolves N: it is the left profile of (N, M), ``self.M`` being N, with
-    ``side`` "right", and ``as_dict`` names the module and the argument in
-    the caller's order.
+    generator pass.  ``vanishing`` and ``periodicity`` are built when first
+    read.  ``vanishing``, ``all_vanish_in_window`` and ``vanish_range``
+    stop at the first nonzero Tor_i, and ``vanishing`` reads the resolution
+    only when every Tor_i in the window vanishes.  ``vanishing_certified``
+    over a certified complete intersection of codimension c whose window
+    reaches c + 1 stops after Tor_(c+1) (Murthy's rigidity; see there),
+    whatever was read before it, while the reads above never infer past
+    what they build, so that statement 2.2 is checked on observations.
+    ``entries`` and ``as_dict`` build everything.  A right-side profile of
+    (M, N) resolves N: it is the left profile of (N, M), ``self.M`` being
+    N, with ``side`` "right", and ``as_dict`` names the module and the
+    argument in the caller's order.
 
     Once M's resolution repeats itself literally, d_m = d_(m-p) raised by
     t for m >= o + p (``FreeResolution.period``), K_j for j - p >= o is
@@ -357,8 +352,8 @@ class TorProfile:
     and ``periodicity`` still report what they always did.
     """
 
-    __slots__ = ("M", "N", "ring", "bound", "degree_bound", "side",
-                 "_tor0", "_vanishing", "_periodicity", "_resolution", "_complex")
+    __slots__ = ("M", "N", "ring", "bound", "degree_bound", "side", "_vanishing",
+                 "_periodicity", "_complex")
 
     def __init__(self, M, N, bound, degree_bound, side="left"):
         self.M = M
@@ -367,19 +362,15 @@ class TorProfile:
         self.bound = bound
         self.degree_bound = degree_bound
         self.side = side
-        self._tor0 = None
         self._vanishing = None
         self._periodicity = None
-        self._resolution = None
-        self._complex = _ResolutionComplex(M, N, 1)   # F (x) N, built as it is read
+        self._complex = _ResolutionComplex(M, N, 1, degree_bound)  # F (x) N, built as read
 
     def entry(self, i: int) -> HomologyEntry:
         """Tor_i for 0 <= i <= bound, built on first read."""
-        if i == 0:
-            return self.tor0
-        if not 1 <= i <= self.bound:
+        if not 0 <= i <= self.bound:
             raise IndexError(f"Tor index {i} outside the window 0..{self.bound}")
-        return self._complex.entry(i, self.degree_bound)
+        return self._complex.entry(i)
 
     @property
     def entries(self) -> list:
@@ -387,15 +378,12 @@ class TorProfile:
 
     @property
     def tor0(self) -> HomologyEntry:
-        if self._tor0 is None:
-            self._tor0 = HomologyEntry(0, self._complex, self.degree_bound)
-        return self._tor0
+        return self.entry(0)
 
     @property
     def resolution(self) -> FreeResolution:
-        if self._resolution is None:
-            self._resolution = resolve(self.M, steps=self.bound + 1)
-        return self._resolution
+        """The complex's view of M's resolution, reached through step bound + 1."""
+        return self._complex.reach(self.bound + 1).res
 
     @property
     def vanishing(self) -> dict:
@@ -492,18 +480,20 @@ class _ResolutionComplex:
     1 (x) B.  Its maps are d_i and d_{i+1} tensor N (transposed for Hom):
     the first goes out of term i for Tor and comes in for Ext, and the
     outgoing map lands in term i - sign.  ``numerator(i)`` is the Hilbert
-    numerator of H_i, ``cycles(i)`` its minimal cycles, ``entry(i, ...)``
-    the one ``HomologyEntry`` of H_i, i >= 1.  The period of F, once F has
-    one, is read off the resolution view (``FreeResolution.period``).
+    numerator of H_i, ``cycles(i)`` its minimal cycles, ``entry(i)`` the one
+    ``HomologyEntry`` of H_i, whose Hilbert values run through
+    ``degree_bound``.  The period of F, once F has one, is read off the
+    resolution view (``FreeResolution.period``).
     """
 
-    __slots__ = ("M", "N", "ring", "sign", "Nmin", "res", "entries", "_tensor", "_cokernels",
-                 "_bases")
+    __slots__ = ("M", "N", "ring", "sign", "degree_bound", "Nmin", "res", "entries", "_tensor",
+                 "_cokernels", "_bases")
 
-    def __init__(self, M: ModulePresentation, N: ModulePresentation, sign: int):
+    def __init__(self, M: ModulePresentation, N: ModulePresentation, sign: int, degree_bound):
         self.M, self.N, self.ring, self.sign = M, N, M.ring, sign
+        self.degree_bound = degree_bound
         self.Nmin = self.res = self._tensor = None
-        self.entries: dict = {}      # i >= 1 -> H_i, see ``entry``
+        self.entries: dict = {}      # i -> H_i, see ``entry``
         self._cokernels: dict = {}   # term i -> C(i), see ``cokernel``
         self._bases: dict = {}       # term i -> basis of its image, for one greedy pass
 
@@ -514,12 +504,18 @@ class _ResolutionComplex:
                 self.Nmin = self.N.minimalize()
         return self
 
-    def entry(self, i: int, degree_bound: int) -> HomologyEntry:
-        """H_i for i >= 1, built on first read, with F reaching step i + 1."""
+    def entry(self, i: int) -> HomologyEntry:
+        """H_i, built on first read, with F reaching step i + 1; Tor_0, the
+        minimal M (x) N, reaches no step."""
         e = self.entries.get(i)
         if e is None:
-            e = self.entries[i] = HomologyEntry(i, self.reach(i + 1), degree_bound)
+            cx = self if self.is_tensor(i) else self.reach(i + 1)
+            e = self.entries[i] = HomologyEntry(i, cx)
         return e
+
+    def is_tensor(self, i: int) -> bool:
+        """H_i is Tor_0, M (x) N, read off ``tensor()``."""
+        return i == 0 and self.sign > 0
 
     def _back(self, j: int):
         """(p, t) when d_j is a copy of d_(j-p) raised by t (``FreeResolution.period``:
@@ -563,18 +559,14 @@ class _ResolutionComplex:
         return self._tensor
 
     def cycles(self, i: int) -> MinimalCycles:
-        """The minimal cycles of term i; the greedy pass takes the term's
-        basis kept by ``cokernel``, once, instead of building it.  Tor_0 is
-        ``tensor()``, already presented."""
-        if self.sign > 0 and i == 0:
-            return MinimalCycles.presented(self.tensor())
-        label, degs = self.label(i), self.degs(i)
-        if not degs:
-            return MinimalCycles.empty(self.ring, label)
+        """The minimal cycles of term i (i >= 1 for Tor); the greedy pass
+        takes the term's basis kept by ``cokernel``, once, instead of
+        building it."""
         lower, upper = self.kron(i), self.kron(i + 1)
         outgoing, incoming = (lower, upper) if self.sign > 0 else (upper, lower)
-        return minimal_cycles(self.ring, degs, outgoing, self.rels(i - self.sign), incoming,
-                              self.rels(i), label=label, basis=self._bases.pop(i, None))
+        return minimal_cycles(self.ring, self.degs(i), outgoing, self.rels(i - self.sign),
+                              incoming, self.rels(i), label=self.label(i),
+                              basis=self._bases.pop(i, None))
 
     def term_numerator(self, i: int) -> dict:
         """Hilbert numerator of term i: sum over a in deg F_i of
@@ -597,7 +589,7 @@ class _ResolutionComplex:
             back = self._back(i + 1 if self.sign > 0 else i)
             if back is not None:
                 num = add_numerator({}, self.cokernel(i - back[0]), self.sign * back[1])
-            elif self.sign > 0 and i == 0:
+            elif self.is_tensor(i):
                 num = self.tensor().hilbert_numerator()
             else:
                 num = self._cokernel(i)
@@ -659,8 +651,8 @@ def ext_profile(M: ModulePresentation, N: ModulePresentation, bound: int,
     and presentation only when a field needs them (see ``HomologyEntry``)."""
     M.check_same_ring(N)
     _check_bounds(bound, degree_bound)
-    cx = _ResolutionComplex(M, N, -1).reach(bound + 1)
-    return [cx.entry(i, degree_bound) for i in range(1, bound + 1)]
+    cx = _ResolutionComplex(M, N, -1, degree_bound).reach(bound + 1)
+    return [cx.entry(i) for i in range(1, bound + 1)]
 
 
 def ext_ambient_dimensions(M: ModulePresentation) -> dict:
@@ -674,7 +666,8 @@ def ext_ambient_dimensions(M: ModulePresentation) -> dict:
     """
     amb = M.ambient_presentation()
     nv = M.ring.poly_ring.nvars
-    cx = _ResolutionComplex(amb, ModulePresentation.free(amb.ring, (0,)), -1).reach(nv + 1)
+    # no entry is built, so no degree bound is read
+    cx = _ResolutionComplex(amb, ModulePresentation.free(amb.ring, (0,)), -1, None).reach(nv + 1)
     return {j: dimension_and_multiplicity(cx.numerator(j), nv)[0] for j in range(1, nv + 1)}
 
 
@@ -727,23 +720,19 @@ def ring_depth(ring: RingPresentation) -> float:
     return ModulePresentation.free(ring, (0,)).depth()
 
 
-def depth_formula_check(M: ModulePresentation, N: ModulePresentation,
-                        bound: int, degree_bound: int = 8,
-                        profile: TorProfile | None = None) -> DepthFormulaReport:
-    """Depth-formula report; the vanishing hypothesis carries its tier.
-
-    ``profile``, when given, is ``tor_profile(M, N, bound, degree_bound)``
-    already built by the caller; it is used instead of a second one."""
-    if profile is None:
-        profile = tor_profile(M, N, bound, degree_bound)
+def depth_formula_check(profile: TorProfile) -> DepthFormulaReport:
+    """Depth-formula report on the modules and the window of ``profile``,
+    ``tor_profile(M, N, bound, degree_bound)``; the vanishing hypothesis
+    carries its tier."""
+    M, N = (profile.N, profile.M) if profile.side == "right" else (profile.M, profile.N)
     tier = profile.vanishing["tier"]
     hypothesis_met = profile.vanishing_certified
     tensor = profile.tor0.presentation  # M (x) N, already minimalized as Tor_0
     depth_M, depth_N = M.depth(), N.depth()
     depth_R = ring_depth(M.ring)
     shifted = None
-    if profile.resolution.terminated and profile.resolution.length() <= bound:
-        q = next((i for i in range(bound, 0, -1) if not profile.vanishes(i)), 0)
+    if profile.resolution.terminated and profile.resolution.length() <= profile.bound:
+        q = next((i for i in range(profile.bound, 0, -1) if not profile.vanishes(i)), 0)
         depth_q = tensor.depth() if q == 0 else profile.entry(q).depth
         applicable = q == 0 or depth_q <= 1
         shifted = {"q": q,

@@ -338,10 +338,8 @@ def default_betti_window(ring) -> int:
     return 2 * int(ring.dimension()) + 2 * ring.codim + 4
 
 
-def module_complexity(M: ModulePresentation, window: int | None = None) -> ComplexityEstimate:
-    """Complexity estimate from a freshly resolved Betti window."""
-    if window is None:
-        window = default_betti_window(M.ring)
+def module_complexity(M: ModulePresentation, window: int) -> ComplexityEstimate:
+    """Complexity estimate from a Betti window of ``window`` resolution steps."""
     res = resolve(M, steps=window)
     return complexity_estimate(res.betti_numbers()[:window + 1], M.ring.codim, window)
 

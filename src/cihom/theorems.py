@@ -423,8 +423,7 @@ def _check_2_6(inst, params):
 
 def _check_2_7(inst, params):
     prof = inst.profile()
-    rep = depth_formula_check(inst.M, inst.N, inst.tor_bound, inst.degree_bound,
-                              profile=prof)
+    rep = depth_formula_check(prof)
     hyps = [_hyp_certified(inst),
             _ok("Tor_i(M, N) = 0 for all i >= 1 (certified)",
                 rep.hypothesis_met, prof.vanishing)]
@@ -655,8 +654,7 @@ def _check_4_9(inst, params):
         hyps.append(_ok("dim M + dim N <= dim R",
                         inst.dim("M") + inst.dim("N") <= inst.d))
     vanish_concl, tier = _concl_all_vanish(inst)
-    rep = depth_formula_check(inst.M, inst.N, inst.tor_bound, inst.degree_bound,
-                              profile=inst.profile())
+    rep = depth_formula_check(inst.profile())
     ok = vanish_concl["verdict"] == "holds" and rep.holds
     concl = {"statement": "Tor_i(M, N) = 0 for all i >= 1 and the depth formula holds",
              "verdict": "holds" if ok else "fails",

@@ -84,7 +84,7 @@ def test_criterion_4_quadric_fixture(mod_quadric):
         assert prof.all_vanish_in_window()
         assert prof.vanishing["tier"] == "pd-finite"
         assert mod_quadric.tensor(mod_quadric).depth() == 1
-        rep = depth_formula_check(mod_quadric, mod_quadric, 10, 6)
+        rep = depth_formula_check(tor_profile(mod_quadric, mod_quadric, 10, 6))
         assert rep.holds and rep.asserted
         assert (rep.depth_M, rep.depth_N) == (2, 2)
         assert (rep.depth_ring, rep.depth_tensor) == (3, 1)

@@ -304,13 +304,30 @@ def test_cli_text_format_over_the_rationals(capsys):
 
 
 def test_cli_env_default_format(monkeypatch, capsys):
+    # the parser reads no environment: main reads CIHOM_FORMAT when --format
+    # is absent
     monkeypatch.setenv("CIHOM_FORMAT", "json")
     from cihom.cli import build_arg_parser
-    args = build_arg_parser().parse_args([])
-    assert args.format == "json"
+    assert build_arg_parser().parse_args([]).format is None
+    assert main(["--example", "4.4"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"][0]["title"] == "4.4"
+    assert main(["--example", "4.4", "--format", "text"]) == 0
+    assert not capsys.readouterr().out.startswith("{")
 
 
-def test_cli_builds_its_parser_once_per_format_env(monkeypatch, capsys):
+def test_cli_rejects_an_invalid_format_env(monkeypatch, capsys):
+    # CIHOM_FORMAT takes the values --format takes; any other is a usage error
+    monkeypatch.setenv("CIHOM_FORMAT", "xml")
+    with pytest.raises(SystemExit) as stop:
+        main(["--example", "4.4"])
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert "CIHOM_FORMAT: invalid choice: 'xml'" in captured.err
+    assert captured.out == ""
+    assert main(["--example", "4.4", "--format", "json"]) == 0
+
+
+def test_cli_builds_its_parser_once(monkeypatch, capsys):
     from cihom import cli
     built = []
     real = cli.build_arg_parser
@@ -326,7 +343,7 @@ def test_cli_builds_its_parser_once_per_format_env(monkeypatch, capsys):
             monkeypatch.setenv("CIHOM_FORMAT", fmt)
             assert main(["--example", "4.4"]) == 0
             assert capsys.readouterr().out.startswith("{") == (fmt == "json")
-        assert len(built) == 2
+        assert len(built) == 1
     finally:
         cli._arg_parser.cache_clear()
 
@@ -424,12 +441,22 @@ def test_cli_term_code_range_is_a_guardrail(tmp_path, capsys):
     assert captured.err.startswith("cihom: guardrail: shifted degree 1099511627")
 
 
-def test_cli_guardrail_exit_code(tmp_path, capsys):
+def test_cli_hypothesis_missing_exit_code(tmp_path, capsys):
     script = tmp_path / "g.ci"
     script.write_text(TWO_LINE_SCRIPT
                       + "module K = coker(R, shifts=[0], matrix=[[x, y]])\n"
                       + "pushforward K\n")
     assert main(["--script", str(script)]) == 3
+
+
+def test_cli_search_over_a_ring_without_variables_is_a_parse_error(tmp_path, capsys):
+    # a search draws random modules from the ring's variables
+    script = tmp_path / "k.ci"
+    script.write_text("ring K = quotient(field=f32003, vars=[], ideal=[])\n"
+                      "search 3.6 with (ring=K, samples=2)\n")
+    assert main(["--script", str(script)]) == 2
+    assert capsys.readouterr().err == ("cihom: parse error: line 2, column 18: ring 'K' "
+                                       "has no variables to draw random modules from\n")
 
 
 def test_cli_ext_command(tmp_path, capsys):

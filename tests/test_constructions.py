@@ -30,7 +30,7 @@ def test_pushforward_node(ring_node, node_pair):
     # M1 is R/(y) up to twist: same normalized Hilbert data
     m1 = pf.M1.minimalize()
     twist = m1.gen_degs[0]
-    assert equal_hilbert_functions(m1, My.twist(twist), 8)
+    assert equal_hilbert_functions(m1, My.twist(twist))
     # independent oracle check of injectivity and the cokernel values
     kdims, cdims = map_kernel_cokernel_oracle(pf.u, pf.M,
                                               ModulePresentation.free(ring_node, pf.free_degs),
@@ -142,9 +142,9 @@ def test_quasi_lifting_builds_the_nonfree_locus_once(mod_N_two_nodes, monkeypatc
     calls = []
     real = homology.HomologyEntry.__init__
 
-    def counting(self, index, cx, degree_bound):
+    def counting(self, index, cx):
         calls.append(cx.label(index)[:3])
-        real(self, index, cx, degree_bound)
+        real(self, index, cx)
 
     monkeypatch.setattr(homology.HomologyEntry, "__init__", counting)
     N = mod_N_two_nodes

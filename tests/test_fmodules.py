@@ -48,7 +48,7 @@ def test_minimalize_unit_row_elimination(ring_two_nodes):
     assert m.n_gens == 2 and m.n_rels == 2
     plain = ModulePresentation.from_relations(ring_two_nodes, (0, 0),
                                               [[zero, y], [zero, u]])
-    assert equal_hilbert_functions(m, plain, 8)
+    assert equal_hilbert_functions(m, plain)
 
 
 def test_minimalize_over_the_rationals_stays_exact():
@@ -66,7 +66,7 @@ def test_minimalize_over_the_rationals_stays_exact():
 def test_minimalize_preserves_hilbert(mod_N_two_nodes):
     raw = mod_N_two_nodes
     m = raw.minimalize()
-    assert equal_hilbert_functions(raw, m, 8)
+    assert equal_hilbert_functions(raw, m)
 
 
 # -- grading is checked where a presentation is built -------------------------
@@ -162,12 +162,12 @@ def test_biduality_needs_certified_ring():
 
 def test_tensor_with_ring_is_identity(mod_N_two_nodes, ring_two_nodes):
     R1 = ModulePresentation.free(ring_two_nodes, (0,))
-    assert equal_hilbert_functions(R1.tensor(mod_N_two_nodes), mod_N_two_nodes, 8)
+    assert equal_hilbert_functions(R1.tensor(mod_N_two_nodes), mod_N_two_nodes)
 
 
 def test_tensor_of_cyclics(periodic_pair):
     M, N = periodic_pair
-    assert equal_hilbert_functions(M.tensor(N), M, 8)
+    assert equal_hilbert_functions(M.tensor(N), M)
 
 
 def test_tensor_depth_quadric(mod_quadric):

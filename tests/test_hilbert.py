@@ -117,7 +117,7 @@ def _ideal_dimension_reference(poly_ring, polys):
 def _ext_modules(M, N, lo, hi):
     """Ext^i(M, N) for lo <= i <= hi, each built from its minimal cycles,
     vanishing ones included: no Hilbert numerator decides them."""
-    cx = _ResolutionComplex(M, N, -1).reach(hi + 1)
+    cx = _ResolutionComplex(M, N, -1, 8).reach(hi + 1)
     return {i: cx.cycles(i).presentation() for i in range(lo, hi + 1)}
 
 

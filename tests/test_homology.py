@@ -112,7 +112,7 @@ def _eager_tor_profile_dict(M, N, bound, degree_bound, side="left"):
         doc = _eager_tor_profile_dict(N, M, bound, degree_bound)
         doc.update(module=M.label, argument=N.label, resolved_side="right")
         return doc
-    cx = _ResolutionComplex(M, N, 1).reach(bound + 1)
+    cx = _ResolutionComplex(M, N, 1, degree_bound).reach(bound + 1)
     entries = [_eager_entry_dict(i, cx.cycles(i).presentation().minimalize(), degree_bound)
                for i in range(1, bound + 1)]
     tor0 = _eager_entry_dict(0, M.tensor(N).minimalize(), degree_bound)
@@ -300,6 +300,54 @@ def test_tor0_matches_tensor(mod_M_two_nodes, mod_N_two_nodes):
         prof.degree_bound, dmin=min(0, prof.tor0.initial_degree or 0))
 
 
+def test_tor0_and_vanishing_entries_build_no_cycles(mod_M_two_nodes, mod_N_two_nodes,
+                                                    monkeypatch):
+    # A vanishing entry is the zero module and Tor_0 the complex's minimal
+    # M (x) N: reading either presentation builds no minimal cycles.  A
+    # nonzero Tor_i, i >= 1, still builds them.
+    built = []
+    real = homology.MinimalCycles.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(None)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(homology.MinimalCycles, "__init__", counting)
+    prof = tor_profile(mod_M_two_nodes, mod_N_two_nodes, 3)
+    tor0, tor1 = prof.tor0, prof.entry(1)
+    assert tor1.vanishes and not tor0.vanishes
+    assert tor1.presentation.n_gens == 0 and tor1.presentation.label.startswith("Tor1(")
+    tensor = mod_M_two_nodes.tensor(mod_N_two_nodes).minimalize()
+    assert tor0.presentation.gen_degs == tensor.gen_degs
+    assert tor0.betti0 == tensor.n_gens
+    assert tor0 is prof.entry(0)
+    assert built == []
+    assert prof.entry(3).betti0 > 0
+    assert len(built) == 1
+
+
+def test_a_profile_reads_one_resolution_view(mod_quadric, monkeypatch):
+    # Every Tor_i vanishes here, so the evidence reads the resolution; the
+    # view it reads is the one the entries reached, with no further resolve.
+    calls = []
+    real = homology.resolve
+
+    def counting(M, steps):
+        calls.append(steps)
+        return real(M, steps=steps)
+
+    monkeypatch.setattr(homology, "resolve", counting)
+    prof = tor_profile(mod_quadric, mod_quadric, 4)
+    assert all(e.vanishes for e in prof.entries)
+    reads = len(calls)
+    assert prof.vanishing["tier"] == "pd-finite"
+    assert prof.resolution.truncation == 5
+    assert len(calls) == reads
+    expected = resolve(mod_quadric, steps=5)
+    assert prof.resolution.differentials == expected.differentials
+    assert prof.resolution.terminated == expected.terminated
+
+
 def test_rigidity_replay_on_catalog(mod_quadric, ring_two_nodes,
                                     mod_M_two_nodes, mod_N_two_nodes):
     # wherever codim+1 consecutive Tor vanish, all later ones in the window do
@@ -432,7 +480,7 @@ def test_statement_2_2_reads_the_whole_window(ring_two_nodes, monkeypatch):
 def _ext_modules(M, N, lo, hi):
     """Ext^i(M, N) for lo <= i <= hi, each built from its minimal cycles,
     vanishing ones included: no Hilbert numerator decides them."""
-    cx = _ResolutionComplex(M, N, -1).reach(hi + 1)
+    cx = _ResolutionComplex(M, N, -1, 8).reach(hi + 1)
     return {i: cx.cycles(i).presentation() for i in range(lo, hi + 1)}
 
 
@@ -464,20 +512,20 @@ def test_ext1_against_first_syzygy_two_nodes(mod_M_two_nodes, ring_two_nodes):
 # -- depth formula -----------------------------------------------------------------
 
 def test_depth_formula_quadric(mod_quadric):
-    rep = depth_formula_check(mod_quadric, mod_quadric, 10)
+    rep = depth_formula_check(tor_profile(mod_quadric, mod_quadric, 10))
     assert rep.holds and rep.asserted and rep.tier == "pd-finite"
     assert (rep.depth_M, rep.depth_N, rep.depth_ring, rep.depth_tensor) == (2, 2, 3, 1)
 
 
 def test_depth_formula_trivial_ring(ring_two_nodes):
     free = ModulePresentation.free(ring_two_nodes, (0,))
-    rep = depth_formula_check(free, free, 3)
+    rep = depth_formula_check(tor_profile(free, free, 3))
     assert rep.holds and rep.asserted
 
 
 def test_depth_formula_declined_without_vanishing(periodic_pair):
     M, N = periodic_pair
-    rep = depth_formula_check(M, N, 4)
+    rep = depth_formula_check(tor_profile(M, N, 4))
     assert not rep.hypothesis_met
     assert not rep.asserted
 
@@ -499,7 +547,7 @@ def test_tor_presentations_are_minimal_and_match_the_oracle(ring_quadric, ring_t
     # oracle's.
     ring = ring_quadric if which == "quadric" else ring_two_nodes
     M, N = _random_pair(ring, seed)
-    cx = _ResolutionComplex(M, N, 1).reach(4)
+    cx = _ResolutionComplex(M, N, 1, 8).reach(4)
     cycles = {i: cx.cycles(i) for i in range(1, 4)}
     dims = tor_oracle(M, N, 3, 5)
     for i in range(1, 4):
@@ -535,7 +583,7 @@ def test_a_vanishing_tor_computes_no_relations(mod_M_two_nodes, mod_N_two_nodes,
     tracked = _count_tracked_bases(monkeypatch)
     for i, bases in ((1, 1), (2, 1), (3, 2)):
         tracked["bases"] = 0
-        cycles = _ResolutionComplex(mod_M_two_nodes, mod_N_two_nodes, 1).reach(i + 1).cycles(i)
+        cycles = _ResolutionComplex(mod_M_two_nodes, mod_N_two_nodes, 1, 8).reach(i + 1).cycles(i)
         assert tracked["bases"] == 1, i
         tor = cycles.presentation()
         assert (tor.n_gens == 0, tracked["bases"]) == (bases == 1, bases), i
@@ -873,7 +921,7 @@ def test_kernel_of_zero_map(mod_N_two_nodes, ring_two_nodes):
     N = mod_N_two_nodes.minimalize()
     psi = PolyMatrix.zero(pr, N.gen_degs, N.gen_degs)
     ker = kernel_of_map(psi, N, N)
-    assert equal_hilbert_functions(ker, N, 8)
+    assert equal_hilbert_functions(ker, N)
 
 
 def test_kernel_of_identity(mod_N_two_nodes, ring_two_nodes):
@@ -904,7 +952,7 @@ def test_shifted_depth_formula_at_top_index(ring_node3):
     pr = ring_node3.poly_ring
     z = pr.variable("z")
     M = ModulePresentation.quotient_by_ideal(ring_node3, [z], label="M")
-    rep = depth_formula_check(M, M, 6)
+    rep = depth_formula_check(tor_profile(M, M, 6))
     sf = rep.shifted_form
     assert sf is not None and sf["q"] == 1
     if sf["applicable"]:
@@ -912,7 +960,7 @@ def test_shifted_depth_formula_at_top_index(ring_node3):
 
 
 def test_shifted_depth_formula_total_vanishing(mod_quadric):
-    rep = depth_formula_check(mod_quadric, mod_quadric, 10, 6)
+    rep = depth_formula_check(tor_profile(mod_quadric, mod_quadric, 10, 6))
     sf = rep.shifted_form
     assert sf == {"q": 0, "depth_tor_q": 1, "applicable": True, "holds": True}
 
@@ -920,4 +968,4 @@ def test_shifted_depth_formula_total_vanishing(mod_quadric):
 def test_tensor_symmetry_hilbert(mod_M_two_nodes, mod_N_two_nodes):
     left = mod_M_two_nodes.tensor(mod_N_two_nodes)
     right = mod_N_two_nodes.tensor(mod_M_two_nodes)
-    assert equal_hilbert_functions(left, right, 8)
+    assert equal_hilbert_functions(left, right)

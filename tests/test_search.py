@@ -186,7 +186,7 @@ def test_4_16_findings_unchanged(ring_node):
 
 
 @pytest.mark.parametrize("kind", ["hypothesis", "torsion"])
-def test_search_skips_hypothesis_and_guardrail_errors(monkeypatch, ring_node, kind):
+def test_search_skips_hypothesis_and_torsion_errors(monkeypatch, ring_node, kind):
     zero = ModulePresentation.zero(ring_node, label="Z")
     err = {"hypothesis": HypothesisMissingError("no certificate"),
            "torsion": TorsionInputError(zero, zero)}[kind]

@@ -22,7 +22,8 @@ Here nothing but the command line (``cihom.cli.main``) drives cihom: every
 catalog entry over two fields and every ``tests/data/*.ci`` script, each in
 both formats, bad flags and bad scripts, the pushforward of a torsion
 module, a generator shift past the term-code range, the five searches on
-the four fixture rings, and ``check`` of every statement.  Each run's exit
+the four fixture rings, ``check`` of every statement, and Tor profiles
+whose windows reach each vanishing-evidence tier.  Each run's exit
 code is checked too.  A function that only tests call shows up here, so
 ``USER_ALLOWED`` is a little wider than ``ALLOWED``.
 """
@@ -154,18 +155,31 @@ module P = coker(R, shifts=[0,0,0], matrix=[[0, u], [-z, x], [y, 0]])
 module A = coker(Q, shifts=[0,0], matrix=[[x, y], [z, w]])
 module B = coker(Q, shifts=[0], matrix=[[x, z]])
 """
+# Tor of A against the free module F over the quadric: every Tor_i vanishes,
+# and the window picks the evidence tier (periodicity, rigidity, window
+# only); 2.7 on a window of one reads the evidence as its certificate.
+_TIERS = _PAIRS + """\
+module F = coker(Q, shifts=[0])
+tor A F bound=6
+tor A F bound=3
+tor A F bound=1
+check 2.7 on (A, F, bound=1)
+"""
 # Statements that have no default for a parameter they read.
 _NEEDS_PARAMETERS = {"3.15"}
 # Scripts that must fail, with their exit codes: an unknown command, a parse
 # error at an option, a statement that takes one module given two, an
-# unknown statement, a statement without a parameter it needs, the
-# pushforward of a torsion module and a shift past the term-code range.
+# unknown statement, a statement without a parameter it needs, a search over
+# a ring with no variables, the pushforward of a torsion module and a shift
+# past the term-code range.
 _BAD_SCRIPTS = (
     (_PAIRS + "frobnicate M\n", 2),
     (_PAIRS + "resolve M steps=0\n", 2),
     (_PAIRS + "check 4.3 on (M, P)\n", 2),
     (_PAIRS + "check 9.99 on (M)\n", 2),
     (_PAIRS + "check 3.15 on (M, P)\n", 2),
+    ("ring K = quotient(field=f32003, vars=[], ideal=[])\n"
+     "search 3.6 with (ring=K, samples=2)\n", 2),
     (_PAIRS + "module K = coker(N, shifts=[0], matrix=[[x, y]])\npushforward K\n", 3),
     (_PAIRS + "module H = coker(R, shifts=[3000000000], matrix=[[y, u]])\n"
      "resolve H steps=1\n", 3),
@@ -196,7 +210,7 @@ def _user_runs(tmp: pathlib.Path) -> list:
     scripts = [(str(p), _DATA_EXIT.get(p.name, 0))
                for p in sorted((ROOT / "tests" / "data").glob("*.ci"))]
     for i, (text, code) in enumerate(((_RINGS + searches, 0), (_PAIRS + checks, 0),
-                                      *_BAD_SCRIPTS)):
+                                      (_TIERS, 0), *_BAD_SCRIPTS)):
         path = tmp / f"s{i}.ci"
         path.write_text(text)
         scripts.append((str(path), code))
