@@ -93,7 +93,6 @@ def _run_command(cmd: dict, session, defaults: dict) -> dict:
     if kind == "example":
         data = run_example(cmd["id"], field_tag=defaults["field"],
                            bounds={"steps": defaults.get("steps"),
-                                   "tor_bound": tor_bound,
                                    "degree_bound": degree_bound})
         return {"kind": "example", "title": cmd["id"], "data": data}
     if kind == "resolve":

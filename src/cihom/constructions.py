@@ -4,20 +4,19 @@ The pushforward of a torsion-free module M embeds M into a free module
 through a minimal generating set of its dual and takes the cokernel; the
 quasi-lifting lifts that cokernel's kernel one ring up, splitting off a
 designated quotient generator.  Both constructions certify their short
-exact sequences computationally (kernel, cokernel and middle homology all
-minimalize to zero) rather than by fiat, and downstream consumers only use
-iso-invariant data, so the non-canonical choice of generators is harmless.
+exact sequences computationally (kernel, cokernel and middle homology
+have no minimal cycles) rather than by fiat: ``homology.minimal_cycles``
+keeps a minimal generating set, so by graded Nakayama a subquotient is
+zero exactly when no cycle survives, and no relation among the cycles is
+built.  Downstream consumers only use iso-invariant data, so the
+non-canonical choice of generators is harmless.
 """
 
 from __future__ import annotations
 
 from .fmodules import ModulePresentation, PolyMatrix
-from .groebner import FreeModule, syzygy_generators
-from .homology import (
-    cokernel_of_map,
-    kernel_of_map,
-    subquotient_presentation,
-)
+from .groebner import FreeModule
+from .homology import MinimalCycles, minimal_cycles
 from .rings import INF, HypothesisMissingError, RingPresentation
 
 
@@ -29,7 +28,7 @@ class TorsionInputError(HypothesisMissingError):
         self.kernel = kernel
         super().__init__(
             f"{module.label} has torsion: the biduality kernel has "
-            f"{kernel.minimalize().n_gens} minimal generator(s)")
+            f"{kernel.n_gens} minimal generator(s)")
 
 
 class PushforwardResult:
@@ -85,12 +84,12 @@ def pushforward(M: ModulePresentation) -> PushforwardResult:
     u = dual_gens.transpose()
     M1 = ModulePresentation(M.ring, free_degs, u, label=f"{M.label}1").minimalize()
     # middle homology of M -> R^(m) -> M1 at the free spot
-    ident = PolyMatrix.identity(pr, free_degs)
-    middle = subquotient_presentation(M.ring, free_degs, ident, u, u, None,
-                                      label="middle").minimalize()
+    middle = minimal_cycles(M.ring, free_degs, PolyMatrix.identity(pr, free_degs), u, u, None,
+                            label="middle")
     # ker u from its minimal cycles checks the numerator torsion-free verdict
-    cert = {"kernel_zero": report.kernel.n_gens == 0,
-            "middle_exact": middle.n_gens == 0,
+    kernel = minimal_cycles(M.ring, Mmin.gen_degs, u, None, None, Mmin.relations, label="ker")
+    cert = {"kernel_zero": not kernel.gen_degs,
+            "middle_exact": not middle.gen_degs,
             "cokernel_by_construction": True}
     return PushforwardResult(Mmin, M1, u, m, free_degs, cert)
 
@@ -176,23 +175,19 @@ def quasi_lifting(M: ModulePresentation, split) -> QuasiLiftingResult:
     # the inclusion u | f (x) 1
     incl = pf.u.hstack(PolyMatrix(pr, (0,), (fd,), [[f]]).kron_identity(free_degs))
     col_degs = incl.col_degs
-    free_m = FreeModule(pr, free_degs)
-    syz, sdegs = syzygy_generators(incl.columns(), col_degs, free_m,
-                                   intermediate)
-    rels = PolyMatrix.from_columns(pr, col_degs, syz, tuple(sdegs))
-    E = ModulePresentation(intermediate, col_degs, rels, label=f"lift({M.label})")
+    E = MinimalCycles(intermediate, FreeModule(pr, free_degs), incl.columns(), col_degs, (),
+                      label=f"lift({M.label})").presentation()
+    rels = E.relations
     E_min = E.minimalize()
 
     # (QL) exactness: inclusion composed with projection vanishes, and the
     # middle homology of E -> S'^(m) -> M1 is zero over S'
-    middle_ql = subquotient_presentation(
-        intermediate, free_degs, PolyMatrix.identity(pr, free_degs),
-        incl, incl, None, label="QLmiddle").minimalize()
-    incl_kernel = kernel_of_map(incl, E, ModulePresentation.free(intermediate, free_degs)
-                                ).minimalize()
+    middle_ql = minimal_cycles(intermediate, free_degs, PolyMatrix.identity(pr, free_degs),
+                               incl, incl, None, label="QLmiddle")
+    incl_kernel = minimal_cycles(intermediate, col_degs, incl, None, None, rels, label="ker")
 
-    # connecting sequence over R: 0 -> M1 -> E/fE -> M -> 0 with block maps
-    E_over_R = ModulePresentation(ring, col_degs, rels, label=f"{E.label}/f")
+    # connecting sequence over R: 0 -> M1 -> E/fE -> M -> 0 with block maps,
+    # E/fE presented by E's relations over R
     p = Mmin.n_gens
     alpha = PolyMatrix.zero(pr, col_degs, tuple(d + fd for d in free_degs))
     for k in range(m):
@@ -203,19 +198,21 @@ def quasi_lifting(M: ModulePresentation, split) -> QuasiLiftingResult:
     beta = PolyMatrix.zero(pr, Mmin.gen_degs, col_degs)
     for j in range(p):
         beta.entries[j][j] = pr.one()
-    alpha_kernel = kernel_of_map(alpha, M1_twist, E_over_R).minimalize()
-    beta_coker = cokernel_of_map(beta, Mmin).minimalize()
-    middle_conn = subquotient_presentation(
-        ring, col_degs, beta, Mmin.relations, alpha,
-        E_over_R.relations, label="connmiddle").minimalize()
+    alpha_kernel = minimal_cycles(ring, M1_twist.gen_degs, alpha, rels, None,
+                                  M1_twist.relations, label="ker")
+    # M modulo the image of beta: the identity columns modulo beta and M's relations
+    beta_coker = minimal_cycles(ring, Mmin.gen_degs, None, None, beta, Mmin.relations,
+                                label="coker")
+    middle_conn = minimal_cycles(ring, col_degs, beta, Mmin.relations, alpha, rels,
+                                 label="connmiddle")
 
     certificate = {
         "ql_kernel_by_construction": True,
-        "ql_inclusion_injective": incl_kernel.n_gens == 0,
-        "ql_middle_exact": middle_ql.n_gens == 0,
-        "conn_alpha_injective": alpha_kernel.n_gens == 0,
-        "conn_beta_surjective": beta_coker.n_gens == 0,
-        "conn_middle_exact": middle_conn.n_gens == 0,
+        "ql_inclusion_injective": not incl_kernel.gen_degs,
+        "ql_middle_exact": not middle_ql.gen_degs,
+        "conn_alpha_injective": not alpha_kernel.gen_degs,
+        "conn_beta_surjective": not beta_coker.gen_degs,
+        "conn_middle_exact": not middle_conn.gen_degs,
     }
 
     M1_min = pf.M1.minimalize()

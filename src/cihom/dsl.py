@@ -137,9 +137,8 @@ class _Cursor:
                              t.line, t.col)
         return self.next()
 
-    def at(self, kind, text=None) -> bool:
-        t = self.peek()
-        return t.kind == kind and (text is None or t.text == text)
+    def at(self, kind) -> bool:
+        return self.peek().kind == kind
 
     def at_option(self) -> bool:
         """At 'name =', the start of a key=value option."""

@@ -261,7 +261,7 @@ class BidualityReport:
     def torsion_free(self) -> bool:
         if self._torsion_free is None:
             M = self.module
-            if M.n_gens == 0 or M._below_ring_dimension() or not M.dual_generators().ncols:
+            if M.n_gens == 0 or M._below_ring_dimension() or not M._dual_cycles().gen_degs:
                 self._torsion_free = M.n_gens == 0
             else:   # HS(ker u) = HS(M) + HS(coker u) - HS(R^m) is zero
                 u = M.dual_generators().transpose()
@@ -281,7 +281,7 @@ class BidualityReport:
     def kernel(self) -> "ModulePresentation":
         if self._kernel is None:
             M = self.module
-            if M._below_ring_dimension() or not M.dual_generators().ncols:   # M* = 0
+            if M._below_ring_dimension() or not M._dual_cycles().gen_degs:   # M* = 0
                 self._kernel = M
             else:
                 from .homology import subquotient_presentation
@@ -305,7 +305,7 @@ class ModulePresentation:
 
     __slots__ = ("ring", "gen_degs", "relations", "label",
                  "_minimal", "_hf_num", "_basis", "_ambient_pres", "_free_module", "_res_cache",
-                 "_ext_dims", "_dual_gens", "_biduality", "_nonfree_entry")
+                 "_ext_dims", "_dual", "_biduality", "_nonfree_entry")
 
     def __init__(self, ring: RingPresentation, gen_degs, relations: PolyMatrix,
                  label="M"):
@@ -323,7 +323,7 @@ class ModulePresentation:
         self._free_module = None
         self._res_cache = None
         self._ext_dims = None
-        self._dual_gens = None
+        self._dual = None
         self._biduality = None
         self._nonfree_entry = None
 
@@ -512,35 +512,32 @@ class ModulePresentation:
 
     # -- dual and biduality ---------------------------------------------------------
 
+    def _dual_cycles(self):
+        """Hom(M, R) as the minimal cycles of A^T, A the relations, in the
+        dual coordinates R^(-gen_degs) (the identity columns when M is
+        free): the generator half of the dual, computed once per
+        presentation, so the torsion-free test of ``biduality_report`` and
+        ``pushforward`` share it."""
+        if self._dual is None:
+            from .homology import minimal_cycles
+            A = self.relations
+            self._dual = minimal_cycles(self.ring, tuple(-d for d in self.gen_degs),
+                                        A.transpose() if A.ncols else None, None, None, None,
+                                        label=f"{self.label}*")
+        return self._dual
+
     def dual_generators(self) -> PolyMatrix:
         """Generators of Hom(M, R) inside the dual coordinates of the
         generator space: the matrix whose rows have degrees -gen_degs and
-        whose columns are a minimal set of dual generators.  Computed once
-        per presentation: the torsion-free test of ``biduality_report`` and
-        ``pushforward`` both read it from the minimal presentation."""
-        if self._dual_gens is None:
-            pr = self.ring.poly_ring
-            dual_degs = tuple(-d for d in self.gen_degs)
-            if self.n_rels == 0:
-                self._dual_gens = PolyMatrix.identity(pr, dual_degs)
-            else:
-                At = self.relations.transpose()
-                # syzygies of the transposed relations: columns of the dual coordinates
-                syz, sdegs = syzygy_generators(At.columns(), At.col_degs,
-                                               FreeModule(pr, At.row_degs), self.ring)
-                alive = minimal_generator_indices(syz, sdegs, FreeModule(pr, dual_degs),
-                                                  self.ring.quotient_gens) if syz else []
-                self._dual_gens = PolyMatrix.from_columns(
-                    pr, dual_degs, [syz[i] for i in alive], [sdegs[i] for i in alive])
-        return self._dual_gens
+        whose columns are a minimal set of dual generators."""
+        cycles = self._dual_cycles()
+        return PolyMatrix.from_columns(self.ring.poly_ring, cycles.free.gen_degs,
+                                       cycles.columns, cycles.gen_degs)
 
     def dual(self) -> "ModulePresentation":
         """Hom(M, R) presented as a cokernel on the dual generators, by their
-        syzygies; shifts are negated."""
-        from .homology import MinimalCycles
-        gens = self.dual_generators()
-        return MinimalCycles(self.ring, FreeModule(self.ring.poly_ring, gens.row_degs),
-                             gens.columns(), gens.col_degs, (), f"{self.label}*").presentation()
+        syzygies (the relation half of ``_dual_cycles``); shifts are negated."""
+        return self._dual_cycles().presentation()
 
     def biduality_report(self) -> BidualityReport:
         """Torsion-freeness and reflexivity of M (see ``BidualityReport``),

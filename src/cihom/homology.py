@@ -10,11 +10,18 @@ Nakayama leaves a minimal generating set.  The relation half
 (``MinimalCycles.presentation``): the syzygies of the survivors modulo that
 image.  A vanishing module computes no relations, and no relation has a
 unit entry, so the survivors' degrees are the minimal generator degrees of
-the module.  ``subquotient_presentation`` runs both.  Tor_i(M, N) is the
-homology of (minimal resolution of M) tensor N, Ext^i the cohomology of
-Hom(resolution, N); one builder makes both complexes, from the two
-Kronecker shapes of ``PolyMatrix``: the maps are d_i (x) 1 (``kron_identity``)
-and the relations of each term 1 (x) B (``identity_kron``), B those of N.
+the module, and the subquotient is zero exactly when no cycle survives.
+These two halves are the one way cihom takes a subquotient: the Tor and
+Ext entries here, the kernel of the evaluation map, the dual and its
+presentation (``fmodules``), and the kernels, cokernels (no outgoing map:
+the identity columns modulo the image) and middle homologies that
+certify the exact sequences of ``constructions``, whose zero tests read
+only the generator half.  ``subquotient_presentation`` runs both halves
+in one call.  Tor_i(M, N) is the homology of (minimal resolution of M)
+tensor N, Ext^i the cohomology of Hom(resolution, N); one builder makes
+both complexes, from the two Kronecker shapes of ``PolyMatrix``: the maps
+are d_i (x) 1 (``kron_identity``) and the relations of each term
+1 (x) B (``identity_kron``), B those of N.
 A right-side Tor profile of (M, N) is the left profile of (N, M).
 
 "Vanishes for all i >= 1" is never asserted from a finite window alone: each
@@ -94,7 +101,8 @@ class MinimalCycles:
 
     ``presentation()`` computes the relation half, the syzygies of the
     columns modulo the image, and returns the built presentation; with no
-    columns it is the zero module and computes nothing.
+    columns it is the zero module and computes nothing.  By graded
+    Nakayama the subquotient is zero exactly when ``gen_degs`` is empty.
     """
 
     __slots__ = ("ring", "free", "columns", "gen_degs", "image", "label")
@@ -167,22 +175,6 @@ def subquotient_presentation(ring: RingPresentation, gen_degs, outgoing: PolyMat
     """
     return minimal_cycles(ring, gen_degs, outgoing, target_rels, incoming, own_rels,
                           label=label).presentation()
-
-
-def kernel_of_map(psi: PolyMatrix, source: ModulePresentation,
-                  target: ModulePresentation, label="ker") -> ModulePresentation:
-    """Presentation of ker(source -> target) for a map given on generators."""
-    source.check_same_ring(target)
-    return subquotient_presentation(source.ring, source.gen_degs, psi,
-                                    target.relations, None, source.relations,
-                                    label=label)
-
-
-def cokernel_of_map(psi: PolyMatrix, target: ModulePresentation,
-                    label="coker") -> ModulePresentation:
-    """Presentation of target / im(psi)."""
-    mat = target.relations.hstack(psi)
-    return ModulePresentation(target.ring, target.gen_degs, mat, label=label)
 
 
 class HomologyEntry:
@@ -352,19 +344,22 @@ class TorProfile:
     and ``periodicity`` still report what they always did.
     """
 
-    __slots__ = ("M", "N", "ring", "bound", "degree_bound", "side", "_vanishing",
-                 "_periodicity", "_complex")
+    __slots__ = ("M", "N", "ring", "bound", "side", "_vanishing", "_periodicity", "_complex")
 
     def __init__(self, M, N, bound, degree_bound, side="left"):
         self.M = M
         self.N = N
         self.ring = M.ring
         self.bound = bound
-        self.degree_bound = degree_bound
         self.side = side
         self._vanishing = None
         self._periodicity = None
         self._complex = _ResolutionComplex(M, N, 1, degree_bound)  # F (x) N, built as read
+
+    @property
+    def degree_bound(self) -> int:
+        """The last degree of each entry's Hilbert values, kept by the complex."""
+        return self._complex.degree_bound
 
     def entry(self, i: int) -> HomologyEntry:
         """Tor_i for 0 <= i <= bound, built on first read."""

@@ -46,8 +46,8 @@ def _line(name, status, evidence=None, kind="computed"):
             "evidence": evidence if evidence is not None else ""}
 
 
-def _ok(name, ok, evidence=None, kind="computed"):
-    return _line(name, "satisfied" if ok else "failed", evidence, kind)
+def _ok(name, ok, evidence=None):
+    return _line(name, "satisfied" if ok else "failed", evidence)
 
 
 def _model(name, evidence="holds in the graded equicharacteristic model"):

@@ -1,6 +1,6 @@
 import pytest
 
-from cihom import homology
+from cihom import constructions, homology
 from cihom.constructions import (
     InvalidSplitError,
     TorsionInputError,
@@ -56,17 +56,19 @@ def test_pushforward_m_counts_dual_generators(mod_M_two_nodes):
 def test_dual_generators_are_computed_once(mod_quadric, monkeypatch):
     # pushforward reads the dual generators of the minimal presentation twice,
     # through the torsion-free test and for the embedding u, and computes
-    # them once; its kernel_zero certificate is the torsion-free test's
-    # kernel of the same u, so the kernel of u is taken once.  The other
-    # minimal-cycle pass is the middle homology of M -> R^(m) -> M1.
+    # them once, as the minimal cycles of the transposed relations (label
+    # "Mq*"); its kernel_zero certificate is the minimal cycles of the same
+    # u (the torsion-free verdict takes none), so the kernel of u is taken
+    # once.  The other minimal-cycle pass is the middle homology of
+    # M -> R^(m) -> M1.  The dual takes no syzygies of its own in fmodules.
     from cihom import fmodules
     Mq = ModulePresentation(mod_quadric.ring, mod_quadric.gen_degs, mod_quadric.relations,
                             label="Mq").minimalize()
-    calls = {"dual": 0, "ker": 0, "middle": 0}
+    calls = {"Mq*": 0, "ker": 0, "middle": 0, "syzygy_generators": 0}
     real_syz, real_cycles = fmodules.syzygy_generators, homology.minimal_cycles
 
     def counting_syz(*args, **kwargs):
-        calls["dual"] += 1
+        calls["syzygy_generators"] += 1
         return real_syz(*args, **kwargs)
 
     def counting_cycles(*args, **kwargs):
@@ -75,9 +77,10 @@ def test_dual_generators_are_computed_once(mod_quadric, monkeypatch):
 
     monkeypatch.setattr(fmodules, "syzygy_generators", counting_syz)
     monkeypatch.setattr(homology, "minimal_cycles", counting_cycles)
+    monkeypatch.setattr(constructions, "minimal_cycles", counting_cycles)
     pf = pushforward(Mq)
     assert all(pf.certificate.values()) and pf.m == Mq.dual_generators().ncols
-    assert calls == {"dual": 1, "ker": 1, "middle": 1}
+    assert calls == {"Mq*": 1, "ker": 1, "middle": 1, "syzygy_generators": 0}
 
 
 def test_pushforward_serre_drop(mod_M_two_nodes):

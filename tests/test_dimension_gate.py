@@ -96,8 +96,8 @@ def test_a_lower_dimensional_module_builds_no_resolution_ext_or_dual(
 
     monkeypatch.setattr(ModulePresentation, "projective_dimension_ambient",
                         counting("pd", ModulePresentation.projective_dimension_ambient))
-    monkeypatch.setattr(ModulePresentation, "dual_generators",
-                        counting("dual", ModulePresentation.dual_generators))
+    monkeypatch.setattr(ModulePresentation, "_dual_cycles",
+                        counting("dual", ModulePresentation._dual_cycles))
     monkeypatch.setattr(homology, "ext_ambient_dimensions",
                         counting("ext", homology.ext_ambient_dimensions))
     for M in _lower_dimensional_modules(ring):

@@ -13,7 +13,7 @@ from cihom.homology import (
     _ResolutionComplex,
     depth_formula_check,
     ext_profile,
-    kernel_of_map,
+    minimal_cycles,
     ring_depth,
     subquotient_presentation,
     tor_profile,
@@ -916,11 +916,17 @@ def test_entries_past_a_literal_period_build_no_basis(ring_node3, monkeypatch):
 
 # -- kernel of a map ------------------------------------------------------------------
 
+def _kernel(psi, source, target):
+    """ker(source -> target) for a map psi given on generators."""
+    return subquotient_presentation(source.ring, source.gen_degs, psi, target.relations, None,
+                                    source.relations)
+
+
 def test_kernel_of_zero_map(mod_N_two_nodes, ring_two_nodes):
     pr = ring_two_nodes.poly_ring
     N = mod_N_two_nodes.minimalize()
     psi = PolyMatrix.zero(pr, N.gen_degs, N.gen_degs)
-    ker = kernel_of_map(psi, N, N)
+    ker = _kernel(psi, N, N)
     assert equal_hilbert_functions(ker, N)
 
 
@@ -928,7 +934,9 @@ def test_kernel_of_identity(mod_N_two_nodes, ring_two_nodes):
     pr = ring_two_nodes.poly_ring
     N = mod_N_two_nodes.minimalize()
     psi = PolyMatrix.identity(pr, N.gen_degs)
-    assert kernel_of_map(psi, N, N).minimalize().n_gens == 0
+    assert _kernel(psi, N, N).minimalize().n_gens == 0
+    assert not minimal_cycles(ring_two_nodes, N.gen_degs, psi, N.relations, None,
+                              N.relations).gen_degs
 
 
 def test_kernel_of_injective_multiplication(ring_node):
@@ -938,12 +946,66 @@ def test_kernel_of_injective_multiplication(ring_node):
     My = ModulePresentation.quotient_by_ideal(ring_node, [y], label="My")
     shifted = My.twist(1)
     psi = PolyMatrix(pr, (0,), (1,), [[x]])
-    ker = kernel_of_map(psi, shifted, My).minimalize()
+    ker = _kernel(psi, shifted, My).minimalize()
     assert ker.n_gens == 0
     # cross-check through the linear-algebra oracle
     from cihom.oracle import map_kernel_cokernel_oracle
     kdims, _ = map_kernel_cokernel_oracle(psi, shifted, My, 6)
     assert all(v == 0 for v in kdims.values())
+
+
+@functools.cache
+def _fixture_ring(name, tag):
+    return catalog.ring(name, field_by_tag(tag))
+
+
+def _times(pr, v, degs):
+    """Multiplication by the variable v on R^degs, into R^degs."""
+    return PolyMatrix(pr, (0,), (1,), [[v]]).kron_identity(degs)
+
+
+def _assert_survivors_are_minimal(ring, *args):
+    # the greedy pass keeps a minimal generating set: as many cycles as the
+    # minimalized subquotient has generators, so zero exactly when none
+    cycles = minimal_cycles(ring, *args)
+    pres = subquotient_presentation(ring, *args).minimalize()
+    assert len(cycles.gen_degs) == pres.n_gens, args
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31),
+       st.sampled_from(["R_node", "R_node3", "R_xyzu", "R_quadric"]),
+       st.sampled_from(["f32003", "f3", "rational"]), st.booleans())
+def test_surviving_cycles_count_the_minimal_generators(seed, name, tag, syzygy):
+    # The rule every zero test of the constructions' certificates reads, on
+    # the evaluation kernel, the dual, two cokernels (identity columns modulo
+    # a map) and two middle homologies.
+    ring = _fixture_ring(name, tag)
+    pr = ring.poly_ring
+    x = pr.variable(pr.variables[0])
+    rng = random.Random(seed)
+    M = random_homogeneous_module(ring, rng, 2, rng.randint(1, 2), label="A")
+    M = (M.first_syzygy() if syzygy else M).minimalize()
+    if not M.n_gens:
+        return
+    D = M.dual_generators()
+    assert len(M._dual_cycles().gen_degs) == M.dual().minimalize().n_gens
+    u = D.transpose()
+    free = u.row_degs
+    # evaluation kernel (all of M when M* = 0)
+    _assert_survivors_are_minimal(ring, M.gen_degs, u if D.ncols else None, None, None,
+                                  M.relations)
+    # M / xM, and R^m / im u, the pushforward
+    _assert_survivors_are_minimal(ring, M.gen_degs, None, None, _times(pr, x, M.gen_degs),
+                                  M.relations)
+    _assert_survivors_are_minimal(ring, free, None, None, u, None)
+    # M -> R^m -> R^m / im u at the free spot, and Tor_1(M, R/(x)) from the
+    # resolution: d_1 and d_2 modulo x
+    _assert_survivors_are_minimal(ring, free, PolyMatrix.identity(pr, free), u, u, None)
+    res = resolve(M, steps=2)
+    f0, f1 = res.step_degrees(0), res.step_degrees(1)
+    _assert_survivors_are_minimal(ring, f1, res.differential(1), _times(pr, x, f0),
+                                  res.differential(2), _times(pr, x, f1))
 
 
 def test_shifted_depth_formula_at_top_index(ring_node3):

@@ -20,8 +20,8 @@ The user surface, run as a script:
 
 Here nothing but the command line (``cihom.cli.main``) drives cihom: every
 catalog entry over two fields and every ``tests/data/*.ci`` script, each in
-both formats, bad flags and bad scripts, the pushforward of a torsion
-module, a generator shift past the term-code range, the five searches on
+both formats, bad flags and bad scripts, the pushforwards of two torsion
+modules, a generator shift past the term-code range, the five searches on
 the four fixture rings, ``check`` of every statement, and Tor profiles
 whose windows reach each vanishing-evidence tier.  Each run's exit
 code is checked too.  A function that only tests call shows up here, so
@@ -170,8 +170,10 @@ _NEEDS_PARAMETERS = {"3.15"}
 # Scripts that must fail, with their exit codes: an unknown command, a parse
 # error at an option, a statement that takes one module given two, an
 # unknown statement, a statement without a parameter it needs, a search over
-# a ring with no variables, the pushforward of a torsion module and a shift
-# past the term-code range.
+# a ring with no variables, the pushforward of two torsion modules (K has
+# finite length, so M* = 0 and K is its own torsion witness; T = R/(x) + k
+# has a nonzero dual, so its witness is the evaluation kernel, presented)
+# and a shift past the term-code range.
 _BAD_SCRIPTS = (
     (_PAIRS + "frobnicate M\n", 2),
     (_PAIRS + "resolve M steps=0\n", 2),
@@ -181,6 +183,8 @@ _BAD_SCRIPTS = (
     ("ring K = quotient(field=f32003, vars=[], ideal=[])\n"
      "search 3.6 with (ring=K, samples=2)\n", 2),
     (_PAIRS + "module K = coker(N, shifts=[0], matrix=[[x, y]])\npushforward K\n", 3),
+    (_PAIRS + "module T = coker(N, shifts=[0,0], matrix=[[x, 0, 0], [0, x, y]])\n"
+     "pushforward T\n", 3),
     (_PAIRS + "module H = coker(R, shifts=[3000000000], matrix=[[y, u]])\n"
      "resolve H steps=1\n", 3),
 )
