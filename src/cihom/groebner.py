@@ -46,13 +46,16 @@ term moves under the shift t / lead by adding t - lead.  For two codes a, b
 of one position, the monomial of a divides that of b exactly when a - b has
 no guard bit set (the slots hold B - e, so they shrink as the exponents
 grow): a slot that goes negative borrows through its guard bit.  The same
-guard bits pick each slot's maximum for the lcm of two leads
-(``ModuleOrder.lcm``), so pairs are formed on codes too.
+guard bits pick each slot's maximum for the lcm of two leads, so pairs are
+formed on codes too: ``ModuleOrder.lcms`` gives the lcm and its shifted
+degree for one lead against a list of others in one call,
+``IncrementalModuleGB.add`` queues each new pair with both, and ``s_pair``
+takes the queued lcm.
 
 Codes stay exact only while every field fits.  Homogeneity bounds every
 exponent of a term by its degree, and every term the engine makes has the
 shifted degree of an input term or of a queued pair's lcm; so ``encode``,
-``encode_column`` and ``lcm`` (and with it ``IncrementalModuleGB.add``) raise
+``encode_column`` and ``lcms`` (and with it ``IncrementalModuleGB.add``) raise
 ``TermCodeRangeError`` when such a degree does not fit, before any code
 could wrap into a neighbouring field.
 
@@ -76,7 +79,12 @@ monomial) pairs (``GroebnerBasis.lead_terms``,
 ``IncrementalModuleGB.initial_terms``).  So no caller outside this module
 sees a code.  The engine's callers take their orders from
 ``shared_order``, one per equal (module, split), at most
-``_SHARED_ORDERS`` kept.
+``_SHARED_ORDERS`` kept.  An order codes the quotient columns f_k*e_j of
+its main block once per quotient (``ModuleOrder.quotient_elements``, at
+most ``_QUOTIENTS_KEPT`` quotients, then it starts over);
+``groebner_basis``, ``relation_basis`` and ``TrackedSubmodule`` all feed
+those same elements to their engines, which read them and never change
+them.
 
 Coefficients.  Every ``Element`` that leaves a loop of the engine holds
 field elements: ints in [1, p) over GF(p), nonzero Fractions over the
@@ -118,6 +126,8 @@ _SLOT_MASK = (1 << _SLOT_BITS) - 1
 _TABLE_MAX = 1 << 14
 # Orders kept by shared_order.
 _SHARED_ORDERS = 256
+# Quotients whose coded columns one order keeps before it starts over.
+_QUOTIENTS_KEPT = 8
 
 
 class TermCodeRangeError(RuntimeError):
@@ -210,7 +220,7 @@ class ModuleOrder:
     __slots__ = ("module", "split", "position_mask", "block_flag", "guard_mask",
                  "_offset", "_raised_degs", "_degree_shift", "_slot_shifts",
                  "_slot_values", "_slot_ones", "_sum_shift", "_degree_weight",
-                 "_weights", "_base", "_top", "_offsets", "_monomials")
+                 "_weights", "_base", "_top", "_offsets", "_monomials", "_quotient_codes")
 
     def __init__(self, module: FreeModule, split: int | None = None):
         self.module = module
@@ -230,6 +240,7 @@ class ModuleOrder:
         flag, shift, slots = self.block_flag, self._degree_shift, self._slot_values
         self._base = tuple([(flag if p < self.split else 0) + (d << shift) + slots
                             + (rank - 1 - p) for p, d in enumerate(self._raised_degs)])
+        self._quotient_codes: dict = {}   # quotient polynomials -> coded quotient columns
 
     def _out_of_range(self, shifted_degree: int) -> TermCodeRangeError:
         return TermCodeRangeError(
@@ -274,25 +285,33 @@ class ModuleOrder:
             self._learn(m, offset)
         return p, m
 
-    def lcm(self, a: int, b: int) -> int:
-        """Code of the lcm of two terms of one position; TermCodeRangeError
-        when it does not fit.
+    def lcms(self, a: int, others) -> list:
+        """(shifted degree, code) of the lcm of the term a with each term of
+        ``others``, all of a's position; TermCodeRangeError when one does
+        not fit.
 
-        The lcm is a times s, s_i = max(0, b_i - a_i).  The slots hold
-        B - e, so subtracting b's slots from a's with every guard bit set
-        leaves a slot's guard bit exactly where that difference is
+        The lcm with b is a times s, s_i = max(0, b_i - a_i).  The slots
+        hold B - e, so subtracting b's slots from a's with every guard bit
+        set leaves a slot's guard bit exactly where that difference is
         non-negative, and the difference in its value bits.
         """
-        values, guard = self._slot_values, self.guard_mask
-        diff = ((a & values) | guard) - (b & values)
-        kept = diff & guard
-        s = diff & (kept - (kept >> _VALUE_BITS))
-        # deg s <= deg b fits one slot, so no partial sum carries
-        deg = (s * self._slot_ones >> self._sum_shift) & _FIELD_MAX
-        raised = (a >> self._degree_shift & _SLOT_MASK) + deg    # its shifted degree + offset
-        if raised > _FIELD_MAX:
-            raise self._out_of_range(raised - self._offset)
-        return a - s + deg * self._degree_weight
+        values, guard, ones, sum_shift = (self._slot_values, self.guard_mask,
+                                          self._slot_ones, self._sum_shift)
+        weight, offset = self._degree_weight, self._offset
+        a_slots = (a & values) | guard
+        a_raised = a >> self._degree_shift & _SLOT_MASK     # a's shifted degree + offset
+        out = []
+        for b in others:
+            diff = a_slots - (b & values)
+            kept = diff & guard
+            s = diff & (kept - (kept >> _VALUE_BITS))
+            # deg s <= deg b fits one slot, so no partial sum carries
+            deg = (s * ones >> sum_shift) & _FIELD_MAX
+            raised = a_raised + deg
+            if raised > _FIELD_MAX:
+                raise self._out_of_range(raised - offset)
+            out.append((raised - offset, a - s + deg * weight))
+        return out
 
     def encode_column(self, column, free: FreeModule) -> Element:
         """The coded element of a column of ``free`` (one polynomial per row),
@@ -321,6 +340,24 @@ class ModuleOrder:
                     raise self._out_of_range(deg + self.module.gen_degs[p])
                 terms[b + offset] = c
         return Element(self.module, terms)
+
+    def quotient_elements(self, quotient_polys) -> list:
+        """The coded quotient columns f_k * e_j (``quotient_columns``) of the
+        free module on this order's first ``split`` generators.  They are
+        coded once per quotient and shared by every engine of the order,
+        which reads them and never changes them; an order keeps at most
+        ``_QUOTIENTS_KEPT`` quotients, then starts over."""
+        if not quotient_polys:
+            return []
+        key = tuple(quotient_polys)
+        coded = self._quotient_codes.get(key)
+        if coded is None:
+            free = FreeModule(self.module.ring, self.module.gen_degs[:self.split])
+            coded = [self.encode_column(q, free) for q in quotient_columns(free, key)]
+            if len(self._quotient_codes) >= _QUOTIENTS_KEPT:
+                self._quotient_codes.clear()
+            self._quotient_codes[key] = coded
+        return coded
 
     def decode_rows(self, e: Element, first: int, count: int) -> list:
         """The coded e as one {monomial: coeff} dict per position first, ...,
@@ -440,14 +477,18 @@ def normal_form(e: Element, basis: list, order: ModuleOrder,
     return Element(e.module, remainder)
 
 
-def s_pair(f: Element, g: Element, order: ModuleOrder) -> Element:
-    """S-element of two coded module elements with leading terms in one position."""
+def s_pair(f: Element, g: Element, order: ModuleOrder, lcm: int | None = None) -> Element:
+    """S-element of two coded module elements with leading terms in one
+    position.  ``lcm``, the code of the leads' lcm, is passed by the pair
+    engine, which queued it with the pair; without it the positions are
+    checked and the lcm is formed here."""
     field = f.module.ring.field
     lf, lg = lead_term(f, order), lead_term(g, order)
-    if (lf ^ lg) & order.position_mask:
-        raise IncompatibleOperandsError(f"S-pair of elements with leads in positions "
-                                        f"{order.position(lf)} and {order.position(lg)}")
-    lcm = order.lcm(lf, lg)
+    if lcm is None:
+        if (lf ^ lg) & order.position_mask:
+            raise IncompatibleOperandsError(f"S-pair of elements with leads in positions "
+                                            f"{order.position(lf)} and {order.position(lg)}")
+        lcm = order.lcms(lf, (lg,))[0][1]
     canonical = field.canonical
     shift, a = lcm - lf, f.terms[lf]
     if a == 1:
@@ -514,14 +555,18 @@ class IncrementalModuleGB:
         idx = len(self.basis)
         self.basis.append(g)
         same = self._by_position.setdefault(lead & order.position_mask, [])
-        unit = (order.encode((order.position(lead), (0,) * order.module.ring.nvars))
-                if self.coprime else None)
-        for lead_k, k in same:
-            lcm = order.lcm(lead_k, lead)   # TermCodeRangeError when it does not fit
-            if self.coprime and lcm - lead_k == lead - unit:
-                continue  # coprime leads: the S-pair reduces to zero
-            heapq.heappush(self._heap, (order.degree(lcm), idx, k, lcm))
-            self._pending.add((k, idx))
+        if same:
+            # the lcm of coprime leads is lead_k times lead's monomial
+            apart = (lead - order.encode((order.position(lead), (0,) * order.module.ring.nvars))
+                     if self.coprime else None)
+            heap, pending, heappush = self._heap, self._pending, heapq.heappush
+            # TermCodeRangeError when a pair's lcm does not fit
+            lcms = order.lcms(lead, [lead_k for lead_k, _ in same])
+            for (lead_k, k), (deg, lcm) in zip(same, lcms):
+                if lcm - lead_k == apart:
+                    continue  # coprime leads: the S-pair reduces to zero
+                heappush(heap, (deg, idx, k, lcm))
+                pending.add((k, idx))
         same.append((lead, idx))
 
     def _drain(self, upto=None):
@@ -529,21 +574,25 @@ class IncrementalModuleGB:
         above it queued (pending for the chain criterion): homogeneous inputs
         then give a Groebner basis through degree ``upto``."""
         basis, order, pending, heap = self.basis, self.order, self._pending, self._heap
-        pmask, divides = order.position_mask, order.divides
+        by_position, pmask, guard = self._by_position, order.position_mask, order.guard_mask
+        heappop = heapq.heappop
         while heap and (upto is None or heap[0][0] <= upto):
-            _, j, i, lcm = heapq.heappop(heap)
+            _, j, i, lcm = heappop(heap)
             pending.remove((i, j))
             # Chain criterion: skip (i, j) when the lead of some k divides
             # the lcm and both (i, k) and (j, k) have already been handled.
-            if any(k != i and k != j and divides(lead_k, lcm)
-                   and (min(i, k), max(i, k)) not in pending
-                   and (min(j, k), max(j, k)) not in pending
-                   for lead_k, k in self._by_position[lcm & pmask]):
-                continue
-            s = s_pair(basis[i], basis[j], order)
-            r = normal_form(s, basis, order, self._by_position)
-            if r:
-                self.add(r)
+            # Every lead listed at the lcm's position has that position, so
+            # the guard bits alone decide divisibility.
+            for lead_k, k in by_position[lcm & pmask]:
+                if (not (lead_k - lcm) & guard and k != i and k != j
+                        and ((i, k) if i < k else (k, i)) not in pending
+                        and ((j, k) if j < k else (k, j)) not in pending):
+                    break
+            else:
+                r = normal_form(s_pair(basis[i], basis[j], order, lcm), basis, order,
+                                by_position)
+                if r:
+                    self.add(r)
 
     def extend(self, elements):
         """Insert the homogeneous coded elements (zeros are skipped), then drain."""
@@ -684,8 +733,8 @@ def groebner_basis(columns, free: FreeModule, quotient_polys=()) -> GroebnerBasi
     ``contains(column)`` decides membership over the quotient.
     """
     order = shared_order(free)
-    elems = [order.encode_column(c, free)
-             for c in list(columns) + quotient_columns(free, quotient_polys)]
+    elems = [order.encode_column(c, free) for c in columns]
+    elems += order.quotient_elements(quotient_polys)
     ideal_mode = free.rank == 1 and not quotient_polys
     gens = buchberger(elems, order, ideal_mode=ideal_mode)
     return GroebnerBasis(free, order, gens, quotient_polys)
@@ -752,8 +801,9 @@ class TrackedSubmodule:
             coded = order.encode_column(col, free)   # F's positions come first
             coded.terms[order.encode((free.rank + j, unit))] = one
             tracked.append(coded)
-        for rel in list(relations) + quotient_columns(free, quotient_polys):
+        for rel in relations:
             tracked.append(order.encode_column(rel, free))
+        tracked += order.quotient_elements(quotient_polys)
         self.active, self.collected = tracked_buchberger(tracked, order)
         self._ideal_gb = quotient_ring.ideal_gb if quotient_polys else None
 
@@ -808,8 +858,8 @@ def relation_basis(free: FreeModule, quotient_polys=(), relations=()) -> Increme
         r = order.encode_column(r, free)
         order.element_degree(r)   # raises GradedViolationError if mixed
         gb.add(r)
-    for q in quotient_columns(free, quotient_polys):
-        gb.add(order.encode_column(q, free))
+    for q in order.quotient_elements(quotient_polys):
+        gb.add(q)
     return gb
 
 

@@ -18,6 +18,9 @@ from .groebner import FreeModule, groebner_basis
 
 NEG_INF = float("-inf")
 INF = float("inf")
+# Monomial-ideal numerators kept by module_numerator before its table starts over.
+_NUMERATORS_MAX = 1 << 12
+_numerators: dict = {}
 
 
 def encode_infinite(v):
@@ -86,13 +89,23 @@ def module_numerator(gen_degs, leads) -> dict:
     """Numerator K of HS(F / U) = K(t) / (1 - t)^n, F free on ``gen_degs`` and
     U a submodule whose initial module the (position, monomial) ``leads``
     generate: that module splits by position into monomial ideals L_i, so
-    K = sum_i t^(gen_degs[i]) K(L_i).  Redundant leads are harmless."""
+    K = sum_i t^(gen_degs[i]) K(L_i).  Redundant leads are harmless.
+
+    Each K(L_i) is looked up by the set of L_i's monomials in a
+    process-level table that starts over at ``_NUMERATORS_MAX`` entries:
+    one run meets the same position ideals again and again."""
     by_position = [[] for _ in gen_degs]
     for p, m in leads:
         by_position[p].append(m)
     num: dict = {}
     for gdeg, monos in zip(gen_degs, by_position):
-        add_numerator(num, hilbert_numerator(monos), gdeg)
+        key = frozenset(monos)
+        part = _numerators.get(key)
+        if part is None:
+            if len(_numerators) >= _NUMERATORS_MAX:
+                _numerators.clear()
+            part = _numerators[key] = hilbert_numerator(monos)
+        add_numerator(num, part, gdeg)
     return num
 
 

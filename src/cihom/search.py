@@ -59,10 +59,13 @@ def random_homogeneous_module(ring: RingPresentation, rng: random.Random,
     q = rng.randint(1, max_gens + 1)
     gen_degs = tuple(0 for _ in range(p))
     columns = []
+    monos_of_degree: dict = {}
     for _ in range(q):
         deg = rng.randint(1, max_deg)
         col = []
-        monos = list(monomials_of_degree(pr.nvars, deg))
+        monos = monos_of_degree.get(deg)
+        if monos is None:
+            monos = monos_of_degree[deg] = list(monomials_of_degree(pr.nvars, deg))
         for _i in range(p):
             poly = pr.zero()
             for _t in range(rng.randint(0, 2)):

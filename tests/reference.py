@@ -5,7 +5,7 @@ of something the engine does another way, kept beside the tests that read it:
 
 - ``mono_div`` and ``mono_lcm`` on exponent tuples: ``reference_normal_form``
   in tests/test_groebner.py shifts its reducers with ``mono_div``, and the
-  term-code tests check ``ModuleOrder.lcm`` against ``mono_lcm``;
+  term-code tests check ``ModuleOrder.lcms`` against ``mono_lcm``;
 - ``element_add``, ``element_mul_term``, ``element_mul_poly`` and
   ``element_component`` read an ``Element`` whose keys are (position,
   monomial) pairs instead of term codes: ``reference_normal_form`` is

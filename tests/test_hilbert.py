@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cihom.fields import PrimeField, field_by_tag
-from cihom import fmodules
+from cihom import fmodules, rings
 from cihom.fmodules import ModulePresentation
 from cihom.groebner import groebner_basis, relation_basis
 from cihom.homology import _ResolutionComplex, ext_ambient_dimensions, tor_profile
@@ -27,6 +27,7 @@ from cihom.rings import (
     hilbert_numerator,
     ideal_dimension,
     ideal_groebner,
+    module_numerator,
 )
 from cihom.search import random_homogeneous_module
 
@@ -304,3 +305,42 @@ def test_dual_hilbert_function_has_negative_degrees(ring_quadric, mod_quadric):
     assert min(dual.gen_degs) < 0
     assert dual.hilbert_function(3, dmin=-3) == _hilbert_function_reference(dual, 3, dmin=-3)
     assert dual.dimension() == _dimension_reference(dual) == ring_quadric.dimension()
+
+
+def _module_numerator_reference(gen_degs, leads):
+    """module_numerator with no table: sum_i t^(gen_degs[i]) K(L_i)."""
+    num: dict = {}
+    for p, gdeg in enumerate(gen_degs):
+        add_numerator(num, hilbert_numerator([m for q, m in leads if q == p]), gdeg)
+    return num
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31), st.integers(min_value=1, max_value=4))
+def test_module_numerator_table_matches_the_table_free_sum(seed, bound):
+    # Position ideals come from a pool, shuffled and with repeated
+    # monomials, so lookups hit the table.  The pool holds more distinct
+    # ideals than the bound, and the first module uses each of them once, so
+    # the table starts over before the later lookups.
+    rng = random.Random(seed)
+    nvars = rng.randint(1, 3)
+    pool = [[(k + 3,) + (0,) * (nvars - 1)]
+            + [tuple(rng.randint(0, 2) for _ in range(nvars)) for _ in range(rng.randint(0, 3))]
+            for k in range(bound + 2)]
+    modules = [(tuple(rng.randint(-1, 2) for _ in pool), list(range(len(pool))))]
+    for _ in range(10):
+        gen_degs = tuple(rng.randint(-1, 2) for _ in range(rng.randint(1, 3)))
+        modules.append((gen_degs, [rng.randrange(len(pool)) for _ in gen_degs]))
+    saved = rings._NUMERATORS_MAX, dict(rings._numerators)
+    rings._NUMERATORS_MAX = bound
+    try:
+        for gen_degs, ideals in modules:
+            leads = [(p, m) for p, k in enumerate(ideals) for m in pool[k] * rng.randint(1, 2)]
+            rng.shuffle(leads)
+            assert module_numerator(gen_degs, leads) == _module_numerator_reference(gen_degs,
+                                                                                     leads)
+            assert len(rings._numerators) <= bound
+    finally:
+        rings._NUMERATORS_MAX = saved[0]
+        rings._numerators.clear()
+        rings._numerators.update(saved[1])

@@ -44,9 +44,8 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "cihom"
 
-# Functions a run need not call: a __repr__ serves a person at a prompt, and
-# Polynomial.__hash__ keeps polynomials hashable beside their __eq__.
-ALLOWED = frozenset({"polynomials.Polynomial.__hash__"})
+# Functions a run need not call: a __repr__ serves a person at a prompt.
+ALLOWED = frozenset()
 # No command takes the rational field's zero, the other half of the interface
 # whose prime-field half is reached.  No command reaches the oracle either,
 # so every function in oracle.py and linalg.py is allowed there as well.
