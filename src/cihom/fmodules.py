@@ -304,7 +304,7 @@ class ModulePresentation:
     """
 
     __slots__ = ("ring", "gen_degs", "relations", "label",
-                 "_minimal", "_hf_num", "_basis", "_ambient_pres", "_free_module", "_res_cache",
+                 "_minimal", "_hf_num", "_basis", "_ambient_pres", "_res_cache",
                  "_ext_dims", "_dual", "_biduality", "_nonfree_entry")
 
     def __init__(self, ring: RingPresentation, gen_degs, relations: PolyMatrix,
@@ -320,7 +320,6 @@ class ModulePresentation:
         self._hf_num = None
         self._basis = None
         self._ambient_pres = None
-        self._free_module = None
         self._res_cache = None
         self._ext_dims = None
         self._dual = None
@@ -364,11 +363,6 @@ class ModulePresentation:
     @property
     def n_rels(self) -> int:
         return self.relations.ncols
-
-    def free_module(self) -> FreeModule:
-        if self._free_module is None:
-            self._free_module = FreeModule(self.ring.poly_ring, self.gen_degs)
-        return self._free_module
 
     def is_zero_module(self) -> bool:
         return self.minimalize().n_gens == 0
@@ -487,7 +481,8 @@ class ModulePresentation:
         """
         if self._hf_num is None:
             basis = self._basis or relation_basis(
-                self.free_module(), self.ring.quotient_gens, self.relations.columns())
+                FreeModule(self.ring.poly_ring, self.gen_degs), self.ring.quotient_gens,
+                self.relations.columns())
             self._hf_num = module_numerator(self.gen_degs, basis.initial_terms())
             self._basis = None
         return self._hf_num
@@ -513,23 +508,26 @@ class ModulePresentation:
     # -- dual and biduality ---------------------------------------------------------
 
     def _dual_cycles(self):
-        """Hom(M, R) as the minimal cycles of A^T, A the relations, in the
-        dual coordinates R^(-gen_degs) (the identity columns when M is
-        free): the generator half of the dual, computed once per
-        presentation, so the torsion-free test of ``biduality_report`` and
-        ``pushforward`` share it."""
-        if self._dual is None:
+        """Hom(M, R) as the minimal cycles of A^T, A the relations of the
+        minimal presentation, in its dual coordinates R^(-gen_degs) (the
+        identity columns when M is free): the generator half of the dual,
+        computed once and kept on the minimal presentation, so ``dual``, the
+        torsion-free test of ``biduality_report`` and ``pushforward`` share
+        it."""
+        M = self.minimalize()
+        if M._dual is None:
             from .homology import minimal_cycles
-            A = self.relations
-            self._dual = minimal_cycles(self.ring, tuple(-d for d in self.gen_degs),
-                                        A.transpose() if A.ncols else None, None, None, None,
-                                        label=f"{self.label}*")
-        return self._dual
+            A = M.relations
+            M._dual = minimal_cycles(M.ring, tuple(-d for d in M.gen_degs),
+                                     A.transpose() if A.ncols else None, None, None, None,
+                                     label=f"{M.label}*")
+        return M._dual
 
     def dual_generators(self) -> PolyMatrix:
         """Generators of Hom(M, R) inside the dual coordinates of the
-        generator space: the matrix whose rows have degrees -gen_degs and
-        whose columns are a minimal set of dual generators."""
+        minimal presentation's generator space: the matrix whose rows have
+        its degrees -gen_degs and whose columns are a minimal set of dual
+        generators."""
         cycles = self._dual_cycles()
         return PolyMatrix.from_columns(self.ring.poly_ring, cycles.free.gen_degs,
                                        cycles.columns, cycles.gen_degs)

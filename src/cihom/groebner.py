@@ -271,10 +271,6 @@ class ModuleOrder:
             raise self._out_of_range(deg + self.module.gen_degs[p])
         return self._base[p] + offset
 
-    def position(self, code: int) -> int:
-        """The position p of a code."""
-        return self._top - (code & self.position_mask)
-
     def decode(self, code: int):
         """The term (p, m) of a code."""
         p = self._top - (code & self.position_mask)
@@ -487,7 +483,7 @@ def s_pair(f: Element, g: Element, order: ModuleOrder, lcm: int | None = None) -
     if lcm is None:
         if (lf ^ lg) & order.position_mask:
             raise IncompatibleOperandsError(f"S-pair of elements with leads in positions "
-                                            f"{order.position(lf)} and {order.position(lg)}")
+                                            f"{order.decode(lf)[0]} and {order.decode(lg)[0]}")
         lcm = order.lcms(lf, (lg,))[0][1]
     canonical = field.canonical
     shift, a = lcm - lf, f.terms[lf]
@@ -523,17 +519,15 @@ class IncrementalModuleGB:
     and leaves its pairs queued; ``reduce`` drains only the pairs up to the
     degree of the element it reduces.  Basis elements are monic.  An element
     whose lead lies in the tracking block (position >= ``order.split``) is
-    collected unscaled in ``collected`` and never joins the basis.
-    ``coprime`` also skips pairs with coprime leads, which is valid for
-    rank-one input only.  Not interreduced (membership only needs the
-    Groebner property).
+    collected unscaled in ``collected`` and never joins the basis.  The
+    chain criterion is the only one that skips a pair.  Not interreduced
+    (membership only needs the Groebner property).
     """
 
-    __slots__ = ("order", "coprime", "basis", "collected", "_by_position", "_heap", "_pending")
+    __slots__ = ("order", "basis", "collected", "_by_position", "_heap", "_pending")
 
-    def __init__(self, order: ModuleOrder, coprime: bool = False):
+    def __init__(self, order: ModuleOrder):
         self.order = order
-        self.coprime = coprime
         self.basis: list = []
         self.collected: list = []
         self._by_position: dict = {}   # position field -> [(lead code, index)]
@@ -556,15 +550,10 @@ class IncrementalModuleGB:
         self.basis.append(g)
         same = self._by_position.setdefault(lead & order.position_mask, [])
         if same:
-            # the lcm of coprime leads is lead_k times lead's monomial
-            apart = (lead - order.encode((order.position(lead), (0,) * order.module.ring.nvars))
-                     if self.coprime else None)
             heap, pending, heappush = self._heap, self._pending, heapq.heappush
             # TermCodeRangeError when a pair's lcm does not fit
             lcms = order.lcms(lead, [lead_k for lead_k, _ in same])
-            for (lead_k, k), (deg, lcm) in zip(same, lcms):
-                if lcm - lead_k == apart:
-                    continue  # coprime leads: the S-pair reduces to zero
+            for (_, k), (deg, lcm) in zip(same, lcms):
                 heappush(heap, (deg, idx, k, lcm))
                 pending.add((k, idx))
         same.append((lead, idx))
@@ -616,13 +605,11 @@ class IncrementalModuleGB:
         return [self.order.decode(lead_term(g, self.order)) for g in self.basis]
 
 
-def buchberger(elements: list, order: ModuleOrder, ideal_mode: bool = False) -> list:
-    """Reduced Groebner basis of the submodule generated by the coded elements.
-
-    Inputs must be homogeneous.  In ideal_mode (rank-one input, valid only
-    there) the pair engine also skips pairs with coprime leads.
-    """
-    gb = IncrementalModuleGB(order, coprime=ideal_mode)
+def buchberger(elements: list, order: ModuleOrder) -> list:
+    """Reduced Groebner basis of the submodule generated by the coded
+    elements, which must be homogeneous: the pair engine's basis,
+    interreduced."""
+    gb = IncrementalModuleGB(order)
     gb.extend(elements)
     return interreduce(gb.basis, order)
 
@@ -655,20 +642,17 @@ class GroebnerBasis:
     ``generators`` are columns, one polynomial per row of ``module``, and
     ``lead_terms`` their (position, monomial) leads; the coded basis stays
     inside.  ``normal_form`` and ``contains`` take columns of ``module``.
-    ``quotient_polys`` records the quotient relations that were appended, so
-    normal forms decide membership over R = S/(quotient) as well as over S.
     """
 
-    __slots__ = ("module", "order", "generators", "lead_terms", "quotient_polys", "_basis",
-                 "_by_position", "_divisible")
+    __slots__ = ("module", "order", "generators", "lead_terms", "_basis", "_by_position",
+                 "_divisible")
 
-    def __init__(self, module, order, basis, quotient_polys):
+    def __init__(self, module, order, basis):
         self.module = module
         self.order = order
         self._basis = basis
         self.generators = [self._column(g) for g in basis]
         self.lead_terms = [order.decode(lead_term(g, order)) for g in basis]
-        self.quotient_polys = tuple(quotient_polys)
         self._by_position = _index_leads(basis, order)
         self._divisible = None
 
@@ -735,9 +719,7 @@ def groebner_basis(columns, free: FreeModule, quotient_polys=()) -> GroebnerBasi
     order = shared_order(free)
     elems = [order.encode_column(c, free) for c in columns]
     elems += order.quotient_elements(quotient_polys)
-    ideal_mode = free.rank == 1 and not quotient_polys
-    gens = buchberger(elems, order, ideal_mode=ideal_mode)
-    return GroebnerBasis(free, order, gens, quotient_polys)
+    return GroebnerBasis(free, order, buchberger(elems, order))
 
 
 def tracked_buchberger(inputs: list, order: ModuleOrder):
@@ -750,8 +732,7 @@ def tracked_buchberger(inputs: list, order: ModuleOrder):
     back.  The collected elements generate the full syzygy module: pulled
     back along the tracking coordinates, the S-pair syzygies of a Groebner
     basis containing the inputs generate every relation among the inputs
-    (the chain criterion is safe here; the coprime-lead shortcut is not and
-    stays off).
+    (the chain criterion is safe here).
     """
     gb = IncrementalModuleGB(order)
     gb.extend(inputs)

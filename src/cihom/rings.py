@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .polynomials import PolyRing, Polynomial, mono_divides
+from .polynomials import PolyRing, Polynomial, mono_divides, monomials_of_degree
 from .groebner import FreeModule, groebner_basis
 
 NEG_INF = float("-inf")
@@ -201,11 +201,10 @@ def monomial_minimal_primes(poly_ring: PolyRing, mono_gens):
     return primes
 
 
-def _random_poly(poly_ring: PolyRing, rng: random.Random) -> Polynomial:
+def _random_poly(poly_ring: PolyRing, rng: random.Random, monos_by_degree) -> Polynomial:
+    """One to three terms of one degree 0..2, drawn from ``monos_by_degree``."""
     out = poly_ring.zero()
-    from .polynomials import monomials_of_degree
-    deg = rng.randint(0, 2)
-    monos = list(monomials_of_degree(poly_ring.nvars, deg))
+    monos = monos_by_degree[rng.randint(0, 2)]
     for _ in range(rng.randint(1, 3)):
         m = rng.choice(monos)
         c = poly_ring.field.from_int(rng.randint(1, 100))
@@ -225,9 +224,10 @@ def spot_check_prime(poly_ring: PolyRing, prime: PrimeIdeal, quotient_gens) -> d
               "proper": not prime.contains(poly_ring.one()),
               "zero_divisor_hits": 0, "samples": samples}
     rng = random.Random(7)
+    monos_by_degree = [list(monomials_of_degree(poly_ring.nvars, d)) for d in range(3)]
     for _ in range(samples):
-        a = _random_poly(poly_ring, rng)
-        b = _random_poly(poly_ring, rng)
+        a = _random_poly(poly_ring, rng, monos_by_degree)
+        b = _random_poly(poly_ring, rng, monos_by_degree)
         if prime.contains(a) or prime.contains(b):
             continue
         if prime.contains(a * b):

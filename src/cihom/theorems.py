@@ -50,8 +50,9 @@ def _ok(name, ok, evidence=None):
     return _line(name, "satisfied" if ok else "failed", evidence)
 
 
-def _model(name, evidence="holds in the graded equicharacteristic model"):
-    return _line(name, "model-level", evidence, kind="model-level")
+def _model(name):
+    return _line(name, "model-level", "holds in the graded equicharacteristic model",
+                 kind="model-level")
 
 
 class TheoremReport:

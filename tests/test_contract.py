@@ -1,12 +1,15 @@
 """The pinned outputs of cihom, one row each.
 
 A row is (name, builder, check).  The builder computes an output in-process.
-The check is the sha256 of that text output (a hex string), a list of
-sha256s for a list of outputs, or a predicate.  A builder wrapped in
-``_within`` must finish inside its time limit.  Every digest was recorded
-earlier and is kept byte for byte; a refactor that moves one of them changes
-what cihom prints.  The names the benchmark's tracer wraps are checked here
-too.
+The check is a predicate, or the name of a golden file under
+``tests/data/golden``: the builder's text must equal that file byte for byte,
+or, when the builder returns a {file name: text} dict, each text must equal
+the file of that name in the named directory (``tests/golden.py``).  A
+failing pin names the JSON path or text line that moved.  A builder wrapped
+in ``_within`` must finish inside its time limit.  Every golden file was
+recorded earlier and is kept byte for byte; a refactor that moves one of them
+changes what cihom prints.  The names the benchmark's tracer wraps are
+checked here too.
 """
 
 import hashlib
@@ -27,16 +30,13 @@ from cihom.fields import PrimeField, field_by_tag
 from cihom.fmodules import ModulePresentation
 from cihom.resolutions import resolve
 from cihom.search import SearchConfig, counterexample_search
+import golden
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 F = PrimeField(32003)
 # The benchmark's inputs; bench/ is not a package.
 WORKLOADS = runpy.run_path(str(ROOT / "bench" / "workloads.py"))
-
-
-def _sha256(text):
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _within(seconds, build):
@@ -60,22 +60,26 @@ def _cli(*argv):
 
 def _catalog(tag):
     """Each catalog entry's ``--example ID --field TAG --format json`` output,
-    in ``catalog_ids()`` order; every entry must pass."""
-    outs = [_cli("--example", entry_id, "--field", tag, "--format", "json")
-            for entry_id in catalog_ids()]
-    for entry_id, out in zip(catalog_ids(), outs):
+    by file name ``ID.json``; every entry must pass."""
+    outs = {}
+    for entry_id in catalog_ids():
+        out = _cli("--example", entry_id, "--field", tag, "--format", "json")
         assert json.loads(out)["results"][0]["data"]["pass"] is True, entry_id
+        outs[f"{entry_id}.json"] = out
     return outs
 
 
 def _matches_bench_digests(outs):
     # The f32003 digests are the benchmark's own record of the catalog bytes.
     recorded = json.loads((ROOT / "bench" / "digests.json").read_text())["catalog"]["f32003"]
-    return dict(zip(catalog_ids(), map(_sha256, outs))) == recorded
+    return {name.removesuffix(".json"): hashlib.sha256(out.encode("utf-8")).hexdigest()
+            for name, out in outs.items()} == recorded
 
 
-def _search_logs(*configs):
-    return [json.dumps(counterexample_search(cfg), sort_keys=True) for cfg in configs]
+def _search_logs(configs):
+    """Each {name: SearchConfig}'s log, by file name ``name.json``."""
+    return {f"{name}.json": golden.dump(counterexample_search(cfg))
+            for name, cfg in configs.items()}
 
 
 def _default_3_6_logs():
@@ -84,16 +88,17 @@ def _default_3_6_logs():
     # 8 Ext computations of the tensor Serre tests.  With full pair-queue
     # drains for membership questions this took about 265 s.
     quadric = catalog.ring("R_quadric", F)
-    return _search_logs(*(SearchConfig(quadric, "3.6", samples=8, seed=s) for s in (1, 2)))
+    return _search_logs({f"seed_{s}": SearchConfig(quadric, "3.6", samples=8, seed=s)
+                         for s in (1, 2)})
 
 
 def _thirty_sample_3_6_logs():
     # The search36 workload's module sizes over f3 (cancellation mod p is
     # common) and over the rationals (Fraction coefficients).
-    return _search_logs(*(
-        SearchConfig(catalog.ring("R_quadric", field_by_tag(tag)), "3.6", samples=30,
-                     seed=1, max_gens=2, max_deg=1)
-        for tag in ("f3", "rational")))
+    return _search_logs({
+        tag: SearchConfig(catalog.ring("R_quadric", field_by_tag(tag)), "3.6", samples=30,
+                          seed=1, max_gens=2, max_deg=1)
+        for tag in ("f3", "rational")})
 
 
 def _torsion_searches():
@@ -101,10 +106,13 @@ def _torsion_searches():
     # of M tensor M*; no benchmark workload runs them.
     quadric, two_nodes, node = (catalog.ring(name, F)
                                 for name in ("R_quadric", "R_xyzu", "R_node"))
-    return _search_logs(
-        SearchConfig(quadric, "3.17", seed=3), SearchConfig(quadric, "3.17", seed=4),
-        SearchConfig(two_nodes, "3.17", seed=1), SearchConfig(node, "3.17", seed=1),
-        SearchConfig(node, "4.16", seed=1), SearchConfig(node, "4.18", seed=1))
+    return _search_logs({
+        "3.17_quadric_seed_3": SearchConfig(quadric, "3.17", seed=3),
+        "3.17_quadric_seed_4": SearchConfig(quadric, "3.17", seed=4),
+        "3.17_two_nodes_seed_1": SearchConfig(two_nodes, "3.17", seed=1),
+        "3.17_node_seed_1": SearchConfig(node, "3.17", seed=1),
+        "4.16_node_seed_1": SearchConfig(node, "4.16", seed=1),
+        "4.18_node_seed_1": SearchConfig(node, "4.18", seed=1)})
 
 
 def _bench_oracle(field_tag=None):
@@ -138,7 +146,12 @@ def _oracle_degree_8():
                    counted(linalg.EchelonAccumulator.add, "add"))
         mp.setattr(oracle.Slice, "vector", counted(oracle.Slice.vector, "vector"))
         dims = [oracle.tor_oracle(M, N, 4, 8) for M, N in _bench_oracle().build_pass()]
-    return {"sha256": _sha256(json.dumps(dims, sort_keys=True)), **calls}
+    return {"dims": dims, **calls}
+
+
+def _oracle_degree_8_holds(got):
+    golden.check("oracle_degree_8_dims.json", golden.dump(got["dims"]))
+    return got["add"] < 2000 and got["vector"] < 3500
 
 
 def _oracle_against_tor_profile():
@@ -183,33 +196,19 @@ ROWS = [
     # above 2^32 makes unreduced coefficient sums large, and over the
     # rationals the canonical map is the identity.
     ("catalog_f32003", lambda: _catalog("f32003"), _matches_bench_digests),
-    ("catalog_f3", lambda: "".join(_catalog("f3")),
-     "a507cdc0d3d1edd4de41122250b33fd8bfcde93ac7024eedddf54a4b2a6bb5cd"),
-    ("catalog_f4294967311", lambda: "".join(_catalog("f4294967311")),
-     "29cf0cf63561754139dce7972d49929cdc97ee1747c337b0e06588efff22b1a3"),
-    ("catalog_rational", lambda: "".join(_catalog("rational")),
-     "5abdd8a798cdc0667c528e19c6fd74e9abf714aba9a541f5f597639f4cbc9da1"),
+    ("catalog_f3", lambda: _catalog("f3"), "catalog_f3"),
+    ("catalog_f4294967311", lambda: _catalog("f4294967311"), "catalog_f4294967311"),
+    ("catalog_rational", lambda: _catalog("rational"), "catalog_rational"),
     # Every script command over the two-node ring and the quadric.
     ("session_json", lambda: _cli("--script", str(DATA / "session_all.ci"), "--format", "json"),
-     "7cb916f1086ab805293dd3c9b254f5d13173c5582eca3dc59e79d796b9a03fb6"),
+     "session.json"),
     ("session_text", lambda: _cli("--script", str(DATA / "session_all.ci"), "--format", "text"),
-     "29094ce24c08cd3f894962e16969b1e96eca284630b340a388b1ada07dfbba02"),
-    ("search_3_6_default", _within(120, _default_3_6_logs),
-     ["7b5efe1d134967aebf395670ff9954b9deed0544885cad3c648c7da8af71f731",
-      "9bdd51973d4d891ab722f96f0d672a22a46749c6649a6ac05ad15c7e431defca"]),
+     "session.txt"),
+    ("search_3_6_default", _within(120, _default_3_6_logs), "search_3_6_default"),
     ("search_3_6_f3_and_rational", _within(120, _thirty_sample_3_6_logs),
-     ["21ff5793a444afb49a796189b36b784b49a4081c673621c10beff6cc497fea0e",
-      "071d01e380fc2d68bfe9cdd51bfc1400ca1ee197d0eb99fa37b2a8f958ecd783"]),
-    ("search_torsion_free", _within(60, _torsion_searches),
-     ["6cad7cd6016984b0787df074bec56a13f2f00fcac58a821dbe8a6feec6e409dc",   # 3.17, quadric, 3
-      "9ead373c8e00bde17eb7f04dc81ff749a7551e23b2648dc055434b4a1360476d",   # 3.17, quadric, 4
-      "fa28f9a167b1d0fb8204b4729098b9caa3424a52b122d465ca2e940bd40276fc",   # 3.17, two nodes, 1
-      "bceca717f9f69127b9bdb893953aa65ccb4476c00dbf5d445e3610682d803a61",   # 3.17, node, 1
-      "65733f25aaf2af3c21ad61a46868a6aa51e92456ab497a37be0557713fb8c193",   # 4.16, node, 1
-      "6d5d29fa05a66ceb9f4a7b393b663d3740acf2d3ab651568cd4b3b95901bca8b"]),  # 4.18, node, 1
-    ("oracle_degree_8", _within(60, _oracle_degree_8),
-     lambda got: got["sha256"] == "52c1bcf716dbe088a73ddd8b137eb6a7110bea8032bf3c950863ea98b3c82ad9"
-     and got["add"] < 2000 and got["vector"] < 3500),
+     "search_3_6_f3_and_rational"),
+    ("search_torsion_free", _within(60, _torsion_searches), "search_torsion_free"),
+    ("oracle_degree_8", _within(60, _oracle_degree_8), _oracle_degree_8_holds),
     ("oracle_against_tor_profile", _within(60, _oracle_against_tor_profile),
      lambda got: got == {"f3": (10, {}), "rational": (10, {})}),
     # k over the quadric has 8x8 differentials from step 3 on; a constant base
@@ -233,10 +232,12 @@ def test_contract(build, check):
     got = build()
     if callable(check):
         assert check(got), got
-    elif isinstance(check, list):
-        assert [_sha256(out) for out in got] == check
+    elif isinstance(got, dict):
+        assert sorted(got) == sorted(f.name for f in (golden.GOLDEN / check).iterdir())
+        for name, text in got.items():
+            golden.check(f"{check}/{name}", text)
     else:
-        assert _sha256(got) == check
+        golden.check(check, got)
 
 
 def test_every_benchmark_boundary_exists():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from cihom.fields import PrimeField, field_by_tag
 from cihom import fmodules, rings
 from cihom.fmodules import ModulePresentation
-from cihom.groebner import groebner_basis, relation_basis
+from cihom.groebner import FreeModule, groebner_basis, relation_basis
 from cihom.homology import _ResolutionComplex, ext_ambient_dimensions, tor_profile
 from cihom.polynomials import PolyRing, mono_divides, monomials_of_degree
 from cihom.rings import (
@@ -52,7 +52,8 @@ def _dimension_from_leads_reference(nvars, lead_monos):
 
 
 def _leads_by_position(M):
-    gb = groebner_basis(M.relations.columns(), M.free_module(), M.ring.quotient_gens)
+    free = FreeModule(M.ring.poly_ring, M.gen_degs)
+    gb = groebner_basis(M.relations.columns(), free, M.ring.quotient_gens)
     leads = {i: [] for i in range(M.n_gens)}
     for p, m in gb.lead_terms:
         leads[p].append(m)
@@ -200,7 +201,8 @@ def test_lead_only_numerator_matches_the_interreduced_basis(ring_quadric, ring_t
         for pres in (M, M.minimalize()):
             reduced = _leads_by_position(pres)
             raw = {i: [] for i in range(pres.n_gens)}
-            for p, m in relation_basis(pres.free_module(), ring.quotient_gens,
+            free = FreeModule(pres.ring.poly_ring, pres.gen_degs)
+            for p, m in relation_basis(free, ring.quotient_gens,
                                        pres.relations.columns()).initial_terms():
                 raw[p].append(m)
             num: dict = {}

@@ -419,6 +419,35 @@ def test_periodicity_certificate_covers_the_permutation_search(tag, ring_index, 
                 _check_equivalence(ring, D, E, pair)
 
 
+@pytest.mark.parametrize("tag", ["f32003", "f3", "rational"])
+def test_detected_period_comes_no_later_than_the_literal_one(tag):
+    # resolve's literal period (o, p, t), d_(o+p) = d_o raised by t, is an
+    # equivalence with A = B = 1, so detect_periodicity must report a period
+    # at (period, onset) <= (p, o).  Fixed seeds: the residue field, ten
+    # random modules and their first syzygies over each fixture ring; they
+    # give 45 literal periods per field.
+    rng = random.Random(1)
+    literal = 0
+    for name in ("R_node", "R_node3", "R_xyzu", "R_quadric"):
+        ring = catalog.ring(name, field_by_tag(tag))
+        pr = ring.poly_ring
+        modules = [ModulePresentation.quotient_by_ideal(
+            ring, [pr.variable(v) for v in pr.variables], label="k")]
+        for _ in range(10):
+            M = random_homogeneous_module(ring, rng)
+            modules += [M, M.first_syzygy()]
+        for M in modules:
+            res = resolve(M, steps=10)
+            if res.period is None:
+                continue
+            onset, period, _ = res.period
+            found = detect_periodicity(res)
+            assert found["periodic"], (name, res.period)
+            assert (found["period"], found["onset"]) <= (period, onset), (name, res.period, found)
+            literal += 1
+    assert literal >= 40
+
+
 def test_equivalence_rejects_x_against_y_over_the_node(ring_node):
     pr = ring_node.poly_ring
     x, y = pr.variable("x"), pr.variable("y")

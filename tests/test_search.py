@@ -1,4 +1,3 @@
-import hashlib
 import json
 
 import pytest
@@ -10,6 +9,7 @@ from cihom.homology import tor_profile
 from cihom.polynomials import InvariantError
 from cihom.rings import HypothesisMissingError
 from cihom.search import SearchConfig, counterexample_search, random_homogeneous_module
+import golden
 
 
 def test_unknown_question(ring_node):
@@ -108,19 +108,15 @@ def _search_3_6_config(ring):
                         preset=[(Mq, Mq), (R, Mq), (Mq, R), (I, Mq)])
 
 
-# sha256 of the sorted-key JSON log of _search_3_6_config, recorded before
-# the handler shared Tor_0's tensor and the Ext dimensions were memoized.
-SEARCH_3_6_LOG_SHA256 = "906f9aa8411b6a5bad31fd1e5f45decc2528d34989a27cc179278a61e2da72d9"
-
-
 def test_3_6_findings_unchanged(monkeypatch, ring_quadric):
     log = counterexample_search(_search_3_6_config(ring_quadric))
     assert [(r["classification"], r["hypotheses"]["tensor_serre_level"])
             for r in log["findings"]] == [
         ("near-miss", 1), ("near-miss", 2), ("near-miss", 2), ("miss", None),
         ("miss", None), ("miss", None), ("miss", None)]
-    text = json.dumps(log, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == SEARCH_3_6_LOG_SHA256
+    # The log was recorded before the handler shared Tor_0's tensor and the
+    # Ext dimensions were memoized.
+    golden.check("search_3_6_preset.json", golden.dump(log))
     monkeypatch.setattr(search, "_search_3_6", _search_3_6_own_tensor)
     assert counterexample_search(_search_3_6_config(ring_quadric)) == log
 
@@ -158,29 +154,22 @@ def _preset_search_config(ring, question):
     return SearchConfig(ring, question, samples=6, seed=2, preset=preset)
 
 
-# sha256 of the JSON log of _preset_search_config(ring_node, "4.18") (keys in
-# insertion order), recorded while the handler still built M (x) M* itself.
-SEARCH_4_18_LOG_SHA256 = "888ab4ebb8ff48ef5289cb12c367b7ce11630b3a9c720148b08fd14e47289d73"
-
-
 def test_4_18_findings_unchanged(monkeypatch, ring_node):
-    text = json.dumps(counterexample_search(_preset_search_config(ring_node, "4.18")))
-    assert hashlib.sha256(text.encode()).hexdigest() == SEARCH_4_18_LOG_SHA256
+    # The log (keys in insertion order) was recorded while the handler still
+    # built M (x) M* itself.
+    text = golden.dump(counterexample_search(_preset_search_config(ring_node, "4.18")))
+    golden.check("search_4_18_preset.json", text)
     monkeypatch.setattr(search, "_search_4_18", _search_4_18_own_tensor)
-    assert json.dumps(counterexample_search(_preset_search_config(ring_node, "4.18"))) == text
-
-
-# sha256 of the JSON log of _preset_search_config(ring_node, "4.16") (keys in
-# insertion order), recorded while lex and grlex were still term orders.
-SEARCH_4_16_LOG_SHA256 = "1c38df043f3fffe991f629f3e550d6604d3abcfdd26101588df5131b17defd7e"
+    assert golden.dump(counterexample_search(_preset_search_config(ring_node, "4.18"))) == text
 
 
 def test_4_16_findings_unchanged(ring_node):
     # The node is not a domain, so every sample is a miss and the log pins
     # only the torsion verdicts on the way; a one-dimensional graded domain
-    # would reach the question's other classifications.
+    # would reach the question's other classifications.  The log (keys in
+    # insertion order) was recorded while lex and grlex were still term orders.
     log = counterexample_search(_preset_search_config(ring_node, "4.16"))
-    assert hashlib.sha256(json.dumps(log).encode()).hexdigest() == SEARCH_4_16_LOG_SHA256
+    golden.check("search_4_16_preset.json", golden.dump(log))
     assert log["summary"]["miss"] == len(log["findings"]) == 9
     assert all(rec["hypotheses"]["domain"] is False for rec in log["findings"])
 

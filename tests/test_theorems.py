@@ -1,6 +1,4 @@
-import hashlib
 import inspect
-import json
 import random
 
 import pytest
@@ -14,6 +12,7 @@ from cihom.rings import RingPresentation
 from cihom.search import random_homogeneous_module
 from cihom.theorems import (INSTANCE_SHAPES, InstanceShapeError, UnknownTheoremError,
                             check_theorem, known_statements)
+import golden
 
 F = PrimeField(32003)
 
@@ -262,27 +261,27 @@ def test_check_builds_the_tensor_once(tmp_path, capsys, monkeypatch):
     assert main(["--script", str(script), "--format", "json"]) == 0
     assert len(calls) == 1
     # the report is the one the two-tensor code wrote
-    out = capsys.readouterr().out.encode()
-    assert hashlib.sha256(out).hexdigest() == (
-        "4a8a321131637f60424826d9c29b0a3d3875de699405c0df436d14dbdc908b00")
+    golden.check("check_3_12_2.json", capsys.readouterr().out)
 
 
-def test_harness_reports_digest(mod_M_two_nodes, mod_N_two_nodes, mod_quadric, node_pair,
-                                periodic_pair):
-    # One sha256 over every statement's report on the four fixture pairs;
-    # N goes only to the (M, N) statements, and 4.3 and 4.17 read M with
-    # itself and with M*.
-    h = hashlib.sha256()
-    for M, N in [(mod_M_two_nodes, mod_N_two_nodes), (mod_quadric, mod_quadric),
-                 node_pair, periodic_pair]:
+def test_harness_reports_are_pinned(mod_M_two_nodes, mod_N_two_nodes, mod_quadric, node_pair,
+                                    periodic_pair):
+    # Every statement's report on the four fixture pairs, by pair and
+    # statement id; N goes only to the (M, N) statements, and 4.3 and 4.17
+    # read M with itself and with M*.
+    reports = {}
+    for pair, (M, N) in [("two_nodes", (mod_M_two_nodes, mod_N_two_nodes)),
+                         ("quadric", (mod_quadric, mod_quadric)),
+                         ("node", node_pair), ("periodic", periodic_pair)]:
+        reports[pair] = {}
         for sid in known_statements():
             params = {"n": 1} if sid == "3.15" else {}
             arg = N if theorems.INSTANCE_SHAPES[sid] == "(M, N)" else None
             rep = check_theorem(sid, M, arg, tor_bound=4, degree_bound=6, window=8, **params)
             _soundness(rep)
-            h.update(json.dumps(rep.as_dict(), sort_keys=True).encode())
+            reports[pair][sid] = rep.as_dict()
     assert len(known_statements()) == 32
-    assert h.hexdigest() == "5381d7d3cd514a4762a23e4c7b126b219c2361f5b20c2158e1f3f81331668370"
+    golden.check("harness_reports.json", golden.dump(reports))
 
 
 def test_self_paired_statements_take_no_n(ring_node):
