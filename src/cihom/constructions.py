@@ -17,7 +17,7 @@ from __future__ import annotations
 from .fmodules import ModulePresentation, PolyMatrix
 from .groebner import FreeModule
 from .homology import MinimalCycles, minimal_cycles
-from .rings import INF, HypothesisMissingError, RingPresentation
+from .rings import INF, HypothesisMissingError, RingPresentation, ideal_contains, ideal_groebner
 
 
 class TorsionInputError(HypothesisMissingError):
@@ -237,7 +237,6 @@ def _free_off_hypersurface(E: ModulePresentation, intermediate: RingPresentation
     ext1 = E.nonfree_locus_module()
     if ext1.n_gens == 0:
         return {"status": "free-everywhere", "ok": True}
-    from .rings import ideal_groebner, ideal_contains
     gb = ideal_groebner(intermediate.poly_ring,
                         list(intermediate.quotient_gens) + ext1.fitting_ideal(0))
     power = intermediate.poly_ring.one()

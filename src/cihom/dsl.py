@@ -32,9 +32,11 @@ so is a repeated key in ``quotient(...)`` or ``coker(...)``.
 
 from __future__ import annotations
 
+from .fields import field_by_tag
 from .fmodules import ModulePresentation
-from .polynomials import Polynomial
+from .polynomials import PolyRing, Polynomial
 from .rings import RingPresentation
+from .search import KNOWN_QUESTIONS
 from .theorems import ALIASES, INSTANCE_SHAPES, PARAMETER_READERS, known_statements
 
 
@@ -420,8 +422,6 @@ def _parse_ring_decl(cur, session):
 
 
 def _mk_poly_ring(field_tag, variables):
-    from .fields import field_by_tag
-    from .polynomials import PolyRing
     return PolyRing(field_by_tag(field_tag), variables)
 
 
@@ -538,7 +538,6 @@ def _parse_check(cur, session):
 
 
 def _parse_search(cur, session):
-    from .search import KNOWN_QUESTIONS
     cur.expect("name", "search")
     id_tok = cur.peek()
     qid = _parse_glued_id(cur)

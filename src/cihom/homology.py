@@ -484,7 +484,8 @@ class _ResolutionComplex:
     __slots__ = ("M", "N", "ring", "sign", "degree_bound", "Nmin", "res", "entries", "_tensor",
                  "_cokernels", "_bases")
 
-    def __init__(self, M: ModulePresentation, N: ModulePresentation, sign: int, degree_bound):
+    def __init__(self, M: ModulePresentation, N: ModulePresentation, sign: int,
+                 degree_bound=None):
         self.M, self.N, self.ring, self.sign = M, N, M.ring, sign
         self.degree_bound = degree_bound
         self.Nmin = self.res = self._tensor = None
@@ -661,8 +662,7 @@ def ext_ambient_dimensions(M: ModulePresentation) -> dict:
     """
     amb = M.ambient_presentation()
     nv = M.ring.poly_ring.nvars
-    # no entry is built, so no degree bound is read
-    cx = _ResolutionComplex(amb, ModulePresentation.free(amb.ring, (0,)), -1, None).reach(nv + 1)
+    cx = _ResolutionComplex(amb, ModulePresentation.free(amb.ring, (0,)), -1).reach(nv + 1)
     return {j: dimension_and_multiplicity(cx.numerator(j), nv)[0] for j in range(1, nv + 1)}
 
 

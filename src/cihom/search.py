@@ -6,6 +6,13 @@ while the questioned conclusion fails in the computed window (a candidate
 counterexample flagged for manual audit) together with all near-misses.
 Runs are reproducible from the seed; known instances can be prepended so
 the expected near-misses appear deterministically.
+
+``counterexample_search`` owns the sample protocol: it draws each sample,
+skips one with a zero module before any handler runs, and classifies the
+record.  A handler computes its question's hypotheses and, when they all
+hold, its conclusion field; the sample is then a miss unless that field is
+filled in, a near-miss when the conclusion holds and a candidate when it
+fails.  Question 4.10 keeps its own gap rule.
 """
 
 from __future__ import annotations
@@ -18,7 +25,14 @@ from .polynomials import monomials_of_degree
 from .rings import INF, HypothesisMissingError, RingPresentation
 
 
-KNOWN_QUESTIONS = ("3.17", "4.16", "4.18", "4.10", "3.6")
+# question -> (handler name, modules per sample, conclusion field); the
+# handler is looked up when the search runs, and 4.10 names its own verdict.
+_QUESTIONS = {"3.17": ("_search_3_17", 2, "conclusion_all_vanish"),
+              "4.16": ("_search_4_16", 1, "M_free"),
+              "4.18": ("_search_4_18", 1, "M_free"),
+              "4.10": ("_search_4_10", 2, None),
+              "3.6": ("_search_3_6", 2, "M_satisfies_level")}
+KNOWN_QUESTIONS = tuple(_QUESTIONS)
 
 
 class SearchConfig:
@@ -80,45 +94,45 @@ def random_homogeneous_module(ring: RingPresentation, rng: random.Random,
                                              label=label).minimalize()
 
 
-def _sample_stream(cfg: SearchConfig, pairs: bool):
+def _sample_stream(cfg: SearchConfig, arity: int):
     rng = random.Random(cfg.seed)
     for idx, preset in enumerate(cfg.preset):
         yield ("preset", idx, preset)
     for idx in range(cfg.samples):
-        M = random_homogeneous_module(cfg.ring, rng, cfg.max_gens, cfg.max_deg,
-                                      label=f"S{idx}a")
-        if pairs:
-            N = random_homogeneous_module(cfg.ring, rng, cfg.max_gens, cfg.max_deg,
-                                          label=f"S{idx}b")
-            yield ("random", idx, (M, N))
-        else:
-            yield ("random", idx, (M,))
+        yield ("random", idx, tuple(
+            random_homogeneous_module(cfg.ring, rng, cfg.max_gens, cfg.max_deg,
+                                      label=f"S{idx}{side}") for side in "ab"[:arity]))
 
 
-def _locally_free_at_minimal_primes(M: ModulePresentation) -> bool:
-    prof = M.rank_profile()
-    return all(entry["locally_free"] for entry in prof["ranks"])
+def _verdict(rec: dict, conclusion: str) -> str:
+    """Miss unless the handler filled in ``conclusion`` (it does so only when
+    every hypothesis holds); then near-miss if it holds, else candidate."""
+    if conclusion not in rec:
+        return "miss"
+    return "near-miss" if rec[conclusion] else "candidate"
 
 
 def counterexample_search(cfg: SearchConfig) -> dict:
     """Run the configured search; returns the findings log."""
-    handler = {"3.17": _search_3_17, "4.16": _search_4_16,
-               "4.18": _search_4_18, "4.10": _search_4_10,
-               "3.6": _search_3_6}[cfg.question]
+    name, arity, conclusion = _QUESTIONS[cfg.question]
+    handler = globals()[name]
     findings = []
     counts = {"candidate": 0, "near-miss": 0, "miss": 0, "skipped": 0}
-    pairs = cfg.question in ("3.17", "4.10", "3.6")
-    for origin, idx, mods in _sample_stream(cfg, pairs):
-        try:
-            rec = handler(cfg, mods)
-        except HypothesisMissingError as err:
-            # A sample outside the hypotheses is skipped; any other error is a
-            # fault and propagates.
-            rec = {"classification": "skipped", "error": str(err),
-                   "error_type": type(err).__name__}
-        rec["origin"] = origin
-        rec["sample"] = idx
-        rec["modules"] = [m.describe() for m in mods]
+    for origin, idx, mods in _sample_stream(cfg, arity):
+        if any(m.n_gens == 0 for m in mods):
+            rec = {"classification": "skipped", "reason": "zero module sampled"}
+        else:
+            try:
+                rec = handler(cfg, mods)
+            except HypothesisMissingError as err:
+                # A sample outside the hypotheses is skipped; any other error
+                # is a fault and propagates.
+                rec = {"classification": "skipped", "error": str(err),
+                       "error_type": type(err).__name__}
+            else:
+                if conclusion is not None:
+                    rec["classification"] = _verdict(rec, conclusion)
+        rec.update(origin=origin, sample=idx, modules=[m.describe() for m in mods])
         counts[rec["classification"]] += 1
         findings.append(rec)
     return {"config": cfg.as_dict(), "findings": findings, "summary": counts}
@@ -128,65 +142,54 @@ def _search_3_17(cfg, mods):
     """Hypersurface, M locally free at minimal primes, M tensor N torsion-free,
     Tor_1 = 0: is every higher Tor zero?"""
     M, N = mods
-    ring = cfg.ring
-    hyps = {"hypersurface": ring.codim == 1 and ring.certified}
-    if M.n_gens == 0 or N.n_gens == 0:
-        return {"classification": "skipped", "reason": "zero module sampled"}
-    hyps["M_free_on_minimal_primes"] = _locally_free_at_minimal_primes(M)
+    hyps = {"hypersurface": cfg.ring.codim == 1 and cfg.ring.certified,
+            "M_free_on_minimal_primes": all(entry["locally_free"]
+                                            for entry in M.rank_profile()["ranks"])}
     prof = tor_profile(M, N, cfg.tor_bound, cfg.degree_bound)
     # Tor_0 is M (x) N, already minimalized.
     hyps["tensor_torsion_free"] = prof.tor0.presentation.biduality_report().torsion_free
     hyps["tor1_zero"] = prof.vanishes(1)
     rec = {"hypotheses": hyps}
-    if not all(hyps.values()):
-        rec["classification"] = "miss"
-        return rec
-    rec["conclusion_all_vanish"] = prof.all_vanish_in_window()
-    rec["vanishing"] = [prof.vanishes(i) for i in range(1, cfg.tor_bound + 1)]
-    rec["classification"] = "near-miss" if rec["conclusion_all_vanish"] else "candidate"
+    if all(hyps.values()):
+        rec["conclusion_all_vanish"] = prof.all_vanish_in_window()
+        rec["vanishing"] = [prof.vanishes(i) for i in range(1, cfg.tor_bound + 1)]
     return rec
+
+
+def _freeness_hypotheses(cfg, M) -> dict:
+    """What 4.16 and 4.18 share: a one-dimensional certified domain and a
+    torsion-free M."""
+    ring = cfg.ring
+    return {"one_dimensional": ring.dimension() == 1,
+            "certified": ring.certified,
+            "domain": ring.is_domain()["domain"],
+            "M_torsion_free": M.biduality_report().torsion_free}
 
 
 def _search_4_16(cfg, mods):
     """One-dimensional domain: M and M tensor M* torsion-free: is M free?"""
-    def tensor_torsion_free(M, hyps):
-        hyps["tensor_torsion_free"] = M.tensor(M.dual()).biduality_report().torsion_free
-        return {}
-    return _freeness_search(cfg, mods, tensor_torsion_free)
+    (M,) = mods
+    hyps = _freeness_hypotheses(cfg, M)
+    hyps["tensor_torsion_free"] = M.tensor(M.dual()).biduality_report().torsion_free
+    rec = {"hypotheses": hyps}
+    if all(hyps.values()):
+        rec["M_free"] = M.is_free()
+    return rec
 
 
 def _search_4_18(cfg, mods):
     """One-dimensional domain, M and M tensor M* torsion-free and some
     Tor_i(M, M*) = 0 in the window: is M free?"""
-    def tensor_torsion_free_and_some_tor_vanishes(M, hyps):
-        prof = tor_profile(M, M.dual(), cfg.tor_bound, cfg.degree_bound)
-        # Tor_0 is M (x) M*, already minimalized.
-        hyps["tensor_torsion_free"] = prof.tor0.presentation.biduality_report().torsion_free
-        first_zero = next((i for i in range(1, cfg.tor_bound + 1) if prof.vanishes(i)), None)
-        hyps["some_tor_vanishes"] = first_zero is not None
-        return {"first_vanishing_index": first_zero}
-    return _freeness_search(cfg, mods, tensor_torsion_free_and_some_tor_vanishes)
-
-
-def _freeness_search(cfg, mods, read_hypotheses):
-    """Is M free?  The hypotheses 4.16 and 4.18 share come first: a
-    one-dimensional certified domain and a torsion-free M.  Then
-    ``read_hypotheses(M, hyps)`` adds the question's own and returns the
-    record's other fields."""
     (M,) = mods
-    ring = cfg.ring
-    hyps = {"one_dimensional": ring.dimension() == 1,
-            "certified": ring.certified,
-            "domain": ring.is_domain()["domain"]}
-    if M.n_gens == 0:
-        return {"classification": "skipped", "reason": "zero module sampled"}
-    hyps["M_torsion_free"] = M.biduality_report().torsion_free
-    rec = {"hypotheses": hyps, **read_hypotheses(M, hyps)}
-    if not all(hyps.values()):
-        rec["classification"] = "miss"
-        return rec
-    rec["M_free"] = M.is_free()
-    rec["classification"] = "near-miss" if rec["M_free"] else "candidate"
+    hyps = _freeness_hypotheses(cfg, M)
+    prof = tor_profile(M, M.dual(), cfg.tor_bound, cfg.degree_bound)
+    # Tor_0 is M (x) M*, already minimalized.
+    hyps["tensor_torsion_free"] = prof.tor0.presentation.biduality_report().torsion_free
+    first_zero = next((i for i in range(1, cfg.tor_bound + 1) if prof.vanishes(i)), None)
+    hyps["some_tor_vanishes"] = first_zero is not None
+    rec = {"hypotheses": hyps, "first_vanishing_index": first_zero}
+    if all(hyps.values()):
+        rec["M_free"] = M.is_free()
     return rec
 
 
@@ -200,8 +203,6 @@ def _search_3_6(cfg, mods):
     Tor_1..Tor_(c+1) at most, and no resolution step past c + 2 and no
     periodicity test."""
     M, N = mods
-    if M.n_gens == 0 or N.n_gens == 0:
-        return {"classification": "skipped", "reason": "zero module sampled"}
     prof = tor_profile(M, N, cfg.tor_bound, cfg.degree_bound)
     tensor = prof.tor0.presentation  # M (x) N, already minimalized as Tor_0
     level = next((n for n in (2, 1) if tensor.satisfies_serre(n)), None)
@@ -209,20 +210,17 @@ def _search_3_6(cfg, mods):
             "all_tor_vanish_certified": prof.vanishing_certified,
             "tensor_serre_level": level}
     rec = {"hypotheses": hyps}
-    if not (hyps["certified"] and hyps["all_tor_vanish_certified"] and level):
-        rec["classification"] = "miss"
-        return rec
-    rec["M_satisfies_level"] = M.satisfies_serre(level)
-    rec["classification"] = "near-miss" if rec["M_satisfies_level"] else "candidate"
+    if all(hyps.values()):
+        rec["M_satisfies_level"] = M.satisfies_serre(level)
     return rec
 
 
 def _search_4_10(cfg, mods):
     """Gap pattern: a vanishing run of length >= 2 followed by a nonzero Tor,
-    with M tensor N of finite length (the sought configuration)."""
+    with M tensor N of finite length (the sought configuration).  A gap is a
+    candidate only when every hypothesis holds: over an uncertified ring the
+    codimension counts generators, not a regular sequence."""
     M, N = mods
-    if M.n_gens == 0 or N.n_gens == 0:
-        return {"classification": "skipped", "reason": "zero module sampled"}
     prof = tor_profile(M, N, cfg.tor_bound, cfg.degree_bound)
     pattern = None
     run = 0
@@ -234,16 +232,11 @@ def _search_4_10(cfg, mods):
                 pattern = {"start": i - run, "gap": run, "nonzero_at": i}
                 break
             run = 0
-    finite = prof.tor0.presentation.length() != INF
-    rec = {"hypotheses": {"certified": cfg.ring.certified,
-                          "codim_at_least_2": cfg.ring.codim >= 2,
-                          "tensor_finite_length": finite},
-           "gap_pattern": pattern,
+    hyps = {"certified": cfg.ring.certified,
+            "codim_at_least_2": cfg.ring.codim >= 2,
+            "tensor_finite_length": prof.tor0.presentation.length() != INF}
+    rec = {"hypotheses": hyps, "gap_pattern": pattern,
            "vanishing": [prof.vanishes(i) for i in range(1, cfg.tor_bound + 1)]}
-    if pattern is None:
-        rec["classification"] = "miss"
-    elif finite and cfg.ring.codim >= 2:
-        rec["classification"] = "candidate"
-    else:
-        rec["classification"] = "near-miss"
+    rec["classification"] = ("miss" if pattern is None else
+                             "candidate" if all(hyps.values()) else "near-miss")
     return rec

@@ -311,7 +311,7 @@ def _concl_vanish_from(inst, n):
              "window": inst.tor_bound,
              "detail": {"from": n,
                         "vanishing": [prof.vanishes(i) for i in range(n, inst.tor_bound + 1)]}},
-            prof.vanishing["tier"] if ok and prof.all_vanish_in_window() else None)
+            prof.vanishing["tier"] if ok else None)
 
 
 def _concl_even_nonzero_pattern(inst, include_zero):
@@ -351,8 +351,7 @@ def _even_vanish_with_odd_clause(inst):
     concl = {"statement": "Tor_i = 0 for even i >= 2; if some odd index vanishes, "
                           "all indices vanish",
              "verdict": "holds" if ok else "fails", "detail": detail}
-    tier = prof.vanishing["tier"] if prof.all_vanish_in_window() else None
-    return concl, tier
+    return concl, prof.vanishing["tier"]
 
 
 # -- checkers: each returns (hypotheses, conclusion, tier) ---------------------------
@@ -482,7 +481,7 @@ def _check_3_4(inst, params):
                         "all_vanish": vanish, "branch":
                         "maximal-complexity" if both_max else
                         ("vanishing" if vanish else "neither")}}
-    return hyps, concl, prof.vanishing["tier"] if vanish else None
+    return hyps, concl, prof.vanishing["tier"]
 
 
 def _check_3_7(inst, params):
@@ -575,7 +574,7 @@ def _check_3_16(inst, params):
              "verdict": "holds" if (branch_a or vanish) else "fails",
              "detail": {"cx_M": cxm, "cx_N": cxn, "tor1_nonzero": not prof.vanishes(1),
                         "all_vanish": vanish}}
-    return hyps, concl, prof.vanishing["tier"] if vanish else None
+    return hyps, concl, prof.vanishing["tier"]
 
 
 def _check_4_1(inst, params):

@@ -191,7 +191,7 @@ def test_3_6_search_stops_at_the_first_nonzero_tor(ring_quadric, monkeypatch):
     N = random_homogeneous_module(ring_quadric, rng, 2, 1, label="S0b")
     built = _count_builds(monkeypatch)
     rec = _search_3_6(cfg, (M, N))
-    assert rec["classification"] == "miss"
+    assert "M_satisfies_level" not in rec   # a miss: the conclusion is never read
     assert rec["hypotheses"]["all_tor_vanish_certified"] is False
     assert built == {"tor": 0, "entries": 2}
     assert len(M.minimalize()._res_cache["diffs"]) == 2
@@ -415,6 +415,28 @@ def test_certified_vanishing_reads_agree(tag):
             assert first == full, (name, k, tier)
             tiers.add((full, tier))
     assert {(False, None), (True, "pd-finite"), (True, "periodicity")} <= tiers
+
+
+def test_vanishing_tier_is_none_exactly_when_the_window_has_a_nonzero_tor(ring_quadric,
+                                                                         mod_quadric):
+    # The theorem checkers return the evidence tier as it is, so it must be
+    # None exactly when some Tor_i in the window is nonzero.  Over the
+    # quadric: catalog 4.5's module against itself (pd-finite), A = coker
+    # [[x, y], [z, w]] against R in windows of 6, 3 and 1 (periodicity,
+    # rigidity, window only), and A against R/(x, z) (a nonzero window).
+    pr = ring_quadric.poly_ring
+    x, y, w, z = (pr.variable(v) for v in "xywz")
+    A = ModulePresentation.from_relations(ring_quadric, (0, 0), [[x, z], [y, w]], label="A")
+    R = ModulePresentation.free(ring_quadric, (0,), label="R")
+    B = ModulePresentation.quotient_by_ideal(ring_quadric, [x, z], label="B")
+    tiers = []
+    for M, N, bound in ((mod_quadric, mod_quadric, 10), (A, R, 6), (A, R, 3), (A, R, 1),
+                        (A, B, 3)):
+        prof = tor_profile(M, N, bound, 6)
+        tier = prof.vanishing["tier"]
+        assert (tier is None) == (not prof.all_vanish_in_window()), (M.label, N.label, bound)
+        tiers.append(tier)
+    assert tiers == ["pd-finite", "periodicity", "rigidity", "window-only", None]
 
 
 def test_certified_vanishing_stops_after_codim_plus_one(ring_two_nodes, monkeypatch):

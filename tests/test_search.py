@@ -1,13 +1,15 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
 import cihom.search as search
 from cihom.constructions import TorsionInputError
+from cihom.fields import PrimeField
 from cihom.fmodules import ModulePresentation
 from cihom.homology import tor_profile
-from cihom.polynomials import InvariantError
-from cihom.rings import HypothesisMissingError
+from cihom.polynomials import InvariantError, PolyRing
+from cihom.rings import HypothesisMissingError, RingPresentation
 from cihom.search import SearchConfig, counterexample_search, random_homogeneous_module
 import golden
 
@@ -53,6 +55,40 @@ def test_4_10_preset_near_miss(ring_two_nodes, mod_M_two_nodes, mod_N_two_nodes)
     assert first["gap_pattern"] == {"start": 1, "gap": 2, "nonzero_at": 3}
 
 
+class _GapProfile:
+    """A stub Tor profile: Tor_1 = Tor_2 = 0, Tor_3 != 0 and Tor_0 of finite
+    length, the configuration 4.10 looks for."""
+    tor0 = SimpleNamespace(presentation=SimpleNamespace(length=lambda: 1))
+
+    def vanishes(self, i):
+        return i < 3
+
+
+def _gap_verdict(monkeypatch, ring):
+    monkeypatch.setattr(search, "tor_profile", lambda *args: _GapProfile())
+    pr = ring.poly_ring
+    k = ModulePresentation.quotient_by_ideal(ring, [pr.variable(v) for v in pr.variables],
+                                             label="k")
+    log = counterexample_search(SearchConfig(ring, "4.10", samples=0, preset=[(k, k)]))
+    (rec,) = log["findings"]
+    assert rec["gap_pattern"] == {"start": 1, "gap": 2, "nonzero_at": 3}
+    assert rec["hypotheses"]["tensor_finite_length"] and rec["hypotheses"]["codim_at_least_2"]
+    return rec["hypotheses"]["certified"], rec["classification"]
+
+
+def test_4_10_gap_is_a_candidate_over_a_complete_intersection(monkeypatch, ring_two_nodes):
+    assert _gap_verdict(monkeypatch, ring_two_nodes) == (True, "candidate")
+
+
+def test_4_10_gap_over_an_uncertified_ring_is_a_near_miss(monkeypatch):
+    # k[x,y]/(x^2, xy): two generators, so codim counts 2, but they are no
+    # regular sequence.
+    pr = PolyRing(PrimeField(32003), ["x", "y"])
+    x, y = pr.variable("x"), pr.variable("y")
+    ring = RingPresentation(pr, [x * x, x * y], label="R_x2_xy")
+    assert _gap_verdict(monkeypatch, ring) == (False, "near-miss")
+
+
 def test_4_18_runs(ring_node):
     cfg = SearchConfig(ring_node, "4.18", samples=5, seed=2)
     log = counterexample_search(cfg)
@@ -79,8 +115,6 @@ def _search_3_6_own_tensor(cfg, mods):
     """The 3.6 handler as it was before it shared Tor_0: it builds M (x) N
     afresh and asks each depth level for its own Ext dimensions."""
     M, N = mods
-    if M.n_gens == 0 or N.n_gens == 0:
-        return {"classification": "skipped", "reason": "zero module sampled"}
     prof = tor_profile(M, N, cfg.tor_bound, cfg.degree_bound)
     tensor = M.tensor(N)
     level = next((n for n in (2, 1)
@@ -90,11 +124,8 @@ def _search_3_6_own_tensor(cfg, mods):
             "all_tor_vanish_certified": prof.vanishing_certified,
             "tensor_serre_level": level}
     rec = {"hypotheses": hyps}
-    if not (hyps["certified"] and hyps["all_tor_vanish_certified"] and level):
-        rec["classification"] = "miss"
-        return rec
-    rec["M_satisfies_level"] = M.satisfies_serre(level)
-    rec["classification"] = "near-miss" if rec["M_satisfies_level"] else "candidate"
+    if all(hyps.values()):
+        rec["M_satisfies_level"] = M.satisfies_serre(level)
     return rec
 
 
@@ -128,21 +159,16 @@ def _search_4_18_own_tensor(cfg, mods):
     ring = cfg.ring
     hyps = {"one_dimensional": ring.dimension() == 1,
             "certified": ring.certified,
-            "domain": ring.is_domain()["domain"]}
-    if M.n_gens == 0:
-        return {"classification": "skipped", "reason": "zero module sampled"}
-    hyps["M_torsion_free"] = M.biduality_report().torsion_free
+            "domain": ring.is_domain()["domain"],
+            "M_torsion_free": M.biduality_report().torsion_free}
     dual = M.dual()
     hyps["tensor_torsion_free"] = M.tensor(dual).biduality_report().torsion_free
     prof = tor_profile(M, dual, cfg.tor_bound, cfg.degree_bound)
     first_zero = next((i for i in range(1, cfg.tor_bound + 1) if prof.vanishes(i)), None)
     hyps["some_tor_vanishes"] = first_zero is not None
     rec = {"hypotheses": hyps, "first_vanishing_index": first_zero}
-    if not all(hyps.values()):
-        rec["classification"] = "miss"
-        return rec
-    rec["M_free"] = M.is_free()
-    rec["classification"] = "near-miss" if rec["M_free"] else "candidate"
+    if all(hyps.values()):
+        rec["M_free"] = M.is_free()
     return rec
 
 
@@ -192,12 +218,40 @@ def test_search_skips_hypothesis_and_torsion_errors(monkeypatch, ring_node, kind
         assert rec["error_type"] == type(err).__name__
 
 
+def _handler_name(question):
+    return "_search_" + question.replace(".", "_")
+
+
 @pytest.mark.parametrize("err", [InvariantError("broken invariant"), ValueError("bad value"),
                                  ZeroDivisionError("division")])
 def test_search_propagates_other_errors(monkeypatch, ring_node, err):
+    # Only the question's own handler fails, so each search shows that the
+    # handler it looks up when it runs is the monkeypatched one.
     def failing(cfg, mods):
         raise err
 
-    monkeypatch.setattr(search, "_search_3_17", failing)
-    with pytest.raises(type(err)):
-        counterexample_search(SearchConfig(ring_node, "3.17", samples=2, seed=1))
+    for question in search.KNOWN_QUESTIONS:
+        with monkeypatch.context() as patch:
+            patch.setattr(search, _handler_name(question), failing)
+            with pytest.raises(type(err)) as raised:
+                counterexample_search(SearchConfig(ring_node, question, samples=2, seed=1))
+            assert raised.value is err
+
+
+@pytest.mark.parametrize("question, arity", [("3.17", 2), ("4.16", 1), ("4.18", 1),
+                                             ("4.10", 2), ("3.6", 2)])
+def test_zero_module_is_skipped_before_the_handler(monkeypatch, ring_node, question, arity):
+    def unreachable(cfg, mods):
+        raise AssertionError(f"the {question} handler got a zero module")
+
+    monkeypatch.setattr(search, _handler_name(question), unreachable)
+    x = ring_node.poly_ring.variable("x")
+    Z = ModulePresentation.zero(ring_node, label="Z")
+    Mx = ModulePresentation.quotient_by_ideal(ring_node, [x], label="Mx")
+    preset = [(Z,)] if arity == 1 else [(Mx, Z), (Z, Mx), (Z, Z)]
+    log = counterexample_search(SearchConfig(ring_node, question, samples=0, preset=preset))
+    assert log["summary"]["skipped"] == len(log["findings"]) == len(preset)
+    for idx, (rec, mods) in enumerate(zip(log["findings"], preset)):
+        assert rec == {"classification": "skipped", "reason": "zero module sampled",
+                       "origin": "preset", "sample": idx,
+                       "modules": [m.describe() for m in mods]}
