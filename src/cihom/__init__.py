@@ -7,9 +7,16 @@ On top of Groebner bases it provides minimal free resolutions, Betti tables,
 complexity estimates, Tor and Ext profiles, depth/dimension/Serre-condition
 predicates, pushforward and quasi-lifting constructions, and an instance-level
 harness for a family of Tor-rigidity statements.
+
+Importing the package loads the engine and the catalog.  The constructions,
+the statement harness and the searches load when one of their names is
+first read from the package (``_DEFERRED``), so a command that runs none of
+them does not load them.
 """
 
 __version__ = "0.1.0"
+
+import importlib
 
 from .fields import PrimeField, RationalField, field_by_tag
 from .polynomials import PolyRing, Polynomial
@@ -17,10 +24,19 @@ from .rings import RingPresentation
 from .fmodules import ModulePresentation
 from .resolutions import betti_table, complexity_estimate, detect_periodicity, resolve
 from .homology import depth_formula_check, ext_profile, tor_profile
-from .constructions import pushforward, quasi_lifting
-from .theorems import check_theorem
-from .search import SearchConfig, counterexample_search
 from .catalog import run_example
+
+# Public names whose module loads on first access: name -> module.
+_DEFERRED = {"pushforward": "constructions", "quasi_lifting": "constructions",
+             "check_theorem": "theorems", "SearchConfig": "search",
+             "counterexample_search": "search"}
+
+
+def __getattr__(name):
+    """A deferred name, read from its module on every access (PEP 562)."""
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_DEFERRED[name]}"), name)
 
 __all__ = [
     "PrimeField",

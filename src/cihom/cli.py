@@ -6,6 +6,16 @@ that names no field), 3 an internal guardrail fired (a degree beyond the
 Groebner engine's term-code range) or a hypothesis is missing (an
 uncertified ring, a torsion input), 4 an internal invariant failed (an
 engine fault, not bad input).
+
+A run loads only the modules its commands use.  An ``--example`` run loads
+the engine, ``catalog``, ``reports``, ``inputs`` and this module; a script
+also loads ``dsl``; a ``check`` line loads ``theorems``, a ``search`` line
+``search``, and ``pushforward`` or ``quasilift`` ``constructions``.  Each of
+those four imports sits in the branch that runs it, and the errors mapped
+to exit codes, like the least values the bound flags read, come from
+``cihom.inputs`` or from modules every run loads.
+``tests/test_oracle.py::test_importing_cihom_does_not_load_the_oracle``
+checks which modules a run loads.
 """
 
 from __future__ import annotations
@@ -16,18 +26,16 @@ import os
 import sys
 
 from .catalog import UnknownExampleError, catalog_ids, run_example
-from .constructions import InvalidSplitError, TorsionInputError, pushforward, quasi_lifting
-from .dsl import _OPTION_MINIMUM, ParseError, parse_session
 from .fields import FieldError
 from .groebner import TermCodeRangeError
 from .homology import ext_profile, tor_profile
+from .inputs import (_OPTION_MINIMUM, InstanceShapeError, InvalidSplitError, ParseError,
+                     UnknownTheoremError)
 from .polynomials import GradedViolationError, IncompatibleOperandsError, InvariantError
 from .reports import emit_json, emit_text, make_document
 from .resolutions import (InsufficientWindowError, betti_table, default_betti_window,
                           detect_periodicity, module_complexity, resolve)
 from .rings import HypothesisMissingError, MinimalPrimesMismatchError, UnitIdealError
-from .search import SearchConfig, counterexample_search
-from .theorems import InstanceShapeError, UnknownTheoremError, check_theorem
 
 
 def _at_least(key):
@@ -141,16 +149,19 @@ def _run_command(cmd: dict, session, defaults: dict) -> dict:
             data["rank_profile"] = M.rank_profile()
         return {"kind": "profile", "title": M.label, "data": data}
     if kind == "pushforward":
+        from . import pushforward   # deferred: loads constructions
         M = session.modules[cmd["module"]]
         pf = pushforward(M)
         return {"kind": "pushforward", "title": M.label,
                 "data": {**pf.as_dict(),
                          "pushforward_module": pf.M1.minimalize().describe()}}
     if kind == "quasilift":
+        from . import quasi_lifting   # deferred: loads constructions
         M = session.modules[cmd["module"]]
         ql = quasi_lifting(M, cmd["f"])
         return {"kind": "quasilift", "title": M.label, "data": ql.as_dict()}
     if kind == "check":
+        from . import check_theorem   # deferred: loads theorems
         mods = [session.modules[m] for m in cmd["modules"]]
         M = mods[0]
         N = mods[1] if len(mods) > 1 else None
@@ -161,6 +172,7 @@ def _run_command(cmd: dict, session, defaults: dict) -> dict:
         return {"kind": "check", "title": cmd["id"],
                 "data": {"theorem_reports": [rep.as_dict()]}}
     if kind == "search":
+        from . import SearchConfig, counterexample_search   # deferred: loads search
         opts = {k: v for k, v in cmd.items() if k not in ("command", "id", "ring")}
         cfg = SearchConfig(session.rings[cmd["ring"]], cmd["id"],
                            **{"seed": defaults["seed"], **opts})
@@ -198,6 +210,7 @@ def main(argv=None) -> int:
     commands = [{"command": "example", "id": args.example}] if args.example else []
     try:
         if args.script:
+            from .dsl import parse_session   # deferred: loads dsl
             try:
                 with open(args.script, "r", encoding="utf-8") as fh:
                     text = fh.read()
@@ -221,7 +234,7 @@ def main(argv=None) -> int:
     except TermCodeRangeError as err:
         print(f"cihom: guardrail: {err}", file=sys.stderr)
         return 3
-    except (TorsionInputError, HypothesisMissingError) as err:
+    except HypothesisMissingError as err:
         print(f"cihom: hypothesis missing: {err}", file=sys.stderr)
         return 3
     except InvariantError as err:

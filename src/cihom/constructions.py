@@ -17,6 +17,7 @@ from __future__ import annotations
 from .fmodules import ModulePresentation, PolyMatrix
 from .groebner import FreeModule
 from .homology import MinimalCycles, minimal_cycles
+from .inputs import InvalidSplitError
 from .rings import INF, HypothesisMissingError, RingPresentation, ideal_contains, ideal_groebner
 
 
@@ -129,10 +130,6 @@ class QuasiLiftingResult:
     def __repr__(self):
         return (f"QuasiLiftingResult({self.M.label} over {self.intermediate.label}, "
                 f"exact={all(self.certificate.values())})")
-
-
-class InvalidSplitError(ValueError):
-    pass
 
 
 def quasi_lifting(M: ModulePresentation, split) -> QuasiLiftingResult:

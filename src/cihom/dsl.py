@@ -24,27 +24,24 @@ Lists and the arguments of ``quotient``, ``check ... on`` and ``search ...
 with`` are comma-separated, with no comma before the closing bracket
 (``_parse_list``).  An option is read by ``_parse_option``: an unread or
 repeated key, or a value of the wrong kind (an integer below its
-``_OPTION_MINIMUM``, which the CLI's bound flags share, a word outside its
-``_OPTION_CHOICES``, an undeclared ring), is a parse error at the key, and
-so is a repeated key in ``quotient(...)`` or ``coker(...)``.
-``degrees=`` accepts only ``[1,...,1]``.
+``_OPTION_MINIMUM``, a word outside its ``_OPTION_CHOICES``, an undeclared
+ring), is a parse error at the key, and so is a repeated key in
+``quotient(...)`` or ``coker(...)``.  ``_OPTION_MINIMUM`` and ``ParseError``
+live in ``cihom.inputs``, which the CLI's bound flags and its exit codes
+read without loading this module.  ``degrees=`` accepts only ``[1,...,1]``.
+
+The statement registry (``theorems``) and the question ids (``search``) are
+imported by the ``check`` and ``search`` readers when they first run, so a
+script without those lines loads neither module.
 """
 
 from __future__ import annotations
 
 from .fields import field_by_tag
 from .fmodules import ModulePresentation
+from .inputs import _OPTION_MINIMUM, ParseError
 from .polynomials import PolyRing, Polynomial
 from .rings import RingPresentation
-from .search import KNOWN_QUESTIONS
-from .theorems import ALIASES, INSTANCE_SHAPES, PARAMETER_READERS, known_statements
-
-
-class ParseError(ValueError):
-    def __init__(self, message, line, col):
-        super().__init__(f"line {line}, column {col}: {message}")
-        self.line = line
-        self.col = col
 
 
 class Token:
@@ -287,12 +284,6 @@ def parse_session(text: str) -> Session:
     return session
 
 
-# Least accepted value of each integer option; --steps, --tor-bound,
-# --degree-bound and --seed read the same table.  A window needs at least
-# four Betti numbers, so window starts at 3.
-_OPTION_MINIMUM = {"steps": 1, "bound": 1, "tor_bound": 1, "degree_bound": 0,
-                   "max_gens": 1, "max_deg": 1, "samples": 1, "seed": 0,
-                   "n": 0, "w": 0, "window": 3}
 # Accepted values of each word option.
 _OPTION_CHOICES = {"over": ("quotient", "ambient"), "side": ("left", "right")}
 # The options each command reads; any other key is a parse error.
@@ -502,6 +493,9 @@ def _parse_quasilift(cur, session):
 
 
 def _parse_check(cur, session):
+    # deferred: a script without a check line does not load theorems
+    from .theorems import ALIASES, INSTANCE_SHAPES, PARAMETER_READERS, known_statements
+
     cur.expect("name", "check")
     sid = _parse_glued_id(cur)
     cur.expect("name", "on")
@@ -538,6 +532,9 @@ def _parse_check(cur, session):
 
 
 def _parse_search(cur, session):
+    # deferred: a script without a search line does not load search
+    from .search import KNOWN_QUESTIONS
+
     cur.expect("name", "search")
     id_tok = cur.peek()
     qid = _parse_glued_id(cur)

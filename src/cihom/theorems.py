@@ -29,16 +29,9 @@ from __future__ import annotations
 
 from .fmodules import ModulePresentation
 from .homology import depth_formula_check, tor_profile
+from .inputs import InstanceShapeError, UnknownTheoremError
 from .resolutions import default_betti_window, module_complexity, resolve
 from .rings import INF, NEG_INF, encode_infinite
-
-
-class UnknownTheoremError(ValueError):
-    pass
-
-
-class InstanceShapeError(ValueError):
-    """An N given to a statement whose instance is M with itself or with M*."""
 
 
 def _line(name, status, evidence=None, kind="computed"):

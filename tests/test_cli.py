@@ -449,6 +449,34 @@ def test_cli_hypothesis_missing_exit_code(tmp_path, capsys):
     assert main(["--script", str(script)]) == 3
 
 
+@pytest.mark.parametrize("example, script, code, message", [
+    ("bogus", None, 2,
+     "cihom: unknown example id 'bogus'; known: 3.11, 3.13, 3.14, pre-3.4, 4.4, 4.5, 4.19, "
+     "cor4.7-instance"),
+    (None, "check 9.99 on (M)\n", 2,
+     "cihom: unknown statement id '9.99'; known: 2.1, 2.2, 2.3, 2.4, 2.6, 2.7, 2.8, 3.12.1, "
+     "3.12.2, 3.15, 3.16, 3.3, 3.4, 3.7, 3.8, 3.9.1, 3.9.2, 4.1, 4.11, 4.12, 4.13, 4.14, "
+     "4.15, 4.17, 4.20, 4.21, 4.22, 4.3, 4.6, 4.7, 4.8, 4.9"),
+    (None, "quasilift M f=x\n", 2, "cihom: x is not a quotient generator of R"),
+    (None, "module K = coker(R, shifts=[0], matrix=[[x, y]])\npushforward K\n", 3,
+     "cihom: hypothesis missing: K has torsion: the biduality kernel has 1 minimal "
+     "generator(s)"),
+], ids=["unknown_example", "unknown_statement", "invalid_split", "torsion_input"])
+def test_cli_error_ladder_exit_code_and_message(tmp_path, capsys, example, script, code,
+                                                message):
+    # each clause of main's error ladder maps its errors to one exit code and
+    # one stderr line, whichever module raised them
+    if example is not None:
+        argv = ["--example", example]
+    else:
+        path = tmp_path / "ladder.ci"
+        path.write_text(TWO_LINE_SCRIPT + script)
+        argv = ["--script", str(path)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message + "\n"
+
+
 def test_cli_search_over_a_ring_without_variables_is_a_parse_error(tmp_path, capsys):
     # a search draws random modules from the ring's variables
     script = tmp_path / "k.ci"

@@ -291,17 +291,53 @@ def test_value_space_cache_keyed_on_the_presentation(ring_two_nodes):
         del pres
 
 
-def test_importing_cihom_does_not_load_the_oracle():
+_IMPORT_SCRIPT = """
+ring R = quotient(field=f32003, vars=[x,y,z,u], ideal=[x*y, z*u])
+module M = coker(R, shifts=[0], matrix=[[y, u]])
+"""
+
+
+def test_importing_cihom_does_not_load_the_oracle(tmp_path):
     # The Groebner pipeline and the command line do not load the oracle, and
-    # nothing loads numpy.
-    for module in ("cihom", "cihom.cli"):
-        code = (f"import sys, {module}; "
-                "print('cihom.oracle' in sys.modules, 'numpy' in sys.modules)")
+    # nothing loads numpy.  A run loads only the modules its commands use:
+    # the package's deferred names and the script reader load on first use.
+    watched = ("cihom.oracle", "cihom.linalg", "cihom.theorems", "cihom.dsl",
+               "cihom.constructions", "cihom.search", "numpy")
+    scripts = {}
+    for name, line in (("check", "check 3.3 on (M)\n"), ("pushforward", "pushforward M\n")):
+        scripts[name] = tmp_path / f"{name}.ci"
+        scripts[name].write_text(_IMPORT_SCRIPT + line)
+    run = ("import contextlib, io, cihom.cli\n"
+           "with contextlib.redirect_stdout(io.StringIO()):\n"
+           "    if cihom.cli.main({argv!r}):\n"
+           "        sys.exit('the run failed')\n")
+    cases = (
+        ("import cihom", set()),
+        ("import cihom.cli", set()),
+        (run.format(argv=["--example", "4.4"]), set()),
+        (run.format(argv=["--script", str(scripts["check"])]), {"cihom.dsl", "cihom.theorems"}),
+        (run.format(argv=["--script", str(scripts["pushforward"])]),
+         {"cihom.dsl", "cihom.constructions"}),
+        ("import cihom\nfor name in cihom.__all__:\n    getattr(cihom, name)\n",
+         {"cihom.theorems", "cihom.constructions", "cihom.search"}),
+    )
+    for code, loads in cases:
+        code = f"import sys\n{code}\nprint(sorted(set(sys.modules) & {set(watched)!r}))"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=120,
                               env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "False"], module
+        assert proc.stdout.strip() == repr(sorted(loads)), code
+    # and in this process: a deferred name is its module's own object
+    import cihom
+    from cihom import constructions, search, theorems
+    owners = {"pushforward": constructions, "quasi_lifting": constructions,
+              "check_theorem": theorems, "SearchConfig": search,
+              "counterexample_search": search}
+    for name in cihom.__all__:
+        assert getattr(cihom, name) is getattr(owners.get(name, cihom), name), name
+    with pytest.raises(AttributeError):
+        cihom.no_such_name
 
 
 @pytest.mark.parametrize("tag", ["f32003", "f3", "rational"])
