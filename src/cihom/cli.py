@@ -139,10 +139,9 @@ def _run_command(cmd: dict, session, defaults: dict) -> dict:
     if kind == "profile":
         M = session.modules[cmd["module"]]
         prof = M.module_profile()
-        bid = M.biduality_report()
         data = {"module": M.label, "ring": M.ring.label,
                 "profile": prof.as_dict(),
-                "torsion_free": bid.torsion_free, "reflexive": bid.reflexive,
+                "torsion_free": M.is_torsion_free(), "reflexive": M.satisfies_serre(2),
                 "nonfree_locus_codim": str(M.nonfree_locus_codim()),
                 "maximal_cohen_macaulay": M.is_maximal_cohen_macaulay()}
         if M.ring.has_minimal_primes:

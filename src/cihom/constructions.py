@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .fmodules import ModulePresentation, PolyMatrix
 from .groebner import FreeModule
-from .homology import MinimalCycles, minimal_cycles
+from .homology import MinimalCycles, minimal_cycles, subquotient_presentation
 from .inputs import InvalidSplitError
 from .rings import INF, HypothesisMissingError, RingPresentation, ideal_contains, ideal_groebner
 
@@ -74,9 +74,11 @@ def pushforward(M: ModulePresentation) -> PushforwardResult:
         cert = {"kernel_zero": True, "middle_exact": True, "cokernel_by_construction": True}
         return PushforwardResult(Mmin, zero, PolyMatrix.zero(M.ring.poly_ring, (), ()),
                                  0, (), cert)
-    report = Mmin.biduality_report()
-    if not report.torsion_free:
-        raise TorsionInputError(Mmin, report.kernel)
+    if not Mmin.is_torsion_free():   # witness ker(M -> M**): M when M* = 0, else ker u
+        kernel = Mmin if Mmin._dual_is_zero() else subquotient_presentation(
+            M.ring, Mmin.gen_degs, Mmin.dual_generators().transpose(), None, None,
+            Mmin.relations, label="ker").minimalize()
+        raise TorsionInputError(Mmin, kernel)
     pr = M.ring.poly_ring
     dual_gens = Mmin.dual_generators()
     m = dual_gens.ncols

@@ -4,7 +4,7 @@ Grammar (statements are separated by whitespace, and a statement may span
 lines with no line continuation):
 
     ring R = quotient(field=f32003, vars=[x,y,z,u], ideal=[x*y, z*u],
-                      minimal_primes=[[x,z],[y,u]])
+                      minimal_primes=[[x,z],[x,u],[y,z],[y,u]])
     module M = coker(R, shifts=[0], matrix=[[y, u]])
     resolve M steps=6
     betti M

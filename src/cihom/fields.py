@@ -66,9 +66,6 @@ class PrimeField:
     def tag(self) -> str:
         return f"f{self.p}"
 
-    def zero(self):
-        return 0
-
     def one(self):
         return 1
 
@@ -107,9 +104,6 @@ class RationalField:
     __slots__ = ()
 
     tag = "rational"
-
-    def zero(self):
-        return Fraction(0)
 
     def one(self):
         return Fraction(1)

@@ -221,79 +221,6 @@ class ModuleProfile:
                 f"length={self.length}, betti0={self.betti0})")
 
 
-class BidualityReport:
-    """Torsion-freeness and reflexivity of a module M over a certified
-    complete intersection (a Gorenstein ring), each decided by its own exact
-    test on M's minimal presentation, and nothing is computed before a field
-    is read.
-
-    ``torsion_free``: the kernel of M -> M** is the kernel of the evaluation
-    map u: M -> R^m, x -> (phi_1(x), .., phi_m(x)), the phi_k a minimal
-    generating set of M* (``dual_generators``), because M** embeds in
-    (R^m)* = R^m.  So M is torsion-free when u is injective, that is when
-    HS(ker u) = HS(M) + HS(coker u) - HS(R^m) is zero (rank counting in each
-    degree: ``homology._ResolutionComplex.numerator``'s identity with no
-    incoming map), HS(R^m) being the sum of t^a HS(R) over the generator
-    degrees a of R^m; no cycle, double dual or relation is built.  M = 0 is
-    torsion-free; M* = 0 with M nonzero is not.  A nonzero M with
-    dim M < dim R has M* = 0 (see
-    ``ModulePresentation._below_ring_dimension``), so it is refused, and its
-    kernel witness is M itself, before any dual generator is computed.
-    ``reflexive``: over a Gorenstein ring, reflexive is equivalent to the
-    depth condition (S_2) (Evans and Griffith, Syzygies, 1985, Thm 3.8;
-    Auslander and Bridger, 1969), read from ``satisfies_serre(2)``, which
-    shares its ambient resolution and Ext dimensions with every Serre level.
-    ``kernel``: ker u, minimalized, the witness of torsion, built from the
-    minimal cycles of u modulo M's relations only when it is read, so it
-    checks the numerator verdict by a second route.  The report keeps the
-    verdict and the kernel; the dual generators, the ambient resolution and
-    the Ext dimensions are kept by the presentation.
-    """
-
-    __slots__ = ("module", "_torsion_free", "_kernel")
-
-    def __init__(self, module: "ModulePresentation"):
-        self.module = module
-        self._torsion_free = None
-        self._kernel = None
-
-    @property
-    def torsion_free(self) -> bool:
-        if self._torsion_free is None:
-            M = self.module
-            if M.n_gens == 0 or M._below_ring_dimension() or not M._dual_cycles().gen_degs:
-                self._torsion_free = M.n_gens == 0
-            else:   # HS(ker u) = HS(M) + HS(coker u) - HS(R^m) is zero
-                u = M.dual_generators().transpose()
-                num = add_numerator(dict(M.hilbert_numerator()),
-                                    ModulePresentation(M.ring, u.row_degs, u).hilbert_numerator())
-                ring_num = module_numerator((0,), M.ring.ideal_gb.lead_terms)
-                for a in u.row_degs:
-                    add_numerator(num, ring_num, a, sign=-1)
-                self._torsion_free = not num
-        return self._torsion_free
-
-    @property
-    def reflexive(self) -> bool:
-        return self.module.satisfies_serre(2)
-
-    @property
-    def kernel(self) -> "ModulePresentation":
-        if self._kernel is None:
-            M = self.module
-            if M._below_ring_dimension() or not M._dual_cycles().gen_degs:   # M* = 0
-                self._kernel = M
-            else:
-                from .homology import subquotient_presentation
-                self._kernel = subquotient_presentation(
-                    M.ring, M.gen_degs, M.dual_generators().transpose(), None, None,
-                    M.relations, label="ker").minimalize()
-        return self._kernel
-
-    def __repr__(self):
-        return f"BidualityReport(torsion_free={self.torsion_free}, reflexive={self.reflexive})"
-
-
 class ModulePresentation:
     """A finitely presented graded module over a RingPresentation.
 
@@ -305,7 +232,7 @@ class ModulePresentation:
 
     __slots__ = ("ring", "gen_degs", "relations", "label",
                  "_minimal", "_hf_num", "_basis", "_ambient_pres", "_res_cache",
-                 "_ext_dims", "_dual", "_biduality", "_nonfree_entry")
+                 "_ext_dims", "_dual", "_torsion_free", "_nonfree_entry")
 
     def __init__(self, ring: RingPresentation, gen_degs, relations: PolyMatrix,
                  label="M"):
@@ -323,7 +250,7 @@ class ModulePresentation:
         self._res_cache = None
         self._ext_dims = None
         self._dual = None
-        self._biduality = None
+        self._torsion_free = None
         self._nonfree_entry = None
 
     # -- constructors ---------------------------------------------------------
@@ -505,15 +432,14 @@ class ModulePresentation:
         return ModulePresentation(self.ring, mat.row_degs, mat,
                                   label=f"{self.label}(x){other.label}")
 
-    # -- dual and biduality ---------------------------------------------------------
+    # -- dual and torsion ----------------------------------------------------------
 
     def _dual_cycles(self):
         """Hom(M, R) as the minimal cycles of A^T, A the relations of the
         minimal presentation, in its dual coordinates R^(-gen_degs) (the
         identity columns when M is free): the generator half of the dual,
-        computed once and kept on the minimal presentation, so ``dual``, the
-        torsion-free test of ``biduality_report`` and ``pushforward`` share
-        it."""
+        computed once and kept on the minimal presentation, so ``dual``,
+        ``is_torsion_free`` and ``pushforward`` share it."""
         M = self.minimalize()
         if M._dual is None:
             from .homology import minimal_cycles
@@ -537,18 +463,45 @@ class ModulePresentation:
         syzygies (the relation half of ``_dual_cycles``); shifts are negated."""
         return self._dual_cycles().presentation()
 
-    def biduality_report(self) -> BidualityReport:
-        """Torsion-freeness and reflexivity of M (see ``BidualityReport``),
-        one report per minimal presentation, each field computed when it is
-        read.  Needs a certified complete intersection, which is Gorenstein:
-        there the evaluation kernel is the kernel of M -> M**, and reflexive
-        is equivalent to the depth condition at level two.
+    def _dual_is_zero(self) -> bool:
+        """M* = 0: dim M < dim R (``_below_ring_dimension``), read with no
+        dual built, or no dual generators.  A nonzero such M is its own
+        torsion witness."""
+        M = self.minimalize()
+        return M._below_ring_dimension() or not M._dual_cycles().gen_degs
+
+    def is_torsion_free(self) -> bool:
+        """Whether M -> M** is injective, over a certified complete
+        intersection (a Gorenstein ring); decided once per minimal
+        presentation.
+
+        The kernel of M -> M** is the kernel of the evaluation map
+        u: M -> R^m, x -> (phi_1(x), .., phi_m(x)), the phi_k a minimal
+        generating set of M* (``dual_generators``), because M** embeds in
+        (R^m)* = R^m.  So M is torsion-free when u is injective, that is
+        when HS(ker u) = HS(M) + HS(coker u) - HS(R^m) is zero (rank
+        counting in each degree: ``homology._ResolutionComplex.numerator``'s
+        identity with no incoming map), HS(R^m) being the sum of t^a HS(R)
+        over the generator degrees a of R^m; no cycle, double dual or
+        relation is built.  M = 0 is torsion-free; M* = 0 with M nonzero is
+        not (``_dual_is_zero``).  Over a Gorenstein ring torsion-free is the
+        depth condition (S_1) and reflexive is (S_2) (Evans and Griffith,
+        Syzygies, 1985, Thm 3.8), which ``satisfies_serre(2)`` decides.
         """
         self.ring.require_certified()
         M = self.minimalize()
-        if M._biduality is None:
-            M._biduality = BidualityReport(M)
-        return M._biduality
+        if M._torsion_free is None:
+            torsion_free = M.n_gens == 0
+            if M.n_gens and not M._dual_is_zero():   # HS(ker u) is zero
+                u = M.dual_generators().transpose()
+                num = add_numerator(dict(M.hilbert_numerator()),
+                                    ModulePresentation(M.ring, u.row_degs, u).hilbert_numerator())
+                ring_num = module_numerator((0,), M.ring.ideal_gb.lead_terms)
+                for a in u.row_degs:
+                    add_numerator(num, ring_num, a, sign=-1)
+                torsion_free = not num
+            M._torsion_free = torsion_free   # kept only once decided
+        return M._torsion_free
 
     # -- numerical profile -------------------------------------------------------------
 
@@ -582,7 +535,7 @@ class ModulePresentation:
         - M* = Hom(M, R) = 0: the image of a nonzero map M -> R is a nonzero
           ideal I of R, whose associated primes are associated to R, so
           dim I = dim R, although I is a quotient of M.  So M, being nonzero,
-          is not torsion-free (``BidualityReport``).
+          is not torsion-free (``is_torsion_free``).
         The zero module fails none of them, so it is excluded.
         """
         M = self.minimalize()

@@ -12,16 +12,17 @@ image.  A vanishing module computes no relations, and no relation has a
 unit entry, so the survivors' degrees are the minimal generator degrees of
 the module, and the subquotient is zero exactly when no cycle survives.
 These two halves are the one way cihom takes a subquotient: the Tor and
-Ext entries here, the kernel of the evaluation map, the dual and its
-presentation (``fmodules``), and the kernels, cokernels (no outgoing map:
-the identity columns modulo the image) and middle homologies that
-certify the exact sequences of ``constructions``, whose zero tests read
-only the generator half.  ``subquotient_presentation`` runs both halves
-in one call.  Tor_i(M, N) is the homology of (minimal resolution of M)
-tensor N, Ext^i the cohomology of Hom(resolution, N); one builder makes
-both complexes, from the two Kronecker shapes of ``PolyMatrix``: the maps
-are d_i (x) 1 (``kron_identity``) and the relations of each term
-1 (x) B (``identity_kron``), B those of N.
+Ext entries here, the dual and its presentation (``fmodules``), and the
+kernels, cokernels (no outgoing map: the identity columns modulo the
+image) and middle homologies that certify the exact sequences of
+``constructions``, whose zero tests read only the generator half, and
+the kernel of the evaluation map presented as a torsion witness.
+``subquotient_presentation`` runs both halves in one call.  Tor_i(M, N)
+is the homology of (minimal resolution of M) tensor N, Ext^i the
+cohomology of Hom(resolution, N); one builder makes both complexes, from
+the two Kronecker shapes of ``PolyMatrix``: the maps are d_i (x) 1
+(``kron_identity``) and the relations of each term 1 (x) B
+(``identity_kron``), B those of N.
 A right-side Tor profile of (M, N) is the left profile of (N, M).
 
 "Vanishes for all i >= 1" is never asserted from a finite window alone: each
@@ -54,7 +55,8 @@ taken modulo the relations of the map's target term.  For F tensor N the
 cokernel of d_j tensor N is Omega^(j-1) M tensor N (Omega^0 M = M), but
 the identity needs no such name, so it holds for Hom(F, N) as well;
 ``_ResolutionComplex.numerator`` writes it once, for both.  With no map in,
-the same counting is the torsion-free test (``fmodules.BidualityReport``).
+the same counting is the torsion-free test
+(``ModulePresentation.is_torsion_free``).
 Each cokernel's numerator needs one untracked Groebner basis, with no
 syzygies and no cycles, and serves two neighbouring entries; the identity
 holds for any free resolution, minimal or not.  Minimal cycles are built
@@ -452,8 +454,10 @@ def _vanishing_evidence(prof: TorProfile) -> dict:
         return {"all_vanish_in_window": True, "tier": "pd-finite",
                 "detail": f"resolution terminates at step {res.length()}"}
     if res.steps_computed() >= 6:
+        # onsets o <= n - 2p over a view of n <= bound + 1 steps, so the
+        # window reaches o + p - 1 <= bound - p: it covers one period
         per = detect_periodicity(res)
-        if per["periodic"] and bound >= per["onset"] + per["period"] - 1:
+        if per["periodic"]:
             return {"all_vanish_in_window": True, "tier": "periodicity",
                     "detail": f"resolution periodic (period {per['period']}, "
                               f"onset {per['onset']}); window covers one period"}

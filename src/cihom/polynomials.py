@@ -177,7 +177,7 @@ class Polynomial:
 
     def constant_value(self):
         unit = (0,) * self.ring.nvars
-        return self.terms.get(unit, self.ring.field.zero())
+        return self.terms.get(unit, self.ring.field.from_int(0))
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -38,7 +38,7 @@ class UnitIdealError(ValueError):
 
 class MinimalPrimesMismatchError(ValueError):
     """Declared minimal primes of a monomial quotient ideal are not the
-    computed ones."""
+    computed ones, or a declared prime fails its spot check."""
 
 
 def ideal_groebner(poly_ring: PolyRing, polys):
@@ -150,9 +150,9 @@ class PrimeIdeal:
     """A declared prime ideal of S (containing the quotient ideal).
 
     Monomial quotient ideals get their minimal primes computed exactly;
-    user-supplied primes are only spot-checked (membership of the quotient
-    generators plus a randomized no-zero-divisor sample), and the check
-    status is recorded, never upgraded to a proof.
+    user-supplied primes are only spot-checked (``spot_check_prime``): one
+    the check disproves is refused, and one it passes is recorded as
+    'spot-checked', never upgraded to a proof.
     """
 
     __slots__ = ("poly_ring", "gens", "gb", "check_status")
@@ -212,29 +212,27 @@ def _random_poly(poly_ring: PolyRing, rng: random.Random, monos_by_degree) -> Po
     return out
 
 
-def spot_check_prime(poly_ring: PolyRing, prime: PrimeIdeal, quotient_gens) -> dict:
-    """Randomized sanity check that a declared prime is plausible.
+def spot_check_prime(poly_ring: PolyRing, prime: PrimeIdeal, quotient_gens) -> str | None:
+    """Why a declared minimal prime is certainly wrong, or None.
 
-    Checks the quotient ideal is contained in it, that it is proper, and that
-    none of 25 sampled pairs of non-members (seed 7) multiplies into it.
-    Recorded as 'spot-checked', never as proven.
+    Each failure is a certificate: a quotient generator outside the prime,
+    the prime being the unit ideal, or a pair of non-members a, b with ab
+    in it, among 25 sampled pairs (seed 7).  None is recorded as
+    'spot-checked', never as proven.
     """
-    samples = 25
-    report = {"contains_quotient": all(prime.contains(f) for f in quotient_gens),
-              "proper": not prime.contains(poly_ring.one()),
-              "zero_divisor_hits": 0, "samples": samples}
+    outside = next((f for f in quotient_gens if not prime.contains(f)), None)
+    if outside is not None:
+        return f"the quotient generator {outside.text()} is not in it"
+    if prime.contains(poly_ring.one()):
+        return "it is the unit ideal"
     rng = random.Random(7)
     monos_by_degree = [list(monomials_of_degree(poly_ring.nvars, d)) for d in range(3)]
-    for _ in range(samples):
+    for _ in range(25):
         a = _random_poly(poly_ring, rng, monos_by_degree)
         b = _random_poly(poly_ring, rng, monos_by_degree)
-        if prime.contains(a) or prime.contains(b):
-            continue
-        if prime.contains(a * b):
-            report["zero_divisor_hits"] += 1
-    report["ok"] = (report["contains_quotient"] and report["proper"]
-                    and report["zero_divisor_hits"] == 0)
-    return report
+        if not (prime.contains(a) or prime.contains(b)) and prime.contains(a * b):
+            return f"{a.text()} and {b.text()} are not in it, but their product is"
+    return None
 
 
 class RegularSequenceCertificate:
@@ -294,8 +292,12 @@ class RingPresentation:
             if self._is_monomial_ideal():
                 self._require_monomial_primes(checked)
             for prime in checked:
-                chk = spot_check_prime(poly_ring, prime, self.quotient_gens)
-                prime.check_status = "spot-checked" if chk["ok"] else "suspect"
+                failure = spot_check_prime(poly_ring, prime, self.quotient_gens)
+                if failure is not None:
+                    raise MinimalPrimesMismatchError(
+                        f"ring {label}: declared minimal prime {prime.label()} "
+                        f"fails its spot check: {failure}")
+                prime.check_status = "spot-checked"
             self._minimal_primes = checked
         elif self._is_monomial_ideal():
             self._minimal_primes = monomial_minimal_primes(poly_ring, self.quotient_gens)
@@ -377,23 +379,18 @@ class RingPresentation:
     def has_minimal_primes(self) -> bool:
         return self._minimal_primes is not None
 
-    def is_domain(self) -> dict:
+    def is_domain(self) -> bool:
         """Whether the quotient ideal is prime, as far as the prime data goes.
 
         True requires a single minimal prime coinciding with the quotient
-        ideal; the status records whether the prime was computed (monomial
-        case) or only spot-checked (declared).  Unknown without prime data.
+        ideal; False without prime data.
         """
         if self.is_ambient:
-            return {"domain": True, "status": "computed"}
-        if self._minimal_primes is None:
-            return {"domain": False, "status": "unknown"}
-        if len(self._minimal_primes) != 1:
-            return {"domain": False, "status": "computed"}
-        q = self._minimal_primes[0]
-        same = (all(ideal_contains(self.ideal_gb, g) for g in q.gens)
-                and all(q.contains(f) for f in self.quotient_gens))
-        return {"domain": same, "status": q.check_status}
+            return True
+        if self._minimal_primes is None or len(self._minimal_primes) != 1:
+            return False
+        q = self._minimal_primes[0]   # it contains the quotient ideal
+        return all(ideal_contains(self.ideal_gb, g) for g in q.gens)
 
     # -- identity ---------------------------------------------------------------
 

@@ -147,7 +147,7 @@ def _search_3_17(cfg, mods):
                                             for entry in M.rank_profile()["ranks"])}
     prof = tor_profile(M, N, cfg.tor_bound, cfg.degree_bound)
     # Tor_0 is M (x) N, already minimalized.
-    hyps["tensor_torsion_free"] = prof.tor0.presentation.biduality_report().torsion_free
+    hyps["tensor_torsion_free"] = prof.tor0.presentation.is_torsion_free()
     hyps["tor1_zero"] = prof.vanishes(1)
     rec = {"hypotheses": hyps}
     if all(hyps.values()):
@@ -162,15 +162,15 @@ def _freeness_hypotheses(cfg, M) -> dict:
     ring = cfg.ring
     return {"one_dimensional": ring.dimension() == 1,
             "certified": ring.certified,
-            "domain": ring.is_domain()["domain"],
-            "M_torsion_free": M.biduality_report().torsion_free}
+            "domain": ring.is_domain(),
+            "M_torsion_free": M.is_torsion_free()}
 
 
 def _search_4_16(cfg, mods):
     """One-dimensional domain: M and M tensor M* torsion-free: is M free?"""
     (M,) = mods
     hyps = _freeness_hypotheses(cfg, M)
-    hyps["tensor_torsion_free"] = M.tensor(M.dual()).biduality_report().torsion_free
+    hyps["tensor_torsion_free"] = M.tensor(M.dual()).is_torsion_free()
     rec = {"hypotheses": hyps}
     if all(hyps.values()):
         rec["M_free"] = M.is_free()
@@ -184,7 +184,7 @@ def _search_4_18(cfg, mods):
     hyps = _freeness_hypotheses(cfg, M)
     prof = tor_profile(M, M.dual(), cfg.tor_bound, cfg.degree_bound)
     # Tor_0 is M (x) M*, already minimalized.
-    hyps["tensor_torsion_free"] = prof.tor0.presentation.biduality_report().torsion_free
+    hyps["tensor_torsion_free"] = prof.tor0.presentation.is_torsion_free()
     first_zero = next((i for i in range(1, cfg.tor_bound + 1) if prof.vanishes(i)), None)
     hyps["some_tor_vanishes"] = first_zero is not None
     rec = {"hypotheses": hyps, "first_vanishing_index": first_zero}

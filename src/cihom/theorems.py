@@ -188,11 +188,11 @@ def _hyp_free_on(inst, which, n):
 
 
 def _hyp_torsion_free(inst, which):
-    return _ok(f"{which} is torsion-free", inst.module(which).biduality_report().torsion_free)
+    return _ok(f"{which} is torsion-free", inst.module(which).is_torsion_free())
 
 
 def _hyp_reflexive(inst, which):
-    return _ok(f"{which} is reflexive", inst.module(which).biduality_report().reflexive)
+    return _ok(f"{which} is reflexive", inst.module(which).satisfies_serre(2))
 
 
 def _hyp_finite_length(inst, which):

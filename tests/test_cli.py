@@ -554,6 +554,30 @@ def test_cli_wrong_minimal_primes_of_a_monomial_ideal_is_input_error(tmp_path, c
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_cli_a_declared_prime_the_spot_check_disproves_is_input_error(tmp_path, capsys):
+    script = tmp_path / "primes.ci"
+    script.write_text("ring Q = quotient(vars=[x,y,w,z], ideal=[x*w - y*z], "
+                      "minimal_primes=[[x]])\n")
+    assert main(["--script", str(script)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("cihom: input error: ring Q: declared minimal prime (x) fails its spot "
+                   "check: the quotient generator x*w - y*z is not in it\n")
+
+
+def test_cli_profile_after_eliminating_a_unit_that_shares_its_row(tmp_path, capsys):
+    # U's unit entry 1 shares its row with y: eliminating it leaves
+    # y*z - x*y = y*z (x*y = 0 in R), so U is coker[y*z], labels aside
+    script = tmp_path / "unit.ci"
+    script.write_text("ring R = quotient(field=f32003, vars=[x,y,z,u], ideal=[x*y, z*u])\n"
+                      "module U = coker(R, shifts=[1,0], matrix=[[1, y], [x, y*z]])\n"
+                      "module V = coker(R, shifts=[0], matrix=[[y*z]])\n"
+                      "profile U\nprofile V\n")
+    assert main(["--script", str(script), "--format", "json"]) == 0
+    profiles = [r["data"] for r in json.loads(capsys.readouterr().out)["results"]]
+    assert [p.pop("module") for p in profiles] == ["U", "V"]
+    assert profiles[0] == profiles[1]
+
+
 def test_cli_modules_over_different_rings_is_input_error(tmp_path, capsys):
     script = tmp_path / "rings.ci"
     script.write_text(TWO_LINE_SCRIPT

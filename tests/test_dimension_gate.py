@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cihom import homology
+from cihom.constructions import TorsionInputError, pushforward
 from cihom.fmodules import ModulePresentation
 from cihom.rings import INF
 from cihom.search import random_homogeneous_module
@@ -53,7 +54,7 @@ def _assert_gate_matches_the_full_path(M):
     depth = _reference_depth(M)
     assert M.depth() == depth, M
     # over a certified complete intersection, torsion-free is (S_1)
-    assert M.biduality_report().torsion_free == want[1]["holds"], M
+    assert M.is_torsion_free() == want[1]["holds"], M
     assert M.is_maximal_cohen_macaulay() == (depth == M.ring.dimension()), M
 
 
@@ -109,9 +110,10 @@ def test_a_lower_dimensional_module_builds_no_resolution_ext_or_dual(
                 "holds": False, "level": n,
                 "witness": {"j": ring.poly_ring.nvars - dim, "support_dim": dim,
                             "bound": dim - n}}
-        rep = M.biduality_report()
-        assert not rep.torsion_free and not rep.reflexive
-        assert rep.kernel is M.minimalize()
+        assert not M.is_torsion_free()
+        with pytest.raises(TorsionInputError) as err:
+            pushforward(M)
+        assert err.value.kernel is M.minimalize()
         assert not M.is_maximal_cohen_macaulay()
         if dim == 0:
             assert M.depth() == 0

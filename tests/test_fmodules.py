@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cihom.fields import PrimeField, RationalField
 from cihom.fmodules import ModulePresentation, PolyMatrix, equal_hilbert_functions
 from cihom.groebner import FreeModule, TrackedSubmodule
+from cihom.constructions import TorsionInputError, pushforward
 from cihom.homology import minimal_cycles, subquotient_presentation
 from cihom.polynomials import (
     GradedViolationError,
@@ -118,7 +119,7 @@ def test_from_relations_rejects_mixed_degree_column(ring_two_nodes):
         ModulePresentation.from_relations(ring_two_nodes, (0, 0), [[y, z * u]])
 
 
-# -- dual and biduality -------------------------------------------------------
+# -- dual, torsion-free and reflexive ------------------------------------------
 
 def test_dual_of_twisted_free(ring_two_nodes):
     M = ModulePresentation.free(ring_two_nodes, (3,))
@@ -135,18 +136,16 @@ def test_dual_of_quadric_module_nonzero(mod_quadric):
 
 def test_free_module_reflexive(ring_two_nodes):
     M = ModulePresentation.free(ring_two_nodes, (0, 2))
-    rep = M.biduality_report()
-    assert rep.reflexive and rep.torsion_free
+    assert M.satisfies_serre(2) and M.is_torsion_free()
 
 
 def test_mcm_over_gorenstein_reflexive(mod_M_two_nodes):
-    rep = mod_M_two_nodes.biduality_report()
-    assert rep.reflexive
+    assert mod_M_two_nodes.satisfies_serre(2)
 
 
 def test_tensor_with_dual_not_reflexive(mod_quadric):
     tensor = mod_quadric.tensor(mod_quadric.dual())
-    assert not tensor.biduality_report().reflexive
+    assert not tensor.satisfies_serre(2)
 
 
 def test_biduality_needs_certified_ring():
@@ -155,7 +154,7 @@ def test_biduality_needs_certified_ring():
     bad = RingPresentation(pr, [x * x, x * x], label="bad")
     M = ModulePresentation.free(bad, (0,))
     with pytest.raises(HypothesisMissingError):
-        M.biduality_report()
+        M.is_torsion_free()
 
 
 # -- tensor --------------------------------------------------------------------
@@ -397,8 +396,9 @@ def test_torsion_free_builds_no_basis_of_the_free_module(monkeypatch, ring_two_n
                                                          periodic_pair):
     # HS(R^m) is read as m shifted copies of HS(R), so once M's own
     # numerator and dual generators exist, the verdict builds one relation
-    # basis, of coker u, and none of the quotient columns alone; the kernel
-    # witness agrees with every verdict.
+    # basis, of coker u, and none of the quotient columns alone; the
+    # pushforward's certificate, or its torsion witness, agrees with every
+    # verdict.
     from cihom import fmodules
     calls = []
     real = fmodules.relation_basis
@@ -415,13 +415,13 @@ def test_torsion_free_builds_no_basis_of_the_free_module(monkeypatch, ring_two_n
               *periodic_pair, mod_quadric.tensor(mod_quadric.dual()),
               # x is killed by the nonzerodivisor x + y of k[x, y]/(xy)
               ModulePresentation.quotient_by_ideal(ring_node, [x * x])):
-        rep = ModulePresentation(M.ring, M.gen_degs, M.relations, label="M").biduality_report()
-        rep.module.hilbert_numerator()
-        m = rep.module.dual_generators().ncols
+        Mp = ModulePresentation(M.ring, M.gen_degs, M.relations, label="M").minimalize()
+        Mp.hilbert_numerator()
+        m = Mp.dual_generators().ncols
         calls.clear()
-        verdicts.append(rep.torsion_free)
-        assert calls in ([], [(m, rep.module.n_gens)]), calls
-        assert rep.torsion_free == (rep.kernel.n_gens == 0)
+        verdicts.append(Mp.is_torsion_free())
+        assert calls in ([], [(m, Mp.n_gens)]), calls
+        assert verdicts[-1] == (_torsion_witness(Mp) is None)
     assert True in verdicts and False in verdicts
 
 
@@ -555,7 +555,19 @@ def test_nonfree_locus_cyclic_cross_check(rings_over, seed, which, tag):
     assert codim == ring.dimension() - locus_dim
 
 
-# -- the biduality report's work ------------------------------------------------------
+# -- the torsion-free verdict's work, and the torsion witness ------------------------
+
+def _torsion_witness(M):
+    """ker(M -> M**) as ``pushforward`` finds it: None when its embedding's
+    certificate holds, else the witness its ``TorsionInputError`` carries."""
+    try:
+        certificate = pushforward(M).certificate
+    except TorsionInputError as err:
+        assert err.kernel.n_gens, M
+        return err.kernel
+    assert certificate["kernel_zero"], M
+    return None
+
 
 def _biduality_test_module(which, ring_quadric, ring_two_nodes):
     if which == "quadric":
@@ -577,48 +589,77 @@ def _biduality_test_module(which, ring_quadric, ring_two_nodes):
     ("quadric", 1, 0), ("two_nodes_N", 1, 0), ("torsion", 1, 1), ("finite_length", 0, 0)])
 def test_biduality_report_call_counts(monkeypatch, ring_quadric, ring_two_nodes, which,
                                       cycle_passes, kernel_builds):
-    # reflexive reads the level-two depth condition and makes no dual;
-    # torsion_free makes one dual-generator matrix, unless M has dimension
-    # below dim R (finite_length), where M* = 0 and M is its own torsion
-    # witness, read off its Hilbert series; it reads the evaluation kernel's
-    # Hilbert numerator and makes no cycle pass.  When the dual is nonzero
-    # the kernel witness makes one pass for the evaluation map's minimal
-    # cycles, and builds relations among them only on a module with torsion.
-    # The dual generators are minimal cycles too (label "M*"), counted apart.
-    from cihom import homology
+    # is_torsion_free makes one dual-generator matrix, unless M has
+    # dimension below dim R (finite_length), where M* = 0, read off its
+    # Hilbert series; it reads the evaluation kernel's Hilbert numerator and
+    # makes no cycle pass.  Its verdict is kept on the minimal presentation,
+    # so a second read computes nothing.  The pushforward then makes one
+    # pass for the evaluation map's minimal cycles (label "ker"), its
+    # certificate or its torsion witness, unless M* = 0 and M is its own
+    # witness, and builds relations among them only on a module with
+    # torsion.  The dual generators are minimal cycles too (label "M*"),
+    # counted apart; the pushforward's other cycles are not counted.
+    from cihom import constructions, homology
     calls = {"dual": 0, "cycles": 0, "kernel": 0}
     real_cycles = homology.minimal_cycles
     real_pres = homology.MinimalCycles.presentation
 
     def counting_cycles(*args, **kwargs):
-        calls["dual" if kwargs["label"] == "M*" else "cycles"] += 1
+        label = kwargs["label"]
+        calls["dual"] += label == "M*"
+        calls["cycles"] += label == "ker"
         return real_cycles(*args, **kwargs)
 
     def counting_pres(self):
-        calls["kernel"] += bool(self.gen_degs)   # relations among some cycles
+        calls["kernel"] += self.label == "ker" and bool(self.gen_degs)
         return real_pres(self)
 
-    monkeypatch.setattr(homology, "minimal_cycles", counting_cycles)
+    for module in (homology, constructions):
+        monkeypatch.setattr(module, "minimal_cycles", counting_cycles)
     monkeypatch.setattr(homology.MinimalCycles, "presentation", counting_pres)
     M = _biduality_test_module(which, ring_quadric, ring_two_nodes)
     dual_builds = int(M.dimension() == M.ring.dimension())
-    rep = M.biduality_report()
-    assert rep.reflexive == (which in ("quadric", "two_nodes_N"))
+    assert M.satisfies_serre(2) == (which in ("quadric", "two_nodes_N"))
     assert calls == {"dual": 0, "cycles": 0, "kernel": 0}
-    assert rep.torsion_free == (which in ("quadric", "two_nodes_N"))
+    torsion_free = M.is_torsion_free()
+    assert torsion_free == (which in ("quadric", "two_nodes_N"))
     assert calls == {"dual": dual_builds, "cycles": 0, "kernel": 0}
-    assert (rep.kernel.n_gens == 0) == rep.torsion_free
+
+    def computed_again(self):
+        raise AssertionError("the torsion-free verdict was computed again")
+
+    with monkeypatch.context() as again:
+        again.setattr(ModulePresentation, "_dual_is_zero", computed_again)
+        assert M.is_torsion_free() is torsion_free
+        assert M.minimalize().is_torsion_free() is torsion_free
+    assert (_torsion_witness(M) is None) == torsion_free
     assert calls == {"dual": dual_builds, "cycles": cycle_passes, "kernel": kernel_builds}
-    # one report per minimal presentation: a second read computes nothing
-    assert M.biduality_report() is rep and M.minimalize().biduality_report() is rep
+
+
+@pytest.mark.parametrize("which", ["quadric", "torsion"])
+def test_torsion_free_keeps_no_verdict_when_interrupted(monkeypatch, ring_quadric,
+                                                        ring_two_nodes, which):
+    # A read that raises before the verdict is decided leaves nothing kept,
+    # so the next read computes the verdict.
+    real = ModulePresentation._dual_is_zero
+
+    def fail_once(self):
+        monkeypatch.setattr(ModulePresentation, "_dual_is_zero", real)
+        raise RuntimeError("interrupted")
+
+    M = _biduality_test_module(which, ring_quadric, ring_two_nodes)
+    monkeypatch.setattr(ModulePresentation, "_dual_is_zero", fail_once)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        M.is_torsion_free()
+    assert M.is_torsion_free() is (which == "quadric")
 
 
 def _biduality_map_reference(M):
     """The natural map M -> M** on M's minimal generators, and M**: row i of
     the dual-generator matrix evaluates the i-th generator of M on Hom(M, R),
     and its lift through the generators of the double dual is the i-th
-    column of the map.  ``biduality_report`` decides both verdicts without
-    it."""
+    column of the map.  ``is_torsion_free`` and ``satisfies_serre(2)``
+    decide without it."""
     M = M.minimalize()
     ring, pr = M.ring, M.ring.poly_ring
     D = M.dual_generators()
@@ -641,12 +682,13 @@ def _assert_verdicts_match_the_double_dual(M):
                                    Mmin.relations).minimalize()
     # the cokernel of psi: the identity columns of M** modulo psi and its relations
     coker = minimal_cycles(M.ring, bidual.gen_degs, None, None, psi, bidual.relations)
-    rep = M.biduality_report()
-    assert rep.torsion_free == (ker.n_gens == 0), M
-    assert rep.reflexive == (ker.n_gens == 0 and not coker.gen_degs), M
-    assert rep.torsion_free == M.satisfies_serre(1), M
-    assert rep.kernel.gen_degs == ker.gen_degs, M
-    return "torsion" if ker.n_gens else "reflexive" if rep.reflexive else "torsion-free"
+    torsion_free, reflexive = M.is_torsion_free(), M.satisfies_serre(2)
+    assert torsion_free == (ker.n_gens == 0), M
+    assert reflexive == (ker.n_gens == 0 and not coker.gen_degs), M
+    assert torsion_free == M.satisfies_serre(1), M
+    witness = _torsion_witness(M)
+    assert (witness.gen_degs if witness else ()) == ker.gen_degs, M
+    return "torsion" if ker.n_gens else "reflexive" if reflexive else "torsion-free"
 
 
 @settings(max_examples=100, deadline=None)

@@ -379,7 +379,7 @@ def _check_equivalence(ring, D, E, pair):
             assert ring.reduce(left.entries[i][j] - right.entries[i][j]).is_zero()
     for mat in (A, B):
         assert all(p.is_zero() or p.is_constant() for row in mat.entries for p in row)
-        consts = [[p.constant_value() if p else field.zero() for p in row] for row in mat.entries]
+        consts = [[p.constant_value() for p in row] for row in mat.entries]
         assert _rank(consts, field) == mat.nrows == mat.ncols
 
 

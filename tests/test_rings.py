@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -111,11 +112,11 @@ def test_is_domain_with_one_declared_prime(ring_quadric):
     # One declared minimal prime: a domain exactly when the prime equals the
     # quotient ideal, which is decided by membership both ways.  x is the
     # one minimal prime of (x^2) but does not lie in it.
-    assert ring_quadric.is_domain() == {"domain": True, "status": "spot-checked"}
+    assert ring_quadric.is_domain() is True
     pr = ring_quadric.poly_ring
     x = pr.variable("x")
     fat = RingPresentation(pr, [x * x], label="fat", minimal_primes=[[x]])
-    assert fat.is_domain() == {"domain": False, "status": "spot-checked"}
+    assert fat.is_domain() is False
 
 
 def test_monomial_minimal_primes(ring_two_nodes, ring_node):
@@ -137,6 +138,20 @@ def test_declared_primes_of_a_monomial_ideal_must_be_the_computed_ones():
     ring = RingPresentation(pr, [x * w], label="xw", minimal_primes=[[w], [x + x]])
     assert [p.label() for p in ring.minimal_primes()] == ["(w)", "(2*x)"]
     assert [p.check_status for p in ring.minimal_primes()] == ["spot-checked"] * 2
+
+
+def test_a_declared_prime_the_spot_check_disproves_is_refused(ring_quadric):
+    # each failure of the spot check certifies that the declared ideal is
+    # not a minimal prime, so the constructor refuses it and names the check
+    pr = ring_quadric.poly_ring
+    x, y, w, z = (pr.variable(v) for v in "xywz")
+    f = x * w - y * z
+    for primes, failure in (([[x]], "the quotient generator x*w - y*z is not in it"),
+                            ([[f, pr.one()]], "it is the unit ideal"),
+                            ([[f, x * y]], "are not in it, but their product is")):
+        with pytest.raises(MinimalPrimesMismatchError, match=r"fails its spot check: .*"
+                           + re.escape(failure)):
+            RingPresentation(pr, [f], label="Q", minimal_primes=primes)
 
 
 def test_declared_primes_spot_checked(ring_quadric):

@@ -159,10 +159,10 @@ def _search_4_18_own_tensor(cfg, mods):
     ring = cfg.ring
     hyps = {"one_dimensional": ring.dimension() == 1,
             "certified": ring.certified,
-            "domain": ring.is_domain()["domain"],
-            "M_torsion_free": M.biduality_report().torsion_free}
+            "domain": ring.is_domain(),
+            "M_torsion_free": M.is_torsion_free()}
     dual = M.dual()
-    hyps["tensor_torsion_free"] = M.tensor(dual).biduality_report().torsion_free
+    hyps["tensor_torsion_free"] = M.tensor(dual).is_torsion_free()
     prof = tor_profile(M, dual, cfg.tor_bound, cfg.degree_bound)
     first_zero = next((i for i in range(1, cfg.tor_bound + 1) if prof.vanishes(i)), None)
     hyps["some_tor_vanishes"] = first_zero is not None
