@@ -6,7 +6,9 @@ homogeneous regular sequences, and finitely presented graded modules over R.
 On top of Groebner bases it provides minimal free resolutions, Betti tables,
 complexity estimates, Tor and Ext profiles, depth/dimension/Serre-condition
 predicates, pushforward and quasi-lifting constructions, and an instance-level
-harness for a family of Tor-rigidity statements.
+harness for a family of Tor-rigidity statements.  A report value (the
+regular-sequence certificate, a module profile, a Betti table, a complexity
+estimate, a depth-formula check) is the JSON-ready dict the document prints.
 
 Importing the package loads the engine and the catalog.  The constructions,
 the statement harness and the searches load when one of their names is

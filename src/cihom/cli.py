@@ -108,7 +108,7 @@ def _run_command(cmd: dict, session, defaults: dict) -> dict:
         steps = _steps(cmd, defaults, M)
         res = resolve(M, steps=steps, over=cmd.get("over", "quotient"))
         data = {"module": M.label, "ring": M.ring.label,
-                "betti": betti_table(res).as_dict(),
+                "betti": betti_table(res),
                 "terminated": res.terminated,
                 "minimal": res.minimality_certificate()}
         if res.steps_computed() >= 6:
@@ -120,8 +120,8 @@ def _run_command(cmd: dict, session, defaults: dict) -> dict:
         res = resolve(M, steps=steps)
         cx = module_complexity(M, window=steps)
         return {"kind": "betti", "title": M.label,
-                "data": {"module": M.label, "betti": betti_table(res).as_dict(),
-                         "complexity": cx.as_dict()}}
+                "data": {"module": M.label, "betti": betti_table(res),
+                         "complexity": cx}}
     if kind == "tor":
         M = session.modules[cmd["module"]]
         N = session.modules[cmd["argument"]]
@@ -138,9 +138,8 @@ def _run_command(cmd: dict, session, defaults: dict) -> dict:
                          "entries": [e.as_dict() for e in entries]}}
     if kind == "profile":
         M = session.modules[cmd["module"]]
-        prof = M.module_profile()
         data = {"module": M.label, "ring": M.ring.label,
-                "profile": prof.as_dict(),
+                "profile": M.module_profile(),
                 "torsion_free": M.is_torsion_free(), "reflexive": M.satisfies_serre(2),
                 "nonfree_locus_codim": str(M.nonfree_locus_codim()),
                 "maximal_cohen_macaulay": M.is_maximal_cohen_macaulay()}
@@ -219,6 +218,8 @@ def main(argv=None) -> int:
             session = parse_session(text)
             commands += session.commands
         results = [_run_command(cmd, session, defaults) for cmd in commands]
+        document = make_document(results, args.field, bounds)
+        out = emit_json(document) if fmt == "json" else emit_text(document)
     except ParseError as err:
         print(f"cihom: parse error: {err}", file=sys.stderr)
         return 2
@@ -240,11 +241,7 @@ def main(argv=None) -> int:
         print(f"cihom: internal error: {err}", file=sys.stderr)
         return 4
 
-    document = make_document(results, args.field, bounds)
-    if fmt == "json":
-        sys.stdout.write(emit_json(document))
-    else:
-        sys.stdout.write(emit_text(document))
+    sys.stdout.write(out)
     return 1 if any(_failed(r) for r in results) else 0
 
 

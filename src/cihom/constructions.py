@@ -18,7 +18,8 @@ from .fmodules import ModulePresentation, PolyMatrix
 from .groebner import FreeModule
 from .homology import MinimalCycles, minimal_cycles, subquotient_presentation
 from .inputs import InvalidSplitError
-from .rings import INF, HypothesisMissingError, RingPresentation, ideal_contains, ideal_groebner
+from .rings import (HypothesisMissingError, RingPresentation, encode_infinite, ideal_contains,
+                    ideal_groebner)
 
 
 class TorsionInputError(HypothesisMissingError):
@@ -161,7 +162,7 @@ def quasi_lifting(M: ModulePresentation, split) -> QuasiLiftingResult:
     if not intermediate.certified:
         raise InvalidSplitError(
             f"remaining generators do not form a regular sequence: "
-            f"{intermediate.verify_regular_sequence().as_dict()}")
+            f"{intermediate.verify_regular_sequence()}")
 
     pf = pushforward(M)
     Mmin = pf.M
@@ -215,14 +216,10 @@ def quasi_lifting(M: ModulePresentation, split) -> QuasiLiftingResult:
     }
 
     M1_min = pf.M1.minimalize()
-    if M1_min.n_gens:
-        dE = E_min.depth()
-        dM1 = M1_min.depth()
-        depth_check = {"depth_lift": dE, "depth_pushforward": dM1,
-                       "holds": dE == dM1 + 1}
-    else:
-        depth_check = {"depth_lift": E_min.depth(), "depth_pushforward": INF,
-                       "holds": True}
+    dE, dM1 = E_min.depth(), M1_min.depth()   # depth of M1 = 0 is inf
+    depth_check = {"depth_lift": encode_infinite(dE),
+                   "depth_pushforward": encode_infinite(dM1),
+                   "holds": not M1_min.n_gens or dE == dM1 + 1}
 
     free_off_split = _free_off_hypersurface(E_min, intermediate, f)
     return QuasiLiftingResult(Mmin, pf.M1, E, E_min, intermediate, f,

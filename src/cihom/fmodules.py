@@ -200,27 +200,6 @@ class PolyMatrix:
         return f"PolyMatrix({self.nrows}x{self.ncols}, rows={list(self.row_degs)}, cols={list(self.col_degs)})"
 
 
-class ModuleProfile:
-    """dim, depth, length and minimal generator count of a module."""
-
-    __slots__ = ("dim", "depth", "length", "betti0")
-
-    def __init__(self, dim, depth, length, betti0):
-        self.dim = dim
-        self.depth = depth
-        self.length = length
-        self.betti0 = betti0
-
-    def as_dict(self):
-        enc = encode_infinite
-        return {"dim": enc(self.dim), "depth": enc(self.depth),
-                "length": enc(self.length), "betti0": self.betti0}
-
-    def __repr__(self):
-        return (f"ModuleProfile(dim={self.dim}, depth={self.depth}, "
-                f"length={self.length}, betti0={self.betti0})")
-
-
 class ModulePresentation:
     """A finitely presented graded module over a RingPresentation.
 
@@ -569,9 +548,11 @@ class ModulePresentation:
             self.minimalize().hilbert_numerator(), self.ring.poly_ring.nvars)
         return INF if dim > 0 else multiplicity
 
-    def module_profile(self) -> ModuleProfile:
+    def module_profile(self) -> dict:
+        """dim, depth, length and minimal generator count, infinities encoded."""
         M = self.minimalize()
-        return ModuleProfile(M.dimension(), M.depth(), M.length(), M.n_gens)
+        return {"dim": encode_infinite(M.dimension()), "depth": encode_infinite(M.depth()),
+                "length": encode_infinite(M.length()), "betti0": M.n_gens}
 
     def is_cohen_macaulay(self) -> bool:
         M = self.minimalize()
@@ -769,6 +750,16 @@ class ModulePresentation:
 
 
 def equal_hilbert_functions(a: ModulePresentation, b: ModulePresentation) -> bool:
-    """Equality of graded Hilbert functions through degree 8 (iso fingerprint)."""
-    dmin = min(a.gen_degs + b.gen_degs, default=0)
-    return a.hilbert_function(8, dmin) == b.hilbert_function(8, dmin)
+    """Equality of the graded Hilbert functions of two modules over one
+    ambient ring (iso fingerprint), in every degree.
+
+    H is zero below the lowest degree of its series' numerator K, and the
+    coefficient of t^e in K = HS(t) (1 - t)^n reads only H(e - n..e), so the
+    values from the lowest through the highest degree of either numerator
+    decide it; they come from the cached numerators, with no new basis.
+    """
+    degs = [*a.hilbert_numerator(), *b.hilbert_numerator()]
+    if not degs:
+        return True
+    lo, hi = min(degs), max(degs)
+    return a.hilbert_function(hi, lo) == b.hilbert_function(hi, lo)

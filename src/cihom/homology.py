@@ -670,74 +670,45 @@ def ext_ambient_dimensions(M: ModulePresentation) -> dict:
     return {j: dimension_and_multiplicity(cx.numerator(j), nv)[0] for j in range(1, nv + 1)}
 
 
-class DepthFormulaReport:
-    """Both sides of depth M + depth N = depth R + depth(M tensor N).
-
-    ``holds`` is the raw equality; ``asserted`` additionally requires the
-    certified vanishing hypothesis, and ``tier`` states which certificate
-    backed it (the report never asserts from a bare window).  When the
-    resolution terminated, ``shifted_form`` also evaluates the classical
-    shifted variant depth M + depth N = depth R + depth(Tor_q) - q at the
-    top nonvanishing index q (applicable when q = 0 or that depth is <= 1).
-    """
-
-    __slots__ = ("depth_M", "depth_N", "depth_ring", "depth_tensor",
-                 "left", "right", "holds", "hypothesis_met", "tier", "asserted",
-                 "shifted_form")
-
-    def __init__(self, depth_M, depth_N, depth_ring, depth_tensor,
-                 hypothesis_met, tier, shifted_form=None):
-        self.depth_M = depth_M
-        self.depth_N = depth_N
-        self.depth_ring = depth_ring
-        self.depth_tensor = depth_tensor
-        self.left = depth_M + depth_N
-        self.right = depth_ring + depth_tensor
-        self.holds = self.left == self.right
-        self.hypothesis_met = hypothesis_met
-        self.tier = tier
-        self.asserted = bool(hypothesis_met and self.holds)
-        self.shifted_form = shifted_form
-
-    def as_dict(self):
-        enc = encode_infinite
-        return {"depth_M": enc(self.depth_M), "depth_N": enc(self.depth_N),
-                "depth_ring": enc(self.depth_ring), "depth_tensor": enc(self.depth_tensor),
-                "left": enc(self.left), "right": enc(self.right),
-                "holds": self.holds, "hypothesis_met": self.hypothesis_met,
-                "tier": self.tier, "asserted": self.asserted,
-                "shifted_form": self.shifted_form}
-
-    def __repr__(self):
-        return (f"DepthFormulaReport({self.depth_M}+{self.depth_N} vs "
-                f"{self.depth_ring}+{self.depth_tensor}, holds={self.holds}, "
-                f"tier={self.tier})")
-
-
 def ring_depth(ring: RingPresentation) -> float:
     """Depth of R as a module over itself (ambient Auslander-Buchsbaum)."""
     return ModulePresentation.free(ring, (0,)).depth()
 
 
-def depth_formula_check(profile: TorProfile) -> DepthFormulaReport:
-    """Depth-formula report on the modules and the window of ``profile``,
-    ``tor_profile(M, N, bound, degree_bound)``; the vanishing hypothesis
-    carries its tier."""
+def depth_formula_check(profile: TorProfile) -> dict:
+    """Both sides of depth M + depth N = depth R + depth(M tensor N), on the
+    modules and the window of ``profile``, ``tor_profile(M, N, bound,
+    degree_bound)``, with every depth and side encoded.
+
+    ``holds`` is the raw equality; ``asserted`` additionally requires the
+    certified vanishing hypothesis (``hypothesis_met``), and ``tier`` states
+    which certificate backed it (the report never asserts from a bare
+    window).  When the resolution terminated, ``shifted_form`` also
+    evaluates the classical shifted variant depth M + depth N = depth R +
+    depth(Tor_q) - q at the top nonvanishing index q (applicable when q = 0
+    or that depth is <= 1).
+    """
     M, N = (profile.N, profile.M) if profile.side == "right" else (profile.M, profile.N)
     tier = profile.vanishing["tier"]
     hypothesis_met = profile.vanishing_certified
     tensor = profile.tor0.presentation  # M (x) N, already minimalized as Tor_0
     depth_M, depth_N = M.depth(), N.depth()
-    depth_R = ring_depth(M.ring)
+    depth_R, depth_T = ring_depth(M.ring), tensor.depth()
+    left, right = depth_M + depth_N, depth_R + depth_T
     shifted = None
     if profile.resolution.terminated and profile.resolution.length() <= profile.bound:
         q = next((i for i in range(profile.bound, 0, -1) if not profile.vanishes(i)), 0)
-        depth_q = tensor.depth() if q == 0 else profile.entry(q).depth
+        depth_q = depth_T if q == 0 else profile.entry(q).depth
         applicable = q == 0 or depth_q <= 1
         shifted = {"q": q,
                    "depth_tor_q": encode_infinite(depth_q),
                    "applicable": applicable,
-                   "holds": (depth_M + depth_N == depth_R + depth_q - q)
+                   "holds": (left == depth_R + depth_q - q)
                    if applicable and depth_q != INF else None}
-    return DepthFormulaReport(depth_M, depth_N, depth_R, tensor.depth(),
-                              hypothesis_met, tier, shifted_form=shifted)
+    enc = encode_infinite
+    return {"depth_M": enc(depth_M), "depth_N": enc(depth_N),
+            "depth_ring": enc(depth_R), "depth_tensor": enc(depth_T),
+            "left": enc(left), "right": enc(right),
+            "holds": left == right, "hypothesis_met": hypothesis_met,
+            "tier": tier, "asserted": bool(hypothesis_met and left == right),
+            "shifted_form": shifted}

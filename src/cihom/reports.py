@@ -2,7 +2,9 @@
 
 The structured document uses fixed field names and sorted keys, carries the
 tool version, field tag and bounds, and contains no wall-clock data, so the
-same session with the same seed emits identical bytes on every run.
+same session with the same seed emits identical bytes on every run.  It is
+strict JSON: ``emit_json`` refuses NaN and infinities, which every report
+value writes through ``rings.encode_infinite``.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import json
 
 from . import __version__
+from .polynomials import InvariantError
 
 
 def make_document(results: list, field_tag: str, bounds: dict) -> dict:
@@ -27,7 +30,12 @@ def make_document(results: list, field_tag: str, bounds: dict) -> dict:
 
 
 def emit_json(document: dict) -> str:
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    """The document as strict JSON: a non-finite float left in it is an
+    engine fault (every depth reaches it through ``encode_infinite``)."""
+    try:
+        return json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as err:
+        raise InvariantError(f"the document is not strict JSON: {err}") from None
 
 
 def _text_lines(obj, indent=0):

@@ -222,27 +222,10 @@ def _literal_period(diffs):
     return None
 
 
-class BettiTable:
-    """Total and graded Betti numbers read off a minimal resolution."""
-
-    __slots__ = ("betti", "graded", "truncation")
-
-    def __init__(self, betti, graded, truncation):
-        self.betti = list(betti)
-        self.graded = graded
-        self.truncation = truncation
-
-    def as_dict(self):
-        return {"betti": self.betti,
-                "graded": {str(i): dict(sorted(g.items())) for i, g in self.graded.items()},
-                "truncation": self.truncation}
-
-    def __repr__(self):
-        return f"BettiTable({self.betti}, truncation={self.truncation})"
-
-
-def betti_table(res: FreeResolution) -> BettiTable:
-    """Betti numbers beta_i = rank F_i, with the graded refinement beta_{i,j}."""
+def betti_table(res: FreeResolution) -> dict:
+    """Betti numbers beta_i = rank F_i, with the graded refinement beta_{i,j}:
+    ``{"betti", "graded", "truncation"}``, ``graded`` keyed by the step as a
+    string, each step's counts sorted by degree."""
     if not res.minimality_certificate():
         raise MinimalityRequiredError("betti numbers require a minimal resolution")
     betti = res.betti_numbers()
@@ -252,37 +235,8 @@ def betti_table(res: FreeResolution) -> BettiTable:
         counts: dict = {}
         for d in degs:
             counts[d] = counts.get(d, 0) + 1
-        graded[i] = counts
-    return BettiTable(betti, graded, res.truncation)
-
-
-class ComplexityEstimate:
-    """Window-based polynomial-growth estimate for a Betti sequence.
-
-    value 0 iff the sequence hits zero; otherwise the smallest s >= 1 whose
-    order-s finite differences vanish on the tail window (checked on the even
-    and odd subsequences too, since tails can be parity-polynomial).  Clamped
-    to the codimension with a conflict flag; always an estimate from the
-    window, never a proof.
-    """
-
-    __slots__ = ("value", "window", "evidence", "conflict", "at_least")
-
-    def __init__(self, value, window, evidence, conflict=False, at_least=False):
-        self.value = value
-        self.window = window
-        self.evidence = evidence
-        self.conflict = conflict
-        self.at_least = at_least
-
-    def as_dict(self):
-        return {"value": self.value, "window": self.window,
-                "evidence": self.evidence, "conflict": self.conflict,
-                "at_least": self.at_least}
-
-    def __repr__(self):
-        prefix = ">= " if self.at_least else ""
-        return f"ComplexityEstimate({prefix}{self.value}, window={self.window})"
+        graded[str(i)] = dict(sorted(counts.items()))
+    return {"betti": list(betti), "graded": graded, "truncation": res.truncation}
 
 
 def _difference_order(seq):
@@ -297,8 +251,17 @@ def _difference_order(seq):
     return None
 
 
-def complexity_estimate(betti, codim: int, window: int | None = None) -> ComplexityEstimate:
-    """Estimate the complexity of a module from a Betti-number window."""
+def complexity_estimate(betti, codim: int, window: int | None = None) -> dict:
+    """Estimate the complexity of a module from a Betti-number window.
+
+    Returns ``{"value", "window", "evidence", "conflict", "at_least"}``.
+    value 0 iff the sequence hits zero; otherwise the smallest s >= 1 whose
+    order-s finite differences vanish on the tail window (checked on the even
+    and odd subsequences too, since tails can be parity-polynomial).  Clamped
+    to the codimension with a conflict flag, and the codimension with
+    ``at_least`` when no order is found; always an estimate from the window,
+    never a proof.
+    """
     betti = list(betti)
     if window is None:
         window = len(betti)
@@ -307,30 +270,25 @@ def complexity_estimate(betti, codim: int, window: int | None = None) -> Complex
             f"betti window of length {len(betti)} is too short (need >= 4)")
     evidence = {"betti": betti, "recommended_window": 2 * codim + 4,
                 "window_ok": len(betti) >= 2 * codim + 4}
+    at_least = False
     if any(b == 0 for b in betti):
         evidence["zero_at"] = betti.index(0)
-        return ComplexityEstimate(0, window, evidence)
-    # drop the first entries: polynomial behaviour is a tail phenomenon
-    tail = betti[2:] if len(betti) >= 6 else list(betti)
-    s = _difference_order(tail)
-    if s is not None:
-        evidence["difference_order"] = s
-        value = s
+        value = 0
     else:
-        evens = tail[::2]
-        odds = tail[1::2]
-        se = _difference_order(evens) if len(evens) >= 2 else None
-        so = _difference_order(odds) if len(odds) >= 2 else None
-        evidence["difference_order_even"] = se
-        evidence["difference_order_odd"] = so
-        if se is not None and so is not None:
-            value = max(se, so)
+        # drop the first entries: polynomial behaviour is a tail phenomenon
+        tail = betti[2:] if len(betti) >= 6 else betti
+        value = _difference_order(tail)
+        if value is not None:
+            evidence["difference_order"] = value
         else:
-            return ComplexityEstimate(codim, window, evidence, conflict=False, at_least=True)
-    conflict = value > codim
-    if conflict:
-        value = codim
-    return ComplexityEstimate(value, window, evidence, conflict=conflict)
+            se, so = (_difference_order(part) if len(part) >= 2 else None
+                      for part in (tail[::2], tail[1::2]))
+            evidence["difference_order_even"] = se
+            evidence["difference_order_odd"] = so
+            at_least = se is None or so is None
+            value = codim if at_least else max(se, so)
+    return {"value": min(value, codim), "window": window, "evidence": evidence,
+            "conflict": value > codim, "at_least": at_least}
 
 
 def default_betti_window(ring) -> int:
@@ -338,7 +296,7 @@ def default_betti_window(ring) -> int:
     return 2 * int(ring.dimension()) + 2 * ring.codim + 4
 
 
-def module_complexity(M: ModulePresentation, window: int) -> ComplexityEstimate:
+def module_complexity(M: ModulePresentation, window: int) -> dict:
     """Complexity estimate from a Betti window of ``window`` resolution steps."""
     res = resolve(M, steps=window)
     return complexity_estimate(res.betti_numbers()[:window + 1], M.ring.codim, window)

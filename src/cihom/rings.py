@@ -235,23 +235,6 @@ def spot_check_prime(poly_ring: PolyRing, prime: PrimeIdeal, quotient_gens) -> s
     return None
 
 
-class RegularSequenceCertificate:
-    """Per-step dimension record for a homogeneous sequence f1..fc in S."""
-
-    __slots__ = ("ok", "dims", "failed_at")
-
-    def __init__(self, ok, dims, failed_at):
-        self.ok = ok
-        self.dims = dims
-        self.failed_at = failed_at
-
-    def as_dict(self):
-        return {"ok": self.ok, "dims": list(self.dims), "failed_at": self.failed_at}
-
-    def __repr__(self):
-        return f"RegularSequenceCertificate(ok={self.ok}, dims={self.dims})"
-
-
 class RingPresentation:
     """Ambient graded polynomial ring S plus homogeneous quotient generators.
 
@@ -333,7 +316,7 @@ class RingPresentation:
 
     def dimension(self) -> float:
         """Krull dimension of R: the last entry of the certificate's record."""
-        return self.verify_regular_sequence().dims[-1]
+        return self.verify_regular_sequence()["dims"][-1]
 
     def reduce(self, poly: Polynomial) -> Polynomial:
         """Normal form of a polynomial modulo the quotient ideal.
@@ -344,8 +327,9 @@ class RingPresentation:
         """
         return self.ideal_gb.reduce_poly(poly)
 
-    def verify_regular_sequence(self) -> RegularSequenceCertificate:
-        """ok iff dim S/(f1..fk) = dim S - k for every k <= c."""
+    def verify_regular_sequence(self) -> dict:
+        """Per-step dimension record ``{"ok", "dims", "failed_at"}`` of f1..fc:
+        ok iff dim S/(f1..fk) = dim S - k for every k <= c."""
         if self._certificate is None:
             n = self.poly_ring.nvars
             dims = [n]
@@ -355,18 +339,18 @@ class RingPresentation:
                 dims.append(d)
                 if failed_at is None and d != n - k:
                     failed_at = k
-            self._certificate = RegularSequenceCertificate(failed_at is None, dims, failed_at)
+            self._certificate = {"ok": failed_at is None, "dims": dims, "failed_at": failed_at}
         return self._certificate
 
     @property
     def certified(self) -> bool:
-        return self.verify_regular_sequence().ok
+        return self.verify_regular_sequence()["ok"]
 
     def require_certified(self):
         if not self.certified:
             raise HypothesisMissingError(
                 f"ring {self.label} is not a certified complete intersection: "
-                f"{self.verify_regular_sequence().as_dict()}")
+                f"{self.verify_regular_sequence()}")
 
     def minimal_primes(self):
         if self._minimal_primes is None:

@@ -152,7 +152,7 @@ class _Instance:
 
 def _hyp_certified(inst):
     return _ok(f"{inst.ring.label} is a certified complete intersection",
-               inst.ring.certified, inst.ring.verify_regular_sequence().as_dict())
+               inst.ring.certified, inst.ring.verify_regular_sequence())
 
 
 def _hyp_serre(inst, which, n):
@@ -233,7 +233,7 @@ def _hyp_local_vanishing_surrogate(inst, height):
 
 def _hyp_complexity(inst, pick):
     """r = pick(cx M, cx N) of the window estimates, and its line."""
-    r = pick(inst.cx("M").value, inst.cx("N").value)
+    r = pick(inst.cx("M")["value"], inst.cx("N")["value"])
     return r, _line(f"r = {pick.__name__} complexity estimate = {r}", "satisfied", None,
                     kind="estimate-based")
 
@@ -386,7 +386,7 @@ def _check_2_4(inst, params):
     start = _depth_start(inst)
     hyps = [_hyp_certified(inst),
             _line(f"r = min of the complexity estimates = {r}", "satisfied",
-                  {"cx_M": inst.cx("M").as_dict(), "cx_N": inst.cx("N").as_dict()},
+                  {"cx_M": inst.cx("M"), "cx_N": inst.cx("N")},
                   kind="estimate-based")]
     _, run, vanishing = _hyp_run(
         inst, params, r + 1,
@@ -397,7 +397,7 @@ def _check_2_4(inst, params):
 
 def _check_2_6(inst, params):
     start = max(1, _depth_start(inst))
-    cxm, cxn = inst.cx("M").value, inst.cx("N").value
+    cxm, cxn = inst.cx("M")["value"], inst.cx("N")["value"]
     hyps = [_hyp_certified(inst),
             _line("at least one module has complexity <= 1",
                   "satisfied" if min(cxm, cxn) <= 1 else "failed",
@@ -419,11 +419,11 @@ def _check_2_7(inst, params):
     rep = depth_formula_check(prof)
     hyps = [_hyp_certified(inst),
             _ok("Tor_i(M, N) = 0 for all i >= 1 (certified)",
-                rep.hypothesis_met, prof.vanishing)]
+                rep["hypothesis_met"], prof.vanishing)]
     concl = {"statement": "depth M + depth N = depth R + depth(M tensor N)",
-             "verdict": "holds" if rep.holds else "fails",
-             "detail": rep.as_dict()}
-    return hyps, concl, rep.tier
+             "verdict": "holds" if rep["holds"] else "fails",
+             "detail": rep}
+    return hyps, concl, rep["tier"]
 
 
 def _check_2_8(inst, params):
@@ -463,14 +463,14 @@ def _check_3_4(inst, params):
             hyps.append(free_line)
         else:
             hyps.append(_hyp_local_vanishing_surrogate(inst, c - 1))
-    cxm, cxn = inst.cx("M"), inst.cx("N")
+    cxm, cxn = inst.cx("M")["value"], inst.cx("N")["value"]
     prof = inst.profile()
     vanish = prof.all_vanish_in_window()
-    both_max = cxm.value == c and cxn.value == c
+    both_max = cxm == c and cxn == c
     concl = {"statement": "either both complexities equal the codimension, "
                           "or Tor_i(M, N) = 0 for all i >= 1",
              "verdict": "holds" if (both_max or vanish) else "fails",
-             "detail": {"cx_M": cxm.value, "cx_N": cxn.value,
+             "detail": {"cx_M": cxm, "cx_N": cxn,
                         "all_vanish": vanish, "branch":
                         "maximal-complexity" if both_max else
                         ("vanishing" if vanish else "neither")}}
@@ -560,7 +560,7 @@ def _check_3_16(inst, params):
             _hyp_free_on(inst, "M", c - 1), _hyp_serre(inst, "T", c)]
     prof = inst.profile()
     vanish = prof.all_vanish_in_window()
-    cxm, cxn = inst.cx("M").value, inst.cx("N").value
+    cxm, cxn = inst.cx("M")["value"], inst.cx("N")["value"]
     branch_a = cxm == c and cxn == c and not prof.vanishes(1)
     concl = {"statement": "either both complexities are maximal with Tor_1 != 0, "
                           "or all Tor vanish",
@@ -648,11 +648,11 @@ def _check_4_9(inst, params):
                         inst.dim("M") + inst.dim("N") <= inst.d))
     vanish_concl, tier = _concl_all_vanish(inst)
     rep = depth_formula_check(inst.profile())
-    ok = vanish_concl["verdict"] == "holds" and rep.holds
+    ok = vanish_concl["verdict"] == "holds" and rep["holds"]
     concl = {"statement": "Tor_i(M, N) = 0 for all i >= 1 and the depth formula holds",
              "verdict": "holds" if ok else "fails",
              "detail": {"vanishing": vanish_concl["detail"],
-                        "depth_formula": rep.as_dict()}}
+                        "depth_formula": rep}}
     return hyps, concl, tier
 
 
@@ -739,7 +739,7 @@ def _check_4_17(inst, params):
     even_zero = next((i for i in range(2, inst.tor_bound + 1, 2) if prof.vanishes(i)), None)
     odd_zero = next((j for j in range(1, inst.tor_bound + 1, 2) if prof.vanishes(j)), None)
     alt1 = even_zero is not None and odd_zero is not None
-    cx_m = inst.cx("M").value
+    cx_m = inst.cx("M")["value"]
     rk = inst.constant_rank("M")
     alt2 = rk and cx_m <= 1
     hyps.append(_line(

@@ -56,8 +56,8 @@ def test_criterion_2_gap_fixture(mod_M_two_nodes, mod_N_two_nodes):
         assert not prof.vanishes(3)
         assert prof.vanishes(4)
         assert not prof.vanishes(5)
-        assert module_complexity(mod_M_two_nodes, window=10).value == 2
-        assert module_complexity(mod_N_two_nodes, window=10).value == 2
+        assert module_complexity(mod_M_two_nodes, window=10)["value"] == 2
+        assert module_complexity(mod_N_two_nodes, window=10)["value"] == 2
 
 
 def test_criterion_3_periodic_fixture(periodic_pair):
@@ -85,9 +85,9 @@ def test_criterion_4_quadric_fixture(mod_quadric):
         assert prof.vanishing["tier"] == "pd-finite"
         assert mod_quadric.tensor(mod_quadric).depth() == 1
         rep = depth_formula_check(tor_profile(mod_quadric, mod_quadric, 10, 6))
-        assert rep.holds and rep.asserted
-        assert (rep.depth_M, rep.depth_N) == (2, 2)
-        assert (rep.depth_ring, rep.depth_tensor) == (3, 1)
+        assert rep["holds"] and rep["asserted"]
+        assert (rep["depth_M"], rep["depth_N"]) == (2, 2)
+        assert (rep["depth_ring"], rep["depth_tensor"]) == (3, 1)
 
 
 def test_criterion_5_node3_fixture(ring_node3):

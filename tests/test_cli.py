@@ -8,6 +8,7 @@ import pytest
 from cihom.catalog import UnknownExampleError, catalog_ids, run_example
 from cihom.cli import main
 from cihom.dsl import ParseError, parse_session
+from cihom.fmodules import ModulePresentation
 from reference import unparse_declarations
 
 TWO_LINE_SCRIPT = """
@@ -576,6 +577,32 @@ def test_cli_profile_after_eliminating_a_unit_that_shares_its_row(tmp_path, caps
     profiles = [r["data"] for r in json.loads(capsys.readouterr().out)["results"]]
     assert [p.pop("module") for p in profiles] == ["U", "V"]
     assert profiles[0] == profiles[1]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_cli_quasilift_of_a_free_module_is_strict_json(capsys):
+    # M1 = 0 has depth inf, which the document writes as "inf", not Infinity
+    script = Path(__file__).parent / "data" / "quasilift_free.ci"
+    assert main(["--script", str(script), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert doc["results"][0]["data"]["depth_check"] == {
+        "depth_lift": 2, "depth_pushforward": "inf", "holds": True}
+
+
+def test_cli_a_non_finite_float_in_the_document_is_internal_error(tmp_path, capsys,
+                                                                   monkeypatch):
+    monkeypatch.setattr(ModulePresentation, "module_profile",
+                        lambda self: {"depth": float("inf")})
+    script = tmp_path / "nan.ci"
+    script.write_text(TWO_LINE_SCRIPT + "profile M\n")
+    assert main(["--script", str(script), "--format", "json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cihom: internal error: the document is not strict JSON")
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_modules_over_different_rings_is_input_error(tmp_path, capsys):

@@ -16,7 +16,7 @@ from cihom.polynomials import (
     PolyRing,
     monomials_of_degree,
 )
-from cihom.rings import INF, NEG_INF, HypothesisMissingError, RingPresentation
+from cihom.rings import INF, HypothesisMissingError, RingPresentation
 from cihom.search import random_homogeneous_module
 from reference import lift
 
@@ -68,6 +68,34 @@ def test_minimalize_preserves_hilbert(mod_N_two_nodes):
     raw = mod_N_two_nodes
     m = raw.minimalize()
     assert equal_hilbert_functions(raw, m)
+
+
+def test_hilbert_functions_that_differ_past_degree_eight(ring_node):
+    # over the node, R/(x) and R/(x, y^9) agree through degree 8 and
+    # differ from degree 9 on
+    x, y = ring_node.poly_ring.variable("x"), ring_node.poly_ring.variable("y")
+    y9 = ring_node.poly_ring.one()
+    for _ in range(9):
+        y9 = y9 * y
+    a = ModulePresentation.quotient_by_ideal(ring_node, [x])
+    b = ModulePresentation.quotient_by_ideal(ring_node, [x, y9])
+    assert a.hilbert_function(8) == b.hilbert_function(8)
+    assert a.hilbert_function(9)[9] == 1 and b.hilbert_function(9)[9] == 0
+    assert not equal_hilbert_functions(a, b)
+    assert equal_hilbert_functions(b, ModulePresentation.quotient_by_ideal(ring_node, [y9, x]))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_equal_hilbert_functions_is_equal_numerators(seed, ring_two_nodes):
+    # the window read decides equality in every degree: the verdict is
+    # that of the two Hilbert series numerators, also for twists and zero
+    rng = random.Random(seed)
+    mods = [random_homogeneous_module(ring_two_nodes, rng, 2, 1) for _ in range(2)]
+    mods += [mods[0].minimalize(), mods[0].twist(1), ModulePresentation.zero(ring_two_nodes)]
+    for a in mods:
+        for b in mods:
+            assert equal_hilbert_functions(a, b) == (
+                a.hilbert_numerator() == b.hilbert_numerator())
 
 
 # -- grading is checked where a presentation is built -------------------------
@@ -177,13 +205,13 @@ def test_tensor_depth_quadric(mod_quadric):
 
 def test_profile_mcm(mod_M_two_nodes, ring_two_nodes):
     prof = mod_M_two_nodes.module_profile()
-    assert prof.depth == ring_two_nodes.dimension() == 2
+    assert prof["depth"] == ring_two_nodes.dimension() == 2
     assert mod_M_two_nodes.is_maximal_cohen_macaulay()
 
 
 def test_profile_quadric(mod_quadric):
     prof = mod_quadric.module_profile()
-    assert prof.depth == 2 and prof.dim == 3 and prof.length == INF
+    assert prof == {"dim": 3, "depth": 2, "length": "inf", "betti0": 4}
 
 
 def test_profile_residue_field(ring_two_nodes):
@@ -191,13 +219,13 @@ def test_profile_residue_field(ring_two_nodes):
     gens = [pr.variable(v) for v in pr.variables]
     k = ModulePresentation.quotient_by_ideal(ring_two_nodes, gens, label="k")
     prof = k.module_profile()
-    assert prof.dim == 0 and prof.depth == 0 and prof.length == 1
+    assert prof == {"dim": 0, "depth": 0, "length": 1, "betti0": 1}
 
 
 def test_zero_module_conventions(ring_two_nodes):
     z = ModulePresentation.zero(ring_two_nodes)
     prof = z.module_profile()
-    assert prof.depth == INF and prof.dim == NEG_INF and prof.length == 0
+    assert prof == {"dim": "-inf", "depth": "inf", "length": 0, "betti0": 0}
     assert z.satisfies_serre(3)
     assert z.is_free()
 

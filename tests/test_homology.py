@@ -1,4 +1,5 @@
 import functools
+import json
 import random
 
 import pytest
@@ -20,8 +21,8 @@ from cihom.homology import (
 )
 from cihom.oracle import tor_oracle
 from cihom.polynomials import PolyRing
-from cihom.resolutions import detect_periodicity, resolve
-from cihom.rings import INF, RingPresentation, encode_infinite
+from cihom.resolutions import betti_table, detect_periodicity, module_complexity, resolve
+from cihom.rings import INF, RingPresentation
 from cihom.search import SearchConfig, _search_3_6, random_homogeneous_module
 from cihom.theorems import check_theorem
 
@@ -249,8 +250,8 @@ def _eager_entry_dict(index, pres, degree_bound):
     hilbert = pres.hilbert_function(degree_bound, dmin=lo)
     normalized = [] if initial is None else [hilbert[d] for d in range(initial, max(hilbert) + 1)]
     return {"index": index, "vanishes": pres.n_gens == 0, "betti0": pres.n_gens,
-            "depth": encode_infinite(profile.depth), "dim": encode_infinite(profile.dim),
-            "finite_length": profile.length != INF, "initial_degree": initial,
+            "depth": profile["depth"], "dim": profile["dim"],
+            "finite_length": profile["length"] != "inf", "initial_degree": initial,
             "hilbert": normalized}
 
 
@@ -535,21 +536,54 @@ def test_ext1_against_first_syzygy_two_nodes(mod_M_two_nodes, ring_two_nodes):
 
 def test_depth_formula_quadric(mod_quadric):
     rep = depth_formula_check(tor_profile(mod_quadric, mod_quadric, 10))
-    assert rep.holds and rep.asserted and rep.tier == "pd-finite"
-    assert (rep.depth_M, rep.depth_N, rep.depth_ring, rep.depth_tensor) == (2, 2, 3, 1)
+    assert rep["holds"] and rep["asserted"] and rep["tier"] == "pd-finite"
+    assert (rep["depth_M"], rep["depth_N"], rep["depth_ring"], rep["depth_tensor"]) == (2, 2, 3, 1)
 
 
 def test_depth_formula_trivial_ring(ring_two_nodes):
     free = ModulePresentation.free(ring_two_nodes, (0,))
     rep = depth_formula_check(tor_profile(free, free, 3))
-    assert rep.holds and rep.asserted
+    assert rep["holds"] and rep["asserted"]
 
 
 def test_depth_formula_declined_without_vanishing(periodic_pair):
     M, N = periodic_pair
     rep = depth_formula_check(tor_profile(M, N, 4))
-    assert not rep.hypothesis_met
-    assert not rep.asserted
+    assert not rep["hypothesis_met"]
+    assert not rep["asserted"]
+
+
+def _json_keys(value):
+    """``value`` with every dict key as JSON writes it: a string."""
+    if isinstance(value, dict):
+        return {str(k): _json_keys(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_json_keys(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("which", ["zero", "residue_field", "quadric", "two_nodes"])
+def test_report_values_are_strict_json(which, ring_node, mod_quadric, mod_M_two_nodes):
+    # every report value is the dict the document prints: strict JSON
+    # (infinities encoded), which reads back equal up to JSON's string keys
+    pr = ring_node.poly_ring
+    M = {"zero": ModulePresentation.zero(ring_node),
+         "residue_field": ModulePresentation.quotient_by_ideal(
+             ring_node, [pr.variable(v) for v in pr.variables], label="k"),
+         "quadric": mod_quadric, "two_nodes": mod_M_two_nodes}[which]
+    depth_formula = depth_formula_check(tor_profile(M, M, 3, 4))
+    values = [M.ring.verify_regular_sequence(), M.module_profile(),
+              betti_table(resolve(M, steps=6)), module_complexity(M, window=6), depth_formula]
+    for value in values:
+        assert json.loads(json.dumps(value, allow_nan=False)) == _json_keys(value)
+    # the shifted form is filled once the resolution has terminated
+    assert (depth_formula["shifted_form"] is not None) == (which in ("zero", "quadric"))
+    if which == "zero":
+        assert values[1] == {"dim": "-inf", "depth": "inf", "length": 0, "betti0": 0}
+        assert (depth_formula["left"], depth_formula["shifted_form"]["depth_tor_q"]) == (
+            "inf", "inf")
+    if which == "residue_field":
+        assert values[1] == {"dim": 0, "depth": 0, "length": 1, "betti0": 1}
 
 
 def test_ring_depth(ring_two_nodes, ring_quadric):
@@ -1037,7 +1071,7 @@ def test_shifted_depth_formula_at_top_index(ring_node3):
     z = pr.variable("z")
     M = ModulePresentation.quotient_by_ideal(ring_node3, [z], label="M")
     rep = depth_formula_check(tor_profile(M, M, 6))
-    sf = rep.shifted_form
+    sf = rep["shifted_form"]
     assert sf is not None and sf["q"] == 1
     if sf["applicable"]:
         assert sf["holds"] is True
@@ -1045,7 +1079,7 @@ def test_shifted_depth_formula_at_top_index(ring_node3):
 
 def test_shifted_depth_formula_total_vanishing(mod_quadric):
     rep = depth_formula_check(tor_profile(mod_quadric, mod_quadric, 10, 6))
-    sf = rep.shifted_form
+    sf = rep["shifted_form"]
     assert sf == {"q": 0, "depth_tor_q": 1, "applicable": True, "holds": True}
 
 

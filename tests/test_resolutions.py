@@ -55,14 +55,14 @@ def test_quadric_module_terminates(mod_quadric):
 def test_betti_table_graded(mod_M_two_nodes):
     res = resolve(mod_M_two_nodes, steps=6)
     table = betti_table(res)
-    assert table.betti[:7] == [1, 2, 3, 4, 5, 6, 7]
-    assert table.graded[1] == {1: 2}
-    assert table.graded[2] == {2: 3}
+    assert table["betti"][:7] == [1, 2, 3, 4, 5, 6, 7]
+    assert table["graded"]["1"] == {1: 2}
+    assert table["graded"]["2"] == {2: 3}
 
 
 def test_betti_table_free(ring_two_nodes):
     res = resolve(ModulePresentation.free(ring_two_nodes, (0, 0, 0)), steps=4)
-    assert betti_table(res).betti[:3] == [3, 0, 0]
+    assert betti_table(res)["betti"][:3] == [3, 0, 0]
 
 
 def test_betti_requires_minimality(mod_M_two_nodes, ring_two_nodes):
@@ -79,17 +79,17 @@ def test_betti_requires_minimality(mod_M_two_nodes, ring_two_nodes):
 
 def test_complexity_linear_growth():
     est = complexity_estimate([1, 2, 3, 4, 5, 6, 7], 2)
-    assert est.value == 2 and not est.conflict
+    assert est["value"] == 2 and not est["conflict"]
 
 
 def test_complexity_bounded():
     est = complexity_estimate([1] * 9, 2)
-    assert est.value == 1
+    assert est["value"] == 1
 
 
 def test_complexity_finite_pd():
     est = complexity_estimate([4, 1, 0, 0, 0, 0], 1)
-    assert est.value == 0
+    assert est["value"] == 0
 
 
 def test_complexity_window_too_short():
@@ -100,13 +100,13 @@ def test_complexity_window_too_short():
 def test_complexity_clamped_to_codim():
     # artificially fast growth must clamp at the codimension with a flag
     est = complexity_estimate([1, 2, 4, 8, 16, 32, 64, 128], 1)
-    assert est.value == 1 and (est.conflict or est.at_least)
+    assert est["value"] == 1 and (est["conflict"] or est["at_least"])
 
 
 def test_complexity_bound_on_catalog(mod_M_two_nodes, mod_N_two_nodes, ring_two_nodes):
     for mod in (mod_M_two_nodes, mod_N_two_nodes):
         est = module_complexity(mod, window=10)
-        assert est.value <= ring_two_nodes.codim
+        assert est["value"] <= ring_two_nodes.codim
 
 
 def test_periodicity_needs_steps(mod_M_two_nodes):
