@@ -13,7 +13,10 @@ and rank profiles, all live here.  Presentations are immutable; cached derived
 values are computed once.  The two Kronecker shapes of a relation matrix,
 ``kron_identity`` (A (x) 1) and ``identity_kron`` (1 (x) B), build the tensor
 presentation coker(A (x) 1 | 1 (x) B), the ambient presentation and the terms
-of the Tor and Ext complexes.
+of the Tor and Ext complexes.  The ambient presentation of a minimal
+presentation is built minimal from it: its relations are kept and only the
+quotient columns are tested, so depth reads an S-resolution with no second
+greedy pass over the relations.
 """
 
 from __future__ import annotations
@@ -358,8 +361,21 @@ class ModulePresentation:
     # -- ambient (S-level) presentation -------------------------------------------
 
     def ambient_presentation(self) -> "ModulePresentation":
-        """The same module viewed over the ambient ring S: the quotient
-        relations f_k e_j, the block (f_1 .. f_c) (x) 1, appended as columns."""
+        """The same module viewed over the ambient ring S (``ring.ambient()``):
+        the quotient relations f_k e_j, the block (f_1 .. f_c) (x) 1, appended
+        as columns.
+
+        On a minimal presentation this is built minimal, as ``minimalize``
+        of the full one would give it.  Every column of the relations A is
+        kept over S: the greedy pass keeps a column unless it lies in the
+        span of the columns tested before it, and a column of A lies outside
+        the span of the other columns of A plus (f) S^r (graded Nakayama over
+        R), which contains that span.  So only the quotient columns are
+        tested, modulo A (``minimal_generator_indices``), in the (degree,
+        index) order of the full pass; A's entries are reduced over R and
+        reduction over S is the identity.  The result is its own minimal
+        presentation and keeps no greedy basis.
+        """
         if self._ambient_pres is None:
             ring = self.ring
             if ring.is_ambient:
@@ -368,10 +384,20 @@ class ModulePresentation:
                 pr = ring.poly_ring
                 gens = ring.quotient_gens
                 row = PolyMatrix(pr, (0,), tuple(f.degree() for f in gens), [list(gens)])
-                mat = self.relations.hstack(row.kron_identity(self.gen_degs))
-                ambient = RingPresentation(pr, [], label=f"ambient({ring.label})")
-                self._ambient_pres = ModulePresentation(
-                    ambient, self.gen_degs, mat, label=f"{self.label}|S")
+                quot = row.kron_identity(self.gen_degs)
+                minimal = self._minimal is self
+                if minimal and quot.ncols:
+                    cols = quot.columns()
+                    alive = minimal_generator_indices(cols, quot.col_degs,
+                                                      FreeModule(pr, self.gen_degs),
+                                                      relations=self.relations.columns())
+                    quot = PolyMatrix.from_columns(pr, self.gen_degs, [cols[j] for j in alive],
+                                                   [quot.col_degs[j] for j in alive])
+                amb = ModulePresentation(ring.ambient(), self.gen_degs,
+                                         self.relations.hstack(quot), label=f"{self.label}|S")
+                if minimal:
+                    amb._minimal = amb
+                self._ambient_pres = amb
         return self._ambient_pres
 
     # -- Hilbert series ---------------------------------------------------------------

@@ -5,7 +5,9 @@ Dimension is read off the Hilbert series numerator of the initial ideal
 certificate records the per-step dimension drop, which for homogeneous
 sequences in the Cohen-Macaulay ambient ring is equivalent to regularity.
 Ring presentations are immutable after construction and cache the Groebner
-basis of the quotient ideal eagerly.
+basis of the quotient ideal eagerly.  The minimal primes of a monomial
+quotient ideal (the empty ideal of an ambient ring included) are computed on
+first read, and the ambient ring S is built once per ring, on first use.
 """
 
 from __future__ import annotations
@@ -240,12 +242,13 @@ class RingPresentation:
 
     Fields: the coefficient field tag, the ambient PolyRing, the quotient
     generators f1..fc, the cached Groebner basis of (f), declared minimal
-    primes (computed for monomial ideals), warnings, and the regular-sequence
-    certificate.  codim = c and dim R = dim S - c once certified.
+    primes (checked here; for a monomial ideal without declared ones they are
+    computed on first read), warnings, the regular-sequence certificate and
+    the ambient ring S.  codim = c and dim R = dim S - c once certified.
     """
 
     __slots__ = ("label", "poly_ring", "quotient_gens", "ideal_gb", "warnings",
-                 "_minimal_primes", "_certificate")
+                 "_minimal_primes", "_certificate", "_ambient")
 
     def __init__(self, poly_ring: PolyRing, quotient_gens, label="R",
                  minimal_primes=None):
@@ -269,6 +272,7 @@ class RingPresentation:
         self.ideal_gb = ideal_groebner(poly_ring, self.quotient_gens)
         self._minimal_primes = None
         self._certificate = None
+        self._ambient = None
         if minimal_primes is not None:
             checked = [PrimeIdeal(poly_ring, gens_q, check_status="declared")
                        for gens_q in minimal_primes]
@@ -282,8 +286,6 @@ class RingPresentation:
                         f"fails its spot check: {failure}")
                 prime.check_status = "spot-checked"
             self._minimal_primes = checked
-        elif self._is_monomial_ideal():
-            self._minimal_primes = monomial_minimal_primes(poly_ring, self.quotient_gens)
 
     # -- structure ------------------------------------------------------------
 
@@ -298,6 +300,14 @@ class RingPresentation:
     @property
     def is_ambient(self) -> bool:
         return not self.quotient_gens
+
+    def ambient(self) -> "RingPresentation":
+        """The ambient ring S with no quotient, built once per ring; an
+        ambient ring is its own."""
+        if self._ambient is None:
+            self._ambient = self if self.is_ambient else RingPresentation(
+                self.poly_ring, [], label=f"ambient({self.label})")
+        return self._ambient
 
     def _is_monomial_ideal(self) -> bool:
         return all(len(f.terms) == 1 for f in self.quotient_gens)
@@ -353,15 +363,19 @@ class RingPresentation:
                 f"{self.verify_regular_sequence()}")
 
     def minimal_primes(self):
+        """The declared minimal primes, or those of a monomial quotient
+        ideal, computed on first read (``monomial_minimal_primes``)."""
         if self._minimal_primes is None:
-            raise HypothesisMissingError(
-                f"ring {self.label} has no minimal primes: the quotient ideal is not "
-                "monomial, so declare them in the ring constructor")
+            if not self._is_monomial_ideal():
+                raise HypothesisMissingError(
+                    f"ring {self.label} has no minimal primes: the quotient ideal is not "
+                    "monomial, so declare them in the ring constructor")
+            self._minimal_primes = monomial_minimal_primes(self.poly_ring, self.quotient_gens)
         return self._minimal_primes
 
     @property
     def has_minimal_primes(self) -> bool:
-        return self._minimal_primes is not None
+        return self._minimal_primes is not None or self._is_monomial_ideal()
 
     def is_domain(self) -> bool:
         """Whether the quotient ideal is prime, as far as the prime data goes.
@@ -371,9 +385,9 @@ class RingPresentation:
         """
         if self.is_ambient:
             return True
-        if self._minimal_primes is None or len(self._minimal_primes) != 1:
+        if not self.has_minimal_primes or len(self.minimal_primes()) != 1:
             return False
-        q = self._minimal_primes[0]   # it contains the quotient ideal
+        q = self.minimal_primes()[0]   # it contains the quotient ideal
         return all(ideal_contains(self.ideal_gb, g) for g in q.gens)
 
     # -- identity ---------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -5,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cihom.fields import PrimeField, RationalField
+from cihom import catalog
+from cihom.fields import PrimeField, RationalField, field_by_tag
 from cihom.fmodules import ModulePresentation, PolyMatrix, equal_hilbert_functions
 from cihom.groebner import FreeModule, TrackedSubmodule
 from cihom.constructions import TorsionInputError, pushforward
-from cihom.homology import minimal_cycles, subquotient_presentation
+from cihom.homology import ext_ambient_dimensions, minimal_cycles, subquotient_presentation
 from cihom.polynomials import (
     GradedViolationError,
     IncompatibleOperandsError,
@@ -784,6 +786,49 @@ def _ambient_reference(Mp):
             + [extra_cols[t][i] for t in range(len(extra_cols))]
             for i in range(Mp.n_gens)]
     return PolyMatrix(pr, Mp.gen_degs, Mp.relations.col_degs + tuple(extra_degs), ents)
+
+
+# -- the ambient presentation of a minimal one, against minimalize of the full one ----
+
+@functools.cache
+def _four_rings(tag):
+    return tuple(catalog.ring(name, field_by_tag(tag))
+                 for name in ("R_node", "R_node3", "R_xyzu", "R_quadric"))
+
+
+def _assert_ambient_is_the_minimalized_full_one(M):
+    # The full presentation (relations, then every f_k e_j) over a fresh
+    # ambient ring, minimalized by the greedy pass over all its columns.
+    Mmin = M.minimalize()
+    amb = Mmin.ambient_presentation()
+    S = RingPresentation(Mmin.ring.poly_ring, [], label="S")
+    full = ModulePresentation(S, Mmin.gen_degs, _ambient_reference(Mmin)).minimalize()
+    assert amb.ring.is_ambient and amb.minimalize() is amb and amb._basis is None
+    assert amb.gen_degs == full.gen_degs
+    _assert_same_matrix(amb.relations, full.relations)
+    assert amb.hilbert_numerator() == full.hilbert_numerator() == Mmin.hilbert_numerator()
+    assert amb.depth() == full.depth() == Mmin.depth()
+    assert ext_ambient_dimensions(Mmin) == ext_ambient_dimensions(full)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31), st.integers(0, 3),
+       st.sampled_from(["f32003", "f3", "rational"]), st.booleans())
+def test_the_ambient_presentation_of_a_minimal_one_is_the_minimalized_full_one(
+        seed, which, tag, syzygy):
+    ring = _four_rings(tag)[which]
+    rng = random.Random(seed)
+    M = random_homogeneous_module(ring, rng, 2, rng.randint(1, 2), label="A")
+    _assert_ambient_is_the_minimalized_full_one(M.first_syzygy() if syzygy else M)
+
+
+@pytest.mark.parametrize("which", range(4))
+def test_the_ambient_presentation_of_edge_modules(which):
+    ring = _four_rings("f32003")[which]
+    x = ring.poly_ring.variable(ring.poly_ring.variables[0])
+    for M in (ModulePresentation.zero(ring), ModulePresentation.free(ring, (-1, 2)),
+              ModulePresentation.quotient_by_ideal(ring, [x, x * x]).twist(-2)):
+        _assert_ambient_is_the_minimalized_full_one(M)
 
 
 def _kron_map_reference(d, coeff_degs, pr):

@@ -16,6 +16,7 @@ from cihom.polynomials import (
     PolyRing,
     monomials_of_degree,
 )
+from cihom import rings
 from cihom.rings import (
     NEG_INF,
     HypothesisMissingError,
@@ -25,6 +26,7 @@ from cihom.rings import (
     ideal_contains,
     ideal_dimension,
     ideal_groebner,
+    monomial_minimal_primes,
 )
 
 F = PrimeField(32003)
@@ -125,6 +127,45 @@ def test_monomial_minimal_primes(ring_two_nodes, ring_node):
     assert labels == ["(x, z)", "(x, u)", "(y, z)", "(y, u)"] or len(labels) == 4
     node_labels = sorted(p.label() for p in ring_node.minimal_primes())
     assert node_labels == ["(x)", "(y)"]
+
+
+def test_minimal_primes_of_a_monomial_ideal_are_built_on_first_read(monkeypatch):
+    # A monomial ring, and an ambient ring (whose empty ideal is monomial),
+    # build no prime with the ring; the first read computes them, and
+    # has_minimal_primes and is_domain() answer as when they were built
+    # eagerly.  Declared primes are still checked with the ring.
+    built = []
+
+    class CountingPrime(rings.PrimeIdeal):
+        def __init__(self, *args, **kwargs):
+            built.append(args[1])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(rings, "PrimeIdeal", CountingPrime)
+    pr = PolyRing(F, ["x", "y", "z", "u"])
+    x, y, z, u = (pr.variable(v) for v in "xyzu")
+    two_nodes = RingPresentation(pr, [x * y, z * u], label="two_nodes")
+    ambient = RingPresentation(pr, [], label="S")
+    line = RingPresentation(pr, [x], label="line")
+    cone = RingPresentation(pr, [x * y - z * u], label="cone")
+    assert two_nodes.ambient() is two_nodes.ambient() and ambient.ambient() is ambient
+    assert built == []
+    assert all(r.has_minimal_primes for r in (two_nodes, ambient, line))
+    assert not cone.has_minimal_primes
+    assert built == []
+    assert ([p.label() for p in two_nodes.minimal_primes()]
+            == [p.label() for p in monomial_minimal_primes(pr, two_nodes.quotient_gens)]
+            == ["(x, z)", "(x, u)", "(y, z)", "(y, u)"])
+    assert [p.check_status for p in two_nodes.minimal_primes()] == ["computed"] * 4
+    assert two_nodes.minimal_primes() is two_nodes.minimal_primes()
+    assert len(built) == 8   # four kept, four from the reference call
+    assert [p.label() for p in ambient.minimal_primes()] == ["(0)"]
+    assert (two_nodes.is_domain(), ambient.is_domain(), line.is_domain(),
+            cone.is_domain()) == (False, True, True, False)
+    with pytest.raises(HypothesisMissingError):
+        cone.minimal_primes()
+    with pytest.raises(MinimalPrimesMismatchError, match="are not the minimal primes"):
+        RingPresentation(pr, [x * y], label="node", minimal_primes=[[x]])
 
 
 def test_declared_primes_of_a_monomial_ideal_must_be_the_computed_ones():
