@@ -3,7 +3,10 @@
 One pair engine, ``IncrementalModuleGB``, serves every basis here: plain
 (``buchberger``, interreduced afterwards), tracked (``tracked_buchberger``,
 which also collects syzygies) and incremental (``minimal_generator_indices``
-grows it one column at a time).
+grows it one column at a time).  Minimal generators of columns of one
+degree whose entries are normal forms modulo the quotient ideal need no
+basis: ``one_degree_generator_indices`` picks the same ones by linear
+algebra on their coefficients.
 
 Columns in, columns out.  Outside the pair engine an element of a free
 module F is a column: a tuple of ``Polynomial``s, one per row of F, as
@@ -871,3 +874,52 @@ def minimal_generator_indices(columns, col_degs, free: FreeModule, quotient_poly
             kept.append(i)
             gb.add(r)
     return sorted(kept)
+
+
+def one_degree_generator_indices(columns, field) -> list:
+    """Indices of a minimal generating subset of columns that all have one
+    degree d and whose entries are normal forms modulo the quotient ideal
+    (every column over the polynomial ring itself): the indices that
+    ``minimal_generator_indices(columns, [d] * len(columns), free,
+    quotient_polys)`` returns, with no Groebner basis.
+
+    The precondition makes the question linear.  The kept columns span only
+    their k-span in degree d, and a normal form lies in the quotient
+    relations (f)F only when it is zero; so a column is generated by the
+    kept ones and the relations exactly when it is a k-combination of the
+    kept ones.  A Gauss-Jordan pass over the (position, monomial)
+    coefficients keeps each column that is independent of those kept before
+    it, in index order, which is the greedy pass's order within a degree.
+    Each pivot row is monic at its pivot and zero at every other pivot.
+    """
+    canonical, inv = field.canonical, field.inv
+    pivots: dict = {}   # (position, monomial) -> row
+    kept = []
+    for i, col in enumerate(columns):
+        row = {(p, m): c for p, poly in enumerate(col) for m, c in poly.terms.items()}
+        hits = [k for k in row if k in pivots]
+        if hits:
+            for key in hits:
+                c = row.pop(key)
+                for k, v in pivots[key].items():
+                    if k != key:
+                        row[k] = row.get(k, 0) - c * v
+            row = {k: v for k, v in ((k, canonical(v)) for k, v in row.items()) if v}
+        if not row:
+            continue
+        kept.append(i)
+        key = next(iter(row))
+        if row[key] != 1:
+            a = inv(row[key])
+            row = {k: canonical(v * a) for k, v in row.items()}
+        for other in pivots.values():
+            c = other.get(key)
+            if c is not None:
+                for k, v in row.items():
+                    s = canonical(other.get(k, 0) - c * v)
+                    if s:
+                        other[k] = s
+                    else:
+                        other.pop(k, None)
+        pivots[key] = row
+    return kept

@@ -63,6 +63,9 @@ holds for any free resolution, minimal or not.  Minimal cycles are built
 only on the first read of ``betti0`` of a nonzero entry, ``depth`` of an
 entry of positive dimension, or ``presentation``; the greedy pass then
 grows the basis that gave the cokernel of the map into the entry's term.
+An entry whose Hilbert series is c t^d, the whole of its finite length in
+one degree d, is k^c (m H lies in degrees above d, where H is zero), so
+its ``betti0`` is c, read off the numerator with no cycles.
 The relations among the cycles, ``minimalize`` and the ambient resolution
 come only with ``presentation`` and ``depth``, so a verdict that reads only
 which Tor_i vanish builds no cycles at all, and an error of a later step
@@ -91,6 +94,7 @@ from __future__ import annotations
 
 from .fmodules import ModulePresentation, PolyMatrix
 from .groebner import FreeModule, minimal_generator_indices, relation_basis, syzygy_generators
+from .polynomials import InvariantError
 from .resolutions import FreeResolution, detect_periodicity, resolve
 from .rings import (INF, RingPresentation, add_numerator, dimension_and_multiplicity,
                     encode_infinite, hilbert_values, module_numerator)
@@ -193,13 +197,17 @@ class HomologyEntry:
     builds cycles.  The complex builds any other entry's minimal cycles
     (``minimal_cycles``) only on the first read of ``betti0`` of a nonzero
     entry, ``depth`` of an entry of positive dimension (a vanishing entry
-    has depth inf, one of dimension 0 depth 0), or ``presentation``.
+    has depth inf, one of dimension 0 depth 0), or ``presentation``; except
+    that an entry whose Hilbert series is c t^d (``_one_degree_length``)
+    reads ``betti0`` = c off it.
 
     The presentation is the relation half of the cycles, minimalized; the
     entry then drops the cycles, and an error of the relation step surfaces
-    on that first read.  The entry hands the presentation its numerator, so
-    ``depth`` (an ambient resolution of the presentation) computes no
-    second Hilbert series.  An entry one period past a literal repeat of
+    on that first read.  When ``betti0`` was read before (off the Hilbert
+    series or off the entry one period back), the presentation's generator
+    count must equal it, or ``InvariantError`` is raised.  The entry hands
+    the presentation its numerator, so ``depth`` (an ambient resolution of
+    the presentation) computes no second Hilbert series.  An entry one period past a literal repeat of
     the resolution (``_ResolutionComplex.earlier``) is the entry one period
     back, twisted: it reads ``betti0`` and ``depth`` off that entry, which
     the complex builds if it is not built yet.
@@ -229,13 +237,23 @@ class HomologyEntry:
         j = self._complex.earlier(self.index)
         return None if j is None else self._complex.entry(j)
 
+    def _one_degree_length(self) -> int | None:
+        """c when the Hilbert series is c t^d, the whole (finite) length in
+        the initial degree d; else None.  Then m H = 0, so c is also the
+        number of minimal generators (graded Nakayama)."""
+        nvars = self._complex.ring.poly_ring.nvars
+        dim, length = dimension_and_multiplicity(self.numerator, nvars)
+        c = self.numerator[self.initial_degree]
+        return c if dim == 0 and length == c else None
+
     @property
     def betti0(self) -> int:
         if self._betti0 is None:
             earlier = self._earlier()
             self._betti0 = (earlier.betti0 if earlier is not None
                             else self.presentation.n_gens if self._complex.is_tensor(self.index)
-                            else len(self._minimal_cycles().gen_degs))
+                            else self._one_degree_length()
+                            or len(self._minimal_cycles().gen_degs))
         return self._betti0
 
     @property
@@ -249,10 +267,13 @@ class HomologyEntry:
                 pres = cx.tensor()
             else:
                 pres = self._minimal_cycles().presentation().minimalize()
+            if self._betti0 is not None and self._betti0 != pres.n_gens:
+                raise InvariantError(f"{pres.label}: {pres.n_gens} minimal generators, "
+                                     f"but betti0 read {self._betti0}")
             # the same series, computed once: no basis to keep for it
             pres._hf_num, pres._basis = self.numerator, None
             self._presentation, self._cycles = pres, None
-            self._betti0 = len(pres.gen_degs)
+            self._betti0 = pres.n_gens
         return self._presentation
 
     @property

@@ -41,7 +41,8 @@ import itertools
 import random
 
 from .fmodules import ModulePresentation, PolyMatrix
-from .groebner import FreeModule, minimal_generator_indices, syzygy_generators
+from .groebner import (FreeModule, minimal_generator_indices, one_degree_generator_indices,
+                       syzygy_generators)
 from .polynomials import InvariantError
 
 
@@ -150,6 +151,14 @@ def resolve(M: ModulePresentation, steps: int, over: str = "quotient") -> FreeRe
     (``_literal_period``) the cache records (o, p, t), and from then on each
     step is d_(m-p) with its degrees raised by t, exactly what the syzygy
     computation would return (see the module docstring).
+
+    A computed step keeps a minimal generating subset of the syzygy
+    candidates, which come reduced modulo the quotient ideal.  When they
+    all have one degree d the kernel is zero below d, so a candidate is
+    redundant exactly when it is a k-combination of those kept before it:
+    ``one_degree_generator_indices`` decides that on the coefficients, with
+    no Groebner basis.  Other steps take the greedy pass,
+    ``minimal_generator_indices``.  Both keep the same indices.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -183,8 +192,11 @@ def resolve(M: ModulePresentation, steps: int, over: str = "quotient") -> FreeRe
         prev = diffs[-1]
         syz, degs = syzygy_generators(prev.columns(), list(prev.col_degs),
                                       FreeModule(pr, prev.row_degs), ring)
-        alive = minimal_generator_indices(syz, degs, FreeModule(pr, prev.col_degs),
-                                          ring.quotient_gens)
+        if len(set(degs)) == 1:
+            alive = one_degree_generator_indices(syz, pr.field)
+        else:
+            alive = minimal_generator_indices(syz, degs, FreeModule(pr, prev.col_degs),
+                                              ring.quotient_gens)
         if not alive:
             cache["terminated"] = True
             break
@@ -311,10 +323,9 @@ _COMBINATIONS = 4  # seeded combinations of the solution space tried for an inve
 
 
 def _invertible(mat: PolyMatrix) -> bool:
-    """A square constant matrix keeps every column as a minimal generator."""
-    free = FreeModule(mat.poly_ring, (0,) * mat.nrows)
-    kept = minimal_generator_indices(mat.columns(), [0] * mat.ncols, free)
-    return len(kept) == mat.ncols
+    """A square constant matrix keeps every column as a minimal generator:
+    its columns, constants of one degree, are linearly independent."""
+    return len(one_degree_generator_indices(mat.columns(), mat.poly_ring.field)) == mat.ncols
 
 
 def _equivalence(D: PolyMatrix, E: PolyMatrix):

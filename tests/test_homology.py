@@ -278,13 +278,19 @@ def test_right_profile_builds_no_entries_of_its_own(mod_M_two_nodes, mod_N_two_n
     right = tor_profile(M, mod_N_two_nodes, 3, side="right")
     assert built == {"tor": 0, "entries": 0}
     doc = right.as_dict()
-    # Tor_1 and Tor_2 of (N, M) vanish; only Tor_3 builds minimal cycles
+    # Tor_1 and Tor_2 of (N, M) vanish, and Tor_3 lives in one degree, so
+    # its betti0 is read off its Hilbert series: no entry builds cycles
     assert [e.vanishes for e in right.entries] == [True, True, False]
-    assert built == {"tor": 1, "entries": 4}
+    assert built == {"tor": 0, "entries": 4}
     assert right.M is mod_N_two_nodes and right.N is M and right.side == "right"
     assert right.resolution.module is mod_N_two_nodes.minimalize()
     assert (doc["module"], doc["argument"], doc["resolved_side"]) == ("M", "N", "right")
-    assert built == {"tor": 1, "entries": 4}
+    assert built == {"tor": 0, "entries": 4}
+    # Tor_1 of (M, M) lives in several degrees: the right profile of (M, M)
+    # builds Tor_0 and Tor_1 of the left one, and Tor_1's minimal cycles once
+    other = tor_profile(M, mod_M_two_nodes, 1, side="right").as_dict()
+    assert other["entries"][0]["betti0"] == 2
+    assert built == {"tor": 1, "entries": 6}
 
 
 def test_profile_entry_outside_the_window(mod_M_two_nodes, mod_N_two_nodes):
@@ -304,8 +310,9 @@ def test_tor0_matches_tensor(mod_M_two_nodes, mod_N_two_nodes):
 def test_tor0_and_vanishing_entries_build_no_cycles(mod_M_two_nodes, mod_N_two_nodes,
                                                     monkeypatch):
     # A vanishing entry is the zero module and Tor_0 the complex's minimal
-    # M (x) N: reading either presentation builds no minimal cycles.  A
-    # nonzero Tor_i, i >= 1, still builds them.
+    # M (x) N: reading either presentation builds no minimal cycles.  Nor
+    # does reading betti0 of a nonzero Tor_i that lives in one degree
+    # (Tor_3 here); one that lives in several degrees still builds them.
     built = []
     real = homology.MinimalCycles.__init__
 
@@ -324,6 +331,8 @@ def test_tor0_and_vanishing_entries_build_no_cycles(mod_M_two_nodes, mod_N_two_n
     assert tor0 is prof.entry(0)
     assert built == []
     assert prof.entry(3).betti0 > 0
+    assert built == []
+    assert tor_profile(mod_M_two_nodes, mod_M_two_nodes, 1).entry(1).betti0 > 0
     assert len(built) == 1
 
 
@@ -648,17 +657,20 @@ def test_a_vanishing_tor_computes_no_relations(mod_M_two_nodes, mod_N_two_nodes,
 
 def test_reading_only_vanishing_builds_no_relations(mod_M_two_nodes, mod_N_two_nodes,
                                                     monkeypatch):
-    # Tor_3 of the two-node pair is nonzero.  Whether it vanishes, its
-    # dimension and its Hilbert data are read off Hilbert numerators, with
-    # no tracked basis; its betti0 takes the kernel's tracked basis alone;
-    # the first read of its presentation builds the second, for the
-    # relations, and drops the cycles; later reads of it build nothing
-    # (depth builds the ambient resolution, from the presentation already
-    # built).
+    # Tor_1 of (M, M) over the two nodes is nonzero in several degrees.
+    # Whether it vanishes, its dimension and its Hilbert data are read off
+    # Hilbert numerators, with no tracked basis; its betti0 takes the
+    # kernel's tracked basis alone; the first read of its presentation
+    # builds the second, for the relations, and drops the cycles; later
+    # reads of it build nothing (depth builds the ambient resolution, from
+    # the presentation already built).  Tor_3 of (M, N) lives in one
+    # degree: its betti0 takes no tracked basis at all.
     resolve(mod_M_two_nodes, steps=4)
     mod_N_two_nodes.minimalize()
     tracked = _count_tracked_bases(monkeypatch)
-    entry = tor_profile(mod_M_two_nodes, mod_N_two_nodes, 3).entry(3)
+    assert tor_profile(mod_M_two_nodes, mod_N_two_nodes, 3).entry(3).betti0 == 1
+    assert tracked["bases"] == 0
+    entry = tor_profile(mod_M_two_nodes, mod_M_two_nodes, 1).entry(1)
     assert not entry.vanishes
     entry.dim, entry.finite_length, entry.hilbert
     assert tracked["bases"] == 0
@@ -1087,3 +1099,66 @@ def test_tensor_symmetry_hilbert(mod_M_two_nodes, mod_N_two_nodes):
     left = mod_M_two_nodes.tensor(mod_N_two_nodes)
     right = mod_N_two_nodes.tensor(mod_M_two_nodes)
     assert equal_hilbert_functions(left, right)
+
+
+# -- entries that live in one degree: betti0 off the Hilbert series ------------------
+
+@pytest.mark.parametrize("tag", ["f32003", "f3", "rational"])
+def test_one_degree_betti0_counts_the_minimal_cycles(tag):
+    # An entry whose Hilbert series is c t^d is k^c: the count read off the
+    # series is the number of minimal cycles, for Tor and for Ext.
+    checked = 0
+    for name in ("R_node", "R_node3", "R_quadric", "R_xyzu"):
+        ring = catalog.ring(name, field_by_tag(tag))
+        for seed in range(2):
+            for M, N in _period_cases(ring, seed):
+                for e in tor_profile(M, N, 4, 6).entries + ext_profile(M, N, 3, 6):
+                    c = None if e.vanishes else e._one_degree_length()
+                    if c is not None:
+                        checked += 1
+                        assert c == e.betti0 == len(e._complex.cycles(e.index).gen_degs)
+    assert checked >= 25
+
+
+def test_one_degree_betti0_builds_no_cycles(ring_two_nodes, monkeypatch):
+    # Catalog 3.14's pair over the two nodes, M = R/(x) and N = R/(xz), and
+    # the 3.11 pair of the fixtures.  Tor_3 of the 3.11 pair is k in degree
+    # 4, so its betti0 builds no minimal cycles; Tor_1 of the 3.14 pair is
+    # k[u] in degrees 2, 3, ..., so its betti0 still builds them.
+    x, z = (ring_two_nodes.poly_ring.variable(v) for v in "xz")
+    M = ModulePresentation.quotient_by_ideal(ring_two_nodes, [x], label="M")
+    N = ModulePresentation.quotient_by_ideal(ring_two_nodes, [x * z], label="N")
+    y, u = (ring_two_nodes.poly_ring.variable(v) for v in "yu")
+    M311 = ModulePresentation.quotient_by_ideal(ring_two_nodes, [y, u], label="M")
+    zero = ring_two_nodes.poly_ring.zero()
+    N311 = ModulePresentation.from_relations(
+        ring_two_nodes, (0, 0, 0), [[zero, -z, y], [u, x, zero]], label="N")
+    calls = _counting(monkeypatch, "minimal_cycles")
+    one = tor_profile(M311, N311, 3).entry(3)
+    assert (one.numerator, one.betti0, one.depth) == ({4: 1, 5: -4, 6: 6, 7: -4, 8: 1}, 1, 0)
+    assert calls == {"minimal_cycles": 0}
+    several = tor_profile(M, N, 1).entry(1)
+    assert several._one_degree_length() is None and several.betti0 == 1
+    assert calls == {"minimal_cycles": 1}
+
+
+def test_a_betti0_that_disagrees_with_the_presentation_is_an_invariant_error(
+        mod_M_two_nodes, mod_N_two_nodes, ring_node3, monkeypatch):
+    # The presentation recounts what betti0 read: off the Hilbert series,
+    # or off the entry one period back.
+    from cihom.polynomials import InvariantError
+    entry = tor_profile(mod_M_two_nodes, mod_N_two_nodes, 3).entry(3)
+    monkeypatch.setattr(HomologyEntry, "_one_degree_length", lambda self: 2)
+    assert entry.betti0 == 2
+    with pytest.raises(InvariantError, match=r"1 minimal generators, but betti0 read 2"):
+        entry.presentation
+    monkeypatch.undo()
+    x = ring_node3.poly_ring.variable("x")
+    M = ModulePresentation.quotient_by_ideal(ring_node3, [x], label="Mx")
+    prof = tor_profile(M, M, 3, 8)
+    first, third = prof.entry(1), prof.entry(3)
+    assert first.betti0 == 1 and prof._complex.earlier(3) == 1
+    monkeypatch.setattr(first, "_betti0", 3)
+    assert third.betti0 == 3
+    with pytest.raises(InvariantError, match=r"Tor3\(Mx,Mx\): 1 minimal generators"):
+        third.presentation

@@ -8,12 +8,19 @@ from hypothesis import strategies as st
 from cihom import catalog, resolutions
 from cihom.fields import PrimeField, field_by_tag
 from cihom.fmodules import ModulePresentation, PolyMatrix
+from cihom.groebner import (
+    FreeModule,
+    minimal_generator_indices,
+    one_degree_generator_indices,
+    syzygy_generators,
+)
 from cihom.polynomials import PolyRing, monomials_of_degree
 from cihom.resolutions import (
     InsufficientStepsError,
     InsufficientWindowError,
     MinimalityRequiredError,
     _equivalence,
+    _invertible,
     betti_table,
     complexity_estimate,
     detect_periodicity,
@@ -471,3 +478,96 @@ def test_quadric_residue_field_is_periodic_above_the_old_cap(tag):
     assert _reference_periodicity(res)["periodic"] is False
     pair = _equivalence(res.differential(4), res.differential(5))
     _check_equivalence(ring, res.differential(4), res.differential(5), pair)
+
+
+# -- one-degree resolution steps: linear algebra instead of the greedy pass -----------
+
+_FOUR_RINGS = {tag: tuple(catalog.ring(name, field_by_tag(tag))
+                          for name in ("R_node", "R_node3", "R_xyzu", "R_quadric"))
+               for tag in ("f32003", "f3", "rational")}
+
+
+def _step_candidates(M, steps):
+    """(syzygy candidates, their degrees, F_n) of every step of M's
+    resolution, as ``resolve`` computes them from d_n."""
+    ring = M.ring
+    pr = ring.poly_ring
+    for d in resolve(M, steps=steps).differentials:
+        syz, degs = syzygy_generators(d.columns(), list(d.col_degs),
+                                      FreeModule(pr, d.row_degs), ring)
+        yield syz, degs, FreeModule(pr, d.col_degs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_FOUR_RINGS)), st.integers(0, 3), st.integers(0, 10**6),
+       st.booleans(), st.booleans())
+def test_one_degree_steps_keep_what_the_greedy_pass_keeps(tag, which, seed, syzygy, ambient):
+    # On every resolution step whose candidates have one degree, over the
+    # quotient and over the ambient ring, the linear pass keeps the greedy
+    # pass's indices; and again after random k-combinations of the
+    # candidates are mixed in, which both passes must drop.
+    ring = _FOUR_RINGS[tag][which]
+    rng = random.Random(seed)
+    M = random_homogeneous_module(ring, rng, 2, rng.randint(1, 2), label="A")
+    M = M.first_syzygy() if syzygy else M
+    M = M.ambient_presentation() if ambient else M
+    field = ring.field
+    for syz, degs, free in _step_candidates(M, 3):
+        if len(set(degs)) != 1:
+            continue
+        quotient = M.ring.quotient_gens
+        kept = one_degree_generator_indices(syz, field)
+        assert kept == minimal_generator_indices(syz, degs, free, quotient)
+        mixed = list(syz)
+        for _ in range(2):
+            coeffs = [field.from_int(rng.randrange(3)) for _ in syz]
+            mixed.insert(rng.randrange(len(mixed) + 1), tuple(
+                sum((col[r].scale(c) for col, c in zip(syz, coeffs)), free.ring.zero())
+                for r in range(free.rank)))
+        kept = one_degree_generator_indices(mixed, field)
+        assert kept == minimal_generator_indices(mixed, degs[:1] * len(mixed), free, quotient)
+        assert len(kept) == len(one_degree_generator_indices(syz, field))
+
+
+def test_one_degree_steps_on_the_residue_fields():
+    # k over each fixture ring: every step's candidates have one degree
+    # (the residue field of a complete intersection has a linear strand
+    # through step 2), and the linear pass keeps every one of them.
+    checked = 0
+    for ring in _FOUR_RINGS["f32003"]:
+        pr = ring.poly_ring
+        k = ModulePresentation.quotient_by_ideal(ring, [pr.variable(v) for v in pr.variables])
+        for syz, degs, free in _step_candidates(k, 3):
+            if len(set(degs)) == 1:
+                checked += 1
+                assert one_degree_generator_indices(syz, ring.field) == minimal_generator_indices(
+                    syz, degs, free, ring.quotient_gens)
+    assert checked >= 8
+
+
+def test_one_degree_generator_indices_on_dependent_columns():
+    # Zero columns, repeats and combinations are dropped, in index order,
+    # over the rationals too.
+    for field in (F, field_by_tag("rational"), field_by_tag("f3")):
+        pr = PolyRing(field, ["x", "y"])
+        x, y, zero = pr.variable("x"), pr.variable("y"), pr.zero()
+        two = pr.from_int(2)
+        cols = [(zero, zero), (x, y), (x * two, y * two), (y, x), (x + y, x + y), (x, zero),
+                (zero, y), (zero, x)]
+        assert one_degree_generator_indices(cols, field) == [1, 3, 5, 7]
+        assert minimal_generator_indices(cols, [1] * 8, FreeModule(pr, (0, 0))) == [1, 3, 5, 7]
+        assert one_degree_generator_indices([], field) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["f32003", "f3", "rational"]), st.integers(1, 4), st.integers(0, 10**6))
+def test_invertible_is_full_rank(tag, n, seed):
+    # _invertible (periodicity certificates) asks the linear pass: a square
+    # constant matrix is invertible exactly when its rank is its size.
+    field = field_by_tag(tag)
+    pr = PolyRing(field, ["x"])
+    rng = random.Random(seed)
+    consts = [[field.from_int(rng.randrange(3)) for _ in range(n)] for _ in range(n)]
+    mat = PolyMatrix(pr, (0,) * n, (0,) * n,
+                     [[pr.constant(c) if c else pr.zero() for c in row] for row in consts])
+    assert _invertible(mat) == (_rank(consts, field) == n)
