@@ -1120,21 +1120,16 @@ def test_one_degree_betti0_counts_the_minimal_cycles(tag):
     assert checked >= 25
 
 
-def test_one_degree_betti0_builds_no_cycles(ring_two_nodes, monkeypatch):
-    # Catalog 3.14's pair over the two nodes, M = R/(x) and N = R/(xz), and
-    # the 3.11 pair of the fixtures.  Tor_3 of the 3.11 pair is k in degree
-    # 4, so its betti0 builds no minimal cycles; Tor_1 of the 3.14 pair is
-    # k[u] in degrees 2, 3, ..., so its betti0 still builds them.
+def test_one_degree_betti0_builds_no_cycles(ring_two_nodes, mod_M_two_nodes, mod_N_two_nodes,
+                                           monkeypatch):
+    # Tor_3 of the fixtures' pair (catalog 3.11's) is k in degree 4, so its
+    # betti0 builds no minimal cycles; Tor_1 of catalog 3.14's pair, M = R/(x)
+    # and N = R/(xz), lives in several degrees, so its betti0 still builds them.
     x, z = (ring_two_nodes.poly_ring.variable(v) for v in "xz")
     M = ModulePresentation.quotient_by_ideal(ring_two_nodes, [x], label="M")
     N = ModulePresentation.quotient_by_ideal(ring_two_nodes, [x * z], label="N")
-    y, u = (ring_two_nodes.poly_ring.variable(v) for v in "yu")
-    M311 = ModulePresentation.quotient_by_ideal(ring_two_nodes, [y, u], label="M")
-    zero = ring_two_nodes.poly_ring.zero()
-    N311 = ModulePresentation.from_relations(
-        ring_two_nodes, (0, 0, 0), [[zero, -z, y], [u, x, zero]], label="N")
     calls = _counting(monkeypatch, "minimal_cycles")
-    one = tor_profile(M311, N311, 3).entry(3)
+    one = tor_profile(mod_M_two_nodes, mod_N_two_nodes, 3).entry(3)
     assert (one.numerator, one.betti0, one.depth) == ({4: 1, 5: -4, 6: 6, 7: -4, 8: 1}, 1, 0)
     assert calls == {"minimal_cycles": 0}
     several = tor_profile(M, N, 1).entry(1)
