@@ -13,7 +13,15 @@ and rank profiles, all live here.  Presentations are immutable; cached derived
 values are computed once.  The two Kronecker shapes of a relation matrix,
 ``kron_identity`` (A (x) 1) and ``identity_kron`` (1 (x) B), build the tensor
 presentation coker(A (x) 1 | 1 (x) B), the ambient presentation and the terms
-of the Tor and Ext complexes.  The ambient presentation of a minimal
+of the Tor and Ext complexes.  Each shape has one implementation, its column
+form (``kron_identity_columns``, ``identity_kron_columns``), which places
+each source column by one slice, so it costs no interpreter step per
+entry; the matrix form is built from it, and a caller that only hands
+columns to the Groebner engine takes the column form itself.  These
+matrices are mostly zero and repeat one entry in many cells, so
+``check_graded`` and ``minimalize`` read term dicts directly, skip zero
+entries and, in ``check_graded``, compute the degree of each distinct
+entry once.  The ambient presentation of a minimal
 presentation is built minimal from it: its relations are kept and only the
 quotient columns are tested, so depth reads an S-resolution with no second
 greedy pass over the relations.
@@ -79,16 +87,22 @@ class PolyMatrix:
     def check_graded(self):
         """Raise GradedViolationError unless every entry (i, j) is zero or
         homogeneous of degree col_degs[j] - row_degs[i]; the message names
-        the first entry that is not."""
+        the first entry, row by row, that is not.  Zero entries are skipped,
+        and an entry object that fills many cells (a Kronecker or tensor
+        matrix repeats one polynomial down its diagonal blocks) has its
+        degree computed once per call."""
+        row_degs, col_degs = self.row_degs, self.col_degs
+        degree_of = {}   # id of an entry -> its degree; the entries stay alive meanwhile
         for i, row in enumerate(self.entries):
             for j, p in enumerate(row):
-                if not p:
+                if not p.terms:
                     continue
-                want = self.col_degs[j] - self.row_degs[i]
-                deg = _entry_degree(p, i, j)
-                if deg != want:
+                deg = degree_of.get(id(p))
+                if deg is None:
+                    deg = degree_of[id(p)] = _entry_degree(p, i, j)
+                if deg != col_degs[j] - row_degs[i]:
                     raise GradedViolationError(
-                        f"entry ({i},{j}) = {p} has degree {deg}, not {want}")
+                        f"entry ({i},{j}) = {p} has degree {deg}, not {col_degs[j] - row_degs[i]}")
 
     @property
     def nrows(self) -> int:
@@ -120,7 +134,7 @@ class PolyMatrix:
                 raise IncompatibleOperandsError(
                     f"column with {len(col)} entries for a matrix with {len(row_degs)} rows")
         return cls(poly_ring, row_degs, col_degs,
-                   [[col[i] for col in columns] for i in range(len(row_degs))])
+                   zip(*columns) if columns else [()] * len(row_degs))
 
     def columns(self) -> list:
         """The columns, each a tuple of polynomials, one per row."""
@@ -131,35 +145,46 @@ class PolyMatrix:
         return PolyMatrix(self.poly_ring, tuple(-d for d in self.col_degs),
                           tuple(-d for d in self.row_degs), ents)
 
+    def kron_identity_columns(self, n: int) -> list:
+        """The columns of self tensor the identity of rank n
+        (``kron_identity``): column j * n + k holds column j of self at rows
+        i * n + k, placed by one slice, and the ring's zero elsewhere."""
+        z, size = self.poly_ring.zero(), self.nrows * n
+        out = []
+        for col in self.columns():
+            for k in range(n):
+                column = [z] * size
+                column[k::n] = col
+                out.append(tuple(column))
+        return out
+
     def kron_identity(self, degs) -> "PolyMatrix":
         """self tensor the identity on R^degs: entry (i, j) sits at rows
         i * n + k and columns j * n + k, twisted by degs[k] (n = len(degs))."""
-        n = len(degs)
-        z = self.poly_ring.zero()
-        rows = tuple(rd + d for rd in self.row_degs for d in degs)
-        cols = tuple(cd + d for cd in self.col_degs for d in degs)
-        ents = [[z] * len(cols) for _ in rows]
-        for i, row in enumerate(self.entries):
-            for j, p in enumerate(row):
-                if p:
-                    for k in range(n):
-                        ents[i * n + k][j * n + k] = p
-        return PolyMatrix(self.poly_ring, rows, cols, ents)
+        return PolyMatrix.from_columns(
+            self.poly_ring, tuple(rd + d for rd in self.row_degs for d in degs),
+            self.kron_identity_columns(len(degs)),
+            tuple(cd + d for cd in self.col_degs for d in degs))
+
+    def identity_kron_columns(self, n: int) -> list:
+        """The columns of the identity of rank n tensor self
+        (``identity_kron``): column t * nc + l holds column l of self at rows
+        t * nr + i (self is nr x nc), and the ring's zero elsewhere."""
+        z, nr = self.poly_ring.zero(), self.nrows
+        columns = self.columns()
+        out = []
+        for t in range(n):
+            before, after = (z,) * (t * nr), (z,) * ((n - 1 - t) * nr)
+            out += [before + col + after for col in columns]
+        return out
 
     def identity_kron(self, degs) -> "PolyMatrix":
         """The identity on R^degs tensor self: one copy of self per degree,
         twisted by that degree, down the diagonal."""
-        nr, nc = self.nrows, self.ncols
-        z = self.poly_ring.zero()
-        rows = tuple(d + rd for d in degs for rd in self.row_degs)
-        cols = tuple(d + cd for d in degs for cd in self.col_degs)
-        ents = [[z] * len(cols) for _ in rows]
-        for t in range(len(degs)):
-            for i, row in enumerate(self.entries):
-                for j, p in enumerate(row):
-                    if p:
-                        ents[t * nr + i][t * nc + j] = p
-        return PolyMatrix(self.poly_ring, rows, cols, ents)
+        return PolyMatrix.from_columns(
+            self.poly_ring, tuple(d + rd for d in degs for rd in self.row_degs),
+            self.identity_kron_columns(len(degs)),
+            tuple(d + cd for d in degs for cd in self.col_degs))
 
     def hstack(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.row_degs != other.row_degs:
@@ -300,13 +325,14 @@ class ModulePresentation:
         field = ring.field
         row_degs = list(self.gen_degs)
         col_degs = list(self.relations.col_degs)
-        ents = [[ring.reduce(p) if p else p for p in row] for row in self.relations.entries]
+        ents = [[ring.reduce(p) if p.terms else p for p in row]
+                for row in self.relations.entries]
+        unit = (0,) * ring.poly_ring.nvars
 
         def find_unit():
-            for i in range(len(row_degs)):
-                for j in range(len(col_degs)):
-                    p = ents[i][j]
-                    if p and p.is_constant():
+            for i, row in enumerate(ents):
+                for j, p in enumerate(row):
+                    if len(p.terms) == 1 and unit in p.terms:
                         return i, j
             return None
 
@@ -315,21 +341,20 @@ class ModulePresentation:
             if hit is None:
                 break
             i, j = hit
-            pivot = ents[i][j].constant_value()
-            pinv = field.inv(pivot)
+            pinv = field.inv(ents[i][j].terms[unit])
             for jj in range(len(col_degs)):
                 if jj == j:
                     continue
                 factor = ents[i][jj]
-                if not factor:
+                if not factor.terms:
                     continue
                 scale = factor.scale(pinv)
                 for ii in range(len(row_degs)):
                     if ii == i:
                         continue
-                    if ents[ii][j]:
+                    if ents[ii][j].terms:
                         p = ents[ii][jj] - ents[ii][j] * scale
-                        ents[ii][jj] = ring.reduce(p) if p else p
+                        ents[ii][jj] = ring.reduce(p) if p.terms else p
             del row_degs[i]
             del col_degs[j]
             ents.pop(i)
@@ -337,7 +362,7 @@ class ModulePresentation:
                 row.pop(j)
 
         # drop zero columns
-        keep = [j for j in range(len(col_degs)) if any(ents[i][j] for i in range(len(row_degs)))]
+        keep = [j for j, col in enumerate(zip(*ents)) if any(p.terms for p in col)]
         col_degs = [col_degs[j] for j in keep]
         ents = [[row[j] for j in keep] for row in ents]
 

@@ -75,9 +75,10 @@ through one encoder, ``ModuleOrder.encode_column``, which codes each row's
 terms as ``_base[p]`` plus the table offset of each monomial and refuses a
 column whose length is not the rank or whose entry lies over another
 polynomial ring (``IncompatibleOperandsError``).  Results leave through one
-decoder, ``ModuleOrder.decode_rows``, which turns a coded element into one
-{monomial: coeff} dict per row in the order of its terms (syzygies,
-``GroebnerBasis`` generators and normal forms); leads leave as (position,
+decoder, ``ModuleOrder.decode_nonzero_rows``, which turns a coded element
+into one polynomial per row it has terms at, its terms in the order of the
+element's (syzygies, ``GroebnerBasis`` generators and normal forms, whose
+other rows are the ring's zero); leads leave as (position,
 monomial) pairs (``GroebnerBasis.lead_terms``,
 ``IncrementalModuleGB.initial_terms``).  So no caller outside this module
 sees a code.  The engine's callers take their orders from
@@ -358,19 +359,22 @@ class ModuleOrder:
             self._quotient_codes[key] = coded
         return coded
 
-    def decode_rows(self, e: Element, first: int, count: int) -> list:
-        """The coded e as one {monomial: coeff} dict per position first, ...,
-        first + count - 1, each in the order of e's terms; e has no term at
-        another position."""
-        rows = [{} for _ in range(count)]
+    def decode_nonzero_rows(self, e: Element, ring: PolyRing, first: int = 0) -> dict:
+        """The coded e as {row: polynomial over ``ring``}, a row being a
+        position less ``first``, with only the rows e has terms at, in the
+        order they are first met and each in the order of e's terms."""
+        rows: dict = {}
         top, pmask, base, monomials = self._top, self.position_mask, self._base, self._monomials
         for code, c in e.terms.items():
             p = top - (code & pmask)
             m = monomials.get(code - base[p])
             if m is None:
                 m = self.decode(code)[1]
-            rows[p - first][m] = c
-        return rows
+            row = rows.get(p - first)
+            if row is None:
+                row = rows[p - first] = {}
+            row[m] = c
+        return {j: Polynomial(ring, terms) for j, terms in rows.items()}
 
     def degree(self, code: int) -> int:
         """Shifted degree of a coded term."""
@@ -398,11 +402,13 @@ def shared_order(module: FreeModule, split: int | None = None) -> ModuleOrder:
     return ModuleOrder(module, split)
 
 
-def _as_column(ring: PolyRing, rows) -> tuple:
-    """The term dicts of ``ModuleOrder.decode_rows`` as a column of
-    polynomials over ``ring``; empty rows share the ring's zero."""
-    zero = ring.zero()
-    return tuple(Polynomial(ring, terms) if terms else zero for terms in rows)
+def _as_column(ring: PolyRing, rows: dict, count: int) -> tuple:
+    """The column of ``count`` polynomials over ``ring`` with the given
+    {row: polynomial}; every other row is the ring's zero."""
+    column = [ring.zero()] * count
+    for j, p in rows.items():
+        column[j] = p
+    return tuple(column)
 
 
 def lead_term(e: Element, order: ModuleOrder) -> int:
@@ -660,7 +666,8 @@ class GroebnerBasis:
         self._divisible = None
 
     def _column(self, e: Element) -> tuple:
-        return _as_column(self.module.ring, self.order.decode_rows(e, 0, self.module.rank))
+        ring = self.module.ring
+        return _as_column(ring, self.order.decode_nonzero_rows(e, ring), self.module.rank)
 
     def _reduce(self, column) -> Element:
         return normal_form(self.order.encode_column(column, self.module), self._basis,
@@ -754,9 +761,12 @@ class TrackedSubmodule:
     relations over the declared ring.  ``active`` and ``collected`` are coded
     in ``order``, the shared order of the tracked module.  Tracking vectors
     are columns of ``syzygy_module``, the free module R^s on the column
-    degrees: the codes of a collected element are decoded straight into one
-    polynomial per column, which over a quotient ``reduce_poly`` reduces, and
-    a syzygy's degree is read off its lead code.
+    degrees.  A collected element has tracking terms in few of its s rows,
+    so only those rows are decoded (``ModuleOrder.decode_nonzero_rows``)
+    and, over a quotient, reduced by ``reduce_poly``; the vector is compared
+    with the earlier ones on its reduced rows, and the full column, the
+    ring's zero in every other row, is built only for a new nonzero vector.
+    A syzygy's degree is read off its lead code.
 
     ``quotient_ring`` is the ring presentation the columns live over (None:
     the polynomial ring itself); its quotient relations enter the
@@ -791,28 +801,26 @@ class TrackedSubmodule:
         self.active, self.collected = tracked_buchberger(tracked, order)
         self._ideal_gb = quotient_ring.ideal_gb if quotient_polys else None
 
-    def _tracking_vector(self, e: Element) -> tuple:
-        """The coded e, which has tracking terms only, as a column of
-        ``syzygy_module``, each entry in the order of e's terms and, over a
-        quotient, reduced once modulo the quotient ideal."""
-        vec = _as_column(self.free.ring, self.order.decode_rows(e, self.free.rank,
-                                                                self.syzygy_module.rank))
-        if self._ideal_gb is not None:
-            vec = tuple(self._ideal_gb.reduce_poly(p) if p.terms else p for p in vec)
-        return vec
-
     def syzygy_elements(self):
         """Generators of the syzygies modulo the relations, each one once, as
         columns of ``syzygy_module``, and their degrees, read off the codes
-        of the collected elements."""
-        order = self.order
+        of the collected elements.  Only the rows a collected element has
+        terms at are decoded and, over a quotient, reduced; a vector is
+        dropped when they all reduce to zero or it repeats an earlier one."""
+        order, ring, first = self.order, self.free.ring, self.free.rank
+        reduce_poly = self._ideal_gb.reduce_poly if self._ideal_gb is not None else None
         out, degs, seen = [], [], set()
         for g in self.collected:
-            vec = self._tracking_vector(g)
-            key = frozenset((j, m, c) for j, p in enumerate(vec) for m, c in p.terms.items())
+            rows = {}
+            for j, p in order.decode_nonzero_rows(g, ring, first).items():
+                if reduce_poly is not None:
+                    p = reduce_poly(p)
+                if p.terms:
+                    rows[j] = p
+            key = frozenset((j, m, c) for j, p in rows.items() for m, c in p.terms.items())
             if key and key not in seen:
                 seen.add(key)
-                out.append(vec)
+                out.append(_as_column(ring, rows, self.syzygy_module.rank))
                 degs.append(order.degree(lead_term(g, order)))
         return out, degs
 

@@ -22,7 +22,10 @@ is the homology of (minimal resolution of M) tensor N, Ext^i the
 cohomology of Hom(resolution, N); one builder makes both complexes, from
 the two Kronecker shapes of ``PolyMatrix``: the maps are d_i (x) 1
 (``kron_identity``) and the relations of each term 1 (x) B
-(``identity_kron``), B those of N.
+(``identity_kron``), B those of N.  A cokernel's basis needs only their
+columns, so it takes the column forms (``kron_identity_columns``,
+``identity_kron_columns``) and builds no Kronecker matrix; the cycles of
+an entry still read the matrices.
 A right-side Tor profile of (M, N) is the left profile of (N, M).
 
 "Vanishes for all i >= 1" is never asserted from a finite window alone: each
@@ -565,12 +568,15 @@ class _ResolutionComplex:
         degs = tuple(self.sign * a for a in self._step(i))
         return self.Nmin.relations.identity_kron(degs) if degs else None
 
+    def _map(self, i: int) -> PolyMatrix | None:
+        """d_i (d_i^T for Hom), or None past the resolution."""
+        d = self.res.differential(i)
+        return d if d is None or self.sign > 0 else d.transpose()
+
     def kron(self, i: int) -> PolyMatrix | None:
         """d_i tensor N (d_i^T for Hom), or None past the resolution."""
-        d = self.res.differential(i)
-        if d is None:
-            return None
-        return (d if self.sign > 0 else d.transpose()).kron_identity(self.Nmin.gen_degs)
+        d = self._map(i)
+        return None if d is None else d.kron_identity(self.Nmin.gen_degs)
 
     def tensor(self) -> ModulePresentation:
         """M (x) N as ``ModulePresentation.tensor`` presents it, minimalized:
@@ -619,11 +625,12 @@ class _ResolutionComplex:
 
     def _cokernel(self, i: int) -> dict:
         degs = self.degs(i)
-        d = self.kron(i + 1 if self.sign > 0 else i) if degs else None
+        d = self._map(i + 1 if self.sign > 0 else i) if degs else None
         if d is None:   # no map in: the whole term
             return self.term_numerator(i)
         gb = relation_basis(FreeModule(self.ring.poly_ring, degs), self.ring.quotient_gens,
-                            d.columns() + self.rels(i).columns())
+                            d.kron_identity_columns(len(self.Nmin.gen_degs))
+                            + self.Nmin.relations.identity_kron_columns(len(self._step(i))))
         self._bases[i] = gb
         return module_numerator(degs, gb.initial_terms())
 

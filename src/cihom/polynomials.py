@@ -57,6 +57,19 @@ def monomials_of_degree(nvars: int, degree: int):
         yield tuple(exps)
 
 
+def add_term(terms: dict, mono: tuple, coeff, canonical) -> None:
+    """Add the field element coeff times mono into the term dict ``terms``
+    in place, as ``Polynomial.__add__`` adds a one-term polynomial: a zero
+    coeff changes nothing, a sum is made canonical, and a monomial whose
+    coefficients cancel is deleted, so a later term of it goes to the end."""
+    if coeff:
+        s = canonical(terms[mono] + coeff) if mono in terms else coeff
+        if s:
+            terms[mono] = s
+        else:
+            del terms[mono]
+
+
 def grevlex_key(mono: tuple) -> tuple:
     """The graded reverse lexicographic order: larger keys mean larger
     monomials.  Total degree first; on a tie, the monomial with the smaller

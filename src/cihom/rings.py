@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .polynomials import PolyRing, Polynomial, mono_divides, monomials_of_degree
+from .polynomials import PolyRing, Polynomial, add_term, mono_divides, monomials_of_degree
 from .groebner import FreeModule, groebner_basis
 
 NEG_INF = float("-inf")
@@ -204,14 +204,15 @@ def monomial_minimal_primes(poly_ring: PolyRing, mono_gens):
 
 
 def _random_poly(poly_ring: PolyRing, rng: random.Random, monos_by_degree) -> Polynomial:
-    """One to three terms of one degree 0..2, drawn from ``monos_by_degree``."""
-    out = poly_ring.zero()
+    """One to three terms of one degree 0..2, drawn from ``monos_by_degree``
+    (a monomial, then its coefficient) and summed into one term dict."""
+    field = poly_ring.field
     monos = monos_by_degree[rng.randint(0, 2)]
+    terms: dict = {}
     for _ in range(rng.randint(1, 3)):
         m = rng.choice(monos)
-        c = poly_ring.field.from_int(rng.randint(1, 100))
-        out = out + poly_ring.monomial(m, c)
-    return out
+        add_term(terms, m, field.from_int(rng.randint(1, 100)), field.canonical)
+    return Polynomial(poly_ring, terms)
 
 
 def spot_check_prime(poly_ring: PolyRing, prime: PrimeIdeal, quotient_gens) -> str | None:

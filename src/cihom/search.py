@@ -21,7 +21,7 @@ import random
 
 from .fmodules import ModulePresentation
 from .homology import tor_profile
-from .polynomials import monomials_of_degree
+from .polynomials import Polynomial, add_term, monomials_of_degree
 from .rings import INF, HypothesisMissingError, RingPresentation
 
 
@@ -67,8 +67,11 @@ class SearchConfig:
 def random_homogeneous_module(ring: RingPresentation, rng: random.Random,
                               max_gens: int = 2, max_deg: int = 2,
                               label="X") -> ModulePresentation:
-    """A random graded cokernel: few generators, low-degree relations."""
+    """A random graded cokernel: few generators, low-degree relations.  Each
+    entry sums up to two terms (a coefficient, then its monomial) into one
+    term dict."""
     pr = ring.poly_ring
+    field, zero = pr.field, pr.zero()
     p = rng.randint(1, max_gens)
     q = rng.randint(1, max_gens + 1)
     gen_degs = tuple(0 for _ in range(p))
@@ -81,12 +84,12 @@ def random_homogeneous_module(ring: RingPresentation, rng: random.Random,
         if monos is None:
             monos = monos_of_degree[deg] = list(monomials_of_degree(pr.nvars, deg))
         for _i in range(p):
-            poly = pr.zero()
+            terms: dict = {}
             for _t in range(rng.randint(0, 2)):
-                c = pr.field.from_int(rng.randint(1, 50))
-                poly = poly + pr.monomial(rng.choice(monos), c)
-            col.append(poly)
-        if any(not c.is_zero() for c in col):
+                c = field.from_int(rng.randint(1, 50))
+                add_term(terms, rng.choice(monos), c, field.canonical)
+            col.append(Polynomial(pr, terms) if terms else zero)
+        if any(c.terms for c in col):
             columns.append(col)
     if not columns:
         columns = [[pr.variable(pr.variables[0])] + [pr.zero()] * (p - 1)]

@@ -12,7 +12,16 @@ of something the engine does another way, kept beside the tests that read it:
   written in the first two, and tests/test_groebner.py's ``_column`` reads
   the last;
 - ``lift`` solves column = sum x_j c_j over a ``TrackedSubmodule``: the
-  double-dual map of tests/test_fmodules.py is built with it;
+  double-dual map of tests/test_fmodules.py is built with it; it and
+  ``syzygy_elements`` decode tracking vectors into full columns
+  (``tracking_vector``), which ``TrackedSubmodule.syzygy_elements`` does
+  only for its nonzero rows;
+- ``random_poly_by_sums`` and ``random_module_by_sums`` build random
+  polynomials and modules one term at a time with ``+``, where
+  ``rings._random_poly`` and ``search.random_homogeneous_module`` fill a
+  term dict from the same draws;
+- ``check_graded`` scans every cell of a matrix, where
+  ``PolyMatrix.check_graded`` skips zeros and repeated entries;
 - ``compose`` and ``composition_is_zero`` check that consecutive
   differentials of a resolution compose to zero;
 - ``unparse_declarations`` writes a session's declarations back as script
@@ -23,9 +32,10 @@ from __future__ import annotations
 
 import operator
 
-from cihom.fmodules import PolyMatrix
+from cihom.fmodules import ModulePresentation, PolyMatrix
 from cihom.groebner import Element, normal_form
-from cihom.polynomials import IncompatibleOperandsError, Polynomial, mono_mul
+from cihom.polynomials import (GradedViolationError, IncompatibleOperandsError, Polynomial,
+                               mono_mul, monomials_of_degree)
 
 
 def mono_div(a: tuple, b: tuple) -> tuple:
@@ -86,6 +96,37 @@ def element_mul_poly(e: Element, poly: Polynomial) -> Element:
     return Element(e.module, res)
 
 
+def tracking_vector(tracked, e: Element) -> tuple:
+    """The coded e, which has tracking terms only, as a full column of the
+    ``TrackedSubmodule`` tracked's ``syzygy_module``: every row decoded,
+    term by term, and each nonzero one reduced modulo the quotient ideal."""
+    ring, order, first = tracked.free.ring, tracked.order, tracked.free.rank
+    rows = [{} for _ in range(tracked.syzygy_module.rank)]
+    for code, c in e.terms.items():
+        p, m = order.decode(code)
+        rows[p - first][m] = c
+    vec = tuple(Polynomial(ring, terms) for terms in rows)
+    if tracked._ideal_gb is not None:
+        vec = tuple(tracked._ideal_gb.reduce_poly(p) if p.terms else p for p in vec)
+    return vec
+
+
+def syzygy_elements(tracked):
+    """``TrackedSubmodule.syzygy_elements`` with every collected element
+    decoded into a full column first, and the duplicates and zero vectors
+    dropped on those columns."""
+    order = tracked.order
+    out, degs, seen = [], [], set()
+    for g in tracked.collected:
+        vec = tracking_vector(tracked, g)
+        key = frozenset((j, m, c) for j, p in enumerate(vec) for m, c in p.terms.items())
+        if key and key not in seen:
+            seen.add(key)
+            out.append(vec)
+            degs.append(order.degree(max(g.terms)))
+    return out, degs
+
+
 def lift(tracked, column):
     """Coefficients x with column = sum x_j * c_j modulo the relations of the
     ``TrackedSubmodule`` tracked, or None."""
@@ -93,7 +134,60 @@ def lift(tracked, column):
     nf = normal_form(order.encode_column(column, tracked.free), tracked.active, order)
     if any(t & order.block_flag for t in nf.terms):
         return None
-    return [-p for p in tracked._tracking_vector(nf)]
+    return [-p for p in tracking_vector(tracked, nf)]
+
+
+def random_poly_by_sums(poly_ring, rng, monos_by_degree) -> Polynomial:
+    """``rings._random_poly`` summed one term at a time with ``+`` and
+    ``monomial``, from the same draws."""
+    out = poly_ring.zero()
+    monos = monos_by_degree[rng.randint(0, 2)]
+    for _ in range(rng.randint(1, 3)):
+        m = rng.choice(monos)
+        c = poly_ring.field.from_int(rng.randint(1, 100))
+        out = out + poly_ring.monomial(m, c)
+    return out
+
+
+def random_module_by_sums(ring, rng, max_gens=2, max_deg=2, label="X"):
+    """``search.random_homogeneous_module`` with every entry summed one
+    term at a time with ``+`` and ``monomial``, from the same draws."""
+    pr = ring.poly_ring
+    p = rng.randint(1, max_gens)
+    q = rng.randint(1, max_gens + 1)
+    gen_degs = tuple(0 for _ in range(p))
+    columns = []
+    for _ in range(q):
+        monos = list(monomials_of_degree(pr.nvars, rng.randint(1, max_deg)))
+        col = []
+        for _i in range(p):
+            poly = pr.zero()
+            for _t in range(rng.randint(0, 2)):
+                c = pr.field.from_int(rng.randint(1, 50))
+                poly = poly + pr.monomial(rng.choice(monos), c)
+            col.append(poly)
+        if any(not c.is_zero() for c in col):
+            columns.append(col)
+    if not columns:
+        columns = [[pr.variable(pr.variables[0])] + [pr.zero()] * (p - 1)]
+    return ModulePresentation.from_relations(ring, gen_degs, columns, label=label).minimalize()
+
+
+def check_graded(mat: PolyMatrix):
+    """``PolyMatrix.check_graded`` as a plain scan of every cell, row by
+    row, computing each nonzero entry's degree where it is met."""
+    for i, row in enumerate(mat.entries):
+        for j, p in enumerate(row):
+            if not p:
+                continue
+            want = mat.col_degs[j] - mat.row_degs[i]
+            degs = {sum(m) for m in p.terms}
+            if len(degs) > 1:
+                raise GradedViolationError(
+                    f"entry ({i},{j}) = {p} is inhomogeneous: degrees {sorted(degs)}")
+            deg = degs.pop()
+            if deg != want:
+                raise GradedViolationError(f"entry ({i},{j}) = {p} has degree {deg}, not {want}")
 
 
 def compose(A: PolyMatrix, B: PolyMatrix) -> PolyMatrix:

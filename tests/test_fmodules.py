@@ -20,6 +20,7 @@ from cihom.polynomials import (
 )
 from cihom.rings import INF, HypothesisMissingError, RingPresentation
 from cihom.search import random_homogeneous_module
+import reference
 from reference import lift
 
 F = PrimeField(32003)
@@ -896,13 +897,25 @@ def _random_presentation(ring, rng):
     return ModulePresentation.from_relations(ring, gen_degs, columns)
 
 
+def _assert_same_columns(got, want):
+    """The columns of the matrix want, in order, with equal term dicts in
+    the same order, entry by entry."""
+    assert [[list(p.terms.items()) for p in col] for col in got] == \
+        [[list(p.terms.items()) for p in col] for col in want.columns()]
+    assert all(len(col) == want.nrows for col in got)
+
+
 def _check_builders(M, N, degs):
     pr = M.ring.poly_ring
     _assert_same_matrix(M.tensor(N).relations, _tensor_reference(M, N))
     _assert_same_matrix(M.ambient_presentation().relations, _ambient_reference(M))
     for A in (M.relations, M.relations.transpose()):
-        _assert_same_matrix(A.kron_identity(degs), _kron_map_reference(A, degs, pr))
-        _assert_same_matrix(A.identity_kron(degs), _block_relations_reference(degs, A, pr))
+        kron = _kron_map_reference(A, degs, pr)
+        blocks = _block_relations_reference(degs, A, pr)
+        _assert_same_matrix(A.kron_identity(degs), kron)
+        _assert_same_matrix(A.identity_kron(degs), blocks)
+        _assert_same_columns(A.kron_identity_columns(len(degs)), kron)
+        _assert_same_columns(A.identity_kron_columns(len(degs)), blocks)
 
 
 RINGS = st.sampled_from(["quadric", "two_nodes", "node"])
@@ -933,3 +946,69 @@ def test_kronecker_builders_on_edge_presentations(which, ring_quadric, ring_two_
         for N in edges:
             for degs in ((), (0,), (-2, 1)):
                 _check_builders(M, N, degs)
+
+
+# -- check_graded: zero entries skipped, repeated entries read once ---------------------
+
+def _graded_error(check, mat):
+    with pytest.raises(GradedViolationError) as err:
+        check(mat)
+    return str(err.value)
+
+
+def test_check_graded_names_the_first_bad_cell_of_a_kronecker_matrix(ring_quadric):
+    pr = ring_quadric.poly_ring
+    x, y, w = (pr.variable(v) for v in "xyw")
+    # entry (0, 1) has degree 2 where 1 is wanted; both shapes repeat it
+    A = PolyMatrix(pr, (0, 1), (1, 1), [[x, y * w], [pr.zero(), pr.one()]])
+    for mat in (A.kron_identity((0, 2, -1)), A.identity_kron((1, 0)),
+                A.transpose().kron_identity((0, 1))):
+        want = _graded_error(reference.check_graded, mat)
+        assert _graded_error(PolyMatrix.check_graded, mat) == want
+    assert _graded_error(PolyMatrix.check_graded, A.kron_identity((0, 2, -1))) == \
+        "entry (0,3) = y*w has degree 2, not 1"
+
+
+def test_check_graded_names_the_first_inhomogeneous_cell(ring_quadric):
+    pr = ring_quadric.poly_ring
+    x, y = pr.variable("x"), pr.variable("y")
+    A = PolyMatrix(pr, (0, 0), (1, 1), [[pr.zero(), x], [x + y * y, y]])
+    for mat in (A.kron_identity((0, 1)), A.identity_kron((2, 0, 1))):
+        want = _graded_error(reference.check_graded, mat)
+        assert _graded_error(PolyMatrix.check_graded, mat) == want
+    assert _graded_error(PolyMatrix.check_graded, A.kron_identity((0, 1))) == \
+        "entry (2,0) = y^2 + x is inhomogeneous: degrees [1, 2]"
+
+
+def test_check_graded_compares_a_repeated_entry_in_every_cell(ring_quadric):
+    # one object in two rows of different degrees: right in the first cell
+    # it fills, wrong in the second, so its cached degree must be compared
+    # again there
+    pr = ring_quadric.poly_ring
+    x = pr.variable("x")
+    mat = PolyMatrix(pr, (0, 1), (1, 2), [[x, pr.zero()], [x, pr.zero()]])
+    assert _graded_error(PolyMatrix.check_graded, mat) == \
+        _graded_error(reference.check_graded, mat) == "entry (1,0) = x has degree 1, not 0"
+    PolyMatrix(pr, (0, 1), (1, 2), [[x, pr.zero()], [pr.zero(), x]]).check_graded()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31), RINGS)
+def test_check_graded_agrees_with_the_cell_scan(ring_quadric, ring_two_nodes, ring_node,
+                                                seed, which):
+    # random Kronecker matrices of random presentations, with the degrees
+    # of some rows or columns moved so that some entries are wrong
+    ring = {"quadric": ring_quadric, "two_nodes": ring_two_nodes, "node": ring_node}[which]
+    rng = random.Random(seed)
+    A = _random_presentation(ring, rng).relations
+    degs = tuple(rng.randint(-2, 2) for _ in range(rng.randint(1, 3)))
+    for mat in (A.kron_identity(degs), A.identity_kron(degs)):
+        rows = tuple(d + (rng.random() < 0.2) for d in mat.row_degs)
+        cols = tuple(d - (rng.random() < 0.2) for d in mat.col_degs)
+        moved = PolyMatrix(mat.poly_ring, rows, cols, mat.entries)
+        try:
+            reference.check_graded(moved)
+        except GradedViolationError as err:
+            assert _graded_error(PolyMatrix.check_graded, moved) == str(err)
+        else:
+            moved.check_graded()

@@ -40,7 +40,7 @@ from cihom.polynomials import (
 )
 from cihom.resolutions import resolve
 from cihom.rings import RingPresentation
-from cihom.search import SearchConfig, counterexample_search
+from cihom.search import SearchConfig, counterexample_search, random_homogeneous_module
 import golden
 from reference import (
     element_add,
@@ -50,7 +50,9 @@ from reference import (
     lift,
     mono_div,
     mono_lcm,
+    tracking_vector,
 )
+from reference import syzygy_elements as reference_syzygy_elements
 
 F = PrimeField(32003)
 
@@ -341,7 +343,9 @@ def test_columns_round_trip_through_the_codec(seed):
     order = ModuleOrder(free, split=rng.randint(0, nrows))
     for col in columns:
         coded = order.encode_column(col, free)
-        back = tuple(Polynomial(pr, terms) for terms in order.decode_rows(coded, 0, nrows))
+        rows = order.decode_nonzero_rows(coded, pr)
+        assert all(rows.values())
+        back = tuple(rows.get(i, pr.zero()) for i in range(nrows))
         assert back == col
         assert _term_lists(back) == _term_lists(col)
 
@@ -828,7 +832,8 @@ def test_a_coefficient_that_cancels_mod_p_and_comes_back(field_tag):
             nf = normal_form(coded(e), basis, order)
             assert list(nf.terms.items()) == list(
                 _normal_form_reference(coded(e), basis, order).terms.items())
-            assert order.decode_rows(nf, 0, 1) == [want]
+            assert {j: p.terms for j, p in order.decode_nonzero_rows(nf, pr).items()} == \
+                ({0: want} if want else {})
             _assert_canonical(nf)
 
 
@@ -1208,6 +1213,69 @@ def test_syzygy_elements_match_decode_then_regroup(ring_quadric, ring_two_nodes,
     assert [_term_lists(s) for s in syz] == [_term_lists(_column(r)) for r in ref]
     assert syz_degs == ref_degs
     assert syzygy_generators(cols, degs, free, ring, rels)[1] == ref_degs
+
+
+# -- syzygy vectors decoded on their nonzero rows only --------------------------------
+
+_FOUR_RINGS = {tag: tuple(catalog.ring(name, field_by_tag(tag))
+                          for name in ("R_node", "R_node3", "R_xyzu", "R_quadric"))
+               for tag in ("f32003", "f3", "rational")}
+
+
+def _tracked_inputs(M):
+    """The syzygy computations a resolution step and a cycle pass make on
+    M: its relations' syzygies over the ring and over the ambient ring, and
+    the generator columns' syzygies modulo the relations."""
+    ring, A = M.ring, M.relations
+    free = FreeModule(ring.poly_ring, M.gen_degs)
+    identity = PolyMatrix.identity(ring.poly_ring, M.gen_degs).columns()
+    return [(A.columns(), A.col_degs, free, ring, ()),
+            (A.columns(), A.col_degs, free, None, ()),
+            (identity, M.gen_degs, free, ring, A.columns())]
+
+
+def _zero_reduced(tracked):
+    """The collected elements whose tracking vector reduces to zero."""
+    return sum(not any(p.terms for p in tracking_vector(tracked, g)) for g in tracked.collected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_FOUR_RINGS)), st.integers(0, 3), st.integers(0, 10**6),
+       st.booleans())
+def test_syzygy_generators_match_the_full_column_decode(tag, which, seed, syzygy):
+    # every collected element decoded into all s rows, each row reduced,
+    # against the decode of the nonzero rows only: same columns, same
+    # order, same term order in every entry, same degrees
+    ring = _FOUR_RINGS[tag][which]
+    rng = random.Random(seed)
+    M = random_homogeneous_module(ring, rng, 2, rng.randint(1, 2), label="A")
+    M = (M.first_syzygy() if syzygy else M).minimalize()
+    for args in _tracked_inputs(M):
+        want, want_degs = reference_syzygy_elements(TrackedSubmodule(*args))
+        got, got_degs = syzygy_generators(*args)
+        assert [_term_lists(s) for s in got] == [_term_lists(s) for s in want]
+        assert got_degs == want_degs
+        assert all(len(s) == len(args[1]) for s in got)
+
+
+@pytest.mark.parametrize("tag", sorted(_FOUR_RINGS))
+def test_collected_vectors_that_reduce_to_zero_are_dropped(tag):
+    # over the node and k[x,y,z,u]/(xy, zu) some collected vectors reduce
+    # to zero modulo the monomial ideal; neither decode keeps them
+    zeros = 0
+    for which in (0, 2):
+        ring = _FOUR_RINGS[tag][which]
+        for seed in range(12):
+            rng = random.Random(seed)
+            M = random_homogeneous_module(ring, rng, 2, rng.randint(1, 2), label="A")
+            for args in _tracked_inputs(M.minimalize()):
+                tracked = TrackedSubmodule(*args)
+                zeros += _zero_reduced(tracked)
+                got = tracked.syzygy_elements()[0]
+                assert [_term_lists(s) for s in got] == \
+                    [_term_lists(s) for s in reference_syzygy_elements(tracked)[0]]
+                assert all(any(p.terms for p in s) for s in got)
+    assert zeros > 0
 
 
 # -- relation columns enter the syzygy engine untracked -------------------------------

@@ -17,6 +17,7 @@ from cihom.polynomials import (
     monomials_of_degree,
 )
 from cihom import rings
+import reference
 from cihom.rings import (
     NEG_INF,
     HypothesisMissingError,
@@ -336,3 +337,25 @@ def test_reduce_refuses_a_polynomial_of_another_ring():
             ring.reduce(poly)
     assert ring.reduce(x * x) == x * x
     assert ring.reduce(x * x * y).is_zero()
+
+
+# -- spot-check samples: term dicts filled from the draws ---------------------------------
+
+@pytest.mark.parametrize("tag", ["f32003", "f3", "rational"])
+def test_random_poly_matches_the_sum_of_its_terms(rings_over, tag):
+    # the same draws, in the same order, as a sum of one-term polynomials:
+    # equal values and equal term order, with zero coefficients (from_int
+    # of a multiple of 3 over f3) skipped and cancelled monomials deleted
+    short = 0
+    for ring in rings_over(tag):
+        pr = ring.poly_ring
+        monos = [list(monomials_of_degree(pr.nvars, d)) for d in range(3)]
+        for seed in range(40):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            for _ in range(50):
+                got = rings._random_poly(pr, rng, monos)
+                want = reference.random_poly_by_sums(pr, ref_rng, monos)
+                assert list(got.terms.items()) == list(want.terms.items())
+                short += not got.terms
+            assert rng.getstate() == ref_rng.getstate()
+    assert (short > 0) == (tag == "f3")

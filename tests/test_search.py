@@ -12,6 +12,7 @@ from cihom.polynomials import InvariantError, PolyRing
 from cihom.rings import HypothesisMissingError, RingPresentation
 from cihom.search import SearchConfig, counterexample_search, random_homogeneous_module
 import golden
+import reference
 
 
 def test_unknown_question(ring_node):
@@ -101,6 +102,24 @@ def test_random_module_generator_reproducible(ring_node):
     a = random_homogeneous_module(ring_node, random.Random(9), 2, 2)
     b = random_homogeneous_module(ring_node, random.Random(9), 2, 2)
     assert a.describe() == b.describe()
+
+
+@pytest.mark.parametrize("tag", ["f32003", "f3", "rational"])
+def test_random_module_matches_the_sum_of_its_terms(rings_over, tag):
+    # the same draws, in the same order, as sums of one-term polynomials:
+    # equal presentations, entry by entry in the same term order
+    import random
+    for ring in rings_over(tag):
+        for seed in range(60):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            for max_gens, max_deg in ((2, 2), (2, 1), (3, 3)):
+                got = random_homogeneous_module(ring, rng, max_gens, max_deg)
+                want = reference.random_module_by_sums(ring, ref_rng, max_gens, max_deg)
+                assert got.gen_degs == want.gen_degs
+                assert got.relations.col_degs == want.relations.col_degs
+                assert [[list(p.terms.items()) for p in row] for row in got.relations.entries] \
+                    == [[list(p.terms.items()) for p in row] for row in want.relations.entries]
+            assert rng.getstate() == ref_rng.getstate()
 
 
 def test_3_6_experiment_runs(ring_quadric):
