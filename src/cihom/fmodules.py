@@ -4,7 +4,8 @@ A module is a cokernel presentation: generator degrees plus a relation matrix
 whose columns are homogeneous relations (entries are stored as ambient-ring
 polynomials and read modulo the quotient ideal).  The derived data,
 minimal form, one Hilbert series per presentation (Hilbert function,
-dimension, length), depth via the finite ambient resolution, Serre conditions
+dimension, length), depth via the finite ambient resolution (or a terminated
+R-resolution already computed, over a certified ring), Serre conditions
 via Ext codimensions, torsion-freeness via the evaluation map on the dual's
 generators and reflexivity via the level-two depth condition (these and the
 maximal Cohen-Macaulay test refuse a nonzero module of dimension below dim R
@@ -19,9 +20,9 @@ each source column by one slice, so it costs no interpreter step per
 entry; the matrix form is built from it, and a caller that only hands
 columns to the Groebner engine takes the column form itself.  These
 matrices are mostly zero and repeat one entry in many cells, so
-``check_graded`` and ``minimalize`` read term dicts directly, skip zero
-entries and, in ``check_graded``, compute the degree of each distinct
-entry once.  The ambient presentation of a minimal
+``check_graded`` and ``minimalize`` read term dicts directly and skip zero
+entries, and ``check_graded`` reads each entry's degree from the
+polynomial, which computes it once.  The ambient presentation of a minimal
 presentation is built minimal from it: its relations are kept and only the
 quotient columns are tested, so depth reads an S-resolution with no second
 greedy pass over the relations.
@@ -88,18 +89,16 @@ class PolyMatrix:
         """Raise GradedViolationError unless every entry (i, j) is zero or
         homogeneous of degree col_degs[j] - row_degs[i]; the message names
         the first entry, row by row, that is not.  Zero entries are skipped,
-        and an entry object that fills many cells (a Kronecker or tensor
-        matrix repeats one polynomial down its diagonal blocks) has its
-        degree computed once per call."""
+        and each entry's degree is read from its polynomial, which computes
+        it once (``Polynomial.degree``): an entry that fills many cells (a
+        Kronecker or tensor matrix repeats one polynomial down its diagonal
+        blocks) or many matrices costs one degree computation."""
         row_degs, col_degs = self.row_degs, self.col_degs
-        degree_of = {}   # id of an entry -> its degree; the entries stay alive meanwhile
         for i, row in enumerate(self.entries):
             for j, p in enumerate(row):
                 if not p.terms:
                     continue
-                deg = degree_of.get(id(p))
-                if deg is None:
-                    deg = degree_of[id(p)] = _entry_degree(p, i, j)
+                deg = _entry_degree(p, i, j)
                 if deg != col_degs[j] - row_degs[i]:
                     raise GradedViolationError(
                         f"entry ({i},{j}) = {p} has degree {deg}, not {col_degs[j] - row_degs[i]}")
@@ -584,13 +583,22 @@ class ModulePresentation:
         """dim S - pd_S(M), the Auslander-Buchsbaum value; inf for zero.
 
         A nonzero module of dimension 0 has depth 0 (depth M <= dim M), read
-        from its Hilbert series with no ambient resolution.
+        from its Hilbert series with no ambient resolution.  Over a
+        certified complete intersection R, a graded Cohen-Macaulay ring, a
+        module whose R-resolution is already cached on its minimal
+        presentation and has terminated has depth dim R - pd_R(M)
+        (Auslander-Buchsbaum over R), read from that cache; no R-resolution
+        is started for it, and every other module takes the ambient one.
         """
         M = self.minimalize()
         if M.n_gens == 0:
             return INF
         if M.dimension() == 0:
             return 0
+        from .resolutions import cached_projective_dimension
+        pd = cached_projective_dimension(M)
+        if pd is not None and self.ring.certified:
+            return self.ring.dimension() - pd
         return self.ring.poly_ring.nvars - M.projective_dimension_ambient()
 
     def length(self) -> float:

@@ -73,8 +73,14 @@ monomials whose exponents fit their slots enter a table, and a table that
 reaches ``_TABLE_MAX`` entries starts over.  A column enters the engine
 through one encoder, ``ModuleOrder.encode_column``, which codes each row's
 terms as ``_base[p]`` plus the table offset of each monomial and refuses a
-column whose length is not the rank or whose entry lies over another
-polynomial ring (``IncompatibleOperandsError``).  Results leave through one
+column whose length is not the rank or whose nonzero entry lies over another
+polynomial ring (``IncompatibleOperandsError``).  It reads every term's
+shifted degree for the range check, so it records the one the terms share
+on the element, and ``element_degree``, the homogeneity check of
+``extend``, ``reduce`` and ``relation_basis``, returns that with no scan;
+a column of mixed degrees records none and is scanned, and
+``TrackedSubmodule`` drops the record when a tracking term's degree differs
+from it.  Results leave through one
 decoder, ``ModuleOrder.decode_nonzero_rows``, which turns a coded element
 into one polynomial per row it has terms at, its terms in the order of the
 element's (syzygies, ``GroebnerBasis`` generators and normal forms, whose
@@ -164,14 +170,17 @@ class FreeModule:
 
 class Element:
     """A coded element of a graded free module: dict of int term code -> coeff,
-    the codes of a ``ModuleOrder`` of ``module`` (see the module docstring)."""
+    the codes of a ``ModuleOrder`` of ``module`` (see the module docstring).
+    ``_degree`` is the common shifted degree of the terms when the element's
+    maker recorded it (``ModuleOrder.encode_column``), else None."""
 
-    __slots__ = ("module", "terms", "_lead")
+    __slots__ = ("module", "terms", "_lead", "_degree")
 
-    def __init__(self, module: FreeModule, terms: dict):
+    def __init__(self, module: FreeModule, terms: dict, degree=None):
         self.module = module
         self.terms = terms
         self._lead = None
+        self._degree = degree
 
     def __bool__(self):
         return bool(self.terms)
@@ -315,31 +324,37 @@ class ModuleOrder:
 
     def encode_column(self, column, free: FreeModule) -> Element:
         """The coded element of a column of ``free`` (one polynomial per row),
-        whose positions are this order's first ones.  Raises
-        IncompatibleOperandsError for a column whose length is not the rank
-        of ``free`` or an entry over another polynomial ring, and
-        TermCodeRangeError for a term that does not fit."""
+        whose positions are this order's first ones, with its shifted degree
+        recorded when every term has the same one.  A zero row costs one
+        test.  Raises IncompatibleOperandsError for a column whose length is
+        not the rank of ``free`` or a nonzero entry over another polynomial
+        ring, and TermCodeRangeError for a term that does not fit."""
         if len(column) != free.rank:
             raise IncompatibleOperandsError(
                 f"column with {len(column)} entries for a free module of rank {free.rank}")
         ring, base, raised_degs = free.ring, self._base, self._raised_degs
         offsets, weights = self._offsets, self._weights
         terms = {}
+        common = None   # the raised degree of every term so far; -1 once they differ
         for p, poly in enumerate(column):
-            if poly.ring is not ring:
-                ring.check_compatible(poly.ring)
             if not poly.terms:
                 continue
+            if poly.ring is not ring:
+                ring.check_compatible(poly.ring)
             b, raised = base[p], raised_degs[p]
             for m, c in poly.terms.items():
                 known = offsets.get(m)
                 if known is None:
                     known = self._learn(m, sum(map(operator.mul, m, weights)))
                 offset, deg = known
-                if not 0 <= deg + raised <= _FIELD_MAX:
-                    raise self._out_of_range(deg + self.module.gen_degs[p])
+                d = deg + raised
+                if d != common:   # a degree equal to common is in range already
+                    if not 0 <= d <= _FIELD_MAX:
+                        raise self._out_of_range(deg + self.module.gen_degs[p])
+                    common = d if common is None else -1
                 terms[b + offset] = c
-        return Element(self.module, terms)
+        return Element(self.module, terms,
+                       common - self._offset if common is not None and common >= 0 else None)
 
     def quotient_elements(self, quotient_polys) -> list:
         """The coded quotient columns f_k * e_j (``quotient_columns``) of the
@@ -381,7 +396,11 @@ class ModuleOrder:
         return (code >> self._degree_shift & _SLOT_MASK) - self._offset
 
     def element_degree(self, e: Element):
-        """Common shifted degree of a coded element (None for zero); raises if mixed."""
+        """Common shifted degree of a coded element (None for zero); raises
+        GradedViolationError if mixed.  A degree recorded on the element is
+        returned with no scan of its codes."""
+        if e._degree is not None:
+            return e._degree
         shift, offset = self._degree_shift, self._offset
         degs = {(t >> shift & _SLOT_MASK) - offset for t in e.terms}
         if len(degs) > 1:
@@ -794,6 +813,8 @@ class TrackedSubmodule:
         for j, col in enumerate(columns):
             coded = order.encode_column(col, free)   # F's positions come first
             coded.terms[order.encode((free.rank + j, unit))] = one
+            if coded._degree != col_degs[j]:
+                coded._degree = None   # mixed, or unrecorded: extend scans the codes
             tracked.append(coded)
         for rel in relations:
             tracked.append(order.encode_column(rel, free))

@@ -699,7 +699,11 @@ def ext_ambient_dimensions(M: ModulePresentation) -> dict:
 
 
 def ring_depth(ring: RingPresentation) -> float:
-    """Depth of R as a module over itself (ambient Auslander-Buchsbaum)."""
+    """Depth of R as a module over itself: dim R when R is a certified
+    complete intersection, which is Cohen-Macaulay, with nothing resolved;
+    otherwise ambient Auslander-Buchsbaum (``ModulePresentation.depth``)."""
+    if ring.certified:
+        return ring.dimension()
     return ModulePresentation.free(ring, (0,)).depth()
 
 

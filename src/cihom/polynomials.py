@@ -157,14 +157,25 @@ class PolyRing:
         return f"PolyRing({self.field.tag}, vars={list(self.variables)})"
 
 
-class Polynomial:
-    """An element of a PolyRing: a dict of exponent tuple -> nonzero coeff."""
+# A Polynomial's degree slot before the degree is first read.
+_UNKNOWN = object()
 
-    __slots__ = ("ring", "terms")
+
+class Polynomial:
+    """An element of a PolyRing: a dict of exponent tuple -> nonzero coeff.
+
+    ``terms`` never changes once the polynomial is built: every operation
+    returns a new polynomial, and no code in the package writes to the
+    dict of a built one.  So the degree is computed once, on its first
+    read, and kept in the ``_degree`` slot.
+    """
+
+    __slots__ = ("ring", "terms", "_degree")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
+        self._degree = _UNKNOWN
 
     # -- queries ------------------------------------------------------------
 
@@ -177,12 +188,16 @@ class Polynomial:
     def degree(self):
         """Degree of a homogeneous polynomial, None for zero.  This is the one
         homogeneity rule: an inhomogeneous polynomial raises
-        GradedViolationError naming its term degrees."""
-        degs = {sum(m) for m in self.terms}
-        if len(degs) > 1:
-            raise GradedViolationError(
-                f"inhomogeneous polynomial {self}: degrees {sorted(degs)}")
-        return next(iter(degs), None)
+        GradedViolationError naming its term degrees, on every call.  A
+        degree, None included, is kept after the first read."""
+        deg = self._degree
+        if deg is _UNKNOWN:
+            degs = {sum(m) for m in self.terms}
+            if len(degs) > 1:
+                raise GradedViolationError(
+                    f"inhomogeneous polynomial {self}: degrees {sorted(degs)}")
+            deg = self._degree = next(iter(degs), None)
+        return deg
 
     def is_constant(self) -> bool:
         unit = (0,) * self.ring.nvars

@@ -216,6 +216,15 @@ def resolve(M: ModulePresentation, steps: int, over: str = "quotient") -> FreeRe
                           cache["terminated"] and len(diffs) <= steps, period)
 
 
+def cached_projective_dimension(Mmin: ModulePresentation):
+    """pd_R of the minimal presentation Mmin when the resolution that
+    ``resolve`` cached on it has terminated, else None; nothing is resolved."""
+    cache = Mmin._res_cache
+    if cache is None or not cache["terminated"]:
+        return None
+    return sum(1 for d in cache["diffs"] if d.ncols)   # only a free module's d_1 has none
+
+
 def _literal_period(diffs):
     """(o, p, t) for the first p <= _MAX_PERIOD with d_n = d_(n-p) raised by
     one twist t, n = len(diffs) and o = n - p >= 1, or None.  A pair of

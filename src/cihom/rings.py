@@ -203,15 +203,34 @@ def monomial_minimal_primes(poly_ring: PolyRing, mono_gens):
     return primes
 
 
+def draw_below(getrandbits, n: int) -> int:
+    """A random int in [0, n), n >= 1, drawn as ``random.Random`` draws it
+    from ``getrandbits`` (a bound ``Random.getrandbits``): ``n.bit_length()``
+    bits, drawn again while the value is n or more.  So
+    ``a + draw_below(rng.getrandbits, b - a + 1)`` is ``rng.randint(a, b)``
+    and ``seq[draw_below(rng.getrandbits, len(seq))]`` is
+    ``rng.choice(seq)``: the same value and the same state after, without
+    their three Python frames per draw.  ValueError for n < 1, where they
+    raise too."""
+    if n < 1:
+        raise ValueError(f"no int to draw below {n}")
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _random_poly(poly_ring: PolyRing, rng: random.Random, monos_by_degree) -> Polynomial:
     """One to three terms of one degree 0..2, drawn from ``monos_by_degree``
-    (a monomial, then its coefficient) and summed into one term dict."""
-    field = poly_ring.field
-    monos = monos_by_degree[rng.randint(0, 2)]
+    (a monomial, then its coefficient) and summed into one term dict, every
+    draw through ``draw_below``."""
+    field, bits = poly_ring.field, rng.getrandbits
+    monos = monos_by_degree[draw_below(bits, 3)]
     terms: dict = {}
-    for _ in range(rng.randint(1, 3)):
-        m = rng.choice(monos)
-        add_term(terms, m, field.from_int(rng.randint(1, 100)), field.canonical)
+    for _ in range(1 + draw_below(bits, 3)):
+        m = monos[draw_below(bits, len(monos))]
+        add_term(terms, m, field.from_int(1 + draw_below(bits, 100)), field.canonical)
     return Polynomial(poly_ring, terms)
 
 

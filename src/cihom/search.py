@@ -22,7 +22,7 @@ import random
 from .fmodules import ModulePresentation
 from .homology import tor_profile
 from .polynomials import Polynomial, add_term, monomials_of_degree
-from .rings import INF, HypothesisMissingError, RingPresentation
+from .rings import INF, HypothesisMissingError, RingPresentation, draw_below
 
 
 # question -> (handler name, modules per sample, conclusion field); the
@@ -69,25 +69,26 @@ def random_homogeneous_module(ring: RingPresentation, rng: random.Random,
                               label="X") -> ModulePresentation:
     """A random graded cokernel: few generators, low-degree relations.  Each
     entry sums up to two terms (a coefficient, then its monomial) into one
-    term dict."""
+    term dict.  Every draw goes through ``rings.draw_below``, which gives
+    the values and the stream of ``rng.randint`` and ``rng.choice``."""
     pr = ring.poly_ring
-    field, zero = pr.field, pr.zero()
-    p = rng.randint(1, max_gens)
-    q = rng.randint(1, max_gens + 1)
+    field, zero, bits = pr.field, pr.zero(), rng.getrandbits
+    p = 1 + draw_below(bits, max_gens)
+    q = 1 + draw_below(bits, max_gens + 1)
     gen_degs = tuple(0 for _ in range(p))
     columns = []
     monos_of_degree: dict = {}
     for _ in range(q):
-        deg = rng.randint(1, max_deg)
+        deg = 1 + draw_below(bits, max_deg)
         col = []
         monos = monos_of_degree.get(deg)
         if monos is None:
             monos = monos_of_degree[deg] = list(monomials_of_degree(pr.nvars, deg))
         for _i in range(p):
             terms: dict = {}
-            for _t in range(rng.randint(0, 2)):
-                c = field.from_int(rng.randint(1, 50))
-                add_term(terms, rng.choice(monos), c, field.canonical)
+            for _t in range(draw_below(bits, 3)):
+                c = field.from_int(1 + draw_below(bits, 50))
+                add_term(terms, monos[draw_below(bits, len(monos))], c, field.canonical)
             col.append(Polynomial(pr, terms) if terms else zero)
         if any(c.terms for c in col):
             columns.append(col)

@@ -67,3 +67,40 @@ def test_unpaired_runs_are_refused():
         summarize(_runs(items_per_s=[1, 2]), _runs(items_per_s=[1]), METRICS[:1])
     with pytest.raises(ValueError):
         summarize([], [], METRICS[:1])
+
+
+PER_LAYER = [{"name": "groebner.normal_form.calls", "unit": "count", "better": "lower"},
+             {"name": "groebner.normal_form.self_s", "unit": "s", "better": "lower"},
+             {"name": "groebner.normal_form.terms_in", "unit": "terms", "better": "lower"},
+             {"name": "groebner.normal_form.zero_ratio", "unit": "ratio", "better": "lower"},
+             {"name": "fmodules.depth.calls", "unit": "count", "better": "lower"},
+             {"name": "oracle.rref.madds", "unit": "madd_computed", "better": "lower"},
+             {"name": "trace.overhead_ratio", "unit": "ratio", "better": "lower"}]
+
+
+def test_count_metrics_leave_out_times_and_the_tracer_overhead():
+    names = [m["name"] for m in BENCH_PAIRS["count_metrics"](PER_LAYER)]
+    assert names == ["groebner.normal_form.calls", "groebner.normal_form.terms_in",
+                     "groebner.normal_form.zero_ratio", "fmodules.depth.calls",
+                     "oracle.rref.madds"]
+
+
+def test_differing_counts_name_each_moved_counter_in_spec_order():
+    base = {"groebner.normal_form.calls": 1175, "groebner.normal_form.self_s": 0.0051,
+            "groebner.normal_form.terms_in": 2392, "groebner.normal_form.zero_ratio": 0.4936,
+            "fmodules.depth.calls": 25, "oracle.rref.madds": 0, "trace.overhead_ratio": 0.4}
+    # every time differs, and of the counters only two calls and a ratio
+    change = dict(base, **{"groebner.normal_form.calls": 1166,
+                           "groebner.normal_form.self_s": 0.0049,
+                           "groebner.normal_form.zero_ratio": 0.4974,
+                           "fmodules.depth.calls": 24, "trace.overhead_ratio": 0.5})
+    rows = BENCH_PAIRS["differing_counts"](base, change, PER_LAYER)
+    assert rows == [("groebner.normal_form.calls", "count", 1175, 1166),
+                    ("groebner.normal_form.zero_ratio", "ratio", 0.4936, 0.4974),
+                    ("fmodules.depth.calls", "count", 25, 24)]
+    text = BENCH_PAIRS["format_counts"](rows, "HEAD~1").splitlines()
+    assert text[0] == "groebner.normal_form.calls (count): HEAD~1 1175 -> this checkout 1166"
+    assert len(text) == 3
+    assert BENCH_PAIRS["differing_counts"](base, dict(base), PER_LAYER) == []
+    assert BENCH_PAIRS["format_counts"]([], "HEAD~1") == \
+        "every count-type per-layer metric is the same at HEAD~1 and in this checkout"

@@ -1,6 +1,7 @@
 import functools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +12,15 @@ from cihom.fields import PrimeField, RationalField, field_by_tag
 from cihom.fmodules import ModulePresentation, PolyMatrix, equal_hilbert_functions
 from cihom.groebner import FreeModule, TrackedSubmodule
 from cihom.constructions import TorsionInputError, pushforward
-from cihom.homology import ext_ambient_dimensions, minimal_cycles, subquotient_presentation
+from cihom.homology import (ext_ambient_dimensions, minimal_cycles, ring_depth,
+                            subquotient_presentation)
 from cihom.polynomials import (
     GradedViolationError,
     IncompatibleOperandsError,
     PolyRing,
     monomials_of_degree,
 )
+from cihom.resolutions import resolve
 from cihom.rings import INF, HypothesisMissingError, RingPresentation
 from cihom.search import random_homogeneous_module
 import reference
@@ -832,6 +835,76 @@ def test_the_ambient_presentation_of_edge_modules(which):
         _assert_ambient_is_the_minimalized_full_one(M)
 
 
+# -- depth read from a terminated R-resolution, against the ambient resolution ---------
+
+def _ambient_spy():
+    """A patch of ``projective_dimension_ambient`` that counts its calls and
+    runs the real method."""
+    return mock.patch.object(ModulePresentation, "projective_dimension_ambient",
+                             autospec=True,
+                             side_effect=ModulePresentation.projective_dimension_ambient)
+
+
+def _assert_depth_is_the_ambient_value(M):
+    M = M.minimalize()
+    if not M.n_gens:
+        return False
+    resolved = resolve(M, 6).terminated
+    want = M.ring.poly_ring.nvars - M.projective_dimension_ambient()
+    with _ambient_spy() as spy:
+        assert M.depth() == want
+    # the ambient resolution runs exactly when neither the Hilbert series
+    # (dimension 0) nor a terminated R-resolution gives the depth
+    assert spy.call_count == (0 if resolved or M.dimension() == 0 else 1)
+    return resolved and M.dimension() > 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31), st.integers(0, 3),
+       st.sampled_from(["f32003", "f3", "rational"]), st.booleans())
+def test_depth_from_a_terminated_resolution_is_the_ambient_value(seed, which, tag, syzygy):
+    ring = _four_rings(tag)[which]
+    rng = random.Random(seed)
+    M = random_homogeneous_module(ring, rng, 2, rng.randint(1, 2), label="A")
+    _assert_depth_is_the_ambient_value(M.first_syzygy() if syzygy else M)
+
+
+@pytest.mark.parametrize("tag", ["f32003", "f3", "rational"])
+def test_depth_is_read_from_terminated_resolutions_on_every_fixture_ring(tag):
+    # the seeds whose module or first syzygy resolves within 6 steps take
+    # the Auslander-Buchsbaum value over R on each of the four rings; and
+    # ring_depth is the ambient value with no ambient resolution
+    for ring in _four_rings(tag):
+        read = 0
+        for seed in range(12):
+            rng = random.Random(seed)
+            M = random_homogeneous_module(ring, rng, 2, rng.randint(1, 2), label="A")
+            read += _assert_depth_is_the_ambient_value(M)
+            read += _assert_depth_is_the_ambient_value(M.first_syzygy())
+        assert read > 0, ring.label
+        free = ModulePresentation.free(ring, (0,))
+        want = ring.poly_ring.nvars - free.projective_dimension_ambient()
+        with _ambient_spy() as spy:
+            assert ring_depth(ring) == want == ring.dimension()
+        assert spy.call_count == 0
+
+
+def test_an_uncertified_ring_takes_the_ambient_path():
+    # R = k[x,y]/(x^2, xy) is not a complete intersection and has depth 0
+    # (x is killed by the maximal ideal), while dim R = 1: reading depth as
+    # dim R - pd_R would give 1 for R itself, whose R-resolution terminates
+    pr = PolyRing(F, ["x", "y"])
+    x, y = pr.variable("x"), pr.variable("y")
+    ring = RingPresentation(pr, [x * x, x * y], label="R")
+    assert not ring.certified and ring.dimension() == 1
+    R = ModulePresentation.free(ring, (0,))
+    assert resolve(R, 3).terminated
+    with _ambient_spy() as spy:
+        assert R.depth() == 0
+        assert ring_depth(ring) == 0
+    assert spy.call_count == 2
+
+
 def _kron_map_reference(d, coeff_degs, pr):
     """d tensor identity, as homology._kron_map built it."""
     nc = len(coeff_degs)
@@ -948,7 +1021,7 @@ def test_kronecker_builders_on_edge_presentations(which, ring_quadric, ring_two_
                 _check_builders(M, N, degs)
 
 
-# -- check_graded: zero entries skipped, repeated entries read once ---------------------
+# -- check_graded: zero entries skipped, each entry's degree computed once --------------
 
 def _graded_error(check, mat):
     with pytest.raises(GradedViolationError) as err:
@@ -959,8 +1032,11 @@ def _graded_error(check, mat):
 def test_check_graded_names_the_first_bad_cell_of_a_kronecker_matrix(ring_quadric):
     pr = ring_quadric.poly_ring
     x, y, w = (pr.variable(v) for v in "xyw")
-    # entry (0, 1) has degree 2 where 1 is wanted; both shapes repeat it
-    A = PolyMatrix(pr, (0, 1), (1, 1), [[x, y * w], [pr.zero(), pr.one()]])
+    yw = y * w
+    # yw's degree is read, and kept, in a matrix where it is right; entry
+    # (0, 1) of A has degree 2 where 1 is wanted, and both shapes repeat it
+    PolyMatrix(pr, (0,), (2,), [[yw]]).check_graded()
+    A = PolyMatrix(pr, (0, 1), (1, 1), [[x, yw], [pr.zero(), pr.one()]])
     for mat in (A.kron_identity((0, 2, -1)), A.identity_kron((1, 0)),
                 A.transpose().kron_identity((0, 1))):
         want = _graded_error(reference.check_graded, mat)

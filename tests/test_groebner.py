@@ -1,6 +1,7 @@
 import heapq
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -1276,6 +1277,59 @@ def test_collected_vectors_that_reduce_to_zero_are_dropped(tag):
                     [_term_lists(s) for s in reference_syzygy_elements(tracked)[0]]
                 assert all(any(p.terms for p in s) for s in got)
     assert zeros > 0
+
+
+# -- recorded element degrees -----------------------------------------------------------
+
+def _assert_recorded_degree(order, e):
+    """A degree recorded on the coded e is element_degree's scan of its
+    codes; an element of mixed degrees has none.  True when one is recorded."""
+    try:
+        fresh = order.element_degree(Element(e.module, e.terms))   # nothing recorded
+    except GradedViolationError:
+        assert e._degree is None
+        return False
+    assert e._degree is None or e._degree == fresh
+    return e._degree is not None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_FOUR_RINGS)), st.integers(0, 3), st.integers(0, 10**6),
+       st.booleans())
+def test_recorded_element_degrees_match_a_fresh_scan(tag, which, seed, syzygy):
+    # encoded columns (homogeneous, of mixed degrees, zero), quotient
+    # elements and the inputs of the tracked syzygy computations
+    ring = _FOUR_RINGS[tag][which]
+    pr = ring.poly_ring
+    rng = random.Random(seed)
+    M = random_homogeneous_module(ring, rng, 2, rng.randint(1, 2), label="A")
+    M = (M.first_syzygy() if syzygy else M).minimalize().twist(rng.randint(-2, 2))
+    free = FreeModule(pr, M.gen_degs)
+    order = groebner.shared_order(free)
+    x = pr.variable(pr.variables[0])
+    columns = M.relations.columns()
+    for col in columns:
+        assert _assert_recorded_degree(order, order.encode_column(col, free))
+        # the first row raised by x: mixed when another row is nonzero
+        raised = tuple(p * x if i == 0 else p for i, p in enumerate(col))
+        _assert_recorded_degree(order, order.encode_column(raised, free))
+    assert not _assert_recorded_degree(
+        order, order.encode_column((pr.zero(),) * len(M.gen_degs), free))
+    assert all(_assert_recorded_degree(order, q)
+               for q in order.quotient_elements(ring.quotient_gens))
+    inputs = []
+
+    def spy(elements, tracked_order):
+        inputs.extend((tracked_order, e) for e in elements)
+        return tracked_buchberger(elements, tracked_order)
+
+    with mock.patch.object(groebner, "tracked_buchberger", side_effect=spy):
+        for args in _tracked_inputs(M):
+            TrackedSubmodule(*args)
+    # a relation column tracked at its own degree keeps its record, in the
+    # syzygies over the ring and over the ambient ring
+    assert sum(_assert_recorded_degree(tracked_order, e)
+               for tracked_order, e in inputs) >= 2 * len(columns)
 
 
 # -- relation columns enter the syzygy engine untracked -------------------------------

@@ -10,6 +10,7 @@ from cihom.polynomials import (
     GradedViolationError,
     IncompatibleOperandsError,
     PolyRing,
+    Polynomial,
     grevlex_key,
     mono_mul,
     monomials_of_degree,
@@ -80,6 +81,26 @@ def test_homogeneous_degree_inhomogeneous():
     x = pr.variable("x")
     with pytest.raises(GradedViolationError, match=r"degrees \[1, 2\]"):
         (x + x * x).degree()
+
+
+def test_the_degree_is_kept_and_an_inhomogeneous_one_raises_on_every_read():
+    pr = ring4()
+    x, y = pr.variable("x"), pr.variable("y")
+    mixed = x + x * y
+    errors = []
+    for _ in range(3):
+        with pytest.raises(GradedViolationError) as err:
+            mixed.degree()
+        errors.append(str(err.value))
+    assert errors == ["inhomogeneous polynomial x*y + x: degrees [1, 2]"] * 3
+    rng = random.Random(3)
+    for _ in range(100):
+        p = _random_homogeneous(pr, rng, rng.randint(0, 3))
+        fresh = Polynomial(pr, p.terms)   # the same terms, no degree read yet
+        assert p.degree() == p.degree() == fresh.degree() == \
+            next(iter({sum(m) for m in p.terms}), None)
+    zero = Polynomial(pr, {})
+    assert zero.degree() is None and zero.degree() is None
 
 
 def _random_homogeneous(pr, rng, deg):

@@ -359,3 +359,20 @@ def test_random_poly_matches_the_sum_of_its_terms(rings_over, tag):
                 short += not got.terms
             assert rng.getstate() == ref_rng.getstate()
     assert (short > 0) == (tag == "f3")
+
+
+def test_draw_below_gives_the_standard_library_streams():
+    # randint(a, b) is a + draw_below(getrandbits, b - a + 1) and choice(seq)
+    # is seq[draw_below(getrandbits, len(seq))]: the same values, and the
+    # same state after every draw, for every range of 1..101 values
+    for seed in range(1, 201):
+        std, ours = random.Random(seed), random.Random(seed)
+        bits = ours.getrandbits
+        for n in range(1, 102):
+            assert std.randint(-3, n - 4) == -3 + rings.draw_below(bits, n)
+            seq = list(range(100, 100 + n))
+            assert std.choice(seq) == seq[rings.draw_below(bits, n)]
+        assert std.getstate() == ours.getstate()
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            rings.draw_below(bits, n)
